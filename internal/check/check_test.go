@@ -1,12 +1,15 @@
 package check_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/hyper"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -171,6 +174,52 @@ injection:
 	if !found {
 		t.Fatalf("no exit-conservation violation recorded: %v", c.Violations())
 	}
+}
+
+// TestCheckerCatchesDirtyTrackingSplits breaks the agreement between a VM's
+// written set and its EPT dirty bits in both directions, at the top of a
+// 12 GiB guest where the sparse written set keeps a region of its own, and
+// requires the sweep to name the offending frame each time.
+func TestCheckerCatchesDirtyTrackingSplits(t *testing.T) {
+	spec := experiment.Spec{Depth: 2, IO: experiment.IOParavirt}
+	st, c := buildChecked(t, spec)
+	drive(t, st, 60, workload.Profiles()[0])
+	vm := st.Target
+	top := vm.NumPages - 1
+	if err := vm.Memory().Write(top.Base(), []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Finish(); err != nil {
+		t.Fatalf("clean run not clean: %v", err)
+	}
+	caught := func(invariant string, p mem.PFN) {
+		t.Helper()
+		frame := fmt.Sprintf("%#x", uint64(p))
+		for _, viol := range c.Violations() {
+			if viol.Invariant == invariant && strings.Contains(viol.Detail, frame) {
+				return
+			}
+		}
+		t.Fatalf("no %s violation naming frame %s: %v", invariant, frame, c.Violations())
+	}
+
+	// Remapping the written top frame clears its EPT dirty bit.
+	w := vm.EPT.Lookup(top, 0)
+	vm.EPT.Map(top, w.PFN, mem.PermRWX)
+	if err := c.Finish(); err == nil {
+		t.Fatal("checker missed a written frame with a clean EPT dirty bit")
+	}
+	caught("written-ept-dirty", top)
+
+	// A hardware-style write walk dirties a frame the written set never saw.
+	vm.EPT.Lookup(top, mem.PermWrite)
+	below := top - 1
+	if _, err := vm.EnsureMapped(below); err != nil {
+		t.Fatal(err)
+	}
+	vm.EPT.Lookup(below, mem.PermWrite)
+	c.Finish()
+	caught("ept-dirty-written", below)
 }
 
 // TestDVHFeaturesNeverIncreaseExits is the metamorphic property behind

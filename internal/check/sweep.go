@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/hyper"
 	"repro/internal/mem"
@@ -93,26 +92,25 @@ func (c *Checker) checkDirtyTracking(vm *hyper.VM) {
 			return
 		}
 	}
-	eptDirty := map[mem.PFN]bool{}
+	// The EPT walk and the written set both come out in ascending frame
+	// order, so one merge pass finds the lowest offender on every run.
+	var eptDirty []mem.PFN
 	vm.EPT.ForEachEntry(func(e mem.Entry) {
 		if e.Dirty {
-			eptDirty[e.From] = true
+			eptDirty = append(eptDirty, e.From)
 		}
 	})
+	i := 0
 	for _, p := range vm.WrittenPages() {
-		if !eptDirty[p] {
+		for i < len(eptDirty) && eptDirty[i] < p {
+			i++
+		}
+		if i == len(eptDirty) || eptDirty[i] != p {
 			c.violate("written-ept-dirty", "%s: written frame %#x has a clean EPT dirty bit", vm.Name, uint64(p))
 			return
 		}
 	}
-	// Iterate in sorted order so the reported frame is the same on every run
-	// (map order would otherwise pick an arbitrary offender).
-	eptPFNs := make([]mem.PFN, 0, len(eptDirty))
-	for p := range eptDirty {
-		eptPFNs = append(eptPFNs, p)
-	}
-	sort.Slice(eptPFNs, func(i, j int) bool { return eptPFNs[i] < eptPFNs[j] })
-	for _, p := range eptPFNs {
+	for _, p := range eptDirty {
 		if !vm.Written(p) {
 			c.violate("ept-dirty-written", "%s: EPT-dirty frame %#x never marked written", vm.Name, uint64(p))
 			return

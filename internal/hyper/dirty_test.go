@@ -52,6 +52,64 @@ func TestEPTDirtyBitsTrackWrites(t *testing.T) {
 	})
 }
 
+// Written sets and dirty logs are sparse bitmaps: writes scattered across a
+// 12 GiB guest, across bitmap region boundaries and at its last frame must
+// come back exactly once each, in ascending frame order, at the written
+// level and (shifted by the carve base) at the level below — and the EPT
+// dirty bits must agree with the written set.
+func TestSparseDirtyTrackingAcrossRegions(t *testing.T) {
+	_, vms := testStack(t, 2)
+	l1, l2 := vms[0], vms[1]
+	l1.StartDirtyLog()
+	l2.StartDirtyLog()
+	last := l2.NumPages - 1
+	// A write straddling frames 32767/32768 touches two bitmap regions.
+	if err := l2.Memory().Write(mem.PFN(32768).Base()-4, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []mem.PFN{last, 1<<20 + 5, 3} {
+		if err := l2.Memory().Write(p.Base(), []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []mem.PFN{3, 32767, 32768, 1<<20 + 5, last}
+	same := func(what string, got, want []mem.PFN) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s = %v, want %v", what, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s = %v, want %v", what, got, want)
+			}
+		}
+	}
+	same("L2 written", l2.WrittenPages(), want)
+	same("L2 peeked dirty log", l2.PeekDirty(), want)
+	same("L2 dirty log", l2.CollectDirty(), want)
+	if d := l2.CollectDirty(); len(d) != 0 {
+		t.Fatalf("drained L2 log still holds %v", d)
+	}
+	base, err := l2.EnsureMapped(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	below := make([]mem.PFN, len(want))
+	for i, p := range want {
+		below[i] = base + p
+	}
+	same("L1 dirty log", l1.CollectDirty(), below)
+	for _, vm := range []*VM{l1, l2} {
+		var eptDirty []mem.PFN
+		vm.EPT.ForEachEntry(func(e mem.Entry) {
+			if e.Dirty {
+				eptDirty = append(eptDirty, e.From)
+			}
+		})
+		same(vm.Name+" EPT dirty bits", eptDirty, vm.WrittenPages())
+	}
+}
+
 func TestAllocPagesExhaustionIsError(t *testing.T) {
 	_, vms := testStack(t, 1)
 	l1 := vms[0]

@@ -355,14 +355,14 @@ func (vm *VM) StopDirtyLog() { vm.dirty = nil }
 // DirtyLogActive reports whether a log is recording.
 func (vm *VM) DirtyLogActive() bool { return vm.dirty != nil }
 
-// CollectDirty drains and resets the dirty log.
+// CollectDirty drains and resets the dirty log, returning the frames in
+// ascending order.
 func (vm *VM) CollectDirty() []mem.PFN {
 	if vm.dirty == nil {
 		return nil
 	}
-	var out []mem.PFN
-	vm.dirty.ForEach(func(i uint64) { out = append(out, mem.PFN(i)) })
-	vm.dirty = mem.NewBitmap(uint64(vm.NumPages))
+	out := vm.dirty.PFNs()
+	vm.dirty.Reset()
 	return out
 }
 
@@ -372,17 +372,11 @@ func (vm *VM) PeekDirty() []mem.PFN {
 	if vm.dirty == nil {
 		return nil
 	}
-	var out []mem.PFN
-	vm.dirty.ForEach(func(i uint64) { out = append(out, mem.PFN(i)) })
-	return out
+	return vm.dirty.PFNs()
 }
 
-// WrittenPages returns every guest frame ever written.
-func (vm *VM) WrittenPages() []mem.PFN {
-	var out []mem.PFN
-	vm.written.ForEach(func(i uint64) { out = append(out, mem.PFN(i)) })
-	return out
-}
+// WrittenPages returns every guest frame ever written, in ascending order.
+func (vm *VM) WrittenPages() []mem.PFN { return vm.written.PFNs() }
 
 // Written reports whether a guest frame has ever been written.
 func (vm *VM) Written(p mem.PFN) bool { return vm.written.Test(uint64(p)) }

@@ -31,12 +31,14 @@ type iotlbEntry struct {
 	stamp  uint64
 }
 
-// newIOTLB returns a cache with the given capacity (entries).
+// newIOTLB returns a cache with the given capacity (entries). Storage grows
+// with the translations actually cached, up to that capacity, so an IOMMU
+// that never translates a DMA costs no table.
 func newIOTLB(capacity int) *IOTLB {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &IOTLB{entries: make(map[iotlbKey]iotlbEntry, capacity), capacity: capacity}
+	return &IOTLB{entries: make(map[iotlbKey]iotlbEntry), capacity: capacity}
 }
 
 func (t *IOTLB) lookup(d *Domain, p mem.PFN) (iotlbEntry, bool) {

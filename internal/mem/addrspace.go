@@ -32,8 +32,10 @@ func PageOf(a Addr) PFN { return PFN(a >> PageShift) }
 func (p PFN) Base() Addr { return Addr(p) << PageShift }
 
 // AddressSpace is a sparse, byte-addressable physical address space backed by
-// on-demand 4 KiB pages. It serves as host physical memory for the machine
-// and as guest-physical memory for every VM level.
+// on-demand 4 KiB pages. Its written set and dirty log are sparse bitmaps, so
+// host cost follows the pages a run touches, never the nominal size. It
+// serves as host physical memory for the machine and as guest-physical
+// memory for every VM level.
 type AddressSpace struct {
 	name    string
 	npages  PFN
@@ -178,29 +180,24 @@ func (as *AddressSpace) StartDirtyLog() {
 // DirtyLogActive reports whether logging is on.
 func (as *AddressSpace) DirtyLogActive() bool { return as.dirty != nil }
 
-// CollectDirty returns the dirtied frames since the last collection and
-// clears the log, the per-round step of pre-copy migration. It returns nil
-// when logging is inactive.
+// CollectDirty returns the dirtied frames since the last collection, in
+// ascending order, and clears the log: the per-round step of pre-copy
+// migration. It returns nil when logging is inactive or nothing was dirtied.
 func (as *AddressSpace) CollectDirty() []PFN {
 	if as.dirty == nil {
 		return nil
 	}
-	var out []PFN
-	as.dirty.ForEach(func(i uint64) { out = append(out, PFN(i)) })
-	as.dirty = NewBitmap(uint64(as.npages))
+	out := as.dirty.PFNs()
+	as.dirty.Reset()
 	return out
 }
 
 // StopDirtyLog ends tracking.
 func (as *AddressSpace) StopDirtyLog() { as.dirty = nil }
 
-// WrittenPages returns every frame ever written, the working set migration's
-// first pass must ship.
-func (as *AddressSpace) WrittenPages() []PFN {
-	var out []PFN
-	as.written.ForEach(func(i uint64) { out = append(out, PFN(i)) })
-	return out
-}
+// WrittenPages returns every frame ever written, in ascending order: the
+// working set migration's first pass must ship.
+func (as *AddressSpace) WrittenPages() []PFN { return as.written.PFNs() }
 
 // ResidentPages returns the number of frames with backing storage allocated.
 func (as *AddressSpace) ResidentPages() int { return len(as.pages) }

@@ -355,6 +355,30 @@ func TestPageTableClear(t *testing.T) {
 	}
 }
 
+// An empty table allocates no node, yet walks and iterates exactly like a
+// table whose top level is all clear: a miss costs one level.
+func TestPageTableEmptyHasNoNodes(t *testing.T) {
+	empty, cleared := NewPageTable(), NewPageTable()
+	cleared.Map(7, 8, PermRW)
+	cleared.Clear()
+	for name, pt := range map[string]*PageTable{"new": empty, "cleared": cleared} {
+		if pt.root != nil {
+			t.Errorf("%s table holds a top-level node", name)
+		}
+		if w := pt.Lookup(7, PermWrite); w.Present || w.LevelsTouched != 1 {
+			t.Errorf("%s table walk = %+v, want a miss touching 1 level", name, w)
+		}
+		if pt.Unmap(7) {
+			t.Errorf("%s table unmapped a frame it never held", name)
+		}
+		pt.ForEachEntry(func(Entry) { t.Errorf("%s table visited an entry", name) })
+		pt.Map(7, 9, PermRW)
+		if w := pt.Lookup(7, PermRead); !w.Present || w.PFN != 9 || w.LevelsTouched != 4 {
+			t.Errorf("%s table after Map: walk = %+v", name, w)
+		}
+	}
+}
+
 func TestPermString(t *testing.T) {
 	if PermRW.String() != "rw-" {
 		t.Fatalf("PermRW = %q", PermRW.String())

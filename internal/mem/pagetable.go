@@ -41,7 +41,7 @@ func (p Perm) String() string {
 // Walks traverse the actual radix structure so their cost (levels touched)
 // is an output of the data structure, not a constant.
 type PageTable struct {
-	root   *ptNode
+	root   *ptNode // nil until the first mapping: an empty table costs no node
 	mapped int
 }
 
@@ -67,9 +67,19 @@ type ptEntry struct {
 // HugePageFrames is the span of one huge mapping: 512 base frames = 2 MiB.
 const HugePageFrames = 512
 
-// NewPageTable returns an empty table.
+// NewPageTable returns an empty table. Its top-level node is allocated by
+// the first mapping, so tables that are never populated (an idle vIOMMU
+// domain, a shadow table with no DMA yet) cost only their header.
 func NewPageTable() *PageTable {
-	return &PageTable{root: &ptNode{}}
+	return &PageTable{}
+}
+
+// top returns the top-level node, allocating it for the first mapping.
+func (t *PageTable) top() *ptNode {
+	if t.root == nil {
+		t.root = &ptNode{}
+	}
+	return t.root
 }
 
 // indices splits a frame number into its per-level radix indices, highest
@@ -88,7 +98,7 @@ func indices(p PFN) [ptLevels]int {
 // entry overwrites it.
 func (t *PageTable) Map(from, to PFN, perms Perm) {
 	ix := indices(from)
-	node := t.root
+	node := t.top()
 	for l := 0; l < ptLevels-1; l++ {
 		e := &node.entries[ix[l]]
 		if e.next == nil {
@@ -112,7 +122,7 @@ func (t *PageTable) MapHuge(from, to PFN, perms Perm) error {
 		return fmt.Errorf("mem: huge mapping %#x -> %#x not 2MiB aligned", uint64(from), uint64(to))
 	}
 	ix := indices(from)
-	node := t.root
+	node := t.top()
 	for l := 0; l < ptLevels-2; l++ {
 		e := &node.entries[ix[l]]
 		if e.next == nil {
@@ -134,6 +144,9 @@ func (t *PageTable) MapHuge(from, to PFN, perms Perm) error {
 
 // Unmap removes a translation, reporting whether one existed.
 func (t *PageTable) Unmap(from PFN) bool {
+	if t.root == nil {
+		return false
+	}
 	ix := indices(from)
 	node := t.root
 	for l := 0; l < ptLevels-1; l++ {
@@ -169,6 +182,10 @@ type Walk struct {
 // Lookup walks the table for frame from, setting accessed (and, for write
 // access, dirty) bits like hardware A/D-bit tracking.
 func (t *PageTable) Lookup(from PFN, access Perm) Walk {
+	if t.root == nil {
+		// An empty table: the walk reads the (all-clear) top level and stops.
+		return Walk{LevelsTouched: 1}
+	}
 	ix := indices(from)
 	node := t.root
 	w := Walk{}
@@ -243,7 +260,9 @@ func (t *PageTable) ForEach(fn func(from, to PFN, perms Perm)) {
 			}
 		}
 	}
-	walk(t.root, 0, 0)
+	if t.root != nil {
+		walk(t.root, 0, 0)
+	}
 }
 
 // Entry describes one installed translation with its A/D tracking state.
@@ -279,7 +298,9 @@ func (t *PageTable) ForEachEntry(fn func(Entry)) {
 			}
 		}
 	}
-	walk(t.root, 0, 0)
+	if t.root != nil {
+		walk(t.root, 0, 0)
+	}
 }
 
 // Combine produces a new table composing t with next: for every mapping
@@ -301,6 +322,6 @@ func (t *PageTable) Combine(next *PageTable) *PageTable {
 
 // Clear removes every translation.
 func (t *PageTable) Clear() {
-	t.root = &ptNode{}
+	t.root = nil
 	t.mapped = 0
 }

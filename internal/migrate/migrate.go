@@ -13,6 +13,7 @@
 package migrate
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -224,25 +225,28 @@ func (p *Plan) Run() (Report, error) {
 }
 
 // collectDirty merges the guest-visible log with the DMA log exported by the
-// migration capability (when in use).
+// migration capability (when in use), returning each page once in ascending
+// order. Both logs drain in ascending order already; the union goes through
+// a sparse bitmap, which keeps it ordered and duplicate-free in linear time.
 func (p *Plan) collectDirty() []mem.PFN {
-	set := map[mem.PFN]bool{}
-	for _, pg := range p.VM.CollectDirty() {
-		set[pg] = true
+	dirty := p.VM.CollectDirty()
+	if !p.UseMigrationCap || len(p.VP) == 0 {
+		return dirty
 	}
-	if p.UseMigrationCap {
-		for _, vp := range p.VP {
-			for _, pg := range vp.CollectDMADirty() {
-				set[pg] = true
-			}
+	n := uint64(p.VM.NumPages)
+	for _, vp := range p.VP {
+		n = max(n, vp.HostDirty.Len())
+	}
+	set := mem.NewBitmap(n)
+	for _, pg := range dirty {
+		set.Set(uint64(pg))
+	}
+	for _, vp := range p.VP {
+		for _, pg := range vp.CollectDMADirty() {
+			set.Set(uint64(pg))
 		}
 	}
-	out := make([]mem.PFN, 0, len(set))
-	for pg := range set {
-		out = append(out, pg)
-	}
-	sortPFNs(out)
-	return out
+	return set.PFNs()
 }
 
 // copyPages materializes the transfer into the destination (when present)
@@ -286,27 +290,9 @@ func (p *Plan) VerifyDest() ([]mem.PFN, error) {
 		if err := dst.Read(pg.Base(), dbuf); err != nil {
 			return nil, err
 		}
-		if !equal(sbuf, dbuf) {
+		if !bytes.Equal(sbuf, dbuf) {
 			bad = append(bad, pg)
 		}
 	}
 	return bad, nil
-}
-
-func equal(a, b []byte) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortPFNs(s []mem.PFN) {
-	// Insertion sort: dirty sets per round are small and nearly ordered.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

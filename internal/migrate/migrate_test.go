@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hyper"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/vmx"
 )
 
@@ -121,6 +122,40 @@ func TestMigrationVPWithCapabilityCorrect(t *testing.T) {
 	}
 	if len(bad) != 0 {
 		t.Fatalf("destination diverges on %d pages despite the migration capability", len(bad))
+	}
+}
+
+// collectDirty must return the union of the guest-visible log and the DMA
+// log exactly once per page, in ascending order, whatever order the two
+// streams dirtied them in.
+func TestCollectDirtyUnionsLogsInOrder(t *testing.T) {
+	r := buildRig(t, core.FeaturesVP)
+	r.l2.StartDirtyLog()
+	defer r.l2.StopDirtyLog()
+	gm := r.l2.Memory()
+	for _, pg := range []mem.PFN{40000, 9, 5} {
+		if err := gm.WriteU64(pg.Base(), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pg := range []mem.PFN{9, 70000, 2} {
+		if err := r.vp[0].Dev.DMAView.Write(pg.Base(), []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := &Plan{VM: r.l2, VP: r.vp, UseMigrationCap: true}
+	got := p.collectDirty()
+	want := []mem.PFN{2, 5, 9, 40000, 70000}
+	if len(got) != len(want) {
+		t.Fatalf("collectDirty = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("collectDirty = %v, want %v", got, want)
+		}
+	}
+	if again := p.collectDirty(); len(again) != 0 {
+		t.Fatalf("second round re-sent %v; both logs should have drained", again)
 	}
 }
 
