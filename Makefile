@@ -19,7 +19,7 @@ race:
 # lint runs nvlint, the simulator-aware static analyzer (see DESIGN.md §8 and
 # §13): determinism, hot-path allocation-freedom, exit-reason exhaustiveness,
 # nopanic, the Op by-value contract, and the v2 pipeline contracts (cachegen,
-# stageledger, interceptor, parity). -unused-directives keeps the suppression
+# stageledger, interceptor). -unused-directives keeps the suppression
 # inventory honest: a //nvlint comment that no longer suppresses anything
 # fails the gate. VERBOSE=1 also prints the hot-path call chains and every
 # suppressed finding with its justification.
@@ -36,10 +36,11 @@ bench:
 	$(GO) run ./cmd/nvperf -o BENCH_10.json
 
 # bench-compare re-collects the artifact and gates it against the committed
-# BENCH_10.json: Table 3 and delivery-storm cycles must match exactly,
-# steady-state replay must stay allocation-free and >= 5x faster than the
-# uncached recursion on the L3 forward and L3 timer-delivery paths, and no
-# hot-path benchmark may regress more than 20% ns/op.
+# BENCH_10.json on host-portable quantities only: Table 3 and delivery-storm
+# cycles must match exactly, no hot-path benchmark may exceed the baseline's
+# allocs/op or B/op, and steady-state replay must stay allocation-free and
+# >= 5x faster than the uncached recursion (measured in the same run) on the
+# L3 forward and L3 timer-delivery paths. Absolute ns/op is never gated.
 bench-compare:
 	$(GO) run ./cmd/nvperf -compare BENCH_10.json
 
@@ -47,7 +48,7 @@ bench-compare:
 # only one -fuzz per invocation, so fuzz-smoke loops. FUZZTIME=100x bounds
 # each target to 100 new inputs beyond the seed corpus — a mutation smoke
 # pass, not a campaign; use `make fuzz FUZZTIME=30s` for a real one.
-FUZZ_TARGETS := FuzzHistogram FuzzLAPIC FuzzMergeChain FuzzConfigSpace FuzzRestoreSnapshot FuzzStackCell
+FUZZ_TARGETS := FuzzHistogram FuzzLAPIC FuzzMergeChain FuzzConfigSpace FuzzRestoreSnapshot FuzzStackCell FuzzPlanCache
 FUZZTIME ?= 100x
 
 fuzz-smoke fuzz:

@@ -166,3 +166,40 @@ func TestListProfiles(t *testing.T) {
 		})
 	}
 }
+
+// TestBadInputNamesFlag: a bad flag value fails with a non-zero exit (2
+// where the code is pinned) and a one-line stderr error naming the flag —
+// never a panic or a goroutine dump.
+func TestBadInputNamesFlag(t *testing.T) {
+	dir := buildCLIs(t)
+	for _, tc := range []struct {
+		cli  string
+		args []string
+		flag string
+		code int // 0 accepts any non-zero exit
+	}{
+		{"nvartifact", []string{"-runs", "0"}, "-runs", 2},
+		{"nvartifact", []string{"-runs", "-1"}, "-runs", 2},
+		{"nvartifact", []string{"-level", "L9"}, "-level", 0},
+		{"nvsim", []string{"-txns", "0"}, "-txns", 0},
+		{"nvsim", []string{"-io", "bogus"}, "-io", 0},
+		{"nvbench", []string{"-figure", "11"}, "-figure", 0},
+		{"nvtrace", []string{"-depth", "4"}, "-depth", 0},
+	} {
+		t.Run(tc.cli+strings.Join(tc.args, ""), func(t *testing.T) {
+			_, stderr, code := runCLI(t, filepath.Join(dir, tc.cli), cleanEnv(), tc.args...)
+			if code == 0 {
+				t.Errorf("%s %v exited 0, want a failure", tc.cli, tc.args)
+			} else if tc.code != 0 && code != tc.code {
+				t.Errorf("%s %v exited %d, want %d", tc.cli, tc.args, code, tc.code)
+			}
+			if strings.Contains(stderr, "panic:") || strings.Contains(stderr, "goroutine") {
+				t.Fatalf("%s %v panicked:\n%s", tc.cli, tc.args, stderr)
+			}
+			lines := strings.Split(strings.TrimSpace(stderr), "\n")
+			if len(lines) != 1 || !strings.Contains(lines[0], tc.flag) {
+				t.Errorf("%s %v: want a one-line error naming %s, got:\n%s", tc.cli, tc.args, tc.flag, stderr)
+			}
+		})
+	}
+}

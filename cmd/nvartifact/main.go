@@ -47,6 +47,10 @@ func main() {
 	if *par < 0 {
 		fatalf("-parallel must be >= 0")
 	}
+	if *runs < 1 {
+		fmt.Fprintf(os.Stderr, "nvartifact: -runs must be >= 1, got %d\n", *runs)
+		os.Exit(2)
+	}
 	prof, err := profile.Resolve(*profName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nvartifact: %v\n", err)

@@ -60,7 +60,7 @@ func main() {
 	if *all || *table == 3 {
 		run("Table 3: microbenchmark performance in CPU cycles", table3)
 	} else if *table != 0 {
-		fatalf("unknown table %d (the paper's reproducible table is 3)", *table)
+		fatalf("unknown -table %d (the paper's reproducible table is 3)", *table)
 	}
 	figures := map[int]func() (string, error){
 		7: func() (string, error) {
@@ -83,7 +83,7 @@ func main() {
 	} else if *figure != 0 {
 		fn, ok := figures[*figure]
 		if !ok {
-			fatalf("unknown figure %d (reproducible figures: 7, 8, 9, 10)", *figure)
+			fatalf("unknown -figure %d (reproducible figures: 7, 8, 9, 10)", *figure)
 		}
 		run("", fn)
 	}

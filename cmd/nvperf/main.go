@@ -13,12 +13,14 @@
 //	nvperf [-o BENCH_10.json]
 //	nvperf -compare BENCH_10.json
 //
-// -compare re-collects the artifact and gates against the given baseline:
-// Table 3 and storm cycles must match exactly (they are deterministic model
-// outputs), steady-state replayed forward and delivery paths must stay
-// allocation-free and at least 5x faster than their uncached twins on the L3
-// hypercall and L3 timer-delivery paths, and no hot-path benchmark may
-// regress more than 20% ns/op against the baseline. It exits non-zero on
+// -compare re-collects the artifact and gates against the given baseline on
+// quantities that hold on any host: Table 3 and storm cycles must match
+// exactly (they are deterministic model outputs), no hot-path benchmark may
+// allocate more (allocs/op or B/op) than the baseline, and steady-state
+// replayed forward and delivery paths must stay allocation-free and at least
+// 5x faster than their uncached twins — measured within this run — on the L3
+// hypercall and L3 timer-delivery paths. Absolute ns/op is recorded, never
+// gated: it belongs to the machine that measured it. It exits non-zero on
 // violation — the `make bench-compare` gate inside `make check`.
 package main
 
@@ -127,13 +129,6 @@ func main() {
 	fmt.Printf("nvperf: wrote %s (%d figures, %d hot-path benchmarks)\n", *out, len(a.Figures), len(a.HotPath))
 }
 
-// regressionBudget is the ns/op slack tolerated against the committed
-// baseline before the gate fails. Hot-path wall-clock is machine-dependent;
-// 20% on top of the baseline machine's numbers catches order-of-magnitude
-// regressions (a cache that silently stopped replaying) while absorbing
-// normal scheduling noise.
-const regressionBudget = 1.20
-
 // speedupFloor is the minimum replayed-over-uncached speedup the plan cache
 // must deliver on the deep forwarding path. Self-relative, so it holds on any
 // machine.
@@ -173,9 +168,11 @@ func gate(a *Artifact, baselinePath string) error {
 		if !ok {
 			return fmt.Errorf("hot-path benchmark %q in baseline but not in this build", b.Name)
 		}
-		if c.NsPerOp > b.NsPerOp*regressionBudget {
-			return fmt.Errorf("%s: %.0f ns/op vs baseline %.0f ns/op (>%.0f%% regression)",
-				b.Name, c.NsPerOp, b.NsPerOp, (regressionBudget-1)*100)
+		// Allocation counts are deterministic, so unlike ns/op they compare
+		// across machines: any rise over the baseline is a regression.
+		if c.AllocsPerOp > b.AllocsPerOp || c.BytesPerOp > b.BytesPerOp {
+			return fmt.Errorf("%s: %d allocs/op, %d B/op vs baseline %d allocs/op, %d B/op",
+				b.Name, c.AllocsPerOp, c.BytesPerOp, b.AllocsPerOp, b.BytesPerOp)
 		}
 	}
 
@@ -299,8 +296,8 @@ func collectFigures(a *Artifact) error {
 // host: single-level host emulation, the L2/L3 forwarding path in both plan
 // modes (uncached live recursion vs steady-state replay of the compiled
 // plan), an interceptor-claimed exit (DVH doorbell), and the delivery paths
-// the delivery-plan cache serves — timer injection and assigned-device IRQ
-// cascades — in the same two modes. Each case drives a boundary entry point
+// the plan cache serves — timer injection and assigned-device IRQ cascades —
+// in the same two modes. Each case drives a boundary entry point
 // through a prebuilt stack, so allocs/op is the engine's own allocation count
 // — the number the 0 allocs/op contract pins. The uncached/replayed pairs
 // produce identical simulation results; only the host-side cost differs,
@@ -348,7 +345,7 @@ func collectHotPath(a *Artifact) error {
 		{"deliver/L3-timer-uncached", experiment.Spec{Depth: 3, IO: experiment.IOParavirt}, "uncached", timer},
 		{"deliver/L3-timer-replayed", experiment.Spec{Depth: 3, IO: experiment.IOParavirt}, "replayed", timer},
 		// DVH-VP without vIOMMU posting forces exit-based injection by the
-		// level-2 guest hypervisor — the reflected guestPath the cache serves.
+		// level-2 guest hypervisor — the reflected injection the cache serves.
 		{"deliver/L3-devirq-uncached", experiment.Spec{Depth: 3, IO: experiment.IODVHVP}, "uncached", devirq},
 		{"deliver/L3-devirq-replayed", experiment.Spec{Depth: 3, IO: experiment.IODVHVP}, "replayed", devirq},
 	}

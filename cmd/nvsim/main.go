@@ -29,6 +29,10 @@ func main() {
 	profName := flag.String("profile", "", "calibration profile (default $NVSIM_PROFILE, then "+profile.DefaultName+")")
 	flag.Parse()
 
+	if *txns < 1 {
+		fmt.Fprintf(os.Stderr, "nvsim: -txns must be >= 1, got %d\n", *txns)
+		os.Exit(2)
+	}
 	prof, err := profile.Resolve(*profName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nvsim: %v\n", err)

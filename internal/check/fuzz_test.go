@@ -2,16 +2,22 @@ package check_test
 
 import (
 	"encoding/binary"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/apic"
+	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/hyper"
+	"repro/internal/hyperv"
 	"repro/internal/migrate"
 	"repro/internal/pci"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vmx"
 	"repro/internal/workload"
+	"repro/internal/xen"
 )
 
 // FuzzHistogram feeds arbitrary observation streams to trace.Histogram and
@@ -229,6 +235,171 @@ func FuzzStackCell(f *testing.F) {
 		}
 		if err := c.Finish(); err != nil {
 			t.Fatalf("%+v: %v", spec, err)
+		}
+	})
+}
+
+// Plan-cache fuzz steps. Each step is two input bytes, an opcode (mod
+// pcNumSteps) and an argument; the first group crosses a World boundary,
+// the second mutates a plan input mid-run.
+const (
+	pcHypercall = iota
+	pcProgramTimer
+	pcSendIPI
+	pcEOI
+	pcHalt
+	pcDevNotify
+	pcTimerIRQ
+	pcDeviceIRQ
+	pcDeviceRX
+	pcWake
+	pcSetCosts
+	pcToggleShadowing
+	pcProvideVIOMMU
+	pcDisableDVH
+	pcSwapPersonality
+	pcNumSteps
+)
+
+// planCacheStep applies one decoded step to a stack and returns the cycles
+// the boundary charged (0 for mutations) and its error.
+func planCacheStep(st *experiment.Stack, op, arg byte) (sim.Cycles, error) {
+	w := st.World
+	v := st.Target.VCPUs[int(arg)%len(st.Target.VCPUs)]
+	// Guest hypervisors sit at levels 1..depth-1; mutations that need one
+	// are no-ops on a single-level stack.
+	var gh *hyper.Hypervisor
+	if hosts := st.VMs[:len(st.VMs)-1]; len(hosts) > 0 {
+		gh = hosts[int(arg)%len(hosts)].GuestHyp
+	}
+	switch op % pcNumSteps {
+	case pcHypercall:
+		return w.Execute(v, hyper.Hypercall())
+	case pcProgramTimer:
+		return w.Execute(v, hyper.ProgramTimer(uint64(arg)*10_000))
+	case pcSendIPI:
+		return w.Execute(v, hyper.SendIPI(uint32(arg>>4)%uint32(len(st.Target.VCPUs)), apic.VectorReschedule))
+	case pcEOI:
+		return w.Execute(v, hyper.EOI())
+	case pcHalt:
+		return w.Execute(v, hyper.Halt())
+	case pcDevNotify:
+		return w.Execute(v, hyper.DevNotify(st.Net.Doorbell))
+	case pcTimerIRQ:
+		return w.DeliverTimerIRQ(v)
+	case pcDeviceIRQ:
+		return w.DeliverDeviceIRQ(st.Net, v)
+	case pcDeviceRX:
+		return w.DeviceRX(st.Net, v)
+	case pcWake:
+		return w.WakeIfIdle(v)
+	case pcSetCosts:
+		c := w.Costs
+		switch arg % 4 {
+		case 0:
+			c.ReflectWork += sim.Cycles(arg)
+		case 1:
+			c.HwExit += sim.Cycles(arg)
+		case 2:
+			c.ShadowVMAccess += sim.Cycles(arg)
+		default:
+			c.GuestWakeWork += sim.Cycles(arg)
+		}
+		w.SetCosts(c)
+	case pcToggleShadowing:
+		if w.Host.Caps.Has(vmx.CapVMCSShadowing) {
+			w.SetHostCaps(w.Host.Caps.Without(vmx.CapVMCSShadowing))
+		} else {
+			w.SetHostCaps(w.Host.Caps.With(vmx.CapVMCSShadowing))
+		}
+	case pcProvideVIOMMU:
+		st.VMs[int(arg)%len(st.VMs)].ProvideVIOMMU(arg&0x80 != 0)
+	case pcDisableDVH:
+		if st.DVH != nil && gh != nil {
+			st.DVH.DisableAt(gh, core.Features(arg>>2)&core.FeaturesAll)
+		}
+	case pcSwapPersonality:
+		// An in-place swap moves no generation; only the plans' personality
+		// pins can notice it.
+		if gh != nil {
+			gh.Personality = []hyper.Personality{hyper.KVM{}, xen.Xen{}, hyperv.HyperV{}}[int(arg>>4)%3]
+		}
+	}
+	return 0, nil
+}
+
+// planCacheMaxSteps bounds one input's sequence so a depth-4 stack running
+// the live recursion stays fast enough to fuzz.
+const planCacheMaxSteps = 48
+
+// FuzzPlanCache is the differential fuzzer behind the plan cache's compile ≡
+// live claim. It decodes the input into a stack spec and an interleaved
+// sequence of boundary calls and mid-run plan-input mutations, runs that
+// sequence on two Builds of the spec — one replaying compiled plans, one
+// walking every charge tree live — and requires identical per-step costs and
+// errors, identical Stats and trace timelines, and zero invariant violations
+// on both.
+func FuzzPlanCache(f *testing.F) {
+	steps := func(spec []byte, ops ...byte) []byte { return append(spec, ops...) }
+	// Warm forward, injection, cascade and wake plans at L3, then swap the
+	// L1 personality and toggle VMCS shadowing under them.
+	f.Add(steps([]byte{2, 0, 0},
+		pcHypercall, 0, pcHypercall, 0, pcTimerIRQ, 0, pcTimerIRQ, 0, pcDeviceRX, 0, pcDeviceRX, 0,
+		pcHalt, 1, pcSendIPI, 0x10, pcSwapPersonality, 0x10, pcHypercall, 0, pcTimerIRQ, 0,
+		pcToggleShadowing, 0, pcHypercall, 0, pcDeviceRX, 0, pcSetCosts, 7, pcHypercall, 0))
+	// Full DVH at L2 with a Xen guest: interceptor-claimed exits, virtual
+	// idle wakes, then DVH features withdrawn at the guest hypervisor.
+	f.Add(steps([]byte{1, 3, 1},
+		pcProgramTimer, 3, pcHalt, 0, pcTimerIRQ, 0, pcDevNotify, 0, pcDeviceIRQ, 0, pcEOI, 0,
+		pcDisableDVH, 0xfc, pcHalt, 0, pcTimerIRQ, 0, pcWake, 0, pcDevNotify, 0, pcHypercall, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		spec := experiment.Spec{
+			Depth: 1 + int(data[0])%4,
+			IO:    experiment.IOMode(data[1]) % 4,
+			Guest: experiment.GuestKind(data[2]) % 3,
+		}
+		data = data[3:]
+		if len(data) > 2*planCacheMaxSteps {
+			data = data[:2*planCacheMaxSteps]
+		}
+		build := func(cache bool) *experiment.Stack {
+			st, err := experiment.Build(spec)
+			if err != nil {
+				return nil
+			}
+			st.World.SetPlanCache(cache)
+			st.World.Tracer = trace.NewRecorder(1 << 12)
+			st.AttachChecker()
+			return st
+		}
+		cached, live := build(true), build(false)
+		if cached == nil {
+			// Invalid cells (e.g. DVH at depth 1) are rejected by Build.
+			return
+		}
+		for i := 0; i+1 < len(data); i += 2 {
+			cc, cerr := planCacheStep(cached, data[i], data[i+1])
+			lc, lerr := planCacheStep(live, data[i], data[i+1])
+			if cc != lc || fmt.Sprint(cerr) != fmt.Sprint(lerr) {
+				t.Fatalf("%+v step %d (op %d arg %d): cached %v (err %v), live %v (err %v)",
+					spec, i/2, data[i]%pcNumSteps, data[i+1], cc, cerr, lc, lerr)
+			}
+		}
+		if cs, ls := cached.Machine.Stats.String(), live.Machine.Stats.String(); cs != ls {
+			t.Fatalf("%+v: stats diverge:\n--- cached ---\n%s--- live ---\n%s", spec, cs, ls)
+		}
+		if !reflect.DeepEqual(cached.World.Tracer.Events(), live.World.Tracer.Events()) {
+			t.Fatalf("%+v: trace timelines diverge:\n--- cached ---\n%s--- live ---\n%s",
+				spec, cached.World.Tracer.Timeline(), live.World.Tracer.Timeline())
+		}
+		if err := cached.Checker.Finish(); err != nil {
+			t.Fatalf("%+v: cached world: %v", spec, err)
+		}
+		if err := live.Checker.Finish(); err != nil {
+			t.Fatalf("%+v: live world: %v", spec, err)
 		}
 	})
 }

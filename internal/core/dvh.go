@@ -153,7 +153,7 @@ func (d *DVH) enabledThroughStack(vm *hyper.VM, f Features) bool {
 // ConfigureVM applies the enabled DVH mechanisms to a nested VM: guest
 // hypervisors discover the virtual hardware through their capability word,
 // set the enable bits in the VM-execution controls of the nested VM's vCPUs,
-// build and publish the VCIMT, and reconfigure HLT trapping. It must be
+// build and publish the VCIMTs, and reconfigure HLT trapping. It must be
 // called after the stack (VMs + guest hypervisors) is assembled.
 func (d *DVH) ConfigureVM(vm *hyper.VM) error {
 	if vm.Level < 2 {
@@ -171,9 +171,15 @@ func (d *DVH) ConfigureVM(vm *hyper.VM) error {
 	}
 	d.configureControls(vm)
 
-	if d.enabledThroughStack(vm, FeatureVirtualIPIs) {
-		if _, err := d.buildVCIMT(vm); err != nil {
-			return err
+	// Under recursive DVH every nested VM in the chain gets virtual IPIs,
+	// so each one needs a published VCIMT, not only vm: once a higher guest
+	// hypervisor disables the feature (DisableAt), the IPIs it emulates are
+	// re-sent by the VMs below it, through their own tables.
+	for _, cur := range stackVMs(vm) {
+		if _, ok := d.vcimts[cur]; !ok && cur.Level >= 2 && d.enabledThroughStack(cur, FeatureVirtualIPIs) {
+			if _, err := d.buildVCIMT(cur); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

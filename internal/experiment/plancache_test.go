@@ -37,8 +37,9 @@ func renderMatrix(t *testing.T) string {
 	}
 	out += FormatStageBreakdown(sb)
 	// The delivery storms and the per-workload stage attribution exercise the
-	// delivery-plan cache (injection, cascade, wake, switch) in steady state —
-	// their byte-identity across cache modes is that cache's A/B contract.
+	// delivery kinds of the plan cache (injection, cascade, wake, switch) in
+	// steady state — their byte-identity across cache modes is their A/B
+	// contract.
 	storms, err := DeliveryStorms()
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +53,8 @@ func renderMatrix(t *testing.T) string {
 	return out
 }
 
-// TestPlanCacheOutputIdentity is the metamorphic A/B contract of the
-// forward-plan replay cache: the rendered experiment matrix — what nvbench
+// TestPlanCacheOutputIdentity is the metamorphic A/B contract of the plan
+// replay cache: the rendered experiment matrix — what nvbench
 // -all and nvartifact emit — must be byte-identical with the cache enabled
 // (default) and disabled (NVSIM_NOPLANCACHE=1), at every pool width the
 // -parallel flags expose. Every cell builds its Worlds after t.Setenv takes

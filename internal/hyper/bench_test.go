@@ -9,7 +9,7 @@ import (
 // BenchmarkExecute measures the simulator's own (host wall-clock) speed for
 // the hot Execute path at each depth — the cost of running the model, not
 // the modeled cost. Depths 2 and 3 run in both plan modes: "replayed" is the
-// default steady-state forward-plan replay, "uncached" re-runs the live
+// default steady-state plan replay, "uncached" re-runs the live
 // recursion every exit (NVSIM_NOPLANCACHE behavior). Depth 1 never forwards,
 // so it has no mode split.
 func BenchmarkExecute(b *testing.B) {

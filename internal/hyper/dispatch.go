@@ -12,7 +12,7 @@ import (
 // a trapping guest operation to a settled transaction — fast-path, intercept
 // (pipeline.go), route, and emulate-or-forward. The forwarding recursion that
 // makes exit multiplication an emergent property lives in plan.go, where it
-// doubles as the compiler for the forward-plan replay cache.
+// doubles as the compiler for the plan replay cache.
 
 // reasonFor maps an operation to its VM-exit reason.
 func reasonFor(op Op) vmx.ExitReason {
@@ -149,18 +149,13 @@ func (w *World) stageEmulate(tx *ExitContext) error {
 }
 
 // stageForward reflects a guest-hypervisor-owned exit up the stack. The pure
-// cost/charge tree of the reflection (plan.go) replays from the compiled
-// forward plan in steady state — or re-runs the live recursion when the cache
-// is disabled — and the owner's side effects always run live after it.
+// cost/charge tree of the reflection (plan.go) replays from its compiled plan
+// in steady state — or re-runs the live recursion when the cache is disabled
+// — and the owner's side effects always run live after it.
 func (w *World) stageForward(tx *ExitContext, stack []*Hypervisor) error {
 	tx.Stage = StageForward
 	w.Host.Machine.Stats.RecordHandledExit(tx.Reason, tx.Owner)
-	var fwd sim.Cycles
-	if w.planCacheOff {
-		fwd = w.forwardCost(stack, tx.Reason, tx.Owner, w)
-	} else {
-		fwd = w.replayForwardPlan(w.forwardPlanFor(tx.V, stack, tx.Reason, tx.Owner))
-	}
+	fwd := w.charge(stack, planForward, tx.Reason, tx.Owner)
 	eff, err := w.ownerEffects(tx.V, tx.Op, tx.Owner)
 	if err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vmx"
 )
 
@@ -54,8 +53,7 @@ func (w *World) deliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
 		if err != nil {
 			return 0, err
 		}
-		injector := v.VM.Level - 1
-		cost = w.guestPath(v, stack, vmx.ExitExternalInterrupt, injector, stack[injector].Personality.InjectScript())
+		cost = w.charge(stack, planInject, 0, v.VM.Level-1)
 	}
 	wake, err := w.WakeIfIdle(v)
 	if err != nil {
@@ -87,20 +85,15 @@ func (w *World) wakeIfIdle(dest *VCPU) (sim.Cycles, error) {
 
 	// The idle-owner level is recomputed live on every wake — it depends on
 	// the stack's HLT-exiting controls, which DVH virtual idle flips without
-	// moving any generation — and is the wake plan's key. The no-wake case
-	// returned above, so "a wake happened" is in the key by construction.
-	idleOwner := w.ownerLevel(dest, Op{Kind: OpHLT})
-	if w.planCacheOff || idleOwner < 0 || idleOwner >= trace.MaxLevels {
-		return w.wakeLadderCost(idleOwner, w), nil
-	}
-	return w.replayDeliveryPlan(w.deliveryPlanFor(dest, nil, dpWake, vmx.ExitHLT, idleOwner, Script{})), nil
+	// moving any generation — and is the wake plan's key.
+	return w.charge(nil, planWake, 0, w.ownerLevel(dest, Op{Kind: OpHLT})), nil
 }
 
 // wakeLadderCost is the wake ladder's pure charge tree: the host processes
 // the posted notification and unblocks the destination, then every guest
 // hypervisor level that had parked the vCPU runs its scheduler and re-enters
-// the guest. Written once over the sink, like every cached delivery path.
-func (w *World) wakeLadderCost(idleOwner int, sink forwardSink) sim.Cycles {
+// the guest. Written once over the sink, like every cached charge tree.
+func (w *World) wakeLadderCost(idleOwner int, sink chargeSink) sim.Cycles {
 	c := &w.Costs
 	sink.chargeLevel(0, c.WakeWork)
 	cost := c.WakeWork
@@ -150,29 +143,14 @@ func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles,
 	if err != nil {
 		return 0, err
 	}
-	inj := w.guestPath(target, stack, vmx.ExitExternalInterrupt, injector, stack[injector].Personality.InjectScript())
-	return inj + wake, nil
+	return w.charge(stack, planInject, 0, injector) + wake, nil
 }
 
-// guestPath charges an exit into the hypervisor at the given level that runs
-// the supplied script there (reflecting through intermediate levels), without
-// any owner side effects — the building block for injection and receive-path
-// interpositions. The per-call state delivery paths depend on — the exit
-// reason and the script — is part of the delivery-plan cache key, so the
-// steady state replays a compiled plan; NVSIM_NOPLANCACHE (and any level the
-// accounting tables cannot index) runs the byte-identical live recursion.
-func (w *World) guestPath(v *VCPU, stack []*Hypervisor, reason vmx.ExitReason, level int, s Script) sim.Cycles {
-	if w.planCacheOff || level < 1 || level >= trace.MaxLevels {
-		return w.guestPathCost(stack, reason, level, s, w)
-	}
-	return w.replayDeliveryPlan(w.deliveryPlanFor(v, stack, dpInject, reason, level, s))
-}
-
-// guestPathCost is guestPath's pure charge tree, written once and
-// parameterized over the sink: the live *World sink is the
-// NVSIM_NOPLANCACHE reference, the *planBuilder sink the delivery-plan
-// compiler — so a compiled plan cannot diverge from the live walk.
-func (w *World) guestPathCost(stack []*Hypervisor, reason vmx.ExitReason, level int, s Script, sink forwardSink) sim.Cycles {
+// guestPathCost charges an exit into the hypervisor at the given level that
+// runs the supplied script there (reflecting through intermediate levels),
+// without any owner side effects — the charge tree of an interrupt injection
+// and of each receive-path interposition, written once over the sink.
+func (w *World) guestPathCost(stack []*Hypervisor, reason vmx.ExitReason, level int, s Script, sink chargeSink) sim.Cycles {
 	c := &w.Costs
 	sink.hardwareExit(reason)
 	sink.handledExit(reason, level)
@@ -213,11 +191,7 @@ func (w *World) deviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) 
 				return 0, err
 			}
 		}
-		if w.planCacheOff || provider < 0 || provider >= trace.MaxLevels {
-			cost += w.rxCascadeCost(stack, provider, w)
-		} else {
-			cost += w.replayDeliveryPlan(w.deliveryPlanFor(target, stack, dpCascade, vmx.ExitEPTViolation, provider, Script{}))
-		}
+		cost += w.charge(stack, planCascade, 0, provider)
 	}
 	del, err := w.DeliverDeviceIRQ(dev, target)
 	if err != nil {
@@ -230,7 +204,7 @@ func (w *World) deviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) 
 // (vhost) receives from the wire, then each interposing hypervisor's backend
 // runs its receive path and re-queues the data into the next level's ring.
 // stack may be nil when provider < 1 (nothing interposes).
-func (w *World) rxCascadeCost(stack []*Hypervisor, provider int, sink forwardSink) sim.Cycles {
+func (w *World) rxCascadeCost(stack []*Hypervisor, provider int, sink chargeSink) sim.Cycles {
 	c := &w.Costs
 	sink.chargeLevel(0, c.VirtioBackendWork)
 	cost := c.VirtioBackendWork

@@ -107,7 +107,7 @@ type ExitContext struct {
 	// Boundary names the public entry point that opened the transaction.
 	Boundary Boundary
 	// Reason is the VM-exit reason for Execute transactions; delivery
-	// transactions record their injection reasons per guestPath call.
+	// transactions record their injection reasons per injected charge.
 	Reason vmx.ExitReason
 	// Level is V's virtualization level at entry.
 	Level int

@@ -6,29 +6,32 @@ import (
 	"repro/internal/vmx"
 )
 
-// This file is the forward-plan replay cache: the exit-multiplication
-// recursion behind a forwarded exit (paper Figure 1a) is a *pure* function of
-// a small key — (exit reason, owner level, the personalities of the
-// hypervisor stack up to the owner, the host capability word, the cost
-// model) — so the simulator walks it once, flattens the walk into an
-// immutable replay plan, and replays the plan on every subsequent identical
-// exit in O(levels) with zero recursion and zero allocations. Only the pure
-// cost/charge tree is cached; owner side effects (timer arming, IPI posting,
-// EPT fills, cascade kicks) stay live in ownerEffects.
+// This file is the plan replay cache: every pure cost/charge tree of the
+// engine — the exit-multiplication recursion behind a forwarded exit (paper
+// Figure 1a), interrupt injection, the DeviceRX virtio cascade, the wake
+// ladder and the guest scheduler's context switch — is a function of a small
+// key (plan kind, level, and for forwarded exits the exit reason), the
+// personalities of the hypervisor stack up to that level, the host
+// capability word and the cost model. The simulator walks each tree once,
+// flattens the walk into an immutable plan, and replays the plan on every
+// later identical charge in O(levels) with zero recursion and zero
+// allocations. Only the pure charge tree is cached; side effects (timer
+// arming, IPI posting, EPT fills, LAPIC delivery, the Idle flag, VMCS
+// switches) stay live in the callers.
 //
-// Correctness rests on one structural property: the recursion is written
-// exactly once, parameterized by a forwardSink. The live sink (*World)
-// charges the stats tables and trace recorder directly — that is the
-// NVSIM_NOPLANCACHE reference path, byte-identical to the pre-cache engine.
-// The compiling sink (*planBuilder) aggregates the same emissions into a
-// plan. Replaying a plan therefore cannot diverge from recomputing it: both
-// are projections of the same walk, and the A/B tests pin them together.
+// Correctness rests on one structural property: each tree is written exactly
+// once, parameterized by a chargeSink. The live sink (*World) charges the
+// stats tables and trace recorder directly — that is the NVSIM_NOPLANCACHE
+// reference path, byte-identical to the pre-cache engine. The compiling sink
+// (*planBuilder) aggregates the same emissions into a plan. Replaying a plan
+// therefore cannot diverge from recomputing it: both are projections of the
+// same walk, and the A/B tests pin them together.
 
-// forwardSink receives every emission of the forwarding recursion: cycle
-// charges per hypervisor level, hardware- and handled-exit counts, and the
-// ordered trace events. Implementations: *World (live, charges the stats
-// sink and trace recorder) and *planBuilder (aggregates into a forwardPlan).
-type forwardSink interface {
+// chargeSink receives every emission of a charge tree: cycle charges per
+// hypervisor level, hardware- and handled-exit counts, and the ordered trace
+// events. Implementations: *World (live, charges the stats sink and trace
+// recorder) and *planBuilder (aggregates into a plan).
+type chargeSink interface {
 	chargeLevel(level int, c sim.Cycles)
 	hardwareExit(r vmx.ExitReason)
 	handledExit(r vmx.ExitReason, level int)
@@ -37,23 +40,23 @@ type forwardSink interface {
 	traceEvent(r vmx.ExitReason, from, handler, n int)
 }
 
-// chargeLevel implements forwardSink live: charges go straight to the stats
+// chargeLevel implements chargeSink live: charges go straight to the stats
 // tables, as the pre-cache engine did.
 func (w *World) chargeLevel(level int, c sim.Cycles) {
 	w.Host.Machine.Stats.ChargeLevel(level, c)
 }
 
-// hardwareExit implements forwardSink live.
+// hardwareExit implements chargeSink live.
 func (w *World) hardwareExit(r vmx.ExitReason) {
 	w.Host.Machine.Stats.RecordHardwareExit(r)
 }
 
-// handledExit implements forwardSink live.
+// handledExit implements chargeSink live.
 func (w *World) handledExit(r vmx.ExitReason, level int) {
 	w.Host.Machine.Stats.RecordHandledExit(r, level)
 }
 
-// traceEvent implements forwardSink live (RecordRun on a nil recorder is a
+// traceEvent implements chargeSink live (RecordRun on a nil recorder is a
 // no-op, and with n == 1 it is exactly Record).
 func (w *World) traceEvent(r vmx.ExitReason, from, handler, n int) {
 	w.Tracer.RecordRun(r, from, handler, n)
@@ -65,7 +68,7 @@ func (w *World) traceEvent(r vmx.ExitReason, from, handler, n int) {
 // which recurses through privOpCost. It emits all charges, counts and trace
 // events into the sink and returns the total cycles. Owner side effects are
 // explicitly NOT part of this tree (see ownerEffects).
-func (w *World) forwardCost(stack []*Hypervisor, reason vmx.ExitReason, owner int, sink forwardSink) sim.Cycles {
+func (w *World) forwardCost(stack []*Hypervisor, reason vmx.ExitReason, owner int, sink chargeSink) sim.Cycles {
 	c := &w.Costs
 	cost := c.ReflectWork + c.HwEntry
 	sink.chargeLevel(0, c.ReflectWork+c.HwEntry)
@@ -83,7 +86,7 @@ func (w *World) forwardCost(stack []*Hypervisor, reason vmx.ExitReason, owner in
 // level. At level 1 with VMCS shadowing, VMREAD/VMWRITEs are satisfied in
 // hardware; at deeper levels every one of them is a trapped instruction
 // whose emulation recurses — the exit-multiplication engine.
-func (w *World) scriptCost(stack []*Hypervisor, level int, s Script, sink forwardSink) sim.Cycles {
+func (w *World) scriptCost(stack []*Hypervisor, level int, s Script, sink chargeSink) sim.Cycles {
 	c := &w.Costs
 	var cost sim.Cycles
 
@@ -122,7 +125,7 @@ func (w *World) scriptCost(stack []*Hypervisor, level int, s Script, sink forwar
 // the hypervisor at the given level. Level-1 instructions are emulated
 // directly by the host; deeper ones are forwarded to the level below, whose
 // emulation path is itself a script full of privileged instructions.
-func (w *World) privOpCost(stack []*Hypervisor, level int, reason vmx.ExitReason, sink forwardSink) sim.Cycles {
+func (w *World) privOpCost(stack []*Hypervisor, level int, reason vmx.ExitReason, sink chargeSink) sim.Cycles {
 	c := &w.Costs
 	sink.hardwareExit(reason)
 	sink.traceEvent(reason, level, level-1, 1)
@@ -151,6 +154,63 @@ func (w *World) privOpCost(stack []*Hypervisor, level int, reason vmx.ExitReason
 	return cost
 }
 
+// planKind names the charge tree a plan caches. With the level the tree ends
+// at — and, for forwarded exits only, the exit reason — it is the whole
+// cache key: every other per-call input (the injection script, the switch
+// script, the reasons injections and the cascade exit with) follows from the
+// kind and the personalities the plan pins.
+type planKind uint8
+
+const (
+	// planForward is a forwarded exit's reflect-and-handle tree up to the
+	// owner level.
+	planForward planKind = iota
+	// planInject is an interrupt injection: an EXTERNAL_INTERRUPT exit into
+	// the guest hypervisor at the level, which runs its InjectScript.
+	planInject
+	// planCascade is the DeviceRX receive cascade: the host vhost backend
+	// plus every interposing level's backend up to the provider level.
+	planCascade
+	// planWake is the wake ladder up to the idle-owner level. The no-wake
+	// case never reaches the cache, so "a wake happened" is in the key by
+	// construction.
+	planWake
+	// planSwitch is the guest scheduler's context-switch charge at the
+	// switching level.
+	planSwitch
+)
+
+// numPlanRows sizes the plan table: one row per exit-reason index for
+// forwarded exits, then one row for each other kind.
+const numPlanRows = vmx.NumReasonIndexes + int(planSwitch)
+
+// planRow is the table row of a key's slot; the level is the column.
+func planRow(kind planKind, reason vmx.ExitReason) int {
+	if kind == planForward {
+		return reason.Index()
+	}
+	return vmx.NumReasonIndexes + int(kind) - 1
+}
+
+// walk runs one kind's charge tree into the sink and returns its total cost.
+// Only planForward reads reason; every other kind fixes its own. The wake
+// ladder reads no stack, so stack may be nil for it.
+func (w *World) walk(stack []*Hypervisor, kind planKind, reason vmx.ExitReason, level int, sink chargeSink) sim.Cycles {
+	switch kind {
+	case planForward:
+		return w.forwardCost(stack, reason, level, sink)
+	case planInject:
+		return w.guestPathCost(stack, vmx.ExitExternalInterrupt, level, stack[level].Personality.InjectScript(), sink)
+	case planCascade:
+		return w.rxCascadeCost(stack, level, sink)
+	case planWake:
+		return w.wakeLadderCost(level, sink)
+	case planSwitch:
+		return w.scriptCost(stack, level, switchScript(), sink)
+	}
+	return 0
+}
+
 // reasonCount is one aggregated hardware-exit delta of a plan.
 type reasonCount struct {
 	reason vmx.ExitReason
@@ -171,13 +231,12 @@ type eventRun struct {
 	n             int
 }
 
-// forwardPlan is the compiled, immutable replay form of one forwarded exit's
-// pure cost/charge tree. Replaying it applies exactly the stats deltas and
-// trace events the recursion would emit, in O(levels + deltas + runs) with
-// zero allocations, and returns the identical total cost.
-type forwardPlan struct {
-	// cost is the total cycles of the reflect + handler tree (the value
-	// forward() returned before ownerEffects).
+// plan is the compiled, immutable replay form of one charge tree. Replaying
+// it applies exactly the stats deltas and trace events the tree would emit,
+// in O(levels + deltas + runs) with zero allocations, and returns the
+// identical total cost.
+type plan struct {
+	// cost is the total cycles of the tree.
 	cost sim.Cycles
 	// levels holds the per-level ChargeLevel deltas, pre-clamped to the
 	// stats tables' level range.
@@ -188,20 +247,19 @@ type forwardPlan struct {
 	handled []handledCount
 	// events is the ordered, run-length-encoded trace timeline.
 	events []eventRun
-	// owner and pers pin the plan to the hypervisor-stack personality shape
-	// it was compiled against: pers[k] is stack[k].Personality for
-	// k in [1, owner]. Personalities are value identities (stateless,
-	// comparable), so an in-place personality swap — even one that dodges
-	// the topology generation — misses the cache instead of replaying a
+	// pers pins the plan to the personalities it was compiled against:
+	// pers[k] is stack[k].Personality for k in [1, pinned]. Personalities
+	// are value identities (stateless, comparable), so an in-place swap —
+	// which moves no generation — misses the cache instead of replaying a
 	// stale tree.
-	owner int
-	pers  [trace.MaxLevels]Personality
+	pinned int
+	pers   [trace.MaxLevels]Personality
 }
 
 // matchesStack reports whether the plan was compiled against the same
 // personalities the stack currently runs.
-func (p *forwardPlan) matchesStack(stack []*Hypervisor) bool {
-	for k := 1; k <= p.owner && k < trace.MaxLevels; k++ {
+func (p *plan) matchesStack(stack []*Hypervisor) bool {
+	for k := 1; k <= p.pinned; k++ {
 		if p.pers[k] != stack[k].Personality {
 			return false
 		}
@@ -209,44 +267,31 @@ func (p *forwardPlan) matchesStack(stack []*Hypervisor) bool {
 	return true
 }
 
-// planBuilder is the compiling forwardSink: it aggregates the recursion's
-// emissions into a forwardPlan. Dense scratch tables keep aggregation O(1)
-// per emission; finalize compacts them into the plan's sparse, index-ordered
-// delta lists.
+// planBuilder is the compiling chargeSink: it aggregates a tree's emissions
+// into a plan. Dense scratch tables keep aggregation O(1) per emission;
+// finalize compacts them into the plan's sparse, index-ordered delta lists.
 type planBuilder struct {
-	plan    forwardPlan
+	plan    plan
 	hw      [vmx.NumReasonIndexes]uint64
 	handled [vmx.NumReasonIndexes][trace.MaxLevels]uint64
 }
 
-// chargeLevel implements forwardSink, clamping exactly as the stats tables
+// chargeLevel implements chargeSink, clamping exactly as the stats tables
 // do so a replayed charge lands on the same row a live charge would.
 func (b *planBuilder) chargeLevel(level int, c sim.Cycles) {
-	if level < 0 {
-		level = 0
-	}
-	if level >= trace.MaxLevels {
-		level = trace.MaxLevels - 1
-	}
-	b.plan.levels[level] += c
+	b.plan.levels[trace.ClampLevel(level)] += c
 }
 
-// hardwareExit implements forwardSink.
+// hardwareExit implements chargeSink.
 func (b *planBuilder) hardwareExit(r vmx.ExitReason) { b.hw[r.Index()]++ }
 
-// handledExit implements forwardSink, with RecordHandledExit's clamping.
+// handledExit implements chargeSink, with RecordHandledExit's clamping.
 func (b *planBuilder) handledExit(r vmx.ExitReason, level int) {
-	if level < 0 {
-		level = 0
-	}
-	if level >= trace.MaxLevels {
-		level = trace.MaxLevels - 1
-	}
-	b.handled[r.Index()][level]++
+	b.handled[r.Index()][trace.ClampLevel(level)]++
 }
 
-// traceEvent implements forwardSink: consecutive identical events collapse
-// into one run, preserving the exact event order of the recursion.
+// traceEvent implements chargeSink: consecutive identical events collapse
+// into one run, preserving the exact event order of the tree.
 func (b *planBuilder) traceEvent(r vmx.ExitReason, from, handler, n int) {
 	evs := b.plan.events
 	if last := len(evs) - 1; last >= 0 &&
@@ -256,14 +301,14 @@ func (b *planBuilder) traceEvent(r vmx.ExitReason, from, handler, n int) {
 	}
 	// The builder runs only on the cold compile path (the compiler is
 	// //nvlint:cold); it reaches the hot call graph solely through CHA over
-	// the forwardSink interface.
-	//nvlint:ignore hotalloc cold compile path; hot-reachable only via CHA over forwardSink
+	// the chargeSink interface.
+	//nvlint:ignore hotalloc cold compile path; hot-reachable only via CHA over chargeSink
 	b.plan.events = append(evs, eventRun{reason: r, from: from, handler: handler, n: n})
 }
 
 // finalize compacts the dense scratch tables into the plan's sparse delta
 // lists, in fixed (reason index, level) order for deterministic replay.
-func (b *planBuilder) finalize() *forwardPlan {
+func (b *planBuilder) finalize() *plan {
 	for i := range b.hw {
 		if b.hw[i] > 0 {
 			b.plan.hw = append(b.plan.hw, reasonCount{reason: vmx.ExitReason(i), n: b.hw[i]})
@@ -279,38 +324,31 @@ func (b *planBuilder) finalize() *forwardPlan {
 	return &b.plan
 }
 
-// compileForwardPlan walks the forwarding recursion once with the compiling
-// sink and flattens it into an immutable replay plan. This is the cold path:
-// it runs once per (reason, owner, stack shape, caps, cost model) and its
-// cost is amortized across every replay until an invalidation generation
-// moves.
+// compilePlan walks one charge tree with the compiling sink and flattens it
+// into an immutable plan, pinning the personalities of the stack up to the
+// level. This is the cold path: it runs once per key, stack shape and
+// generation triple, and its cost is amortized across every replay.
 //
 //nvlint:cold
-func (w *World) compileForwardPlan(stack []*Hypervisor, reason vmx.ExitReason, owner int) *forwardPlan {
+func (w *World) compilePlan(stack []*Hypervisor, kind planKind, reason vmx.ExitReason, level int) *plan {
 	b := &planBuilder{}
-	b.plan.cost = w.forwardCost(stack, reason, owner, b)
-	b.plan.owner = owner
-	for k := 1; k <= owner && k < trace.MaxLevels; k++ {
+	b.plan.cost = w.walk(stack, kind, reason, level, b)
+	b.plan.pinned = min(level, len(stack)-1)
+	for k := 1; k <= b.plan.pinned; k++ {
 		b.plan.pers[k] = stack[k].Personality
 	}
-	w.Plan.Compiles++
+	if kind == planForward {
+		w.Plan.Compiles++
+	} else {
+		w.Plan.DeliveryCompiles++
+	}
 	return b.finalize()
-}
-
-// replayForwardPlan applies a compiled plan: the aggregated per-level
-// charges, the exit-count deltas, and the run-length-encoded trace timeline,
-// byte-identical to re-running the recursion live. Allocation-free — this is
-// the steady-state forwarded-exit path.
-func (w *World) replayForwardPlan(p *forwardPlan) sim.Cycles {
-	w.Plan.Replays++
-	return w.applyPlan(p)
 }
 
 // applyPlan applies a compiled plan's deltas — the aggregated per-level
 // charges, the exit counts, and the run-length-encoded trace timeline — and
-// returns the plan's total cost. Shared by forward and delivery replay; the
-// per-kind replay entry points differ only in which meta-counter they bump.
-func (w *World) applyPlan(p *forwardPlan) sim.Cycles {
+// returns the plan's total cost, byte-identical to walking the tree live.
+func (w *World) applyPlan(p *plan) sim.Cycles {
 	stats := w.Host.Machine.Stats
 	for l := range p.levels {
 		if c := p.levels[l]; c != 0 {
@@ -331,53 +369,53 @@ func (w *World) applyPlan(p *forwardPlan) sim.Cycles {
 	return p.cost
 }
 
-// planTable is a vCPU's compiled-plan cache, valid for one (topology,
-// cost-model, caps) generation triple — the same per-vCPU generational
-// pattern as the hypervisor-stack cache, extended with the two generations
-// plans additionally depend on. Forward plans get one slot per (exit reason,
-// owner level); delivery plans (deliveryplan.go) one per (kind, level).
+// planTable is the World's compiled-plan cache, valid for one (topology,
+// cost-model, caps) generation triple: one slot per (row, level), where
+// planRow folds the kind and the forwarded exit's reason into the row.
 type planTable struct {
 	topoGen, costGen, capsGen uint64
-	slots                     [vmx.NumReasonIndexes][trace.MaxLevels]*forwardPlan
-	delivery                  [numDeliveryKinds][trace.MaxLevels]*deliveryPlan
+	slots                     [numPlanRows][trace.MaxLevels]*plan
 }
 
-// planTableFor returns v's plan table, lazily created, flushing every slot —
-// forward and delivery alike — whenever an invalidation generation moved:
-// topology (Machine.TopoGen — VM creation, hypervisor installation,
-// repinning), cost model (Machine.CostGen — World.SetCosts), or capabilities
-// (Machine.CapsGen — World.SetHostCaps, DVH enablement). The stale check is
-// O(1); the steady-state path allocates nothing.
-func (w *World) planTableFor(v *VCPU) *planTable {
+// validPlans returns the World's plan table, lazily created, flushing every
+// slot whenever an invalidation generation moved: topology (Machine.TopoGen
+// — VM creation, hypervisor installation, repinning), cost model
+// (Machine.CostGen — World.SetCosts), or capabilities (Machine.CapsGen —
+// World.SetHostCaps, DVH enablement). The stale check is O(1); the
+// steady-state path allocates nothing.
+func (w *World) validPlans() *planTable {
 	m := w.Host.Machine
-	t := v.plans
+	t := w.plans
 	if t == nil {
-		//nvlint:ignore hotalloc lazy per-vCPU plan-table init, amortized across all replays
+		//nvlint:ignore hotalloc lazy per-World plan-table init, amortized across all replays
 		t = &planTable{topoGen: m.TopoGen, costGen: m.CostGen, capsGen: m.CapsGen}
-		v.plans = t
+		w.plans = t
 	} else if t.topoGen != m.TopoGen || t.costGen != m.CostGen || t.capsGen != m.CapsGen {
-		t.slots = [vmx.NumReasonIndexes][trace.MaxLevels]*forwardPlan{}
-		t.delivery = [numDeliveryKinds][trace.MaxLevels]*deliveryPlan{}
+		t.slots = [numPlanRows][trace.MaxLevels]*plan{}
 		t.topoGen, t.costGen, t.capsGen = m.TopoGen, m.CostGen, m.CapsGen
 		w.Plan.Invalidations++
 	}
 	return t
 }
 
-// forwardPlanFor returns the compiled plan for a forwarded exit, compiling on
-// the first miss and whenever the table was flushed. The personality-shape
-// match is O(levels); the steady-state hit path allocates nothing.
-func (w *World) forwardPlanFor(v *VCPU, stack []*Hypervisor, reason vmx.ExitReason, owner int) *forwardPlan {
-	if owner < 1 || owner >= trace.MaxLevels {
-		// Beyond the accounting tables' level range; nothing at this depth is
-		// steady-state, so compile without caching.
-		return w.compileForwardPlan(stack, reason, owner)
+// charge runs one charge tree and returns its cost. With the cache on, it
+// replays the key's compiled plan, compiling on a miss, after a flush, or
+// when a pinned personality differs; with NVSIM_NOPLANCACHE, or at a level
+// the accounting tables cannot index, it walks the tree live. This is the
+// single live-or-replay decision for every cached path. Only planForward
+// reads reason; callers pass 0 for the other kinds.
+func (w *World) charge(stack []*Hypervisor, kind planKind, reason vmx.ExitReason, level int) sim.Cycles {
+	if w.planCacheOff || level < 0 || level >= trace.MaxLevels {
+		return w.walk(stack, kind, reason, level, w)
 	}
-	t := w.planTableFor(v)
-	if p := t.slots[reason.Index()][owner]; p != nil && p.matchesStack(stack) {
-		return p
+	slot := &w.validPlans().slots[planRow(kind, reason)][level]
+	if *slot == nil || !(*slot).matchesStack(stack) {
+		*slot = w.compilePlan(stack, kind, reason, level)
 	}
-	p := w.compileForwardPlan(stack, reason, owner)
-	t.slots[reason.Index()][owner] = p
-	return p
+	if kind == planForward {
+		w.Plan.Replays++
+	} else {
+		w.Plan.DeliveryReplays++
+	}
+	return w.applyPlan(*slot)
 }

@@ -6,33 +6,45 @@
 // ones. It is built only on the standard library (go/parser, go/ast,
 // go/types): the module is dependency-free and stays that way.
 //
-// Rules:
+// A rule earns its place only by catching a bug class tests cannot: a test
+// sees the paths it executes, a rule every path. Each entry names what the
+// rule checks, then (after "catches:") the bug that would slip past tests.
 //
 //	determinism  no time.Now, unseeded math/rand, go statements outside the
 //	             allowed packages, and no map ranges whose order can reach
 //	             simulator output (sorted-collect idiom or //nvlint:ordered
-//	             allowlists a range)
+//	             allowlists a range); catches: nondeterminism on a path no
+//	             golden runs, or a map order that happens to repeat
 //	hotalloc     no allocating constructs in functions reachable from the
-//	             hot-path roots (World.Execute, Interceptor.TryHandle)
+//	             hot-path roots (World.Execute, Interceptor.TryHandle);
+//	             catches: an allocation on a branch no AllocsPerRun test takes
 //	exhaustive   switches over module-declared enum types cover every
-//	             constant or carry an explicit default
-//	nopanic      panic() is forbidden in non-test engine packages
-//	opbyvalue    hyper.Op is passed by value, never by pointer
+//	             constant or carry an explicit default; catches: a new enum
+//	             value falling through a switch no test drives with it
+//	nopanic      panic() is forbidden in non-test engine packages; catches:
+//	             a panic on an error path no test reaches
+//	opbyvalue    hyper.Op is passed by value, never by pointer; catches: a
+//	             handler mutating its caller's Op, invisible until a later
+//	             read of that Op diverges
 //
 // v2 rules (the architectural contracts of the exit pipeline):
 //
-//	cachegen     every field the forward-plan compiler reads is covered by a
+//	cachegen     every field the plan compiler reads is covered by a
 //	             generation counter (or explicitly allowlisted as a
 //	             non-input), generation setters really bump their counter,
-//	             and guarded fields are written only by their setter
+//	             and guarded fields are written only by their setter;
+//	             catches: a stale plan after a mid-run mutation no test
+//	             performs (ProvideVIOMMU once skipped its CapsGen bump)
 //	stageledger  every boundary that opens a transaction with begin settles
 //	             it exactly once on every path, and each function charges the
-//	             ExitContext ledger under a single statically-known stage
+//	             ExitContext ledger under a single statically-known stage;
+//	             catches: a missing or double settle on an error path no test
+//	             takes
 //	interceptor  Interceptor implementations return literal (name, priority)
 //	             pairs, never mutate engine state before claiming an op, and
-//	             inherit the determinism contract wherever their code lives
-//	parity       mirrored constant tables (trace.NumStages vs the hyper stage
-//	             enum, vmx.ExitReason index density) cannot drift apart
+//	             inherit the determinism contract wherever their code lives;
+//	             catches: an interceptor that mutates and then declines on an
+//	             op mix no test sends
 //	directive    //nvlint comments that no longer suppress anything are
 //	             themselves flagged (reported via -unused-directives)
 package lint
@@ -55,7 +67,6 @@ const (
 	RuleCacheGen    = "cachegen"
 	RuleStageLedger = "stageledger"
 	RuleInterceptor = "interceptor"
-	RuleParity      = "parity"
 	RuleDirective   = "directive"
 )
 
@@ -88,12 +99,10 @@ type Config struct {
 	StageLedger *StageLedgerConfig
 	// Interceptor, when set, enables the interceptor-contract rule.
 	Interceptor *InterceptorConfig
-	// Parity, when set, enables the mirrored-constant parity rule.
-	Parity *ParityConfig
 }
 
-// CacheGenConfig configures the cachegen rule: the forward-plan replay cache
-// is sound only if every input the compile path reads is invalidated by a
+// CacheGenConfig configures the cachegen rule: the plan replay cache is
+// sound only if every input the compile path reads is invalidated by a
 // generation counter. The rule walks the call graph from the compile roots
 // and flags any field read of a watched type that is not in the guarded set —
 // so a new cost or capability field wired into compilation without a matching
@@ -158,17 +167,6 @@ type InterceptorConfig struct {
 	TryMethod string
 }
 
-// ParityConfig configures the parity rule over mirrored constant tables.
-type ParityConfig struct {
-	// Mirrors are pairs of constant specs ("pkg/path.Name", exported or not)
-	// whose values must be equal; drift is reported with both decl sites.
-	Mirrors [][2]string
-	// DenseEnums are [enum type, bound constant] pairs: every declared
-	// constant of the type must be distinct and inside [0, bound), so dense
-	// index tables cannot silently merge two values.
-	DenseEnums [][2]string
-}
-
 // Finding is one rule violation.
 type Finding struct {
 	// File is the path of the offending file, Line its 1-based line.
@@ -228,17 +226,16 @@ func ModuleConfig(dir string) (Config, error) {
 		mp + "/internal/trace.(*StageStats).ObserveSettled",
 	}
 	cfg.ByValueTypes = []string{mp + "/internal/hyper.Op"}
-	// cachegen: the plan replay caches (internal/hyper/plan.go and
-	// deliveryplan.go) bake compile-path reads into cached plans; every one
-	// of them must be covered by a generation counter or be provably not a
-	// plan input. The walks from compileForwardPlan and compileDeliveryPlan
-	// reach both forwardSink implementations (the live World sink and the
+	// cachegen: the plan replay cache (internal/hyper/plan.go) bakes
+	// compile-path reads into cached plans; every one of them must be
+	// covered by a generation counter or be provably not a plan input. The
+	// walk from compilePlan — the one compile root of every plan kind —
+	// reaches both chargeSink implementations (the live World sink and the
 	// recording planBuilder) and every Personality, so the allowlist names
 	// exactly the state those read.
 	cfg.CacheGen = &CacheGenConfig{
 		CompileRoots: []string{
-			mp + "/internal/hyper.(*World).compileForwardPlan",
-			mp + "/internal/hyper.(*World).compileDeliveryPlan",
+			mp + "/internal/hyper.(*World).compilePlan",
 		},
 		WatchedTypes: []string{
 			mp + "/internal/hyper.World",
@@ -299,17 +296,6 @@ func ModuleConfig(dir string) (Config, error) {
 	// claim-before-mutate contracts (internal/hyper/pipeline.go).
 	cfg.Interceptor = &InterceptorConfig{
 		Iface: mp + "/internal/hyper.Interceptor",
-	}
-	// parity: the mirrored constant tables that size trace's fixed arrays and
-	// the dense exit-reason index space.
-	cfg.Parity = &ParityConfig{
-		Mirrors: [][2]string{
-			{mp + "/internal/trace.NumStages", mp + "/internal/hyper.stageCount"},
-			{mp + "/internal/trace.NumBoundaries", mp + "/internal/hyper.boundaryCount"},
-		},
-		DenseEnums: [][2]string{
-			{mp + "/internal/vmx.ExitReason", mp + "/internal/vmx.NumReasonIndexes"},
-		},
 	}
 	return cfg, nil
 }
@@ -381,14 +367,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Interceptor != nil {
 		rules = append(rules, RuleInterceptor)
 		fs, err := checkInterceptor(prog, &cfg, g)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, fs...)
-	}
-	if cfg.Parity != nil {
-		rules = append(rules, RuleParity)
-		fs, err := checkParity(prog, &cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -45,27 +44,6 @@ func resolveField(prog *program, spec string) (*types.Var, error) {
 		}
 	}
 	return nil, fmt.Errorf("lint: field spec %q: no field %s", spec, name)
-}
-
-// resolveConst resolves "pkg/path.Name" to a loaded constant (exported or
-// not — the whole module is loaded from source).
-func resolveConst(prog *program, spec string) (*types.Const, error) {
-	pkg, rest := splitQualified(prog, spec)
-	if pkg == nil {
-		return nil, fmt.Errorf("lint: constant %q: package not loaded", spec)
-	}
-	c, ok := pkg.Types.Scope().Lookup(rest).(*types.Const)
-	if !ok {
-		return nil, fmt.Errorf("lint: constant %q not found", spec)
-	}
-	return c, nil
-}
-
-// site renders an object's declaration position as "file:line" for messages
-// that must point at both ends of a mirrored pair.
-func site(prog *program, pos token.Pos) string {
-	p := prog.fset.Position(pos)
-	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }
 
 // fieldSpec renders a struct field as "pkg/path.Type.Field" for allowlist

@@ -40,8 +40,7 @@ func helper(w *World) int {
 	return w.Tuning * 2 // want "not generation-guarded"
 }
 
-// CompileDelivery is a second compile root (the delivery-plan compiler
-// shape): the same guarded-field obligations apply to every root in
+// CompileDelivery is a second compile root: the same guarded-field obligations apply to every root in
 // CompileRoots, so an unguarded read here must be flagged exactly as one
 // under Compile would be.
 func CompileDelivery(w *World, level int) int {

@@ -41,13 +41,14 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{ring: make([]Event, capacity)}
 }
 
-// clampLevel clamps a recorded level into the accounting tables' range,
-// exactly like Stats.RecordHandledExit does: levels are data here, and a
-// negative one (e.g. an exit recorded while routing is still unresolved,
-// Owner == -1) must degrade to the edge row instead of poisoning the ring —
-// Timeline indents by handler level and strings.Repeat panics on a negative
-// count.
-func clampLevel(l int) int {
+// ClampLevel clamps a level into the accounting tables' range [0,
+// MaxLevels) — the one clamping rule Stats, the recorder and the plan
+// compiler share, so a replayed charge lands on the row a live one would.
+// Levels are data here, and a negative one (e.g. an exit recorded while
+// routing is still unresolved, Owner == -1) must degrade to the edge row
+// instead of poisoning the ring — Timeline indents by handler level and
+// strings.Repeat panics on a negative count.
+func ClampLevel(l int) int {
 	if l < 0 {
 		return 0
 	}
@@ -64,13 +65,13 @@ func (r *Recorder) Record(reason vmx.ExitReason, from, handler int) {
 		return
 	}
 	r.seq++
-	r.ring[r.next] = Event{Seq: r.seq, Reason: reason, FromLevel: clampLevel(from), HandlerLevel: clampLevel(handler)}
+	r.ring[r.next] = Event{Seq: r.seq, Reason: reason, FromLevel: ClampLevel(from), HandlerLevel: ClampLevel(handler)}
 	r.next = (r.next + 1) % len(r.ring)
 	r.count++
 }
 
 // RecordRun appends n identical events — the bulk form of Record the
-// forward-plan replay path uses for run-length-encoded event sequences. The
+// plan replay path uses for run-length-encoded event sequences. The
 // recorder ends in exactly the state n successive Record calls would leave
 // it in (same ring contents, sequence numbers, counts), so a replayed
 // timeline is byte-identical to a recomputed one. Runs longer than the ring

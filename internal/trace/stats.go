@@ -60,37 +60,19 @@ func (s *Stats) AddHardwareExits(r vmx.ExitReason, n uint64) {
 // RecordHandledExit notes that a logical exit with the given reason was
 // handled by the hypervisor at the given level.
 func (s *Stats) RecordHandledExit(r vmx.ExitReason, level int) {
-	if level < 0 {
-		level = 0
-	}
-	if level >= MaxLevels {
-		level = MaxLevels - 1
-	}
-	s.HandledExits[r.Index()][level]++
+	s.HandledExits[r.Index()][ClampLevel(level)]++
 }
 
 // AddHandledExits notes n logical exits with the same (reason, handler
 // level) — the bulk companion of AddHardwareExits, with the same clamping as
 // RecordHandledExit.
 func (s *Stats) AddHandledExits(r vmx.ExitReason, level int, n uint64) {
-	if level < 0 {
-		level = 0
-	}
-	if level >= MaxLevels {
-		level = MaxLevels - 1
-	}
-	s.HandledExits[r.Index()][level] += n
+	s.HandledExits[r.Index()][ClampLevel(level)] += n
 }
 
 // ChargeLevel attributes cycles to a hypervisor level.
 func (s *Stats) ChargeLevel(level int, c sim.Cycles) {
-	if level < 0 {
-		level = 0
-	}
-	if level >= MaxLevels {
-		level = MaxLevels - 1
-	}
-	s.LevelCycles[level] += c
+	s.LevelCycles[ClampLevel(level)] += c
 }
 
 // ChargeGuest attributes cycles to useful guest work.

@@ -1,6 +1,11 @@
 package vmx
 
 import (
+	"go/ast"
+	"go/constant"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"testing"
 	"testing/quick"
 )
@@ -17,6 +22,12 @@ func TestExitReasonNames(t *testing.T) {
 	}
 }
 
+// TestExitReasonIndexBounded pins the dense reason index: Index stays in
+// range for every value, and every ExitReason constant declared in
+// exitreason.go is distinct, below NumReasonIndexes and named in
+// reasonNames. Index clamps overflow into a shared last slot, so a reason
+// past the bound, or two reasons sharing a value, would silently merge rows
+// of every per-reason table — the stats tables and the plan cache alike.
 func TestExitReasonIndexBounded(t *testing.T) {
 	f := func(r uint16) bool {
 		i := ExitReason(r).Index()
@@ -24,6 +35,41 @@ func TestExitReasonIndexBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "exitreason.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// exitreason.go is self-contained, so it type-checks on its own.
+	pkg, err := new(types.Config).Check("vmx", fset, []*ast.File{file}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scope := pkg.Scope()
+	reasonType := scope.Lookup("ExitReason").Type()
+	seen := map[uint64]string{}
+	for _, name := range scope.Names() {
+		c, ok := scope.Lookup(name).(*types.Const)
+		if !ok || c.Type() != reasonType {
+			continue
+		}
+		v, exact := constant.Uint64Val(c.Val())
+		if !exact || v >= NumReasonIndexes {
+			t.Errorf("%s = %s is outside the dense index space [0, %d)", name, c.Val(), NumReasonIndexes)
+			continue
+		}
+		if prev, dup := seen[v]; dup {
+			t.Errorf("%s and %s share the value %d", prev, name, v)
+		}
+		seen[v] = name
+		if _, ok := reasonNames[ExitReason(v)]; !ok {
+			t.Errorf("%s = %d has no entry in reasonNames", name, v)
+		}
+	}
+	if len(seen) == 0 {
+		t.Fatal("found no ExitReason constants in exitreason.go")
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // ticks and reschedule IPIs, each multiplying into a reflected injection
 // cascade unless it can be posted directly. The storms drive the engine's
 // delivery paths (timer injection, wake ladders, IPI emulation) in steady
-// state, which is exactly the regime the delivery-plan replay cache serves.
+// state, which is exactly the regime the plan replay cache serves.
 type Storm int
 
 const (
