@@ -44,17 +44,29 @@ bench:
 bench-compare:
 	$(GO) run ./cmd/nvperf -compare BENCH_10.json
 
-# FUZZ_TARGETS are the native fuzz targets in internal/check; go test allows
+# FUZZ_TARGETS are the native fuzz targets as package:Target pairs — the
+# invariant-checker targets in internal/check plus the sparse bitmap and
+# byte-extent address-space differentials in internal/mem. go test allows
 # only one -fuzz per invocation, so fuzz-smoke loops. FUZZTIME=100x bounds
 # each target to 100 new inputs beyond the seed corpus — a mutation smoke
 # pass, not a campaign; use `make fuzz FUZZTIME=30s` for a real one.
-FUZZ_TARGETS := FuzzHistogram FuzzLAPIC FuzzMergeChain FuzzConfigSpace FuzzRestoreSnapshot FuzzStackCell FuzzPlanCache
+FUZZ_TARGETS := \
+	./internal/check/:FuzzHistogram \
+	./internal/check/:FuzzLAPIC \
+	./internal/check/:FuzzMergeChain \
+	./internal/check/:FuzzConfigSpace \
+	./internal/check/:FuzzRestoreSnapshot \
+	./internal/check/:FuzzStackCell \
+	./internal/check/:FuzzPlanCache \
+	./internal/mem/:FuzzBitmap \
+	./internal/mem/:FuzzAddressSpace
 FUZZTIME ?= 100x
 
 fuzz-smoke fuzz:
 	@for t in $(FUZZ_TARGETS); do \
-		echo "fuzz $$t ($(FUZZTIME))"; \
-		$(GO) test ./internal/check/ -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) || exit 1; \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz $$name in $$pkg ($(FUZZTIME))"; \
+		$(GO) test $$pkg -run='^$$' -fuzz="^$$name$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 
 # golden regenerates the committed experiment fixtures (Table 3, Figures

@@ -167,34 +167,42 @@ func TestListProfiles(t *testing.T) {
 	}
 }
 
-// TestBadInputNamesFlag: a bad flag value fails with a non-zero exit (2
-// where the code is pinned) and a one-line stderr error naming the flag —
-// never a panic or a goroutine dump.
+// TestBadInputNamesFlag: a bad flag value is a usage error — exit 2, nothing
+// on stdout, and a one-line stderr error naming the flag — never a panic, a
+// goroutine dump, or output from the entries that happened to run first.
 func TestBadInputNamesFlag(t *testing.T) {
 	dir := buildCLIs(t)
 	for _, tc := range []struct {
 		cli  string
 		args []string
 		flag string
-		code int // 0 accepts any non-zero exit
 	}{
-		{"nvartifact", []string{"-runs", "0"}, "-runs", 2},
-		{"nvartifact", []string{"-runs", "-1"}, "-runs", 2},
-		{"nvartifact", []string{"-level", "L9"}, "-level", 0},
-		{"nvsim", []string{"-txns", "0"}, "-txns", 0},
-		{"nvsim", []string{"-io", "bogus"}, "-io", 0},
-		{"nvbench", []string{"-figure", "11"}, "-figure", 0},
-		{"nvtrace", []string{"-depth", "4"}, "-depth", 0},
+		{"nvartifact", []string{"-runs", "0"}, "-runs"},
+		{"nvartifact", []string{"-runs", "-1"}, "-runs"},
+		{"nvartifact", []string{"-level", "L9"}, "-level"},
+		{"nvartifact", []string{"-parallel", "-1"}, "-parallel"},
+		{"nvsim", []string{"-txns", "0"}, "-txns"},
+		{"nvsim", []string{"-io", "bogus"}, "-io"},
+		{"nvsim", []string{"-guest", "bogus"}, "-guest"},
+		{"nvsim", []string{"-workload", "bogus"}, "-workload"},
+		{"nvsim", []string{"-depth", "0"}, "-depth"},
+		{"nvbench", []string{"-figure", "11"}, "-figure"},
+		{"nvbench", []string{"-table", "4"}, "-table"},
+		{"nvbench", []string{"-format", "bogus", "-figure", "7"}, "-format"},
+		{"nvbench", []string{"-parallel", "-1"}, "-parallel"},
+		{"nvbench", []string{"-table", "3", "-experiment", "bogus"}, "-experiment"},
+		{"nvtrace", []string{"-depth", "4"}, "-depth"},
 	} {
 		t.Run(tc.cli+strings.Join(tc.args, ""), func(t *testing.T) {
-			_, stderr, code := runCLI(t, filepath.Join(dir, tc.cli), cleanEnv(), tc.args...)
-			if code == 0 {
-				t.Errorf("%s %v exited 0, want a failure", tc.cli, tc.args)
-			} else if tc.code != 0 && code != tc.code {
-				t.Errorf("%s %v exited %d, want %d", tc.cli, tc.args, code, tc.code)
+			stdout, stderr, code := runCLI(t, filepath.Join(dir, tc.cli), cleanEnv(), tc.args...)
+			if code != 2 {
+				t.Errorf("%s %v exited %d, want 2", tc.cli, tc.args, code)
 			}
 			if strings.Contains(stderr, "panic:") || strings.Contains(stderr, "goroutine") {
 				t.Fatalf("%s %v panicked:\n%s", tc.cli, tc.args, stderr)
+			}
+			if stdout != "" {
+				t.Errorf("%s %v printed to stdout before failing:\n%s", tc.cli, tc.args, stdout)
 			}
 			lines := strings.Split(strings.TrimSpace(stderr), "\n")
 			if len(lines) != 1 || !strings.Contains(lines[0], tc.flag) {

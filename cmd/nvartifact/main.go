@@ -45,22 +45,32 @@ func main() {
 		return
 	}
 	if *par < 0 {
-		fatalf("-parallel must be >= 0")
+		usagef("-parallel must be >= 0, got %d", *par)
 	}
 	if *runs < 1 {
-		fmt.Fprintf(os.Stderr, "nvartifact: -runs must be >= 1, got %d\n", *runs)
-		os.Exit(2)
+		usagef("-runs must be >= 1, got %d", *runs)
 	}
 	prof, err := profile.Resolve(*profName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nvartifact: %v\n", err)
-		os.Exit(2)
+		usagef("%v", err)
 	}
 
 	depth := map[string]int{"L0": 0, "L1": 1, "L2": 2, "L3": 3}
 	d, ok := depth[*level]
 	if !ok {
-		fatalf("unknown -level %q (valid: L0, L1, L2, L3)", *level)
+		usagef("unknown -level %q (valid: L0, L1, L2, L3)", *level)
+	}
+	var selected []workload.Profile
+	if *benchmarks == "all" {
+		selected = workload.Profiles()
+	} else {
+		for _, name := range strings.Split(*benchmarks, ",") {
+			p, ok := workload.ProfileByName(strings.TrimSpace(name))
+			if !ok {
+				usagef("unknown -benchmarks entry %q", name)
+			}
+			selected = append(selected, p)
+		}
 	}
 	var spec experiment.Spec
 	if d > 0 {
@@ -75,7 +85,7 @@ func main() {
 		case "dvh":
 			spec.IO = experiment.IODVH
 		default:
-			fatalf("unknown -io %q (valid: paravirt, passthrough, dvh-vp, dvh)", *ioName)
+			usagef("unknown -io %q (valid: paravirt, passthrough, dvh-vp, dvh)", *ioName)
 		}
 		switch strings.ToLower(*guest) {
 		case "kvm":
@@ -85,7 +95,7 @@ func main() {
 		case "hyperv":
 			spec.Guest = experiment.GuestHyperV
 		default:
-			fatalf("unknown -guest %q (valid: kvm, xen, hyperv)", *guest)
+			usagef("unknown -guest %q (valid: kvm, xen, hyperv)", *guest)
 		}
 		// Surface configuration errors (an enlightened KVM guest, an
 		// enlightenment with nothing nested) before fanning out samples.
@@ -93,23 +103,10 @@ func main() {
 			fatalf("%v", err)
 		}
 	} else if *enlightened {
-		fatalf("-enlightened needs a nested configuration (-level L2 or L3)")
+		usagef("-enlightened needs a nested configuration (-level L2 or L3)")
 	}
 	fmt.Printf("server: %s io=%s guest=%s enlightened=%v profile=%s\n\n",
 		*level, strings.ToLower(*ioName), strings.ToLower(*guest), *enlightened, prof.Name)
-
-	var selected []workload.Profile
-	if *benchmarks == "all" {
-		selected = workload.Profiles()
-	} else {
-		for _, name := range strings.Split(*benchmarks, ",") {
-			p, ok := workload.ProfileByName(strings.TrimSpace(name))
-			if !ok {
-				fatalf("unknown benchmark %q", name)
-			}
-			selected = append(selected, p)
-		}
-	}
 
 	for _, p := range selected {
 		fmt.Printf("----------%s------\n", p.Name)
@@ -192,6 +189,13 @@ func printProfiles() {
 		}
 		fmt.Printf("%s%s\n  %s\n  anchors: %s\n", p.Name, marker, p.Description, p.AnchorString())
 	}
+}
+
+// usagef reports a bad flag value and exits 2, the flag package's code for
+// usage errors; fatalf reports a failed run and exits 1.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "nvartifact: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatalf(format string, args ...any) {

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/experiment"
@@ -22,10 +23,13 @@ import (
 	"repro/internal/report"
 )
 
+// experiments are the values -experiment accepts.
+var experiments = []string{"migration", "depth", "breakdown", "stages", "stages-sweep", "workload-stages", "storms", "latency"}
+
 func main() {
 	table := flag.Int("table", 0, "regenerate a table (3)")
 	figure := flag.Int("figure", 0, "regenerate a figure (7, 8, 9, 10)")
-	exp := flag.String("experiment", "", "regenerate a named experiment (migration | depth | breakdown | stages | stages-sweep | workload-stages | storms | latency)")
+	exp := flag.String("experiment", "", "regenerate a named experiment ("+strings.Join(experiments, " | ")+")")
 	all := flag.Bool("all", false, "regenerate everything")
 	par := flag.Int("parallel", 0, "worker goroutines for experiment cells: 0 = auto (NVSIM_PARALLEL or GOMAXPROCS), 1 = sequential")
 	profName := flag.String("profile", "", "calibration profile (default $NVSIM_PROFILE, then "+profile.DefaultName+"); see -list-profiles")
@@ -35,32 +39,6 @@ func main() {
 	if *listProfiles {
 		printProfiles()
 		return
-	}
-	if *par < 0 {
-		fatalf("-parallel must be >= 0")
-	}
-	experiment.SetParallelism(*par)
-	prof, err := profile.Resolve(*profName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nvbench: %v\n", err)
-		os.Exit(2)
-	}
-	experiment.SetDefaultProfile(prof.Name)
-	switch format {
-	case "table", "chart", "csv":
-	default:
-		fatalf("unknown -format %q (valid: table, chart, csv)", format)
-	}
-
-	if !*all && *table == 0 && *figure == 0 && *exp == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	fmt.Printf("calibration profile: %s — %s\n  anchors: %s\n\n", prof.Name, prof.Description, prof.AnchorString())
-	if *all || *table == 3 {
-		run("Table 3: microbenchmark performance in CPU cycles", table3)
-	} else if *table != 0 {
-		fatalf("unknown -table %d (the paper's reproducible table is 3)", *table)
 	}
 	figures := map[int]func() (string, error){
 		7: func() (string, error) {
@@ -76,16 +54,46 @@ func main() {
 			return appFigure("Figure 10: application performance, Xen on KVM", experiment.Figure10)
 		},
 	}
+	// Every flag is checked before anything runs or prints, so a usage
+	// error never follows partial output.
+	if *par < 0 {
+		usagef("-parallel must be >= 0, got %d", *par)
+	}
+	switch format {
+	case "table", "chart", "csv":
+	default:
+		usagef("unknown -format %q (valid: table, chart, csv)", format)
+	}
+	if *table != 0 && *table != 3 {
+		usagef("unknown -table %d (the paper's reproducible table is 3)", *table)
+	}
+	if _, ok := figures[*figure]; *figure != 0 && !ok {
+		usagef("unknown -figure %d (reproducible figures: 7, 8, 9, 10)", *figure)
+	}
+	if *exp != "" && !slices.Contains(experiments, *exp) {
+		usagef("unknown -experiment %q (available: %s)", *exp, strings.Join(experiments, ", "))
+	}
+	prof, err := profile.Resolve(*profName)
+	if err != nil {
+		usagef("%v", err)
+	}
+	if !*all && *table == 0 && *figure == 0 && *exp == "" {
+		flag.Usage()
+		os.Exit(2)
+	}
+	experiment.SetParallelism(*par)
+	experiment.SetDefaultProfile(prof.Name)
+
+	fmt.Printf("calibration profile: %s — %s\n  anchors: %s\n\n", prof.Name, prof.Description, prof.AnchorString())
+	if *all || *table == 3 {
+		run("Table 3: microbenchmark performance in CPU cycles", table3)
+	}
 	if *all {
 		for _, n := range []int{7, 8, 9, 10} {
 			run("", figures[n])
 		}
 	} else if *figure != 0 {
-		fn, ok := figures[*figure]
-		if !ok {
-			fatalf("unknown -figure %d (reproducible figures: 7, 8, 9, 10)", *figure)
-		}
-		run("", fn)
+		run("", figures[*figure])
 	}
 	if *all || *exp == "migration" {
 		run("Migration (Section 4)", migration)
@@ -110,13 +118,6 @@ func main() {
 	}
 	if *all || *exp == "latency" {
 		run("Per-transaction latency tails", latency)
-	}
-	valid := map[string]bool{
-		"migration": true, "depth": true, "breakdown": true, "stages": true,
-		"stages-sweep": true, "workload-stages": true, "storms": true, "latency": true,
-	}
-	if !*all && *exp != "" && !valid[*exp] {
-		fatalf("unknown experiment %q (available: migration, depth, breakdown, stages, stages-sweep, workload-stages, storms, latency)", *exp)
 	}
 }
 
@@ -249,6 +250,13 @@ func printProfiles() {
 		}
 		fmt.Printf("%s%s\n  %s\n  anchors: %s\n", p.Name, marker, p.Description, p.AnchorString())
 	}
+}
+
+// usagef reports a bad flag value and exits 2, the flag package's code for
+// usage errors; fatalf reports a failed run and exits 1.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "nvbench: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatalf(format string, args ...any) {

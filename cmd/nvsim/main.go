@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	depth := flag.Int("depth", 2, "virtualization depth: 1=VM, 2=nested VM, 3=L3 VM")
+	depth := flag.Int("depth", 2, "virtualization depth: 1=VM, 2=nested VM, 3=L3 VM, 4=L4 VM")
 	ioName := flag.String("io", "paravirt", "I/O configuration: paravirt | passthrough | dvh-vp | dvh")
 	guest := flag.String("guest", "kvm", "guest hypervisor: kvm | xen | hyperv")
 	wl := flag.String("workload", "Netperf RR", "workload name from Table 2, or 'all'")
@@ -30,13 +30,14 @@ func main() {
 	flag.Parse()
 
 	if *txns < 1 {
-		fmt.Fprintf(os.Stderr, "nvsim: -txns must be >= 1, got %d\n", *txns)
-		os.Exit(2)
+		usagef("-txns must be >= 1, got %d", *txns)
+	}
+	if *depth < 1 || *depth > experiment.MaxDepth {
+		usagef("-depth must be between 1 and %d, got %d", experiment.MaxDepth, *depth)
 	}
 	prof, err := profile.Resolve(*profName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nvsim: %v\n", err)
-		os.Exit(2)
+		usagef("%v", err)
 	}
 	spec := experiment.Spec{Depth: *depth, Profile: prof.Name}
 	switch strings.ToLower(*ioName) {
@@ -49,7 +50,7 @@ func main() {
 	case "dvh":
 		spec.IO = experiment.IODVH
 	default:
-		fatalf("unknown -io %q", *ioName)
+		usagef("unknown -io %q (valid: paravirt, passthrough, dvh-vp, dvh)", *ioName)
 	}
 	switch strings.ToLower(*guest) {
 	case "kvm":
@@ -59,16 +60,8 @@ func main() {
 	case "hyperv":
 		spec.Guest = experiment.GuestHyperV
 	default:
-		fatalf("unknown -guest %q", *guest)
+		usagef("unknown -guest %q (valid: kvm, xen, hyperv)", *guest)
 	}
-
-	st, err := experiment.Build(spec)
-	if err != nil {
-		fatalf("building stack: %v", err)
-	}
-	fmt.Printf("stack: depth=%d io=%v guest=%s profile=%s target=%s (%d vCPUs)\n",
-		spec.Depth, spec.IO, *guest, st.Profile.Name, st.Target.Name, len(st.Target.VCPUs))
-
 	var profiles []workload.Profile
 	if *wl == "all" {
 		profiles = workload.Profiles()
@@ -79,10 +72,17 @@ func main() {
 			for _, p := range workload.Profiles() {
 				names = append(names, p.Name)
 			}
-			fatalf("unknown workload %q (have: %s)", *wl, strings.Join(names, ", "))
+			usagef("unknown -workload %q (have: %s)", *wl, strings.Join(names, ", "))
 		}
 		profiles = []workload.Profile{p}
 	}
+
+	st, err := experiment.Build(spec)
+	if err != nil {
+		fatalf("building stack: %v", err)
+	}
+	fmt.Printf("stack: depth=%d io=%v guest=%s profile=%s target=%s (%d vCPUs)\n",
+		spec.Depth, spec.IO, *guest, st.Profile.Name, st.Target.Name, len(st.Target.VCPUs))
 
 	fmt.Printf("%-16s %10s %14s %14s %10s\n", "workload", "overhead", "score", "native", "unit")
 	for _, p := range profiles {
@@ -111,6 +111,13 @@ func main() {
 		fmt.Println("\nexit accounting:")
 		fmt.Print(st.Machine.Stats.String())
 	}
+}
+
+// usagef reports a bad flag value and exits 2, the flag package's code for
+// usage errors; fatalf reports a failed run and exits 1.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "nvsim: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatalf(format string, args ...any) {

@@ -48,3 +48,36 @@ func TestBuildAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestMigrationAllocBudget pins migration's host allocation to the bytes the
+// churn writes rather than to whole frames: each Section 4 configuration —
+// both builds, the migration and VerifyDest — must stay within 2 KiB per
+// working-set page, though every page sent is charged 4 KiB of modeled
+// transfer. Materializing a zeroed 4 KiB frame per page on both machines
+// costs over 8 KiB per page. Bytes allocated are deterministic for a given
+// configuration, so the budget holds on any host.
+func TestMigrationAllocBudget(t *testing.T) {
+	const budget = 2 << 10 // bytes per working-set page
+	for _, c := range migrationCells {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		plan, err := c.plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, err := runMigration(c.label, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if !row.Correct {
+			t.Fatalf("%s: destination differs from the source", c.label)
+		}
+		ws := uint64(plan.Churn.WorkingSetPages)
+		if got := (after.TotalAlloc - before.TotalAlloc) / ws; got > budget {
+			t.Errorf("%s: allocated %d bytes per working-set page (%d pages), budget %d", c.label, got, ws, budget)
+		} else {
+			t.Logf("%s: %d bytes per working-set page (%d pages)", c.label, got, ws)
+		}
+	}
+}

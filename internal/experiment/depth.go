@@ -24,8 +24,8 @@ type DepthRow struct {
 // with DVH the cost is flat in depth — the strongest form of the paper's
 // claim.
 func DepthSweep(maxDepth int) ([]DepthRow, error) {
-	if maxDepth < 1 || maxDepth > 4 {
-		return nil, fmt.Errorf("experiment: depth sweep supports 1..4, got %d", maxDepth)
+	if maxDepth < 1 || maxDepth > MaxDepth {
+		return nil, fmt.Errorf("experiment: depth sweep supports 1..%d, got %d", MaxDepth, maxDepth)
 	}
 	micros := workload.Micros()
 	// One pool cell per (depth, micro): the cell builds its own plain stack

@@ -27,75 +27,79 @@ var migrationChurn = migrate.Churn{
 	DMAPagesPerSec:  600,
 }
 
+// migrationCells are the four configurations of the Section 4 migration
+// experiment, in table order. Each builds its own source and destination
+// stacks, so the four migrations run as independent cells.
+var migrationCells = []struct {
+	label string
+	plan  func() (*migrate.Plan, error)
+}{
+	// VM (level 1, paravirtual I/O).
+	{"VM", func() (*migrate.Plan, error) {
+		src, dst, err := buildPair(Spec{Depth: 1, IO: IOParavirt})
+		if err != nil {
+			return nil, err
+		}
+		churn := migrationChurn
+		churn.DMAPagesPerSec = 0 // host interposes; all dirt is guest-visible
+		return &migrate.Plan{VM: src.Target, Dest: dst.Target, Churn: churn}, nil
+	}},
+	// Nested VM, paravirtual I/O (guest hypervisor sees all dirt).
+	{"Nested VM (paravirt)", func() (*migrate.Plan, error) {
+		src, dst, err := buildPair(Spec{Depth: 2, IO: IOParavirt})
+		if err != nil {
+			return nil, err
+		}
+		churn := migrationChurn
+		churn.DMAPagesPerSec = 0
+		return &migrate.Plan{VM: src.Target, Dest: dst.Target, Churn: churn}, nil
+	}},
+	// Nested VM, DVH: virtual-passthrough with the PCI migration capability.
+	{"Nested VM (DVH)", func() (*migrate.Plan, error) {
+		src, dst, err := buildPair(Spec{Depth: 2, IO: IODVH})
+		if err != nil {
+			return nil, err
+		}
+		vp, ok := src.DVH.VPStateOf(src.Net)
+		if !ok {
+			return nil, fmt.Errorf("experiment: DVH stack without VP state")
+		}
+		return &migrate.Plan{
+			VM: src.Target, Dest: dst.Target,
+			VP: []*core.VPState{vp}, UseMigrationCap: true,
+			Churn: migrationChurn,
+		}, nil
+	}},
+	// Nested VM together with its guest hypervisor (migrate the L1 VM).
+	{"Nested VM + guest hypervisor", func() (*migrate.Plan, error) {
+		src, dst, err := buildPair(Spec{Depth: 2, IO: IODVH})
+		if err != nil {
+			return nil, err
+		}
+		// The nested workload's churn lands in the L1 VM's pages (dirty
+		// tracking propagates down), plus the L1 hypervisor's own working
+		// set; approximate with a doubled hot set.
+		churn := migrationChurn
+		churn.WorkingSetPages *= 2
+		churn.DMAPagesPerSec = 0 // host-side interposition covers the L1 view
+		return &migrate.Plan{VM: src.VMs[0], Dest: dst.VMs[0], Churn: churn}, nil
+	}},
+}
+
 // Migration reproduces the paper's migration comparison: migrating a VM, a
 // nested VM using paravirtual I/O, a nested VM using DVH (virtual-
 // passthrough with the migration capability), and a nested VM together with
 // its guest hypervisor. The paper reports the first three roughly equal and
-// the last roughly twice as expensive. Each configuration builds its own
-// source and destination stacks, so the four migrations run as independent
-// cells on the harness worker pool.
+// the last roughly twice as expensive. The four migrations run on the
+// harness worker pool.
 func Migration() ([]MigrationRow, error) {
-	cells := []struct {
-		label string
-		plan  func() (*migrate.Plan, error)
-	}{
-		// VM (level 1, paravirtual I/O).
-		{"VM", func() (*migrate.Plan, error) {
-			src, dst, err := buildPair(Spec{Depth: 1, IO: IOParavirt})
-			if err != nil {
-				return nil, err
-			}
-			churn := migrationChurn
-			churn.DMAPagesPerSec = 0 // host interposes; all dirt is guest-visible
-			return &migrate.Plan{VM: src.Target, Dest: dst.Target, Churn: churn}, nil
-		}},
-		// Nested VM, paravirtual I/O (guest hypervisor sees all dirt).
-		{"Nested VM (paravirt)", func() (*migrate.Plan, error) {
-			src, dst, err := buildPair(Spec{Depth: 2, IO: IOParavirt})
-			if err != nil {
-				return nil, err
-			}
-			churn := migrationChurn
-			churn.DMAPagesPerSec = 0
-			return &migrate.Plan{VM: src.Target, Dest: dst.Target, Churn: churn}, nil
-		}},
-		// Nested VM, DVH: virtual-passthrough with the PCI migration capability.
-		{"Nested VM (DVH)", func() (*migrate.Plan, error) {
-			src, dst, err := buildPair(Spec{Depth: 2, IO: IODVH})
-			if err != nil {
-				return nil, err
-			}
-			vp, ok := src.DVH.VPStateOf(src.Net)
-			if !ok {
-				return nil, fmt.Errorf("experiment: DVH stack without VP state")
-			}
-			return &migrate.Plan{
-				VM: src.Target, Dest: dst.Target,
-				VP: []*core.VPState{vp}, UseMigrationCap: true,
-				Churn: migrationChurn,
-			}, nil
-		}},
-		// Nested VM together with its guest hypervisor (migrate the L1 VM).
-		{"Nested VM + guest hypervisor", func() (*migrate.Plan, error) {
-			src, dst, err := buildPair(Spec{Depth: 2, IO: IODVH})
-			if err != nil {
-				return nil, err
-			}
-			// The nested workload's churn lands in the L1 VM's pages (dirty
-			// tracking propagates down), plus the L1 hypervisor's own working
-			// set; approximate with a doubled hot set.
-			churn := migrationChurn
-			churn.WorkingSetPages *= 2
-			churn.DMAPagesPerSec = 0 // host-side interposition covers the L1 view
-			return &migrate.Plan{VM: src.VMs[0], Dest: dst.VMs[0], Churn: churn}, nil
-		}},
-	}
-	return mapCells(len(cells), func(i int) (MigrationRow, error) {
-		plan, err := cells[i].plan()
+	return mapCells(len(migrationCells), func(i int) (MigrationRow, error) {
+		c := migrationCells[i]
+		plan, err := c.plan()
 		if err != nil {
 			return MigrationRow{}, err
 		}
-		return runMigration(cells[i].label, plan)
+		return runMigration(c.label, plan)
 	})
 }
 

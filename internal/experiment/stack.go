@@ -63,9 +63,14 @@ const (
 	GuestHyperV
 )
 
+// MaxDepth is the deepest stack Build assembles: one level past the paper's
+// L3 VM, where the forwarded-exit recursion is extrapolated.
+const MaxDepth = 4
+
 // Spec describes one evaluation stack.
 type Spec struct {
-	// Depth is the virtualization depth: 1 = VM, 2 = nested VM, 3 = L3 VM.
+	// Depth is the virtualization depth: 1 = VM, 2 = nested VM, 3 = L3 VM,
+	// up to MaxDepth.
 	Depth int
 	// IO is the I/O configuration.
 	IO IOMode
@@ -121,7 +126,7 @@ func (st *Stack) AttachChecker() *check.Checker {
 // Section 4 setup: the innermost VM has 4 cores and 12 GB, and each
 // intervening hypervisor level adds 2 cores and 12 GB.
 func Build(spec Spec) (*Stack, error) {
-	if spec.Depth < 1 || spec.Depth > 4 {
+	if spec.Depth < 1 || spec.Depth > MaxDepth {
 		return nil, fmt.Errorf("experiment: depth %d out of range", spec.Depth)
 	}
 	if spec.Depth == 1 && (spec.IO == IODVHVP || spec.IO == IODVH) {

@@ -1,6 +1,9 @@
 package hyper
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -125,4 +128,110 @@ func TestAllocPagesExhaustionIsError(t *testing.T) {
 	if a2 != a1+mem.PageSize {
 		t.Fatalf("allocator skipped space after failure: %#x then %#x", uint64(a1), uint64(a2))
 	}
+}
+
+// TestCopyPageMatchesReadWrite: CopyPageTo must leave both chains exactly as
+// a whole-page Read from the source plus a full-page Write to the
+// destination do. Two identical source/destination stack pairs start from
+// the same absent, short (8-byte) and full source and destination frames,
+// at L1 and at L2; one pair transfers with CopyPageTo, the other with Read
+// and Write, with dirty logging on at every VM level and in host memory.
+// The destination bytes, every VM's written and dirty frames, host memory's
+// written and dirty frames and every EPT's A/D bits must then agree.
+func TestCopyPageMatchesReadWrite(t *testing.T) {
+	fills := []int{0, 8, mem.PageSize}
+	for _, level := range []int{1, 2} {
+		t.Run(fmt.Sprintf("L%d", level), func(t *testing.T) {
+			var stacks [2][2][]*VM // [CopyPageTo, Read+Write][source, destination]
+			for i := range stacks {
+				for j := range stacks[i] {
+					_, stacks[i][j] = testStack(t, level)
+				}
+			}
+			var pages []mem.PFN
+			for si, sn := range fills {
+				for di, dn := range fills {
+					p := mem.PFN(64 + len(pages))
+					pages = append(pages, p)
+					for _, pair := range stacks {
+						fillPage(t, pair[0][level-1], p, sn, byte(1+si))
+						fillPage(t, pair[1][level-1], p, dn, byte(0x80+di))
+					}
+				}
+			}
+			for _, pair := range stacks {
+				for _, vms := range pair {
+					vms[0].Owner.Machine.Memory.StartDirtyLog()
+					for _, vm := range vms {
+						vm.StartDirtyLog()
+					}
+				}
+			}
+			buf := make([]byte, mem.PageSize)
+			for _, p := range pages {
+				src, dst := stacks[0][0][level-1].Memory(), stacks[0][1][level-1].Memory()
+				if err := src.CopyPageTo(dst, p); err != nil {
+					t.Fatal(err)
+				}
+				src, dst = stacks[1][0][level-1].Memory(), stacks[1][1][level-1].Memory()
+				if err := src.Read(p.Base(), buf); err != nil {
+					t.Fatal(err)
+				}
+				if err := dst.Write(p.Base(), buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for j, side := range []string{"source", "destination"} {
+				if got, want := transferState(stacks[0][j]), transferState(stacks[1][j]); got != want {
+					t.Fatalf("%s after CopyPageTo:\n%s\nafter Read+Write:\n%s", side, got, want)
+				}
+			}
+			got, want := make([]byte, mem.PageSize), make([]byte, mem.PageSize)
+			for _, p := range pages {
+				for i, out := range [][]byte{got, want} {
+					if err := stacks[i][1][level-1].Memory().Read(p.Base(), out); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := stacks[1][0][level-1].Memory().Read(p.Base(), buf); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) || !bytes.Equal(got, buf) {
+					t.Fatalf("frame %#x: CopyPageTo left bytes differing from Read+Write or from the source", uint64(p))
+				}
+			}
+		})
+	}
+}
+
+// fillPage writes n bytes of a seeded pattern at the start of guest frame p
+// (n = 0 leaves the frame absent).
+func fillPage(t *testing.T, vm *VM, p mem.PFN, n int, seed byte) {
+	t.Helper()
+	if n == 0 {
+		return
+	}
+	buf := make([]byte, n)
+	for i := range buf {
+		buf[i] = seed + byte(i)
+	}
+	if err := vm.Memory().Write(p.Base(), buf); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// transferState renders what a page transfer may change in one stack: every
+// VM's written and dirty frames and EPT entries with their A/D bits, and
+// host memory's written and dirty frames. It drains the host dirty log.
+func transferState(vms []*VM) string {
+	var b strings.Builder
+	for _, vm := range vms {
+		fmt.Fprintf(&b, "%s written %v dirty %v\n", vm.Name, vm.WrittenPages(), vm.PeekDirty())
+		vm.EPT.ForEachEntry(func(e mem.Entry) {
+			fmt.Fprintf(&b, "%s EPT %+v\n", vm.Name, e)
+		})
+	}
+	host := vms[0].Owner.Machine.Memory
+	fmt.Fprintf(&b, "host written %v dirty %v\n", host.WrittenPages(), host.CollectDirty())
+	return b.String()
 }

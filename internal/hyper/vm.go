@@ -411,6 +411,38 @@ func (g *GuestMemory) Write(a mem.Addr, buf []byte) error {
 	})
 }
 
+// CopyPageTo copies guest frame p of g over guest frame p of dst, the unit
+// of migration transfer. It translates, stamps EPT A/D bits and records
+// written and dirty frames at every level of both chains exactly as a
+// whole-page Read from g followed by a full-page Write to dst does, but
+// moves only the source frame's written extent.
+func (g *GuestMemory) CopyPageTo(dst *GuestMemory, p mem.PFN) error {
+	from, err := g.vm.translateToHost(p.Base(), mem.PermRead)
+	if err != nil {
+		return err
+	}
+	to, err := dst.vm.translateToHost(p.Base(), mem.PermWrite)
+	if err != nil {
+		return err
+	}
+	dst.vm.markWrite(p)
+	return mem.CopyFrame(dst.vm.Owner.Machine.Memory, mem.PageOf(to), g.vm.Owner.Machine.Memory, mem.PageOf(from))
+}
+
+// PageEqual reports whether guest frame p holds the same bytes in g and in
+// other, translating both as a Read of the whole page would.
+func (g *GuestMemory) PageEqual(other *GuestMemory, p mem.PFN) (bool, error) {
+	a, err := g.vm.translateToHost(p.Base(), mem.PermRead)
+	if err != nil {
+		return false, err
+	}
+	b, err := other.vm.translateToHost(p.Base(), mem.PermRead)
+	if err != nil {
+		return false, err
+	}
+	return mem.EqualFrames(g.vm.Owner.Machine.Memory, mem.PageOf(a), other.vm.Owner.Machine.Memory, mem.PageOf(b))
+}
+
 // chunked walks [a, a+n) page by page, translating each piece with the access
 // kind so EPT A/D bits at every level record it.
 func (g *GuestMemory) chunked(a mem.Addr, n int, access mem.Perm, fn func(host mem.Addr, off, n int) error) error {

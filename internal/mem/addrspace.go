@@ -9,7 +9,9 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
 )
 
 // Addr is a byte address within some (guest- or host-) physical address space.
@@ -32,16 +34,32 @@ func PageOf(a Addr) PFN { return PFN(a >> PageShift) }
 func (p PFN) Base() Addr { return Addr(p) << PageShift }
 
 // AddressSpace is a sparse, byte-addressable physical address space backed by
-// on-demand 4 KiB pages. Its written set and dirty log are sparse bitmaps, so
-// host cost follows the pages a run touches, never the nominal size. It
-// serves as host physical memory for the machine and as guest-physical
-// memory for every VM level.
+// on-demand frames. A frame stores only its extent, the bytes up to the
+// highest one ever written; the rest of the page reads as zero. Its written
+// set and dirty log are sparse bitmaps, so host cost follows the pages and
+// bytes a run touches, never the nominal size. It serves as host physical
+// memory for the machine and as guest-physical memory for every VM level.
 type AddressSpace struct {
-	name    string
-	npages  PFN
-	pages   map[PFN]*[PageSize]byte
+	name   string
+	npages PFN
+	// frames holds each materialized page's extent. Its capacity is a size
+	// class (frameCap); bytes between length and capacity may be stale and
+	// are cleared before a growth exposes them.
+	frames  map[PFN][]byte
 	dirty   *Bitmap // non-nil while dirty logging is active
 	written *Bitmap // every page ever written; migration's first pass sends these
+}
+
+// minFrame is the smallest frame size class: one quadword, the unit virtio
+// descriptors and migration's churn write.
+const minFrame = 8
+
+// frameCap rounds an extent of n bytes up to its size class: the next power
+// of two, at least minFrame and at most PageSize. Power-of-two classes are
+// Go allocator size classes too, so a frame wastes no capacity, and a page
+// filled a byte at a time regrows only log2(PageSize/minFrame) times.
+func frameCap(n int) int {
+	return max(minFrame, 1<<bits.Len(uint(n-1)))
 }
 
 // NewAddressSpace creates an address space of the given byte size (rounded up
@@ -51,7 +69,7 @@ func NewAddressSpace(name string, size uint64) *AddressSpace {
 	return &AddressSpace{
 		name:    name,
 		npages:  np,
-		pages:   make(map[PFN]*[PageSize]byte),
+		frames:  make(map[PFN][]byte),
 		written: NewBitmap(uint64(np)),
 	}
 }
@@ -68,42 +86,59 @@ func (as *AddressSpace) Size() uint64 { return uint64(as.npages) * PageSize }
 // Contains reports whether the address lies inside the space.
 func (as *AddressSpace) Contains(a Addr) bool { return PageOf(a) < as.npages }
 
-func (as *AddressSpace) page(p PFN, allocate bool) (*[PageSize]byte, error) {
+// frame returns page p's extent, nil for a page never written.
+func (as *AddressSpace) frame(p PFN) ([]byte, error) {
 	if p >= as.npages {
-		return nil, fmt.Errorf("mem: %s: page %#x beyond end (%#x pages)", as.name, uint64(p), uint64(as.npages))
+		return nil, as.beyond(p)
 	}
-	pg := as.pages[p]
-	if pg == nil && allocate {
-		// Sparse backing store: a frame materializes on first write only.
-		// Hot read paths pass allocate=false and can never reach this.
-		//nvlint:ignore hotalloc first-touch frame materialization; steady-state reads and rewrites hit the cached frame
-		pg = new([PageSize]byte)
-		as.pages[p] = pg
+	return as.frames[p], nil
+}
+
+func (as *AddressSpace) beyond(p PFN) error {
+	return fmt.Errorf("mem: %s: page %#x beyond end (%#x pages)", as.name, uint64(p), uint64(as.npages))
+}
+
+// grow extends page p's frame f to end bytes. The bytes it exposes past the
+// old extent read as zero: a new allocation comes zeroed, and a reslice
+// within capacity clears the stale tail a shrinking CopyFrame left behind.
+func (as *AddressSpace) grow(p PFN, f []byte, end int) []byte {
+	if end <= cap(f) {
+		g := f[:end]
+		clear(g[len(f):])
+		as.frames[p] = g
+		return g
 	}
-	return pg, nil
+	// Sparse backing store: a frame materializes on first write and grows
+	// by size class. Reads never reach this.
+	g := make([]byte, end, frameCap(end))
+	copy(g, f)
+	as.frames[p] = g
+	return g
+}
+
+// mark records page p written and, while logging, dirty.
+func (as *AddressSpace) mark(p PFN) {
+	as.written.Set(uint64(p))
+	if as.dirty != nil {
+		as.dirty.Set(uint64(p))
+	}
 }
 
 // Read copies len(buf) bytes starting at a into buf. Unwritten memory reads
 // as zero. It fails if the range escapes the space.
 func (as *AddressSpace) Read(a Addr, buf []byte) error {
 	for len(buf) > 0 {
-		p := PageOf(a)
 		off := int(a & (PageSize - 1))
-		n := PageSize - off
-		if n > len(buf) {
-			n = len(buf)
-		}
-		pg, err := as.page(p, false)
+		n := min(PageSize-off, len(buf))
+		f, err := as.frame(PageOf(a))
 		if err != nil {
 			return err
 		}
-		if pg == nil {
-			for i := 0; i < n; i++ {
-				buf[i] = 0
-			}
-		} else {
-			copy(buf[:n], pg[off:off+n])
+		k := 0
+		if off < len(f) {
+			k = copy(buf[:n], f[off:])
 		}
+		clear(buf[k:n])
 		buf = buf[n:]
 		a += Addr(n)
 	}
@@ -116,23 +151,69 @@ func (as *AddressSpace) Write(a Addr, buf []byte) error {
 	for len(buf) > 0 {
 		p := PageOf(a)
 		off := int(a & (PageSize - 1))
-		n := PageSize - off
-		if n > len(buf) {
-			n = len(buf)
-		}
-		pg, err := as.page(p, true)
+		n := min(PageSize-off, len(buf))
+		f, err := as.frame(p)
 		if err != nil {
 			return err
 		}
-		copy(pg[off:off+n], buf[:n])
-		as.written.Set(uint64(p))
-		if as.dirty != nil {
-			as.dirty.Set(uint64(p))
+		if off+n > len(f) {
+			f = as.grow(p, f, off+n)
 		}
+		copy(f[off:], buf[:n])
+		as.mark(p)
 		buf = buf[n:]
 		a += Addr(n)
 	}
 	return nil
+}
+
+// CopyFrame overwrites frame dp of dst with frame sp of src and marks dp
+// written (and dirty while logging), leaving both spaces exactly as reading
+// the source page and writing it whole to the destination would. It moves
+// only the source's extent, so a page holding one quadword costs a quadword.
+// Shrinking keeps the destination's capacity; grow clears it before reuse.
+func CopyFrame(dst *AddressSpace, dp PFN, src *AddressSpace, sp PFN) error {
+	sf, err := src.frame(sp)
+	if err != nil {
+		return err
+	}
+	df, err := dst.frame(dp)
+	if err != nil {
+		return err
+	}
+	if len(sf) > cap(df) {
+		df = make([]byte, 0, frameCap(len(sf)))
+	}
+	if df != nil { // an empty source over an absent frame leaves it absent
+		dst.frames[dp] = append(df[:0], sf...)
+	}
+	dst.mark(dp)
+	return nil
+}
+
+// EqualFrames reports whether frame p of a and frame q of b hold the same
+// bytes. It compares extents: past the shorter one, the longer must be zero.
+func EqualFrames(a *AddressSpace, p PFN, b *AddressSpace, q PFN) (bool, error) {
+	fa, err := a.frame(p)
+	if err != nil {
+		return false, err
+	}
+	fb, err := b.frame(q)
+	if err != nil {
+		return false, err
+	}
+	if len(fa) < len(fb) {
+		fa, fb = fb, fa
+	}
+	if !bytes.Equal(fa[:len(fb)], fb) {
+		return false, nil
+	}
+	for _, c := range fa[len(fb):] {
+		if c != 0 {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // ReadU64 reads a little-endian 64-bit value, the unit virtio descriptors and
@@ -162,12 +243,9 @@ func (as *AddressSpace) WriteU64(a Addr, v uint64) error {
 // cost-model paths that account a DMA without materializing payloads.
 func (as *AddressSpace) MarkPageDirty(p PFN) error {
 	if p >= as.npages {
-		return fmt.Errorf("mem: %s: page %#x beyond end", as.name, uint64(p))
+		return as.beyond(p)
 	}
-	as.written.Set(uint64(p))
-	if as.dirty != nil {
-		as.dirty.Set(uint64(p))
-	}
+	as.mark(p)
 	return nil
 }
 
@@ -200,4 +278,4 @@ func (as *AddressSpace) StopDirtyLog() { as.dirty = nil }
 func (as *AddressSpace) WrittenPages() []PFN { return as.written.PFNs() }
 
 // ResidentPages returns the number of frames with backing storage allocated.
-func (as *AddressSpace) ResidentPages() int { return len(as.pages) }
+func (as *AddressSpace) ResidentPages() int { return len(as.frames) }

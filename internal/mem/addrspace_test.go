@@ -1,0 +1,226 @@
+package mem
+
+import (
+	"bytes"
+	"encoding/binary"
+	"slices"
+	"testing"
+)
+
+// refSpace is FuzzAddressSpace's reference model: an address space whose
+// pages are full [PageSize]byte frames, with map-backed written and dirty
+// sets. Read and write walk the range page by page like AddressSpace, so a
+// range that runs off the end fails after its in-range pages moved.
+type refSpace struct {
+	npages  PFN
+	frames  map[PFN]*[PageSize]byte
+	written map[PFN]bool
+	dirty   map[PFN]bool // nil while logging is off
+}
+
+func newRefSpace(npages PFN) *refSpace {
+	return &refSpace{npages: npages, frames: map[PFN]*[PageSize]byte{}, written: map[PFN]bool{}}
+}
+
+func (r *refSpace) frame(p PFN) *[PageSize]byte {
+	if r.frames[p] == nil {
+		r.frames[p] = new([PageSize]byte)
+	}
+	return r.frames[p]
+}
+
+func (r *refSpace) mark(p PFN) {
+	r.written[p] = true
+	if r.dirty != nil {
+		r.dirty[p] = true
+	}
+}
+
+func (r *refSpace) write(a Addr, buf []byte) bool {
+	for len(buf) > 0 {
+		if PageOf(a) >= r.npages {
+			return false
+		}
+		n := copy(r.frame(PageOf(a))[a%PageSize:], buf)
+		r.mark(PageOf(a))
+		buf, a = buf[n:], a+Addr(n)
+	}
+	return true
+}
+
+func (r *refSpace) read(a Addr, buf []byte) bool {
+	for len(buf) > 0 {
+		if PageOf(a) >= r.npages {
+			return false
+		}
+		n := copy(buf, r.frame(PageOf(a))[a%PageSize:])
+		buf, a = buf[n:], a+Addr(n)
+	}
+	return true
+}
+
+func sortedPFNs(set map[PFN]bool) []PFN {
+	out := make([]PFN, 0, len(set))
+	for p := range set {
+		out = append(out, p)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Address-space fuzz steps are asStepLen-byte records: an opcode, a space
+// selector (bit 0 picks the acted-on space; bit 1 makes the other operand
+// the other space instead of the same one), two little-endian 16-bit
+// operands x and y, and a value byte v.
+const (
+	asOpWrite = iota
+	asOpRead
+	asOpWriteU64
+	asOpMarkDirty
+	asOpCopyFrame
+	asOpEqualFrames
+	asOpStartLog
+	asOpCollect
+	asOpStopLog
+	asNumOps
+
+	asStepLen = 7
+)
+
+func asStep(op, sel byte, x, y uint16, v byte) []byte {
+	return []byte{op, sel, byte(x), byte(x >> 8), byte(y), byte(y >> 8), v}
+}
+
+// FuzzAddressSpace checks byte-extent frames against the full-frame
+// reference over two spaces: writes and reads at any offset and length
+// (across pages and off the end), WriteU64, MarkPageDirty, CopyFrame in
+// both directions and within one space, EqualFrames, and dirty logging.
+// Every read, EqualFrames answer, CollectDirty and, after every step,
+// WrittenPages must match the model, as must every byte at the end.
+func FuzzAddressSpace(f *testing.F) {
+	// The stale tail: a full frame shrunk by copying an 8-byte frame over
+	// it keeps its capacity; growing it again by one byte at offset 100
+	// must expose zeros at 8..99, not the old contents.
+	f.Add(bytes.Join([][]byte{
+		asStep(asOpWrite, 0, 0, PageSize, 1),
+		asStep(asOpWrite, 1, 0, 8, 3),
+		asStep(asOpCopyFrame, 2, 0, 0, 0),
+		asStep(asOpWrite, 0, 100, 1, 5),
+		asStep(asOpRead, 0, 0, PageSize, 0),
+	}, nil))
+	// Logging, cross-page and off-the-end writes, copies both ways and
+	// within a space, and frames equal only if a longer extent's tail is
+	// zero.
+	f.Add(bytes.Join([][]byte{
+		asStep(asOpStartLog, 0, 0, 0, 0),
+		asStep(asOpWrite, 0, PageSize-4, 20, 7),
+		asStep(asOpWriteU64, 1, 3*PageSize+9, 0, 9),
+		asStep(asOpMarkDirty, 0, 3, 0, 0),
+		asStep(asOpCopyFrame, 3, 3, 0, 0),
+		asStep(asOpEqualFrames, 2, 0, 3, 0),
+		asStep(asOpEqualFrames, 2, 1, 0, 0),
+		asStep(asOpCopyFrame, 0, 2, 0, 0),
+		asStep(asOpCollect, 0, 0, 0, 0),
+		asStep(asOpWrite, 0, 4*PageSize-2, 8, 2),
+		asStep(asOpStopLog, 0, 0, 0, 0),
+		asStep(asOpCollect, 0, 0, 0, 0),
+	}, nil))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		spaces := [2]*AddressSpace{NewAddressSpace("a", 4*PageSize), NewAddressSpace("b", 5*PageSize)}
+		refs := [2]*refSpace{newRefSpace(4), newRefSpace(5)}
+		for step := 0; len(ops) >= asStepLen; step++ {
+			op, sel, v := ops[0]%asNumOps, ops[1], ops[6]
+			x, y := binary.LittleEndian.Uint16(ops[2:]), binary.LittleEndian.Uint16(ops[4:])
+			ops = ops[asStepLen:]
+			i := int(sel & 1)
+			j := i ^ int(sel>>1&1)
+			as, ref := spaces[i], refs[i]
+			// Addresses and frames reach one page past the end, lengths two
+			// pages, so bounds failures are exercised too.
+			a := Addr(uint32(x) % uint32((ref.npages+1)*PageSize))
+			n := int(y) % (2*PageSize + 1)
+			p, q := PFN(x)%(ref.npages+1), PFN(y)%(refs[j].npages+1)
+			switch op {
+			case asOpWrite:
+				buf := make([]byte, n)
+				for k := range buf {
+					buf[k] = byte(k+1) * v
+				}
+				if err := as.Write(a, buf); (err == nil) != ref.write(a, buf) {
+					t.Fatalf("step %d: Write(%s, %#x, %d) error %v disagrees with the reference", step, as.Name(), a, n, err)
+				}
+			case asOpRead:
+				got, want := make([]byte, n), make([]byte, n)
+				err := as.Read(a, got)
+				ok := ref.read(a, want)
+				if (err == nil) != ok {
+					t.Fatalf("step %d: Read(%s, %#x, %d) error %v disagrees with the reference", step, as.Name(), a, n, err)
+				}
+				if ok && !bytes.Equal(got, want) {
+					t.Fatalf("step %d: Read(%s, %#x, %d) differs from the reference", step, as.Name(), a, n)
+				}
+			case asOpWriteU64:
+				val := uint64(v)<<56 | uint64(y)<<8 | uint64(v)
+				var b [8]byte
+				binary.LittleEndian.PutUint64(b[:], val)
+				if err := as.WriteU64(a, val); (err == nil) != ref.write(a, b[:]) {
+					t.Fatalf("step %d: WriteU64(%s, %#x) error %v disagrees with the reference", step, as.Name(), a, err)
+				}
+			case asOpMarkDirty:
+				err := as.MarkPageDirty(p)
+				if (err == nil) != (p < ref.npages) {
+					t.Fatalf("step %d: MarkPageDirty(%s, %d) error %v", step, as.Name(), p, err)
+				}
+				if err == nil {
+					ref.mark(p)
+				}
+			case asOpCopyFrame:
+				err := CopyFrame(as, p, spaces[j], q)
+				if (err == nil) != (p < ref.npages && q < refs[j].npages) {
+					t.Fatalf("step %d: CopyFrame(%s:%d <- %s:%d) error %v", step, as.Name(), p, spaces[j].Name(), q, err)
+				}
+				if err == nil {
+					*ref.frame(p) = *refs[j].frame(q)
+					ref.mark(p)
+				}
+			case asOpEqualFrames:
+				got, err := EqualFrames(as, p, spaces[j], q)
+				ok := p < ref.npages && q < refs[j].npages
+				if (err == nil) != ok {
+					t.Fatalf("step %d: EqualFrames(%s:%d, %s:%d) error %v", step, as.Name(), p, spaces[j].Name(), q, err)
+				}
+				if want := ok && *ref.frame(p) == *refs[j].frame(q); ok && got != want {
+					t.Fatalf("step %d: EqualFrames(%s:%d, %s:%d) = %v, reference %v", step, as.Name(), p, spaces[j].Name(), q, got, want)
+				}
+			case asOpStartLog:
+				as.StartDirtyLog()
+				ref.dirty = map[PFN]bool{}
+			case asOpCollect:
+				got, want := as.CollectDirty(), sortedPFNs(ref.dirty)
+				if ref.dirty != nil {
+					ref.dirty = map[PFN]bool{}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d: CollectDirty(%s) = %v, reference %v", step, as.Name(), got, want)
+				}
+			case asOpStopLog:
+				as.StopDirtyLog()
+				ref.dirty = nil
+			}
+			for k := range spaces {
+				if got, want := spaces[k].WrittenPages(), sortedPFNs(refs[k].written); !slices.Equal(got, want) {
+					t.Fatalf("step %d: WrittenPages(%s) = %v, reference %v", step, spaces[k].Name(), got, want)
+				}
+			}
+		}
+		for k := range spaces {
+			got, want := make([]byte, spaces[k].Size()), make([]byte, spaces[k].Size())
+			if err := spaces[k].Read(0, got); err != nil || !refs[k].read(0, want) {
+				t.Fatalf("reading all of %s: %v", spaces[k].Name(), err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s content differs from the reference at the end", spaces[k].Name())
+			}
+		}
+	})
+}

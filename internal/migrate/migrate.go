@@ -13,7 +13,6 @@
 package migrate
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -250,21 +249,17 @@ func (p *Plan) collectDirty() []mem.PFN {
 }
 
 // copyPages materializes the transfer into the destination (when present)
-// and accounts it.
+// and accounts it. The model charges a full page per page sent; the host
+// moves each frame's written extent.
 func (p *Plan) copyPages(pages []mem.PFN, rep *Report) error {
 	rep.PagesSent += uint64(len(pages))
 	rep.BytesSent += uint64(len(pages)) * mem.PageSize
 	if p.Dest == nil {
 		return nil
 	}
-	buf := make([]byte, mem.PageSize)
-	src := p.VM.Memory()
-	dst := p.Dest.Memory()
+	src, dst := p.VM.Memory(), p.Dest.Memory()
 	for _, pg := range pages {
-		if err := src.Read(pg.Base(), buf); err != nil {
-			return err
-		}
-		if err := dst.Write(pg.Base(), buf); err != nil {
+		if err := src.CopyPageTo(dst, pg); err != nil {
 			return err
 		}
 	}
@@ -280,17 +275,13 @@ func (p *Plan) VerifyDest() ([]mem.PFN, error) {
 		return nil, fmt.Errorf("migrate: no destination to verify")
 	}
 	var bad []mem.PFN
-	sbuf := make([]byte, mem.PageSize)
-	dbuf := make([]byte, mem.PageSize)
 	src, dst := p.VM.Memory(), p.Dest.Memory()
 	for _, pg := range p.VM.WrittenPages() {
-		if err := src.Read(pg.Base(), sbuf); err != nil {
+		same, err := src.PageEqual(dst, pg)
+		if err != nil {
 			return nil, err
 		}
-		if err := dst.Read(pg.Base(), dbuf); err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(sbuf, dbuf) {
+		if !same {
 			bad = append(bad, pg)
 		}
 	}
