@@ -27,12 +27,13 @@ lint:
 	$(GO) run ./cmd/nvlint -unused-directives $(if $(VERBOSE),-v,)
 
 # bench runs the harness and hot-path benchmarks: Figure 7 sequential vs
-# parallel pool, and the allocation-free nested Execute path in both plan
-# modes. It then regenerates BENCH_10.json, the committed machine-readable
-# artifact (per-figure modeled cycles and overheads plus ns/op and allocs/op
-# for the pipeline's hot paths, uncached vs replayed).
+# parallel pool, the allocation-free nested Execute path in both plan modes,
+# and the workload runner's Run and RunFor (ns and allocs per transaction).
+# It then regenerates BENCH_10.json, the committed machine-readable artifact
+# (per-figure modeled cycles and overheads plus ns/op and allocs/op for the
+# pipeline's hot paths, uncached vs replayed).
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkFigure7|BenchmarkExecuteNested|BenchmarkExecute/' -benchmem ./internal/experiment/ ./internal/hyper/
+	$(GO) test -run='^$$' -bench='BenchmarkFigure7|BenchmarkExecuteNested|BenchmarkExecute/|BenchmarkRunnerRun' -benchmem ./internal/experiment/ ./internal/hyper/ ./internal/workload/
 	$(GO) run ./cmd/nvperf -o BENCH_10.json
 
 # bench-compare re-collects the artifact and gates it against the committed
@@ -45,8 +46,9 @@ bench-compare:
 	$(GO) run ./cmd/nvperf -compare BENCH_10.json
 
 # FUZZ_TARGETS are the native fuzz targets as package:Target pairs — the
-# invariant-checker targets in internal/check plus the sparse bitmap and
-# byte-extent address-space differentials in internal/mem. go test allows
+# invariant-checker targets in internal/check, the sparse bitmap and
+# byte-extent address-space differentials in internal/mem, and the event
+# engine's heap-vs-sorted-slice differential in internal/sim. go test allows
 # only one -fuzz per invocation, so fuzz-smoke loops. FUZZTIME=100x bounds
 # each target to 100 new inputs beyond the seed corpus — a mutation smoke
 # pass, not a campaign; use `make fuzz FUZZTIME=30s` for a real one.
@@ -59,7 +61,8 @@ FUZZ_TARGETS := \
 	./internal/check/:FuzzStackCell \
 	./internal/check/:FuzzPlanCache \
 	./internal/mem/:FuzzBitmap \
-	./internal/mem/:FuzzAddressSpace
+	./internal/mem/:FuzzAddressSpace \
+	./internal/sim/:FuzzEngine
 FUZZTIME ?= 100x
 
 fuzz-smoke fuzz:

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vmx"
 )
 
@@ -42,7 +43,8 @@ func reasonFor(op Op) vmx.ExitReason {
 // equivalent of "the guest executed a trapping instruction": it opens an
 // exit transaction and flows it through the pipeline stages.
 func (w *World) Execute(v *VCPU, op Op) (sim.Cycles, error) {
-	tx := w.newTx(v, op, BoundaryExecute)
+	var tx ExitContext
+	w.newTx(&tx, v, op, BoundaryExecute)
 	w.begin(&tx)
 	err := w.dispatch(&tx)
 	return w.settle(&tx, err)
@@ -103,7 +105,7 @@ func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
 		if dev.Phys != nil {
 			// Device passthrough: the doorbell is EPT-mapped to the physical
 			// device; a posted write, no exit at any level.
-			stats.Inc("passthrough.kicks", 1)
+			stats.Inc(trace.PassthroughKicks, 1)
 			w.Host.Machine.NIC.TxFrames++
 			stats.ChargeGuest(c.MMIODirect)
 			tx.add(StageFastPath, c.MMIODirect)
@@ -289,7 +291,7 @@ func (w *World) ownerEffects(v *VCPU, op Op, owner int) (sim.Cycles, error) {
 		// runnable nested vCPU on this CPU, switches to it — the reason the
 		// virtual-idle policy keeps HLT trapped with multiple nested VMs.
 		v.Idle = true
-		stats.Inc("idle.blocks", 1)
+		stats.Inc(trace.IdleBlocks, 1)
 		stack, err := w.stack(v)
 		if err != nil {
 			return 0, err
@@ -346,7 +348,7 @@ func (w *World) hostHandle(v *VCPU, op Op) (sim.Cycles, error) {
 		return c.IPIEmulWork + wake, nil
 	case OpHLT:
 		v.Idle = true
-		stats.Inc("idle.blocks", 1)
+		stats.Inc(trace.IdleBlocks, 1)
 		stats.ChargeLevel(0, c.HLTBlockWork)
 		return c.HLTBlockWork, nil
 	case OpDevNotify:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vmx"
 )
 
@@ -19,7 +20,8 @@ import (
 // otherwise the guest hypervisor emulating the timer must run its injection
 // path first.
 func (w *World) DeliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
-	tx := w.newTx(v, Op{}, BoundaryTimerIRQ)
+	var tx ExitContext
+	w.newTx(&tx, v, Op{}, BoundaryTimerIRQ)
 	w.begin(&tx)
 	cost, err := w.deliverTimerIRQ(v)
 	tx.add(StageDeliver, cost)
@@ -39,7 +41,7 @@ func (w *World) deliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
 		for _, it := range w.interceptors {
 			if policy, ok := it.(TimerDeliveryPolicy); ok && policy.DirectTimerDelivery(v) {
 				direct = true
-				stats.Inc("dvh.vtimer.direct_deliveries", 1)
+				stats.Inc(trace.DVHVTimerDirectDeliveries, 1)
 				break
 			}
 		}
@@ -69,7 +71,8 @@ func (w *World) deliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
 // idle penalty of nested virtualization is paid on the way *into* idle (the
 // forwarded HLT exit), which is exactly what DVH virtual idle removes.
 func (w *World) WakeIfIdle(dest *VCPU) (sim.Cycles, error) {
-	tx := w.newTx(dest, Op{}, BoundaryWake)
+	var tx ExitContext
+	w.newTx(&tx, dest, Op{}, BoundaryWake)
 	w.begin(&tx)
 	cost, err := w.wakeIfIdle(dest)
 	tx.add(StageDeliver, cost)
@@ -81,7 +84,7 @@ func (w *World) wakeIfIdle(dest *VCPU) (sim.Cycles, error) {
 		return 0, nil
 	}
 	dest.Idle = false
-	w.Host.Machine.Stats.Inc("idle.wakes", 1)
+	w.Host.Machine.Stats.Inc(trace.IdleWakes, 1)
 
 	// The idle-owner level is recomputed live on every wake — it depends on
 	// the stack's HLT-exiting controls, which DVH virtual idle flips without
@@ -109,7 +112,8 @@ func (w *World) wakeLadderCost(idleOwner int, sink chargeSink) sim.Cycles {
 // deliver without an exit; otherwise the interrupt must be injected by the
 // hypervisor level that interposes on it.
 func (w *World) DeliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
-	tx := w.newTx(target, Op{}, BoundaryDeviceIRQ)
+	var tx ExitContext
+	w.newTx(&tx, target, Op{}, BoundaryDeviceIRQ)
 	w.begin(&tx)
 	cost, err := w.deliverDeviceIRQ(dev, target)
 	tx.add(StageDeliver, cost)
@@ -120,7 +124,7 @@ func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles,
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	target.LAPIC.Deliver(dev.IRQ)
-	stats.Inc("irq.delivered", 1)
+	stats.Inc(trace.IRQDelivered, 1)
 
 	wake, err := w.WakeIfIdle(target)
 	if err != nil {
@@ -170,7 +174,8 @@ func (w *World) guestPathCost(stack []*Hypervisor, reason vmx.ExitReason, level 
 // to the target vCPU. For passthrough the data lands in VM memory directly;
 // for virtual-passthrough only the host backend runs.
 func (w *World) DeviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
-	tx := w.newTx(target, Op{}, BoundaryDeviceRX)
+	var tx ExitContext
+	w.newTx(&tx, target, Op{}, BoundaryDeviceRX)
 	w.begin(&tx)
 	cost, err := w.deviceRX(dev, target)
 	tx.add(StageDeliver, cost)

@@ -141,16 +141,17 @@ func (tx *ExitContext) add(s Stage, c sim.Cycles) {
 // transaction — the per-stage latency breakdown the pipeline exposes.
 func (tx *ExitContext) StageCost(s Stage) sim.Cycles { return tx.ledger[int(s)] }
 
-// newTx builds the ExitContext for one boundary entry.
-func (w *World) newTx(v *VCPU, op Op, b Boundary) ExitContext {
-	tx := ExitContext{V: v, Op: op, Boundary: b, Owner: ownerUnresolved}
+// newTx fills a zero ExitContext, declared by the entry point, for one
+// boundary entry. Filling in place through the pointer spares every
+// boundary a copy of the whole context out of a returned value.
+func (w *World) newTx(tx *ExitContext, v *VCPU, op Op, b Boundary) {
+	tx.V, tx.Op, tx.Boundary, tx.Owner = v, op, b, ownerUnresolved
 	if v != nil {
 		tx.Level = v.VM.Level
 	}
 	if b == BoundaryExecute {
 		tx.Reason = reasonFor(op)
 	}
-	return tx
 }
 
 // begin opens the transaction. This is the only place a boundary frame is

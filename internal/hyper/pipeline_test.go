@@ -56,11 +56,11 @@ func TestInterceptorChainOrderDeterministic(t *testing.T) {
 		early := &stubInterceptor{name: "early", priority: 10, log: log}
 		late := &stubInterceptor{name: "late", priority: 90, log: log}
 		if reversed {
-			mustRegister(t, w,late)
-			mustRegister(t, w,early)
+			mustRegister(t, w, late)
+			mustRegister(t, w, early)
 		} else {
-			mustRegister(t, w,early)
-			mustRegister(t, w,late)
+			mustRegister(t, w, early)
+			mustRegister(t, w, late)
 		}
 		return w, vms[1].VCPUs[0], log
 	}
@@ -83,8 +83,8 @@ func TestInterceptorChainOrderDeterministic(t *testing.T) {
 func TestInterceptorTieBreakByName(t *testing.T) {
 	w, _ := testStack(t, 2)
 	log := &[]string{}
-	mustRegister(t, w,&stubInterceptor{name: "zeta", priority: 50, log: log})
-	mustRegister(t, w,&stubInterceptor{name: "alpha", priority: 50, log: log})
+	mustRegister(t, w, &stubInterceptor{name: "zeta", priority: 50, log: log})
+	mustRegister(t, w, &stubInterceptor{name: "alpha", priority: 50, log: log})
 	got := chainNames(w)
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
 		t.Fatalf("chain order = %v, want [alpha zeta]", got)
@@ -99,9 +99,9 @@ func TestInterceptorTieBreakByName(t *testing.T) {
 func TestInterceptorHandledStopsChain(t *testing.T) {
 	w, vms := testStack(t, 2)
 	log := &[]string{}
-	mustRegister(t, w,&stubInterceptor{name: "decliner", priority: 1, log: log})
-	mustRegister(t, w,&stubInterceptor{name: "handler", priority: 2, handle: true, work: 333, log: log})
-	mustRegister(t, w,&stubInterceptor{name: "shadowed", priority: 3, log: log})
+	mustRegister(t, w, &stubInterceptor{name: "decliner", priority: 1, log: log})
+	mustRegister(t, w, &stubInterceptor{name: "handler", priority: 2, handle: true, work: 333, log: log})
+	mustRegister(t, w, &stubInterceptor{name: "shadowed", priority: 3, log: log})
 
 	v := vms[1].VCPUs[0]
 	c := &w.Costs
@@ -124,7 +124,7 @@ func TestInterceptorHandledStopsChain(t *testing.T) {
 func TestInterceptorSkippedAtLevel1(t *testing.T) {
 	w, vms := testStack(t, 1)
 	log := &[]string{}
-	mustRegister(t, w,&stubInterceptor{name: "stub", priority: 1, handle: true, log: log})
+	mustRegister(t, w, &stubInterceptor{name: "stub", priority: 1, handle: true, log: log})
 	exec(t, w, vms[0].VCPUs[0], Hypercall())
 	if len(*log) != 0 {
 		t.Errorf("interceptor consulted for a level-1 exit: %v", *log)
@@ -186,7 +186,7 @@ func TestSingleSettlePoint(t *testing.T) {
 
 	// An interceptor claim settles through the same single point.
 	log := &[]string{}
-	mustRegister(t, w,&stubInterceptor{name: "claimer", priority: 1, handle: true, work: 100, log: log})
+	mustRegister(t, w, &stubInterceptor{name: "claimer", priority: 1, handle: true, work: 100, log: log})
 	before := spy.begins
 	cost := exec(t, w, v, Hypercall())
 	if spy.begins != before+1 || spy.ends != spy.begins {
@@ -220,7 +220,8 @@ func TestNestedBoundariesStack(t *testing.T) {
 // transaction total is always the sum of its stage entries.
 func TestExitContextLedger(t *testing.T) {
 	w, vms := testStack(t, 1)
-	tx := w.newTx(vms[0].VCPUs[0], Hypercall(), BoundaryExecute)
+	var tx ExitContext
+	w.newTx(&tx, vms[0].VCPUs[0], Hypercall(), BoundaryExecute)
 	if tx.Owner != ownerUnresolved {
 		t.Fatalf("fresh transaction owner = %d, want unresolved (%d)", tx.Owner, ownerUnresolved)
 	}
@@ -248,7 +249,8 @@ func TestSettleZeroesCostOnError(t *testing.T) {
 	w, vms := testStack(t, 1)
 	spy := &spyChecker{}
 	w.Check = spy
-	tx := w.newTx(vms[0].VCPUs[0], Hypercall(), BoundaryExecute)
+	var tx ExitContext
+	w.newTx(&tx, vms[0].VCPUs[0], Hypercall(), BoundaryExecute)
 	w.begin(&tx)
 	tx.add(StageEmulate, 500)
 	wantErr := errSentinel

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Scheduler is a hypervisor's round-robin vCPU scheduler over the guests it
@@ -103,6 +104,6 @@ func (w *World) guestSwitch(stack []*Hypervisor, level int, from, to *VCPU) (sim
 	cost := w.charge(stack, planSwitch, 0, level)
 	sched := stack[level].EnsureScheduler()
 	sched.Switches++
-	w.Host.Machine.Stats.Inc("sched.switches", 1)
+	w.Host.Machine.Stats.Inc(trace.SchedSwitches, 1)
 	return cost, nil
 }

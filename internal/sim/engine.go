@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Event is a callback scheduled to run at a point on the simulated timeline.
 // The engine invokes it with the engine itself so handlers can schedule
@@ -14,41 +11,16 @@ type Event func(e *Engine)
 // never identifies a live event.
 type EventID uint64
 
+// scheduled is one pending event. IDs are handed out in scheduling order,
+// so (when, id) orders events by time and, at equal times, FIFO.
 type scheduled struct {
-	when  Time
-	seq   uint64 // FIFO tiebreak for simultaneous events
-	id    EventID
-	fn    Event
-	index int // heap index; -1 when removed
+	when Time
+	id   EventID
+	fn   Event
 }
 
-type eventHeap []*scheduled
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	s := x.(*scheduled)
-	s.index = len(*h)
-	*h = append(*h, s)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	s := old[n-1]
-	old[n-1] = nil
-	s.index = -1
-	*h = old[:n-1]
-	return s
+func (a *scheduled) before(b *scheduled) bool {
+	return a.when < b.when || a.when == b.when && a.id < b.id
 }
 
 // Engine is a deterministic discrete-event simulation kernel. Events fire in
@@ -57,19 +29,20 @@ func (h *eventHeap) Pop() any {
 // to the experiments than host parallelism, and the paper's phenomena (exit
 // multiplication, interrupt latency) are properties of the simulated timeline,
 // not of host concurrency.
+//
+// The queue is a binary min-heap of event values ordered by (when, id).
+// Because that order is total, the firing sequence does not depend on how
+// the heap arranges ties; a warm queue schedules and fires without
+// allocating.
 type Engine struct {
 	clock   Clock
-	queue   eventHeap
-	nextSeq uint64
+	queue   []scheduled
 	nextID  EventID
-	live    map[EventID]*scheduled
 	stopped bool
 }
 
 // NewEngine returns an engine with the clock at time zero.
-func NewEngine() *Engine {
-	return &Engine{live: make(map[EventID]*scheduled)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.clock.Now() }
@@ -98,26 +71,24 @@ func (e *Engine) ScheduleAt(t Time, fn Event) EventID {
 		//nvlint:ignore nopanic simulation-kernel invariant; scheduling into the past would corrupt the timeline
 		panic(fmt.Sprintf("sim: event scheduled in the past: %d < %d", t, e.clock.Now()))
 	}
-	e.nextSeq++
 	e.nextID++
-	s := &scheduled{when: t, seq: e.nextSeq, id: e.nextID, fn: fn}
-	heap.Push(&e.queue, s)
-	e.live[s.id] = s
-	return s.id
+	e.queue = append(e.queue, scheduled{when: t, id: e.nextID, fn: fn})
+	e.up(len(e.queue) - 1)
+	return e.nextID
 }
 
 // Cancel removes a scheduled event. It reports whether the event was still
 // pending; cancelling an already-fired or already-cancelled event is a no-op.
+// It scans the queue, O(pending): only tests cancel, and a scan keeps the
+// schedule and fire paths free of an ID index.
 func (e *Engine) Cancel(id EventID) bool {
-	s, ok := e.live[id]
-	if !ok {
-		return false
+	for i := range e.queue {
+		if e.queue[i].id == id {
+			e.remove(i)
+			return true
+		}
 	}
-	delete(e.live, id)
-	if s.index >= 0 {
-		heap.Remove(&e.queue, s.index)
-	}
-	return true
+	return false
 }
 
 // Pending returns the number of events waiting to fire.
@@ -137,11 +108,56 @@ func (e *Engine) step(limit Time, bounded bool) bool {
 	if bounded && next.when > limit {
 		return false
 	}
-	heap.Pop(&e.queue)
-	delete(e.live, next.id)
+	e.remove(0)
 	e.clock.AdvanceTo(next.when)
 	next.fn(e)
 	return true
+}
+
+// remove deletes the event at heap index i, moving the last event into its
+// slot and restoring the heap order around it.
+func (e *Engine) remove(i int) {
+	last := len(e.queue) - 1
+	e.queue[i] = e.queue[last]
+	e.queue[last] = scheduled{} // drop the handler reference
+	e.queue = e.queue[:last]
+	if i < last {
+		e.down(i)
+		e.up(i)
+	}
+}
+
+// up moves the event at index i toward the root until its parent precedes it.
+func (e *Engine) up(i int) {
+	q := e.queue
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			return
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// down moves the event at index i toward the leaves until it precedes both
+// children.
+func (e *Engine) down(i int) {
+	q := e.queue
+	for {
+		least := i
+		if l := 2*i + 1; l < len(q) && q[l].before(&q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(q) && q[r].before(&q[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
 }
 
 // Run drains the event queue, firing every event in order, and returns the
@@ -156,14 +172,15 @@ func (e *Engine) Run() Time {
 
 // RunUntil fires events until the queue is empty or the next event lies after
 // t, then advances the clock to exactly t. It returns the number of events
-// fired.
+// fired. A Stop from a handler ends it early with the clock left at the
+// stopping event's time, so the events still due before t stay in the future.
 func (e *Engine) RunUntil(t Time) int {
 	e.stopped = false
 	n := 0
 	for !e.stopped && e.step(t, true) {
 		n++
 	}
-	if t > e.clock.Now() {
+	if !e.stopped && t > e.clock.Now() {
 		e.clock.AdvanceTo(t)
 	}
 	return n

@@ -9,6 +9,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -40,7 +41,61 @@ type Stats struct {
 	// GuestCycles counts cycles spent doing the VM's own (useful) work.
 	GuestCycles sim.Cycles
 
-	counters map[string]uint64
+	counters [NumCounters]uint64
+	// touched has bit c set once counter c has been incremented, so a
+	// counter bumped by zero still prints, as a name-keyed entry did.
+	touched uint32
+}
+
+// Counter names one of the engine's event counters: device kicks, idle
+// transitions, interrupt deliveries, DVH and enlightenment fast paths.
+// Counters are declared in ascending order of their printed names, so
+// declaration order is sorted order: String, CounterNames and Merge walk
+// the enum and print and merge exactly as a name-keyed map sorted on every
+// read did.
+type Counter uint8
+
+const (
+	DVHVIPISends Counter = iota
+	DVHVPKicks
+	DVHVTimerDirectDeliveries
+	DVHVTimerPrograms
+	HyperVEnlightenedHypercalls
+	IdleBlocks
+	IdleWakes
+	IRQDelivered
+	PassthroughKicks
+	SchedSwitches
+	VirtioKicks
+	XenEvtchnIPIs
+	// NumCounters is the number of counters.
+	NumCounters
+)
+
+// The touched mask has one bit per counter.
+var _ [32 - NumCounters]struct{}
+
+var counterNames = [NumCounters]string{
+	DVHVIPISends:                "dvh.vipi.sends",
+	DVHVPKicks:                  "dvh.vp.kicks",
+	DVHVTimerDirectDeliveries:   "dvh.vtimer.direct_deliveries",
+	DVHVTimerPrograms:           "dvh.vtimer.programs",
+	HyperVEnlightenedHypercalls: "hyperv.enlightened_hypercalls",
+	IdleBlocks:                  "idle.blocks",
+	IdleWakes:                   "idle.wakes",
+	IRQDelivered:                "irq.delivered",
+	PassthroughKicks:            "passthrough.kicks",
+	SchedSwitches:               "sched.switches",
+	VirtioKicks:                 "virtio.kicks",
+	XenEvtchnIPIs:               "xen.evtchn_ipis",
+}
+
+// String returns the counter's printed name.
+func (c Counter) String() string {
+	if c < NumCounters {
+		return counterNames[c]
+	}
+	return fmt.Sprintf("Counter(%d)", uint8(c))
 }
 
 // RecordHardwareExit notes one physical VM exit to the host hypervisor.
@@ -78,25 +133,30 @@ func (s *Stats) ChargeLevel(level int, c sim.Cycles) {
 // ChargeGuest attributes cycles to useful guest work.
 func (s *Stats) ChargeGuest(c sim.Cycles) { s.GuestCycles += c }
 
-// Inc bumps a named counter (device kicks, pages dirtied, pre-copy rounds…).
-func (s *Stats) Inc(name string, delta uint64) {
-	if s.counters == nil {
-		//nvlint:ignore hotalloc lazy one-time map init; every later bump reuses it
-		s.counters = make(map[string]uint64)
-	}
-	s.counters[name] += delta
+// Inc adds delta to a counter.
+func (s *Stats) Inc(c Counter, delta uint64) {
+	s.counters[c] += delta
+	s.touched |= 1 << c
 }
 
-// Counter returns a named counter's value (zero when never incremented).
-func (s *Stats) Counter(name string) uint64 { return s.counters[name] }
+// Counter returns the value of the counter with the given printed name
+// (zero when never incremented or when no counter has that name).
+func (s *Stats) Counter(name string) uint64 {
+	i := sort.SearchStrings(counterNames[:], name)
+	if i < len(counterNames) && counterNames[i] == name {
+		return s.counters[i]
+	}
+	return 0
+}
 
 // CounterNames returns the sorted names of all touched counters.
 func (s *Stats) CounterNames() []string {
-	names := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		names = append(names, n)
+	names := make([]string, 0, bits.OnesCount32(s.touched))
+	for c := range NumCounters {
+		if s.touched&(1<<c) != 0 {
+			names = append(names, counterNames[c])
+		}
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -167,11 +227,10 @@ func (s *Stats) Merge(other *Stats) {
 		s.LevelCycles[l] += other.LevelCycles[l]
 	}
 	s.GuestCycles += other.GuestCycles
-	// Iterate the sorted names so merged state is built identically on every
-	// run (counter addition commutes, but map allocation order would not).
-	for _, n := range other.CounterNames() {
-		s.Inc(n, other.counters[n])
+	for c := range s.counters {
+		s.counters[c] += other.counters[c]
 	}
+	s.touched |= other.touched
 }
 
 // String renders a human-readable report: exits by reason and handler level,
@@ -205,8 +264,10 @@ func (s *Stats) String() string {
 		}
 	}
 	b.WriteByte('\n')
-	for _, n := range s.CounterNames() {
-		fmt.Fprintf(&b, "  %s=%d\n", n, s.counters[n])
+	for c := range NumCounters {
+		if s.touched&(1<<c) != 0 {
+			fmt.Fprintf(&b, "  %s=%d\n", c, s.counters[c])
+		}
 	}
 	return b.String()
 }

@@ -74,7 +74,7 @@ func (c *carry) take(rate float64) int {
 // Run executes n transactions and returns the summary.
 func (r *Runner) Run(n int) (Result, error) {
 	if n <= 0 {
-		return Result{}, fmt.Errorf("workload: need a positive transaction count")
+		return Result{}, fmt.Errorf("workload %s: need a positive transaction count", r.P.Name)
 	}
 	p := r.P
 	res := Result{Profile: p, Transactions: n}
@@ -97,18 +97,26 @@ func (r *Runner) Run(n int) (Result, error) {
 		defer r.W.AttachStageStats(prev)
 	}
 
-	st := newRunState(r)
+	st := runState{r: r}
 	for i := 0; i < n; i++ {
-		if _, err := r.transaction(st, i); err != nil {
+		if _, err := r.transaction(&st, i); err != nil {
 			return Result{}, err
 		}
 	}
 	return st.finish(n), nil
 }
 
-// validate checks that the profile's I/O activity has devices to land on —
-// the shared precondition of Run and RunFor.
+// validate checks the shared preconditions of a VM Run and RunFor: the
+// profile drives at least one core and does some work per transaction (so
+// Overhead and Score are finite), and its I/O activity has devices to land
+// on.
 func (r *Runner) validate() error {
+	if r.P.Cores < 1 {
+		return fmt.Errorf("workload %s: profile drives %d cores, need at least 1", r.P.Name, r.P.Cores)
+	}
+	if r.P.WorkCycles == 0 {
+		return fmt.Errorf("workload %s: profile has zero work cycles per transaction", r.P.Name)
+	}
 	if (r.P.TxKicks > 0 || r.P.RxBatches > 0) && r.Net == nil {
 		return fmt.Errorf("workload %s: profile has network activity but no net device", r.P.Name)
 	}
@@ -118,130 +126,145 @@ func (r *Runner) validate() error {
 	return nil
 }
 
-// runState carries the per-run accumulators shared by Run and RunFor.
+// opClass is the operation class a transaction's virtualization cycles are
+// attributed to in Result.Breakdown.
+type opClass uint8
+
+const (
+	classKick opClass = iota
+	classRX
+	classTimer
+	classIPI
+	classIdle
+	classEOI
+	classBlk
+	numOpClasses
+)
+
+// opClassNames are the Breakdown keys, indexed by opClass.
+var opClassNames = [numOpClasses]string{"kick", "rx", "timer", "ipi", "idle", "eoi", "blk"}
+
+// runState carries the per-run accumulators shared by Run and RunFor. The
+// per-class ledger is a fixed array: transactions add into it without
+// hashing, and finish turns it into Result.Breakdown once per run.
 type runState struct {
-	r                                         *Runner
-	res                                       Result
-	total                                     sim.Cycles
-	kicks, rx, timers, ipis, idles, eois, blk carry
+	r       *Runner
+	total   sim.Cycles
+	latency trace.Histogram
+	carries [numOpClasses]carry
+	cycles  [numOpClasses]sim.Cycles
+	// ran marks the classes with at least one operation this run: exactly
+	// those appear in Breakdown, even when their cycles sum to zero.
+	ran [numOpClasses]bool
 }
 
-func newRunState(r *Runner) *runState {
-	st := &runState{r: r}
-	st.res.Profile = r.P
-	st.res.Breakdown = make(map[string]sim.Cycles)
-	return st
+// charge attributes one operation's cycles to its class.
+func (st *runState) charge(c opClass, cycles sim.Cycles) {
+	st.total += cycles
+	st.cycles[c] += cycles
+	st.ran[c] = true
 }
 
 func (st *runState) finish(n int) Result {
-	st.res.Transactions = n
-	st.res.TotalCycles = st.total
-	st.res.CyclesPerTxn = float64(st.total) / float64(n)
-	st.res.Overhead = st.res.CyclesPerTxn / float64(st.r.P.WorkCycles)
-	if st.r.P.HigherIsBetter {
-		st.res.Score = st.r.P.NativeScore / st.res.Overhead
+	p := st.r.P
+	res := Result{Profile: p, Transactions: n, TotalCycles: st.total, Latency: st.latency}
+	res.CyclesPerTxn = float64(st.total) / float64(n)
+	res.Overhead = res.CyclesPerTxn / float64(p.WorkCycles)
+	if p.HigherIsBetter {
+		res.Score = p.NativeScore / res.Overhead
 	} else {
-		st.res.Score = st.r.P.NativeScore * st.res.Overhead
+		res.Score = p.NativeScore * res.Overhead
 	}
-	return st.res
+	res.Breakdown = make(map[string]sim.Cycles, numOpClasses)
+	for c, ran := range st.ran {
+		if ran {
+			res.Breakdown[opClassNames[c]] = st.cycles[c]
+		}
+	}
+	return res
 }
 
 // transaction executes one transaction and returns its cost.
 func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
-	p := r.P
-	res := &st.res
-	kicks, rx, timers, ipis, idles, eois, blk := &st.kicks, &st.rx, &st.timers, &st.ipis, &st.idles, &st.eois, &st.blk
+	p := &r.P
+	w := r.W
 	vcpus := r.VM.VCPUs
-	total := st.total
-	{
-		txnStart := total
-		driving := p.Cores
-		if driving > len(vcpus) {
-			driving = len(vcpus)
-		}
-		v := vcpus[i%driving]
-		work := p.WorkCycles
-		if r.RNG != nil {
-			span := work * workJitterPermille / 1000
-			work = work - span + r.RNG.Cyclesn(2*span+1)
-		}
-		total += work
-		r.W.Host.Machine.Stats.ChargeGuest(work)
+	txnStart := st.total
+	v := vcpus[i%min(p.Cores, len(vcpus))]
+	work := p.WorkCycles
+	if r.RNG != nil {
+		span := work * workJitterPermille / 1000
+		work = work - span + r.RNG.Cyclesn(2*span+1)
+	}
+	st.total += work
+	w.Host.Machine.Stats.ChargeGuest(work)
 
-		for k := kicks.take(p.TxKicks); k > 0; k-- {
-			c, err := r.W.Execute(v, hyper.DevNotify(r.Net.Doorbell))
-			if err != nil {
-				return 0, err
-			}
-			total += c
-			res.Breakdown["kick"] += c
-		}
-		for k := rx.take(p.RxBatches); k > 0; k-- {
-			c, err := r.W.DeviceRX(r.Net, v)
-			if err != nil {
-				return 0, err
-			}
-			total += c
-			res.Breakdown["rx"] += c
-		}
-		for k := timers.take(p.Timers); k > 0; k-- {
-			c, err := r.W.Execute(v, hyper.ProgramTimer(uint64(r.W.Host.Machine.Engine.Now())+1_000_000))
-			if err != nil {
-				return 0, err
-			}
-			total += c
-			res.Breakdown["timer"] += c
-		}
-		for k := ipis.take(p.IPIs); k > 0; k-- {
-			dest := uint32((v.ID + 1) % len(vcpus))
-			c, err := r.W.Execute(v, hyper.SendIPI(dest, apic.VectorReschedule))
-			if err != nil {
-				return 0, err
-			}
-			total += c
-			res.Breakdown["ipi"] += c
-		}
-		for k := idles.take(p.Idles); k > 0; k-- {
-			c, err := r.W.Execute(v, hyper.Halt())
-			if err != nil {
-				return 0, err
-			}
-			wake, err := r.W.WakeIfIdle(v)
-			if err != nil {
-				return 0, err
-			}
-			total += c + wake
-			res.Breakdown["idle"] += c + wake
-		}
-		for k := eois.take(p.EOIs); k > 0; k-- {
-			c, err := r.W.Execute(v, hyper.EOI())
-			if err != nil {
-				return 0, err
-			}
-			total += c
-			res.Breakdown["eoi"] += c
-		}
-		for k := blk.take(p.BlkOps); k > 0; k-- {
-			c, err := r.W.Execute(v, hyper.DevNotify(r.Blk.Doorbell))
-			if err != nil {
-				return 0, err
-			}
-			irq, err := r.W.DeliverDeviceIRQ(r.Blk, v)
-			if err != nil {
-				return 0, err
-			}
-			total += c + irq
-			res.Breakdown["blk"] += c + irq
-		}
-		res.Latency.Observe(total - txnStart)
-		st.total = total
-		cpu, err := r.W.Host.Machine.CPU(v.PhysCPU)
+	for k := st.carries[classKick].take(p.TxKicks); k > 0; k-- {
+		c, err := w.Execute(v, hyper.DevNotify(r.Net.Doorbell))
 		if err != nil {
 			return 0, err
 		}
-		cpu.Busy += total - txnStart
-		return total - txnStart, nil
+		st.charge(classKick, c)
 	}
+	for k := st.carries[classRX].take(p.RxBatches); k > 0; k-- {
+		c, err := w.DeviceRX(r.Net, v)
+		if err != nil {
+			return 0, err
+		}
+		st.charge(classRX, c)
+	}
+	for k := st.carries[classTimer].take(p.Timers); k > 0; k-- {
+		c, err := w.Execute(v, hyper.ProgramTimer(uint64(w.Host.Machine.Engine.Now())+1_000_000))
+		if err != nil {
+			return 0, err
+		}
+		st.charge(classTimer, c)
+	}
+	for k := st.carries[classIPI].take(p.IPIs); k > 0; k-- {
+		dest := uint32((v.ID + 1) % len(vcpus))
+		c, err := w.Execute(v, hyper.SendIPI(dest, apic.VectorReschedule))
+		if err != nil {
+			return 0, err
+		}
+		st.charge(classIPI, c)
+	}
+	for k := st.carries[classIdle].take(p.Idles); k > 0; k-- {
+		c, err := w.Execute(v, hyper.Halt())
+		if err != nil {
+			return 0, err
+		}
+		wake, err := w.WakeIfIdle(v)
+		if err != nil {
+			return 0, err
+		}
+		st.charge(classIdle, c+wake)
+	}
+	for k := st.carries[classEOI].take(p.EOIs); k > 0; k-- {
+		c, err := w.Execute(v, hyper.EOI())
+		if err != nil {
+			return 0, err
+		}
+		st.charge(classEOI, c)
+	}
+	for k := st.carries[classBlk].take(p.BlkOps); k > 0; k-- {
+		c, err := w.Execute(v, hyper.DevNotify(r.Blk.Doorbell))
+		if err != nil {
+			return 0, err
+		}
+		irq, err := w.DeliverDeviceIRQ(r.Blk, v)
+		if err != nil {
+			return 0, err
+		}
+		st.charge(classBlk, c+irq)
+	}
+	cost := st.total - txnStart
+	st.latency.Observe(cost)
+	cpu, err := w.Host.Machine.CPU(v.PhysCPU)
+	if err != nil {
+		return 0, err
+	}
+	cpu.Busy += cost
+	return cost, nil
 }
 
 // Utilization reports each physical CPU's busy cycles accumulated by runs on
@@ -332,6 +355,9 @@ func (r *Runner) RunFor(duration sim.Cycles) (Result, error) {
 	if r.VM == nil {
 		return Result{}, fmt.Errorf("workload: RunFor needs a VM (native runs have no event timeline)")
 	}
+	if duration == 0 {
+		return Result{}, fmt.Errorf("workload %s: RunFor needs a positive duration", r.P.Name)
+	}
 	if err := r.validate(); err != nil {
 		return Result{}, err
 	}
@@ -342,10 +368,10 @@ func (r *Runner) RunFor(duration sim.Cycles) (Result, error) {
 	}
 	eng := r.W.Host.Machine.Engine
 	end := eng.Now() + duration
-	st := newRunState(r)
+	st := runState{r: r}
 	n := 0
 	for eng.Now() < end {
-		cost, err := r.transaction(st, n)
+		cost, err := r.transaction(&st, n)
 		if err != nil {
 			return Result{}, err
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -150,6 +151,42 @@ func TestRunValidation(t *testing.T) {
 	r2 := Runner{W: w, VM: vm, Net: blk, P: pm} // missing Blk
 	if _, err := r2.Run(10); err == nil {
 		t.Fatal("block profile without a blk device should fail")
+	}
+}
+
+// TestRunRejectsDegenerateInput: a VM run of a profile that drives no core
+// or does no work per transaction, and a RunFor of zero simulated time, are
+// errors naming the profile, not a divide-by-zero panic or a NaN result.
+func TestRunRejectsDegenerateInput(t *testing.T) {
+	base, _ := ProfileByName("Hackbench")
+	noCores, negCores, noWork := base, base, base
+	noCores.Cores = 0
+	negCores.Cores = -1
+	noWork.WorkCycles = 0
+	cases := []struct {
+		name string
+		p    Profile
+		run  func(r *Runner) (Result, error)
+	}{
+		{"Run with zero cores", noCores, func(r *Runner) (Result, error) { return r.Run(10) }},
+		{"RunFor with zero cores", noCores, func(r *Runner) (Result, error) { return r.RunFor(1_000_000) }},
+		{"Run with negative cores", negCores, func(r *Runner) (Result, error) { return r.Run(10) }},
+		{"Run with zero work", noWork, func(r *Runner) (Result, error) { return r.Run(10) }},
+		{"RunFor with zero work", noWork, func(r *Runner) (Result, error) { return r.RunFor(1_000_000) }},
+		{"RunFor of zero time", base, func(r *Runner) (Result, error) { return r.RunFor(0) }},
+		{"Run of zero transactions", base, func(r *Runner) (Result, error) { return r.Run(0) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w, vm, net, blk := buildL2(t, 0)
+			res, err := tc.run(&Runner{W: w, VM: vm, Net: net, Blk: blk, P: tc.p})
+			if err == nil {
+				t.Fatalf("accepted: overhead %v, score %v, cycles/txn %v", res.Overhead, res.Score, res.CyclesPerTxn)
+			}
+			if !strings.Contains(err.Error(), tc.p.Name) {
+				t.Errorf("error %q does not name the profile %q", err, tc.p.Name)
+			}
+		})
 	}
 }
 
@@ -366,5 +403,65 @@ func TestPhysicalCPUUtilizationAccounted(t *testing.T) {
 	}
 	if sum != res.TotalCycles {
 		t.Fatalf("per-CPU busy %v != run total %v", sum, res.TotalCycles)
+	}
+}
+
+// timersProgrammed is how many ProgramTimer operations n transactions of p
+// execute: a run starts its rate carries from zero.
+func timersProgrammed(p Profile, n int) int {
+	var c carry
+	timers := 0
+	for i := 0; i < n; i++ {
+		timers += c.take(p.Timers)
+	}
+	return timers
+}
+
+// TestRunAllocBudget pins what a runner allocates once its stack is warm:
+// one object per timer it programs (the engine callback that fires the
+// timer, since every ProgramTimer arms exactly one host timer) plus a small
+// constant per run (the Breakdown map, event-queue growth). The op-class
+// ledgers, the counters, the exit contexts and the event-queue entries
+// allocate nothing. Bytes and objects allocated are deterministic, so the
+// budget holds on any host.
+func TestRunAllocBudget(t *testing.T) {
+	const (
+		txns   = 1000
+		perRun = 8
+	)
+	for _, features := range []core.Features{0, core.FeaturesAll} {
+		for _, p := range Profiles() {
+			w, vm, net, blk := buildL2(t, features)
+			r := &Runner{W: w, VM: vm, Net: net, Blk: blk, P: p, RNG: sim.NewRNG(1)}
+			span := sim.Cycles(txns) * p.WorkCycles
+			// Warm: compile plans, grow the event queue and scheduler scratch.
+			if _, err := r.Run(txns); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.RunFor(span); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(1, func() {
+				if _, err := r.Run(txns); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if budget := timersProgrammed(p, txns) + perRun; allocs > float64(budget) {
+				t.Errorf("dvh=%v %s: Run(%d) allocates %.0f objects, budget %d (one per timer plus %d)",
+					features != 0, p.Name, txns, allocs, budget, perRun)
+			}
+			var ran int
+			allocs = testing.AllocsPerRun(1, func() {
+				res, err := r.RunFor(span)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ran = res.Transactions
+			})
+			if budget := timersProgrammed(p, ran) + perRun; allocs > float64(budget) {
+				t.Errorf("dvh=%v %s: RunFor (%d transactions) allocates %.0f objects, budget %d (one per timer plus %d)",
+					features != 0, p.Name, ran, allocs, budget, perRun)
+			}
+		}
 	}
 }
