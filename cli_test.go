@@ -172,6 +172,11 @@ func TestListProfiles(t *testing.T) {
 // goroutine dump, or output from the entries that happened to run first.
 func TestBadInputNamesFlag(t *testing.T) {
 	dir := buildCLIs(t)
+	tmp := t.TempDir()
+	malformed := filepath.Join(tmp, "malformed.json")
+	if err := os.WriteFile(malformed, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		cli  string
 		args []string
@@ -192,8 +197,13 @@ func TestBadInputNamesFlag(t *testing.T) {
 		{"nvbench", []string{"-parallel", "-1"}, "-parallel"},
 		{"nvbench", []string{"-table", "3", "-experiment", "bogus"}, "-experiment"},
 		{"nvtrace", []string{"-depth", "4"}, "-depth"},
+		// nvperf checks its baseline before the ~20 s collection.
+		{"nvperf", []string{"-compare", "no-such-baseline.json"}, "-compare"},
+		{"nvperf", []string{"-compare", malformed}, "-compare"},
 	} {
-		t.Run(tc.cli+strings.Join(tc.args, ""), func(t *testing.T) {
+		// The temporary directory differs per run; keep it out of the name.
+		name := strings.ReplaceAll(tc.cli+strings.Join(tc.args, ""), tmp+string(filepath.Separator), "")
+		t.Run(name, func(t *testing.T) {
 			stdout, stderr, code := runCLI(t, filepath.Join(dir, tc.cli), cleanEnv(), tc.args...)
 			if code != 2 {
 				t.Errorf("%s %v exited %d, want 2", tc.cli, tc.args, code)

@@ -20,8 +20,10 @@
 // replayed forward and delivery paths must stay allocation-free and at least
 // 5x faster than their uncached twins — measured within this run — on the L3
 // hypercall and L3 timer-delivery paths. Absolute ns/op is recorded, never
-// gated: it belongs to the machine that measured it. It exits non-zero on
-// violation — the `make bench-compare` gate inside `make check`.
+// gated: it belongs to the machine that measured it. It exits 1 on violation
+// — the `make bench-compare` gate inside `make check`. The baseline is read
+// before anything is measured: one that cannot be read or parsed, or that
+// does not record this run's calibration profile, is a usage error (exit 2).
 package main
 
 import (
@@ -96,6 +98,13 @@ func main() {
 		os.Exit(2)
 	}
 	experiment.SetDefaultProfile(prof.Name)
+	var base *Artifact
+	if *compare != "" {
+		if base, err = readBaseline(*compare, prof.Name); err != nil {
+			fmt.Fprintf(os.Stderr, "nvperf: -compare %s: %v\n", *compare, err)
+			os.Exit(2)
+		}
+	}
 
 	a := Artifact{Schema: "nvperf/bench-v4", Profile: prof.Name}
 	if err := collectFigures(&a); err != nil {
@@ -107,8 +116,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *compare != "" {
-		if err := gate(&a, *compare); err != nil {
+	if base != nil {
+		if err := gate(&a, base); err != nil {
 			fmt.Fprintln(os.Stderr, "nvperf: FAIL:", err)
 			os.Exit(1)
 		}
@@ -134,31 +143,34 @@ func main() {
 // machine.
 const speedupFloor = 5.0
 
-// gate re-collects the artifact (already in a) and validates it against the
-// committed baseline.
-func gate(a *Artifact, baselinePath string) error {
-	raw, err := os.ReadFile(baselinePath)
+// readBaseline loads the -compare baseline and checks that it can gate a
+// run under the given calibration profile.
+func readBaseline(path, prof string) (*Artifact, error) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var base Artifact
 	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("%s: %w", baselinePath, err)
+		return nil, err
 	}
-
 	// Modeled cycles are only comparable within one calibration: the baseline
 	// must record the profile it was produced under (bench-v3) and it must be
-	// the one this run used.
+	// the one this run uses.
 	if base.Profile == "" {
-		return fmt.Errorf("%s: no profile field (schema %q); regenerate the baseline as bench-v3", baselinePath, base.Schema)
+		return nil, fmt.Errorf("no profile field (schema %q); regenerate the baseline as bench-v3", base.Schema)
 	}
-	if base.Profile != a.Profile {
-		return fmt.Errorf("calibration profile mismatch: this run used %q, baseline %s was produced under %q", a.Profile, baselinePath, base.Profile)
+	if base.Profile != prof {
+		return nil, fmt.Errorf("calibration profile mismatch: this run uses %q, the baseline was produced under %q", prof, base.Profile)
 	}
+	return &base, nil
+}
 
+// gate validates the collected artifact a against the baseline.
+func gate(a, base *Artifact) error {
 	// Modeled cycles are deterministic: any drift is a model change that must
 	// come with a regenerated artifact, never an accident.
-	if err := compareCycles(&base, a); err != nil {
+	if err := compareCycles(base, a); err != nil {
 		return err
 	}
 

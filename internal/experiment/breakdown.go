@@ -23,30 +23,21 @@ type BreakdownRow struct {
 }
 
 // Breakdown measures where the cycles go for every workload under the
-// nested paravirtual baseline, DVH-VP, and full DVH.
+// nested paravirtual baseline, DVH-VP, and full DVH — three of Figure 7's
+// cells, projected onto per-transaction cycles by op class.
 func Breakdown() ([]BreakdownRow, error) {
 	configs := []appConfig{
 		{"Nested VM", Spec{Depth: 2, IO: IOParavirt}},
 		{"Nested VM+DVH-VP", Spec{Depth: 2, IO: IODVHVP}},
 		{"Nested VM+DVH", Spec{Depth: 2, IO: IODVH}},
 	}
-	profiles := workload.Profiles()
-	return mapCells(len(configs)*len(profiles), func(i int) (BreakdownRow, error) {
-		cfg, p := configs[i/len(profiles)], profiles[i%len(profiles)]
-		st, err := Build(cfg.spec)
-		if err != nil {
-			return BreakdownRow{}, err
-		}
-		r := workload.Runner{W: st.World, VM: st.Target, Net: st.Net, Blk: st.Blk, P: p}
-		res, err := r.Run(appTxns)
-		if err != nil {
-			return BreakdownRow{}, fmt.Errorf("%s on %s: %w", p.Name, cfg.label, err)
-		}
+	return appCells(configs, workload.Profiles(), func(label string, rec *cellRecord) BreakdownRow {
+		res := &rec.result
 		row := BreakdownRow{
-			Workload:   p.Name,
-			Config:     cfg.label,
+			Workload:   res.Profile.Name,
+			Config:     label,
 			PerTxn:     make(map[string]float64, len(res.Breakdown)),
-			WorkCycles: float64(p.WorkCycles),
+			WorkCycles: float64(res.Profile.WorkCycles),
 		}
 		keys := make([]string, 0, len(res.Breakdown))
 		for k := range res.Breakdown {
@@ -56,7 +47,7 @@ func Breakdown() ([]BreakdownRow, error) {
 		for _, k := range keys {
 			row.PerTxn[k] = float64(res.Breakdown[k]) / float64(res.Transactions)
 		}
-		return row, nil
+		return row
 	})
 }
 

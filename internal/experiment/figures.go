@@ -90,47 +90,31 @@ type AppResult struct {
 	Unit     string
 }
 
-// appConfig names a (depth, io, guest, features) bar.
-type appConfig struct {
-	label string
-	spec  Spec
+// appResult projects a cell record onto one figure bar.
+func appResult(label string, rec *cellRecord) AppResult {
+	p := rec.result.Profile
+	return AppResult{
+		Workload: p.Name,
+		Config:   label,
+		Overhead: rec.result.Overhead,
+		Score:    rec.result.Score,
+		Unit:     p.Unit,
+	}
 }
 
-// runApps measures every Table 2 workload on each configuration. Each
-// (config, workload) cell builds a fully isolated World and runs on the
-// harness worker pool; results come back in cell order, so the output is
-// byte-identical whether the pool runs one worker or many.
-func runApps(configs []appConfig) ([]AppResult, error) {
-	profiles := workload.Profiles()
-	return mapCells(len(configs)*len(profiles), func(i int) (AppResult, error) {
-		cfg, p := configs[i/len(profiles)], profiles[i%len(profiles)]
-		st, err := Build(cfg.spec)
-		if err != nil {
-			return AppResult{}, fmt.Errorf("building %s: %w", cfg.label, err)
-		}
-		r := workload.Runner{W: st.World, VM: st.Target, Net: st.Net, Blk: st.Blk, P: p}
-		res, err := r.Run(appTxns)
-		if err != nil {
-			return AppResult{}, fmt.Errorf("%s on %s: %w", p.Name, cfg.label, err)
-		}
-		return AppResult{
-			Workload: p.Name,
-			Config:   cfg.label,
-			Overhead: res.Overhead,
-			Score:    res.Score,
-			Unit:     p.Unit,
-		}, nil
-	})
+// appFigure measures every Table 2 workload on each configuration.
+func appFigure(configs []appConfig) ([]AppResult, error) {
+	return appCells(configs, workload.Profiles(), appResult)
 }
 
 // Figure7 reproduces application overhead at up to two virtualization
 // levels across the six I/O configurations of the paper's Figure 7.
 func Figure7() ([]AppResult, error) {
-	return runApps(figure7Configs)
+	return appFigure(figure7Configs)
 }
 
 // figure7Configs are Figure 7's six bars, shared with the per-workload stage
-// breakdown so both views describe the same configurations.
+// breakdown so both views describe the same configurations (and cells).
 var figure7Configs = []appConfig{
 	{"VM", Spec{Depth: 1, IO: IOParavirt}},
 	{"VM+passthrough", Spec{Depth: 1, IO: IOPassthrough}},
@@ -144,7 +128,7 @@ var figure7Configs = []appConfig{
 // each bar adds one mechanism, ending at full DVH.
 func Figure8() ([]AppResult, error) {
 	vp := core.FeatureVirtualPassthrough
-	return runApps([]appConfig{
+	return appFigure([]appConfig{
 		{"Nested VM", Spec{Depth: 2, IO: IOParavirt}},
 		{"Nested VM+DVH-VP", Spec{Depth: 2, IO: IODVHVP, Features: vp}},
 		{"+posted interrupts", Spec{Depth: 2, IO: IODVHVP, Features: vp | core.FeatureVIOMMUPostedInterrupts}},
@@ -156,7 +140,7 @@ func Figure8() ([]AppResult, error) {
 
 // Figure9 reproduces application overhead at three virtualization levels.
 func Figure9() ([]AppResult, error) {
-	return runApps([]appConfig{
+	return appFigure([]appConfig{
 		{"VM", Spec{Depth: 1, IO: IOParavirt}},
 		{"VM+passthrough", Spec{Depth: 1, IO: IOPassthrough}},
 		{"L3", Spec{Depth: 3, IO: IOParavirt}},
@@ -169,7 +153,7 @@ func Figure9() ([]AppResult, error) {
 // Figure10 reproduces the Xen-on-KVM experiment: Xen as the guest
 // hypervisor, DVH-VP used without any Xen modification.
 func Figure10() ([]AppResult, error) {
-	return runApps([]appConfig{
+	return appFigure([]appConfig{
 		{"VM", Spec{Depth: 1, IO: IOParavirt}},
 		{"VM+passthrough", Spec{Depth: 1, IO: IOPassthrough}},
 		{"Nested VM (Xen)", Spec{Depth: 2, IO: IOParavirt, Guest: GuestXen}},

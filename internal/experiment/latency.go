@@ -23,37 +23,31 @@ type LatencyRow struct {
 }
 
 // LatencyTails measures the request-latency distribution of the
-// latency-bound workloads under the nested baseline and full DVH.
+// latency-bound workloads under the nested baseline and full DVH, projected
+// from the latency histograms of the matching Figure 7 cells.
 func LatencyTails() ([]LatencyRow, error) {
 	configs := []appConfig{
 		{"Nested VM", Spec{Depth: 2, IO: IOParavirt}},
 		{"Nested VM+DVH", Spec{Depth: 2, IO: IODVH}},
 	}
-	workloads := []string{"Netperf RR", "Memcached", "Apache"}
-	return mapCells(len(configs)*len(workloads), func(i int) (LatencyRow, error) {
-		cfg, name := configs[i/len(workloads)], workloads[i%len(workloads)]
+	var profiles []workload.Profile
+	for _, name := range []string{"Netperf RR", "Memcached", "Apache"} {
 		p, ok := workload.ProfileByName(name)
 		if !ok {
-			return LatencyRow{}, fmt.Errorf("experiment: unknown workload %q", name)
+			return nil, fmt.Errorf("experiment: unknown workload %q", name)
 		}
-		st, err := Build(cfg.spec)
-		if err != nil {
-			return LatencyRow{}, err
-		}
-		r := workload.Runner{W: st.World, VM: st.Target, Net: st.Net, Blk: st.Blk, P: p}
-		res, err := r.Run(appTxns)
-		if err != nil {
-			return LatencyRow{}, err
-		}
-		hz := float64(st.Machine.ClockHz)
+		profiles = append(profiles, p)
+	}
+	return appCells(configs, profiles, func(label string, rec *cellRecord) LatencyRow {
+		lat := &rec.result.Latency
 		return LatencyRow{
-			Workload: name,
-			Config:   cfg.label,
-			P50:      res.Latency.Quantile(0.50),
-			P99:      res.Latency.Quantile(0.99),
-			Max:      res.Latency.Max(),
-			MeanUS:   res.Latency.Mean() / hz * 1e6,
-		}, nil
+			Workload: rec.result.Profile.Name,
+			Config:   label,
+			P50:      lat.Quantile(0.50),
+			P99:      lat.Quantile(0.99),
+			Max:      lat.Max(),
+			MeanUS:   lat.Mean() / float64(rec.clockHz) * 1e6,
+		}
 	})
 }
 

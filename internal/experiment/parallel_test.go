@@ -37,11 +37,18 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 		return FormatTable3(rows), nil
 	}
-	for name, fn := range map[string]func() (string, error){"Figure7": figure7, "Table3": table3} {
-		seq := runWidth(t, 1, fn)
-		par := runWidth(t, 8, fn)
+	for _, tc := range []struct {
+		name  string
+		fn    func() (string, error)
+		cells bool // whether fn runs application cells
+	}{{"Figure7", figure7, true}, {"Table3", table3, false}} {
+		seq, seqCells := runFresh(t, 1, tc.fn)
+		par, parCells := runFresh(t, 8, tc.fn)
+		if tc.cells && (seqCells == 0 || parCells == 0) {
+			t.Errorf("%s: computed %d cells sequentially and %d in parallel; a memo hit would make the comparison vacuous", tc.name, seqCells, parCells)
+		}
 		if seq != par {
-			t.Errorf("%s: parallel output diverges from sequential:\n--- sequential ---\n%s\n--- parallel(8) ---\n%s", name, seq, par)
+			t.Errorf("%s: parallel output diverges from sequential:\n--- sequential ---\n%s\n--- parallel(8) ---\n%s", tc.name, seq, par)
 		}
 	}
 }
@@ -73,6 +80,7 @@ func benchFigure7(b *testing.B, width int) {
 	defer SetParallelism(prev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		resetCells() // time the simulation, not memo hits
 		if _, err := Figure7(); err != nil {
 			b.Fatal(err)
 		}

@@ -57,17 +57,21 @@ func renderMatrix(t *testing.T) string {
 // replay cache: the rendered experiment matrix — what nvbench
 // -all and nvartifact emit — must be byte-identical with the cache enabled
 // (default) and disabled (NVSIM_NOPLANCACHE=1), at every pool width the
-// -parallel flags expose. Every cell builds its Worlds after t.Setenv takes
-// effect, so the env var cleanly selects the mode per run.
+// -parallel flags expose. Every run starts from an empty cell memo and builds
+// its Worlds after t.Setenv takes effect, so the env var cleanly selects the
+// mode per run.
 func TestPlanCacheOutputIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment matrix x4")
 	}
 	for _, width := range []int{1, 4, 8} {
 		t.Setenv(hyper.NoPlanCacheEnv, "")
-		cached := runWidth(t, width, func() (string, error) { return renderMatrix(t), nil })
+		cached, cachedCells := runFresh(t, width, func() (string, error) { return renderMatrix(t), nil })
 		t.Setenv(hyper.NoPlanCacheEnv, "1")
-		live := runWidth(t, width, func() (string, error) { return renderMatrix(t), nil })
+		live, liveCells := runFresh(t, width, func() (string, error) { return renderMatrix(t), nil })
+		if cachedCells == 0 || liveCells == 0 {
+			t.Errorf("width %d: computed %d cached and %d live cells; a memo hit would make the comparison vacuous", width, cachedCells, liveCells)
+		}
 		if cached != live {
 			t.Errorf("width %d: plan-cache output diverges from live recursion:\n--- cached ---\n%s\n--- live ---\n%s",
 				width, cached, live)

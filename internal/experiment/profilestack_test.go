@@ -23,7 +23,8 @@ func withDefaultProfile(t testing.TB, name string, fn func()) {
 // TestXeonProfileGoldenByteIdentity pins the refactor's central compatibility
 // claim: building every stack through the profile subsystem with
 // xeon-silver-4114 explicitly selected produces output byte-identical to the
-// committed goldens — which predate profiles — at pool widths 1, 4 and 8.
+// committed goldens — which predate profiles — at pool widths 1, 4 and 8,
+// each run from an empty cell memo.
 func TestXeonProfileGoldenByteIdentity(t *testing.T) {
 	render := map[string]func() (string, error){
 		"table3.golden": func() (string, error) {
@@ -48,7 +49,10 @@ func TestXeonProfileGoldenByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, width := range []int{1, 4, 8} {
-				got := runWidth(t, width, fn)
+				got, n := runFresh(t, width, fn)
+				if fixture == "figure7.golden" && n == 0 {
+					t.Errorf("%s at width %d computed no cells; a memo hit would make the comparison vacuous", fixture, width)
+				}
 				if got != string(want) {
 					t.Errorf("%s: output under explicit %s at width %d diverges from golden",
 						fixture, profile.DefaultName, width)

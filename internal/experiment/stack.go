@@ -140,9 +140,9 @@ func Build(spec Spec) (*Stack, error) {
 			return nil, fmt.Errorf("experiment: Enlightened requires a Hyper-V or Xen guest hypervisor; KVM has no enlightenment interceptor")
 		}
 	}
-	prof, err := resolveProfile(spec.Profile)
+	norm, prof, err := spec.normalize()
 	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
+		return nil, err
 	}
 	m, err := machine.New(machine.Config{
 		Name:        fmt.Sprintf("cloudlab-L%d-%v", spec.Depth, spec.IO),
@@ -162,19 +162,8 @@ func Build(spec Spec) (*Stack, error) {
 	// the previously hard-coded DefaultCosts()/HardwareCaps pair.
 	profile.Apply(st.World, prof)
 
-	features := spec.Features
-	if features == 0 {
-		switch spec.IO {
-		case IODVHVP:
-			features = core.FeaturesVP
-		case IODVH:
-			features = core.FeaturesAll
-		default:
-			// Paravirtual and passthrough baselines run without DVH.
-		}
-	}
-	if features != 0 {
-		d, err := core.Enable(st.World, features)
+	if norm.Features != 0 {
+		d, err := core.Enable(st.World, norm.Features)
 		if err != nil {
 			return nil, err
 		}
@@ -238,6 +227,30 @@ func Build(spec Spec) (*Stack, error) {
 		}
 	}
 	return st, nil
+}
+
+// normalize fills in the parts of a Spec that have defaults: Profile becomes
+// the name of the calibration profile resolveProfile selects, and a zero
+// Features becomes the I/O mode's DVH feature set. Two Specs that build the
+// same stack normalize to the same value. Build and the application-cell key
+// (cell.go) share this one normalization.
+func (spec Spec) normalize() (Spec, profile.Profile, error) {
+	prof, err := resolveProfile(spec.Profile)
+	if err != nil {
+		return spec, prof, fmt.Errorf("experiment: %w", err)
+	}
+	spec.Profile = prof.Name
+	if spec.Features == 0 {
+		switch spec.IO {
+		case IODVHVP:
+			spec.Features = core.FeaturesVP
+		case IODVH:
+			spec.Features = core.FeaturesAll
+		default:
+			// Paravirtual and passthrough baselines run without DVH.
+		}
+	}
+	return spec, prof, nil
 }
 
 // attachIO wires the target VM's network and block devices per the I/O mode.

@@ -24,35 +24,25 @@ type WorkloadStageRow struct {
 	Stages [trace.NumStages]sim.Cycles
 }
 
-// WorkloadStageBreakdown runs every Table 2 application mix over the Figure 7
-// configurations with a StageStats attached to the Runner for the whole run.
-// Each cell is an isolated World on the worker pool; results return in cell
-// order, byte-identical at any width and across plan-cache modes.
+// WorkloadStageBreakdown projects the per-stage attribution every
+// application cell records (the Runner's StageStats, attached for the whole
+// run) over the Figure 7 configurations — the same cells as Figure 7. Rows
+// return in cell order, byte-identical at any width and across plan-cache
+// modes.
 func WorkloadStageBreakdown() ([]WorkloadStageRow, error) {
-	profiles := workload.Profiles()
-	return mapCells(len(figure7Configs)*len(profiles), func(i int) (WorkloadStageRow, error) {
-		cfg, p := figure7Configs[i/len(profiles)], profiles[i%len(profiles)]
-		st, err := Build(cfg.spec)
-		if err != nil {
-			return WorkloadStageRow{}, fmt.Errorf("building %s: %w", cfg.label, err)
-		}
-		ss := &trace.StageStats{}
-		r := workload.Runner{W: st.World, VM: st.Target, Net: st.Net, Blk: st.Blk, P: p, Stages: ss}
-		if _, err := r.Run(appTxns); err != nil {
-			return WorkloadStageRow{}, fmt.Errorf("%s on %s: %w", p.Name, cfg.label, err)
-		}
-		row := WorkloadStageRow{Workload: p.Name, Config: cfg.label}
+	return appCells(figure7Configs, workload.Profiles(), func(label string, rec *cellRecord) WorkloadStageRow {
+		row := WorkloadStageRow{Workload: rec.result.Profile.Name, Config: label}
 		for s := 0; s < trace.NumStages; s++ {
-			row.Stages[s] = ss.StageTotal(s)
+			row.Stages[s] = rec.stages.StageTotal(s)
 			row.Total += row.Stages[s]
 		}
-		return row, nil
+		return row
 	})
 }
 
 // FormatWorkloadStageBreakdown renders the per-workload stage profiles,
 // grouped by configuration — rows arrive config-major, workload fastest,
-// like runApps orders the figures' bars.
+// like the figures order their bars.
 func FormatWorkloadStageBreakdown(rows []WorkloadStageRow) string {
 	var b strings.Builder
 	b.WriteString("Per-workload stage attribution over the Figure 7 mixes (virtualization cycles per run)\n")

@@ -200,18 +200,13 @@ func (w *World) settle(tx *ExitContext, err error) (sim.Cycles, error) {
 // outer StageEmulate/StageForward), so every settled cycle is attributed
 // exactly once. Only the Execute boundary carries an exit reason; deliveries
 // pass reason < 0 and appear in the boundary table alone. Allocation-free:
-// fixed loops over the stack-resident ledger into fixed-size tables.
+// the stack-resident ledger goes to the fixed-size tables in one call.
 func (w *World) observeStages(tx *ExitContext) {
 	reason := -1
 	if tx.Boundary == BoundaryExecute {
 		reason = tx.Reason.Index()
 	}
-	w.Stages.ObserveSettled(int(tx.Boundary))
-	for s := 0; s < stageCount; s++ {
-		if c := tx.ledger[s]; c != 0 {
-			w.Stages.ObserveStage(int(tx.Boundary), reason, s, c)
-		}
-	}
+	w.Stages.ObserveLedger(int(tx.Boundary), reason, &tx.ledger)
 }
 
 // Interceptor is a direct-handling backend registered on a World: at

@@ -96,14 +96,19 @@ func (w *World) setAsyncErr(err error) {
 }
 
 // NewWorld wraps a host hypervisor with the default cost model. The plan
-// replay cache is on unless NVSIM_NOPLANCACHE is set (same
-// convention as NVSIM_PARALLEL: "" and "0" mean default behavior).
+// replay cache is on unless NVSIM_NOPLANCACHE says otherwise
+// (PlanCacheDefault).
 func NewWorld(host *Hypervisor) *World {
-	w := &World{Host: host, Costs: DefaultCosts()}
-	if v := os.Getenv(NoPlanCacheEnv); v != "" && v != "0" {
-		w.planCacheOff = true
-	}
-	return w
+	return &World{Host: host, Costs: DefaultCosts(), planCacheOff: !PlanCacheDefault()}
+}
+
+// PlanCacheDefault reports whether a new World replays compiled plans: true
+// unless NVSIM_NOPLANCACHE is set (same convention as NVSIM_PARALLEL: "" and
+// "0" mean default behavior). Callers that key results by plan-cache mode
+// read it here, so they agree with NewWorld.
+func PlanCacheDefault() bool {
+	v := os.Getenv(NoPlanCacheEnv)
+	return v == "" || v == "0"
 }
 
 // AttachStageStats installs (or, with nil, detaches) the per-stage latency

@@ -222,6 +222,7 @@ func ModuleConfig(dir string) (Config, error) {
 		// The per-stage observability sink runs at every outermost settle,
 		// inside Execute's allocation-freedom contract; rooting the observe
 		// methods directly keeps them covered even if the settle wiring moves.
+		mp + "/internal/trace.(*StageStats).ObserveLedger",
 		mp + "/internal/trace.(*StageStats).ObserveStage",
 		mp + "/internal/trace.(*StageStats).ObserveSettled",
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -254,6 +255,52 @@ func TestOutputDeterministic(t *testing.T) {
 		if p.File > q.File || (p.File == q.File && p.Line > q.Line) ||
 			(p.File == q.File && p.Line == q.Line && p.Rule > q.Rule) {
 			t.Errorf("findings not sorted by (file, line, rule): %s before %s", p, q)
+		}
+	}
+}
+
+// TestSharedImporterRuns: every Run in a process shares one standard-library
+// importer and FileSet, so Runs in sequence and Runs at the same time must
+// report the same findings — rule, position and message — as a first Run.
+// The fixture imports standard-library packages, so the concurrent Runs share
+// type-checked stdlib packages under the race detector.
+func TestSharedImporterRuns(t *testing.T) {
+	cfg := Config{
+		Dir:            filepath.Join("testdata", "src", "determinism"),
+		ModulePath:     "lintcheck/determinism",
+		EnginePrefixes: []string{"lintcheck/"},
+	}
+	key := func(res *Result) []string {
+		var out []string
+		for _, f := range res.Findings {
+			out = append(out, f.String())
+		}
+		return out
+	}
+	want := key(mustRun(t, "determinism", nil))
+	if len(want) == 0 {
+		t.Fatal("fixture produced no findings to compare")
+	}
+	if got := key(mustRun(t, "determinism", nil)); !reflect.DeepEqual(got, want) {
+		t.Errorf("second sequential run disagrees:\n%v\n%v", got, want)
+	}
+	var results [2]*Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = Run(cfg)
+		}()
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got := key(res); !reflect.DeepEqual(got, want) {
+			t.Errorf("concurrent run %d disagrees:\n%v\n%v", i, got, want)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one type-checked package of the module under analysis.
@@ -56,7 +57,7 @@ type funcDecl struct {
 // standard-library imports from source (no compiled export data is assumed
 // to exist, and no third-party loader is available).
 func load(cfg *Config) (*program, error) {
-	fset := token.NewFileSet()
+	fset := stdFset
 	dirs, err := packageDirs(cfg.Dir, cfg.ModulePath)
 	if err != nil {
 		return nil, err
@@ -90,10 +91,7 @@ func load(cfg *Config) (*program, error) {
 		byPath: make(map[string]*Package, len(parsed)),
 		funcs:  make(map[*types.Func]*funcDecl),
 	}
-	imp := &moduleImporter{
-		std:  importer.ForCompiler(fset, "source", nil),
-		prog: prog,
-	}
+	imp := &moduleImporter{prog: prog}
 
 	// Type-check in dependency order among the loaded packages.
 	sorted, err := topoSort(order, parsed)
@@ -287,10 +285,21 @@ func topoSort(paths []string, parsed map[string]*parsedPkg) ([]string, error) {
 	return out, nil
 }
 
+// The standard library is the same for every Run, so it is type-checked
+// from source once per process and shared: every Run parses the module into
+// stdFset, the FileSet stdImporter records standard-library positions in.
+// token.FileSet is safe for concurrent use and resolves positions per file,
+// so findings do not depend on what other Runs parsed. The source importer is
+// not safe for concurrent use; stdMu serializes Import.
+var (
+	stdFset     = token.NewFileSet()
+	stdImporter = importer.ForCompiler(stdFset, "source", nil)
+	stdMu       sync.Mutex
+)
+
 // moduleImporter resolves module-internal imports from the loaded program and
-// everything else (the standard library) from source via go/importer.
+// everything else (the standard library) through the shared stdImporter.
 type moduleImporter struct {
-	std  types.Importer
 	prog *program
 }
 
@@ -298,5 +307,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	if pkg, ok := m.prog.byPath[path]; ok {
 		return pkg.Types, nil
 	}
-	return m.std.Import(path)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdImporter.Import(path)
 }

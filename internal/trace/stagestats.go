@@ -105,7 +105,7 @@ func clampBoundary(b int) int {
 }
 
 // ObserveSettled notes one settled outermost transaction on the boundary; on
-// a nil receiver it is a no-op, so the settle path can call unconditionally.
+// a nil receiver it is a no-op.
 func (ss *StageStats) ObserveSettled(boundary int) {
 	if ss == nil {
 		return
@@ -116,7 +116,8 @@ func (ss *StageStats) ObserveSettled(boundary int) {
 // ObserveStage records one stage's contribution to a settled outermost
 // transaction: c cycles accrued at the stage, on the boundary, for the exit
 // reason index (pass reason < 0 for boundaries that carry none). Nil-receiver
-// no-op, allocation-free — this is on the hot exit path.
+// no-op, allocation-free. The settle point records whole ledgers through
+// ObserveLedger, which must equal ObserveSettled plus this per nonzero stage.
 func (ss *StageStats) ObserveStage(boundary, reason, stage int, c sim.Cycles) {
 	if ss == nil {
 		return
@@ -130,6 +131,35 @@ func (ss *StageStats) ObserveStage(boundary, reason, stage int, c sim.Cycles) {
 		ss.ReasonCycles[reason][s] += c
 	}
 	ss.Hist[s].Observe(c)
+}
+
+// ObserveLedger records one settled outermost transaction from its whole
+// per-stage cost ledger (indexed like StageName): ObserveSettled on the
+// boundary, then ObserveStage for every stage with nonzero cycles, in one
+// call with the boundary and reason rows resolved once. The pipeline's
+// settle point uses it; it runs on every settle of every observed run, so
+// it is allocation-free like the single-stage forms.
+func (ss *StageStats) ObserveLedger(boundary, reason int, ledger *[NumStages]sim.Cycles) {
+	if ss == nil {
+		return
+	}
+	b := clampBoundary(boundary)
+	ss.Settled[b]++
+	bc := &ss.BoundaryCycles[b]
+	var rc *[NumStages]sim.Cycles
+	if reason >= 0 {
+		rc = &ss.ReasonCycles[min(reason, vmx.NumReasonIndexes-1)]
+	}
+	for s, c := range ledger {
+		if c == 0 {
+			continue
+		}
+		bc[s] += c
+		if rc != nil {
+			rc[s] += c
+		}
+		ss.Hist[s].Observe(c)
+	}
 }
 
 // StageTotal sums the cycles attributed to one stage across all boundaries.

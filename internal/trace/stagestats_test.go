@@ -51,6 +51,39 @@ func TestStageStatsObserve(t *testing.T) {
 	}
 }
 
+// TestObserveLedgerMatchesStages: recording a whole ledger in one call is
+// ObserveSettled plus ObserveStage for each nonzero stage — tables,
+// histograms and settle counts — for Execute reasons, delivery boundaries
+// without one, and out-of-range boundary and reason indexes.
+func TestObserveLedgerMatchesStages(t *testing.T) {
+	ledgers := []struct {
+		boundary, reason int
+		ledger           [NumStages]sim.Cycles
+	}{
+		{0, vmx.ExitVMCALL.Index(), [NumStages]sim.Cycles{2: 750, 4: 38300}},
+		{0, vmx.ExitHLT.Index(), [NumStages]sim.Cycles{0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 7}},
+		{4, -1, [NumStages]sim.Cycles{5: 40}},
+		{1, -1, [NumStages]sim.Cycles{}},
+		{NumBoundaries + 2, vmx.NumReasonIndexes + 9, [NumStages]sim.Cycles{6: 1 << 40}},
+		{-3, -1, [NumStages]sim.Cycles{3: 12}},
+	}
+	var want, got StageStats
+	for _, l := range ledgers {
+		want.ObserveSettled(l.boundary)
+		for s, c := range l.ledger {
+			if c != 0 {
+				want.ObserveStage(l.boundary, l.reason, s, c)
+			}
+		}
+		got.ObserveLedger(l.boundary, l.reason, &l.ledger)
+	}
+	if got != want {
+		t.Errorf("ObserveLedger diverges from ObserveSettled+ObserveStage:\n got:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+	var nilSS *StageStats
+	nilSS.ObserveLedger(0, 0, &ledgers[0].ledger)
+}
+
 func TestStageStatsClamping(t *testing.T) {
 	ss := &StageStats{}
 	ss.ObserveSettled(-1)
