@@ -74,10 +74,14 @@ fuzz-smoke fuzz:
 		$(GO) test $$pkg -run='^$$' -fuzz="^$$name$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 
-# golden regenerates the committed experiment fixtures (Table 3, Figures
-# 7-10, the per-stage breakdown) in place. Only for deliberate model changes:
-# `make check` diffs every fixture byte-for-byte via TestGoldenMatrix, so an
-# accidental regeneration fails the gate as a diff in git, not silently.
+# golden regenerates the committed experiment fixtures in place: each
+# testdata/golden/<entry>.golden is the text of the registry entry it is
+# named after (Table 3, Figures 7-10, the two stage breakdowns, the storms).
+# Only for deliberate model changes: `make check` diffs every fixture
+# byte-for-byte via TestGoldenMatrix, so an accidental regeneration fails
+# the gate as a diff in git, not silently. It never creates a fixture, and
+# it leaves bench/testdata/eval-all.golden, the `nvbench -all` transcript,
+# to `bash bench/run.sh -update`.
 golden:
 	NVSIM_UPDATE_GOLDEN=1 $(GO) test ./internal/experiment/ -run TestGoldenMatrix -count=1
 

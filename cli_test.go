@@ -197,6 +197,7 @@ func TestBadInputNamesFlag(t *testing.T) {
 		{"nvbench", []string{"-parallel", "-1"}, "-parallel"},
 		{"nvbench", []string{"-table", "3", "-experiment", "bogus"}, "-experiment"},
 		{"nvtrace", []string{"-depth", "4"}, "-depth"},
+		{"nvtrace", []string{"-micro", "bogus"}, "-micro"},
 		// nvperf checks its baseline before the ~20 s collection.
 		{"nvperf", []string{"-compare", "no-such-baseline.json"}, "-compare"},
 		{"nvperf", []string{"-compare", malformed}, "-compare"},
@@ -220,4 +221,31 @@ func TestBadInputNamesFlag(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNvbenchAllGolden runs the built `nvbench -all` end to end and requires
+// its stdout to equal bench/testdata/eval-all.golden, the committed
+// transcript the benchmark module also checks: the entry order, every
+// heading and every entry's output, the migration, depth, breakdown and
+// latency tables included.
+func TestNvbenchAllGolden(t *testing.T) {
+	dir := buildCLIs(t)
+	want, err := os.ReadFile(filepath.Join("bench", "testdata", "eval-all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := runCLI(t, filepath.Join(dir, "nvbench"), cleanEnv(), "-all")
+	if code != 0 {
+		t.Fatalf("nvbench -all exited %d: %s", code, stderr)
+	}
+	if stdout == string(want) {
+		return
+	}
+	got, wantLines := strings.Split(stdout, "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(got), len(wantLines)) {
+		if got[i] != wantLines[i] {
+			t.Fatalf("nvbench -all differs from eval-all.golden at line %d:\n got: %q\nwant: %q", i+1, got[i], wantLines[i])
+		}
+	}
+	t.Fatalf("nvbench -all prints %d lines, eval-all.golden has %d", len(got), len(wantLines))
 }

@@ -41,7 +41,7 @@ func main() {
 	listProfiles := flag.Bool("list-profiles", false, "list registered calibration profiles and exit")
 	flag.Parse()
 	if *listProfiles {
-		printProfiles()
+		fmt.Print(profile.Listing())
 		return
 	}
 	if *par < 0 {
@@ -75,27 +75,11 @@ func main() {
 	var spec experiment.Spec
 	if d > 0 {
 		spec = experiment.Spec{Depth: d, Profile: prof.Name, Enlightened: *enlightened}
-		switch strings.ToLower(*ioName) {
-		case "paravirt":
-			spec.IO = experiment.IOParavirt
-		case "passthrough":
-			spec.IO = experiment.IOPassthrough
-		case "dvh-vp":
-			spec.IO = experiment.IODVHVP
-		case "dvh":
-			spec.IO = experiment.IODVH
-		default:
-			usagef("unknown -io %q (valid: paravirt, passthrough, dvh-vp, dvh)", *ioName)
+		if spec.IO, err = experiment.ParseIOMode(*ioName); err != nil {
+			usagef("%v", err)
 		}
-		switch strings.ToLower(*guest) {
-		case "kvm":
-			spec.Guest = experiment.GuestKVM
-		case "xen":
-			spec.Guest = experiment.GuestXen
-		case "hyperv":
-			spec.Guest = experiment.GuestHyperV
-		default:
-			usagef("unknown -guest %q (valid: kvm, xen, hyperv)", *guest)
+		if spec.Guest, err = experiment.ParseGuest(*guest); err != nil {
+			usagef("%v", err)
 		}
 		// Surface configuration errors (an enlightened KVM guest, an
 		// enlightenment with nothing nested) before fanning out samples.
@@ -176,19 +160,6 @@ func oneSample(spec experiment.Spec, depth int, p workload.Profile, seed uint64)
 		return 0, err
 	}
 	return res.Score, nil
-}
-
-// printProfiles lists the registered calibration profiles — name,
-// description and anchor set — sorted by name (profile.All's order), so the
-// listing is deterministic.
-func printProfiles() {
-	for _, p := range profile.All() {
-		marker := ""
-		if p.Name == profile.DefaultName {
-			marker = " (default)"
-		}
-		fmt.Printf("%s%s\n  %s\n  anchors: %s\n", p.Name, marker, p.Description, p.AnchorString())
-	}
 }
 
 // usagef reports a bad flag value and exits 2, the flag package's code for

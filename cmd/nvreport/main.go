@@ -10,14 +10,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/experiment"
 	"repro/internal/lint"
 	"repro/internal/profile"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
+
+// sections are the registry entries the report prints, in its own order:
+// Table 3 is followed by its stage breakdown and by the storms in its
+// layout, and Figure 7 by its per-workload stage view. The per-mechanism
+// breakdown and the profile sweep are not in the report.
+var sections = []string{"table3", "stages", "storms", "figure7", "workload-stages", "figure8", "figure9", "figure10", "migration", "depth", "latency"}
 
 func main() {
 	profName := flag.String("profile", "", "calibration profile (default $NVSIM_PROFILE, then "+profile.DefaultName+")")
@@ -35,17 +38,18 @@ func main() {
 	fmt.Println()
 	fmt.Printf("Calibration profile: `%s` — %s. Anchors: %s.\n", prof.Name, prof.Description, prof.AnchorString())
 
-	section("Table 3 — microbenchmark performance in CPU cycles", table3)
-	section("Table 3 stage breakdown — where the cycles go in the exit pipeline", stageBreakdown)
-	section("Delivery storms — cycles per delivered event", storms)
-	section("Figure 7 — application overhead, 2 levels", func() error { return appFigure(experiment.Figure7) })
-	section("Per-workload stage breakdown — Figure 7 mixes through the pipeline", workloadStages)
-	section("Figure 8 — DVH technique breakdown", func() error { return appFigure(experiment.Figure8) })
-	section("Figure 9 — application overhead, 3 levels", func() error { return appFigure(experiment.Figure9) })
-	section("Figure 10 — Xen on KVM", func() error { return appFigure(experiment.Figure10) })
-	section("Migration (Section 4)", migration)
-	section("Depth sweep (extension)", depth)
-	section("Latency tails (extension)", latency)
+	for _, name := range sections {
+		e, ok := experiment.Lookup(name)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "nvreport: no evaluation entry %q\n", name)
+			os.Exit(1)
+		}
+		section(e.Section, func() error {
+			out, err := e.Render(experiment.Markdown)
+			fmt.Print(out)
+			return err
+		})
+	}
 	section("Static contract audit (nvlint)", lintSummary)
 }
 
@@ -55,144 +59,6 @@ func section(title string, fn func() error) {
 		fmt.Fprintf(os.Stderr, "nvreport: %s: %v\n", title, err)
 		os.Exit(1)
 	}
-}
-
-func table3() error {
-	rows, err := experiment.Table3()
-	if err != nil {
-		return err
-	}
-	fmt.Println("| Benchmark | VM | nested VM | nested+DVH | L3 VM | L3+DVH |")
-	fmt.Println("|---|---|---|---|---|---|")
-	for _, r := range rows {
-		fmt.Printf("| %s | %v | %v | %v | %v | %v |\n", r.Name, r.VM, r.Nested, r.NestedD, r.L3, r.L3D)
-	}
-	return nil
-}
-
-func stageBreakdown() error {
-	rows, err := experiment.StageBreakdown()
-	if err != nil {
-		return err
-	}
-	fmt.Print("| Benchmark | Config | total |")
-	for s := 0; s < trace.NumStages; s++ {
-		fmt.Printf(" %s |", trace.StageName(s))
-	}
-	fmt.Printf("\n|---|---|---|%s\n", strings.Repeat("---|", trace.NumStages))
-	for _, r := range rows {
-		fmt.Printf("| %s | %s | %d |", r.Micro, r.Config, uint64(r.Total))
-		for s := 0; s < trace.NumStages; s++ {
-			if c := r.Stages[s]; c != 0 {
-				fmt.Printf(" %d |", uint64(c))
-			} else {
-				fmt.Print(" - |")
-			}
-		}
-		fmt.Println()
-	}
-	fmt.Println()
-	fmt.Println("Cycles per operation attributed to each pipeline stage; stage columns sum to the total.")
-	return nil
-}
-
-func storms() error {
-	rows, err := experiment.DeliveryStorms()
-	if err != nil {
-		return err
-	}
-	fmt.Println("| Storm | VM | nested VM | nested+DVH | L3 VM | L3+DVH |")
-	fmt.Println("|---|---|---|---|---|---|")
-	for _, r := range rows {
-		fmt.Printf("| %s | %v | %v | %v | %v | %v |\n", r.Name, r.VM, r.Nested, r.NestedD, r.L3, r.L3D)
-	}
-	fmt.Println()
-	fmt.Println("Average cycles per delivered interrupt under storm traffic: timer ticks with periodic wake-ups, and reschedule IPIs to a halted sibling.")
-	return nil
-}
-
-func workloadStages() error {
-	rows, err := experiment.WorkloadStageBreakdown()
-	if err != nil {
-		return err
-	}
-	fmt.Print("| Workload | Config | total |")
-	for s := 0; s < trace.NumStages; s++ {
-		fmt.Printf(" %s |", trace.StageName(s))
-	}
-	fmt.Printf("\n|---|---|---|%s\n", strings.Repeat("---|", trace.NumStages))
-	for _, r := range rows {
-		fmt.Printf("| %s | %s | %d |", r.Workload, r.Config, uint64(r.Total))
-		for s := 0; s < trace.NumStages; s++ {
-			if c := r.Stages[s]; c != 0 {
-				fmt.Printf(" %d |", uint64(c))
-			} else {
-				fmt.Print(" - |")
-			}
-		}
-		fmt.Println()
-	}
-	fmt.Println()
-	fmt.Println("Virtualization cycles per run attributed to each pipeline stage; guest compute excluded.")
-	return nil
-}
-
-func appFigure(fn func() ([]experiment.AppResult, error)) error {
-	res, err := fn()
-	if err != nil {
-		return err
-	}
-	var configs []string
-	seen := map[string]bool{}
-	for _, r := range res {
-		if !seen[r.Config] {
-			seen[r.Config] = true
-			configs = append(configs, r.Config)
-		}
-	}
-	fmt.Printf("| Workload | %s |\n", strings.Join(configs, " | "))
-	fmt.Printf("|---|%s\n", strings.Repeat("---|", len(configs)))
-	for _, p := range workload.Profiles() {
-		cells := make([]string, 0, len(configs))
-		for _, c := range configs {
-			if v, ok := experiment.OverheadOf(res, p.Name, c); ok {
-				cells = append(cells, fmt.Sprintf("%.2f", v))
-			} else {
-				cells = append(cells, "-")
-			}
-		}
-		fmt.Printf("| %s | %s |\n", p.Name, strings.Join(cells, " | "))
-	}
-	fmt.Println()
-	fmt.Println("Overhead vs native execution; 1.0 = native speed.")
-	return nil
-}
-
-func migration() error {
-	rows, err := experiment.Migration()
-	if err != nil {
-		return err
-	}
-	fmt.Println("| Configuration | total | downtime | pages | verified |")
-	fmt.Println("|---|---|---|---|---|")
-	for _, r := range rows {
-		fmt.Printf("| %s | %v | %v | %d | %v |\n", r.Config, r.TotalTime, r.Downtime, r.PagesSent, r.Correct)
-	}
-	return nil
-}
-
-func depth() error {
-	rows, err := experiment.DepthSweep(4)
-	if err != nil {
-		return err
-	}
-	fmt.Println("| Benchmark | L1 | L2 (fwd/DVH) | L3 (fwd/DVH) | L4 (fwd/DVH) |")
-	fmt.Println("|---|---|---|---|---|")
-	for _, r := range rows {
-		fmt.Printf("| %s | %v | %v / %v | %v / %v | %v / %v |\n",
-			r.Micro, r.Forwarded[0], r.Forwarded[1], r.DVH[1], r.Forwarded[2], r.DVH[2], r.Forwarded[3], r.DVH[3])
-	}
-	return nil
 }
 
 // lintSummary documents the statically-proven contracts behind the measured
@@ -226,18 +92,5 @@ func lintSummary() error {
 	fmt.Println()
 	fmt.Printf("%d hot-path functions proven allocation-free; %d stale //nvlint directives.\n",
 		res.HotFuncs, len(res.Unused))
-	return nil
-}
-
-func latency() error {
-	rows, err := experiment.LatencyTails()
-	if err != nil {
-		return err
-	}
-	fmt.Println("| Workload | Config | p50<= | p99<= | mean (us) |")
-	fmt.Println("|---|---|---|---|---|")
-	for _, r := range rows {
-		fmt.Printf("| %s | %s | %v | %v | %.1f |\n", r.Workload, r.Config, r.P50, r.P99, r.MeanUS)
-	}
 	return nil
 }

@@ -40,27 +40,11 @@ func main() {
 		usagef("%v", err)
 	}
 	spec := experiment.Spec{Depth: *depth, Profile: prof.Name}
-	switch strings.ToLower(*ioName) {
-	case "paravirt":
-		spec.IO = experiment.IOParavirt
-	case "passthrough":
-		spec.IO = experiment.IOPassthrough
-	case "dvh-vp":
-		spec.IO = experiment.IODVHVP
-	case "dvh":
-		spec.IO = experiment.IODVH
-	default:
-		usagef("unknown -io %q (valid: paravirt, passthrough, dvh-vp, dvh)", *ioName)
+	if spec.IO, err = experiment.ParseIOMode(*ioName); err != nil {
+		usagef("%v", err)
 	}
-	switch strings.ToLower(*guest) {
-	case "kvm":
-		spec.Guest = experiment.GuestKVM
-	case "xen":
-		spec.Guest = experiment.GuestXen
-	case "hyperv":
-		spec.Guest = experiment.GuestHyperV
-	default:
-		usagef("unknown -guest %q (valid: kvm, xen, hyperv)", *guest)
+	if spec.Guest, err = experiment.ParseGuest(*guest); err != nil {
+		usagef("%v", err)
 	}
 	var profiles []workload.Profile
 	if *wl == "all" {

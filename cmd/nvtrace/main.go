@@ -12,6 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/experiment"
 	"repro/internal/profile"
@@ -20,8 +22,12 @@ import (
 )
 
 func main() {
+	var microNames []string
+	for _, m := range workload.Micros() {
+		microNames = append(microNames, m.String())
+	}
 	depth := flag.Int("depth", 2, "virtualization depth (1-3)")
-	micro := flag.String("micro", "Hypercall", "microbenchmark: Hypercall | DevNotify | ProgramTimer | SendIPI")
+	micro := flag.String("micro", "Hypercall", "microbenchmark: "+strings.Join(microNames, " | "))
 	dvh := flag.Bool("dvh", false, "enable DVH")
 	timeline := flag.Bool("timeline", false, "print the per-exit timeline, indented by handler level")
 	stages := flag.Bool("stages", false, "print per-stage cycle attribution and latency histograms")
@@ -35,20 +41,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var m workload.Micro
-	switch *micro {
-	case "Hypercall":
-		m = workload.MicroHypercall
-	case "DevNotify":
-		m = workload.MicroDevNotify
-	case "ProgramTimer":
-		m = workload.MicroProgramTimer
-	case "SendIPI":
-		m = workload.MicroSendIPI
-	default:
-		fmt.Fprintf(os.Stderr, "nvtrace: unknown microbenchmark %q\n", *micro)
+	mi := slices.Index(microNames, *micro)
+	if mi < 0 {
+		fmt.Fprintf(os.Stderr, "nvtrace: unknown -micro %q (valid: %s)\n", *micro, strings.Join(microNames, ", "))
 		os.Exit(2)
 	}
+	m := workload.Micros()[mi]
 
 	if *depth < 1 || *depth > 3 {
 		fmt.Fprintf(os.Stderr, "nvtrace: -depth must be between 1 and 3, got %d\n", *depth)

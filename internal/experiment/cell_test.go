@@ -34,25 +34,13 @@ func runFresh(t testing.TB, width int, fn func() (string, error)) (string, int64
 	return out, cells.computed.Load()
 }
 
-// appEntries runs every application entry of `nvbench -all` — Figures 7–10,
-// Breakdown, WorkloadStageBreakdown and LatencyTails — at the given width.
+// appEntries renders every application entry of `nvbench -all` — Figures
+// 7–10, breakdown, workload-stages and latency — at the given width.
 func appEntries(t *testing.T, width int) {
 	t.Helper()
-	runWidth(t, width, func() (string, error) {
-		for _, fig := range []func() ([]AppResult, error){Figure7, Figure8, Figure9, Figure10} {
-			if _, err := fig(); err != nil {
-				return "", err
-			}
-		}
-		if _, err := Breakdown(); err != nil {
-			return "", err
-		}
-		if _, err := WorkloadStageBreakdown(); err != nil {
-			return "", err
-		}
-		_, err := LatencyTails()
-		return "", err
-	})
+	for _, name := range []string{"figure7", "figure8", "figure9", "figure10", "breakdown", "workload-stages", "latency"} {
+		runWidth(t, width, textOf(t, name))
+	}
 }
 
 // memoRecords copies every record in the memo, failing on memoized errors.

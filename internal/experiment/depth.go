@@ -92,3 +92,15 @@ func FormatDepthSweep(rows []DepthRow) string {
 	}
 	return b.String()
 }
+
+// markdownDepthSweep renders a depth-4 sweep as a Markdown table, the
+// forwarded and DVH costs side by side from L2 on.
+func markdownDepthSweep(rows []DepthRow) string {
+	var b strings.Builder
+	b.WriteString("| Benchmark | L1 | L2 (fwd/DVH) | L3 (fwd/DVH) | L4 (fwd/DVH) |\n|---|---|---|---|---|\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "| %s | %v | %v / %v | %v / %v | %v / %v |\n",
+			r.Micro, r.Forwarded[0], r.Forwarded[1], r.DVH[1], r.Forwarded[2], r.DVH[2], r.Forwarded[3], r.DVH[3])
+	}
+	return b.String()
+}

@@ -2,9 +2,11 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -17,7 +19,8 @@ const (
 	appTxns    = 1200
 )
 
-// Table3Row is one microbenchmark row of Table 3, in CPU cycles.
+// Table3Row is one row in Table 3's layout: an operation's average cost in
+// CPU cycles on each of the five Table 3 configurations.
 type Table3Row struct {
 	Name    string
 	VM      sim.Cycles
@@ -27,44 +30,47 @@ type Table3Row struct {
 	L3D     sim.Cycles // L3 + DVH
 }
 
+// table3Configs are the Table 3 columns, labeled as the paper prints them.
+var table3Configs = []appConfig{
+	{"VM", Spec{Depth: 1, IO: IOParavirt}},
+	{"nested VM", Spec{Depth: 2, IO: IOParavirt}},
+	{"nested+DVH", Spec{Depth: 2, IO: IODVH}},
+	{"L3 VM", Spec{Depth: 3, IO: IOParavirt}},
+	{"L3+DVH", Spec{Depth: 3, IO: IODVH}},
+}
+
 // Table3 reproduces the paper's Table 3: microbenchmark cost in cycles for
-// VM, nested VM, nested VM + DVH, L3 VM, and L3 VM + DVH. Each (spec, micro)
-// cell builds its own isolated stack, so cells fan out across the worker
-// pool; costs are deterministic, so the result is identical at any width.
+// VM, nested VM, nested VM + DVH, L3 VM, and L3 VM + DVH.
 func Table3() ([]Table3Row, error) {
-	specs := []Spec{
-		{Depth: 1, IO: IOParavirt},
-		{Depth: 2, IO: IOParavirt},
-		{Depth: 2, IO: IODVH},
-		{Depth: 3, IO: IOParavirt},
-		{Depth: 3, IO: IODVH},
-	}
-	micros := workload.Micros()
-	costs, err := mapCells(len(specs)*len(micros), func(i int) (sim.Cycles, error) {
-		spec, m := specs[i/len(micros)], micros[i%len(micros)]
-		st, err := Build(spec)
+	return table3Matrix(workload.Micros(), func(st *Stack, m workload.Micro) (sim.Cycles, error) {
+		return workload.RunMicro(st.World, st.Target.VCPUs[0], m, st.Net, microIters)
+	})
+}
+
+// table3Matrix measures every op on each Table 3 configuration and returns
+// one row per op. Each (configuration, op) cell builds its own isolated
+// stack, so cells fan out across the worker pool; costs are deterministic,
+// so the result is identical at any width and across plan-cache modes.
+func table3Matrix[Op fmt.Stringer](ops []Op, run func(st *Stack, op Op) (sim.Cycles, error)) ([]Table3Row, error) {
+	costs, err := mapCells(len(table3Configs)*len(ops), func(i int) (sim.Cycles, error) {
+		cfg, op := table3Configs[i/len(ops)], ops[i%len(ops)]
+		st, err := Build(cfg.spec)
 		if err != nil {
 			return 0, err
 		}
-		c, err := workload.RunMicro(st.World, st.Target.VCPUs[0], m, st.Net, microIters)
+		c, err := run(st, op)
 		if err != nil {
-			return 0, fmt.Errorf("table3 %v on %+v: %w", m, spec, err)
+			return 0, fmt.Errorf("%v on %s: %w", op, cfg.label, err)
 		}
 		return c, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var rows []Table3Row
-	for mi, m := range micros {
-		rows = append(rows, Table3Row{
-			Name:    m.String(),
-			VM:      costs[0*len(micros)+mi],
-			Nested:  costs[1*len(micros)+mi],
-			NestedD: costs[2*len(micros)+mi],
-			L3:      costs[3*len(micros)+mi],
-			L3D:     costs[4*len(micros)+mi],
-		})
+	rows := make([]Table3Row, len(ops))
+	for i, op := range ops {
+		col := func(c int) sim.Cycles { return costs[c*len(ops)+i] }
+		rows[i] = Table3Row{Name: op.String(), VM: col(0), Nested: col(1), NestedD: col(2), L3: col(3), L3D: col(4)}
 	}
 	return rows, nil
 }
@@ -77,6 +83,20 @@ func FormatTable3(rows []Table3Row) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-14s %12v %12v %14v %12v %12v\n",
 			r.Name, r.VM, r.Nested, r.NestedD, r.L3, r.L3D)
+	}
+	return b.String()
+}
+
+// markdownTable3 renders Table 3 as a Markdown table.
+func markdownTable3(rows []Table3Row) string { return markdownTable3Layout("Benchmark", rows) }
+
+// markdownTable3Layout renders rows in Table 3's layout as a Markdown table,
+// with first as the heading of the row-name column.
+func markdownTable3Layout(first string, rows []Table3Row) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "| %s | VM | nested VM | nested+DVH | L3 VM | L3+DVH |\n|---|---|---|---|---|---|\n", first)
+	for _, r := range rows {
+		fmt.Fprintf(&b, "| %s | %v | %v | %v | %v | %v |\n", r.Name, r.VM, r.Nested, r.NestedD, r.L3, r.L3D)
 	}
 	return b.String()
 }
@@ -162,21 +182,49 @@ func Figure10() ([]AppResult, error) {
 	})
 }
 
+// figure is the render step of an application figure titled title: the
+// workload x config overhead matrix as text or Markdown, or its bars as an
+// ASCII chart or CSV.
+func figure(title string, compute func() ([]AppResult, error)) func(Format) (string, error) {
+	return func(f Format) (string, error) {
+		res, err := compute()
+		if err != nil {
+			return "", err
+		}
+		bars := make([]report.Bar, 0, len(res))
+		for _, r := range res {
+			bars = append(bars, report.Bar{Group: r.Workload, Series: r.Config, Value: r.Overhead})
+		}
+		switch f {
+		case Chart:
+			out := report.BarChart(title+" (overhead vs native)", bars, report.ChartOptions{Width: 50, Cap: 14, Unit: "x"})
+			return out + "\n" + report.FormatSummaries(report.Summarize(bars)), nil
+		case CSV:
+			return report.CSV(bars), nil
+		case Markdown:
+			return markdownAppResults(res), nil
+		}
+		return FormatAppResults(title, res), nil
+	}
+}
+
+// appMatrix lays a figure's bars out as its matrix: the configurations in
+// bar order, and each bar's overhead keyed by workload and configuration.
+func appMatrix(results []AppResult) (configs []string, overhead map[[2]string]float64) {
+	overhead = make(map[[2]string]float64, len(results))
+	for _, r := range results {
+		if !slices.Contains(configs, r.Config) {
+			configs = append(configs, r.Config)
+		}
+		overhead[[2]string{r.Workload, r.Config}] = r.Overhead
+	}
+	return configs, overhead
+}
+
 // FormatAppResults renders a figure's results as a workload x config matrix
 // of overheads, the shape the paper's bar charts plot.
 func FormatAppResults(title string, results []AppResult) string {
-	var configs []string
-	seen := map[string]bool{}
-	for _, r := range results {
-		if !seen[r.Config] {
-			seen[r.Config] = true
-			configs = append(configs, r.Config)
-		}
-	}
-	byKey := map[string]AppResult{}
-	for _, r := range results {
-		byKey[r.Workload+"|"+r.Config] = r
-	}
+	configs, overhead := appMatrix(results)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (overhead vs native; 1.0 = native speed)\n", title)
 	fmt.Fprintf(&b, "%-16s", "")
@@ -187,15 +235,35 @@ func FormatAppResults(title string, results []AppResult) string {
 	for _, p := range workload.Profiles() {
 		fmt.Fprintf(&b, "%-16s", p.Name)
 		for _, c := range configs {
-			r, ok := byKey[p.Name+"|"+c]
+			v, ok := overhead[[2]string{p.Name, c}]
 			if !ok {
 				fmt.Fprintf(&b, " %22s", "-")
 				continue
 			}
-			fmt.Fprintf(&b, " %22.2f", r.Overhead)
+			fmt.Fprintf(&b, " %22.2f", v)
 		}
 		b.WriteByte('\n')
 	}
+	return b.String()
+}
+
+// markdownAppResults renders a figure's overhead matrix as a Markdown table.
+func markdownAppResults(results []AppResult) string {
+	configs, overhead := appMatrix(results)
+	var b strings.Builder
+	fmt.Fprintf(&b, "| Workload | %s |\n|---|%s\n", strings.Join(configs, " | "), strings.Repeat("---|", len(configs)))
+	for _, p := range workload.Profiles() {
+		b.WriteString("| " + p.Name)
+		for _, c := range configs {
+			if v, ok := overhead[[2]string{p.Name, c}]; ok {
+				fmt.Fprintf(&b, " | %.2f", v)
+			} else {
+				b.WriteString(" | -")
+			}
+		}
+		b.WriteString(" |\n")
+	}
+	b.WriteString("\nOverhead vs native execution; 1.0 = native speed.\n")
 	return b.String()
 }
 

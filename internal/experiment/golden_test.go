@@ -3,86 +3,46 @@ package experiment
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestGoldenMatrix pins the full Table 3 / Figure 7–10 result matrix to
-// committed fixtures, byte for byte. The fixtures were generated before the
-// exit path was decomposed into the staged transaction pipeline, so this
-// test is the regression fence for the refactor: any drift in charging
-// order, interceptor gating or settle accounting shows up as a diff here
-// before it shows up in a reviewer's artifact run. Regenerate a fixture
+// textOf returns the named registry entry's text rendering as a runWidth
+// callback, failing the test if there is no such entry.
+func textOf(t testing.TB, name string) func() (string, error) {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no registry entry %q", name)
+	}
+	return func() (string, error) { return e.Render(Text) }
+}
+
+// TestGoldenMatrix pins every registry entry that has a committed fixture,
+// testdata/golden/<entry>.golden, to it byte for byte: Table 3, Figures
+// 7–10, the two stage breakdowns and the storms. The fixtures were generated
+// before the exit path was decomposed into the staged transaction pipeline,
+// so this test is the regression fence for the refactor: any drift in
+// charging order, interceptor gating or settle accounting shows up as a diff
+// here before it shows up in a reviewer's artifact run. Regenerate a fixture
 // only for a deliberate model change, never to absorb an accidental one.
 func TestGoldenMatrix(t *testing.T) {
-	cases := []struct {
-		fixture string
-		render  func() (string, error)
-	}{
-		{"table3.golden", func() (string, error) {
-			rows, err := Table3()
-			if err != nil {
-				return "", err
-			}
-			return FormatTable3(rows), nil
-		}},
-		{"figure7.golden", func() (string, error) {
-			r, err := Figure7()
-			if err != nil {
-				return "", err
-			}
-			return FormatAppResults("Figure 7: application performance (2 levels)", r), nil
-		}},
-		{"figure8.golden", func() (string, error) {
-			r, err := Figure8()
-			if err != nil {
-				return "", err
-			}
-			return FormatAppResults("Figure 8: application performance breakdown", r), nil
-		}},
-		{"figure9.golden", func() (string, error) {
-			r, err := Figure9()
-			if err != nil {
-				return "", err
-			}
-			return FormatAppResults("Figure 9: application performance in L3 VM", r), nil
-		}},
-		{"figure10.golden", func() (string, error) {
-			r, err := Figure10()
-			if err != nil {
-				return "", err
-			}
-			return FormatAppResults("Figure 10: application performance, Xen on KVM", r), nil
-		}},
-		{"stagebreakdown.golden", func() (string, error) {
-			rows, err := StageBreakdown()
-			if err != nil {
-				return "", err
-			}
-			return FormatStageBreakdown(rows), nil
-		}},
-		{"storms.golden", func() (string, error) {
-			rows, err := DeliveryStorms()
-			if err != nil {
-				return "", err
-			}
-			return FormatStorms(rows), nil
-		}},
-		{"workloadstages.golden", func() (string, error) {
-			rows, err := WorkloadStageBreakdown()
-			if err != nil {
-				return "", err
-			}
-			return FormatWorkloadStageBreakdown(rows), nil
-		}},
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "golden", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.fixture, func(t *testing.T) {
+	if len(fixtures) == 0 {
+		t.Fatal("no golden fixtures")
+	}
+	for _, path := range fixtures {
+		fixture := filepath.Base(path)
+		render := textOf(t, strings.TrimSuffix(fixture, ".golden"))
+		t.Run(fixture, func(t *testing.T) {
 			t.Parallel()
-			got, err := tc.render()
+			got, err := render()
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "golden", tc.fixture)
 			if os.Getenv("NVSIM_UPDATE_GOLDEN") != "" {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
@@ -94,7 +54,7 @@ func TestGoldenMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != string(want) {
-				t.Errorf("output drifted from committed fixture %s\n got:\n%s\nwant:\n%s", tc.fixture, got, want)
+				t.Errorf("output drifted from committed fixture %s\n got:\n%s\nwant:\n%s", fixture, got, want)
 			}
 		})
 	}

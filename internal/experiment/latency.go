@@ -62,3 +62,13 @@ func FormatLatency(rows []LatencyRow) string {
 	}
 	return b.String()
 }
+
+// markdownLatency renders the distribution table as Markdown.
+func markdownLatency(rows []LatencyRow) string {
+	var b strings.Builder
+	b.WriteString("| Workload | Config | p50<= | p99<= | mean (us) |\n|---|---|---|---|---|\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "| %s | %s | %v | %v | %.1f |\n", r.Workload, r.Config, r.P50, r.P99, r.MeanUS)
+	}
+	return b.String()
+}

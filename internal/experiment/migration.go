@@ -142,3 +142,13 @@ func FormatMigration(rows []MigrationRow) string {
 	}
 	return b.String()
 }
+
+// markdownMigration renders the migration comparison as a Markdown table.
+func markdownMigration(rows []MigrationRow) string {
+	var b strings.Builder
+	b.WriteString("| Configuration | total | downtime | pages | verified |\n|---|---|---|---|---|\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "| %s | %v | %v | %d | %v |\n", r.Config, r.TotalTime, r.Downtime, r.PagesSent, r.Correct)
+	}
+	return b.String()
+}

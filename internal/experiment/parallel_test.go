@@ -19,31 +19,17 @@ func runWidth(t testing.TB, width int, fn func() (string, error)) string {
 }
 
 // TestParallelDeterminism is the contract that makes the parallel harness
-// safe: the formatted Figure 7 and Table 3 output must be byte-identical
+// safe: the rendered Figure 7 and Table 3 entries must be byte-identical
 // between a sequential run and a pool at width 8, because every cell builds
 // its own World and results are collected in input order.
 func TestParallelDeterminism(t *testing.T) {
-	figure7 := func() (string, error) {
-		res, err := Figure7()
-		if err != nil {
-			return "", err
-		}
-		return FormatAppResults("Figure 7", res), nil
-	}
-	table3 := func() (string, error) {
-		rows, err := Table3()
-		if err != nil {
-			return "", err
-		}
-		return FormatTable3(rows), nil
-	}
 	for _, tc := range []struct {
 		name  string
-		fn    func() (string, error)
-		cells bool // whether fn runs application cells
-	}{{"Figure7", figure7, true}, {"Table3", table3, false}} {
-		seq, seqCells := runFresh(t, 1, tc.fn)
-		par, parCells := runFresh(t, 8, tc.fn)
+		cells bool // whether the entry runs application cells
+	}{{"figure7", true}, {"table3", false}} {
+		fn := textOf(t, tc.name)
+		seq, seqCells := runFresh(t, 1, fn)
+		par, parCells := runFresh(t, 8, fn)
 		if tc.cells && (seqCells == 0 || parCells == 0) {
 			t.Errorf("%s: computed %d cells sequentially and %d in parallel; a memo hit would make the comparison vacuous", tc.name, seqCells, parCells)
 		}

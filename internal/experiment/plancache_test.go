@@ -1,56 +1,33 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/hyper"
 )
 
-// renderMatrix runs the Table 3 and Figure 7/8 cells and concatenates their
-// formatted output — the byte surface nvbench -all and nvartifact print.
-// Figures 9/10 exercise no path Figure 8 does not (deeper stacks and Xen
-// guests are covered by the Table 3 L3 rows and the hyper-level equivalence
-// matrix), and the A/B runs the whole matrix four times.
+// renderMatrix renders Table 3, Figures 7 and 8, the stage breakdown, the
+// delivery storms and the per-workload stage attribution, concatenated — the
+// byte surface nvbench -all and nvartifact print. Figures 9/10 exercise no
+// path Figure 8 does not (deeper stacks and Xen guests are covered by the
+// Table 3 L3 rows and the hyper-level equivalence matrix), and the A/B runs
+// the whole matrix four times. The stage breakdown's byte-identity across
+// cache modes and widths is the claim that stage observability cannot tell
+// replayed plans from the live recursion; the storms and the per-workload
+// stages exercise the delivery kinds of the plan cache (injection, cascade,
+// wake, switch) in steady state.
 func renderMatrix(t *testing.T) string {
 	t.Helper()
-	rows, err := Table3()
-	if err != nil {
-		t.Fatal(err)
+	var out strings.Builder
+	for _, name := range []string{"table3", "figure7", "figure8", "stages", "storms", "workload-stages"} {
+		text, err := textOf(t, name)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.WriteString(text)
 	}
-	out := FormatTable3(rows)
-	f7, err := Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out += FormatAppResults("Figure 7", f7)
-	f8, err := Figure8()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out += FormatAppResults("Figure 8", f8)
-	// The per-stage attribution of every Table 3 cell rides along: its
-	// byte-identity across cache modes and widths is the tentpole claim that
-	// stage observability cannot tell replayed plans from the live recursion.
-	sb, err := StageBreakdown()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out += FormatStageBreakdown(sb)
-	// The delivery storms and the per-workload stage attribution exercise the
-	// delivery kinds of the plan cache (injection, cascade, wake, switch) in
-	// steady state — their byte-identity across cache modes is their A/B
-	// contract.
-	storms, err := DeliveryStorms()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out += FormatStorms(storms)
-	ws, err := WorkloadStageBreakdown()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out += FormatWorkloadStageBreakdown(ws)
-	return out
+	return out.String()
 }
 
 // TestPlanCacheOutputIdentity is the metamorphic A/B contract of the plan

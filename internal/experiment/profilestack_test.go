@@ -26,31 +26,16 @@ func withDefaultProfile(t testing.TB, name string, fn func()) {
 // committed goldens — which predate profiles — at pool widths 1, 4 and 8,
 // each run from an empty cell memo.
 func TestXeonProfileGoldenByteIdentity(t *testing.T) {
-	render := map[string]func() (string, error){
-		"table3.golden": func() (string, error) {
-			rows, err := Table3()
-			if err != nil {
-				return "", err
-			}
-			return FormatTable3(rows), nil
-		},
-		"figure7.golden": func() (string, error) {
-			r, err := Figure7()
-			if err != nil {
-				return "", err
-			}
-			return FormatAppResults("Figure 7: application performance (2 levels)", r), nil
-		},
-	}
 	withDefaultProfile(t, profile.DefaultName, func() {
-		for fixture, fn := range render {
+		for _, name := range []string{"table3", "figure7"} {
+			fn, fixture := textOf(t, name), name+".golden"
 			want, err := os.ReadFile(filepath.Join("testdata", "golden", fixture))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, width := range []int{1, 4, 8} {
 				got, n := runFresh(t, width, fn)
-				if fixture == "figure7.golden" && n == 0 {
+				if name == "figure7" && n == 0 {
 					t.Errorf("%s at width %d computed no cells; a memo hit would make the comparison vacuous", fixture, width)
 				}
 				if got != string(want) {

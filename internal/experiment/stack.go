@@ -3,10 +3,13 @@
 // Figure 7 (application overhead at two virtualization levels), Figure 8
 // (DVH technique breakdown), Figure 9 (three levels), Figure 10 (Xen guest
 // hypervisor), and the Section 4 migration measurements.
+// Entries lists them, with this repository's extensions, as one registry
+// that nvbench, nvreport and the tests iterate.
 package experiment
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/check"
 	"repro/internal/core"
@@ -62,6 +65,36 @@ const (
 	// Xen guests).
 	GuestHyperV
 )
+
+// guestNames are the -guest spellings of the guest hypervisors, indexed by
+// GuestKind.
+var guestNames = []string{GuestKVM: "kvm", GuestXen: "xen", GuestHyperV: "hyperv"}
+
+// ParseIOMode maps an -io value (paravirt, passthrough, dvh-vp or dvh, in
+// any case) to its IOMode. The error names the flag, for the CLIs that share
+// it to print as is.
+func ParseIOMode(name string) (IOMode, error) {
+	var valid []string
+	for m := IOParavirt; m <= IODVH; m++ {
+		if strings.EqualFold(name, m.String()) {
+			return m, nil
+		}
+		valid = append(valid, strings.ToLower(m.String()))
+	}
+	return 0, fmt.Errorf("unknown -io %q (valid: %s)", name, strings.Join(valid, ", "))
+}
+
+// ParseGuest maps a -guest value (kvm, xen or hyperv, in any case) to its
+// GuestKind. The error names the flag, for the CLIs that share it to print
+// as is.
+func ParseGuest(name string) (GuestKind, error) {
+	for g, n := range guestNames {
+		if strings.EqualFold(name, n) {
+			return GuestKind(g), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown -guest %q (valid: %s)", name, strings.Join(guestNames, ", "))
+}
 
 // MaxDepth is the deepest stack Build assembles: one level past the paper's
 // L3 VM, where the forwarded-exit recursion is extrapolated.

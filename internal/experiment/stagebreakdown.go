@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -27,15 +28,6 @@ type StageBreakdownRow struct {
 	Stats *trace.StageStats
 }
 
-// stageConfigs are the Table 3 columns, labeled as the paper prints them.
-var stageConfigs = []appConfig{
-	{"VM", Spec{Depth: 1, IO: IOParavirt}},
-	{"nested VM", Spec{Depth: 2, IO: IOParavirt}},
-	{"nested+DVH", Spec{Depth: 2, IO: IODVH}},
-	{"L3 VM", Spec{Depth: 3, IO: IOParavirt}},
-	{"L3+DVH", Spec{Depth: 3, IO: IODVH}},
-}
-
 // StageBreakdown measures the per-stage cycle attribution of every Table 3
 // cell. Each cell builds its own isolated stack with a private StageStats
 // attached around exactly the measured operations, fans out across the
@@ -51,8 +43,8 @@ func StageBreakdown() ([]StageBreakdownRow, error) {
 // -stages sweep, which re-derives the attribution on each registered testbed.
 func StageBreakdownUnder(profileName string) ([]StageBreakdownRow, error) {
 	micros := workload.Micros()
-	return mapCells(len(stageConfigs)*len(micros), func(i int) (StageBreakdownRow, error) {
-		m, cfg := micros[i/len(stageConfigs)], stageConfigs[i%len(stageConfigs)]
+	return mapCells(len(table3Configs)*len(micros), func(i int) (StageBreakdownRow, error) {
+		m, cfg := micros[i/len(table3Configs)], table3Configs[i%len(table3Configs)]
 		spec := cfg.spec
 		spec.Profile = profileName
 		st, err := Build(spec)
@@ -113,12 +105,70 @@ func FormatStageBreakdown(rows []StageBreakdownRow) string {
 	return b.String()
 }
 
-// StageBreakdownOf finds one row.
-func StageBreakdownOf(rows []StageBreakdownRow, micro, config string) (StageBreakdownRow, bool) {
-	for _, r := range rows {
-		if r.Micro == micro && r.Config == config {
-			return r, true
-		}
+// markdownStageBreakdown renders the per-stage table as Markdown.
+func markdownStageBreakdown(rows []StageBreakdownRow) string {
+	return markdownStages("Benchmark", len(rows), func(i int) (string, string, sim.Cycles, *[trace.NumStages]sim.Cycles) {
+		return rows[i].Micro, rows[i].Config, rows[i].Total, &rows[i].Stages
+	}, "Cycles per operation attributed to each pipeline stage; stage columns sum to the total.")
+}
+
+// markdownStages renders a stage table as Markdown: a row per cell with its
+// two labels, its total and the total's per-stage shares ("-" for a stage
+// that accrued nothing), then a note.
+func markdownStages(head string, n int, row func(i int) (label, config string, total sim.Cycles, stages *[trace.NumStages]sim.Cycles), note string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "| %s | Config | total |", head)
+	for s := 0; s < trace.NumStages; s++ {
+		fmt.Fprintf(&b, " %s |", trace.StageName(s))
 	}
-	return StageBreakdownRow{}, false
+	fmt.Fprintf(&b, "\n|---|---|---|%s\n", strings.Repeat("---|", trace.NumStages))
+	for i := 0; i < n; i++ {
+		label, config, total, stages := row(i)
+		fmt.Fprintf(&b, "| %s | %s | %d |", label, config, uint64(total))
+		for _, c := range stages {
+			if c != 0 {
+				fmt.Fprintf(&b, " %d |", uint64(c))
+			} else {
+				b.WriteString(" - |")
+			}
+		}
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "\n%s\n", note)
+	return b.String()
+}
+
+// profileStages is the Table 3 stage attribution under one calibration
+// profile.
+type profileStages struct {
+	profile profile.Profile
+	rows    []StageBreakdownRow
+}
+
+// stagesSweep re-derives the Table 3 stage attribution under every
+// registered calibration profile, in profile.All's sorted order.
+func stagesSweep() ([]profileStages, error) {
+	var sweep []profileStages
+	for _, p := range profile.All() {
+		rows, err := StageBreakdownUnder(p.Name)
+		if err != nil {
+			return nil, fmt.Errorf("profile %s: %w", p.Name, err)
+		}
+		sweep = append(sweep, profileStages{p, rows})
+	}
+	return sweep, nil
+}
+
+// formatStagesSweep renders one stage table per profile. The default
+// profile's block is byte-identical to the stages entry's text.
+func formatStagesSweep(sweep []profileStages) string {
+	var b strings.Builder
+	for i, s := range sweep {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		fmt.Fprintf(&b, "profile %s — %s\n", s.profile.Name, s.profile.Description)
+		b.WriteString(FormatStageBreakdown(s.rows))
+	}
+	return b.String()
 }

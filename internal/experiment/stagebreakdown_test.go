@@ -27,8 +27,8 @@ func TestStageBreakdownSumsToTable3(t *testing.T) {
 			"L3 VM": r.L3, "L3+DVH": r.L3D,
 		}
 	}
-	if len(rows) != len(t3)*len(stageConfigs) {
-		t.Fatalf("breakdown has %d rows, want %d", len(rows), len(t3)*len(stageConfigs))
+	if len(rows) != len(t3)*len(table3Configs) {
+		t.Fatalf("breakdown has %d rows, want %d", len(rows), len(t3)*len(table3Configs))
 	}
 	for _, r := range rows {
 		var sum sim.Cycles
@@ -47,13 +47,7 @@ func TestStageBreakdownSumsToTable3(t *testing.T) {
 // TestStageBreakdownWidthIdentity is the pool-determinism contract for the
 // new figure: the rendered breakdown is byte-identical at widths 1, 4 and 8.
 func TestStageBreakdownWidthIdentity(t *testing.T) {
-	render := func() (string, error) {
-		rows, err := StageBreakdown()
-		if err != nil {
-			return "", err
-		}
-		return FormatStageBreakdown(rows), nil
-	}
+	render := textOf(t, "stages")
 	sequential := runWidth(t, 1, render)
 	for _, width := range []int{4, 8} {
 		if got := runWidth(t, width, render); got != sequential {

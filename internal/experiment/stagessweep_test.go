@@ -18,12 +18,12 @@ func TestStageSweepDefaultMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := FormatStageBreakdown(rows)
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "stagebreakdown.golden"))
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "stages.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Errorf("default-profile sweep drifted from stagebreakdown.golden\n got:\n%s\nwant:\n%s", got, want)
+		t.Errorf("default-profile sweep drifted from stages.golden\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

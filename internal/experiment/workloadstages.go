@@ -70,12 +70,10 @@ func FormatWorkloadStageBreakdown(rows []WorkloadStageRow) string {
 	return b.String()
 }
 
-// WorkloadStageOf finds one row.
-func WorkloadStageOf(rows []WorkloadStageRow, workloadName, config string) (WorkloadStageRow, bool) {
-	for _, r := range rows {
-		if r.Workload == workloadName && r.Config == config {
-			return r, true
-		}
-	}
-	return WorkloadStageRow{}, false
+// markdownWorkloadStages renders the per-workload stage profiles as
+// Markdown.
+func markdownWorkloadStages(rows []WorkloadStageRow) string {
+	return markdownStages("Workload", len(rows), func(i int) (string, string, sim.Cycles, *[trace.NumStages]sim.Cycles) {
+		return rows[i].Workload, rows[i].Config, rows[i].Total, &rows[i].Stages
+	}, "Virtualization cycles per run attributed to each pipeline stage; guest compute excluded.")
 }

@@ -207,6 +207,20 @@ func All() []Profile {
 	return out
 }
 
+// Listing renders every registered profile — name (the default marked),
+// description and anchor set — in All's order, the -list-profiles output.
+func Listing() string {
+	var b strings.Builder
+	for _, p := range All() {
+		marker := ""
+		if p.Name == DefaultName {
+			marker = " (default)"
+		}
+		fmt.Fprintf(&b, "%s%s\n  %s\n  anchors: %s\n", p.Name, marker, p.Description, p.AnchorString())
+	}
+	return b.String()
+}
+
 // Default returns the paper-testbed profile every tool falls back to.
 func Default() Profile {
 	p, ok := Lookup(DefaultName)
