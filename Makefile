@@ -27,9 +27,9 @@ lint:
 	$(GO) run ./cmd/nvlint -unused-directives $(if $(VERBOSE),-v,)
 
 # bench runs the harness and hot-path benchmarks: Figure 7 sequential vs
-# parallel pool (each iteration clears the application-cell memo, so it
-# times simulation, not memo hits), the allocation-free nested Execute path
-# in both plan modes, and the workload runner's Run and RunFor (ns and
+# parallel pool (each iteration clears the cell memo, so it times
+# simulation, not memo hits), the allocation-free nested Execute path in
+# both plan modes, and the workload runner's Run and RunFor (ns and
 # allocs per transaction).
 # It then regenerates BENCH_10.json, the committed machine-readable artifact
 # (per-figure modeled cycles and overheads plus ns/op and allocs/op for the

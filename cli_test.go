@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/hyper"
 	"repro/internal/profile"
 )
 
@@ -186,11 +187,16 @@ func TestBadInputNamesFlag(t *testing.T) {
 		{"nvartifact", []string{"-runs", "-1"}, "-runs"},
 		{"nvartifact", []string{"-level", "L9"}, "-level"},
 		{"nvartifact", []string{"-parallel", "-1"}, "-parallel"},
+		{"nvartifact", []string{"-level", "L0", "-io", "bogus"}, "-io"},
+		{"nvartifact", []string{"-level", "L1", "-io", "dvh-vp"}, "-io"},
+		{"nvartifact", []string{"-level", "L2", "-enlightened"}, "-enlightened"},
+		{"nvartifact", []string{"-level", "L1", "-enlightened", "-guest", "xen"}, "-enlightened"},
 		{"nvsim", []string{"-txns", "0"}, "-txns"},
 		{"nvsim", []string{"-io", "bogus"}, "-io"},
 		{"nvsim", []string{"-guest", "bogus"}, "-guest"},
 		{"nvsim", []string{"-workload", "bogus"}, "-workload"},
 		{"nvsim", []string{"-depth", "0"}, "-depth"},
+		{"nvsim", []string{"-depth", "1", "-io", "dvh"}, "-io"},
 		{"nvbench", []string{"-figure", "11"}, "-figure"},
 		{"nvbench", []string{"-table", "4"}, "-table"},
 		{"nvbench", []string{"-format", "bogus", "-figure", "7"}, "-format"},
@@ -227,25 +233,36 @@ func TestBadInputNamesFlag(t *testing.T) {
 // its stdout to equal bench/testdata/eval-all.golden, the committed
 // transcript the benchmark module also checks: the entry order, every
 // heading and every entry's output, the migration, depth, breakdown and
-// latency tables included.
+// latency tables included. The memo keys cells on the plan-cache mode, so
+// the transcript must also hold sequentially and with the cache off.
 func TestNvbenchAllGolden(t *testing.T) {
 	dir := buildCLIs(t)
 	want, err := os.ReadFile(filepath.Join("bench", "testdata", "eval-all.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stdout, stderr, code := runCLI(t, filepath.Join(dir, "nvbench"), cleanEnv(), "-all")
-	if code != 0 {
-		t.Fatalf("nvbench -all exited %d: %s", code, stderr)
-	}
-	if stdout == string(want) {
-		return
-	}
-	got, wantLines := strings.Split(stdout, "\n"), strings.Split(string(want), "\n")
-	for i := range min(len(got), len(wantLines)) {
-		if got[i] != wantLines[i] {
-			t.Fatalf("nvbench -all differs from eval-all.golden at line %d:\n got: %q\nwant: %q", i+1, got[i], wantLines[i])
+	for _, tc := range []struct {
+		env  []string
+		args []string
+	}{
+		{nil, []string{"-all"}},
+		{nil, []string{"-all", "-parallel", "1"}},
+		{[]string{hyper.NoPlanCacheEnv + "=1"}, []string{"-all"}},
+	} {
+		run := strings.Join(append(tc.env, tc.args...), " ")
+		stdout, stderr, code := runCLI(t, filepath.Join(dir, "nvbench"), cleanEnv(tc.env...), tc.args...)
+		if code != 0 {
+			t.Fatalf("nvbench %s exited %d: %s", run, code, stderr)
 		}
+		if stdout == string(want) {
+			continue
+		}
+		got, wantLines := strings.Split(stdout, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(got), len(wantLines)) {
+			if got[i] != wantLines[i] {
+				t.Fatalf("nvbench %s differs from eval-all.golden at line %d:\n got: %q\nwant: %q", run, i+1, got[i], wantLines[i])
+			}
+		}
+		t.Fatalf("nvbench %s prints %d lines, eval-all.golden has %d", run, len(got), len(wantLines))
 	}
-	t.Fatalf("nvbench -all prints %d lines, eval-all.golden has %d", len(got), len(wantLines))
 }

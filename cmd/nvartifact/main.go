@@ -72,19 +72,16 @@ func main() {
 			selected = append(selected, p)
 		}
 	}
-	var spec experiment.Spec
+	spec := experiment.Spec{Depth: d, Profile: prof.Name, Enlightened: *enlightened}
+	if spec.IO, err = experiment.ParseIOMode(*ioName); err != nil {
+		usagef("%v", err)
+	}
+	if spec.Guest, err = experiment.ParseGuest(*guest); err != nil {
+		usagef("%v", err)
+	}
 	if d > 0 {
-		spec = experiment.Spec{Depth: d, Profile: prof.Name, Enlightened: *enlightened}
-		if spec.IO, err = experiment.ParseIOMode(*ioName); err != nil {
+		if err := spec.Validate(); err != nil {
 			usagef("%v", err)
-		}
-		if spec.Guest, err = experiment.ParseGuest(*guest); err != nil {
-			usagef("%v", err)
-		}
-		// Surface configuration errors (an enlightened KVM guest, an
-		// enlightenment with nothing nested) before fanning out samples.
-		if _, err := experiment.Build(spec); err != nil {
-			fatalf("%v", err)
 		}
 	} else if *enlightened {
 		usagef("-enlightened needs a nested configuration (-level L2 or L3)")

@@ -46,6 +46,9 @@ func main() {
 	if spec.Guest, err = experiment.ParseGuest(*guest); err != nil {
 		usagef("%v", err)
 	}
+	if err := spec.Validate(); err != nil {
+		usagef("%v", err)
+	}
 	var profiles []workload.Profile
 	if *wl == "all" {
 		profiles = workload.Profiles()

@@ -31,7 +31,7 @@ func Breakdown() ([]BreakdownRow, error) {
 		{"Nested VM+DVH-VP", Spec{Depth: 2, IO: IODVHVP}},
 		{"Nested VM+DVH", Spec{Depth: 2, IO: IODVH}},
 	}
-	return appCells(configs, workload.Profiles(), func(label string, rec *cellRecord) BreakdownRow {
+	return cellsOf(configs, workload.Profiles(), func(label string, rec *cellRecord) BreakdownRow {
 		res := &rec.result
 		row := BreakdownRow{
 			Workload:   res.Profile.Name,

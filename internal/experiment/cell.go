@@ -6,28 +6,87 @@ import (
 	"sync/atomic"
 
 	"repro/internal/hyper"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// cellKey identifies one application cell: everything its result depends
-// on. The Spec is normalized (Spec.normalize), so it carries the resolved
-// calibration-profile name and the DVH feature set the stack really runs
-// with; planCache is the mode hyper.NewWorld would pick. Two figures that
-// plot the same bar under different labels share one key.
+// cellKey identifies one cell: everything its result depends on. The Spec is
+// normalized (Spec.normalize), so it carries the resolved calibration-profile
+// name and the DVH feature set the stack really runs with; run is what the
+// cell simulates on it; planCache is the mode hyper.NewWorld would pick. Two
+// entries that show one cell under different labels share one key.
 type cellKey struct {
 	spec      Spec
-	workload  workload.Profile
+	run       cellRun
 	planCache bool
 }
 
-// cellRecord is everything one application cell produces: the run's Result
-// (overhead, score, latency histogram, op-class breakdown), its per-stage
-// attribution and the machine clock. Every application figure and
-// experiment is a projection of these records. A record is shared by every
-// caller of its key, so projections read it and never write it.
+// cellRun is what a cell simulates on its fresh stack: a Table 2 workload,
+// a Table 1 microbenchmark or a delivery storm. Each is a small comparable
+// value, so it can sit in the key; String names it in errors.
+type cellRun interface {
+	fmt.Stringer
+	measure(st *Stack, rec *cellRecord) error
+}
+
+// appRun runs a Table 2 workload for appTxns transactions, with the record's
+// StageStats attached for the whole run.
+type appRun struct{ workload.Profile }
+
+func (r appRun) String() string { return r.Name }
+
+func (r appRun) measure(st *Stack, rec *cellRecord) (err error) {
+	runner := workload.Runner{W: st.World, VM: st.Target, Net: st.Net, Blk: st.Blk, P: r.Profile, Stages: &rec.stages}
+	rec.result, err = runner.Run(appTxns)
+	return err
+}
+
+// microRun measures a Table 1 microbenchmark over microIters iterations, with
+// the record's StageStats attached around exactly the measured operations.
+type microRun struct{ workload.Micro }
+
+func (r microRun) measure(st *Stack, rec *cellRecord) (err error) {
+	rec.avg, err = workload.RunMicroObserved(st.World, st.Target.VCPUs[0], r.Micro, st.Net, microIters, &rec.stages)
+	return err
+}
+
+// stormRun drives a delivery storm for stormEvents delivered events.
+type stormRun struct{ workload.Storm }
+
+func (r stormRun) measure(st *Stack, rec *cellRecord) (err error) {
+	rec.avg, err = workload.RunStorm(st.World, st.Target.VCPUs[0], r.Storm, stormEvents)
+	return err
+}
+
+// cellOp is what the entries list as a cell's run.
+type cellOp interface {
+	workload.Profile | workload.Micro | workload.Storm
+}
+
+// runOf wraps op as the cell run its key holds.
+func runOf[Op cellOp](op Op) cellRun {
+	var run cellRun
+	switch op := any(op).(type) {
+	case workload.Profile:
+		run = appRun{op}
+	case workload.Micro:
+		run = microRun{op}
+	case workload.Storm:
+		run = stormRun{op}
+	}
+	return run
+}
+
+// cellRecord is everything one cell produces: an application cell's Result
+// (overhead, score, latency histogram, op-class breakdown) or another cell's
+// average cycles per operation, the stage attribution of exactly the
+// measured operations (none for a storm), and the machine clock. Every entry
+// but the migration projects these records; a record is shared by every
+// caller of its key, so projections never write it.
 type cellRecord struct {
 	result  workload.Result
+	avg     sim.Cycles
 	stages  trace.StageStats
 	clockHz uint64
 }
@@ -40,12 +99,12 @@ type cellEntry struct {
 	err  error
 }
 
-// cells is the process-wide application-cell memo: every entry point a
-// process runs (the `nvbench -all` sequence, nvreport, nvperf) shares it, and
-// sharing is safe because a record depends only on its key. The map is
-// guarded by mu; each entry's once lets concurrent pool workers that ask for
-// one key wait for a single computation. lookups and computed count appCell
-// calls and computations for tests.
+// cells is the process-wide cell memo: every entry point a process runs (the
+// `nvbench -all` sequence, nvreport, nvperf) shares it, and sharing is safe
+// because a record depends only on its key. The map is guarded by mu; each
+// entry's once lets concurrent pool workers that ask for one key wait for a
+// single computation. lookups and computed count cell calls and computations
+// for tests.
 var cells struct {
 	mu       sync.Mutex
 	entries  map[cellKey]*cellEntry
@@ -53,17 +112,16 @@ var cells struct {
 	computed atomic.Int64
 }
 
-// appCell returns the record of one Table 2 workload run for appTxns
-// transactions on a fresh stack built from spec. A cell is a pure function
-// of its key — every stack is built from scratch and the simulator is
-// deterministic — so each key is simulated at most once per process and
-// later calls share its record.
-func appCell(spec Spec, p workload.Profile) (*cellRecord, error) {
+// cell returns the record of run on a fresh stack built from spec. A cell is
+// a pure function of its key — every stack is built from scratch and the
+// simulator is deterministic — so each key is simulated at most once per
+// process and later calls share its record.
+func cell(spec Spec, run cellRun) (*cellRecord, error) {
 	spec, _, err := spec.normalize()
 	if err != nil {
 		return nil, err
 	}
-	key := cellKey{spec: spec, workload: p, planCache: hyper.PlanCacheDefault()}
+	key := cellKey{spec: spec, run: run, planCache: hyper.PlanCacheDefault()}
 	cells.mu.Lock()
 	e := cells.entries[key]
 	if e == nil {
@@ -85,8 +143,8 @@ func appCell(spec Spec, p workload.Profile) (*cellRecord, error) {
 	return &e.rec, nil
 }
 
-// compute simulates the cell: Build in the key's plan-cache mode, then a
-// Runner with the record's StageStats attached for the whole run.
+// compute simulates the cell: Build in the key's plan-cache mode, then the
+// key's run.
 func (rec *cellRecord) compute(key cellKey) error {
 	st, err := Build(key.spec)
 	if err != nil {
@@ -94,9 +152,7 @@ func (rec *cellRecord) compute(key cellKey) error {
 	}
 	st.World.SetPlanCache(key.planCache)
 	rec.clockHz = st.Machine.ClockHz
-	r := workload.Runner{W: st.World, VM: st.Target, Net: st.Net, Blk: st.Blk, P: key.workload, Stages: &rec.stages}
-	rec.result, err = r.Run(appTxns)
-	return err
+	return key.run.measure(st, rec)
 }
 
 // appConfig names a (depth, io, guest, features) bar.
@@ -105,19 +161,22 @@ type appConfig struct {
 	spec  Spec
 }
 
-// appCells projects the record of every (config, workload) cell, config-major
-// with the workload fastest — the order every figure prints. Cells fan out
-// across the harness pool and come back in cell order, so the output is
-// byte-identical at any width. Each error names the workload and the
-// configuration.
-func appCells[T any](configs []appConfig, profiles []workload.Profile, project func(label string, rec *cellRecord) T) ([]T, error) {
-	return mapCells(len(configs)*len(profiles), func(i int) (T, error) {
-		cfg, p := configs[i/len(profiles)], profiles[i%len(profiles)]
-		rec, err := appCell(cfg.spec, p)
+// cellsOf projects the record of every (config, op) cell, config-major with
+// the op fastest — the order every figure prints. Cells fan out across the
+// harness pool and come back in cell order, so the output is byte-identical
+// at any width. Each error names the op and the configuration.
+func cellsOf[Op cellOp, T any](configs []appConfig, ops []Op, project func(label string, rec *cellRecord) T) ([]T, error) {
+	return mapCells(len(configs)*len(ops), func(i int) (T, error) {
+		cfg, run := configs[i/len(ops)], runOf(ops[i%len(ops)])
+		rec, err := cell(cfg.spec, run)
 		if err != nil {
 			var zero T
-			return zero, fmt.Errorf("%s on %s: %w", p.Name, cfg.label, err)
+			return zero, fmt.Errorf("%v on %s: %w", run, cfg.label, err)
 		}
 		return project(cfg.label, rec), nil
 	})
 }
+
+// record is the identity projection, for entries that lay records out in an
+// order of their own.
+func record(_ string, rec *cellRecord) *cellRecord { return rec }

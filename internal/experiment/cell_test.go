@@ -10,11 +10,10 @@ import (
 	"repro/internal/workload"
 )
 
-// resetCells empties the application-cell memo and zeroes its counters, so
-// the next figure call simulates its cells again. For sequential tests only:
-// a reset while another goroutine is inside appCell would mix two memos in
-// one run. TestGoldenMatrix's parallel subtests share the memo and need no
-// reset.
+// resetCells empties the cell memo and zeroes its counters, so the next
+// entry call simulates its cells again. For sequential tests only: a reset
+// while another goroutine is inside cell would mix two memos in one run.
+// TestGoldenMatrix's parallel subtests share the memo and need no reset.
 func resetCells() {
 	cells.mu.Lock()
 	defer cells.mu.Unlock()
@@ -23,10 +22,10 @@ func resetCells() {
 	cells.computed.Store(0)
 }
 
-// runFresh is runWidth from an empty cell memo: every application cell fn
-// needs is simulated again, so comparisons across pool widths and plan-cache
-// modes compare computations, not a computation with its own memo hit. It
-// returns fn's output and the number of cells computed.
+// runFresh is runWidth from an empty cell memo: every cell fn needs is
+// simulated again, so comparisons across pool widths and plan-cache modes
+// compare computations, not a computation with its own memo hit. It returns
+// fn's output and the number of cells computed.
 func runFresh(t testing.TB, width int, fn func() (string, error)) (string, int64) {
 	t.Helper()
 	resetCells()
@@ -34,11 +33,10 @@ func runFresh(t testing.TB, width int, fn func() (string, error)) (string, int64
 	return out, cells.computed.Load()
 }
 
-// appEntries renders every application entry of `nvbench -all` — Figures
-// 7–10, breakdown, workload-stages and latency — at the given width.
-func appEntries(t *testing.T, width int) {
+// renderEntries renders the named entries at the given width.
+func renderEntries(t *testing.T, width int, names []string) {
 	t.Helper()
-	for _, name := range []string{"figure7", "figure8", "figure9", "figure10", "breakdown", "workload-stages", "latency"} {
+	for _, name := range names {
 		runWidth(t, width, textOf(t, name))
 	}
 }
@@ -51,50 +49,59 @@ func memoRecords(t *testing.T) map[cellKey]cellRecord {
 	out := make(map[cellKey]cellRecord, len(cells.entries))
 	for k, e := range cells.entries {
 		if e.err != nil {
-			t.Fatalf("%s on %+v: %v", k.workload.Name, k.spec, e.err)
+			t.Fatalf("%v on %+v: %v", k.run, k.spec, e.err)
 		}
 		out[k] = e.rec
 	}
 	return out
 }
 
-// TestCellMemo pins the memo's three promises: the `nvbench -all`
-// application entries look up 230 cells but simulate only the 112 distinct
-// keys; a record is a pure function of its key, equal to recomputations at
-// another pool width and with the plan cache off; and concurrent callers of
-// one key share one computation.
+// TestCellMemo pins the memo's three promises: the `nvbench -all` entries
+// look up each cell they show but simulate only the distinct keys — 230
+// lookups and 112 computations for the seven application entries, 82 and 38
+// for the microbenchmark and storm entries; a record is a pure function of
+// its key, equal to recomputations at another pool width and with the plan
+// cache off; and concurrent callers of one key share one computation.
 func TestCellMemo(t *testing.T) {
-	resetCells()
-	appEntries(t, 2)
-	if l, c := cells.lookups.Load(), cells.computed.Load(); l != 230 || c != 112 {
-		t.Fatalf("application entries made %d lookups and %d computations, want 230 and 112", l, c)
-	}
-	first := memoRecords(t)
-	if len(first) != 112 {
-		t.Fatalf("memo holds %d records, want 112", len(first))
-	}
-
-	resetCells()
-	appEntries(t, 1)
-	sequential := memoRecords(t)
-
-	resetCells()
-	t.Setenv(hyper.NoPlanCacheEnv, "1")
-	appEntries(t, 2)
-	live := memoRecords(t)
-	t.Setenv(hyper.NoPlanCacheEnv, "")
-
-	for k, rec := range first {
-		if !k.planCache {
-			t.Fatalf("%s on %+v: keyed with the plan cache off in the default mode", k.workload.Name, k.spec)
+	for _, tc := range []struct {
+		names             []string
+		lookups, computed int64
+	}{
+		{[]string{"figure7", "figure8", "figure9", "figure10", "breakdown", "workload-stages", "latency"}, 230, 112},
+		{[]string{"table3", "depth", "stages", "storms"}, 82, 38},
+	} {
+		resetCells()
+		renderEntries(t, 2, tc.names)
+		if l, c := cells.lookups.Load(), cells.computed.Load(); l != tc.lookups || c != tc.computed {
+			t.Fatalf("%v made %d lookups and %d computations, want %d and %d", tc.names, l, c, tc.lookups, tc.computed)
 		}
-		if got, ok := sequential[k]; !ok || !reflect.DeepEqual(got, rec) {
-			t.Errorf("%s on %+v: record at width 1 differs from width 2 (present %v)", k.workload.Name, k.spec, ok)
+		first := memoRecords(t)
+		if int64(len(first)) != tc.computed {
+			t.Fatalf("%v: memo holds %d records, want %d", tc.names, len(first), tc.computed)
 		}
-		lk := k
-		lk.planCache = false
-		if got, ok := live[lk]; !ok || !reflect.DeepEqual(got, rec) {
-			t.Errorf("%s on %+v: record under %s=1 differs from the cached run (present %v)", k.workload.Name, k.spec, hyper.NoPlanCacheEnv, ok)
+
+		resetCells()
+		renderEntries(t, 1, tc.names)
+		sequential := memoRecords(t)
+
+		resetCells()
+		t.Setenv(hyper.NoPlanCacheEnv, "1")
+		renderEntries(t, 2, tc.names)
+		live := memoRecords(t)
+		t.Setenv(hyper.NoPlanCacheEnv, "")
+
+		for k, rec := range first {
+			if !k.planCache {
+				t.Fatalf("%v on %+v: keyed with the plan cache off in the default mode", k.run, k.spec)
+			}
+			if got, ok := sequential[k]; !ok || !reflect.DeepEqual(got, rec) {
+				t.Errorf("%v on %+v: record at width 1 differs from width 2 (present %v)", k.run, k.spec, ok)
+			}
+			lk := k
+			lk.planCache = false
+			if got, ok := live[lk]; !ok || !reflect.DeepEqual(got, rec) {
+				t.Errorf("%v on %+v: record under %s=1 differs from the cached run (present %v)", k.run, k.spec, hyper.NoPlanCacheEnv, ok)
+			}
 		}
 	}
 
@@ -111,7 +118,7 @@ func TestCellMemo(t *testing.T) {
 			go func() {
 				defer done.Done()
 				start.Wait()
-				recs[i], errs[i] = appCell(spec, p)
+				recs[i], errs[i] = cell(spec, appRun{p})
 			}()
 		}
 		start.Done()
@@ -134,7 +141,7 @@ func TestCellMemo(t *testing.T) {
 		bad := []appConfig{{"VM+DVH", Spec{Depth: 1, IO: IODVH}}}
 		p := workload.Profiles()[:1]
 		for i := 0; i < 2; i++ {
-			_, err := appCells(bad, p, appResult)
+			_, err := cellsOf(bad, p, appResult)
 			if err == nil {
 				t.Fatal("a depth-1 DVH cell built")
 			}

@@ -27,45 +27,29 @@ func DepthSweep(maxDepth int) ([]DepthRow, error) {
 	if maxDepth < 1 || maxDepth > MaxDepth {
 		return nil, fmt.Errorf("experiment: depth sweep supports 1..%d, got %d", MaxDepth, maxDepth)
 	}
-	micros := workload.Micros()
-	// One pool cell per (depth, micro): the cell builds its own plain stack
-	// (and, at depth >= 2, its own DVH stack) so cells share nothing.
-	type depthCost struct{ fwd, dvh sim.Cycles }
-	runAt := func(spec Spec, m workload.Micro) (sim.Cycles, error) {
-		st, err := Build(spec)
-		if err != nil {
-			return 0, err
-		}
-		return workload.RunMicro(st.World, st.Target.VCPUs[0], m, st.Net, microIters)
-	}
-	costs, err := mapCells(maxDepth*len(micros), func(i int) (depthCost, error) {
-		depth, m := i/len(micros)+1, micros[i%len(micros)]
-		c, err := runAt(Spec{Depth: depth, IO: IOParavirt}, m)
-		if err != nil {
-			return depthCost{}, err
-		}
+	// Two columns per depth, forwarded then DVH. Depth 1 has no DVH
+	// variant; its DVH column repeats the plain cell.
+	var configs []appConfig
+	for depth := 1; depth <= maxDepth; depth++ {
+		fwd := appConfig{fmt.Sprintf("L%d VM", depth), Spec{Depth: depth, IO: IOParavirt}}
+		dvh := appConfig{fmt.Sprintf("L%d+DVH", depth), Spec{Depth: depth, IO: IODVH}}
 		if depth < 2 {
-			// Depth 1 has no DVH variant; the plain cost is repeated.
-			return depthCost{fwd: c, dvh: c}, nil
+			dvh = fwd
 		}
-		dc, err := runAt(Spec{Depth: depth, IO: IODVH}, m)
-		if err != nil {
-			return depthCost{}, err
-		}
-		return depthCost{fwd: c, dvh: dc}, nil
-	})
+		configs = append(configs, fwd, dvh)
+	}
+	micros := workload.Micros()
+	recs, err := cellsOf(configs, micros, record)
 	if err != nil {
 		return nil, err
 	}
-	var rows []DepthRow
+	rows := make([]DepthRow, len(micros))
 	for mi, m := range micros {
-		row := DepthRow{Micro: m.String()}
-		for depth := 1; depth <= maxDepth; depth++ {
-			c := costs[(depth-1)*len(micros)+mi]
-			row.Forwarded = append(row.Forwarded, c.fwd)
-			row.DVH = append(row.DVH, c.dvh)
+		rows[mi].Micro = m.String()
+		for c := 0; c < len(configs); c += 2 {
+			rows[mi].Forwarded = append(rows[mi].Forwarded, recs[c*len(micros)+mi].avg)
+			rows[mi].DVH = append(rows[mi].DVH, recs[(c+1)*len(micros)+mi].avg)
 		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }

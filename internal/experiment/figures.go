@@ -41,36 +41,20 @@ var table3Configs = []appConfig{
 
 // Table3 reproduces the paper's Table 3: microbenchmark cost in cycles for
 // VM, nested VM, nested VM + DVH, L3 VM, and L3 VM + DVH.
-func Table3() ([]Table3Row, error) {
-	return table3Matrix(workload.Micros(), func(st *Stack, m workload.Micro) (sim.Cycles, error) {
-		return workload.RunMicro(st.World, st.Target.VCPUs[0], m, st.Net, microIters)
-	})
-}
+func Table3() ([]Table3Row, error) { return table3Matrix(workload.Micros()) }
 
-// table3Matrix measures every op on each Table 3 configuration and returns
-// one row per op. Each (configuration, op) cell builds its own isolated
-// stack, so cells fan out across the worker pool; costs are deterministic,
-// so the result is identical at any width and across plan-cache modes.
-func table3Matrix[Op fmt.Stringer](ops []Op, run func(st *Stack, op Op) (sim.Cycles, error)) ([]Table3Row, error) {
-	costs, err := mapCells(len(table3Configs)*len(ops), func(i int) (sim.Cycles, error) {
-		cfg, op := table3Configs[i/len(ops)], ops[i%len(ops)]
-		st, err := Build(cfg.spec)
-		if err != nil {
-			return 0, err
-		}
-		c, err := run(st, op)
-		if err != nil {
-			return 0, fmt.Errorf("%v on %s: %w", op, cfg.label, err)
-		}
-		return c, nil
-	})
+// table3Matrix projects the average cost of every op on each Table 3
+// configuration, one row per op. Costs are deterministic, so the result is
+// identical at any width and across plan-cache modes.
+func table3Matrix[Op cellOp](ops []Op) ([]Table3Row, error) {
+	recs, err := cellsOf(table3Configs, ops, record)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Table3Row, len(ops))
 	for i, op := range ops {
-		col := func(c int) sim.Cycles { return costs[c*len(ops)+i] }
-		rows[i] = Table3Row{Name: op.String(), VM: col(0), Nested: col(1), NestedD: col(2), L3: col(3), L3D: col(4)}
+		col := func(c int) sim.Cycles { return recs[c*len(ops)+i].avg }
+		rows[i] = Table3Row{Name: runOf(op).String(), VM: col(0), Nested: col(1), NestedD: col(2), L3: col(3), L3D: col(4)}
 	}
 	return rows, nil
 }
@@ -124,7 +108,7 @@ func appResult(label string, rec *cellRecord) AppResult {
 
 // appFigure measures every Table 2 workload on each configuration.
 func appFigure(configs []appConfig) ([]AppResult, error) {
-	return appCells(configs, workload.Profiles(), appResult)
+	return cellsOf(configs, workload.Profiles(), appResult)
 }
 
 // Figure7 reproduces application overhead at up to two virtualization

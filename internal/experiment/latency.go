@@ -38,7 +38,7 @@ func LatencyTails() ([]LatencyRow, error) {
 		}
 		profiles = append(profiles, p)
 	}
-	return appCells(configs, profiles, func(label string, rec *cellRecord) LatencyRow {
+	return cellsOf(configs, profiles, func(label string, rec *cellRecord) LatencyRow {
 		lat := &rec.result.Latency
 		return LatencyRow{
 			Workload: rec.result.Profile.Name,

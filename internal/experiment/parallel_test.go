@@ -23,18 +23,15 @@ func runWidth(t testing.TB, width int, fn func() (string, error)) string {
 // between a sequential run and a pool at width 8, because every cell builds
 // its own World and results are collected in input order.
 func TestParallelDeterminism(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		cells bool // whether the entry runs application cells
-	}{{"figure7", true}, {"table3", false}} {
-		fn := textOf(t, tc.name)
+	for _, name := range []string{"figure7", "table3"} {
+		fn := textOf(t, name)
 		seq, seqCells := runFresh(t, 1, fn)
 		par, parCells := runFresh(t, 8, fn)
-		if tc.cells && (seqCells == 0 || parCells == 0) {
-			t.Errorf("%s: computed %d cells sequentially and %d in parallel; a memo hit would make the comparison vacuous", tc.name, seqCells, parCells)
+		if seqCells == 0 || parCells == 0 {
+			t.Errorf("%s: computed %d cells sequentially and %d in parallel; a memo hit would make the comparison vacuous", name, seqCells, parCells)
 		}
 		if seq != par {
-			t.Errorf("%s: parallel output diverges from sequential:\n--- sequential ---\n%s\n--- parallel(8) ---\n%s", tc.name, seq, par)
+			t.Errorf("%s: parallel output diverges from sequential:\n--- sequential ---\n%s\n--- parallel(8) ---\n%s", name, seq, par)
 		}
 	}
 }

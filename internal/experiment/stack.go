@@ -159,19 +159,8 @@ func (st *Stack) AttachChecker() *check.Checker {
 // Section 4 setup: the innermost VM has 4 cores and 12 GB, and each
 // intervening hypervisor level adds 2 cores and 12 GB.
 func Build(spec Spec) (*Stack, error) {
-	if spec.Depth < 1 || spec.Depth > MaxDepth {
-		return nil, fmt.Errorf("experiment: depth %d out of range", spec.Depth)
-	}
-	if spec.Depth == 1 && (spec.IO == IODVHVP || spec.IO == IODVH) {
-		return nil, fmt.Errorf("experiment: %v requires a nested VM (depth >= 2)", spec.IO)
-	}
-	if spec.Enlightened {
-		if spec.Depth < 2 {
-			return nil, fmt.Errorf("experiment: Enlightened requires a nested stack (depth >= 2); there is no guest hypervisor to enlighten at depth %d", spec.Depth)
-		}
-		if spec.Guest == GuestKVM {
-			return nil, fmt.Errorf("experiment: Enlightened requires a Hyper-V or Xen guest hypervisor; KVM has no enlightenment interceptor")
-		}
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
 	}
 	norm, prof, err := spec.normalize()
 	if err != nil {
@@ -252,7 +241,7 @@ func Build(spec Spec) (*Stack, error) {
 		case GuestXen:
 			ic = xen.Enlightenment{}
 		default:
-			// Unreachable: the GuestKVM case was rejected up front.
+			// Unreachable for GuestKVM, which Validate rejects.
 			return nil, fmt.Errorf("experiment: no enlightenment interceptor for guest %d", spec.Guest)
 		}
 		if err := st.World.RegisterInterceptor(ic); err != nil {
@@ -262,11 +251,34 @@ func Build(spec Spec) (*Stack, error) {
 	return st, nil
 }
 
+// Validate reports why Build cannot assemble spec, or nil: a depth outside
+// 1..MaxDepth, a DVH I/O mode without a nested VM, or an enlightenment with
+// no guest hypervisor that has one. The errors name the -io and -enlightened
+// flags the CLIs share, so nvsim and nvartifact print them as usage errors
+// before any output.
+func (spec Spec) Validate() error {
+	if spec.Depth < 1 || spec.Depth > MaxDepth {
+		return fmt.Errorf("depth %d out of range", spec.Depth)
+	}
+	if spec.Depth == 1 && (spec.IO == IODVHVP || spec.IO == IODVH) {
+		return fmt.Errorf("-io %s requires a nested VM (depth >= 2)", strings.ToLower(spec.IO.String()))
+	}
+	if spec.Enlightened {
+		if spec.Depth < 2 {
+			return fmt.Errorf("-enlightened requires a nested stack (depth >= 2); there is no guest hypervisor to enlighten at depth %d", spec.Depth)
+		}
+		if spec.Guest == GuestKVM {
+			return fmt.Errorf("-enlightened requires a Hyper-V or Xen guest hypervisor; KVM has no enlightenment interceptor")
+		}
+	}
+	return nil
+}
+
 // normalize fills in the parts of a Spec that have defaults: Profile becomes
 // the name of the calibration profile resolveProfile selects, and a zero
 // Features becomes the I/O mode's DVH feature set. Two Specs that build the
-// same stack normalize to the same value. Build and the application-cell key
-// (cell.go) share this one normalization.
+// same stack normalize to the same value. Build and the cell key (cell.go)
+// share this one normalization.
 func (spec Spec) normalize() (Spec, profile.Profile, error) {
 	prof, err := resolveProfile(spec.Profile)
 	if err != nil {

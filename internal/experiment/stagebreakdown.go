@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/profile"
@@ -23,17 +24,13 @@ type StageBreakdownRow struct {
 	Total sim.Cycles
 	// Stages holds the per-stage share of Total, indexed like trace.StageName.
 	Stages [trace.NumStages]sim.Cycles
-	// Stats is the cell's raw per-stage attribution (histograms included),
-	// for merged views; cells are independent Worlds, so rows merge cleanly.
-	Stats *trace.StageStats
 }
 
-// StageBreakdown measures the per-stage cycle attribution of every Table 3
-// cell. Each cell builds its own isolated stack with a private StageStats
-// attached around exactly the measured operations, fans out across the
-// harness worker pool, and returns in cell order — byte-identical at any
-// -parallel width, and identical whether forwarded exits replay compiled
-// plans or run the live recursion (both charge the same StageForward lump).
+// StageBreakdown projects the per-stage cycle attribution of every Table 3
+// cell: each cell's record holds a StageStats attached around exactly the
+// measured operations. Rows are byte-identical at any -parallel width, and
+// identical whether forwarded exits replay compiled plans or run the live
+// recursion (both charge the same StageForward lump).
 func StageBreakdown() ([]StageBreakdownRow, error) {
 	return StageBreakdownUnder("")
 }
@@ -42,38 +39,30 @@ func StageBreakdown() ([]StageBreakdownRow, error) {
 // calibration profile ("" selects the harness default) — the unit of the
 // -stages sweep, which re-derives the attribution on each registered testbed.
 func StageBreakdownUnder(profileName string) ([]StageBreakdownRow, error) {
-	micros := workload.Micros()
-	return mapCells(len(table3Configs)*len(micros), func(i int) (StageBreakdownRow, error) {
-		m, cfg := micros[i/len(table3Configs)], table3Configs[i%len(table3Configs)]
-		spec := cfg.spec
-		spec.Profile = profileName
-		st, err := Build(spec)
-		if err != nil {
-			return StageBreakdownRow{}, err
-		}
-		ss := &trace.StageStats{}
-		avg, err := workload.RunMicroObserved(st.World, st.Target.VCPUs[0], m, st.Net, microIters, ss)
-		if err != nil {
-			return StageBreakdownRow{}, fmt.Errorf("stage breakdown %v on %s: %w", m, cfg.label, err)
-		}
-		row := StageBreakdownRow{Micro: m.String(), Config: cfg.label, Total: avg, Stats: ss}
-		for s := 0; s < trace.NumStages; s++ {
-			// Deterministic costs make every iteration identical, so the
-			// division is exact and the stage shares sum back to Total.
-			row.Stages[s] = ss.StageTotal(s) / microIters
-		}
-		return row, nil
-	})
-}
-
-// MergedStageStats folds every cell's attribution into one StageStats, in
-// row order — the whole-matrix per-stage histogram view.
-func MergedStageStats(rows []StageBreakdownRow) *trace.StageStats {
-	merged := &trace.StageStats{}
-	for _, r := range rows {
-		merged.Merge(r.Stats)
+	configs := slices.Clone(table3Configs)
+	for i := range configs {
+		configs[i].spec.Profile = profileName
 	}
-	return merged
+	micros := workload.Micros()
+	recs, err := cellsOf(configs, micros, record)
+	if err != nil {
+		return nil, err
+	}
+	// Records come config-major; the table groups rows by microbenchmark.
+	var rows []StageBreakdownRow
+	for mi, m := range micros {
+		for c, cfg := range configs {
+			rec := recs[c*len(micros)+mi]
+			row := StageBreakdownRow{Micro: m.String(), Config: cfg.label, Total: rec.avg}
+			for s := range row.Stages {
+				// Deterministic costs make every iteration identical, so the
+				// division is exact and the stage shares sum back to Total.
+				row.Stages[s] = rec.stages.StageTotal(s) / microIters
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows, nil
 }
 
 // FormatStageBreakdown renders the stacked per-stage table, grouped by

@@ -5,32 +5,30 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // TestStageBreakdownSumsToTable3 pins the breakdown to the table it
 // decomposes: for every (benchmark, config) cell, the stage columns sum to
-// exactly the Table 3 value. Deterministic costs make the per-iteration
-// averages exact, so this is equality, not tolerance.
+// exactly the row total, and the total equals the microbenchmark measured on
+// a fresh stack with no stage sink attached — so attaching the sink, which
+// the Table 3 and stage entries' shared record always does, moves no cycle.
+// Deterministic costs make the per-iteration averages exact, so this is
+// equality, not tolerance.
 func TestStageBreakdownSumsToTable3(t *testing.T) {
 	rows, err := StageBreakdown()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t3, err := Table3()
-	if err != nil {
-		t.Fatal(err)
+	micros := workload.Micros()
+	if len(rows) != len(micros)*len(table3Configs) {
+		t.Fatalf("breakdown has %d rows, want %d", len(rows), len(micros)*len(table3Configs))
 	}
-	cells := map[string]map[string]sim.Cycles{}
-	for _, r := range t3 {
-		cells[r.Name] = map[string]sim.Cycles{
-			"VM": r.VM, "nested VM": r.Nested, "nested+DVH": r.NestedD,
-			"L3 VM": r.L3, "L3+DVH": r.L3D,
+	for i, r := range rows {
+		m, cfg := micros[i/len(table3Configs)], table3Configs[i%len(table3Configs)]
+		if r.Micro != m.String() || r.Config != cfg.label {
+			t.Fatalf("row %d is %s/%s, want %v/%s", i, r.Micro, r.Config, m, cfg.label)
 		}
-	}
-	if len(rows) != len(t3)*len(table3Configs) {
-		t.Fatalf("breakdown has %d rows, want %d", len(rows), len(t3)*len(table3Configs))
-	}
-	for _, r := range rows {
 		var sum sim.Cycles
 		for s := 0; s < trace.NumStages; s++ {
 			sum += r.Stages[s]
@@ -38,43 +36,34 @@ func TestStageBreakdownSumsToTable3(t *testing.T) {
 		if sum != r.Total {
 			t.Errorf("%s/%s: stages sum to %v, row total is %v", r.Micro, r.Config, sum, r.Total)
 		}
-		if want := cells[r.Micro][r.Config]; r.Total != want {
-			t.Errorf("%s/%s: breakdown total %v, Table 3 reports %v", r.Micro, r.Config, r.Total, want)
+		st, err := Build(cfg.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := workload.RunMicro(st.World, st.Target.VCPUs[0], m, st.Net, microIters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Total != want {
+			t.Errorf("%s/%s: breakdown total %v, unobserved run measures %v", r.Micro, r.Config, r.Total, want)
 		}
 	}
 }
 
 // TestStageBreakdownWidthIdentity is the pool-determinism contract for the
-// new figure: the rendered breakdown is byte-identical at widths 1, 4 and 8.
+// breakdown: the rendered table is byte-identical at widths 1, 4 and 8, each
+// run from an empty cell memo.
 func TestStageBreakdownWidthIdentity(t *testing.T) {
 	render := textOf(t, "stages")
-	sequential := runWidth(t, 1, render)
+	sequential, _ := runFresh(t, 1, render)
 	for _, width := range []int{4, 8} {
-		if got := runWidth(t, width, render); got != sequential {
+		got, n := runFresh(t, width, render)
+		if n == 0 {
+			t.Errorf("width %d computed no cells; a memo hit would make the comparison vacuous", width)
+		}
+		if got != sequential {
 			t.Errorf("width %d diverges from sequential:\n--- width %d ---\n%s\n--- sequential ---\n%s",
 				width, width, got, sequential)
 		}
-	}
-}
-
-// TestMergedStageStats checks that folding the per-cell stats preserves the
-// grand totals and transaction counts.
-func TestMergedStageStats(t *testing.T) {
-	rows, err := StageBreakdown()
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := MergedStageStats(rows)
-	var wantCycles sim.Cycles
-	var wantTxns uint64
-	for _, r := range rows {
-		wantCycles += r.Stats.TotalCycles()
-		wantTxns += r.Stats.TotalSettled()
-	}
-	if merged.TotalCycles() != wantCycles {
-		t.Errorf("merged cycles %v, want %v", merged.TotalCycles(), wantCycles)
-	}
-	if merged.TotalSettled() != wantTxns {
-		t.Errorf("merged transactions %d, want %d", merged.TotalSettled(), wantTxns)
 	}
 }

@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"repro/internal/sim"
-	"repro/internal/workload"
-)
+import "repro/internal/workload"
 
 // stormEvents sizes a delivery-storm run. Costs are deterministic, so the
 // average converges as soon as every event shape has fired; a multiple of
@@ -14,11 +11,7 @@ const stormEvents = 64
 // the Table 3 configurations, in average cycles per delivered event — the
 // end-to-end view of what the delivery paths (injection, cascade, wake) cost
 // at each depth and how much of it DVH removes.
-func DeliveryStorms() ([]Table3Row, error) {
-	return table3Matrix(workload.Storms(), func(st *Stack, s workload.Storm) (sim.Cycles, error) {
-		return workload.RunStorm(st.World, st.Target.VCPUs[0], s, stormEvents)
-	})
-}
+func DeliveryStorms() ([]Table3Row, error) { return table3Matrix(workload.Storms()) }
 
 // FormatStorms renders the storm matrix in Table 3's column layout.
 func FormatStorms(rows []Table3Row) string {

@@ -30,7 +30,7 @@ type WorkloadStageRow struct {
 // return in cell order, byte-identical at any width and across plan-cache
 // modes.
 func WorkloadStageBreakdown() ([]WorkloadStageRow, error) {
-	return appCells(figure7Configs, workload.Profiles(), func(label string, rec *cellRecord) WorkloadStageRow {
+	return cellsOf(figure7Configs, workload.Profiles(), func(label string, rec *cellRecord) WorkloadStageRow {
 		row := WorkloadStageRow{Workload: rec.result.Profile.Name, Config: label}
 		for s := 0; s < trace.NumStages; s++ {
 			row.Stages[s] = rec.stages.StageTotal(s)
