@@ -48,12 +48,13 @@ bench-compare:
 	$(GO) run ./cmd/nvperf -compare BENCH_10.json
 
 # FUZZ_TARGETS are the native fuzz targets as package:Target pairs — the
-# invariant-checker targets in internal/check, the sparse bitmap and
-# byte-extent address-space differentials in internal/mem, and the event
-# engine's heap-vs-sorted-slice differential in internal/sim. go test allows
-# only one -fuzz per invocation, so fuzz-smoke loops. FUZZTIME=100x bounds
-# each target to 100 new inputs beyond the seed corpus — a mutation smoke
-# pass, not a campaign; use `make fuzz FUZZTIME=30s` for a real one.
+# invariant-checker targets in internal/check, the sparse bitmap, byte-extent
+# address-space and cached page-table walk differentials in internal/mem,
+# and the event engine's heap-vs-sorted-slice differential in internal/sim.
+# go test allows only one -fuzz per invocation, so fuzz-smoke loops.
+# FUZZTIME=100x bounds each target to 100 new inputs beyond the seed corpus
+# — a mutation smoke pass, not a campaign; use `make fuzz FUZZTIME=30s` for
+# a real one.
 FUZZ_TARGETS := \
 	./internal/check/:FuzzHistogram \
 	./internal/check/:FuzzLAPIC \
@@ -64,6 +65,7 @@ FUZZ_TARGETS := \
 	./internal/check/:FuzzPlanCache \
 	./internal/mem/:FuzzBitmap \
 	./internal/mem/:FuzzAddressSpace \
+	./internal/mem/:FuzzPageTable \
 	./internal/sim/:FuzzEngine
 FUZZTIME ?= 100x
 

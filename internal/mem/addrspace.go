@@ -39,16 +39,38 @@ func (p PFN) Base() Addr { return Addr(p) << PageShift }
 // set and dirty log are sparse bitmaps, so host cost follows the pages and
 // bytes a run touches, never the nominal size. It serves as host physical
 // memory for the machine and as guest-physical memory for every VM level.
+//
+// Like a PageTable, an AddressSpace is not safe for concurrent use, even by
+// readers only: Read updates the last-leaf cache.
 type AddressSpace struct {
 	name   string
 	npages PFN
-	// frames holds each materialized page's extent. Its capacity is a size
-	// class (frameCap); bytes between length and capacity may be stale and
-	// are cleared before a growth exposes them.
-	frames  map[PFN][]byte
-	dirty   *Bitmap // non-nil while dirty logging is active
-	written *Bitmap // every page ever written; migration's first pass sends these
+	// leaves holds each materialized page's extent, in leaves of leafPages
+	// frames keyed by p >> leafShift. An extent's capacity is a size class
+	// (frameCap); bytes between length and capacity may be stale and are
+	// cleared before a growth exposes them.
+	leaves map[PFN]*frameLeaf
+	// last caches leaves[lastKey], nil when that leaf is absent (the zero
+	// pair fits an empty space), so a sequential scan hashes once per leaf.
+	// Leaves are never removed, and setFrame updates it when it adds one.
+	last     *frameLeaf
+	lastKey  PFN
+	resident int     // frames with an extent, for ResidentPages
+	dirty    *Bitmap // non-nil while dirty logging is active
+	written  *Bitmap // every page ever written; migration's first pass sends these
 }
+
+// leafShift sets a frame leaf's span: leafPages consecutive frames.
+const (
+	leafShift = 6
+	leafPages = 1 << leafShift
+)
+
+// frameLeaf holds the extents of leafPages consecutive frames, 1.5 KiB,
+// allocated on the first write into its range. Leaves are keyed by a map,
+// not indexed by a table sized to the highest frame written, so a lone page
+// high in a large space costs one leaf.
+type frameLeaf [leafPages][]byte
 
 // minFrame is the smallest frame size class: one quadword, the unit virtio
 // descriptors and migration's churn write.
@@ -69,7 +91,7 @@ func NewAddressSpace(name string, size uint64) *AddressSpace {
 	return &AddressSpace{
 		name:    name,
 		npages:  np,
-		frames:  make(map[PFN][]byte),
+		leaves:  make(map[PFN]*frameLeaf),
 		written: NewBitmap(uint64(np)),
 	}
 }
@@ -86,12 +108,36 @@ func (as *AddressSpace) Size() uint64 { return uint64(as.npages) * PageSize }
 // Contains reports whether the address lies inside the space.
 func (as *AddressSpace) Contains(a Addr) bool { return PageOf(a) < as.npages }
 
-// frame returns page p's extent, nil for a page never written.
+// frame returns page p's extent, nil for a page never written. It never
+// allocates; a hash lookup happens only when p's leaf is not the cached one.
 func (as *AddressSpace) frame(p PFN) ([]byte, error) {
 	if p >= as.npages {
 		return nil, as.beyond(p)
 	}
-	return as.frames[p], nil
+	if k := p >> leafShift; k != as.lastKey {
+		as.last, as.lastKey = as.leaves[k], k
+	}
+	if as.last == nil {
+		return nil, nil
+	}
+	return as.last[p&(leafPages-1)], nil
+}
+
+// setFrame makes f, a non-nil extent, page p's frame, materializing p's
+// leaf on the first write into its range. Only the write paths call it.
+func (as *AddressSpace) setFrame(p PFN, f []byte) {
+	if k := p >> leafShift; k != as.lastKey {
+		as.last, as.lastKey = as.leaves[k], k
+	}
+	if as.last == nil {
+		as.last = new(frameLeaf)
+		as.leaves[as.lastKey] = as.last
+	}
+	s := &as.last[p&(leafPages-1)]
+	if *s == nil {
+		as.resident++
+	}
+	*s = f
 }
 
 func (as *AddressSpace) beyond(p PFN) error {
@@ -105,14 +151,14 @@ func (as *AddressSpace) grow(p PFN, f []byte, end int) []byte {
 	if end <= cap(f) {
 		g := f[:end]
 		clear(g[len(f):])
-		as.frames[p] = g
+		as.setFrame(p, g)
 		return g
 	}
 	// Sparse backing store: a frame materializes on first write and grows
 	// by size class. Reads never reach this.
 	g := make([]byte, end, frameCap(end))
 	copy(g, f)
-	as.frames[p] = g
+	as.setFrame(p, g)
 	return g
 }
 
@@ -185,7 +231,7 @@ func CopyFrame(dst *AddressSpace, dp PFN, src *AddressSpace, sp PFN) error {
 		df = make([]byte, 0, frameCap(len(sf)))
 	}
 	if df != nil { // an empty source over an absent frame leaves it absent
-		dst.frames[dp] = append(df[:0], sf...)
+		dst.setFrame(dp, append(df[:0], sf...))
 	}
 	dst.mark(dp)
 	return nil
@@ -278,4 +324,4 @@ func (as *AddressSpace) StopDirtyLog() { as.dirty = nil }
 func (as *AddressSpace) WrittenPages() []PFN { return as.written.PFNs() }
 
 // ResidentPages returns the number of frames with backing storage allocated.
-func (as *AddressSpace) ResidentPages() int { return len(as.frames) }
+func (as *AddressSpace) ResidentPages() int { return as.resident }

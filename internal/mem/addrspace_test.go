@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -70,8 +71,9 @@ func sortedPFNs(set map[PFN]bool) []PFN {
 
 // Address-space fuzz steps are asStepLen-byte records: an opcode, a space
 // selector (bit 0 picks the acted-on space; bit 1 makes the other operand
-// the other space instead of the same one), two little-endian 16-bit
-// operands x and y, and a value byte v.
+// the other space instead of the same one; bits 2-7 pick the 16-page window
+// a byte address x lies in), two little-endian 16-bit operands x and y, and
+// a value byte v.
 const (
 	asOpWrite = iota
 	asOpRead
@@ -95,8 +97,10 @@ func asStep(op, sel byte, x, y uint16, v byte) []byte {
 // reference over two spaces: writes and reads at any offset and length
 // (across pages and off the end), WriteU64, MarkPageDirty, CopyFrame in
 // both directions and within one space, EqualFrames, and dirty logging.
-// Every read, EqualFrames answer, CollectDirty and, after every step,
-// WrittenPages must match the model, as must every byte at the end.
+// The second space spans three frame leaves, the last one partly, so steps
+// cross leaf boundaries and alternate between leaves. Every read,
+// EqualFrames answer, CollectDirty and, after every step, WrittenPages must
+// match the model, as must every byte at the end.
 func FuzzAddressSpace(f *testing.F) {
 	// The stale tail: a full frame shrunk by copying an 8-byte frame over
 	// it keeps its capacity; growing it again by one byte at offset 100
@@ -125,9 +129,27 @@ func FuzzAddressSpace(f *testing.F) {
 		asStep(asOpStopLog, 0, 0, 0, 0),
 		asStep(asOpCollect, 0, 0, 0, 0),
 	}, nil))
+	// Writes and reads alternating between the same slot of the first and
+	// third leaf, where a cached leaf used under the wrong key mixes the two
+	// pages up, then a read across the first leaf boundary and a copy and
+	// compare between leaves.
+	const win8, win4, win3 = 8 << 2, 4 << 2, 3 << 2 // windows from pages 128, 64 and 48
+	f.Add(bytes.Join([][]byte{
+		asStep(asOpWrite, 1, PageSize+8, 16, 3),
+		asStep(asOpWrite, 1|win8, PageSize+8, 16, 5),
+		asStep(asOpRead, 1, PageSize, 64, 0),
+		asStep(asOpWrite, 1, PageSize+12, 8, 7),
+		asStep(asOpRead, 1|win8, PageSize, 64, 0),
+		asStep(asOpWriteU64, 1|win4, 0, 0, 9),
+		asStep(asOpRead, 1|win3, 16*PageSize-16, 32, 0),
+		asStep(asOpCopyFrame, 1, 129, 1, 0),
+		asStep(asOpEqualFrames, 1, 1, 129, 0),
+		asStep(asOpRead, 1|win8, PageSize, 64, 0),
+	}, nil))
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		spaces := [2]*AddressSpace{NewAddressSpace("a", 4*PageSize), NewAddressSpace("b", 5*PageSize)}
-		refs := [2]*refSpace{newRefSpace(4), newRefSpace(5)}
+		const bPages = 2*leafPages + 5
+		spaces := [2]*AddressSpace{NewAddressSpace("a", 4*PageSize), NewAddressSpace("b", bPages*PageSize)}
+		refs := [2]*refSpace{newRefSpace(4), newRefSpace(bPages)}
 		for step := 0; len(ops) >= asStepLen; step++ {
 			op, sel, v := ops[0]%asNumOps, ops[1], ops[6]
 			x, y := binary.LittleEndian.Uint16(ops[2:]), binary.LittleEndian.Uint16(ops[4:])
@@ -137,7 +159,7 @@ func FuzzAddressSpace(f *testing.F) {
 			as, ref := spaces[i], refs[i]
 			// Addresses and frames reach one page past the end, lengths two
 			// pages, so bounds failures are exercised too.
-			a := Addr(uint32(x) % uint32((ref.npages+1)*PageSize))
+			a := Addr((uint32(sel>>2)<<16 | uint32(x)) % uint32((ref.npages+1)*PageSize))
 			n := int(y) % (2*PageSize + 1)
 			p, q := PFN(x)%(ref.npages+1), PFN(y)%(refs[j].npages+1)
 			switch op {
@@ -223,4 +245,30 @@ func FuzzAddressSpace(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestAddressSpaceSparseAlloc pins the cost of a first write to the regions
+// it touches, not to how far into the space it lands: one WriteU64 into a
+// fresh 96 GiB space, at its first frame, at frame 0x300011 (12 GiB in,
+// where an L2 DVH stack's only written host page lies) and at its last
+// frame, must each allocate at most 16 KiB, construction included. An index
+// sized to the highest frame written, such as a flat table over frame
+// leaves, costs ~60 KB at 0x300011. Bytes allocated are deterministic, so
+// the budget holds on any host.
+func TestAddressSpaceSparseAlloc(t *testing.T) {
+	const size, budget = 96 << 30, 16 << 10
+	for _, p := range []PFN{0, 0x300011, size/PageSize - 1} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		as := NewAddressSpace("host", size)
+		if err := as.WriteU64(p.Base(), 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Errorf("a write at frame %#x allocated %d bytes, budget %d", p, got, budget)
+		} else {
+			t.Logf("a write at frame %#x allocated %d bytes", p, got)
+		}
+	}
 }

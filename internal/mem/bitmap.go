@@ -52,7 +52,14 @@ func (b *Bitmap) Set(i uint64) {
 // It runs once per chunk: the first write into a 128 MiB region.
 func (b *Bitmap) materialize(c uint64) {
 	if c >= uint64(len(b.chunks)) {
-		b.chunks = append(b.chunks, make([]*chunk, c+1-uint64(len(b.chunks)))...)
+		// Grown by hand, not with append(b.chunks, make(...)...): under the
+		// race detector that idiom also allocates the appended nils.
+		if c >= uint64(cap(b.chunks)) {
+			grown := make([]*chunk, len(b.chunks), max(c+1, 2*uint64(cap(b.chunks))))
+			copy(grown, b.chunks)
+			b.chunks = grown
+		}
+		b.chunks = b.chunks[:c+1]
 	}
 	if b.chunks[c] == nil {
 		b.chunks[c] = new(chunk)

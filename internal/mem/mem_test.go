@@ -417,52 +417,3 @@ func TestTranslationChainMovesBytes(t *testing.T) {
 		t.Fatal("payload did not arrive at translated host address")
 	}
 }
-
-func TestHugePageMapping(t *testing.T) {
-	pt := NewPageTable()
-	if err := pt.MapHuge(512, 2048, PermRW); err != nil {
-		t.Fatal(err)
-	}
-	// Any frame inside the 2 MiB span translates, with a 3-level walk.
-	w := pt.Lookup(512+77, PermWrite)
-	if !w.Present || w.PFN != 2048+77 {
-		t.Fatalf("huge lookup = %+v", w)
-	}
-	if w.LevelsTouched != 3 {
-		t.Fatalf("huge walk touched %d levels, want 3", w.LevelsTouched)
-	}
-	// Frames outside the span do not.
-	if pt.Lookup(512+HugePageFrames, PermRead).Present {
-		t.Fatal("lookup past the huge span translated")
-	}
-	a, err := pt.Translate(Addr(600)*PageSize+99, PermRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != Addr(2048+600-512)*PageSize+99 {
-		t.Fatalf("huge translate = %#x", uint64(a))
-	}
-}
-
-func TestHugePageValidation(t *testing.T) {
-	pt := NewPageTable()
-	if err := pt.MapHuge(5, 2048, PermRW); err == nil {
-		t.Fatal("unaligned source accepted")
-	}
-	if err := pt.MapHuge(512, 7, PermRW); err == nil {
-		t.Fatal("unaligned target accepted")
-	}
-	// A huge mapping must not silently shadow existing 4K mappings.
-	pt.Map(1024+3, 99, PermRW)
-	if err := pt.MapHuge(1024, 4096, PermRW); err == nil {
-		t.Fatal("huge mapping over existing 4K entries accepted")
-	}
-	// And 4K mappings in untouched regions coexist with huge ones.
-	if err := pt.MapHuge(2048, 8192, PermRW); err != nil {
-		t.Fatal(err)
-	}
-	pt.Map(4096, 1, PermRW)
-	if !pt.Lookup(2048+1, PermRead).Present || !pt.Lookup(4096, PermRead).Present {
-		t.Fatal("huge and 4K mappings do not coexist")
-	}
-}

@@ -40,9 +40,18 @@ func (p Perm) String() string {
 //
 // Walks traverse the actual radix structure so their cost (levels touched)
 // is an output of the data structure, not a constant.
+//
+// A PageTable is not safe for concurrent use, even by readers only: Lookup
+// stamps A/D bits and updates the last-leaf cache.
 type PageTable struct {
 	root   *ptNode // nil until the first mapping: an empty table costs no node
 	mapped int
+	// last caches the level-4 node a walk last reached, and lastKey its
+	// prefix (from >> 9), so consecutive frames under one node skip the
+	// descent. No generation guards it: interior nodes are freed or
+	// replaced only by Clear, which drops it.
+	last    *ptNode
+	lastKey PFN
 }
 
 // ptLevels is the radix depth: 4 levels of 9 bits cover 48-bit addresses.
@@ -59,13 +68,7 @@ type ptEntry struct {
 	present  bool
 	accessed bool
 	dirty    bool
-	// huge marks a level-3 leaf covering HugePageFrames frames (a 2 MiB
-	// mapping), the large-page optimization real EPTs use to shorten walks.
-	huge bool
 }
-
-// HugePageFrames is the span of one huge mapping: 512 base frames = 2 MiB.
-const HugePageFrames = 512
 
 // NewPageTable returns an empty table. Its top-level node is allocated by
 // the first mapping, so tables that are never populated (an idle vIOMMU
@@ -82,87 +85,64 @@ func (t *PageTable) top() *ptNode {
 	return t.root
 }
 
-// indices splits a frame number into its per-level radix indices, highest
-// level first.
-func indices(p PFN) [ptLevels]int {
-	var ix [ptLevels]int
-	for l := 0; l < ptLevels; l++ {
-		shift := uint(9 * (ptLevels - 1 - l))
-		ix[l] = int((uint64(p) >> shift) & 0x1ff)
-	}
-	return ix
-}
-
 // Map installs a translation from frame from to frame to with the given
 // permissions, building intermediate levels as needed. Remapping an existing
 // entry overwrites it.
 func (t *PageTable) Map(from, to PFN, perms Perm) {
-	ix := indices(from)
-	node := t.top()
-	for l := 0; l < ptLevels-1; l++ {
-		e := &node.entries[ix[l]]
-		if e.next == nil {
-			e.next = &ptNode{}
-			e.present = true
+	node, _ := t.levelFour(from)
+	if node == nil {
+		node = t.top()
+		for shift := 9 * (ptLevels - 1); shift > 0; shift -= 9 {
+			e := &node.entries[from>>shift&0x1ff]
+			if e.next == nil {
+				e.next = &ptNode{}
+				e.present = true
+			}
+			node = e.next
 		}
-		node = e.next
+		t.last, t.lastKey = node, from>>9
 	}
-	leaf := &node.entries[ix[ptLevels-1]]
+	leaf := &node.entries[from&0x1ff]
 	if !leaf.present {
 		t.mapped++
 	}
 	*leaf = ptEntry{pfn: to, perms: perms, present: true}
 }
 
-// MapHuge installs a 2 MiB translation: from and to must be aligned to
-// HugePageFrames. The mapping terminates the walk one level early, exactly
-// as hardware large pages do.
-func (t *PageTable) MapHuge(from, to PFN, perms Perm) error {
-	if from%HugePageFrames != 0 || to%HugePageFrames != 0 {
-		return fmt.Errorf("mem: huge mapping %#x -> %#x not 2MiB aligned", uint64(from), uint64(to))
-	}
-	ix := indices(from)
-	node := t.top()
-	for l := 0; l < ptLevels-2; l++ {
-		e := &node.entries[ix[l]]
-		if e.next == nil {
-			e.next = &ptNode{}
-			e.present = true
-		}
-		node = e.next
-	}
-	leaf := &node.entries[ix[ptLevels-2]]
-	if leaf.next != nil {
-		return fmt.Errorf("mem: huge mapping at %#x would shadow existing 4K mappings", uint64(from))
-	}
-	if !leaf.present {
-		t.mapped++
-	}
-	*leaf = ptEntry{pfn: to, perms: perms, present: true, huge: true}
-	return nil
-}
-
 // Unmap removes a translation, reporting whether one existed.
 func (t *PageTable) Unmap(from PFN) bool {
-	if t.root == nil {
+	node, _ := t.levelFour(from)
+	if node == nil {
 		return false
 	}
-	ix := indices(from)
-	node := t.root
-	for l := 0; l < ptLevels-1; l++ {
-		e := &node.entries[ix[l]]
-		if e.next == nil {
-			return false
-		}
-		node = e.next
-	}
-	leaf := &node.entries[ix[ptLevels-1]]
+	leaf := &node.entries[from&0x1ff]
 	if !leaf.present {
 		return false
 	}
 	*leaf = ptEntry{}
 	t.mapped--
 	return true
+}
+
+// levelFour returns the level-4 node covering frame from, caching it, and
+// the number of nodes a walk visits above it. A walk that stops early on a
+// missing entry returns nil and the nodes it visited; an empty table counts
+// its absent top level as one.
+func (t *PageTable) levelFour(from PFN) (*ptNode, int) {
+	if t.last != nil && t.lastKey == from>>9 {
+		return t.last, ptLevels - 1
+	}
+	if t.root == nil {
+		return nil, 1
+	}
+	node := t.root
+	for shift := 9 * (ptLevels - 1); shift > 0; shift -= 9 {
+		if node = node.entries[from>>shift&0x1ff].next; node == nil {
+			return nil, ptLevels - shift/9
+		}
+	}
+	t.last, t.lastKey = node, from>>9
+	return node, ptLevels - 1
 }
 
 // Walk describes the result of a page-table walk.
@@ -180,37 +160,15 @@ type Walk struct {
 }
 
 // Lookup walks the table for frame from, setting accessed (and, for write
-// access, dirty) bits like hardware A/D-bit tracking.
+// access, dirty) bits like hardware A/D-bit tracking. A hit in the last-leaf
+// cache reports the same Walk, LevelsTouched included, as the full descent.
 func (t *PageTable) Lookup(from PFN, access Perm) Walk {
-	if t.root == nil {
-		// An empty table: the walk reads the (all-clear) top level and stops.
-		return Walk{LevelsTouched: 1}
+	node, levels := t.levelFour(from)
+	if node == nil {
+		return Walk{LevelsTouched: levels}
 	}
-	ix := indices(from)
-	node := t.root
-	w := Walk{}
-	for l := 0; l < ptLevels-1; l++ {
-		w.LevelsTouched++
-		e := &node.entries[ix[l]]
-		if l == ptLevels-2 && e.present && e.huge {
-			// Huge leaf: the walk ends a level early; the low 9 index bits
-			// select the frame inside the 2 MiB span.
-			w.Present = true
-			w.PFN = e.pfn + from%HugePageFrames
-			w.Perms = e.perms
-			e.accessed = true
-			if access.Has(PermWrite) && e.perms.Has(PermWrite) {
-				e.dirty = true
-			}
-			return w
-		}
-		if e.next == nil {
-			return w
-		}
-		node = e.next
-	}
-	w.LevelsTouched++
-	leaf := &node.entries[ix[ptLevels-1]]
+	w := Walk{LevelsTouched: levels + 1}
+	leaf := &node.entries[from&0x1ff]
 	if !leaf.present {
 		return w
 	}
@@ -243,26 +201,7 @@ func (t *PageTable) Mapped() int { return t.mapped }
 
 // ForEach visits every installed translation in ascending frame order.
 func (t *PageTable) ForEach(fn func(from, to PFN, perms Perm)) {
-	var walk func(n *ptNode, prefix PFN, level int)
-	walk = func(n *ptNode, prefix PFN, level int) {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if !e.present && e.next == nil {
-				continue
-			}
-			p := prefix<<9 | PFN(i)
-			if level == ptLevels-1 {
-				if e.present {
-					fn(p, e.pfn, e.perms)
-				}
-			} else if e.next != nil {
-				walk(e.next, p, level+1)
-			}
-		}
-	}
-	if t.root != nil {
-		walk(t.root, 0, 0)
-	}
+	t.ForEachEntry(func(e Entry) { fn(e.From, e.To, e.Perms) })
 }
 
 // Entry describes one installed translation with its A/D tracking state.
@@ -271,7 +210,6 @@ type Entry struct {
 	Perms    Perm
 	Accessed bool
 	Dirty    bool
-	Huge     bool
 }
 
 // ForEachEntry visits every installed translation in ascending frame order,
@@ -282,19 +220,12 @@ func (t *PageTable) ForEachEntry(fn func(Entry)) {
 	walk = func(n *ptNode, prefix PFN, level int) {
 		for i := range n.entries {
 			e := &n.entries[i]
-			if !e.present && e.next == nil {
-				continue
-			}
 			p := prefix<<9 | PFN(i)
 			switch {
-			case level == ptLevels-1:
-				if e.present {
-					fn(Entry{From: p, To: e.pfn, Perms: e.perms, Accessed: e.accessed, Dirty: e.dirty})
-				}
-			case level == ptLevels-2 && e.present && e.huge:
-				fn(Entry{From: p << 9, To: e.pfn, Perms: e.perms, Accessed: e.accessed, Dirty: e.dirty, Huge: true})
 			case e.next != nil:
 				walk(e.next, p, level+1)
+			case level == ptLevels-1 && e.present:
+				fn(Entry{From: p, To: e.pfn, Perms: e.perms, Accessed: e.accessed, Dirty: e.dirty})
 			}
 		}
 	}
@@ -320,8 +251,9 @@ func (t *PageTable) Combine(next *PageTable) *PageTable {
 	return out
 }
 
-// Clear removes every translation.
+// Clear removes every translation. It frees every node, so it drops the
+// last-leaf cache too.
 func (t *PageTable) Clear() {
-	t.root = nil
+	t.root, t.last = nil, nil
 	t.mapped = 0
 }
