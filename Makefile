@@ -29,13 +29,14 @@ lint:
 # bench runs the harness and hot-path benchmarks: Figure 7 sequential vs
 # parallel pool (each iteration clears the cell memo, so it times
 # simulation, not memo hits), the allocation-free nested Execute path in
-# both plan modes, and the workload runner's Run and RunFor (ns and
-# allocs per transaction).
+# both plan modes, one cold plan compile at L2-L4 traced and untraced
+# (ns and bytes per compile), and the workload runner's Run and RunFor (ns
+# and allocs per transaction).
 # It then regenerates BENCH_10.json, the committed machine-readable artifact
 # (per-figure modeled cycles and overheads plus ns/op and allocs/op for the
 # pipeline's hot paths, uncached vs replayed).
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkFigure7|BenchmarkExecuteNested|BenchmarkExecute/|BenchmarkRunnerRun' -benchmem ./internal/experiment/ ./internal/hyper/ ./internal/workload/
+	$(GO) test -run='^$$' -bench='BenchmarkFigure7|BenchmarkExecuteNested|BenchmarkExecute/|BenchmarkCompilePlan|BenchmarkRunnerRun' -benchmem ./internal/experiment/ ./internal/hyper/ ./internal/workload/
 	$(GO) run ./cmd/nvperf -o BENCH_10.json
 
 # bench-compare re-collects the artifact and gates it against the committed

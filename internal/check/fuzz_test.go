@@ -258,12 +258,14 @@ const (
 	pcProvideVIOMMU
 	pcDisableDVH
 	pcSwapPersonality
+	pcToggleTracer
 	pcNumSteps
 )
 
-// planCacheStep applies one decoded step to a stack and returns the cycles
-// the boundary charged (0 for mutations) and its error.
-func planCacheStep(st *experiment.Stack, op, arg byte) (sim.Cycles, error) {
+// planCacheStep applies one decoded step to a stack whose timeline recorder
+// is rec, and returns the cycles the boundary charged (0 for mutations) and
+// its error.
+func planCacheStep(st *experiment.Stack, rec *trace.Recorder, op, arg byte) (sim.Cycles, error) {
 	w := st.World
 	v := st.Target.VCPUs[int(arg)%len(st.Target.VCPUs)]
 	// Guest hypervisors sit at levels 1..depth-1; mutations that need one
@@ -324,6 +326,14 @@ func planCacheStep(st *experiment.Stack, op, arg byte) (sim.Cycles, error) {
 		if gh != nil {
 			gh.Personality = []hyper.Personality{hyper.KVM{}, xen.Xen{}, hyperv.HyperV{}}[int(arg>>4)%3]
 		}
+	case pcToggleTracer:
+		// Plans compiled while detached keep no timeline; the first charge
+		// after the re-attach must recompile them, not replay them silent.
+		if w.Tracer != nil {
+			w.Tracer = nil
+		} else {
+			w.Tracer = rec
+		}
 	}
 	return 0, nil
 }
@@ -338,7 +348,8 @@ const planCacheMaxSteps = 48
 // sequence on two Builds of the spec — one replaying compiled plans, one
 // walking every charge tree live — and requires identical per-step costs and
 // errors, identical Stats and trace timelines, and zero invariant violations
-// on both.
+// on both. Each World starts with its own recorder attached; the tracer
+// toggle detaches it and re-attaches the same one.
 func FuzzPlanCache(f *testing.F) {
 	steps := func(spec []byte, ops ...byte) []byte { return append(spec, ops...) }
 	// Warm forward, injection, cascade and wake plans at L3, then swap the
@@ -352,6 +363,19 @@ func FuzzPlanCache(f *testing.F) {
 	f.Add(steps([]byte{1, 3, 1},
 		pcProgramTimer, 3, pcHalt, 0, pcTimerIRQ, 0, pcDevNotify, 0, pcDeviceIRQ, 0, pcEOI, 0,
 		pcDisableDVH, 0xfc, pcHalt, 0, pcTimerIRQ, 0, pcWake, 0, pcDevNotify, 0, pcHypercall, 0))
+	// A depth-4 stack, the deepest subtree merges: warm untraced, toggle
+	// VMCS shadowing and swap the L2 personality under the warm plans, then
+	// attach the tracer and replay.
+	f.Add(steps([]byte{3, 0, 0},
+		pcToggleTracer, 0, pcHypercall, 0, pcTimerIRQ, 0, pcToggleShadowing, 0, pcHypercall, 0,
+		pcSwapPersonality, 0x11, pcHypercall, 0, pcTimerIRQ, 0, pcToggleTracer, 0, pcHypercall, 0,
+		pcToggleShadowing, 0, pcHypercall, 0, pcTimerIRQ, 0))
+	// Forward, injection, cascade and wake plans warmed untraced at L3, then
+	// an attach, then the same boundaries again: each must recompile traced.
+	f.Add(steps([]byte{2, 0, 0},
+		pcToggleTracer, 0, pcHypercall, 0, pcTimerIRQ, 0, pcDeviceRX, 0, pcHalt, 1, pcSendIPI, 0x10,
+		pcHalt, 1, pcWake, 1, pcToggleTracer, 0, pcHypercall, 0, pcTimerIRQ, 0, pcDeviceRX, 0,
+		pcHalt, 1, pcSendIPI, 0x10, pcHalt, 1, pcWake, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -365,24 +389,26 @@ func FuzzPlanCache(f *testing.F) {
 		if len(data) > 2*planCacheMaxSteps {
 			data = data[:2*planCacheMaxSteps]
 		}
-		build := func(cache bool) *experiment.Stack {
+		build := func(cache bool) (*experiment.Stack, *trace.Recorder) {
 			st, err := experiment.Build(spec)
 			if err != nil {
-				return nil
+				return nil, nil
 			}
 			st.World.SetPlanCache(cache)
-			st.World.Tracer = trace.NewRecorder(1 << 12)
+			rec := trace.NewRecorder(1 << 12)
+			st.World.Tracer = rec
 			st.AttachChecker()
-			return st
+			return st, rec
 		}
-		cached, live := build(true), build(false)
+		cached, cachedRec := build(true)
+		live, liveRec := build(false)
 		if cached == nil {
 			// Invalid cells (e.g. DVH at depth 1) are rejected by Build.
 			return
 		}
 		for i := 0; i+1 < len(data); i += 2 {
-			cc, cerr := planCacheStep(cached, data[i], data[i+1])
-			lc, lerr := planCacheStep(live, data[i], data[i+1])
+			cc, cerr := planCacheStep(cached, cachedRec, data[i], data[i+1])
+			lc, lerr := planCacheStep(live, liveRec, data[i], data[i+1])
 			if cc != lc || fmt.Sprint(cerr) != fmt.Sprint(lerr) {
 				t.Fatalf("%+v step %d (op %d arg %d): cached %v (err %v), live %v (err %v)",
 					spec, i/2, data[i]%pcNumSteps, data[i+1], cc, cerr, lc, lerr)
@@ -391,9 +417,9 @@ func FuzzPlanCache(f *testing.F) {
 		if cs, ls := cached.Machine.Stats.String(), live.Machine.Stats.String(); cs != ls {
 			t.Fatalf("%+v: stats diverge:\n--- cached ---\n%s--- live ---\n%s", spec, cs, ls)
 		}
-		if !reflect.DeepEqual(cached.World.Tracer.Events(), live.World.Tracer.Events()) {
+		if !reflect.DeepEqual(cachedRec.Events(), liveRec.Events()) {
 			t.Fatalf("%+v: trace timelines diverge:\n--- cached ---\n%s--- live ---\n%s",
-				spec, cached.World.Tracer.Timeline(), live.World.Tracer.Timeline())
+				spec, cachedRec.Timeline(), liveRec.Timeline())
 		}
 		if err := cached.Checker.Finish(); err != nil {
 			t.Fatalf("%+v: cached world: %v", spec, err)

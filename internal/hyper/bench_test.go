@@ -1,9 +1,12 @@
 package hyper
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/trace"
+	"repro/internal/vmx"
 )
 
 // BenchmarkExecute measures the simulator's own (host wall-clock) speed for
@@ -39,6 +42,32 @@ func BenchmarkExecute(b *testing.B) {
 		}
 		run(vmName(depth)+"-replayed", true)
 		run(vmName(depth)+"-uncached", false)
+	}
+}
+
+// BenchmarkCompilePlan measures one cold compile of the forwarded-hypercall
+// plan at each depth, untraced (how every experiment runs) and traced (with
+// a Tracer attached, as nvtrace -timeline runs): host time and bytes per
+// compile.
+func BenchmarkCompilePlan(b *testing.B) {
+	for _, depth := range []int{2, 3, 4} {
+		for _, traced := range []bool{false, true} {
+			arm := "untraced"
+			if traced {
+				arm = "traced"
+			}
+			b.Run(fmt.Sprintf("L%d-%s", depth, arm), func(b *testing.B) {
+				w, stack := forwardCompileStack(b, depth, vmx.HardwareCaps)
+				if traced {
+					w.Tracer = trace.NewRecorder(16)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					w.compilePlan(stack, planForward, vmx.ExitVMCALL, depth-1)
+				}
+			})
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package hyper
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vmx"
@@ -26,11 +28,19 @@ import (
 // (*planBuilder) aggregates the same emissions into a plan. Replaying a plan
 // therefore cannot diverge from recomputing it: both are projections of the
 // same walk, and the A/B tests pin them together.
+//
+// Exit multiplication is self-similar: every privileged instruction a guest
+// hypervisor at Lk runs is an exit that Lk-1 handles with the same script,
+// whichever instruction of the tree it is. The compiling sink exploits that:
+// it compiles each distinct (level, reason) instruction subtree once per
+// compile and merges it n times, so a compile costs O(levels x distinct
+// subtrees) where the tree itself has O(exits) nodes.
 
 // chargeSink receives every emission of a charge tree: cycle charges per
-// hypervisor level, hardware- and handled-exit counts, and the ordered trace
-// events. Implementations: *World (live, charges the stats sink and trace
-// recorder) and *planBuilder (aggregates into a plan).
+// hypervisor level, hardware- and handled-exit counts, the ordered trace
+// events, and runs of privileged instructions. Implementations: *World
+// (live, charges the stats sink and trace recorder) and *planBuilder
+// (aggregates into a plan).
 type chargeSink interface {
 	chargeLevel(level int, c sim.Cycles)
 	hardwareExit(r vmx.ExitReason)
@@ -38,6 +48,10 @@ type chargeSink interface {
 	// traceEvent reports one hardware exit on the timeline; n identical
 	// consecutive events may be reported as one call with n > 1.
 	traceEvent(r vmx.ExitReason, from, handler, n int)
+	// privOps runs n consecutive privileged instructions with the given
+	// reason, executed by the hypervisor at level, and returns their total
+	// cost: exactly n walks of privOpCost into this sink.
+	privOps(stack []*Hypervisor, level int, reason vmx.ExitReason, n int) sim.Cycles
 }
 
 // chargeLevel implements chargeSink live: charges go straight to the stats
@@ -60,6 +74,16 @@ func (w *World) handledExit(r vmx.ExitReason, level int) {
 // no-op, and with n == 1 it is exactly Record).
 func (w *World) traceEvent(r vmx.ExitReason, from, handler, n int) {
 	w.Tracer.RecordRun(r, from, handler, n)
+}
+
+// privOps implements chargeSink live: it walks the instruction's subtree n
+// times, as the pre-cache engine did.
+func (w *World) privOps(stack []*Hypervisor, level int, reason vmx.ExitReason, n int) sim.Cycles {
+	var cost sim.Cycles
+	for i := 0; i < n; i++ {
+		cost += w.privOpCost(stack, level, reason, w)
+	}
+	return cost
 }
 
 // forwardCost is the pure cost/charge tree of one forwarded exit: the host
@@ -105,18 +129,14 @@ func (w *World) scriptCost(stack []*Hypervisor, level int, s Script, sink charge
 			cost += shadow
 			sink.chargeLevel(level, shadow)
 		} else {
-			for i := 0; i < s.VMAccesses; i++ {
-				cost += w.privOpCost(stack, level, vmx.ExitVMREAD, sink)
-			}
+			cost += sink.privOps(stack, level, vmx.ExitVMREAD, s.VMAccesses)
 		}
 	}
-	for i := 0; i < s.PrivOps; i++ {
-		cost += w.privOpCost(stack, level, vmx.ExitVMPTRLD, sink)
-	}
+	cost += sink.privOps(stack, level, vmx.ExitVMPTRLD, s.PrivOps)
 	cost += s.SoftWork
 	sink.chargeLevel(level, s.SoftWork)
 	if s.Resume {
-		cost += w.privOpCost(stack, level, vmx.ExitVMRESUME, sink)
+		cost += sink.privOps(stack, level, vmx.ExitVMRESUME, 1)
 	}
 	return cost
 }
@@ -231,22 +251,34 @@ type eventRun struct {
 	n             int
 }
 
-// plan is the compiled, immutable replay form of one charge tree. Replaying
-// it applies exactly the stats deltas and trace events the tree would emit,
-// in O(levels + deltas + runs) with zero allocations, and returns the
-// identical total cost.
-type plan struct {
+// deltas is everything a charge tree emits, aggregated: what replay
+// applies. A plan holds the deltas of its whole tree; a compile also builds
+// deltas for each privileged-instruction subtree it memoizes.
+type deltas struct {
 	// cost is the total cycles of the tree.
 	cost sim.Cycles
 	// levels holds the per-level ChargeLevel deltas, pre-clamped to the
 	// stats tables' level range.
 	levels [trace.MaxLevels]sim.Cycles
-	// hw and handled are the aggregated exit-count deltas, ordered by
+	// hw and handled are the aggregated exit-count deltas, kept sorted by
 	// (reason index) and (reason index, level) for deterministic replay.
 	hw      []reasonCount
 	handled []handledCount
-	// events is the ordered, run-length-encoded trace timeline.
+	// events is the ordered, run-length-encoded trace timeline. Only a
+	// traced compile records it.
 	events []eventRun
+}
+
+// plan is the compiled, immutable replay form of one charge tree. Replaying
+// it applies exactly the stats deltas and trace events the tree would emit,
+// in O(levels + deltas + runs) with zero allocations, and returns the
+// identical total cost.
+type plan struct {
+	deltas
+	// traced records that the plan was compiled with a Tracer attached and
+	// so holds the timeline; charge recompiles an untraced plan the first
+	// time it runs with a Tracer.
+	traced bool
 	// pers pins the plan to the personalities it was compiled against:
 	// pers[k] is stack[k].Personality for k in [1, pinned]. Personalities
 	// are value identities (stateless, comparable), so an in-place swap —
@@ -267,33 +299,78 @@ func (p *plan) matchesStack(stack []*Hypervisor) bool {
 	return true
 }
 
+// addHardware adds n hardware exits with reason r, keeping hw sorted.
+//
+//nvlint:cold
+func (d *deltas) addHardware(r vmx.ExitReason, n uint64) {
+	i := 0
+	for i < len(d.hw) && d.hw[i].reason.Index() < r.Index() {
+		i++
+	}
+	if i < len(d.hw) && d.hw[i].reason.Index() == r.Index() {
+		d.hw[i].n += n
+		return
+	}
+	d.hw = slices.Insert(d.hw, i, reasonCount{reason: r, n: n})
+}
+
+// addHandled adds n exits with reason r handled at the (clamped) level,
+// keeping handled sorted.
+//
+//nvlint:cold
+func (d *deltas) addHandled(r vmx.ExitReason, level int, n uint64) {
+	i := 0
+	for i < len(d.handled) && (d.handled[i].reason.Index() < r.Index() ||
+		d.handled[i].reason.Index() == r.Index() && d.handled[i].level < level) {
+		i++
+	}
+	if i < len(d.handled) && d.handled[i].reason.Index() == r.Index() && d.handled[i].level == level {
+		d.handled[i].n += n
+		return
+	}
+	d.handled = slices.Insert(d.handled, i, handledCount{reason: r, level: level, n: n})
+}
+
 // planBuilder is the compiling chargeSink: it aggregates a tree's emissions
-// into a plan. Dense scratch tables keep aggregation O(1) per emission;
-// finalize compacts them into the plan's sparse, index-ordered delta lists.
+// into d, straight into the sorted sparse lists replay reads. The builders
+// of one compile share the world and the subtree memo.
 type planBuilder struct {
-	plan    plan
-	hw      [vmx.NumReasonIndexes]uint64
-	handled [vmx.NumReasonIndexes][trace.MaxLevels]uint64
+	w *World
+	d *deltas
+	// memo holds each privileged-instruction subtree compiled so far, by
+	// (level, reason). A subtree reads only inputs that one compile holds
+	// fixed, so one walk serves every occurrence.
+	memo map[subtreeKey]*deltas
+}
+
+// subtreeKey names one privileged-instruction subtree of a compile.
+type subtreeKey struct {
+	level  int
+	reason vmx.ExitReason
 }
 
 // chargeLevel implements chargeSink, clamping exactly as the stats tables
 // do so a replayed charge lands on the same row a live charge would.
 func (b *planBuilder) chargeLevel(level int, c sim.Cycles) {
-	b.plan.levels[trace.ClampLevel(level)] += c
+	b.d.levels[trace.ClampLevel(level)] += c
 }
 
 // hardwareExit implements chargeSink.
-func (b *planBuilder) hardwareExit(r vmx.ExitReason) { b.hw[r.Index()]++ }
+func (b *planBuilder) hardwareExit(r vmx.ExitReason) { b.d.addHardware(r, 1) }
 
 // handledExit implements chargeSink, with RecordHandledExit's clamping.
 func (b *planBuilder) handledExit(r vmx.ExitReason, level int) {
-	b.handled[r.Index()][trace.ClampLevel(level)]++
+	b.d.addHandled(r, trace.ClampLevel(level), 1)
 }
 
-// traceEvent implements chargeSink: consecutive identical events collapse
-// into one run, preserving the exact event order of the tree.
+// traceEvent implements chargeSink: a compile with no Tracer attached
+// drops the event; a traced one collapses consecutive identical events into
+// one run, preserving the exact event order of the tree.
 func (b *planBuilder) traceEvent(r vmx.ExitReason, from, handler, n int) {
-	evs := b.plan.events
+	if b.w.Tracer == nil {
+		return
+	}
+	evs := b.d.events
 	if last := len(evs) - 1; last >= 0 &&
 		evs[last].reason == r && evs[last].from == from && evs[last].handler == handler {
 		evs[last].n += n
@@ -303,46 +380,69 @@ func (b *planBuilder) traceEvent(r vmx.ExitReason, from, handler, n int) {
 	// //nvlint:cold); it reaches the hot call graph solely through CHA over
 	// the chargeSink interface.
 	//nvlint:ignore hotalloc cold compile path; hot-reachable only via CHA over chargeSink
-	b.plan.events = append(evs, eventRun{reason: r, from: from, handler: handler, n: n})
+	b.d.events = append(evs, eventRun{reason: r, from: from, handler: handler, n: n})
 }
 
-// finalize compacts the dense scratch tables into the plan's sparse delta
-// lists, in fixed (reason index, level) order for deterministic replay.
-func (b *planBuilder) finalize() *plan {
-	for i := range b.hw {
-		if b.hw[i] > 0 {
-			b.plan.hw = append(b.plan.hw, reasonCount{reason: vmx.ExitReason(i), n: b.hw[i]})
+// privOps implements chargeSink: the first run of a (level, reason) in this
+// compile walks privOpCost once into a child builder, and every run merges
+// that subtree n times.
+//
+//nvlint:cold
+func (b *planBuilder) privOps(stack []*Hypervisor, level int, reason vmx.ExitReason, n int) sim.Cycles {
+	if n <= 0 {
+		return 0
+	}
+	key := subtreeKey{level: level, reason: reason}
+	sub := b.memo[key]
+	if sub == nil {
+		sub = &deltas{}
+		sub.cost = b.w.privOpCost(stack, level, reason, &planBuilder{w: b.w, d: sub, memo: b.memo})
+		b.memo[key] = sub
+	}
+	b.merge(sub, n)
+	return sub.cost * sim.Cycles(n)
+}
+
+// merge adds n copies of a subtree's deltas, exactly as n walks of it
+// would: sums scale by n, and the events are appended n times, a copy's
+// first run merging into the run before it where they match.
+func (b *planBuilder) merge(sub *deltas, n int) {
+	for l, c := range sub.levels {
+		b.d.levels[l] += c * sim.Cycles(n)
+	}
+	for _, h := range sub.hw {
+		b.d.addHardware(h.reason, h.n*uint64(n))
+	}
+	for _, h := range sub.handled {
+		b.d.addHandled(h.reason, h.level, h.n*uint64(n))
+	}
+	for i := 0; i < n; i++ {
+		for _, e := range sub.events {
+			b.traceEvent(e.reason, e.from, e.handler, e.n)
 		}
 	}
-	for i := range b.handled {
-		for l := 0; l < trace.MaxLevels; l++ {
-			if b.handled[i][l] > 0 {
-				b.plan.handled = append(b.plan.handled, handledCount{reason: vmx.ExitReason(i), level: l, n: b.handled[i][l]})
-			}
-		}
-	}
-	return &b.plan
 }
 
 // compilePlan walks one charge tree with the compiling sink and flattens it
 // into an immutable plan, pinning the personalities of the stack up to the
-// level. This is the cold path: it runs once per key, stack shape and
-// generation triple, and its cost is amortized across every replay.
+// level. The plan records the trace timeline only if a Tracer is attached.
+// This is the cold path: it runs once per key, stack shape and generation
+// triple, and its cost is amortized across every replay.
 //
 //nvlint:cold
 func (w *World) compilePlan(stack []*Hypervisor, kind planKind, reason vmx.ExitReason, level int) *plan {
-	b := &planBuilder{}
-	b.plan.cost = w.walk(stack, kind, reason, level, b)
-	b.plan.pinned = min(level, len(stack)-1)
-	for k := 1; k <= b.plan.pinned; k++ {
-		b.plan.pers[k] = stack[k].Personality
+	p := &plan{traced: w.Tracer != nil, pinned: min(level, len(stack)-1)}
+	b := &planBuilder{w: w, d: &p.deltas, memo: map[subtreeKey]*deltas{}}
+	p.cost = w.walk(stack, kind, reason, level, b)
+	for k := 1; k <= p.pinned; k++ {
+		p.pers[k] = stack[k].Personality
 	}
 	if kind == planForward {
 		w.Plan.Compiles++
 	} else {
 		w.Plan.DeliveryCompiles++
 	}
-	return b.finalize()
+	return p
 }
 
 // applyPlan applies a compiled plan's deltas — the aggregated per-level
@@ -399,8 +499,9 @@ func (w *World) validPlans() *planTable {
 }
 
 // charge runs one charge tree and returns its cost. With the cache on, it
-// replays the key's compiled plan, compiling on a miss, after a flush, or
-// when a pinned personality differs; with NVSIM_NOPLANCACHE, or at a level
+// replays the key's compiled plan, compiling on a miss, after a flush, when
+// a pinned personality differs, or when a Tracer is attached and the plan
+// was compiled without one; with NVSIM_NOPLANCACHE, or at a level
 // the accounting tables cannot index, it walks the tree live. This is the
 // single live-or-replay decision for every cached path. Only planForward
 // reads reason; callers pass 0 for the other kinds.
@@ -409,7 +510,7 @@ func (w *World) charge(stack []*Hypervisor, kind planKind, reason vmx.ExitReason
 		return w.walk(stack, kind, reason, level, w)
 	}
 	slot := &w.validPlans().slots[planRow(kind, reason)][level]
-	if *slot == nil || !(*slot).matchesStack(stack) {
+	if p := *slot; p == nil || !p.matchesStack(stack) || w.Tracer != nil && !p.traced {
 		*slot = w.compilePlan(stack, kind, reason, level)
 	}
 	if kind == planForward {

@@ -2,6 +2,7 @@ package hyper
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/apic"
@@ -72,74 +73,101 @@ func runPlanMatrix(t *testing.T, w *World, vms []*VM, dev *AssignedDevice) []sim
 	return costs
 }
 
-// TestForwardPlanReplayEquivalence is the heart of the cache's correctness
-// claim: for every depth and capability configuration, a world replaying
-// compiled plans and a world re-running the live recursion produce identical
-// per-op costs, identical stats tables (exit counts by reason and handler
-// level, per-level cycles, named counters) and an identical trace timeline.
-func TestForwardPlanReplayEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		depth int
-		caps  vmx.Caps
-	}{
-		{"L2", 2, vmx.HardwareCaps},
-		{"L3", 3, vmx.HardwareCaps},
-		{"L4", 4, vmx.HardwareCaps},
-		{"L2-noshadow", 2, vmx.HardwareCaps.Without(vmx.CapVMCSShadowing)},
-		{"L3-noshadow", 3, vmx.HardwareCaps.Without(vmx.CapVMCSShadowing)},
-	} {
+// equivalenceCases are the depth and capability configurations both
+// replay-equivalence matrices run. L4-noshadow is the deepest merge: 27,468
+// hardware exits per forwarded hypercall.
+var equivalenceCases = []struct {
+	name  string
+	depth int
+	caps  vmx.Caps
+}{
+	{"L2", 2, vmx.HardwareCaps},
+	{"L3", 3, vmx.HardwareCaps},
+	{"L4", 4, vmx.HardwareCaps},
+	{"L2-noshadow", 2, vmx.HardwareCaps.Without(vmx.CapVMCSShadowing)},
+	{"L3-noshadow", 3, vmx.HardwareCaps.Without(vmx.CapVMCSShadowing)},
+	{"L4-noshadow", 4, vmx.HardwareCaps.Without(vmx.CapVMCSShadowing)},
+}
+
+// checkReplayEquivalence runs one mix on a world replaying compiled plans
+// and on a world walking every tree live, for each equivalence case, in two
+// arms: untraced (no Tracer, the mode every experiment runs in, whose plans
+// keep no timeline) and traced. Both arms require identical per-step costs
+// and stats tables; the traced arm also requires identical timelines.
+// replays reads the cached world's replay counter for the mix's plan kinds.
+func checkReplayEquivalence(t *testing.T, mix func(*testing.T, *World, []*VM, *AssignedDevice) []sim.Cycles, replays func(PlanCacheStats) uint64) {
+	for _, tc := range equivalenceCases {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func(cache bool) (*World, []*VM, *AssignedDevice) {
-				w, vms := capsStack(t, tc.depth, tc.caps)
-				w.SetPlanCache(cache)
-				w.Tracer = trace.NewRecorder(4096)
-				var dev *AssignedDevice
-				for _, vm := range vms {
-					var err error
-					if dev, err = AttachParavirtNet(vm, "net"); err != nil {
-						t.Fatal(err)
-					}
+			for _, traced := range []bool{false, true} {
+				arm := "untraced"
+				if traced {
+					arm = "traced"
 				}
-				return w, vms, dev
-			}
-			cw, cvms, cdev := build(true)
-			lw, lvms, ldev := build(false)
+				t.Run(arm, func(t *testing.T) {
+					build := func(cache bool) (*World, []*VM, *AssignedDevice) {
+						w, vms := capsStack(t, tc.depth, tc.caps)
+						w.SetPlanCache(cache)
+						if traced {
+							w.Tracer = trace.NewRecorder(8192)
+						}
+						var dev *AssignedDevice
+						for _, vm := range vms {
+							var err error
+							if dev, err = AttachParavirtNet(vm, "net"); err != nil {
+								t.Fatal(err)
+							}
+						}
+						return w, vms, dev
+					}
+					cw, cvms, cdev := build(true)
+					lw, lvms, ldev := build(false)
 
-			cCosts := runPlanMatrix(t, cw, cvms, cdev)
-			lCosts := runPlanMatrix(t, lw, lvms, ldev)
+					cCosts := mix(t, cw, cvms, cdev)
+					lCosts := mix(t, lw, lvms, ldev)
 
-			if !reflect.DeepEqual(cCosts, lCosts) {
-				t.Errorf("per-op costs diverge:\ncached: %v\nlive:   %v", cCosts, lCosts)
-			}
-			cs, ls := cw.Host.Machine.Stats, lw.Host.Machine.Stats
-			if cs.HardwareExits != ls.HardwareExits {
-				t.Error("HardwareExits tables diverge")
-			}
-			if cs.HandledExits != ls.HandledExits {
-				t.Error("HandledExits tables diverge")
-			}
-			if cs.LevelCycles != ls.LevelCycles {
-				t.Error("LevelCycles diverge")
-			}
-			if cs.GuestCycles != ls.GuestCycles {
-				t.Error("GuestCycles diverge")
-			}
-			if cs.String() != ls.String() {
-				t.Errorf("stats reports diverge:\n--- cached ---\n%s--- live ---\n%s", cs, ls)
-			}
-			if !reflect.DeepEqual(cw.Tracer.Events(), lw.Tracer.Events()) {
-				t.Errorf("trace timelines diverge:\n--- cached ---\n%s--- live ---\n%s",
-					cw.Tracer.Timeline(), lw.Tracer.Timeline())
-			}
-			if cw.Plan.Replays == 0 {
-				t.Error("cached world never replayed a plan — the test exercised nothing")
-			}
-			if lw.Plan.Compiles != 0 || lw.Plan.Replays != 0 {
-				t.Errorf("live world touched the plan cache: %+v", lw.Plan)
+					if !reflect.DeepEqual(cCosts, lCosts) {
+						t.Errorf("per-step costs diverge:\ncached: %v\nlive:   %v", cCosts, lCosts)
+					}
+					cs, ls := cw.Host.Machine.Stats, lw.Host.Machine.Stats
+					if cs.HardwareExits != ls.HardwareExits {
+						t.Error("HardwareExits tables diverge")
+					}
+					if cs.HandledExits != ls.HandledExits {
+						t.Error("HandledExits tables diverge")
+					}
+					if cs.LevelCycles != ls.LevelCycles {
+						t.Error("LevelCycles diverge")
+					}
+					if cs.GuestCycles != ls.GuestCycles {
+						t.Error("GuestCycles diverge")
+					}
+					if cs.String() != ls.String() {
+						t.Errorf("stats reports diverge:\n--- cached ---\n%s--- live ---\n%s", cs, ls)
+					}
+					if traced && !reflect.DeepEqual(cw.Tracer.Events(), lw.Tracer.Events()) {
+						t.Errorf("trace timelines diverge:\n--- cached ---\n%s--- live ---\n%s",
+							cw.Tracer.Timeline(), lw.Tracer.Timeline())
+					}
+					if replays(cw.Plan) == 0 {
+						t.Error("cached world never replayed a plan — the test exercised nothing")
+					}
+					if lw.Plan != (PlanCacheStats{}) {
+						t.Errorf("live world touched the plan cache: %+v", lw.Plan)
+					}
+				})
 			}
 		})
 	}
+}
+
+// TestForwardPlanReplayEquivalence is the heart of the cache's correctness
+// claim: for every depth and capability configuration, traced or not, a
+// world replaying compiled plans and a world re-running the live recursion
+// produce identical per-op costs, identical stats tables (exit counts by
+// reason and handler level, per-level cycles, named counters) and, when
+// traced, an identical trace timeline.
+func TestForwardPlanReplayEquivalence(t *testing.T) {
+	checkReplayEquivalence(t, runPlanMatrix, func(s PlanCacheStats) uint64 { return s.Replays })
 }
 
 // TestForwardPlanSteadyStateCaching pins the cache's amortization contract:
@@ -288,6 +316,59 @@ func TestForwardPlanPersonalityPinning(t *testing.T) {
 	}
 }
 
+// forwardCompileStack builds a stack of the depth and returns its World and
+// the hypervisor stack beneath the innermost VM's vCPU: the inputs of a
+// forwarded-hypercall compile, whose owner is level depth-1.
+func forwardCompileStack(t testing.TB, depth int, caps vmx.Caps) (*World, []*Hypervisor) {
+	t.Helper()
+	w, vms := capsStack(t, depth, caps)
+	stack, err := w.stack(vms[depth-1].VCPUs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, stack
+}
+
+// TestCompileAllocBudget pins the compile cost the subtree memo and the
+// untraced timeline buy: a compile allocates O(levels x distinct subtrees),
+// not O(exits). Compiling each plan whole, with the timeline always kept,
+// an L2 forwarded-hypercall compile allocated 4,312 B and an L4 one
+// 515,128 B (720,312 B without VMCS shadowing). Bytes per compile are
+// averaged over repeated compiles from TotalAlloc deltas; the measured
+// figures sit far enough under each budget to hold under -race.
+func TestCompileAllocBudget(t *testing.T) {
+	noShadow := vmx.HardwareCaps.Without(vmx.CapVMCSShadowing)
+	for _, tc := range []struct {
+		name   string
+		depth  int
+		caps   vmx.Caps
+		traced bool
+		budget uint64
+	}{
+		{"L2-untraced", 2, vmx.HardwareCaps, false, 4312},
+		{"L2-traced", 2, vmx.HardwareCaps, true, 4312},
+		{"L4-untraced", 4, vmx.HardwareCaps, false, 16 << 10},
+		{"L4-noshadow-untraced", 4, noShadow, false, 16 << 10},
+	} {
+		w, stack := forwardCompileStack(t, tc.depth, tc.caps)
+		if tc.traced {
+			w.Tracer = trace.NewRecorder(16)
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			w.compilePlan(stack, planForward, vmx.ExitVMCALL, tc.depth-1)
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > tc.budget {
+			t.Errorf("%s: a forwarded-hypercall compile allocated %d bytes, budget %d", tc.name, got, tc.budget)
+		} else {
+			t.Logf("%s: a forwarded-hypercall compile allocated %d bytes", tc.name, got)
+		}
+	}
+}
+
 // TestPlanCacheEnvDefault pins the escape hatch's parsing: empty and "0"
 // leave the cache on, anything else turns it off.
 func TestPlanCacheEnvDefault(t *testing.T) {
@@ -356,62 +437,13 @@ func runDeliveryMatrix(t *testing.T, w *World, vms []*VM, dev *AssignedDevice) [
 	return costs
 }
 
-// TestDeliveryPlanReplayEquivalence is the delivery-side counterpart of
-// TestForwardPlanReplayEquivalence: for every depth and capability
-// configuration, a world replaying compiled delivery plans and a world
+// TestDeliveryPlanReplayEquivalence is compile ≡ live for the delivery
+// paths: for every depth and capability configuration, traced or not, a
+// world replaying compiled injection, cascade and wake plans and a world
 // running the live recursions produce identical per-step costs, identical
-// stats tables and an identical trace timeline.
+// stats tables and, when traced, an identical trace timeline.
 func TestDeliveryPlanReplayEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		depth int
-		caps  vmx.Caps
-	}{
-		{"L2", 2, vmx.HardwareCaps},
-		{"L3", 3, vmx.HardwareCaps},
-		{"L4", 4, vmx.HardwareCaps},
-		{"L2-noshadow", 2, vmx.HardwareCaps.Without(vmx.CapVMCSShadowing)},
-		{"L3-noshadow", 3, vmx.HardwareCaps.Without(vmx.CapVMCSShadowing)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			build := func(cache bool) (*World, []*VM, *AssignedDevice) {
-				w, vms := capsStack(t, tc.depth, tc.caps)
-				w.SetPlanCache(cache)
-				w.Tracer = trace.NewRecorder(8192)
-				var dev *AssignedDevice
-				for _, vm := range vms {
-					var err error
-					if dev, err = AttachParavirtNet(vm, "net"); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return w, vms, dev
-			}
-			cw, cvms, cdev := build(true)
-			lw, lvms, ldev := build(false)
-
-			cCosts := runDeliveryMatrix(t, cw, cvms, cdev)
-			lCosts := runDeliveryMatrix(t, lw, lvms, ldev)
-
-			if !reflect.DeepEqual(cCosts, lCosts) {
-				t.Errorf("per-step costs diverge:\ncached: %v\nlive:   %v", cCosts, lCosts)
-			}
-			cs, ls := cw.Host.Machine.Stats, lw.Host.Machine.Stats
-			if cs.String() != ls.String() {
-				t.Errorf("stats reports diverge:\n--- cached ---\n%s--- live ---\n%s", cs, ls)
-			}
-			if !reflect.DeepEqual(cw.Tracer.Events(), lw.Tracer.Events()) {
-				t.Errorf("trace timelines diverge:\n--- cached ---\n%s--- live ---\n%s",
-					cw.Tracer.Timeline(), lw.Tracer.Timeline())
-			}
-			if cw.Plan.DeliveryReplays == 0 {
-				t.Error("cached world never replayed a delivery plan — the test exercised nothing")
-			}
-			if lw.Plan.DeliveryCompiles != 0 || lw.Plan.DeliveryReplays != 0 {
-				t.Errorf("live world touched the plan cache: %+v", lw.Plan)
-			}
-		})
-	}
+	checkReplayEquivalence(t, runDeliveryMatrix, func(s PlanCacheStats) uint64 { return s.DeliveryReplays })
 }
 
 // TestDeliveryPlanSteadyStateCaching pins the amortization contract: after

@@ -251,7 +251,7 @@ func ModuleConfig(dir string) (Config, error) {
 			mp + "/internal/hyper.World.Costs":            "CostGen: the sole write path is World.SetCosts",
 			mp + "/internal/hyper.World.Host":             "fixed at World construction",
 			mp + "/internal/hyper.World.Plan":             "cache meta-counters, not a plan input",
-			mp + "/internal/hyper.World.Tracer":           "emission sink, not a plan input",
+			mp + "/internal/hyper.World.Tracer":           "a plan records whether it was compiled traced, and charge recompiles an untraced plan once a Tracer is attached",
 			mp + "/internal/hyper.Hypervisor.Caps":        "CapsGen: post-setup writers (SetHostCaps, ProvideVIOMMU) bump it",
 			mp + "/internal/hyper.Hypervisor.Personality": "TopoGen on stack changes, plus per-plan personality pinning at replay",
 			mp + "/internal/hyper.Hypervisor.Machine":     "fixed at hypervisor construction",
