@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-compare lint fuzz-smoke fuzz golden profiles check clean
+.PHONY: all build fmt vet test race bench bench-compare lint fuzz-smoke fuzz golden profiles check clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file in the tree, bench/ and testdata included, is
+# not gofmt-formatted, and lists the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -29,9 +34,9 @@ lint:
 # bench runs the harness and hot-path benchmarks: Figure 7 sequential vs
 # parallel pool (each iteration clears the cell memo, so it times
 # simulation, not memo hits), the allocation-free nested Execute path in
-# both plan modes, one cold plan compile at L2-L4 traced and untraced
-# (ns and bytes per compile), and the workload runner's Run and RunFor (ns
-# and allocs per transaction).
+# both plan modes, one cold plan compile at L2-L4 (ns and bytes per
+# compile), and the workload runner's Run and RunFor (ns and allocs per
+# transaction).
 # It then regenerates BENCH_10.json, the committed machine-readable artifact
 # (per-figure modeled cycles and overheads plus ns/op and allocs/op for the
 # pipeline's hot paths, uncached vs replayed).
@@ -102,8 +107,9 @@ profiles:
 # harness runs Worlds on multiple goroutines, so -race is part of tier 1,
 # not an extra), survive a fuzz smoke pass over the invariant-checker
 # targets, hold the committed benchmark baseline (bench-compare), and pass
-# the per-profile calibration sweep (profiles).
-check: build vet lint race fuzz-smoke bench-compare profiles
+# the per-profile calibration sweep (profiles). fmt runs first: formatting
+# is the cheapest gate.
+check: fmt build vet lint race fuzz-smoke bench-compare profiles
 
 clean:
 	$(GO) clean ./...

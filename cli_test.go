@@ -23,8 +23,9 @@ var (
 	cliBuildErr  error
 )
 
-// buildCLIs compiles every command once per test process into a shared
-// temporary directory (go's build cache makes repeats cheap).
+// buildCLIs compiles every command, the clis and nvlint, once per test
+// process into a shared temporary directory (go's build cache makes repeats
+// cheap).
 func buildCLIs(t *testing.T) string {
 	t.Helper()
 	cliBuildOnce.Do(func() {
@@ -32,7 +33,7 @@ func buildCLIs(t *testing.T) string {
 		if cliBuildErr != nil {
 			return
 		}
-		for _, name := range clis {
+		for _, name := range append([]string{"nvlint"}, clis...) {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(cliBinDir, name), "./cmd/"+name)
 			if out, err := cmd.CombinedOutput(); err != nil {
 				cliBuildErr = err
@@ -168,9 +169,10 @@ func TestListProfiles(t *testing.T) {
 	}
 }
 
-// TestBadInputNamesFlag: a bad flag value is a usage error — exit 2, nothing
-// on stdout, and a one-line stderr error naming the flag — never a panic, a
-// goroutine dump, or output from the entries that happened to run first.
+// TestBadInputNamesFlag: a bad flag value or a stray positional argument is
+// a usage error — exit 2, nothing on stdout, and a one-line stderr error
+// naming the flag or argument — never a panic, a goroutine dump, or output
+// from the entries that happened to run first.
 func TestBadInputNamesFlag(t *testing.T) {
 	dir := buildCLIs(t)
 	tmp := t.TempDir()
@@ -178,6 +180,9 @@ func TestBadInputNamesFlag(t *testing.T) {
 	if err := os.WriteFile(malformed, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// nvperf writes its artifact to -o; the stray-argument row must fail
+	// before it collects anything, so nothing may appear there.
+	perfOut := filepath.Join(tmp, "out.json")
 	for _, tc := range []struct {
 		cli  string
 		args []string
@@ -207,6 +212,15 @@ func TestBadInputNamesFlag(t *testing.T) {
 		// nvperf checks its baseline before the ~20 s collection.
 		{"nvperf", []string{"-compare", "no-such-baseline.json"}, "-compare"},
 		{"nvperf", []string{"-compare", malformed}, "-compare"},
+		// A stray positional argument, such as a dropped dash, never runs
+		// anything.
+		{"nvsim", []string{"-depth", "3", "extra"}, `"extra"`},
+		{"nvtrace", []string{"-timeline", "extra"}, `"extra"`},
+		{"nvartifact", []string{"-runs", "1", "extra"}, `"extra"`},
+		{"nvbench", []string{"-all", "extra"}, `"extra"`},
+		{"nvperf", []string{"-o", perfOut, "compare", "BENCH_10.json"}, `"compare"`},
+		{"nvreport", []string{"extra"}, `"extra"`},
+		{"nvlint", []string{"extra"}, `"extra"`},
 	} {
 		// The temporary directory differs per run; keep it out of the name.
 		name := strings.ReplaceAll(tc.cli+strings.Join(tc.args, ""), tmp+string(filepath.Separator), "")
@@ -224,6 +238,9 @@ func TestBadInputNamesFlag(t *testing.T) {
 			lines := strings.Split(strings.TrimSpace(stderr), "\n")
 			if len(lines) != 1 || !strings.Contains(lines[0], tc.flag) {
 				t.Errorf("%s %v: want a one-line error naming %s, got:\n%s", tc.cli, tc.args, tc.flag, stderr)
+			}
+			if _, err := os.Stat(perfOut); err == nil {
+				t.Errorf("%s %v wrote %s before failing", tc.cli, tc.args, perfOut)
 			}
 		})
 	}

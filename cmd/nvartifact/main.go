@@ -40,6 +40,9 @@ func main() {
 	profName := flag.String("profile", "", "calibration profile (default $NVSIM_PROFILE, then "+profile.DefaultName+"); see -list-profiles")
 	listProfiles := flag.Bool("list-profiles", false, "list registered calibration profiles and exit")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		usagef("unexpected argument %q", flag.Arg(0))
+	}
 	if *listProfiles {
 		fmt.Print(profile.Listing())
 		return

@@ -48,6 +48,9 @@ func main() {
 	listProfiles := flag.Bool("list-profiles", false, "list registered calibration profiles and exit")
 	format := flag.String("format", "table", "figure output format: table | chart | csv")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		usagef("unexpected argument %q", flag.Arg(0))
+	}
 	if *listProfiles {
 		fmt.Print(profile.Listing())
 		return

@@ -33,6 +33,10 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON lines instead of text")
 	unused := flag.Bool("unused-directives", false, "fail on //nvlint directives that suppress nothing")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "nvlint: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	cfg, err := lint.ModuleConfig(*dir)
 	if err != nil {

@@ -91,6 +91,10 @@ func main() {
 	compare := flag.String("compare", "", "baseline artifact to gate against instead of writing one")
 	profName := flag.String("profile", "", "calibration profile (default $NVSIM_PROFILE, then "+profile.DefaultName+")")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "nvperf: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	prof, err := profile.Resolve(*profName)
 	if err != nil {

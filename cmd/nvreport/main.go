@@ -25,6 +25,10 @@ var sections = []string{"table3", "stages", "storms", "figure7", "workload-stage
 func main() {
 	profName := flag.String("profile", "", "calibration profile (default $NVSIM_PROFILE, then "+profile.DefaultName+")")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "nvreport: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	prof, err := profile.Resolve(*profName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nvreport: %v\n", err)

@@ -28,6 +28,9 @@ func main() {
 	breakdown := flag.Bool("breakdown", false, "print per-mechanism cycle attribution and latency percentiles")
 	profName := flag.String("profile", "", "calibration profile (default $NVSIM_PROFILE, then "+profile.DefaultName+")")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		usagef("unexpected argument %q", flag.Arg(0))
+	}
 
 	if *txns < 1 {
 		usagef("-txns must be >= 1, got %d", *txns)

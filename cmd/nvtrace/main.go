@@ -34,6 +34,10 @@ func main() {
 	ring := flag.Int("ring", 4096, "timeline ring-buffer capacity (exits retained)")
 	profName := flag.String("profile", "", "calibration profile (default $NVSIM_PROFILE, then "+profile.DefaultName+")")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "nvtrace: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	prof, err := profile.Resolve(*profName)
 	if err != nil {

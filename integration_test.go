@@ -250,7 +250,7 @@ func TestEndToEndWorkloadThenMigrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.PagesSent == 0 || !plan.VM.DirtyLogActive() == false && false {
+	if rep.PagesSent == 0 {
 		t.Fatal("no pages sent")
 	}
 	bad, err := plan.VerifyDest()

@@ -26,7 +26,7 @@ func TestICRRoundTripProperty(t *testing.T) {
 }
 
 func TestDeliverAckEOI(t *testing.T) {
-	l := NewLAPIC(0)
+	l := NewLAPIC()
 	if l.HasPending() {
 		t.Fatal("fresh LAPIC has pending interrupts")
 	}
@@ -56,7 +56,7 @@ func TestDeliverAckEOI(t *testing.T) {
 }
 
 func TestAckPriorityOrder(t *testing.T) {
-	l := NewLAPIC(0)
+	l := NewLAPIC()
 	l.Deliver(VectorVirtioIRQ)  // 41
 	l.Deliver(VectorReschedule) // 253
 	l.Deliver(VectorTimer)      // 236
@@ -79,9 +79,9 @@ func TestInServiceMasksUntilEOI(t *testing.T) {
 	// SDM Vol.3 10.8.3.1: PPR = max(TPR class, highest ISR class). With a
 	// vector in service, same-or-lower-class vectors stay held in the IRR
 	// until EOI — the regression the old TPR-only Ack allowed through.
-	l := NewLAPIC(0)
-	l.Deliver(VectorTimer)      // 236: class 14
-	l.Deliver(VectorVirtioIRQ)  // 41: class 2
+	l := NewLAPIC()
+	l.Deliver(VectorTimer)     // 236: class 14
+	l.Deliver(VectorVirtioIRQ) // 41: class 2
 	v, ok := l.Ack()
 	if !ok || v != VectorTimer {
 		t.Fatalf("Ack = %d,%v", v, ok)
@@ -108,7 +108,7 @@ func TestInServiceMasksUntilEOI(t *testing.T) {
 func TestVectorBoundaries(t *testing.T) {
 	// Vectors 0-15 are architecturally invalid (and masked at TPR 0), so the
 	// lowest boundary probed is 16.
-	l := NewLAPIC(0)
+	l := NewLAPIC()
 	for _, v := range []Vector{16, 63, 64, 127, 128, 191, 192, 255} {
 		if !l.Deliver(v) {
 			t.Fatalf("delivery of vector %d failed", v)
@@ -123,7 +123,7 @@ func TestVectorBoundaries(t *testing.T) {
 }
 
 func TestTimerDeadline(t *testing.T) {
-	l := NewLAPIC(0)
+	l := NewLAPIC()
 	if l.FireTimer() {
 		t.Fatal("disarmed timer fired")
 	}
@@ -142,23 +142,15 @@ func TestTimerDeadline(t *testing.T) {
 	}
 }
 
-func TestTimerMaskAndVector(t *testing.T) {
-	l := NewLAPIC(0)
+func TestTimerVector(t *testing.T) {
+	l := NewLAPIC()
 	l.SetTimerVector(99)
 	if l.TimerVector() != 99 {
 		t.Fatal("timer vector not stored")
 	}
 	l.SetTSCDeadline(1)
-	l.MaskTimer(true)
-	if !l.TimerMasked() {
-		t.Fatal("mask not stored")
-	}
-	if l.FireTimer() {
-		t.Fatal("masked timer fired")
-	}
-	l.MaskTimer(false)
 	if !l.FireTimer() {
-		t.Fatal("unmasked timer did not fire")
+		t.Fatal("armed timer did not fire")
 	}
 	if !l.Pending(99) {
 		t.Fatal("timer fired on wrong vector")
@@ -176,14 +168,14 @@ func TestPIDescriptorPostCoalesces(t *testing.T) {
 	if p.Post(VectorReschedule) {
 		t.Fatal("second post with outstanding notification should coalesce")
 	}
-	if !p.Outstanding() || !p.Pending() {
+	if !p.on || !p.Pending() {
 		t.Fatal("descriptor state wrong after posts")
 	}
 }
 
 func TestPIDescriptorSync(t *testing.T) {
 	p := NewPIDescriptor(0)
-	l := NewLAPIC(5)
+	l := NewLAPIC()
 	p.Post(VectorTimer)
 	p.Post(VectorVirtioIRQ)
 	n := p.Sync(l)
@@ -193,7 +185,7 @@ func TestPIDescriptorSync(t *testing.T) {
 	if !l.Pending(VectorTimer) || !l.Pending(VectorVirtioIRQ) {
 		t.Fatal("vectors did not land in IRR")
 	}
-	if p.Pending() || p.Outstanding() {
+	if p.Pending() || p.on {
 		t.Fatal("descriptor not drained")
 	}
 	if !p.Post(VectorTimer) {
@@ -201,21 +193,10 @@ func TestPIDescriptorSync(t *testing.T) {
 	}
 }
 
-func TestPIDescriptorRetarget(t *testing.T) {
-	p := NewPIDescriptor(0)
-	p.SetNDst(7)
-	if p.NDst() != 7 {
-		t.Fatal("SetNDst failed")
-	}
-	if p.NotificationVector() != VectorPostedIntr {
-		t.Fatal("wrong notification vector")
-	}
-}
-
 func TestPostSyncNeverLosesVectorsProperty(t *testing.T) {
 	f := func(vecs []uint8) bool {
 		p := NewPIDescriptor(0)
-		l := NewLAPIC(0)
+		l := NewLAPIC()
 		uniq := map[uint8]bool{}
 		for _, v := range vecs {
 			p.Post(Vector(v))
@@ -235,7 +216,7 @@ func TestPostSyncNeverLosesVectorsProperty(t *testing.T) {
 }
 
 func TestTPRMasksLowPriorityVectors(t *testing.T) {
-	l := NewLAPIC(0)
+	l := NewLAPIC()
 	l.Deliver(VectorVirtioIRQ) // 41: priority class 2
 	l.SetTPR(0x40)             // class 4: masks classes <= 4
 	if _, ok := l.Ack(); ok {
@@ -263,7 +244,7 @@ func TestTPRMasksLowPriorityVectors(t *testing.T) {
 // service must coalesce, not re-latch into the IRR — the model keeps at most
 // one live instance per vector, so IRR and ISR stay disjoint.
 func TestDeliverWhileInServiceCoalesces(t *testing.T) {
-	l := NewLAPIC(0)
+	l := NewLAPIC()
 	l.Deliver(48)
 	if v, ok := l.Ack(); !ok || v != 48 {
 		t.Fatalf("Ack = %d,%v", v, ok)

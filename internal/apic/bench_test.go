@@ -3,7 +3,7 @@ package apic
 import "testing"
 
 func BenchmarkDeliverAckEOI(b *testing.B) {
-	l := NewLAPIC(0)
+	l := NewLAPIC()
 	for i := 0; i < b.N; i++ {
 		l.Deliver(VectorTimer)
 		l.Ack()
@@ -13,7 +13,7 @@ func BenchmarkDeliverAckEOI(b *testing.B) {
 
 func BenchmarkPostedInterruptRoundTrip(b *testing.B) {
 	p := NewPIDescriptor(1)
-	l := NewLAPIC(0)
+	l := NewLAPIC()
 	for i := 0; i < b.N; i++ {
 		p.Post(VectorVirtioIRQ)
 		p.Sync(l)

@@ -66,7 +66,6 @@ func (s *vecSet) empty() bool { return s[0]|s[1]|s[2]|s[3] == 0 }
 
 // LAPIC is one CPU's local APIC.
 type LAPIC struct {
-	id  uint32
 	irr vecSet // interrupt request register: delivered, not yet serviced
 	isr vecSet // in-service register
 
@@ -74,7 +73,6 @@ type LAPIC struct {
 	// microbenchmark exercises.
 	tscDeadline uint64
 	timerVector Vector
-	timerMasked bool
 
 	// tpr is the task priority register: vectors whose priority class
 	// (vector >> 4) is at or below TPR's class are held in the IRR until the
@@ -82,13 +80,10 @@ type LAPIC struct {
 	tpr uint8
 }
 
-// NewLAPIC returns the local APIC for the CPU with the given APIC ID.
-func NewLAPIC(id uint32) *LAPIC {
-	return &LAPIC{id: id, timerVector: VectorTimer}
+// NewLAPIC returns a local APIC with its timer on VectorTimer.
+func NewLAPIC() *LAPIC {
+	return &LAPIC{timerVector: VectorTimer}
 }
-
-// ID returns the APIC ID.
-func (l *LAPIC) ID() uint32 { return l.id }
 
 // Deliver latches an interrupt into the IRR. It reports whether the vector
 // was newly set: re-delivering a pending vector coalesces, as on hardware,
@@ -178,16 +173,10 @@ func (l *LAPIC) SetTimerVector(v Vector) { l.timerVector = v }
 // APIC state to post timer interrupts directly (paper Section 3.2).
 func (l *LAPIC) TimerVector() Vector { return l.timerVector }
 
-// MaskTimer sets the LVT timer mask bit.
-func (l *LAPIC) MaskTimer(m bool) { l.timerMasked = m }
-
-// TimerMasked reports the LVT timer mask bit.
-func (l *LAPIC) TimerMasked() bool { return l.timerMasked }
-
-// FireTimer delivers the timer interrupt if the deadline is armed and not
-// masked, disarming it. It reports whether an interrupt was delivered.
+// FireTimer delivers the timer interrupt if the deadline is armed,
+// disarming it. It reports whether an interrupt was delivered.
 func (l *LAPIC) FireTimer() bool {
-	if l.tscDeadline == 0 || l.timerMasked {
+	if l.tscDeadline == 0 {
 		return false
 	}
 	l.tscDeadline = 0

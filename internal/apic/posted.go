@@ -10,15 +10,13 @@ type PIDescriptor struct {
 	// on is the outstanding-notification bit: set while a notification IPI is
 	// in flight, suppressing duplicates.
 	on bool
-	// ndst is the physical CPU the notification should be sent to; nvec is
-	// the host's notification vector.
+	// ndst is the physical CPU the notification should be sent to.
 	ndst int
-	nvec Vector
 }
 
 // NewPIDescriptor returns a descriptor targeting physical CPU ndst.
 func NewPIDescriptor(ndst int) *PIDescriptor {
-	return &PIDescriptor{ndst: ndst, nvec: VectorPostedIntr}
+	return &PIDescriptor{ndst: ndst}
 }
 
 // Post records vector v in the PIR and sets the outstanding-notification bit.
@@ -56,13 +54,3 @@ func (p *PIDescriptor) Sync(l *LAPIC) int {
 
 // NDst returns the physical CPU notifications target.
 func (p *PIDescriptor) NDst() int { return p.ndst }
-
-// SetNDst retargets notifications, the update a hypervisor performs when it
-// migrates a vCPU to another physical CPU.
-func (p *PIDescriptor) SetNDst(cpu int) { p.ndst = cpu }
-
-// NotificationVector returns the host vector used for notification IPIs.
-func (p *PIDescriptor) NotificationVector() Vector { return p.nvec }
-
-// Outstanding reports whether a notification is in flight.
-func (p *PIDescriptor) Outstanding() bool { return p.on }

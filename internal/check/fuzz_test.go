@@ -69,7 +69,7 @@ func FuzzLAPIC(f *testing.F) {
 	f.Add([]byte{0, 236, 1, 2})
 	f.Add([]byte{0, 41, 0, 253, 1, 1, 2, 2, 3, 0xe0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		l := apic.NewLAPIC(0)
+		l := apic.NewLAPIC()
 		step := func() {
 			irr, isr := l.IRRSnapshot(), l.ISRSnapshot()
 			for i := range irr {
@@ -327,8 +327,9 @@ func planCacheStep(st *experiment.Stack, rec *trace.Recorder, op, arg byte) (sim
 			gh.Personality = []hyper.Personality{hyper.KVM{}, xen.Xen{}, hyperv.HyperV{}}[int(arg>>4)%3]
 		}
 	case pcToggleTracer:
-		// Plans compiled while detached keep no timeline; the first charge
-		// after the re-attach must recompile them, not replay them silent.
+		// A traced World walks every tree live and an untraced one replays,
+		// so the toggle switches the cached World between the two; plans
+		// warmed before an attach must still be valid after the detach.
 		if w.Tracer != nil {
 			w.Tracer = nil
 		} else {
@@ -349,7 +350,9 @@ const planCacheMaxSteps = 48
 // walking every charge tree live — and requires identical per-step costs and
 // errors, identical Stats and trace timelines, and zero invariant violations
 // on both. Each World starts with its own recorder attached; the tracer
-// toggle detaches it and re-attaches the same one.
+// toggle detaches it and re-attaches the same one. A traced World never
+// replays, so the timelines compare two live walks; the costs and Stats
+// compare replay with live across every detached span.
 func FuzzPlanCache(f *testing.F) {
 	steps := func(spec []byte, ops ...byte) []byte { return append(spec, ops...) }
 	// Warm forward, injection, cascade and wake plans at L3, then swap the
@@ -365,13 +368,13 @@ func FuzzPlanCache(f *testing.F) {
 		pcDisableDVH, 0xfc, pcHalt, 0, pcTimerIRQ, 0, pcWake, 0, pcDevNotify, 0, pcHypercall, 0))
 	// A depth-4 stack, the deepest subtree merges: warm untraced, toggle
 	// VMCS shadowing and swap the L2 personality under the warm plans, then
-	// attach the tracer and replay.
+	// attach the tracer, which walks live, across another shadowing toggle.
 	f.Add(steps([]byte{3, 0, 0},
 		pcToggleTracer, 0, pcHypercall, 0, pcTimerIRQ, 0, pcToggleShadowing, 0, pcHypercall, 0,
 		pcSwapPersonality, 0x11, pcHypercall, 0, pcTimerIRQ, 0, pcToggleTracer, 0, pcHypercall, 0,
 		pcToggleShadowing, 0, pcHypercall, 0, pcTimerIRQ, 0))
 	// Forward, injection, cascade and wake plans warmed untraced at L3, then
-	// an attach, then the same boundaries again: each must recompile traced.
+	// an attach, then the same boundaries again, walked live.
 	f.Add(steps([]byte{2, 0, 0},
 		pcToggleTracer, 0, pcHypercall, 0, pcTimerIRQ, 0, pcDeviceRX, 0, pcHalt, 1, pcSendIPI, 0x10,
 		pcHalt, 1, pcWake, 1, pcToggleTracer, 0, pcHypercall, 0, pcTimerIRQ, 0, pcDeviceRX, 0,

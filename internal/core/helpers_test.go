@@ -18,7 +18,10 @@ func newQueue(dma virtio.DMA, size uint16, desc, avail, used mem.Addr) *virtio.Q
 	return virtio.NewQueue(dma, size, desc, avail, used)
 }
 
-func pciHasMigrationCap(fn *pci.Function) bool { return pci.FindMigrationCap(fn) }
+func pciHasMigrationCap(fn *pci.Function) bool {
+	_, ok := fn.Config.FindCapability(pci.CapMigration)
+	return ok
+}
 
 const (
 	pciMigDirtyLog = pci.MigCtrlDirtyLog

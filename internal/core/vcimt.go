@@ -78,21 +78,3 @@ func (t *VCIMT) Lookup(dest int) (*hyper.VCPU, error) {
 	}
 	return t.registry[handle-1], nil
 }
-
-// Retarget updates the table entry for a vCPU, the write a guest hypervisor
-// performs when it reschedules a nested vCPU (the simulator pins vCPUs, so
-// this is exercised by tests and migration, not steady state).
-func (t *VCIMT) Retarget(dest int, v *hyper.VCPU) error {
-	if dest < 0 || dest >= len(t.VM.VCPUs) {
-		return fmt.Errorf("dvh: VCIMT retarget for out-of-range vCPU %d", dest)
-	}
-	t.registry = append(t.registry, v)
-	handle := uint64(len(t.registry))
-	return t.holder.Memory().WriteU64(t.Base+mem.Addr(dest*8), handle)
-}
-
-// Table returns the VCIMT registered for a nested VM, if any.
-func (d *DVH) Table(vm *hyper.VM) (*VCIMT, bool) {
-	t, ok := d.vcimts[vm]
-	return t, ok
-}

@@ -146,7 +146,6 @@ func (d *DVH) attachVP(vm *hyper.VM, name string, class hyper.DeviceClass) (*hyp
 			return nil, err
 		}
 	}
-	msix.SetEnabled(true)
 
 	dev.DMAView = &vpDMA{vp: vp}
 	migCap, err := pci.AddMigrationCap(fn, &vpMigOps{vp: vp})

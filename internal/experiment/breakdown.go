@@ -87,23 +87,3 @@ func FormatBreakdown(rows []BreakdownRow) string {
 	}
 	return b.String()
 }
-
-// BreakdownOf finds one row.
-func BreakdownOf(rows []BreakdownRow, workloadName, config string) (BreakdownRow, bool) {
-	for _, r := range rows {
-		if r.Workload == workloadName && r.Config == config {
-			return r, true
-		}
-	}
-	return BreakdownRow{}, false
-}
-
-// sortedOps lists a row's op classes deterministically (for tests).
-func (r BreakdownRow) sortedOps() []string {
-	var out []string
-	for k := range r.PerTxn {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

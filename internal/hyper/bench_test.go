@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/trace"
 	"repro/internal/vmx"
 )
 
@@ -46,28 +45,18 @@ func BenchmarkExecute(b *testing.B) {
 }
 
 // BenchmarkCompilePlan measures one cold compile of the forwarded-hypercall
-// plan at each depth, untraced (how every experiment runs) and traced (with
-// a Tracer attached, as nvtrace -timeline runs): host time and bytes per
-// compile.
+// plan at each depth: host time and bytes per compile. Only untraced worlds
+// compile plans; a World with a Tracer walks live.
 func BenchmarkCompilePlan(b *testing.B) {
 	for _, depth := range []int{2, 3, 4} {
-		for _, traced := range []bool{false, true} {
-			arm := "untraced"
-			if traced {
-				arm = "traced"
+		b.Run(fmt.Sprintf("L%d", depth), func(b *testing.B) {
+			w, stack := forwardCompileStack(b, depth, vmx.HardwareCaps)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.compilePlan(stack, planForward, vmx.ExitVMCALL, depth-1)
 			}
-			b.Run(fmt.Sprintf("L%d-%s", depth, arm), func(b *testing.B) {
-				w, stack := forwardCompileStack(b, depth, vmx.HardwareCaps)
-				if traced {
-					w.Tracer = trace.NewRecorder(16)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					w.compilePlan(stack, planForward, vmx.ExitVMCALL, depth-1)
-				}
-			})
-		}
+		})
 	}
 }
 

@@ -152,9 +152,3 @@ func DefaultCosts() CostModel {
 		MMIODirect:          250,
 	}
 }
-
-// HostExitCost is the canonical cost of an exit handled entirely at the host
-// hypervisor with the given handler work.
-func (c *CostModel) HostExitCost(work sim.Cycles) sim.Cycles {
-	return c.HwExit + c.HostDispatch + work + c.HwEntry
-}

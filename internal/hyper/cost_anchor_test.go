@@ -75,8 +75,8 @@ func TestRegisteredProfileAnchors(t *testing.T) {
 // and vmx.HardwareCaps. Every committed golden and BENCH artifact depends on
 // this identity.
 func TestDefaultProfileIsCurrentDefaults(t *testing.T) {
-	p := profile.Default()
-	if p.Name != "xeon-silver-4114" {
+	p, ok := profile.Lookup(profile.DefaultName)
+	if !ok || p.Name != "xeon-silver-4114" {
 		t.Fatalf("default profile is %q, want xeon-silver-4114", p.Name)
 	}
 	if p.Costs != hyper.DefaultCosts() {

@@ -63,9 +63,6 @@ type AssignedDevice struct {
 	DMAView virtio.DMA
 }
 
-// Virtual reports whether the device is emulated (as opposed to physical).
-func (d *AssignedDevice) Virtual() bool { return d.Phys == nil }
-
 // FindDeviceByDoorbell locates the device owning an MMIO address.
 func (vm *VM) FindDeviceByDoorbell(a mem.Addr) *AssignedDevice {
 	for _, d := range vm.Devices {
@@ -180,7 +177,6 @@ func programMSIX(d *virtio.Device, base apic.Vector) error {
 			return err
 		}
 	}
-	d.MSIX.SetEnabled(true)
 	return nil
 }
 

@@ -6,7 +6,7 @@ import "repro/internal/sim"
 // ledger exposed — test-only access to the otherwise stack-local ExitContext,
 // so the metamorphic settle-ledger tests (here and in the external
 // hyper_test package, which can import experiment without a cycle) can assert
-// sum(StageCost(s)) == Cost for every transaction the matrix runs.
+// sum(ledger) == Cost for every transaction the matrix runs.
 func (w *World) ExecuteLedger(v *VCPU, op Op) ([]sim.Cycles, sim.Cycles, error) {
 	var tx ExitContext
 	w.newTx(&tx, v, op, BoundaryExecute)

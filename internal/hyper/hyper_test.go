@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/apic"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vmx"
@@ -367,7 +368,7 @@ func TestGuestMemoryReadWriteThroughChain(t *testing.T) {
 		t.Fatalf("round trip got %q", buf)
 	}
 	// The same bytes must be visible at the translated host address.
-	host, err := l2.TranslateToHost(addr)
+	host, err := l2.translateToHost(addr, mem.PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}

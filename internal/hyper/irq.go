@@ -158,7 +158,7 @@ func (w *World) guestPathCost(stack []*Hypervisor, reason vmx.ExitReason, level 
 	c := &w.Costs
 	sink.hardwareExit(reason)
 	sink.handledExit(reason, level)
-	sink.traceEvent(reason, level+1, level, 1)
+	sink.traceEvent(reason, level+1, level)
 	cost := c.HwExit + c.ReflectWork + c.HwEntry
 	sink.chargeLevel(0, cost)
 	for j := 1; j < level; j++ {

@@ -137,10 +137,6 @@ func (tx *ExitContext) add(s Stage, c sim.Cycles) {
 	tx.ledger[s] += c
 }
 
-// StageCost returns the cycles the given stage contributed to the
-// transaction — the per-stage latency breakdown the pipeline exposes.
-func (tx *ExitContext) StageCost(s Stage) sim.Cycles { return tx.ledger[int(s)] }
-
 // newTx fills a zero ExitContext, declared by the entry point, for one
 // boundary entry. Filling in place through the pointer spares every
 // boundary a copy of the whole context out of a returned value.

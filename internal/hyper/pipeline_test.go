@@ -228,8 +228,8 @@ func TestExitContextLedger(t *testing.T) {
 	tx.add(StageRoute, 10)
 	tx.add(StageForward, 700)
 	tx.add(StageForward, 300)
-	if tx.StageCost(StageForward) != 1000 {
-		t.Errorf("StageCost(forward) = %v, want 1000", tx.StageCost(StageForward))
+	if tx.ledger[StageForward] != 1000 {
+		t.Errorf("forward stage = %v, want 1000", tx.ledger[StageForward])
 	}
 	if tx.Cost != 1010 {
 		t.Errorf("ledger total = %v, want 1010", tx.Cost)

@@ -40,14 +40,14 @@ import (
 // hypervisor level, hardware- and handled-exit counts, the ordered trace
 // events, and runs of privileged instructions. Implementations: *World
 // (live, charges the stats sink and trace recorder) and *planBuilder
-// (aggregates into a plan).
+// (aggregates into a plan; a traced World never replays, so plans hold no
+// trace events).
 type chargeSink interface {
 	chargeLevel(level int, c sim.Cycles)
 	hardwareExit(r vmx.ExitReason)
 	handledExit(r vmx.ExitReason, level int)
-	// traceEvent reports one hardware exit on the timeline; n identical
-	// consecutive events may be reported as one call with n > 1.
-	traceEvent(r vmx.ExitReason, from, handler, n int)
+	// traceEvent reports one hardware exit on the timeline.
+	traceEvent(r vmx.ExitReason, from, handler int)
 	// privOps runs n consecutive privileged instructions with the given
 	// reason, executed by the hypervisor at level, and returns their total
 	// cost: exactly n walks of privOpCost into this sink.
@@ -70,10 +70,10 @@ func (w *World) handledExit(r vmx.ExitReason, level int) {
 	w.Host.Machine.Stats.RecordHandledExit(r, level)
 }
 
-// traceEvent implements chargeSink live (RecordRun on a nil recorder is a
-// no-op, and with n == 1 it is exactly Record).
-func (w *World) traceEvent(r vmx.ExitReason, from, handler, n int) {
-	w.Tracer.RecordRun(r, from, handler, n)
+// traceEvent implements chargeSink live (Record on a nil recorder is a
+// no-op).
+func (w *World) traceEvent(r vmx.ExitReason, from, handler int) {
+	w.Tracer.Record(r, from, handler)
 }
 
 // privOps implements chargeSink live: it walks the instruction's subtree n
@@ -148,7 +148,7 @@ func (w *World) scriptCost(stack []*Hypervisor, level int, s Script, sink charge
 func (w *World) privOpCost(stack []*Hypervisor, level int, reason vmx.ExitReason, sink chargeSink) sim.Cycles {
 	c := &w.Costs
 	sink.hardwareExit(reason)
-	sink.traceEvent(reason, level, level-1, 1)
+	sink.traceEvent(reason, level, level-1)
 	cost := c.HwExit
 
 	if level == 1 {
@@ -244,13 +244,6 @@ type handledCount struct {
 	n      uint64
 }
 
-// eventRun is one run-length-encoded span of the plan's trace timeline.
-type eventRun struct {
-	reason        vmx.ExitReason
-	from, handler int
-	n             int
-}
-
 // deltas is everything a charge tree emits, aggregated: what replay
 // applies. A plan holds the deltas of its whole tree; a compile also builds
 // deltas for each privileged-instruction subtree it memoizes.
@@ -264,21 +257,14 @@ type deltas struct {
 	// (reason index) and (reason index, level) for deterministic replay.
 	hw      []reasonCount
 	handled []handledCount
-	// events is the ordered, run-length-encoded trace timeline. Only a
-	// traced compile records it.
-	events []eventRun
 }
 
 // plan is the compiled, immutable replay form of one charge tree. Replaying
-// it applies exactly the stats deltas and trace events the tree would emit,
-// in O(levels + deltas + runs) with zero allocations, and returns the
-// identical total cost.
+// it applies exactly the stats deltas the tree would emit, in
+// O(levels + deltas) with zero allocations, and returns the identical total
+// cost.
 type plan struct {
 	deltas
-	// traced records that the plan was compiled with a Tracer attached and
-	// so holds the timeline; charge recompiles an untraced plan the first
-	// time it runs with a Tracer.
-	traced bool
 	// pers pins the plan to the personalities it was compiled against:
 	// pers[k] is stack[k].Personality for k in [1, pinned]. Personalities
 	// are value identities (stateless, comparable), so an in-place swap —
@@ -363,25 +349,9 @@ func (b *planBuilder) handledExit(r vmx.ExitReason, level int) {
 	b.d.addHandled(r, trace.ClampLevel(level), 1)
 }
 
-// traceEvent implements chargeSink: a compile with no Tracer attached
-// drops the event; a traced one collapses consecutive identical events into
-// one run, preserving the exact event order of the tree.
-func (b *planBuilder) traceEvent(r vmx.ExitReason, from, handler, n int) {
-	if b.w.Tracer == nil {
-		return
-	}
-	evs := b.d.events
-	if last := len(evs) - 1; last >= 0 &&
-		evs[last].reason == r && evs[last].from == from && evs[last].handler == handler {
-		evs[last].n += n
-		return
-	}
-	// The builder runs only on the cold compile path (the compiler is
-	// //nvlint:cold); it reaches the hot call graph solely through CHA over
-	// the chargeSink interface.
-	//nvlint:ignore hotalloc cold compile path; hot-reachable only via CHA over chargeSink
-	b.d.events = append(evs, eventRun{reason: r, from: from, handler: handler, n: n})
-}
+// traceEvent implements chargeSink: plans hold no trace events, because
+// charge walks a traced World live.
+func (b *planBuilder) traceEvent(vmx.ExitReason, int, int) {}
 
 // privOps implements chargeSink: the first run of a (level, reason) in this
 // compile walks privOpCost once into a child builder, and every run merges
@@ -404,8 +374,7 @@ func (b *planBuilder) privOps(stack []*Hypervisor, level int, reason vmx.ExitRea
 }
 
 // merge adds n copies of a subtree's deltas, exactly as n walks of it
-// would: sums scale by n, and the events are appended n times, a copy's
-// first run merging into the run before it where they match.
+// would: sums scale by n.
 func (b *planBuilder) merge(sub *deltas, n int) {
 	for l, c := range sub.levels {
 		b.d.levels[l] += c * sim.Cycles(n)
@@ -416,22 +385,16 @@ func (b *planBuilder) merge(sub *deltas, n int) {
 	for _, h := range sub.handled {
 		b.d.addHandled(h.reason, h.level, h.n*uint64(n))
 	}
-	for i := 0; i < n; i++ {
-		for _, e := range sub.events {
-			b.traceEvent(e.reason, e.from, e.handler, e.n)
-		}
-	}
 }
 
 // compilePlan walks one charge tree with the compiling sink and flattens it
 // into an immutable plan, pinning the personalities of the stack up to the
-// level. The plan records the trace timeline only if a Tracer is attached.
-// This is the cold path: it runs once per key, stack shape and generation
-// triple, and its cost is amortized across every replay.
+// level. This is the cold path: it runs once per key, stack shape and
+// generation triple, and its cost is amortized across every replay.
 //
 //nvlint:cold
 func (w *World) compilePlan(stack []*Hypervisor, kind planKind, reason vmx.ExitReason, level int) *plan {
-	p := &plan{traced: w.Tracer != nil, pinned: min(level, len(stack)-1)}
+	p := &plan{pinned: min(level, len(stack)-1)}
 	b := &planBuilder{w: w, d: &p.deltas, memo: map[subtreeKey]*deltas{}}
 	p.cost = w.walk(stack, kind, reason, level, b)
 	for k := 1; k <= p.pinned; k++ {
@@ -446,8 +409,8 @@ func (w *World) compilePlan(stack []*Hypervisor, kind planKind, reason vmx.ExitR
 }
 
 // applyPlan applies a compiled plan's deltas — the aggregated per-level
-// charges, the exit counts, and the run-length-encoded trace timeline — and
-// returns the plan's total cost, byte-identical to walking the tree live.
+// charges and the exit counts — and returns the plan's total cost,
+// byte-identical to walking the tree live.
 func (w *World) applyPlan(p *plan) sim.Cycles {
 	stats := w.Host.Machine.Stats
 	for l := range p.levels {
@@ -460,11 +423,6 @@ func (w *World) applyPlan(p *plan) sim.Cycles {
 	}
 	for _, d := range p.handled {
 		stats.AddHandledExits(d.reason, d.level, d.n)
-	}
-	if w.Tracer != nil {
-		for _, e := range p.events {
-			w.Tracer.RecordRun(e.reason, e.from, e.handler, e.n)
-		}
 	}
 	return p.cost
 }
@@ -479,7 +437,7 @@ type planTable struct {
 
 // validPlans returns the World's plan table, lazily created, flushing every
 // slot whenever an invalidation generation moved: topology (Machine.TopoGen
-// — VM creation, hypervisor installation, repinning), cost model
+// — VM creation, hypervisor installation), cost model
 // (Machine.CostGen — World.SetCosts), or capabilities (Machine.CapsGen —
 // World.SetHostCaps, DVH enablement). The stale check is O(1); the
 // steady-state path allocates nothing.
@@ -499,18 +457,19 @@ func (w *World) validPlans() *planTable {
 }
 
 // charge runs one charge tree and returns its cost. With the cache on, it
-// replays the key's compiled plan, compiling on a miss, after a flush, when
-// a pinned personality differs, or when a Tracer is attached and the plan
-// was compiled without one; with NVSIM_NOPLANCACHE, or at a level
-// the accounting tables cannot index, it walks the tree live. This is the
-// single live-or-replay decision for every cached path. Only planForward
-// reads reason; callers pass 0 for the other kinds.
+// replays the key's compiled plan, compiling on a miss, after a flush, or
+// when a pinned personality differs; with NVSIM_NOPLANCACHE, with a Tracer
+// attached (a timeline needs every event, and only nvtrace attaches one,
+// for one iteration), or at a level the accounting tables cannot index, it
+// walks the tree live. This is the single live-or-replay decision for every
+// cached path. Only planForward reads reason; callers pass 0 for the other
+// kinds.
 func (w *World) charge(stack []*Hypervisor, kind planKind, reason vmx.ExitReason, level int) sim.Cycles {
-	if w.planCacheOff || level < 0 || level >= trace.MaxLevels {
+	if w.planCacheOff || w.Tracer != nil || level < 0 || level >= trace.MaxLevels {
 		return w.walk(stack, kind, reason, level, w)
 	}
 	slot := &w.validPlans().slots[planRow(kind, reason)][level]
-	if p := *slot; p == nil || !p.matchesStack(stack) || w.Tracer != nil && !p.traced {
+	if p := *slot; p == nil || !p.matchesStack(stack) {
 		*slot = w.compilePlan(stack, kind, reason, level)
 	}
 	if kind == planForward {

@@ -89,66 +89,79 @@ var equivalenceCases = []struct {
 	{"L4-noshadow", 4, vmx.HardwareCaps.Without(vmx.CapVMCSShadowing)},
 }
 
-// checkReplayEquivalence runs one mix on a world replaying compiled plans
+// checkReplayEquivalence runs one mix on a world with the plan cache on
 // and on a world walking every tree live, for each equivalence case, in two
-// arms: untraced (no Tracer, the mode every experiment runs in, whose plans
-// keep no timeline) and traced. Both arms require identical per-step costs
-// and stats tables; the traced arm also requires identical timelines.
-// replays reads the cached world's replay counter for the mix's plan kinds.
+// arms: untraced (no Tracer, the mode every experiment runs in, where the
+// cached world replays compiled plans) and traced (where both worlds walk
+// live, since a World with a Tracer never replays). Both arms require
+// identical per-step costs and stats tables. The traced arm also requires
+// identical timelines, an untouched plan cache, and the same costs and
+// stats as an untraced world replaying plans: tracing observes a run and
+// changes nothing it measures. replays reads the replaying world's counter
+// for the mix's plan kinds.
 func checkReplayEquivalence(t *testing.T, mix func(*testing.T, *World, []*VM, *AssignedDevice) []sim.Cycles, replays func(PlanCacheStats) uint64) {
 	for _, tc := range equivalenceCases {
 		t.Run(tc.name, func(t *testing.T) {
+			run := func(cache, traced bool) (*World, []sim.Cycles) {
+				w, vms := capsStack(t, tc.depth, tc.caps)
+				w.SetPlanCache(cache)
+				if traced {
+					w.Tracer = trace.NewRecorder(8192)
+				}
+				var dev *AssignedDevice
+				for _, vm := range vms {
+					var err error
+					if dev, err = AttachParavirtNet(vm, "net"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return w, mix(t, w, vms, dev)
+			}
+			same := func(t *testing.T, aw, bw *World, aCosts, bCosts []sim.Cycles) {
+				t.Helper()
+				if !reflect.DeepEqual(aCosts, bCosts) {
+					t.Errorf("per-step costs diverge:\ncached: %v\nlive:   %v", aCosts, bCosts)
+				}
+				as, bs := aw.Host.Machine.Stats, bw.Host.Machine.Stats
+				if as.HardwareExits != bs.HardwareExits {
+					t.Error("HardwareExits tables diverge")
+				}
+				if as.HandledExits != bs.HandledExits {
+					t.Error("HandledExits tables diverge")
+				}
+				if as.LevelCycles != bs.LevelCycles {
+					t.Error("LevelCycles diverge")
+				}
+				if as.GuestCycles != bs.GuestCycles {
+					t.Error("GuestCycles diverge")
+				}
+				if as.String() != bs.String() {
+					t.Errorf("stats reports diverge:\n--- cached ---\n%s--- live ---\n%s", as, bs)
+				}
+			}
 			for _, traced := range []bool{false, true} {
 				arm := "untraced"
 				if traced {
 					arm = "traced"
 				}
 				t.Run(arm, func(t *testing.T) {
-					build := func(cache bool) (*World, []*VM, *AssignedDevice) {
-						w, vms := capsStack(t, tc.depth, tc.caps)
-						w.SetPlanCache(cache)
-						if traced {
-							w.Tracer = trace.NewRecorder(8192)
+					cw, cCosts := run(true, traced)
+					lw, lCosts := run(false, traced)
+					same(t, cw, lw, cCosts, lCosts)
+					if traced {
+						if !reflect.DeepEqual(cw.Tracer.Events(), lw.Tracer.Events()) {
+							t.Errorf("trace timelines diverge:\n--- cached ---\n%s--- live ---\n%s",
+								cw.Tracer.Timeline(), lw.Tracer.Timeline())
 						}
-						var dev *AssignedDevice
-						for _, vm := range vms {
-							var err error
-							if dev, err = AttachParavirtNet(vm, "net"); err != nil {
-								t.Fatal(err)
-							}
+						if cw.Plan != (PlanCacheStats{}) {
+							t.Errorf("traced world touched the plan cache: %+v", cw.Plan)
 						}
-						return w, vms, dev
-					}
-					cw, cvms, cdev := build(true)
-					lw, lvms, ldev := build(false)
-
-					cCosts := mix(t, cw, cvms, cdev)
-					lCosts := mix(t, lw, lvms, ldev)
-
-					if !reflect.DeepEqual(cCosts, lCosts) {
-						t.Errorf("per-step costs diverge:\ncached: %v\nlive:   %v", cCosts, lCosts)
-					}
-					cs, ls := cw.Host.Machine.Stats, lw.Host.Machine.Stats
-					if cs.HardwareExits != ls.HardwareExits {
-						t.Error("HardwareExits tables diverge")
-					}
-					if cs.HandledExits != ls.HandledExits {
-						t.Error("HandledExits tables diverge")
-					}
-					if cs.LevelCycles != ls.LevelCycles {
-						t.Error("LevelCycles diverge")
-					}
-					if cs.GuestCycles != ls.GuestCycles {
-						t.Error("GuestCycles diverge")
-					}
-					if cs.String() != ls.String() {
-						t.Errorf("stats reports diverge:\n--- cached ---\n%s--- live ---\n%s", cs, ls)
-					}
-					if traced && !reflect.DeepEqual(cw.Tracer.Events(), lw.Tracer.Events()) {
-						t.Errorf("trace timelines diverge:\n--- cached ---\n%s--- live ---\n%s",
-							cw.Tracer.Timeline(), lw.Tracer.Timeline())
-					}
-					if replays(cw.Plan) == 0 {
+						rw, rCosts := run(true, false)
+						same(t, rw, cw, rCosts, cCosts)
+						if replays(rw.Plan) == 0 {
+							t.Error("untraced cached world never replayed a plan — the test exercised nothing")
+						}
+					} else if replays(cw.Plan) == 0 {
 						t.Error("cached world never replayed a plan — the test exercised nothing")
 					}
 					if lw.Plan != (PlanCacheStats{}) {
@@ -161,11 +174,12 @@ func checkReplayEquivalence(t *testing.T, mix func(*testing.T, *World, []*VM, *A
 }
 
 // TestForwardPlanReplayEquivalence is the heart of the cache's correctness
-// claim: for every depth and capability configuration, traced or not, a
-// world replaying compiled plans and a world re-running the live recursion
-// produce identical per-op costs, identical stats tables (exit counts by
-// reason and handler level, per-level cycles, named counters) and, when
-// traced, an identical trace timeline.
+// claim: for every depth and capability configuration, a world replaying
+// compiled plans and a world re-running the live recursion produce
+// identical per-op costs and identical stats tables (exit counts by reason
+// and handler level, per-level cycles, named counters). A traced world
+// walks live even with the cache on, charges the same, and records the
+// same timeline as a traced live world.
 func TestForwardPlanReplayEquivalence(t *testing.T) {
 	checkReplayEquivalence(t, runPlanMatrix, func(s PlanCacheStats) uint64 { return s.Replays })
 }
@@ -329,8 +343,8 @@ func forwardCompileStack(t testing.TB, depth int, caps vmx.Caps) (*World, []*Hyp
 	return w, stack
 }
 
-// TestCompileAllocBudget pins the compile cost the subtree memo and the
-// untraced timeline buy: a compile allocates O(levels x distinct subtrees),
+// TestCompileAllocBudget pins the compile cost the subtree memo and
+// event-free plans buy: a compile allocates O(levels x distinct subtrees),
 // not O(exits). Compiling each plan whole, with the timeline always kept,
 // an L2 forwarded-hypercall compile allocated 4,312 B and an L4 one
 // 515,128 B (720,312 B without VMCS shadowing). Bytes per compile are
@@ -342,18 +356,13 @@ func TestCompileAllocBudget(t *testing.T) {
 		name   string
 		depth  int
 		caps   vmx.Caps
-		traced bool
 		budget uint64
 	}{
-		{"L2-untraced", 2, vmx.HardwareCaps, false, 4312},
-		{"L2-traced", 2, vmx.HardwareCaps, true, 4312},
-		{"L4-untraced", 4, vmx.HardwareCaps, false, 16 << 10},
-		{"L4-noshadow-untraced", 4, noShadow, false, 16 << 10},
+		{"L2", 2, vmx.HardwareCaps, 4312},
+		{"L4", 4, vmx.HardwareCaps, 16 << 10},
+		{"L4-noshadow", 4, noShadow, 16 << 10},
 	} {
 		w, stack := forwardCompileStack(t, tc.depth, tc.caps)
-		if tc.traced {
-			w.Tracer = trace.NewRecorder(16)
-		}
 		const runs = 10
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -378,8 +387,8 @@ func TestPlanCacheEnvDefault(t *testing.T) {
 		want bool
 	}{{"", true}, {"0", true}, {"1", false}, {"yes", false}} {
 		t.Setenv(NoPlanCacheEnv, tc.val)
-		if got := NewWorld(host).PlanCacheEnabled(); got != tc.want {
-			t.Errorf("%s=%q: PlanCacheEnabled() = %v, want %v", NoPlanCacheEnv, tc.val, got, tc.want)
+		if got := !NewWorld(host).planCacheOff; got != tc.want {
+			t.Errorf("%s=%q: plan cache on = %v, want %v", NoPlanCacheEnv, tc.val, got, tc.want)
 		}
 	}
 }
@@ -438,10 +447,11 @@ func runDeliveryMatrix(t *testing.T, w *World, vms []*VM, dev *AssignedDevice) [
 }
 
 // TestDeliveryPlanReplayEquivalence is compile ≡ live for the delivery
-// paths: for every depth and capability configuration, traced or not, a
-// world replaying compiled injection, cascade and wake plans and a world
-// running the live recursions produce identical per-step costs, identical
-// stats tables and, when traced, an identical trace timeline.
+// paths: for every depth and capability configuration, a world replaying
+// compiled injection, cascade and wake plans and a world running the live
+// recursions produce identical per-step costs and identical stats tables.
+// A traced world walks live even with the cache on, charges the same, and
+// records the same timeline as a traced live world.
 func TestDeliveryPlanReplayEquivalence(t *testing.T) {
 	checkReplayEquivalence(t, runDeliveryMatrix, func(s PlanCacheStats) uint64 { return s.DeliveryReplays })
 }
@@ -778,7 +788,6 @@ func siblingWorld(t *testing.T, cache bool) (*World, []*VM, []*AssignedDevice) {
 		Name: "siblings", CPUs: 10, MemoryBytes: 64 << 30, Caps: vmx.HardwareCaps, NICVFs: 4,
 	}), KVM{}))
 	w.SetPlanCache(cache)
-	w.Tracer = trace.NewRecorder(8192)
 	var l2s []*VM
 	var devs []*AssignedDevice
 	for i, p := range []Personality{KVM{}, heavyPersonality{}} {
@@ -841,9 +850,6 @@ func TestPlanSiblingPersonalitiesCachedEqualsLive(t *testing.T) {
 	}
 	if cs, ls := cw.Host.Machine.Stats.String(), lw.Host.Machine.Stats.String(); cs != ls {
 		t.Errorf("stats reports diverge:\n--- cached ---\n%s--- live ---\n%s", cs, ls)
-	}
-	if !reflect.DeepEqual(cw.Tracer.Events(), lw.Tracer.Events()) {
-		t.Errorf("trace timelines diverge:\n--- cached ---\n%s--- live ---\n%s", cw.Tracer.Timeline(), lw.Tracer.Timeline())
 	}
 	if cw.Plan.Replays == 0 || cw.Plan.DeliveryReplays == 0 {
 		t.Errorf("cached world replayed nothing: %+v", cw.Plan)

@@ -71,17 +71,6 @@ func (s *Scheduler) PickNext(physCPU int, except *VCPU) *VCPU {
 	return nil
 }
 
-// Runnable counts non-idle guest vCPUs on a CPU.
-func (s *Scheduler) Runnable(physCPU int) int {
-	n := 0
-	for _, v := range s.candidates(physCPU) {
-		if !v.Idle {
-			n++
-		}
-	}
-	return n
-}
-
 // switchScript is the guest hypervisor's context-switch path between two of
 // its nested VMs: VMCLEAR/VMPTRLD of the VMCS pair plus state save/restore.
 func switchScript() Script {

@@ -166,7 +166,7 @@ func (h *Hypervisor) CreateVM(cfg VMConfig) (*VM, error) {
 		v := &VCPU{
 			VM:    vm,
 			ID:    i,
-			LAPIC: apic.NewLAPIC(uint32(i)),
+			LAPIC: apic.NewLAPIC(),
 			VMCS:  vmx.NewVMCS(),
 		}
 		if h.HostVM != nil {
@@ -235,7 +235,7 @@ func (vm *VM) InstallHypervisor(p Personality, name string) *Hypervisor {
 	vm.Owner.Machine.TopoGen++
 	if vm.Level == 1 && vm.Owner.Caps.Has(vmx.CapVMCSShadowing) {
 		for _, v := range vm.VCPUs {
-			v.VMCS.LinkShadow(vmx.NewVMCS())
+			v.VMCS.LinkShadow(true)
 		}
 	}
 	return gh
@@ -316,12 +316,8 @@ func (vm *VM) ensureMapped(p mem.PFN, access mem.Perm) (mem.PFN, error) {
 	return target, nil
 }
 
-// TranslateToHost resolves a guest-physical address down the whole nesting
+// translateToHost resolves a guest-physical address down the whole nesting
 // chain to a machine physical address, faulting mappings in along the way.
-func (vm *VM) TranslateToHost(a mem.Addr) (mem.Addr, error) {
-	return vm.translateToHost(a, mem.PermRead)
-}
-
 func (vm *VM) translateToHost(a mem.Addr, access mem.Perm) (mem.Addr, error) {
 	pf, err := vm.ensureMapped(mem.PageOf(a), access)
 	if err != nil {
@@ -346,9 +342,6 @@ func (vm *VM) StartDirtyLog() { vm.dirty = mem.NewBitmap(uint64(vm.NumPages)) }
 
 // StopDirtyLog ends recording.
 func (vm *VM) StopDirtyLog() { vm.dirty = nil }
-
-// DirtyLogActive reports whether a log is recording.
-func (vm *VM) DirtyLogActive() bool { return vm.dirty != nil }
 
 // CollectDirty drains and resets the dirty log, returning the frames in
 // ascending order.

@@ -122,10 +122,6 @@ func (w *World) AttachStageStats(ss *trace.StageStats) { w.Stages = ss }
 // modes produce byte-identical simulation results.
 func (w *World) SetPlanCache(on bool) { w.planCacheOff = !on }
 
-// PlanCacheEnabled reports whether forwarded exits and delivery paths replay
-// compiled plans.
-func (w *World) PlanCacheEnabled() bool { return !w.planCacheOff }
-
 // SetCosts replaces the world's cost model and bumps the machine's cost
 // generation so compiled plans (which bake cycle costs in) are
 // recompiled. Mutating w.Costs fields directly is reserved for setup before
@@ -160,9 +156,9 @@ func (w *World) SetProfile(c CostModel, caps vmx.Caps) {
 // stack returns the hypervisor at each level beneath v: stack[0] is the
 // host, stack[k] the guest hypervisor at level k, up to v.VM.Level-1.
 // The result is cached on the vCPU — the pipeline consults it on every exit —
-// and rebuilt when the machine's topology generation moves (VM creation or
-// destruction, hypervisor installation, repinning). Callers must not hold
-// the slice across topology changes.
+// and rebuilt when the machine's topology generation moves (VM creation,
+// hypervisor installation). Callers must not hold the slice across topology
+// changes.
 func (w *World) stack(v *VCPU) ([]*Hypervisor, error) {
 	gen := w.Host.Machine.TopoGen
 	if v.stackCache != nil && v.stackGen == gen {

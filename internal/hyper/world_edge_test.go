@@ -169,12 +169,15 @@ func TestDeviceRXCascadeCostGrowsWithProviderLevel(t *testing.T) {
 }
 
 func TestCostModelHostExitCost(t *testing.T) {
+	// An exit handled entirely at the host costs its hardware round trip,
+	// the host dispatch and the handler work.
 	c := DefaultCosts()
-	if c.HostExitCost(0) != 1575 {
-		t.Fatalf("null host exit = %v", c.HostExitCost(0))
+	hostExit := func(work sim.Cycles) sim.Cycles { return c.HwExit + c.HostDispatch + work + c.HwEntry }
+	if got := hostExit(0); got != 1575 {
+		t.Fatalf("null host exit = %v", got)
 	}
-	if c.HostExitCost(c.VirtioBackendWork) != 4984 {
-		t.Fatalf("DevNotify host exit = %v", c.HostExitCost(c.VirtioBackendWork))
+	if got := hostExit(c.VirtioBackendWork); got != 4984 {
+		t.Fatalf("DevNotify host exit = %v", got)
 	}
 }
 

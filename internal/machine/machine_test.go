@@ -3,48 +3,30 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/vmx"
 )
 
-func TestDefaultConfigShape(t *testing.T) {
-	cfg := DefaultConfig("paper")
-	if cfg.CPUs != 20 {
-		t.Errorf("CPUs = %d, want the testbed's 20", cfg.CPUs)
-	}
-	if cfg.MemoryBytes != 192<<30 {
-		t.Errorf("memory = %d, want 192 GB", cfg.MemoryBytes)
-	}
-	if cfg.ClockHz != sim.DefaultClockHz {
-		t.Errorf("clock = %d", cfg.ClockHz)
-	}
-	if !cfg.Caps.Has(vmx.HardwareCaps) {
-		t.Error("default caps missing hardware features")
-	}
-}
-
 func TestNewMachine(t *testing.T) {
-	m, err := New(DefaultConfig("m0"))
+	// The paper's testbed shape.
+	m, err := New(Config{Name: "m0", CPUs: 20, MemoryBytes: 192 << 30, Caps: vmx.HardwareCaps, NICVFs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(m.CPUs) != 20 {
 		t.Fatalf("built %d CPUs", len(m.CPUs))
 	}
-	cpu3, err := m.CPU(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cpu3.LAPIC.ID() != 3 {
-		t.Error("LAPIC IDs not sequential")
+	if m.ClockHz != sim.DefaultClockHz {
+		t.Errorf("clock = %d, want the default", m.ClockHz)
 	}
 	if m.IOMMU == nil || !m.IOMMU.PostedCapable() {
 		t.Error("VT-d with posted interrupts expected")
 	}
-	if m.NIC == nil || m.NIC.LineRateBitsPerSec != 10_000_000_000 {
-		t.Error("10GbE NIC expected")
+	if m.NIC == nil {
+		t.Error("NIC expected")
 	}
-	if m.SSD == nil || m.SSD.Backing.Size() != 480<<30 {
+	if m.SSD == nil || m.SSD.Backing.NumPages() != 480<<30/mem.PageSize {
 		t.Error("480GB SSD expected")
 	}
 	if m.Engine == nil || m.Stats == nil {
@@ -62,19 +44,6 @@ func TestNewValidation(t *testing.T) {
 		}
 	}()
 	MustNew(Config{Name: "bad", CPUs: -1})
-}
-
-func TestCPUOutOfRange(t *testing.T) {
-	m := MustNew(Config{Name: "m", CPUs: 2, MemoryBytes: 1 << 30})
-	if _, err := m.CPU(99); err == nil {
-		t.Fatal("CPU(99) should return an error")
-	}
-	if _, err := m.CPU(-1); err == nil {
-		t.Fatal("CPU(-1) should return an error")
-	}
-	if cpu, err := m.CPU(1); err != nil || cpu == nil {
-		t.Fatalf("CPU(1) should succeed, got %v, %v", cpu, err)
-	}
 }
 
 func TestNoIOMMUWithoutCap(t *testing.T) {
@@ -98,18 +67,5 @@ func TestCreateVFs(t *testing.T) {
 	}
 	if _, err := m.CreateVFs(1); err == nil {
 		t.Fatal("exceeding NICVFs should fail")
-	}
-}
-
-func TestWireCycles(t *testing.T) {
-	m := MustNew(Config{Name: "m", CPUs: 2, MemoryBytes: 1 << 30})
-	// A 1500-byte frame at 10 Gb/s is 1.2 µs = 2640 cycles at 2.2 GHz.
-	got := m.NIC.WireCycles(1500, m.ClockHz)
-	if got < 2500 || got > 2800 {
-		t.Fatalf("1500B wire time = %v cycles", got)
-	}
-	var idle NIC
-	if idle.WireCycles(1500, m.ClockHz) != 0 {
-		t.Fatal("zero-rate NIC should cost nothing")
 	}
 }

@@ -1,6 +1,6 @@
 // Package mem models guest-physical memory and the translation structures
 // the virtualization stack is built on: sparse byte-addressable address
-// spaces with dirty-page logging, bitmaps, and real 4-level page tables used
+// spaces that track written pages, bitmaps, and real 4-level page tables used
 // both as EPTs (CPU side) and as IOMMU translation tables (DMA side).
 //
 // Bytes really move: virtio rings, DMA buffers and migration all read and
@@ -36,7 +36,7 @@ func (p PFN) Base() Addr { return Addr(p) << PageShift }
 // AddressSpace is a sparse, byte-addressable physical address space backed by
 // on-demand frames. A frame stores only its extent, the bytes up to the
 // highest one ever written; the rest of the page reads as zero. Its written
-// set and dirty log are sparse bitmaps, so host cost follows the pages and
+// set is a sparse bitmap, so host cost follows the pages and
 // bytes a run touches, never the nominal size. It serves as host physical
 // memory for the machine and as guest-physical memory for every VM level.
 //
@@ -53,11 +53,9 @@ type AddressSpace struct {
 	// last caches leaves[lastKey], nil when that leaf is absent (the zero
 	// pair fits an empty space), so a sequential scan hashes once per leaf.
 	// Leaves are never removed, and setFrame updates it when it adds one.
-	last     *frameLeaf
-	lastKey  PFN
-	resident int     // frames with an extent, for ResidentPages
-	dirty    *Bitmap // non-nil while dirty logging is active
-	written  *Bitmap // every page ever written; migration's first pass sends these
+	last    *frameLeaf
+	lastKey PFN
+	written *Bitmap // every page ever written; migration's first pass sends these
 }
 
 // leafShift sets a frame leaf's span: leafPages consecutive frames.
@@ -96,17 +94,8 @@ func NewAddressSpace(name string, size uint64) *AddressSpace {
 	}
 }
 
-// Name returns the space's label.
-func (as *AddressSpace) Name() string { return as.name }
-
 // NumPages returns the number of page frames in the space.
 func (as *AddressSpace) NumPages() PFN { return as.npages }
-
-// Size returns the byte size of the space.
-func (as *AddressSpace) Size() uint64 { return uint64(as.npages) * PageSize }
-
-// Contains reports whether the address lies inside the space.
-func (as *AddressSpace) Contains(a Addr) bool { return PageOf(a) < as.npages }
 
 // frame returns page p's extent, nil for a page never written. It never
 // allocates; a hash lookup happens only when p's leaf is not the cached one.
@@ -133,11 +122,7 @@ func (as *AddressSpace) setFrame(p PFN, f []byte) {
 		as.last = new(frameLeaf)
 		as.leaves[as.lastKey] = as.last
 	}
-	s := &as.last[p&(leafPages-1)]
-	if *s == nil {
-		as.resident++
-	}
-	*s = f
+	as.last[p&(leafPages-1)] = f
 }
 
 func (as *AddressSpace) beyond(p PFN) error {
@@ -162,12 +147,9 @@ func (as *AddressSpace) grow(p PFN, f []byte, end int) []byte {
 	return g
 }
 
-// mark records page p written and, while logging, dirty.
+// mark records page p written.
 func (as *AddressSpace) mark(p PFN) {
 	as.written.Set(uint64(p))
-	if as.dirty != nil {
-		as.dirty.Set(uint64(p))
-	}
 }
 
 // Read copies len(buf) bytes starting at a into buf. Unwritten memory reads
@@ -192,7 +174,7 @@ func (as *AddressSpace) Read(a Addr, buf []byte) error {
 }
 
 // Write copies buf into the space starting at a, marking touched pages
-// written and, if dirty logging is active, dirty.
+// written.
 func (as *AddressSpace) Write(a Addr, buf []byte) error {
 	for len(buf) > 0 {
 		p := PageOf(a)
@@ -214,7 +196,7 @@ func (as *AddressSpace) Write(a Addr, buf []byte) error {
 }
 
 // CopyFrame overwrites frame dp of dst with frame sp of src and marks dp
-// written (and dirty while logging), leaving both spaces exactly as reading
+// written, leaving both spaces exactly as reading
 // the source page and writing it whole to the destination would. It moves
 // only the source's extent, so a page holding one quadword costs a quadword.
 // Shrinking keeps the destination's capacity; grow clears it before reuse.
@@ -262,66 +244,6 @@ func EqualFrames(a *AddressSpace, p PFN, b *AddressSpace, q PFN) (bool, error) {
 	return true, nil
 }
 
-// ReadU64 reads a little-endian 64-bit value, the unit virtio descriptors and
-// the VCIMT use.
-func (as *AddressSpace) ReadU64(a Addr) (uint64, error) {
-	var b [8]byte
-	if err := as.Read(a, b[:]); err != nil {
-		return 0, err
-	}
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v, nil
-}
-
-// WriteU64 writes a little-endian 64-bit value.
-func (as *AddressSpace) WriteU64(a Addr, v uint64) error {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	return as.Write(a, b[:])
-}
-
-// MarkPageDirty records a page as written without moving bytes — used by
-// cost-model paths that account a DMA without materializing payloads.
-func (as *AddressSpace) MarkPageDirty(p PFN) error {
-	if p >= as.npages {
-		return as.beyond(p)
-	}
-	as.mark(p)
-	return nil
-}
-
-// StartDirtyLog begins tracking written pages, as a hypervisor does at the
-// start of live migration. Restarting clears the log.
-func (as *AddressSpace) StartDirtyLog() {
-	as.dirty = NewBitmap(uint64(as.npages))
-}
-
-// DirtyLogActive reports whether logging is on.
-func (as *AddressSpace) DirtyLogActive() bool { return as.dirty != nil }
-
-// CollectDirty returns the dirtied frames since the last collection, in
-// ascending order, and clears the log: the per-round step of pre-copy
-// migration. It returns nil when logging is inactive or nothing was dirtied.
-func (as *AddressSpace) CollectDirty() []PFN {
-	if as.dirty == nil {
-		return nil
-	}
-	out := as.dirty.PFNs()
-	as.dirty.Reset()
-	return out
-}
-
-// StopDirtyLog ends tracking.
-func (as *AddressSpace) StopDirtyLog() { as.dirty = nil }
-
 // WrittenPages returns every frame ever written, in ascending order: the
 // working set migration's first pass must ship.
 func (as *AddressSpace) WrittenPages() []PFN { return as.written.PFNs() }
-
-// ResidentPages returns the number of frames with backing storage allocated.
-func (as *AddressSpace) ResidentPages() int { return as.resident }

@@ -9,14 +9,13 @@ import (
 )
 
 // refSpace is FuzzAddressSpace's reference model: an address space whose
-// pages are full [PageSize]byte frames, with map-backed written and dirty
-// sets. Read and write walk the range page by page like AddressSpace, so a
-// range that runs off the end fails after its in-range pages moved.
+// pages are full [PageSize]byte frames, with a map-backed written set. Read
+// and write walk the range page by page like AddressSpace, so a range that
+// runs off the end fails after its in-range pages moved.
 type refSpace struct {
 	npages  PFN
 	frames  map[PFN]*[PageSize]byte
 	written map[PFN]bool
-	dirty   map[PFN]bool // nil while logging is off
 }
 
 func newRefSpace(npages PFN) *refSpace {
@@ -30,12 +29,7 @@ func (r *refSpace) frame(p PFN) *[PageSize]byte {
 	return r.frames[p]
 }
 
-func (r *refSpace) mark(p PFN) {
-	r.written[p] = true
-	if r.dirty != nil {
-		r.dirty[p] = true
-	}
-}
+func (r *refSpace) mark(p PFN) { r.written[p] = true }
 
 func (r *refSpace) write(a Addr, buf []byte) bool {
 	for len(buf) > 0 {
@@ -77,13 +71,8 @@ func sortedPFNs(set map[PFN]bool) []PFN {
 const (
 	asOpWrite = iota
 	asOpRead
-	asOpWriteU64
-	asOpMarkDirty
 	asOpCopyFrame
 	asOpEqualFrames
-	asOpStartLog
-	asOpCollect
-	asOpStopLog
 	asNumOps
 
 	asStepLen = 7
@@ -95,12 +84,11 @@ func asStep(op, sel byte, x, y uint16, v byte) []byte {
 
 // FuzzAddressSpace checks byte-extent frames against the full-frame
 // reference over two spaces: writes and reads at any offset and length
-// (across pages and off the end), WriteU64, MarkPageDirty, CopyFrame in
-// both directions and within one space, EqualFrames, and dirty logging.
-// The second space spans three frame leaves, the last one partly, so steps
-// cross leaf boundaries and alternate between leaves. Every read,
-// EqualFrames answer, CollectDirty and, after every step, WrittenPages must
-// match the model, as must every byte at the end.
+// (across pages and off the end), CopyFrame in both directions and within
+// one space, and EqualFrames. The second space spans three frame leaves,
+// the last one partly, so steps cross leaf boundaries and alternate between
+// leaves. Every read, EqualFrames answer and, after every step,
+// WrittenPages must match the model, as must every byte at the end.
 func FuzzAddressSpace(f *testing.F) {
 	// The stale tail: a full frame shrunk by copying an 8-byte frame over
 	// it keeps its capacity; growing it again by one byte at offset 100
@@ -112,22 +100,16 @@ func FuzzAddressSpace(f *testing.F) {
 		asStep(asOpWrite, 0, 100, 1, 5),
 		asStep(asOpRead, 0, 0, PageSize, 0),
 	}, nil))
-	// Logging, cross-page and off-the-end writes, copies both ways and
-	// within a space, and frames equal only if a longer extent's tail is
-	// zero.
+	// Cross-page and off-the-end writes, copies both ways and within a
+	// space, and frames equal only if a longer extent's tail is zero.
 	f.Add(bytes.Join([][]byte{
-		asStep(asOpStartLog, 0, 0, 0, 0),
 		asStep(asOpWrite, 0, PageSize-4, 20, 7),
-		asStep(asOpWriteU64, 1, 3*PageSize+9, 0, 9),
-		asStep(asOpMarkDirty, 0, 3, 0, 0),
+		asStep(asOpWrite, 1, 3*PageSize+9, 8, 9),
 		asStep(asOpCopyFrame, 3, 3, 0, 0),
 		asStep(asOpEqualFrames, 2, 0, 3, 0),
 		asStep(asOpEqualFrames, 2, 1, 0, 0),
 		asStep(asOpCopyFrame, 0, 2, 0, 0),
-		asStep(asOpCollect, 0, 0, 0, 0),
 		asStep(asOpWrite, 0, 4*PageSize-2, 8, 2),
-		asStep(asOpStopLog, 0, 0, 0, 0),
-		asStep(asOpCollect, 0, 0, 0, 0),
 	}, nil))
 	// Writes and reads alternating between the same slot of the first and
 	// third leaf, where a cached leaf used under the wrong key mixes the two
@@ -140,7 +122,7 @@ func FuzzAddressSpace(f *testing.F) {
 		asStep(asOpRead, 1, PageSize, 64, 0),
 		asStep(asOpWrite, 1, PageSize+12, 8, 7),
 		asStep(asOpRead, 1|win8, PageSize, 64, 0),
-		asStep(asOpWriteU64, 1|win4, 0, 0, 9),
+		asStep(asOpWrite, 1|win4, 0, 8, 9),
 		asStep(asOpRead, 1|win3, 16*PageSize-16, 32, 0),
 		asStep(asOpCopyFrame, 1, 129, 1, 0),
 		asStep(asOpEqualFrames, 1, 1, 129, 0),
@@ -169,37 +151,22 @@ func FuzzAddressSpace(f *testing.F) {
 					buf[k] = byte(k+1) * v
 				}
 				if err := as.Write(a, buf); (err == nil) != ref.write(a, buf) {
-					t.Fatalf("step %d: Write(%s, %#x, %d) error %v disagrees with the reference", step, as.Name(), a, n, err)
+					t.Fatalf("step %d: Write(%s, %#x, %d) error %v disagrees with the reference", step, as.name, a, n, err)
 				}
 			case asOpRead:
 				got, want := make([]byte, n), make([]byte, n)
 				err := as.Read(a, got)
 				ok := ref.read(a, want)
 				if (err == nil) != ok {
-					t.Fatalf("step %d: Read(%s, %#x, %d) error %v disagrees with the reference", step, as.Name(), a, n, err)
+					t.Fatalf("step %d: Read(%s, %#x, %d) error %v disagrees with the reference", step, as.name, a, n, err)
 				}
 				if ok && !bytes.Equal(got, want) {
-					t.Fatalf("step %d: Read(%s, %#x, %d) differs from the reference", step, as.Name(), a, n)
-				}
-			case asOpWriteU64:
-				val := uint64(v)<<56 | uint64(y)<<8 | uint64(v)
-				var b [8]byte
-				binary.LittleEndian.PutUint64(b[:], val)
-				if err := as.WriteU64(a, val); (err == nil) != ref.write(a, b[:]) {
-					t.Fatalf("step %d: WriteU64(%s, %#x) error %v disagrees with the reference", step, as.Name(), a, err)
-				}
-			case asOpMarkDirty:
-				err := as.MarkPageDirty(p)
-				if (err == nil) != (p < ref.npages) {
-					t.Fatalf("step %d: MarkPageDirty(%s, %d) error %v", step, as.Name(), p, err)
-				}
-				if err == nil {
-					ref.mark(p)
+					t.Fatalf("step %d: Read(%s, %#x, %d) differs from the reference", step, as.name, a, n)
 				}
 			case asOpCopyFrame:
 				err := CopyFrame(as, p, spaces[j], q)
 				if (err == nil) != (p < ref.npages && q < refs[j].npages) {
-					t.Fatalf("step %d: CopyFrame(%s:%d <- %s:%d) error %v", step, as.Name(), p, spaces[j].Name(), q, err)
+					t.Fatalf("step %d: CopyFrame(%s:%d <- %s:%d) error %v", step, as.name, p, spaces[j].name, q, err)
 				}
 				if err == nil {
 					*ref.frame(p) = *refs[j].frame(q)
@@ -209,46 +176,32 @@ func FuzzAddressSpace(f *testing.F) {
 				got, err := EqualFrames(as, p, spaces[j], q)
 				ok := p < ref.npages && q < refs[j].npages
 				if (err == nil) != ok {
-					t.Fatalf("step %d: EqualFrames(%s:%d, %s:%d) error %v", step, as.Name(), p, spaces[j].Name(), q, err)
+					t.Fatalf("step %d: EqualFrames(%s:%d, %s:%d) error %v", step, as.name, p, spaces[j].name, q, err)
 				}
 				if want := ok && *ref.frame(p) == *refs[j].frame(q); ok && got != want {
-					t.Fatalf("step %d: EqualFrames(%s:%d, %s:%d) = %v, reference %v", step, as.Name(), p, spaces[j].Name(), q, got, want)
+					t.Fatalf("step %d: EqualFrames(%s:%d, %s:%d) = %v, reference %v", step, as.name, p, spaces[j].name, q, got, want)
 				}
-			case asOpStartLog:
-				as.StartDirtyLog()
-				ref.dirty = map[PFN]bool{}
-			case asOpCollect:
-				got, want := as.CollectDirty(), sortedPFNs(ref.dirty)
-				if ref.dirty != nil {
-					ref.dirty = map[PFN]bool{}
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("step %d: CollectDirty(%s) = %v, reference %v", step, as.Name(), got, want)
-				}
-			case asOpStopLog:
-				as.StopDirtyLog()
-				ref.dirty = nil
 			}
 			for k := range spaces {
 				if got, want := spaces[k].WrittenPages(), sortedPFNs(refs[k].written); !slices.Equal(got, want) {
-					t.Fatalf("step %d: WrittenPages(%s) = %v, reference %v", step, spaces[k].Name(), got, want)
+					t.Fatalf("step %d: WrittenPages(%s) = %v, reference %v", step, spaces[k].name, got, want)
 				}
 			}
 		}
 		for k := range spaces {
-			got, want := make([]byte, spaces[k].Size()), make([]byte, spaces[k].Size())
+			got, want := make([]byte, refs[k].npages*PageSize), make([]byte, refs[k].npages*PageSize)
 			if err := spaces[k].Read(0, got); err != nil || !refs[k].read(0, want) {
-				t.Fatalf("reading all of %s: %v", spaces[k].Name(), err)
+				t.Fatalf("reading all of %s: %v", spaces[k].name, err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%s content differs from the reference at the end", spaces[k].Name())
+				t.Fatalf("%s content differs from the reference at the end", spaces[k].name)
 			}
 		}
 	})
 }
 
 // TestAddressSpaceSparseAlloc pins the cost of a first write to the regions
-// it touches, not to how far into the space it lands: one WriteU64 into a
+// it touches, not to how far into the space it lands: one 8-byte write into a
 // fresh 96 GiB space, at its first frame, at frame 0x300011 (12 GiB in,
 // where an L2 DVH stack's only written host page lies) and at its last
 // frame, must each allocate at most 16 KiB, construction included. An index
@@ -257,11 +210,12 @@ func FuzzAddressSpace(f *testing.F) {
 // the budget holds on any host.
 func TestAddressSpaceSparseAlloc(t *testing.T) {
 	const size, budget = 96 << 30, 16 << 10
+	val := []byte{1, 0, 0, 0, 0, 0, 0, 0}
 	for _, p := range []PFN{0, 0x300011, size/PageSize - 1} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		as := NewAddressSpace("host", size)
-		if err := as.WriteU64(p.Base(), 1); err != nil {
+		if err := as.Write(p.Base(), val); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

@@ -47,17 +47,3 @@ func BenchmarkAddressSpaceWrite(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkDirtyCollect(b *testing.B) {
-	as := NewAddressSpace("bench", 1<<30)
-	as.StartDirtyLog()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for p := PFN(0); p < 512; p++ {
-			as.MarkPageDirty(p)
-		}
-		if got := as.CollectDirty(); len(got) != 512 {
-			b.Fatal("lost dirty pages")
-		}
-	}
-}

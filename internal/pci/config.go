@@ -16,7 +16,6 @@ import "fmt"
 const (
 	offVendorID  = 0x00
 	offDeviceID  = 0x02
-	offCommand   = 0x04
 	offStatus    = 0x06
 	offRevision  = 0x08
 	offClassCode = 0x09
@@ -27,12 +26,6 @@ const (
 
 	// statusCapList advertises a capability chain.
 	statusCapList = 1 << 4
-
-	// Command register bits.
-	CmdIOSpace    = 1 << 0
-	CmdMemSpace   = 1 << 1
-	CmdBusMaster  = 1 << 2
-	CmdIntDisable = 1 << 10
 )
 
 // CapID identifies a PCI capability.
@@ -93,9 +86,6 @@ func NewConfigSpace(vendor, device uint16, class uint32) *ConfigSpace {
 	return c
 }
 
-// ReadU8 reads one byte of config space.
-func (c *ConfigSpace) ReadU8(off int) uint8 { return c.bytes[off] }
-
 // ReadU16 reads a little-endian 16-bit register.
 func (c *ConfigSpace) ReadU16(off int) uint16 {
 	return uint16(c.bytes[off]) | uint16(c.bytes[off+1])<<8
@@ -105,9 +95,6 @@ func (c *ConfigSpace) ReadU16(off int) uint16 {
 func (c *ConfigSpace) ReadU32(off int) uint32 {
 	return uint32(c.ReadU16(off)) | uint32(c.ReadU16(off+2))<<16
 }
-
-// WriteU8 writes one byte.
-func (c *ConfigSpace) WriteU8(off int, v uint8) { c.bytes[off] = v }
 
 // WriteU16 writes a little-endian 16-bit register.
 func (c *ConfigSpace) WriteU16(off int, v uint16) {
@@ -127,20 +114,6 @@ func (c *ConfigSpace) VendorID() uint16 { return c.ReadU16(offVendorID) }
 // DeviceID returns the device identifier.
 func (c *ConfigSpace) DeviceID() uint16 { return c.ReadU16(offDeviceID) }
 
-// Command returns the command register.
-func (c *ConfigSpace) Command() uint16 { return c.ReadU16(offCommand) }
-
-// SetCommand ors bits into the command register (bus mastering, memory
-// space enable).
-func (c *ConfigSpace) SetCommand(bits uint16) {
-	c.WriteU16(offCommand, c.Command()|bits)
-}
-
-// ClearCommand removes command register bits.
-func (c *ConfigSpace) ClearCommand(bits uint16) {
-	c.WriteU16(offCommand, c.Command()&^bits)
-}
-
 // SetBAR programs base address register i (0..5) with a memory address. The
 // index is a compile-time property of every device model (BAR numbers are
 // part of a device's programming interface, never data-driven), so an
@@ -151,16 +124,6 @@ func (c *ConfigSpace) SetBAR(i int, addr uint32) {
 		panic("pci: BAR index out of range")
 	}
 	c.WriteU32(offBAR0+4*i, addr)
-}
-
-// BAR reads base address register i. Like SetBAR, an out-of-range index is a
-// programming error, not a reachable configuration, and panics.
-func (c *ConfigSpace) BAR(i int) uint32 {
-	if i < 0 || i > 5 {
-		//nvlint:ignore nopanic BAR numbers are compile-time device properties, never data-driven
-		panic("pci: BAR index out of range")
-	}
-	return c.ReadU32(offBAR0 + 4*i)
 }
 
 // AddCapability appends a capability of the given body size (excluding the

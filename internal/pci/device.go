@@ -1,9 +1,6 @@
 package pci
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Address is a PCI bus/device/function address.
 type Address struct {
@@ -50,14 +47,10 @@ func (f *Function) Bind(driver string) error {
 	return nil
 }
 
-// Unbind detaches whatever driver holds the function.
-func (f *Function) Unbind() { f.boundDriver = "" }
-
 // Driver returns the bound driver name ("" when unbound).
 func (f *Function) Driver() string { return f.boundDriver }
 
-// Bus is a collection of PCI functions, addressable by Address, with the
-// enumeration interface hypervisors and guests use to discover devices.
+// Bus is a collection of PCI functions, keyed by Address.
 type Bus struct {
 	funcs map[Address]*Function
 	next  uint8 // next device number for AutoAdd
@@ -89,52 +82,6 @@ func (b *Bus) AutoAdd(f *Function) Address {
 			return addr
 		}
 	}
-}
-
-// Remove takes a function off the bus (hot-unplug; also used when a device is
-// unassigned during migration).
-func (b *Bus) Remove(addr Address) bool {
-	if _, ok := b.funcs[addr]; !ok {
-		return false
-	}
-	delete(b.funcs, addr)
-	return true
-}
-
-// Lookup finds the function at an address.
-func (b *Bus) Lookup(addr Address) (*Function, bool) {
-	f, ok := b.funcs[addr]
-	return f, ok
-}
-
-// Scan returns every function in address order, as an enumerating OS would
-// see them.
-func (b *Bus) Scan() []*Function {
-	out := make([]*Function, 0, len(b.funcs))
-	for _, f := range b.funcs {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ai, aj := out[i].Addr, out[j].Addr
-		if ai.Bus != aj.Bus {
-			return ai.Bus < aj.Bus
-		}
-		if ai.Device != aj.Device {
-			return ai.Device < aj.Device
-		}
-		return ai.Function < aj.Function
-	})
-	return out
-}
-
-// FindByName returns the first function with the given name.
-func (b *Bus) FindByName(name string) (*Function, bool) {
-	for _, f := range b.Scan() {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return nil, false
 }
 
 // SR-IOV capability register offsets (relative to the capability header).

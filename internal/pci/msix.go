@@ -4,9 +4,8 @@ import "fmt"
 
 // MSI-X support: the per-queue interrupt machinery modern virtio devices
 // use. The table lives in device BAR memory on hardware; the model keeps it
-// as a structured object reachable from the function, with the same
-// semantics software relies on: per-vector address/data programming,
-// per-vector masking with pending bits, and a function-wide enable.
+// as a structured object reachable from the function, with per-vector
+// address/data programming.
 
 // MSIXEntry is one vector's table entry.
 type MSIXEntry struct {
@@ -15,18 +14,12 @@ type MSIXEntry struct {
 	Addr uint64
 	// Data carries the vector number.
 	Data uint32
-	// Masked suppresses delivery; deliveries while masked set Pending.
-	Masked bool
-	// Pending records a masked delivery attempt (delivered on unmask).
-	Pending bool
 }
 
 // MSIXTable is a function's MSI-X state.
 type MSIXTable struct {
 	fn      *Function
 	entries []MSIXEntry
-	enabled bool
-	capOff  int
 }
 
 // msixOffTableSize is the offset of the table-size field in the capability.
@@ -46,81 +39,19 @@ func AddMSIX(fn *Function, n int) (*MSIXTable, error) {
 	}
 	// Table size field holds N-1 per the spec.
 	fn.Config.WriteU16(off+msixOffTableSize, uint16(n-1))
-	return &MSIXTable{fn: fn, entries: make([]MSIXEntry, n), capOff: off}, nil
+	return &MSIXTable{fn: fn, entries: make([]MSIXEntry, n)}, nil
 }
 
 // Size returns the number of vectors.
 func (t *MSIXTable) Size() int { return len(t.entries) }
 
-// SetEnabled flips the function-wide MSI-X enable.
-func (t *MSIXTable) SetEnabled(e bool) { t.enabled = e }
-
-// Enabled reports the function-wide enable.
-func (t *MSIXTable) Enabled() bool { return t.enabled }
-
-func (t *MSIXTable) check(i int) error {
-	if i < 0 || i >= len(t.entries) {
-		return fmt.Errorf("pci: %s MSI-X vector %d out of range (%d vectors)", t.fn.Name, i, len(t.entries))
-	}
-	return nil
-}
-
 // SetEntry programs vector i's address and data, the write a driver (or the
 // hypervisor intercepting it) performs during interrupt setup.
 func (t *MSIXTable) SetEntry(i int, addr uint64, data uint32) error {
-	if err := t.check(i); err != nil {
-		return err
+	if i < 0 || i >= len(t.entries) {
+		return fmt.Errorf("pci: %s MSI-X vector %d out of range (%d vectors)", t.fn.Name, i, len(t.entries))
 	}
 	t.entries[i].Addr = addr
 	t.entries[i].Data = data
 	return nil
-}
-
-// Entry reads vector i.
-func (t *MSIXTable) Entry(i int) (MSIXEntry, error) {
-	if err := t.check(i); err != nil {
-		return MSIXEntry{}, err
-	}
-	return t.entries[i], nil
-}
-
-// Mask sets vector i's mask bit; unmasking with a pending delivery reports
-// that the message must now be sent.
-func (t *MSIXTable) Mask(i int, masked bool) (firePending bool, err error) {
-	if err := t.check(i); err != nil {
-		return false, err
-	}
-	e := &t.entries[i]
-	wasPending := e.Pending
-	e.Masked = masked
-	if !masked && wasPending {
-		e.Pending = false
-		return true, nil
-	}
-	return false, nil
-}
-
-// Deliver attempts to send vector i's message. It returns the programmed
-// address/data when the message may be sent; a masked or disabled vector
-// latches Pending instead.
-func (t *MSIXTable) Deliver(i int) (addr uint64, data uint32, ok bool, err error) {
-	if err := t.check(i); err != nil {
-		return 0, 0, false, err
-	}
-	e := &t.entries[i]
-	if !t.enabled || e.Masked {
-		e.Pending = true
-		return 0, 0, false, nil
-	}
-	return e.Addr, e.Data, true, nil
-}
-
-// FindMSIXSize reads the advertised vector count from config space, the way
-// a driver discovers it.
-func FindMSIXSize(fn *Function) (int, bool) {
-	off, ok := fn.Config.FindCapability(CapMSIX)
-	if !ok {
-		return 0, false
-	}
-	return int(fn.Config.ReadU16(off+msixOffTableSize)) + 1, true
 }

@@ -22,23 +22,8 @@ func TestConfigSpaceRegisterWidths(t *testing.T) {
 	if c.ReadU16(0x40) != 0x3344 || c.ReadU16(0x42) != 0x1122 {
 		t.Fatal("little-endian layout broken")
 	}
-	if c.ReadU8(0x43) != 0x11 {
-		t.Fatal("byte access broken")
-	}
-}
-
-func TestCommandRegister(t *testing.T) {
-	c := NewConfigSpace(1, 2, 3)
-	c.SetCommand(CmdBusMaster | CmdMemSpace)
-	if c.Command()&CmdBusMaster == 0 {
-		t.Fatal("bus master not set")
-	}
-	c.ClearCommand(CmdBusMaster)
-	if c.Command()&CmdBusMaster != 0 {
-		t.Fatal("bus master not cleared")
-	}
-	if c.Command()&CmdMemSpace == 0 {
-		t.Fatal("clear removed unrelated bit")
+	if c.bytes[0x43] != 0x11 {
+		t.Fatal("byte layout broken")
 	}
 }
 
@@ -46,7 +31,7 @@ func TestBARs(t *testing.T) {
 	c := NewConfigSpace(1, 2, 3)
 	c.SetBAR(0, 0xfe000000)
 	c.SetBAR(5, 0xfd000000)
-	if c.BAR(0) != 0xfe000000 || c.BAR(5) != 0xfd000000 {
+	if c.ReadU32(offBAR0) != 0xfe000000 || c.ReadU32(offBAR0+4*5) != 0xfd000000 {
 		t.Fatal("BAR round trip failed")
 	}
 	defer func() {
@@ -141,16 +126,12 @@ func TestFunctionBinding(t *testing.T) {
 	if err := f.Bind("vfio-pci"); err == nil {
 		t.Fatal("binding a second driver should fail")
 	}
-	f.Unbind()
-	if err := f.Bind("vfio-pci"); err != nil {
-		t.Fatalf("bind after unbind failed: %v", err)
-	}
-	if f.Driver() != "vfio-pci" {
+	if f.Driver() != "virtio-net" {
 		t.Fatalf("driver = %q", f.Driver())
 	}
 }
 
-func TestBusAddLookupScan(t *testing.T) {
+func TestBusAdd(t *testing.T) {
 	b := NewBus()
 	f1 := NewFunction("nic", Address{0, 3, 0}, 1, 2, 3)
 	f2 := NewFunction("ssd", Address{0, 1, 0}, 1, 3, 3)
@@ -163,19 +144,8 @@ func TestBusAddLookupScan(t *testing.T) {
 	if err := b.Add(NewFunction("dup", Address{0, 3, 0}, 1, 2, 3)); err == nil {
 		t.Fatal("duplicate address accepted")
 	}
-	got, ok := b.Lookup(Address{0, 1, 0})
-	if !ok || got != f2 {
-		t.Fatal("lookup failed")
-	}
-	scan := b.Scan()
-	if len(scan) != 2 || scan[0] != f2 || scan[1] != f1 {
-		t.Fatal("scan not in address order")
-	}
-	if _, ok := b.FindByName("nic"); !ok {
-		t.Fatal("FindByName failed")
-	}
-	if !b.Remove(Address{0, 3, 0}) || b.Remove(Address{0, 3, 0}) {
-		t.Fatal("remove semantics wrong")
+	if len(b.funcs) != 2 || b.funcs[Address{0, 1, 0}] != f2 || b.funcs[Address{0, 3, 0}] != f1 {
+		t.Fatal("functions not at their addresses")
 	}
 }
 
@@ -216,7 +186,7 @@ func TestSRIOV(t *testing.T) {
 		if vf.VFParent != pf {
 			t.Fatal("VF parent not set")
 		}
-		if _, ok := b.Lookup(vf.Addr); !ok {
+		if b.funcs[vf.Addr] != vf {
 			t.Fatal("VF not on bus")
 		}
 	}
@@ -242,16 +212,18 @@ func (f *fakeOps) SetDirtyLogging(e bool) { f.logging = e }
 func TestMigrationCapability(t *testing.T) {
 	fn := NewFunction("virtio-net", Address{0, 4, 0}, 0x1af4, 0x1000, 0x020000)
 	ops := &fakeOps{}
-	if FindMigrationCap(fn) {
+	if _, ok := fn.Config.FindCapability(CapMigration); ok {
 		t.Fatal("capability present before install")
 	}
 	cap, err := AddMigrationCap(fn, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !FindMigrationCap(fn) {
+	off, ok := fn.Config.FindCapability(CapMigration)
+	if !ok {
 		t.Fatal("capability not discoverable")
 	}
+	status := func() uint32 { return fn.Config.ReadU32(off + migOffStatus) }
 	// Guest hypervisor enables dirty logging.
 	if err := cap.GuestWriteCtrl(MigCtrlDirtyLog); err != nil {
 		t.Fatal(err)
@@ -259,7 +231,7 @@ func TestMigrationCapability(t *testing.T) {
 	if !ops.logging {
 		t.Fatal("host dirty logging not enabled")
 	}
-	if cap.GuestReadStatus()&MigStatusLogging == 0 {
+	if status()&MigStatusLogging == 0 {
 		t.Fatal("status does not show logging")
 	}
 	// Guest hypervisor requests a state capture.
@@ -272,11 +244,10 @@ func TestMigrationCapability(t *testing.T) {
 	if string(cap.CapturedState()) != "device-state-blob" {
 		t.Fatal("captured state wrong")
 	}
-	if cap.GuestReadStatus()&MigStatusCaptured == 0 {
+	if status()&MigStatusCaptured == 0 {
 		t.Fatal("status does not show capture")
 	}
 	// The capture bit self-clears in CTRL.
-	off, _ := fn.Config.FindCapability(CapMigration)
 	if fn.Config.ReadU16(off+migOffCtrl)&MigCtrlCapture != 0 {
 		t.Fatal("capture bit did not self-clear")
 	}
@@ -286,15 +257,6 @@ func TestMigrationCapability(t *testing.T) {
 	}
 	if ops.logging {
 		t.Fatal("host dirty logging not disabled")
-	}
-	// Restore on the destination.
-	var restored []byte
-	err = cap.RestoreState(cap.CapturedState(), func(b []byte) error {
-		restored = b
-		return nil
-	})
-	if err != nil || string(restored) != "device-state-blob" {
-		t.Fatalf("restore failed: %v %q", err, restored)
 	}
 }
 
@@ -316,7 +278,7 @@ func TestMigrationCaptureFailureIsError(t *testing.T) {
 	if err := cap.GuestWriteCtrl(MigCtrlCapture); err == nil {
 		t.Fatal("failed capture must error the CTRL write")
 	}
-	if cap.GuestReadStatus()&MigStatusCaptured != 0 {
+	if fn.Config.ReadU32(cap.off+migOffStatus)&MigStatusCaptured != 0 {
 		t.Fatal("status claims a capture that failed")
 	}
 	if cap.CapturedState() != nil {
@@ -332,8 +294,5 @@ func TestMigrationCapNoOps(t *testing.T) {
 	}
 	if err := cap.GuestWriteCtrl(MigCtrlDirtyLog); err == nil {
 		t.Fatal("ctrl write without host ops should fail")
-	}
-	if err := cap.RestoreState(nil, nil); err == nil {
-		t.Fatal("restore without hook should fail")
 	}
 }

@@ -221,15 +221,6 @@ func Listing() string {
 	return b.String()
 }
 
-// Default returns the paper-testbed profile every tool falls back to.
-func Default() Profile {
-	p, ok := Lookup(DefaultName)
-	if !ok {
-		panic("profile: default profile " + DefaultName + " not registered") //nvlint:ignore nopanic unreachable: builtin.go registers DefaultName at package init and nothing unregisters
-	}
-	return p
-}
-
 // Resolve selects a profile with the standard precedence: an explicit name
 // (a CLI's -profile flag or a Spec field) wins, then the NVSIM_PROFILE
 // environment variable, then DefaultName. The error for an unknown name

@@ -94,8 +94,8 @@ func TestNamesSortedAndComplete(t *testing.T) {
 			t.Errorf("All()[%d] = %s, want %s (same order as Names)", i, p.Name, names[i])
 		}
 	}
-	if profile.Default().Name != profile.DefaultName {
-		t.Errorf("Default() = %s, want %s", profile.Default().Name, profile.DefaultName)
+	if p, ok := profile.Lookup(profile.DefaultName); !ok || p.Name != profile.DefaultName {
+		t.Errorf("Lookup(%s) = %s, %v", profile.DefaultName, p.Name, ok)
 	}
 }
 

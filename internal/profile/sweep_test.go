@@ -164,7 +164,10 @@ func TestMetamorphicPropertiesEveryProfile(t *testing.T) {
 // (DefaultCosts on HardwareCaps machines) to the registry's default profile,
 // so a world built outside the experiment layer is still a named testbed.
 func TestWorldDefaultMatchesDefaultProfile(t *testing.T) {
-	p := profile.Default()
+	p, ok := profile.Lookup(profile.DefaultName)
+	if !ok {
+		t.Fatalf("default profile %s not registered", profile.DefaultName)
+	}
 	if hyper.DefaultCosts() != p.Costs {
 		t.Error("hyper.DefaultCosts() diverged from the default profile's cost model")
 	}

@@ -7,7 +7,7 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	fn := func(*Engine) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(1, fn)
+		e.ScheduleAt(e.Now()+1, fn)
 		e.RunUntil(e.Now() + 2)
 	}
 }

@@ -7,8 +7,7 @@ import "fmt"
 // follow-on events.
 type Event func(e *Engine)
 
-// EventID identifies a scheduled event so it can be cancelled. The zero value
-// never identifies a live event.
+// EventID numbers scheduled events in scheduling order, starting at 1.
 type EventID uint64
 
 // scheduled is one pending event. IDs are handed out in scheduling order,
@@ -35,10 +34,9 @@ func (a *scheduled) before(b *scheduled) bool {
 // the heap arranges ties; a warm queue schedules and fires without
 // allocating.
 type Engine struct {
-	clock   Clock
-	queue   []scheduled
-	nextID  EventID
-	stopped bool
+	clock  Clock
+	queue  []scheduled
+	nextID EventID
 }
 
 // NewEngine returns an engine with the clock at time zero.
@@ -47,21 +45,8 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.clock.Now() }
 
-// Schedule arranges for fn to run after delay cycles and returns an ID that
-// can be passed to Cancel. A delay so large that now+delay would wrap the
-// unsigned timeline is clamped to the end of time instead of wrapping into
-// the past (which ScheduleAt would reject with a panic).
-func (e *Engine) Schedule(delay Cycles, fn Event) EventID {
-	now := e.clock.Now()
-	t := now + delay
-	if t < now { // unsigned overflow
-		t = ^Time(0)
-	}
-	return e.ScheduleAt(t, fn)
-}
-
-// ScheduleAt arranges for fn to run at absolute time t. Scheduling in the past
-// is a programming error and panics.
+// ScheduleAt arranges for fn to run at absolute time t and returns its ID.
+// Scheduling in the past is a programming error and panics.
 func (e *Engine) ScheduleAt(t Time, fn Event) EventID {
 	if fn == nil {
 		//nvlint:ignore nopanic simulation-kernel invariant; a nil event means the caller is broken, not the run
@@ -77,54 +62,21 @@ func (e *Engine) ScheduleAt(t Time, fn Event) EventID {
 	return e.nextID
 }
 
-// Cancel removes a scheduled event. It reports whether the event was still
-// pending; cancelling an already-fired or already-cancelled event is a no-op.
-// It scans the queue, O(pending): only tests cancel, and a scan keeps the
-// schedule and fire paths free of an ID index.
-func (e *Engine) Cancel(id EventID) bool {
-	for i := range e.queue {
-		if e.queue[i].id == id {
-			e.remove(i)
-			return true
-		}
-	}
-	return false
-}
-
-// Pending returns the number of events waiting to fire.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// Stop makes the currently executing Run/RunUntil call return after the
-// in-flight event handler finishes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// step fires the earliest pending event. It reports false when the queue is
-// empty.
-func (e *Engine) step(limit Time, bounded bool) bool {
-	if len(e.queue) == 0 {
+// step fires the earliest pending event if it is due by limit. It reports
+// false when the queue is empty or the next event lies after limit.
+func (e *Engine) step(limit Time) bool {
+	if len(e.queue) == 0 || e.queue[0].when > limit {
 		return false
 	}
 	next := e.queue[0]
-	if bounded && next.when > limit {
-		return false
-	}
-	e.remove(0)
+	last := len(e.queue) - 1
+	e.queue[0] = e.queue[last]
+	e.queue[last] = scheduled{} // drop the handler reference
+	e.queue = e.queue[:last]
+	e.down(0)
 	e.clock.AdvanceTo(next.when)
 	next.fn(e)
 	return true
-}
-
-// remove deletes the event at heap index i, moving the last event into its
-// slot and restoring the heap order around it.
-func (e *Engine) remove(i int) {
-	last := len(e.queue) - 1
-	e.queue[i] = e.queue[last]
-	e.queue[last] = scheduled{} // drop the handler reference
-	e.queue = e.queue[:last]
-	if i < last {
-		e.down(i)
-		e.up(i)
-	}
 }
 
 // up moves the event at index i toward the root until its parent precedes it.
@@ -160,27 +112,15 @@ func (e *Engine) down(i int) {
 	}
 }
 
-// Run drains the event queue, firing every event in order, and returns the
-// final simulated time. Use RunUntil for workloads that schedule events
-// indefinitely.
-func (e *Engine) Run() Time {
-	e.stopped = false
-	for !e.stopped && e.step(0, false) {
-	}
-	return e.clock.Now()
-}
-
 // RunUntil fires events until the queue is empty or the next event lies after
 // t, then advances the clock to exactly t. It returns the number of events
-// fired. A Stop from a handler ends it early with the clock left at the
-// stopping event's time, so the events still due before t stay in the future.
+// fired.
 func (e *Engine) RunUntil(t Time) int {
-	e.stopped = false
 	n := 0
-	for !e.stopped && e.step(t, true) {
+	for e.step(t) {
 		n++
 	}
-	if !e.stopped && t > e.clock.Now() {
+	if t > e.clock.Now() {
 		e.clock.AdvanceTo(t)
 	}
 	return n

@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // RNG is a small, fast, deterministic random number generator
 // (xorshift128+). Every stochastic choice in the simulator draws from an RNG
 // seeded by the experiment configuration so runs are exactly reproducible;
@@ -66,28 +64,4 @@ func (r *RNG) Cyclesn(n Cycles) Cycles {
 		return 0
 	}
 	return Cycles(r.Uint64() % uint64(n))
-}
-
-// Bernoulli reports true with probability p (clamped to [0, 1]).
-func (r *RNG) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
-}
-
-// Exp returns an exponentially distributed cycle count with the given mean,
-// used for inter-arrival jitter in workload generators.
-func (r *RNG) Exp(mean Cycles) Cycles {
-	if mean == 0 {
-		return 0
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return Cycles(float64(mean) * -math.Log(u))
 }

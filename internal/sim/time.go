@@ -26,18 +26,6 @@ type Time = Cycles
 // Intel Xeon Silver 4114 machines used in the paper's evaluation.
 const DefaultClockHz = 2_200_000_000
 
-// Duration converts a cycle count to wall-clock time at the given clock rate.
-func (c Cycles) Duration(hz uint64) time.Duration {
-	if hz == 0 {
-		hz = DefaultClockHz
-	}
-	// Split to avoid overflow for large cycle counts: whole seconds plus the
-	// fractional remainder converted at nanosecond resolution.
-	secs := uint64(c) / hz
-	rem := uint64(c) % hz
-	return time.Duration(secs)*time.Second + time.Duration(rem*1_000_000_000/hz)
-}
-
 // FromDuration converts wall-clock time to cycles at the given clock rate.
 func FromDuration(d time.Duration, hz uint64) Cycles {
 	if hz == 0 {
@@ -76,12 +64,6 @@ type Clock struct {
 
 // Now returns the current simulated time.
 func (c *Clock) Now() Time { return c.now }
-
-// Advance moves the clock forward by d cycles and returns the new time.
-func (c *Clock) Advance(d Cycles) Time {
-	c.now += d
-	return c.now
-}
 
 // AdvanceTo moves the clock forward to t. Moving backwards is a programming
 // error in the simulation kernel and panics.

@@ -92,27 +92,6 @@ func (h *Histogram) Quantile(q float64) sim.Cycles {
 	return h.max
 }
 
-// Merge adds other's samples into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if other.count == 0 {
-		return
-	}
-	for i := range h.buckets {
-		h.buckets[i] += other.buckets[i]
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.count += other.count
-	h.sum += other.sum
-}
-
-// Reset clears the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
 // String renders the non-empty buckets with proportional bars.
 func (h *Histogram) String() string {
 	if h.count == 0 {

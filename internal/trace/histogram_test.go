@@ -81,34 +81,6 @@ func isNonDecreasing(v []sim.Cycles) bool {
 	return true
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(100)
-	b.Observe(1_000_000)
-	b.Observe(50)
-	a.Merge(&b)
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Min() != 50 || a.Max() != 1_000_000 {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
-	}
-	var empty Histogram
-	a.Merge(&empty)
-	if a.Count() != 3 {
-		t.Fatal("merging empty changed count")
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	var h Histogram
-	h.Observe(5)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatal("Reset incomplete")
-	}
-}
-
 func TestHistogramString(t *testing.T) {
 	var h Histogram
 	if !strings.Contains(h.String(), "empty") {

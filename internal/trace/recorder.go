@@ -70,29 +70,6 @@ func (r *Recorder) Record(reason vmx.ExitReason, from, handler int) {
 	r.count++
 }
 
-// RecordRun appends n identical events — the bulk form of Record the
-// plan replay path uses for run-length-encoded event sequences. The
-// recorder ends in exactly the state n successive Record calls would leave
-// it in (same ring contents, sequence numbers, counts), so a replayed
-// timeline is byte-identical to a recomputed one. Runs longer than the ring
-// skip straight to the retained suffix instead of overwriting the ring
-// len(run)/capacity times.
-func (r *Recorder) RecordRun(reason vmx.ExitReason, from, handler, n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	if cap := len(r.ring); n > cap {
-		// The first n-cap events would be overwritten anyway; account for
-		// them and materialize only the retained suffix.
-		r.seq += uint64(n - cap)
-		r.count += uint64(n - cap)
-		n = cap
-	}
-	for i := 0; i < n; i++ {
-		r.Record(reason, from, handler)
-	}
-}
-
 // Len reports how many events were ever recorded (not just retained).
 func (r *Recorder) Len() uint64 {
 	if r == nil {
@@ -117,16 +94,6 @@ func (r *Recorder) Events() []Event {
 		out = append(out, r.ring[(start+i)%n])
 	}
 	return out
-}
-
-// Reset discards all events.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.next = 0
-	r.count = 0
-	r.seq = 0
 }
 
 // Timeline renders the retained events as an indented exit timeline: deeper

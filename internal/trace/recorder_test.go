@@ -16,7 +16,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	if r.Events() != nil {
 		t.Fatal("nil recorder returned events")
 	}
-	r.Reset()
 }
 
 func TestRecorderOrdering(t *testing.T) {
@@ -55,15 +54,6 @@ func TestRecorderRingEviction(t *testing.T) {
 	}
 }
 
-func TestRecorderReset(t *testing.T) {
-	r := NewRecorder(4)
-	r.Record(vmx.ExitHLT, 1, 0)
-	r.Reset()
-	if r.Len() != 0 || len(r.Events()) != 0 {
-		t.Fatal("Reset left events")
-	}
-}
-
 func TestTimelineRendering(t *testing.T) {
 	r := NewRecorder(8)
 	if !strings.Contains(r.Timeline(), "no exits") {
@@ -99,19 +89,6 @@ func TestRecorderClampsLevels(t *testing.T) {
 	if !strings.Contains(out, "from L0 -> handled by L0") {
 		t.Fatalf("timeline:\n%s", out)
 	}
-}
-
-// TestRecordRunClampsLevels covers the RecordRun entry point, which shares
-// Record's clamping.
-func TestRecordRunClampsLevels(t *testing.T) {
-	r := NewRecorder(8)
-	r.RecordRun(vmx.ExitVMREAD, -2, -7, 3)
-	for _, e := range r.Events() {
-		if e.FromLevel < 0 || e.HandlerLevel < 0 {
-			t.Fatalf("RecordRun stored a negative level: %+v", e)
-		}
-	}
-	_ = r.Timeline() // must not panic
 }
 
 func TestRecorderDefaultCapacity(t *testing.T) {

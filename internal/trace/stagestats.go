@@ -104,41 +104,13 @@ func clampBoundary(b int) int {
 	return b
 }
 
-// ObserveSettled notes one settled outermost transaction on the boundary; on
-// a nil receiver it is a no-op.
-func (ss *StageStats) ObserveSettled(boundary int) {
-	if ss == nil {
-		return
-	}
-	ss.Settled[clampBoundary(boundary)]++
-}
-
-// ObserveStage records one stage's contribution to a settled outermost
-// transaction: c cycles accrued at the stage, on the boundary, for the exit
-// reason index (pass reason < 0 for boundaries that carry none). Nil-receiver
-// no-op, allocation-free. The settle point records whole ledgers through
-// ObserveLedger, which must equal ObserveSettled plus this per nonzero stage.
-func (ss *StageStats) ObserveStage(boundary, reason, stage int, c sim.Cycles) {
-	if ss == nil {
-		return
-	}
-	b, s := clampBoundary(boundary), clampStage(stage)
-	ss.BoundaryCycles[b][s] += c
-	if reason >= 0 {
-		if reason >= vmx.NumReasonIndexes {
-			reason = vmx.NumReasonIndexes - 1
-		}
-		ss.ReasonCycles[reason][s] += c
-	}
-	ss.Hist[s].Observe(c)
-}
-
 // ObserveLedger records one settled outermost transaction from its whole
-// per-stage cost ledger (indexed like StageName): ObserveSettled on the
-// boundary, then ObserveStage for every stage with nonzero cycles, in one
-// call with the boundary and reason rows resolved once. The pipeline's
-// settle point uses it; it runs on every settle of every observed run, so
-// it is allocation-free like the single-stage forms.
+// per-stage cost ledger (indexed like StageName): the boundary's settle
+// count, then, for every stage with nonzero cycles, the (boundary, stage)
+// and (reason, stage) cells and the stage histogram; pass reason < 0 for
+// boundaries that carry none. The pipeline's settle point uses it; it runs
+// on every settle of every observed run, so it is allocation-free. On a nil
+// receiver it is a no-op.
 func (ss *StageStats) ObserveLedger(boundary, reason int, ledger *[NumStages]sim.Cycles) {
 	if ss == nil {
 		return
@@ -210,33 +182,6 @@ func (ss *StageStats) TotalSettled() uint64 {
 		t += n
 	}
 	return t
-}
-
-// Reset zeroes all attribution.
-func (ss *StageStats) Reset() { *ss = StageStats{} }
-
-// Merge adds other's attribution into ss. Array adds commute and Histogram
-// merges are order-insensitive for every printed statistic, but the harness
-// always merges in cell order anyway, so merged output is byte-identical at
-// any pool width.
-func (ss *StageStats) Merge(other *StageStats) {
-	if other == nil {
-		return
-	}
-	for b := 0; b < NumBoundaries; b++ {
-		for s := 0; s < NumStages; s++ {
-			ss.BoundaryCycles[b][s] += other.BoundaryCycles[b][s]
-		}
-		ss.Settled[b] += other.Settled[b]
-	}
-	for r := 0; r < vmx.NumReasonIndexes; r++ {
-		for s := 0; s < NumStages; s++ {
-			ss.ReasonCycles[r][s] += other.ReasonCycles[r][s]
-		}
-	}
-	for s := 0; s < NumStages; s++ {
-		ss.Hist[s].Merge(&other.Hist[s])
-	}
 }
 
 // String renders the attribution: the (boundary, stage) table, the

@@ -8,6 +8,38 @@ import (
 	"repro/internal/vmx"
 )
 
+// ObserveSettled and ObserveStage are the per-stage reference ObserveLedger
+// is tested against: one settled outermost transaction is ObserveSettled on
+// its boundary plus ObserveStage for each nonzero stage.
+
+// ObserveSettled notes one settled outermost transaction on the boundary; on
+// a nil receiver it is a no-op.
+func (ss *StageStats) ObserveSettled(boundary int) {
+	if ss == nil {
+		return
+	}
+	ss.Settled[clampBoundary(boundary)]++
+}
+
+// ObserveStage records one stage's contribution to a settled outermost
+// transaction: c cycles accrued at the stage, on the boundary, for the exit
+// reason index (pass reason < 0 for boundaries that carry none). On a nil
+// receiver it is a no-op.
+func (ss *StageStats) ObserveStage(boundary, reason, stage int, c sim.Cycles) {
+	if ss == nil {
+		return
+	}
+	b, s := clampBoundary(boundary), clampStage(stage)
+	ss.BoundaryCycles[b][s] += c
+	if reason >= 0 {
+		if reason >= vmx.NumReasonIndexes {
+			reason = vmx.NumReasonIndexes - 1
+		}
+		ss.ReasonCycles[reason][s] += c
+	}
+	ss.Hist[s].Observe(c)
+}
+
 func TestStageStatsNilSafe(t *testing.T) {
 	var ss *StageStats
 	ss.ObserveSettled(0)
@@ -101,50 +133,6 @@ func TestStageStatsClamping(t *testing.T) {
 	}
 	if ss.ReasonCycles[vmx.NumReasonIndexes-1][NumStages-1] != 20 {
 		t.Fatal("overflowing reason did not clamp to the last row")
-	}
-}
-
-func TestStageStatsMerge(t *testing.T) {
-	mk := func(seed sim.Cycles) *StageStats {
-		ss := &StageStats{}
-		ss.ObserveSettled(0)
-		ss.ObserveStage(0, vmx.ExitVMCALL.Index(), 2, seed)
-		ss.ObserveStage(0, vmx.ExitVMCALL.Index(), 4, seed*10)
-		return ss
-	}
-	a, b := mk(100), mk(200)
-	var merged StageStats
-	merged.Merge(a)
-	merged.Merge(b)
-	merged.Merge(nil) // no-op
-
-	if merged.StageTotal(2) != 300 || merged.StageTotal(4) != 3000 {
-		t.Fatalf("merged totals: route=%v forward=%v", merged.StageTotal(2), merged.StageTotal(4))
-	}
-	if merged.TotalSettled() != 2 {
-		t.Fatalf("merged settled = %d", merged.TotalSettled())
-	}
-	if merged.Hist[2].Count() != 2 {
-		t.Fatal("merge dropped histogram samples")
-	}
-	// Merge order must not affect rendered output (pool determinism).
-	var ab, ba StageStats
-	ab.Merge(a)
-	ab.Merge(b)
-	ba.Merge(b)
-	ba.Merge(a)
-	if ab.String() != ba.String() {
-		t.Fatal("merge order changed rendered output")
-	}
-}
-
-func TestStageStatsReset(t *testing.T) {
-	ss := &StageStats{}
-	ss.ObserveSettled(1)
-	ss.ObserveStage(1, -1, 5, 40)
-	ss.Reset()
-	if ss.TotalCycles() != 0 || ss.TotalSettled() != 0 || ss.Hist[5].Count() != 0 {
-		t.Fatal("Reset left attribution behind")
 	}
 }
 

@@ -9,7 +9,6 @@ package trace
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -50,9 +49,8 @@ type Stats struct {
 // Counter names one of the engine's event counters: device kicks, idle
 // transitions, interrupt deliveries, DVH and enlightenment fast paths.
 // Counters are declared in ascending order of their printed names, so
-// declaration order is sorted order: String, CounterNames and Merge walk
-// the enum and print and merge exactly as a name-keyed map sorted on every
-// read did.
+// declaration order is sorted order: String walks the enum and prints
+// exactly as a name-keyed map sorted on every read did.
 type Counter uint8
 
 const (
@@ -149,17 +147,6 @@ func (s *Stats) Counter(name string) uint64 {
 	return 0
 }
 
-// CounterNames returns the sorted names of all touched counters.
-func (s *Stats) CounterNames() []string {
-	names := make([]string, 0, bits.OnesCount32(s.touched))
-	for c := range NumCounters {
-		if s.touched&(1<<c) != 0 {
-			names = append(names, counterNames[c])
-		}
-	}
-	return names
-}
-
 // TotalHardwareExits sums physical exits across all reasons.
 func (s *Stats) TotalHardwareExits() uint64 {
 	var t uint64
@@ -214,24 +201,6 @@ func (s *Stats) TotalCycles() sim.Cycles {
 
 // Reset zeroes all accounting.
 func (s *Stats) Reset() { *s = Stats{} }
-
-// Merge adds other's counts into s.
-func (s *Stats) Merge(other *Stats) {
-	for i := range s.HardwareExits {
-		s.HardwareExits[i] += other.HardwareExits[i]
-		for l := range s.HandledExits[i] {
-			s.HandledExits[i][l] += other.HandledExits[i][l]
-		}
-	}
-	for l := range s.LevelCycles {
-		s.LevelCycles[l] += other.LevelCycles[l]
-	}
-	s.GuestCycles += other.GuestCycles
-	for c := range s.counters {
-		s.counters[c] += other.counters[c]
-	}
-	s.touched |= other.touched
-}
 
 // String renders a human-readable report: exits by reason and handler level,
 // then cycle attribution, then named counters.

@@ -14,9 +14,6 @@ const (
 	DeviceIDBlock = 0x1001
 	ClassNetwork  = 0x020000
 	ClassStorage  = 0x010000
-
-	// DoorbellStride separates per-queue notify registers in BAR0 MMIO space.
-	DoorbellStride = 4
 )
 
 // Device is a virtio PCI device: a PCI function, a doorbell MMIO window, and
@@ -70,25 +67,6 @@ func (d *Device) Queue(qi int) *Queue {
 
 // NumQueues returns the queue count.
 func (d *Device) NumQueues() int { return len(d.queues) }
-
-// DoorbellQueue decodes an MMIO write address within the doorbell window
-// into a queue index; ok is false for addresses outside the window.
-func (d *Device) DoorbellQueue(a mem.Addr) (int, bool) {
-	if a < d.DoorbellBase {
-		return 0, false
-	}
-	off := a - d.DoorbellBase
-	qi := int(off / DoorbellStride)
-	if qi >= len(d.queues) {
-		return 0, false
-	}
-	return qi, true
-}
-
-// DoorbellFor returns the MMIO address a driver writes to kick queue qi.
-func (d *Device) DoorbellFor(qi int) mem.Addr {
-	return d.DoorbellBase + mem.Addr(qi*DoorbellStride)
-}
 
 // Net queue indexes per the virtio-net convention.
 const (

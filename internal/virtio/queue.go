@@ -66,9 +66,6 @@ func NewQueue(dma DMA, size uint16, desc, avail, used mem.Addr) *Queue {
 	return &Queue{size: size, dma: dma, descAddr: desc, availAddr: avail, usedAddr: used}
 }
 
-// Size returns the ring size.
-func (q *Queue) Size() uint16 { return q.size }
-
 func (q *Queue) readU16(a mem.Addr) (uint16, error) {
 	var b [2]byte
 	if err := q.dma.Read(a, b[:]); err != nil {
@@ -259,16 +256,6 @@ func (q *Queue) Push(c *Chain, writtenLen uint32) error {
 	return q.writeU16(q.usedAddr+2, q.usedIdx)
 }
 
-// Pending reports how many chains the driver has published that the device
-// has not yet popped.
-func (q *Queue) Pending() (int, error) {
-	avail, err := q.AvailIdx()
-	if err != nil {
-		return 0, err
-	}
-	return int(avail - q.lastAvail), nil
-}
-
 // DriverQueue is the guest-driver side of the same ring: it allocates
 // descriptors, publishes avail entries, and reaps used entries. It writes
 // directly into the guest's own address space (no translation: the driver
@@ -307,9 +294,6 @@ func NewDriverQueue(space DMA, base mem.Addr, size uint16) (*DriverQueue, error)
 
 // Rings returns the component addresses for wiring up the device side.
 func (d *DriverQueue) Rings() (desc, avail, used mem.Addr) { return d.desc, d.avail, d.used }
-
-// Size returns the ring size.
-func (d *DriverQueue) Size() uint16 { return d.size }
 
 func (d *DriverQueue) writeDesc(i uint16, desc Descriptor) error {
 	var b [descSize]byte
@@ -366,37 +350,6 @@ func (d *DriverQueue) Submit(bufs []Descriptor) (uint16, error) {
 	return head, d.space.Write(d.avail+2, []byte{byte(d.availIdx), byte(d.availIdx >> 8)})
 }
 
-// SubmitIndirect publishes a chain through one ring slot: the bufs are
-// encoded as a descriptor table at tableAddr (driver-allocated memory) and a
-// single indirect descriptor referencing it enters the ring. Large requests
-// stop consuming ring slots proportional to their buffer count.
-func (d *DriverQueue) SubmitIndirect(tableAddr mem.Addr, bufs []Descriptor) (uint16, error) {
-	if len(bufs) == 0 {
-		return 0, fmt.Errorf("virtio: empty indirect chain")
-	}
-	buf := make([]byte, descSize)
-	for i, desc := range bufs {
-		for k := 0; k < 8; k++ {
-			buf[k] = byte(uint64(desc.Addr) >> (8 * k))
-		}
-		buf[8], buf[9], buf[10], buf[11] = byte(desc.Len), byte(desc.Len>>8), byte(desc.Len>>16), byte(desc.Len>>24)
-		var flags uint16
-		if desc.DeviceWrite {
-			flags |= descFlagWrite
-		}
-		buf[12], buf[13] = byte(flags), byte(flags>>8)
-		buf[14], buf[15] = 0, 0
-		if err := d.space.Write(tableAddr+mem.Addr(i*descSize), buf); err != nil {
-			return 0, err
-		}
-	}
-	return d.Submit([]Descriptor{{
-		Addr:     tableAddr,
-		Len:      uint32(len(bufs) * descSize),
-		indirect: true,
-	}})
-}
-
 // Completion is one reaped used-ring entry.
 type Completion struct {
 	Head uint16
@@ -425,6 +378,3 @@ func (d *DriverQueue) Reap() ([]Completion, error) {
 	}
 	return out, nil
 }
-
-// InFlight returns the number of unreaped chains.
-func (d *DriverQueue) InFlight() int { return len(d.inFlight) }

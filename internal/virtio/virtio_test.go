@@ -46,9 +46,9 @@ func TestSubmitPopRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pending, err := q.Pending()
-	if err != nil || pending != 1 {
-		t.Fatalf("pending = %d, %v", pending, err)
+	avail, err := q.AvailIdx()
+	if err != nil || avail-q.lastAvail != 1 {
+		t.Fatalf("pending = %d, %v", avail-q.lastAvail, err)
 	}
 	c, err := q.Pop()
 	if err != nil {
@@ -108,7 +108,7 @@ func TestUsedRingCompletionFlow(t *testing.T) {
 	space, dq, q := setupQueue(t, 8)
 	space.Write(0x40000, []byte("x"))
 	head, _ := dq.Submit([]Descriptor{{Addr: 0x40000, Len: 1}})
-	if dq.InFlight() != 1 {
+	if len(dq.inFlight) != 1 {
 		t.Fatal("in-flight not tracked")
 	}
 	c, _ := q.Pop()
@@ -122,7 +122,7 @@ func TestUsedRingCompletionFlow(t *testing.T) {
 	if len(comps) != 1 || comps[0].Head != head || comps[0].Len != 7 {
 		t.Fatalf("completions = %+v", comps)
 	}
-	if dq.InFlight() != 0 {
+	if len(dq.inFlight) != 0 {
 		t.Fatal("completion did not clear in-flight")
 	}
 	if more, _ := dq.Reap(); len(more) != 0 {
@@ -173,33 +173,14 @@ func TestEmptySubmitRejected(t *testing.T) {
 	}
 }
 
-func TestDoorbellDecode(t *testing.T) {
-	d, err := NewDevice("net0", DeviceIDNet, ClassNetwork, 0xfe000000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qi, ok := d.DoorbellQueue(0xfe000000); !ok || qi != 0 {
-		t.Fatalf("queue 0 doorbell decoded as %d,%v", qi, ok)
-	}
-	if qi, ok := d.DoorbellQueue(d.DoorbellFor(1)); !ok || qi != 1 {
-		t.Fatalf("queue 1 doorbell decoded as %d,%v", qi, ok)
-	}
-	if _, ok := d.DoorbellQueue(0xfe000000 + 2*DoorbellStride); ok {
-		t.Fatal("address beyond queues decoded")
-	}
-	if _, ok := d.DoorbellQueue(0xfd000000); ok {
-		t.Fatal("address below window decoded")
-	}
-	if d.Fn.Config.BAR(0) != 0xfe000000 {
-		t.Fatal("BAR0 not programmed with doorbell base")
-	}
-}
-
 func TestNetTransmitReceive(t *testing.T) {
 	space := mem.NewAddressSpace("guest", 1<<22)
 	nd, err := NewNetDevice("net0", 0xfe000000)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if nd.Fn.Config.ReadU32(0x10) != 0xfe000000 {
+		t.Fatal("BAR0 not programmed with doorbell base")
 	}
 
 	// TX side.
@@ -412,6 +393,27 @@ func TestQueueThroughTranslation(t *testing.T) {
 	}
 }
 
+// submitIndirect publishes bufs through one ring slot, the way a driver
+// using VIRTIO_F_INDIRECT_DESC does: the bufs are encoded as a descriptor
+// table at tableAddr and a single indirect descriptor enters the ring.
+func submitIndirect(t *testing.T, space DMA, dq *DriverQueue, tableAddr mem.Addr, bufs []Descriptor) (uint16, error) {
+	t.Helper()
+	for i, desc := range bufs {
+		var b [descSize]byte
+		for k := 0; k < 8; k++ {
+			b[k] = byte(uint64(desc.Addr) >> (8 * k))
+		}
+		b[8], b[9], b[10], b[11] = byte(desc.Len), byte(desc.Len>>8), byte(desc.Len>>16), byte(desc.Len>>24)
+		if desc.DeviceWrite {
+			b[12] = descFlagWrite
+		}
+		if err := space.Write(tableAddr+mem.Addr(i*descSize), b[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dq.Submit([]Descriptor{{Addr: tableAddr, Len: uint32(len(bufs) * descSize), indirect: true}})
+}
+
 func TestIndirectDescriptorChain(t *testing.T) {
 	space, dq, q := setupQueue(t, 4)
 	// A 6-buffer request through a size-4 ring: impossible with direct
@@ -425,7 +427,7 @@ func TestIndirectDescriptorChain(t *testing.T) {
 	}
 	bufs = append(bufs, Descriptor{Addr: 0x50000, Len: 256, DeviceWrite: true})
 
-	head, err := dq.SubmitIndirect(0x60000, bufs)
+	head, err := submitIndirect(t, space, dq, 0x60000, bufs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,9 +462,6 @@ func TestIndirectDescriptorChain(t *testing.T) {
 
 func TestIndirectValidation(t *testing.T) {
 	space, dq, q := setupQueue(t, 4)
-	if _, err := dq.SubmitIndirect(0x60000, nil); err == nil {
-		t.Fatal("empty indirect chain accepted")
-	}
 	// A hand-corrupted indirect descriptor with a bogus length.
 	space.Write(0x60000, make([]byte, 16))
 	if _, err := dq.Submit([]Descriptor{{Addr: 0x60000, Len: 7, indirect: true}}); err != nil {

@@ -123,19 +123,6 @@ func AllReasons() []ExitReason {
 	return out
 }
 
-// IsVMXInstruction reports whether the reason corresponds to a guest
-// hypervisor executing a virtualization instruction — the ops whose
-// trap-and-emulate cost drives exit multiplication.
-func (r ExitReason) IsVMXInstruction() bool {
-	switch r {
-	case ExitVMCLEAR, ExitVMLAUNCH, ExitVMPTRLD, ExitVMPTRST, ExitVMREAD,
-		ExitVMRESUME, ExitVMWRITE, ExitVMXOFF, ExitVMXON, ExitINVEPT, ExitINVVPID:
-		return true
-	default:
-		return false
-	}
-}
-
 // itoa is a minimal integer formatter so the hot path never imports fmt.
 func itoa(v uint64) string {
 	if v == 0 {

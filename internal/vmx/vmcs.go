@@ -100,16 +100,11 @@ const (
 // itself a guest, its VMREAD/VMWRITE accesses to this structure trap to the
 // level below (unless a shadow VMCS elides them).
 type VMCS struct {
-	fields   map[Field]uint64
-	launched bool
-	current  bool // loaded via VMPTRLD
-	// shadow, when non-nil, marks this VMCS as having hardware shadow-VMCS
-	// backing: VMREAD/VMWRITE by the immediate guest hypervisor hit the shadow
-	// without exiting.
-	shadow *VMCS
+	fields  map[Field]uint64
+	current bool // loaded via VMPTRLD
 }
 
-// NewVMCS returns an empty, unlaunched VMCS.
+// NewVMCS returns an empty VMCS.
 func NewVMCS() *VMCS {
 	return &VMCS{fields: make(map[Field]uint64, 32)}
 }
@@ -132,20 +127,9 @@ func (v *VMCS) ControlSet(f Field, bits uint64) bool {
 	return v.fields[f]&bits == bits
 }
 
-// Launched reports whether the VMCS has been through VMLAUNCH (subsequent
-// entries must use VMRESUME).
-func (v *VMCS) Launched() bool { return v.launched }
-
-// MarkLaunched records a successful VMLAUNCH.
-func (v *VMCS) MarkLaunched() { v.launched = true }
-
-// Clear implements VMCLEAR: the launch state resets and the structure is no
-// longer current. Field contents persist, as on hardware (they live in the
-// in-memory VMCS region).
-func (v *VMCS) Clear() {
-	v.launched = false
-	v.current = false
-}
+// Clear implements VMCLEAR: the structure is no longer current. Field
+// contents persist, as on hardware (they live in the in-memory VMCS region).
+func (v *VMCS) Clear() { v.current = false }
 
 // Load implements VMPTRLD, making this the current VMCS.
 func (v *VMCS) Load() { v.current = true }
@@ -153,22 +137,16 @@ func (v *VMCS) Load() { v.current = true }
 // Current reports whether the VMCS is loaded.
 func (v *VMCS) Current() bool { return v.current }
 
-// LinkShadow attaches a shadow VMCS so the guest hypervisor's VMREAD/VMWRITE
-// accesses are satisfied in hardware. Passing nil detaches it.
-func (v *VMCS) LinkShadow(s *VMCS) {
-	v.shadow = s
-	if s != nil {
+// LinkShadow attaches (linked) or detaches a shadow VMCS, so the guest
+// hypervisor's VMREAD/VMWRITE accesses are satisfied in hardware, by setting
+// the VMCS link pointer.
+func (v *VMCS) LinkShadow(linked bool) {
+	if linked {
 		v.fields[FieldVMCSLinkPointer] = 1
 	} else {
 		v.fields[FieldVMCSLinkPointer] = ^uint64(0)
 	}
 }
-
-// Shadowed reports whether a shadow VMCS backs this structure.
-func (v *VMCS) Shadowed() bool { return v.shadow != nil }
-
-// Shadow returns the linked shadow VMCS, or nil.
-func (v *VMCS) Shadow() *VMCS { return v.shadow }
 
 // CopyGuestState copies the guest-state fields from src, the work a host
 // hypervisor performs when merging a guest hypervisor's VMCS into the one it
@@ -190,25 +168,8 @@ var guestStateFields = []Field{
 	FieldGuestInterruptibility, FieldGuestActivityState,
 }
 
-// RecordExit fills the read-only exit information fields, the step a host
-// hypervisor performs when reflecting an exit into a guest hypervisor.
-func (v *VMCS) RecordExit(reason ExitReason, qualification, guestPhys uint64) {
-	v.fields[FieldVMExitReason] = uint64(reason)
-	v.fields[FieldExitQualification] = qualification
-	v.fields[FieldGuestPhysicalAddr] = guestPhys
-}
-
-// ExitReasonField decodes the recorded exit reason.
-func (v *VMCS) ExitReasonField() ExitReason {
-	return ExitReason(v.fields[FieldVMExitReason])
-}
-
 // TSCOffset returns the signed TSC offset control.
 func (v *VMCS) TSCOffset() int64 { return int64(v.fields[FieldTSCOffset]) }
 
 // SetTSCOffset stores the signed TSC offset control.
 func (v *VMCS) SetTSCOffset(off int64) { v.fields[FieldTSCOffset] = uint64(off) }
-
-// NumFields reports how many fields have been written, used by migration to
-// size the serialized state.
-func (v *VMCS) NumFields() int { return len(v.fields) }

@@ -85,19 +85,6 @@ func TestAllReasonsSortedUnique(t *testing.T) {
 	}
 }
 
-func TestIsVMXInstruction(t *testing.T) {
-	for _, r := range []ExitReason{ExitVMREAD, ExitVMWRITE, ExitVMRESUME, ExitVMPTRLD, ExitINVEPT} {
-		if !r.IsVMXInstruction() {
-			t.Errorf("%v should be a VMX instruction", r)
-		}
-	}
-	for _, r := range []ExitReason{ExitHLT, ExitVMCALL, ExitEPTViolation, ExitMSRWrite} {
-		if r.IsVMXInstruction() {
-			t.Errorf("%v should not be a VMX instruction", r)
-		}
-	}
-}
-
 func TestVMCSReadWrite(t *testing.T) {
 	v := NewVMCS()
 	if v.Read(FieldGuestRIP) != 0 {
@@ -141,20 +128,19 @@ func TestVMCSDVHControlBits(t *testing.T) {
 	}
 }
 
-func TestVMCSLaunchClearLoad(t *testing.T) {
+func TestVMCSClearLoad(t *testing.T) {
 	v := NewVMCS()
-	if v.Launched() || v.Current() {
-		t.Fatal("fresh VMCS should be unlaunched and not current")
+	if v.Current() {
+		t.Fatal("fresh VMCS should not be current")
 	}
 	v.Load()
-	v.MarkLaunched()
-	if !v.Launched() || !v.Current() {
-		t.Fatal("launch state lost")
+	if !v.Current() {
+		t.Fatal("Load did not make the VMCS current")
 	}
 	v.Write(FieldGuestRSP, 42)
 	v.Clear()
-	if v.Launched() || v.Current() {
-		t.Fatal("Clear should reset launch and current state")
+	if v.Current() {
+		t.Fatal("Clear should reset current state")
 	}
 	if v.Read(FieldGuestRSP) != 42 {
 		t.Fatal("Clear should preserve field contents (in-memory region)")
@@ -163,18 +149,11 @@ func TestVMCSLaunchClearLoad(t *testing.T) {
 
 func TestVMCSShadowLink(t *testing.T) {
 	v := NewVMCS()
-	if v.Shadowed() {
-		t.Fatal("fresh VMCS should not be shadowed")
-	}
-	s := NewVMCS()
-	v.LinkShadow(s)
-	if !v.Shadowed() || v.Shadow() != s {
+	v.LinkShadow(true)
+	if v.Read(FieldVMCSLinkPointer) != 1 {
 		t.Fatal("shadow link not recorded")
 	}
-	v.LinkShadow(nil)
-	if v.Shadowed() {
-		t.Fatal("shadow link not removed")
-	}
+	v.LinkShadow(false)
 	if v.Read(FieldVMCSLinkPointer) != ^uint64(0) {
 		t.Fatal("unlinked shadow pointer should read all-ones")
 	}
@@ -195,20 +174,6 @@ func TestVMCSCopyGuestState(t *testing.T) {
 	}
 	if dst.Read(FieldTSCOffset) != 0 {
 		t.Fatal("control field leaked into guest-state copy")
-	}
-}
-
-func TestVMCSRecordExit(t *testing.T) {
-	v := NewVMCS()
-	v.RecordExit(ExitEPTViolation, 0x3, 0xfee00000)
-	if v.ExitReasonField() != ExitEPTViolation {
-		t.Fatal("exit reason not recorded")
-	}
-	if v.Read(FieldExitQualification) != 0x3 {
-		t.Fatal("qualification not recorded")
-	}
-	if v.Read(FieldGuestPhysicalAddr) != 0xfee00000 {
-		t.Fatal("guest physical address not recorded")
 	}
 }
 

@@ -259,24 +259,7 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 	}
 	cost := st.total - txnStart
 	st.latency.Observe(cost)
-	cpu, err := w.Host.Machine.CPU(v.PhysCPU)
-	if err != nil {
-		return 0, err
-	}
-	cpu.Busy += cost
 	return cost, nil
-}
-
-// Utilization reports each physical CPU's busy cycles accumulated by runs on
-// this runner's machine, for capacity analysis across configurations.
-func (r *Runner) Utilization() map[int]sim.Cycles {
-	out := make(map[int]sim.Cycles)
-	for _, cpu := range r.W.Host.Machine.CPUs {
-		if cpu.Busy > 0 {
-			out[cpu.ID] = cpu.Busy
-		}
-	}
-	return out
 }
 
 // RunMicro measures one Table 1 microbenchmark on a vCPU, returning the

@@ -385,27 +385,6 @@ func TestRunForValidation(t *testing.T) {
 	}
 }
 
-func TestPhysicalCPUUtilizationAccounted(t *testing.T) {
-	w, vm, net, blk := buildL2(t, 0)
-	p, _ := ProfileByName("Apache") // 4 driving cores
-	r := &Runner{W: w, VM: vm, Net: net, Blk: blk, P: p}
-	res, err := r.Run(400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	util := r.Utilization()
-	if len(util) != 4 {
-		t.Fatalf("busy CPUs = %d, want the 4 driving cores", len(util))
-	}
-	var sum sim.Cycles
-	for _, c := range util {
-		sum += c
-	}
-	if sum != res.TotalCycles {
-		t.Fatalf("per-CPU busy %v != run total %v", sum, res.TotalCycles)
-	}
-}
-
 // timersProgrammed is how many ProgramTimer operations n transactions of p
 // execute: a run starts its rate carries from zero.
 func timersProgrammed(p Profile, n int) int {

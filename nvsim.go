@@ -22,7 +22,7 @@
 //
 //	internal/sim        deterministic discrete-event core
 //	internal/vmx        VMCS / capability / exit-reason model (+ DVH bits)
-//	internal/mem        guest memory, page tables, dirty logging
+//	internal/mem        guest memory, page tables, sparse bitmaps
 //	internal/apic       LAPIC, timers, IPIs, posted interrupts
 //	internal/pci        config space, SR-IOV, the DVH migration capability
 //	internal/iommu      (virtual) IOMMUs with interrupt posting
