@@ -33,15 +33,16 @@ lint:
 
 # bench runs the harness and hot-path benchmarks: Figure 7 sequential vs
 # parallel pool (each iteration clears the cell memo, so it times
-# simulation, not memo hits), the allocation-free nested Execute path in
-# both plan modes, one cold plan compile at L2-L4 (ns and bytes per
+# simulation, not memo hits), stack construction at L1, L2 DVH and L4 (ns,
+# bytes and allocations per Build), the allocation-free nested Execute path
+# in both plan modes, one cold plan compile at L2-L4 (ns and bytes per
 # compile), and the workload runner's Run and RunFor (ns and allocs per
 # transaction).
 # It then regenerates BENCH_10.json, the committed machine-readable artifact
 # (per-figure modeled cycles and overheads plus ns/op and allocs/op for the
 # pipeline's hot paths, uncached vs replayed).
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkFigure7|BenchmarkExecuteNested|BenchmarkExecute/|BenchmarkCompilePlan|BenchmarkRunnerRun' -benchmem ./internal/experiment/ ./internal/hyper/ ./internal/workload/
+	$(GO) test -run='^$$' -bench='BenchmarkFigure7|BenchmarkBuild|BenchmarkExecuteNested|BenchmarkExecute/|BenchmarkCompilePlan|BenchmarkRunnerRun' -benchmem ./internal/experiment/ ./internal/hyper/ ./internal/workload/
 	$(GO) run ./cmd/nvperf -o BENCH_10.json
 
 # bench-compare re-collects the artifact and gates it against the committed
@@ -56,7 +57,8 @@ bench-compare:
 # FUZZ_TARGETS are the native fuzz targets as package:Target pairs — the
 # invariant-checker targets in internal/check, the sparse bitmap, byte-extent
 # address-space and cached page-table walk differentials in internal/mem,
-# and the event engine's heap-vs-sorted-slice differential in internal/sim.
+# the event engine's heap-vs-sorted-slice differential in internal/sim, and
+# the fixed-offset VMCS against a map-backed one in internal/vmx.
 # go test allows only one -fuzz per invocation, so fuzz-smoke loops.
 # FUZZTIME=100x bounds each target to 100 new inputs beyond the seed corpus
 # — a mutation smoke pass, not a campaign; use `make fuzz FUZZTIME=30s` for
@@ -72,7 +74,8 @@ FUZZ_TARGETS := \
 	./internal/mem/:FuzzBitmap \
 	./internal/mem/:FuzzAddressSpace \
 	./internal/mem/:FuzzPageTable \
-	./internal/sim/:FuzzEngine
+	./internal/sim/:FuzzEngine \
+	./internal/vmx/:FuzzVMCS
 FUZZTIME ?= 100x
 
 fuzz-smoke fuzz:

@@ -137,7 +137,7 @@ func FuzzMergeChain(f *testing.F) {
 		right := vmx.Merge(chain[0], vmx.Merge(chain[1], chain[2]))
 		for _, fl := range fields {
 			if l, r := left.Read(fl), right.Read(fl); l != r {
-				t.Fatalf("field %#x: left fold %#x != right fold %#x", uint64(fl), l, r)
+				t.Fatalf("field %#x: left fold %#x != right fold %#x", fl.Encoding(), l, r)
 			}
 		}
 	})

@@ -133,7 +133,7 @@ func (c *Checker) checkMergeChain(v *hyper.VCPU) {
 	for _, f := range mergeFields {
 		if l, r := left.Read(f), right.Read(f); l != r {
 			c.violate("merge-associativity",
-				"%s: field %#x differs between folds: left %#x, right %#x", vcpuName(v), uint64(f), l, r)
+				"%s: field %#x differs between folds: left %#x, right %#x", vcpuName(v), f.Encoding(), l, r)
 			return
 		}
 	}

@@ -6,22 +6,29 @@ import (
 	"testing"
 )
 
-// buildSpecs are representative stacks: the shallowest, the paper's nested
-// DVH configuration, and the deepest paravirtual cascade.
-var buildSpecs = []Spec{
-	{Depth: 1, IO: IOParavirt},
-	{Depth: 2, IO: IODVH},
-	{Depth: 4, IO: IOParavirt},
+// buildSpecs are representative stacks — the shallowest, the paper's nested
+// DVH configuration, and the deepest paravirtual cascade — each with the
+// bytes one Build of it may allocate. The budgets sit 17-38% above the
+// measured 11,897 / 83,880 / 30,674 B and below 25,242 / 112,412 /
+// 67,254 B, what the same stacks cost with map-backed VMCSes and a
+// 256-entry interrupt-remapping table allocated up front.
+var buildSpecs = []struct {
+	Spec
+	budget uint64
+}{
+	{Spec{Depth: 1, IO: IOParavirt}, 16 << 10},
+	{Spec{Depth: 2, IO: IODVH}, 96 << 10},
+	{Spec{Depth: 4, IO: IOParavirt}, 40 << 10},
 }
 
 // BenchmarkBuild measures stack construction, the dominant host cost of
 // every cell a figure, test or fuzz input runs.
 func BenchmarkBuild(b *testing.B) {
-	for _, spec := range buildSpecs {
-		b.Run(fmt.Sprintf("L%d-%v", spec.Depth, spec.IO), func(b *testing.B) {
+	for _, bs := range buildSpecs {
+		b.Run(fmt.Sprintf("L%d-%v", bs.Depth, bs.IO), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Build(spec); err != nil {
+				if _, err := Build(bs.Spec); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -32,19 +39,27 @@ func BenchmarkBuild(b *testing.B) {
 // TestBuildAllocBudget pins Build's host allocation to what the stack
 // touches, not the modeled machine's nominal capacity: a 96 GiB host, a
 // 480 GiB SSD and up to 48 GiB of guest RAM per stack must not cost their
-// dirty and written bitmaps up front. Bytes allocated are deterministic for
-// a given spec, so the budget holds on any host.
+// dirty and written bitmaps up front, nor a VMCS or remapping table more
+// than its fields and programmed entries. Bytes allocated are deterministic
+// for a given spec, so each budget holds on any host. Each spec is built
+// once unmeasured first: the first Build in a process also pays one-time
+// costs, such as the runtime's copy of the environment on the first
+// os.Getenv, whose size depends on the host.
 func TestBuildAllocBudget(t *testing.T) {
-	const budget = 1 << 20 // bytes per Build
-	for _, spec := range buildSpecs {
+	for _, bs := range buildSpecs {
+		if _, err := Build(bs.Spec); err != nil {
+			t.Fatal(err)
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := Build(spec); err != nil {
+		if _, err := Build(bs.Spec); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
-			t.Errorf("Build(L%d %v) allocated %d bytes, budget %d", spec.Depth, spec.IO, got, budget)
+		if got := after.TotalAlloc - before.TotalAlloc; got > bs.budget {
+			t.Errorf("Build(L%d %v) allocated %d bytes, budget %d", bs.Depth, bs.IO, got, bs.budget)
+		} else {
+			t.Logf("Build(L%d %v) allocated %d bytes, budget %d", bs.Depth, bs.IO, got, bs.budget)
 		}
 	}
 }

@@ -32,8 +32,14 @@ type IOMMU struct {
 	posted  bool // interrupt posting capability
 	domains map[string]*Domain
 	attach  map[pci.Address]*Domain
-	irt     []irtEntry
+	// irt is the interrupt-remapping table, allocated on first programming
+	// and grown to the highest programmed index; entries past its length
+	// read as invalid.
+	irt []irtEntry
 }
+
+// irtSize is the number of interrupt-remapping entries the unit models.
+const irtSize = 256
 
 type irtEntry struct {
 	valid  bool
@@ -53,7 +59,6 @@ func New(name string, posted bool) *IOMMU {
 		posted:  posted,
 		domains: make(map[string]*Domain),
 		attach:  make(map[pci.Address]*Domain),
-		irt:     make([]irtEntry, 256),
 	}
 }
 
@@ -116,11 +121,7 @@ func (u *IOMMU) Translate(fn *pci.Function, a mem.Addr, access mem.Perm) (mem.Ad
 // ProgramIRTE installs interrupt-remapping entry index as a remapped
 // (non-posted) interrupt to a destination CPU.
 func (u *IOMMU) ProgramIRTE(index int, vector apic.Vector, destCPU int) error {
-	if index < 0 || index >= len(u.irt) {
-		return fmt.Errorf("iommu %s: IRTE index %d out of range", u.name, index)
-	}
-	u.irt[index] = irtEntry{valid: true, vector: vector, destCPU: destCPU}
-	return nil
+	return u.program(index, irtEntry{valid: true, vector: vector, destCPU: destCPU})
 }
 
 // ProgramPostedIRTE installs entry index in posted format, targeting a
@@ -130,10 +131,18 @@ func (u *IOMMU) ProgramPostedIRTE(index int, vector apic.Vector, pid *apic.PIDes
 	if !u.posted {
 		return fmt.Errorf("iommu %s: posted interrupts not supported", u.name)
 	}
-	if index < 0 || index >= len(u.irt) {
+	return u.program(index, irtEntry{valid: true, posted: true, pid: pid, vector: vector})
+}
+
+// program installs entry index, growing the table to reach it.
+func (u *IOMMU) program(index int, e irtEntry) error {
+	if index < 0 || index >= irtSize {
 		return fmt.Errorf("iommu %s: IRTE index %d out of range", u.name, index)
 	}
-	u.irt[index] = irtEntry{valid: true, posted: true, pid: pid, vector: vector}
+	if index >= len(u.irt) {
+		u.irt = append(u.irt, make([]irtEntry, index+1-len(u.irt))...)
+	}
+	u.irt[index] = e
 	return nil
 }
 

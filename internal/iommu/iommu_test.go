@@ -1,6 +1,7 @@
 package iommu
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/apic"
@@ -128,6 +129,46 @@ func TestPostedMSI(t *testing.T) {
 	}
 	if del2.NeedNotify {
 		t.Fatal("coalesced MSI should not need a new notification")
+	}
+}
+
+// TestIRTBoundaries pins the remapping table's range: the last of the 256
+// modeled entries programs in either format and index 256 in neither,
+// although the table is allocated only up to the highest programmed index.
+// An MSI through an in-range entry beyond that index fails as invalid
+// rather than indexing past the table.
+func TestIRTBoundaries(t *testing.T) {
+	u := New("vtd0", true)
+	pid := apic.NewPIDescriptor(0)
+	if _, err := u.DeliverMSI(0); err == nil {
+		t.Fatal("MSI through a never-programmed table should fail")
+	}
+	if err := u.ProgramIRTE(7, apic.VectorVirtioIRQ, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.DeliverMSI(200); err == nil || !strings.Contains(err.Error(), "invalid IRTE 200") {
+		t.Fatalf("MSI through unprogrammed IRTE 200 = %v, want the invalid-IRTE error", err)
+	}
+	if err := u.ProgramIRTE(255, apic.VectorVirtioIRQ, 1); err != nil {
+		t.Fatalf("ProgramIRTE(255) = %v", err)
+	}
+	if err := u.ProgramPostedIRTE(255, apic.VectorVirtioIRQ, pid); err != nil {
+		t.Fatalf("ProgramPostedIRTE(255) = %v", err)
+	}
+	if del, err := u.DeliverMSI(255); err != nil || !del.Posted {
+		t.Fatalf("MSI through IRTE 255 = %+v, %v; want posted", del, err)
+	}
+	if err := u.ProgramIRTE(256, apic.VectorVirtioIRQ, 1); err == nil {
+		t.Fatal("ProgramIRTE(256) accepted")
+	}
+	if err := u.ProgramPostedIRTE(256, apic.VectorVirtioIRQ, pid); err == nil {
+		t.Fatal("ProgramPostedIRTE(256) accepted")
+	}
+	if _, err := u.DeliverMSI(256); err == nil {
+		t.Fatal("MSI through IRTE 256 should fail")
+	}
+	if del, err := u.DeliverMSI(7); err != nil || del.Posted || del.NotifyCPU != 1 {
+		t.Fatalf("IRTE 7 after growth = %+v, %v; want remapped to CPU 1", del, err)
 	}
 }
 

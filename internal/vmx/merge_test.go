@@ -101,7 +101,7 @@ func TestMergeChain(t *testing.T) {
 	if m.Read(FieldHostRIP) != 0xaaaa {
 		t.Fatal("host state must stay the real host's")
 	}
-	if len(MergeChain().fields) != 0 {
+	if *MergeChain() != (VMCS{}) {
 		t.Fatal("empty chain should merge to an empty VMCS")
 	}
 	single := MergeChain(vmcs01)

@@ -85,6 +85,69 @@ func TestAllReasonsSortedUnique(t *testing.T) {
 	}
 }
 
+// TestFieldEncodings pins the encoding table: every field's Encoding is its
+// SDM appendix B encoding, the table below covers every field, and no two
+// fields share an encoding.
+func TestFieldEncodings(t *testing.T) {
+	want := []struct {
+		f   Field
+		enc uint32
+	}{
+		{FieldPinBasedControls, 0x4000},
+		{FieldProcBasedControls, 0x4002},
+		{FieldProcBasedControls2, 0x401e},
+		{FieldProcBasedControls3, 0x2034},
+		{FieldExceptionBitmap, 0x4004},
+		{FieldVMExitControls, 0x400c},
+		{FieldVMEntryControls, 0x4012},
+		{FieldVMEntryIntrInfo, 0x4016},
+		{FieldTSCOffset, 0x2010},
+		{FieldEPTPointer, 0x201a},
+		{FieldVirtualAPICAddr, 0x2012},
+		{FieldAPICAccessAddr, 0x2014},
+		{FieldPostedIntrDesc, 0x2016},
+		{FieldVMCSLinkPointer, 0x2800},
+		{FieldVCIMTAR, 0x2036},
+		{FieldVMExitReason, 0x4402},
+		{FieldExitQualification, 0x6400},
+		{FieldGuestLinearAddr, 0x640a},
+		{FieldGuestPhysicalAddr, 0x2400},
+		{FieldVMExitIntrInfo, 0x4404},
+		{FieldVMInstructionInfo, 0x440e},
+		{FieldGuestRIP, 0x681e},
+		{FieldGuestRSP, 0x681c},
+		{FieldGuestRFLAGS, 0x6820},
+		{FieldGuestCR0, 0x6800},
+		{FieldGuestCR3, 0x6802},
+		{FieldGuestCR4, 0x6804},
+		{FieldGuestInterruptibility, 0x4824},
+		{FieldGuestActivityState, 0x4826},
+		{FieldHostRIP, 0x6c16},
+		{FieldHostRSP, 0x6c14},
+		{FieldHostCR3, 0x6c02},
+	}
+	if len(want) != int(numFields) {
+		t.Fatalf("table has %d fields, the VMCS %d", len(want), numFields)
+	}
+	fields := map[Field]bool{}
+	encs := map[uint32]Field{}
+	for _, w := range want {
+		if got := w.f.Encoding(); got != w.enc {
+			t.Errorf("field %d: Encoding() = %#x, want %#x", w.f, got, w.enc)
+		}
+		if fields[w.f] {
+			t.Errorf("field %d listed twice", w.f)
+		}
+		fields[w.f] = true
+	}
+	for f := Field(0); f < numFields; f++ {
+		if prev, dup := encs[f.Encoding()]; dup {
+			t.Errorf("fields %d and %d share the encoding %#x", prev, f, f.Encoding())
+		}
+		encs[f.Encoding()] = f
+	}
+}
+
 func TestVMCSReadWrite(t *testing.T) {
 	v := NewVMCS()
 	if v.Read(FieldGuestRIP) != 0 {
