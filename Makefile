@@ -23,11 +23,12 @@ race:
 
 # lint runs nvlint, the simulator-aware static analyzer (see DESIGN.md §8 and
 # §13): determinism, hot-path allocation-freedom, exit-reason exhaustiveness,
-# nopanic, the Op by-value contract, and the v2 pipeline contracts (cachegen,
-# stageledger, interceptor). -unused-directives keeps the suppression
-# inventory honest: a //nvlint comment that no longer suppresses anything
-# fails the gate. VERBOSE=1 also prints the hot-path call chains and every
-# suppressed finding with its justification.
+# nopanic, and the v2 pipeline contracts (cachegen, stageledger) — six
+# rules, each with a mutant on record that no test catches (DESIGN.md
+# §13.1). -unused-directives keeps the suppression inventory honest: a
+# //nvlint comment that no longer suppresses anything fails the gate.
+# VERBOSE=1 also prints the hot-path call chains and every suppressed
+# finding with its justification.
 lint:
 	$(GO) run ./cmd/nvlint -unused-directives $(if $(VERBOSE),-v,)
 

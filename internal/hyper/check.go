@@ -49,7 +49,8 @@ func (b Boundary) String() string {
 //
 // Op is passed by value for the same reason Interceptor.TryHandle takes it by
 // value: a pointer through the interface boundary would force every Execute
-// call's op to escape, and the checked-off hot path must stay allocation-free.
+// call's op to escape, and the hot path with no checker attached must stay
+// allocation-free, as TestExecuteNestedAllocFree requires.
 type InvariantChecker interface {
 	// Begin opens a frame when a boundary is entered; the returned token is
 	// handed back to the matching End.

@@ -214,16 +214,21 @@ func (w *World) observeStages(tx *ExitContext) {
 //
 // TryHandle performs the emulation effects, charges its own work to the
 // stats sink, and returns that work so the intercept stage can wrap it in
-// the fixed exit/dispatch/entry costs. Op is passed by value: TryHandle
-// never mutates it, and a pointer would force every Execute call's op to
-// escape to the heap through the interface boundary — the steady-state exit
-// path is kept allocation-free, a contract nvlint enforces for every
-// registered implementation.
+// the fixed exit/dispatch/entry costs. A TryHandle that declines (false,
+// nil) must leave engine state as it found it, because the exit is then
+// forwarded to the guest hypervisor unchanged (paper Figure 1a);
+// TestDeclinedInterceptorsLeaveStateUnchanged (internal/check) holds every
+// implementation to that. Op is passed by value: TryHandle never mutates
+// it, and a pointer would force every Execute call's op to escape to the
+// heap through the interface boundary, which the AllocsPerRun tests
+// (alloc_test.go, plan_test.go) report. nvlint's hotalloc rule walks every
+// implementation.
 type Interceptor interface {
 	// InterceptorInfo returns the interceptor's stable name and its chain
 	// priority. Lower priorities are consulted first; ties order by name.
 	// Both must be constant for a given interceptor: the chain order is part
-	// of the simulation's determinism contract.
+	// of the simulation's determinism contract, and the decline test pins
+	// each pair to its package's declared one.
 	InterceptorInfo() (name string, priority int)
 	// TryHandle inspects an exit from a nested VM (level >= 2) and reports
 	// whether it handled it directly, with the work charged.

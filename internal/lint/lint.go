@@ -8,24 +8,23 @@
 //
 // A rule earns its place only by catching a bug class tests cannot: a test
 // sees the paths it executes, a rule every path. Each entry names what the
-// rule checks, then (after "catches:") the bug that would slip past tests.
+// rule checks, then (after "catches:") a mutant of that bug class that every
+// test and fuzz seed survives and only the rule reports.
 //
 //	determinism  no time.Now, unseeded math/rand, go statements outside the
 //	             allowed packages, and no map ranges whose order can reach
 //	             simulator output (sorted-collect idiom or //nvlint:ordered
-//	             allowlists a range); catches: nondeterminism on a path no
-//	             golden runs, or a map order that happens to repeat
+//	             allowlists a range); catches: a time.Now read in engine
+//	             code, before its value reaches any output a golden compares
 //	hotalloc     no allocating constructs in functions reachable from the
 //	             hot-path roots (World.Execute, Interceptor.TryHandle);
-//	             catches: an allocation on a branch no AllocsPerRun test takes
+//	             catches: a fmt.Sprintf on a hot branch no AllocsPerRun test
+//	             takes
 //	exhaustive   switches over module-declared enum types cover every
-//	             constant or carry an explicit default; catches: a new enum
-//	             value falling through a switch no test drives with it
+//	             constant or carry an explicit default; catches: a new
+//	             hyper.OpKind that nothing uses yet
 //	nopanic      panic() is forbidden in non-test engine packages; catches:
-//	             a panic on an error path no test reaches
-//	opbyvalue    hyper.Op is passed by value, never by pointer; catches: a
-//	             handler mutating its caller's Op, invisible until a later
-//	             read of that Op diverges
+//	             a panic on an error return no test reaches
 //
 // v2 rules (the architectural contracts of the exit pipeline):
 //
@@ -33,20 +32,20 @@
 //	             generation counter (or explicitly allowlisted as a
 //	             non-input), generation setters really bump their counter,
 //	             and guarded fields are written only by their setter;
-//	             catches: a stale plan after a mid-run mutation no test
-//	             performs (ProvideVIOMMU once skipped its CapsGen bump)
+//	             catches: a compile-path World field read that is not in
+//	             GuardedReads (ProvideVIOMMU once skipped its CapsGen bump)
 //	stageledger  every boundary that opens a transaction with begin settles
 //	             it exactly once on every path, and each function charges the
 //	             ExitContext ledger under a single statically-known stage;
-//	             catches: a missing or double settle on an error path no test
-//	             takes
-//	interceptor  Interceptor implementations return literal (name, priority)
-//	             pairs, never mutate engine state before claiming an op, and
-//	             inherit the determinism contract wherever their code lives;
-//	             catches: an interceptor that mutates and then declines on an
-//	             op mix no test sends
+//	             catches: DeliverTimerIRQ returning on an error without settle
 //	directive    //nvlint comments that no longer suppress anything are
 //	             themselves flagged (reported via -unused-directives)
+//
+// Two contracts are held by tests instead: a declining interceptor leaves
+// engine state untouched and reports a constant (name, priority)
+// (TestDeclinedInterceptorsLeaveStateUnchanged in internal/check), and
+// hyper.Op stays by value (a pointer makes it escape, which the AllocsPerRun
+// tests of internal/hyper and internal/workload report).
 package lint
 
 import (
@@ -63,10 +62,8 @@ const (
 	RuleHotAlloc    = "hotalloc"
 	RuleExhaustive  = "exhaustive"
 	RuleNoPanic     = "nopanic"
-	RuleOpByValue   = "opbyvalue"
 	RuleCacheGen    = "cachegen"
 	RuleStageLedger = "stageledger"
-	RuleInterceptor = "interceptor"
 	RuleDirective   = "directive"
 )
 
@@ -90,15 +87,10 @@ type Config struct {
 	// "pkg/path.(*Recv).Method", or "pkg/path.Iface.Method" (every module
 	// implementation of the interface method becomes a root).
 	HotRoots []string
-	// ByValueTypes are named types that must never be passed by pointer or
-	// have their address taken, as "pkg/path.Name".
-	ByValueTypes []string
 	// CacheGen, when set, enables the plan-cache generation-soundness rule.
 	CacheGen *CacheGenConfig
 	// StageLedger, when set, enables the begin/settle and ledger-charge rule.
 	StageLedger *StageLedgerConfig
-	// Interceptor, when set, enables the interceptor-contract rule.
-	Interceptor *InterceptorConfig
 }
 
 // CacheGenConfig configures the cachegen rule: the plan replay cache is
@@ -143,28 +135,10 @@ type StageLedgerConfig struct {
 	Settle string
 	// Charge is the ledger-charge method ("pkg/path.(*Recv).Method"). Its
 	// stage argument must be a constant, and one function may charge only a
-	// single stage — per-stage attribution stays statically decidable.
+	// single stage — per-stage attribution stays statically decidable. An
+	// assignment to the transaction's Stage field must agree with the stage
+	// the function charges.
 	Charge string
-	// StageField is the name of the transaction's current-stage field
-	// (default "Stage"); an assignment to it must agree with the stage the
-	// function charges.
-	StageField string
-}
-
-// InterceptorConfig configures the interceptor rule around a direct-handling
-// backend interface with InterceptorInfo/TryHandle-shaped methods.
-type InterceptorConfig struct {
-	// Iface is the interceptor interface ("pkg/path.Name").
-	Iface string
-	// InfoMethod (default "InterceptorInfo") must return only constant
-	// expressions in every implementation: chain order is part of the
-	// determinism contract.
-	InfoMethod string
-	// TryMethod (default "TryHandle") is the claim method: its first bool
-	// result is the handled flag and its last error result the failure
-	// channel. Implementations must not mutate engine state on any path that
-	// can still decline (return handled=false with a nil error).
-	TryMethod string
 }
 
 // Finding is one rule violation.
@@ -205,8 +179,8 @@ type Result struct {
 }
 
 // ModuleConfig returns the configuration nvlint uses for this repository:
-// the DVH engine's hot roots, the by-value Op contract, and the parallel
-// runner as the only package allowed to start goroutines.
+// the DVH engine's hot roots, the plan-cache and stage-ledger contracts, and
+// the parallel runner as the only package allowed to start goroutines.
 func ModuleConfig(dir string) (Config, error) {
 	cfg := Config{Dir: dir}
 	mp, err := modulePath(dir)
@@ -224,7 +198,6 @@ func ModuleConfig(dir string) (Config, error) {
 		// keeps it covered even if the settle wiring moves.
 		mp + "/internal/trace.(*StageStats).ObserveLedger",
 	}
-	cfg.ByValueTypes = []string{mp + "/internal/hyper.Op"}
 	// cachegen: the plan replay cache (internal/hyper/plan.go) bakes
 	// compile-path reads into cached plans; every one of them must be
 	// covered by a generation counter or be provably not a plan input. The
@@ -291,11 +264,6 @@ func ModuleConfig(dir string) (Config, error) {
 		Settle: mp + "/internal/hyper.(*World).settle",
 		Charge: mp + "/internal/hyper.(*ExitContext).add",
 	}
-	// interceptor: the direct-handling chain's registration and
-	// claim-before-mutate contracts (internal/hyper/pipeline.go).
-	cfg.Interceptor = &InterceptorConfig{
-		Iface: mp + "/internal/hyper.Interceptor",
-	}
 	return cfg, nil
 }
 
@@ -332,16 +300,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 	g := buildCallGraph(prog)
 
-	rules := []string{RuleDeterminism, RuleNoPanic, RuleExhaustive, RuleOpByValue, RuleHotAlloc}
+	rules := []string{RuleDeterminism, RuleNoPanic, RuleExhaustive, RuleHotAlloc}
 	var all []Finding
 	all = append(all, checkDeterminism(prog, &cfg)...)
 	all = append(all, checkNoPanic(prog, &cfg)...)
 	all = append(all, checkExhaustive(prog, &cfg)...)
-	ops, err := checkOpByValue(prog, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	all = append(all, ops...)
 	hot, nHot, err := checkHotAlloc(prog, &cfg, g)
 	if err != nil {
 		return nil, err
@@ -358,14 +321,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.StageLedger != nil {
 		rules = append(rules, RuleStageLedger)
 		fs, err := checkStageLedger(prog, &cfg, g)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, fs...)
-	}
-	if cfg.Interceptor != nil {
-		rules = append(rules, RuleInterceptor)
-		fs, err := checkInterceptor(prog, &cfg, g)
 		if err != nil {
 			return nil, err
 		}

@@ -95,12 +95,6 @@ func TestGoldenHotAlloc(t *testing.T) {
 	})
 }
 
-func TestGoldenOpByValue(t *testing.T) {
-	runGolden(t, "opbyvalue", func(c *Config) {
-		c.ByValueTypes = []string{"lintcheck/opbyvalue.Op"}
-	})
-}
-
 func TestGoldenExhaustive(t *testing.T) {
 	runGolden(t, "exhaustive", func(c *Config) {
 		// The testdata imports the real vmx package, proving the acceptance
@@ -176,22 +170,12 @@ func stageLedgerTestConfig(c *Config) {
 
 func TestGoldenStageLedger(t *testing.T) { runGolden(t, "stageledger", stageLedgerTestConfig) }
 
-// interceptorTestConfig points EnginePrefixes away from the fixture so the
-// time.Now expectation can only be satisfied by determinism inheritance
-// through the interceptor rule.
-func interceptorTestConfig(c *Config) {
-	c.EnginePrefixes = []string{"lintcheck/interceptor/enginepkgs"}
-	c.Interceptor = &InterceptorConfig{Iface: "lintcheck/interceptor.Interceptor"}
-}
-
-func TestGoldenInterceptor(t *testing.T) { runGolden(t, "interceptor", interceptorTestConfig) }
-
 // TestGoldenRequiresRule proves every // want in the v2 fixtures comes from
 // its rule: with the rule left unconfigured, the same package lints clean, so
 // disabling a rule would fail the golden test above by leaving every
 // expectation unmatched.
 func TestGoldenRequiresRule(t *testing.T) {
-	for _, name := range []string{"cachegen", "stageledger", "interceptor"} {
+	for _, name := range []string{"cachegen", "stageledger"} {
 		cfg := Config{
 			Dir:            filepath.Join("testdata", "src", name),
 			ModulePath:     "lintcheck/" + name,
@@ -355,7 +339,7 @@ func TestEncodeJSON(t *testing.T) {
 
 // TestModuleLintsClean is the gate the repository itself must pass: nvlint
 // over the whole module reports nothing — no findings and no stale
-// directives — with all eight rules enabled.
+// directives — with all six rules enabled.
 func TestModuleLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the full module from source")
@@ -379,7 +363,7 @@ func TestModuleLintsClean(t *testing.T) {
 	}
 	wantRules := []string{
 		RuleCacheGen, RuleDeterminism, RuleExhaustive, RuleHotAlloc,
-		RuleInterceptor, RuleNoPanic, RuleOpByValue, RuleStageLedger,
+		RuleNoPanic, RuleStageLedger,
 	}
 	if !reflect.DeepEqual(res.RulesRun, wantRules) {
 		t.Errorf("rules run = %v, want %v", res.RulesRun, wantRules)

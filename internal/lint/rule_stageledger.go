@@ -18,7 +18,7 @@ import (
 //   - every ledger charge (the Charge method) names its stage with a
 //     constant, and one function charges only a single stage — per-stage
 //     latency attribution stays statically decidable, and an assignment to
-//     the transaction's stage field must agree with the stage charged.
+//     the transaction's Stage field must agree with the stage charged.
 func checkStageLedger(prog *program, cfg *Config, g *callGraph) ([]Finding, error) {
 	sl := cfg.StageLedger
 	beginFn, err := resolveSingle(g, sl.Begin)
@@ -32,10 +32,6 @@ func checkStageLedger(prog *program, cfg *Config, g *callGraph) ([]Finding, erro
 	chargeFn, err := resolveSingle(g, sl.Charge)
 	if err != nil {
 		return nil, err
-	}
-	stageField := sl.StageField
-	if stageField == "" {
-		stageField = "Stage"
 	}
 	txNamed := receiverNamed(chargeFn)
 
@@ -53,7 +49,7 @@ func checkStageLedger(prog *program, cfg *Config, g *callGraph) ([]Finding, erro
 					continue
 				}
 				out = append(out, checkBoundary(prog, pkg, dirs, fd, beginFn, settleFn)...)
-				out = append(out, checkCharges(prog, pkg, dirs, fd, chargeFn, txNamed, stageField)...)
+				out = append(out, checkCharges(prog, pkg, dirs, fd, chargeFn, txNamed)...)
 			}
 		}
 	}
@@ -162,7 +158,7 @@ func checkBoundary(prog *program, pkg *Package, dirs *fileDirectives, fd *ast.Fu
 
 // checkCharges applies the constant-stage and single-stage-per-function rules
 // to one function.
-func checkCharges(prog *program, pkg *Package, dirs *fileDirectives, fd *ast.FuncDecl, chargeFn *types.Func, txNamed *types.Named, stageField string) []Finding {
+func checkCharges(prog *program, pkg *Package, dirs *fileDirectives, fd *ast.FuncDecl, chargeFn *types.Func, txNamed *types.Named) []Finding {
 	var out []Finding
 	name := funcID(funcOf(pkg, fd))
 	charged := ""     // exact value of the stage constant this function charges
@@ -191,7 +187,7 @@ func checkCharges(prog *program, pkg *Package, dirs *fileDirectives, fd *ast.Fun
 				return true
 			}
 			sel, ok := n.Lhs[0].(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != stageField {
+			if !ok || sel.Sel.Name != "Stage" {
 				return true
 			}
 			s, ok := pkg.Info.Selections[sel]
