@@ -1,6 +1,7 @@
 package nvsim_test
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -271,15 +272,64 @@ func TestNvbenchAllGolden(t *testing.T) {
 		if code != 0 {
 			t.Fatalf("nvbench %s exited %d: %s", run, code, stderr)
 		}
-		if stdout == string(want) {
-			continue
+		if err := firstDiff(stdout, string(want)); err != nil {
+			t.Fatalf("nvbench %s differs from eval-all.golden: %v", run, err)
 		}
-		got, wantLines := strings.Split(stdout, "\n"), strings.Split(string(want), "\n")
-		for i := range min(len(got), len(wantLines)) {
-			if got[i] != wantLines[i] {
-				t.Fatalf("nvbench %s differs from eval-all.golden at line %d:\n got: %q\nwant: %q", run, i+1, got[i], wantLines[i])
-			}
-		}
-		t.Fatalf("nvbench %s prints %d lines, eval-all.golden has %d", run, len(got), len(wantLines))
 	}
+}
+
+// cliTranscripts are CLI surfaces pinned byte for byte. Each row's
+// committed transcript, testdata/cli/<name>.txt, is the command line, the
+// exit code and stdout; NVSIM_UPDATE_GOLDEN=1 rewrites the transcripts,
+// only ever for a deliberate output change.
+var cliTranscripts = []struct {
+	name string
+	cli  string
+	args []string
+}{
+	{"nvtrace-sendipi-l3-dvh", "nvtrace", []string{"-depth", "3", "-micro", "SendIPI", "-dvh", "-timeline", "-stages"}},
+	{"nvtrace-hypercall-l2", "nvtrace", []string{"-depth", "2", "-micro", "Hypercall", "-stages"}},
+	{"nvsim-l3-dvh-all", "nvsim", []string{"-depth", "3", "-io", "dvh", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}},
+}
+
+// TestCLITranscripts runs every cliTranscripts row on the built CLIs and
+// compares its transcript with the committed one.
+func TestCLITranscripts(t *testing.T) {
+	dir := buildCLIs(t)
+	for _, tc := range cliTranscripts {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			stdout, _, code := runCLI(t, filepath.Join(dir, tc.cli), cleanEnv(), tc.args...)
+			got := fmt.Sprintf("$ %s %s\nexit %d\n%s", tc.cli, strings.Join(tc.args, " "), code, stdout)
+			path := filepath.Join("testdata", "cli", tc.name+".txt")
+			if os.Getenv("NVSIM_UPDATE_GOLDEN") != "" {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := firstDiff(got, string(want)); err != nil {
+				t.Fatalf("%s differs from its transcript: %v", path, err)
+			}
+		})
+	}
+}
+
+// firstDiff reports the first line at which got and want differ, or nil
+// when they are equal.
+func firstDiff(got, want string) error {
+	if got == want {
+		return nil
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			return fmt.Errorf("line %d:\n got: %q\nwant: %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Errorf("%d lines, want %d", len(g), len(w))
 }

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/experiment"
+	"repro/internal/hyper"
 	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -79,11 +80,10 @@ func main() {
 	if *timeline {
 		st.World.Tracer = trace.NewRecorder(*ring)
 	}
-	var ss *trace.StageStats
 	if *stages {
-		ss = &trace.StageStats{}
+		st.World.Stages = &hyper.StageStats{}
 	}
-	cycles, err := workload.RunMicroObserved(st.World, st.Target.VCPUs[0], m, st.Net, 1, ss)
+	cycles, err := workload.RunMicro(st.World, st.Target.VCPUs[0], m, st.Net, 1)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nvtrace: %v\n", err)
 		os.Exit(1)
@@ -92,7 +92,7 @@ func main() {
 	fmt.Print(st.Machine.Stats.String())
 	if *stages {
 		fmt.Println("\nper-stage attribution:")
-		fmt.Print(ss.String())
+		fmt.Print(st.World.Stages.String())
 	}
 	if *timeline {
 		retained := len(st.World.Tracer.Events())

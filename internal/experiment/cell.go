@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/hyper"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -30,24 +29,22 @@ type cellRun interface {
 	measure(st *Stack, rec *cellRecord) error
 }
 
-// appRun runs a Table 2 workload for appTxns transactions, with the record's
-// StageStats attached for the whole run.
+// appRun runs a Table 2 workload for appTxns transactions.
 type appRun struct{ workload.Profile }
 
 func (r appRun) String() string { return r.Name }
 
 func (r appRun) measure(st *Stack, rec *cellRecord) (err error) {
-	runner := workload.Runner{W: st.World, VM: st.Target, Net: st.Net, Blk: st.Blk, P: r.Profile, Stages: &rec.stages}
+	runner := workload.Runner{W: st.World, VM: st.Target, Net: st.Net, Blk: st.Blk, P: r.Profile}
 	rec.result, err = runner.Run(appTxns)
 	return err
 }
 
-// microRun measures a Table 1 microbenchmark over microIters iterations, with
-// the record's StageStats attached around exactly the measured operations.
+// microRun measures a Table 1 microbenchmark over microIters iterations.
 type microRun struct{ workload.Micro }
 
 func (r microRun) measure(st *Stack, rec *cellRecord) (err error) {
-	rec.avg, err = workload.RunMicroObserved(st.World, st.Target.VCPUs[0], r.Micro, st.Net, microIters, &rec.stages)
+	rec.avg, err = workload.RunMicro(st.World, st.Target.VCPUs[0], r.Micro, st.Net, microIters)
 	return err
 }
 
@@ -80,15 +77,14 @@ func runOf[Op cellOp](op Op) cellRun {
 
 // cellRecord is everything one cell produces: an application cell's Result
 // (overhead, score, latency histogram, op-class breakdown) or another cell's
-// average cycles per operation, the stage attribution of exactly the
-// measured operations (none for a storm), and the machine clock. Every entry
-// but the migration projects these records; a record is shared by every
-// caller of its key, so projections never write it.
+// average cycles per operation, and the stage attribution of the run (a
+// microbenchmark's covers exactly the measured operations; no entry reads a
+// storm's). Every entry but the migration projects these records; a record
+// is shared by every caller of its key, so projections never write it.
 type cellRecord struct {
-	result  workload.Result
-	avg     sim.Cycles
-	stages  trace.StageStats
-	clockHz uint64
+	result workload.Result
+	avg    sim.Cycles
+	stages hyper.StageStats
 }
 
 // cellEntry computes its key's record at most once; the error is kept like
@@ -144,14 +140,15 @@ func cell(spec Spec, run cellRun) (*cellRecord, error) {
 }
 
 // compute simulates the cell: Build in the key's plan-cache mode, then the
-// key's run.
+// key's run with the record's StageStats attached, so it observes the run
+// and nothing of the build.
 func (rec *cellRecord) compute(key cellKey) error {
 	st, err := Build(key.spec)
 	if err != nil {
 		return err
 	}
 	st.World.SetPlanCache(key.planCache)
-	rec.clockHz = st.Machine.ClockHz
+	st.World.Stages = &rec.stages
 	return key.run.measure(st, rec)
 }
 

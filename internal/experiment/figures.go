@@ -181,7 +181,7 @@ func figure(title string, compute func() ([]AppResult, error)) func(Format) (str
 		}
 		switch f {
 		case Chart:
-			out := report.BarChart(title+" (overhead vs native)", bars, report.ChartOptions{Width: 50, Cap: 14, Unit: "x"})
+			out := report.BarChart(title+" (overhead vs native)", bars)
 			return out + "\n" + report.FormatSummaries(report.Summarize(bars)), nil
 		case CSV:
 			return report.CSV(bars), nil

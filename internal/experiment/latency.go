@@ -46,7 +46,7 @@ func LatencyTails() ([]LatencyRow, error) {
 			P50:      lat.Quantile(0.50),
 			P99:      lat.Quantile(0.99),
 			Max:      lat.Max(),
-			MeanUS:   lat.Mean() / float64(rec.clockHz) * 1e6,
+			MeanUS:   lat.Mean() / sim.DefaultClockHz * 1e6,
 		}
 	})
 }

@@ -5,9 +5,9 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/hyper"
 	"repro/internal/profile"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -22,8 +22,8 @@ type StageBreakdownRow struct {
 	Config string
 	// Total is the Table 3 value: average cycles per operation.
 	Total sim.Cycles
-	// Stages holds the per-stage share of Total, indexed like trace.StageName.
-	Stages [trace.NumStages]sim.Cycles
+	// Stages holds the per-stage share of Total, indexed by hyper.Stage.
+	Stages [hyper.NumStages]sim.Cycles
 }
 
 // StageBreakdown projects the per-stage cycle attribution of every Table 3
@@ -57,7 +57,7 @@ func StageBreakdownUnder(profileName string) ([]StageBreakdownRow, error) {
 			for s := range row.Stages {
 				// Deterministic costs make every iteration identical, so the
 				// division is exact and the stage shares sum back to Total.
-				row.Stages[s] = rec.stages.StageTotal(s) / microIters
+				row.Stages[s] = rec.stages.StageTotal(hyper.Stage(s)) / microIters
 			}
 			rows = append(rows, row)
 		}
@@ -71,8 +71,8 @@ func FormatStageBreakdown(rows []StageBreakdownRow) string {
 	var b strings.Builder
 	b.WriteString("Per-stage cycle attribution of Table 3 (cycles/op; stages sum to the Table 3 value)\n")
 	fmt.Fprintf(&b, "%-14s %-12s %10s", "benchmark", "config", "total")
-	for s := 0; s < trace.NumStages; s++ {
-		fmt.Fprintf(&b, " %10s", trace.StageName(s))
+	for s := range hyper.NumStages {
+		fmt.Fprintf(&b, " %10s", hyper.Stage(s))
 	}
 	b.WriteByte('\n')
 	group := ""
@@ -82,8 +82,8 @@ func FormatStageBreakdown(rows []StageBreakdownRow) string {
 		}
 		group = r.Micro
 		fmt.Fprintf(&b, "%-14s %-12s %10d", r.Micro, r.Config, uint64(r.Total))
-		for s := 0; s < trace.NumStages; s++ {
-			if c := r.Stages[s]; c != 0 {
+		for _, c := range r.Stages {
+			if c != 0 {
 				fmt.Fprintf(&b, " %10d", uint64(c))
 			} else {
 				fmt.Fprintf(&b, " %10s", "-")
@@ -96,7 +96,7 @@ func FormatStageBreakdown(rows []StageBreakdownRow) string {
 
 // markdownStageBreakdown renders the per-stage table as Markdown.
 func markdownStageBreakdown(rows []StageBreakdownRow) string {
-	return markdownStages("Benchmark", len(rows), func(i int) (string, string, sim.Cycles, *[trace.NumStages]sim.Cycles) {
+	return markdownStages("Benchmark", len(rows), func(i int) (string, string, sim.Cycles, *[hyper.NumStages]sim.Cycles) {
 		return rows[i].Micro, rows[i].Config, rows[i].Total, &rows[i].Stages
 	}, "Cycles per operation attributed to each pipeline stage; stage columns sum to the total.")
 }
@@ -104,13 +104,13 @@ func markdownStageBreakdown(rows []StageBreakdownRow) string {
 // markdownStages renders a stage table as Markdown: a row per cell with its
 // two labels, its total and the total's per-stage shares ("-" for a stage
 // that accrued nothing), then a note.
-func markdownStages(head string, n int, row func(i int) (label, config string, total sim.Cycles, stages *[trace.NumStages]sim.Cycles), note string) string {
+func markdownStages(head string, n int, row func(i int) (label, config string, total sim.Cycles, stages *[hyper.NumStages]sim.Cycles), note string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "| %s | Config | total |", head)
-	for s := 0; s < trace.NumStages; s++ {
-		fmt.Fprintf(&b, " %s |", trace.StageName(s))
+	for s := range hyper.NumStages {
+		fmt.Fprintf(&b, " %s |", hyper.Stage(s))
 	}
-	fmt.Fprintf(&b, "\n|---|---|---|%s\n", strings.Repeat("---|", trace.NumStages))
+	fmt.Fprintf(&b, "\n|---|---|---|%s\n", strings.Repeat("---|", hyper.NumStages))
 	for i := 0; i < n; i++ {
 		label, config, total, stages := row(i)
 		fmt.Fprintf(&b, "| %s | %s | %d |", label, config, uint64(total))

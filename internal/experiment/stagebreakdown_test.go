@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -30,8 +29,8 @@ func TestStageBreakdownSumsToTable3(t *testing.T) {
 			t.Fatalf("row %d is %s/%s, want %v/%s", i, r.Micro, r.Config, m, cfg.label)
 		}
 		var sum sim.Cycles
-		for s := 0; s < trace.NumStages; s++ {
-			sum += r.Stages[s]
+		for _, c := range r.Stages {
+			sum += c
 		}
 		if sum != r.Total {
 			t.Errorf("%s/%s: stages sum to %v, row total is %v", r.Micro, r.Config, sum, r.Total)

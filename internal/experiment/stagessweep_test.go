@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/profile"
-	"repro/internal/trace"
 )
 
 // TestStageSweepDefaultMatchesGolden pins the sweep's unit to the committed
@@ -48,8 +47,8 @@ func TestStageSweepAllProfiles(t *testing.T) {
 			}
 			for _, r := range rows {
 				var sum int64
-				for s := 0; s < trace.NumStages; s++ {
-					sum += int64(r.Stages[s])
+				for _, c := range r.Stages {
+					sum += int64(c)
 				}
 				if sum != int64(r.Total) {
 					t.Errorf("%s/%s under %s: stage shares sum to %d, total is %d",

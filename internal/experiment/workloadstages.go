@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/hyper"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -20,20 +20,19 @@ type WorkloadStageRow struct {
 	Config   string
 	// Total is the run's virtualization cycles: the sum of the stage shares.
 	Total sim.Cycles
-	// Stages holds the per-stage share of Total, indexed like trace.StageName.
-	Stages [trace.NumStages]sim.Cycles
+	// Stages holds the per-stage share of Total, indexed by hyper.Stage.
+	Stages [hyper.NumStages]sim.Cycles
 }
 
 // WorkloadStageBreakdown projects the per-stage attribution every
-// application cell records (the Runner's StageStats, attached for the whole
-// run) over the Figure 7 configurations — the same cells as Figure 7. Rows
+// application cell records (the StageStats attached for the whole run) over the Figure 7 configurations — the same cells as Figure 7. Rows
 // return in cell order, byte-identical at any width and across plan-cache
 // modes.
 func WorkloadStageBreakdown() ([]WorkloadStageRow, error) {
 	return cellsOf(figure7Configs, workload.Profiles(), func(label string, rec *cellRecord) WorkloadStageRow {
 		row := WorkloadStageRow{Workload: rec.result.Profile.Name, Config: label}
-		for s := 0; s < trace.NumStages; s++ {
-			row.Stages[s] = rec.stages.StageTotal(s)
+		for s := range row.Stages {
+			row.Stages[s] = rec.stages.StageTotal(hyper.Stage(s))
 			row.Total += row.Stages[s]
 		}
 		return row
@@ -47,8 +46,8 @@ func FormatWorkloadStageBreakdown(rows []WorkloadStageRow) string {
 	var b strings.Builder
 	b.WriteString("Per-workload stage attribution over the Figure 7 mixes (virtualization cycles per run)\n")
 	fmt.Fprintf(&b, "%-16s %-22s %12s", "workload", "config", "total")
-	for s := 0; s < trace.NumStages; s++ {
-		fmt.Fprintf(&b, " %10s", trace.StageName(s))
+	for s := range hyper.NumStages {
+		fmt.Fprintf(&b, " %10s", hyper.Stage(s))
 	}
 	b.WriteByte('\n')
 	group := ""
@@ -58,8 +57,8 @@ func FormatWorkloadStageBreakdown(rows []WorkloadStageRow) string {
 		}
 		group = r.Config
 		fmt.Fprintf(&b, "%-16s %-22s %12d", r.Workload, r.Config, uint64(r.Total))
-		for s := 0; s < trace.NumStages; s++ {
-			if c := r.Stages[s]; c != 0 {
+		for _, c := range r.Stages {
+			if c != 0 {
 				fmt.Fprintf(&b, " %10d", uint64(c))
 			} else {
 				fmt.Fprintf(&b, " %10s", "-")
@@ -73,7 +72,7 @@ func FormatWorkloadStageBreakdown(rows []WorkloadStageRow) string {
 // markdownWorkloadStages renders the per-workload stage profiles as
 // Markdown.
 func markdownWorkloadStages(rows []WorkloadStageRow) string {
-	return markdownStages("Workload", len(rows), func(i int) (string, string, sim.Cycles, *[trace.NumStages]sim.Cycles) {
+	return markdownStages("Workload", len(rows), func(i int) (string, string, sim.Cycles, *[hyper.NumStages]sim.Cycles) {
 		return rows[i].Workload, rows[i].Config, rows[i].Total, &rows[i].Stages
 	}, "Virtualization cycles per run attributed to each pipeline stage; guest compute excluded.")
 }

@@ -21,9 +21,7 @@ const (
 	BoundaryWake
 )
 
-// boundaryCount is the number of boundaries (for per-boundary ledgers); it
-// must stay in lockstep with trace.NumBoundaries (compile-asserted in
-// pipeline.go).
+// boundaryCount is the number of boundaries (for per-boundary ledgers).
 const boundaryCount = int(BoundaryWake) + 1
 
 func (b Boundary) String() string {

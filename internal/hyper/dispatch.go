@@ -87,7 +87,6 @@ func (w *World) dispatch(tx *ExitContext) error {
 // access, a posted doorbell write to a passed-through physical device, and
 // an APICv-absorbed EOI.
 func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
-	tx.Stage = StageFastPath
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	switch tx.Op.Kind {
@@ -129,7 +128,6 @@ func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
 // stageRoute resolves which hypervisor level owns the exit and records the
 // routed transaction on the trace timeline.
 func (w *World) stageRoute(tx *ExitContext) {
-	tx.Stage = StageRoute
 	tx.Owner = w.ownerLevel(tx.V, tx.Op)
 	w.Tracer.Record(tx.Reason, tx.Level, tx.Owner)
 }
@@ -137,7 +135,6 @@ func (w *World) stageRoute(tx *ExitContext) {
 // stageEmulate concludes a host-owned exit: L0 dispatches to its handler,
 // performs the emulation work, and re-enters the guest.
 func (w *World) stageEmulate(tx *ExitContext) error {
-	tx.Stage = StageEmulate
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	stats.RecordHandledExit(tx.Reason, 0)
@@ -155,7 +152,6 @@ func (w *World) stageEmulate(tx *ExitContext) error {
 // in steady state — or re-runs the live recursion when the cache is disabled
 // — and the owner's side effects always run live after it.
 func (w *World) stageForward(tx *ExitContext, stack []*Hypervisor) error {
-	tx.Stage = StageForward
 	w.Host.Machine.Stats.RecordHandledExit(tx.Reason, tx.Owner)
 	fwd := w.charge(stack, planForward, tx.Reason, tx.Owner)
 	eff, err := w.ownerEffects(tx.V, tx.Op, tx.Owner)

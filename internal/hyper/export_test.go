@@ -13,7 +13,7 @@ func (w *World) ExecuteLedger(v *VCPU, op Op) ([]sim.Cycles, sim.Cycles, error) 
 	w.begin(&tx)
 	derr := w.dispatch(&tx)
 	cost, err := w.settle(&tx, derr)
-	ledger := make([]sim.Cycles, stageCount)
+	ledger := make([]sim.Cycles, NumStages)
 	copy(ledger, tx.ledger[:])
 	return ledger, cost, err
 }

@@ -454,11 +454,16 @@ func TestCreateVMValidation(t *testing.T) {
 	if _, err := host.CreateVM(VMConfig{Name: "big", VCPUs: 1, MemBytes: 8 << 30}); err == nil {
 		t.Fatal("overcommitted memory accepted")
 	}
-	if _, err := host.CreateVM(VMConfig{Name: "pin", VCPUs: 1, MemBytes: 1 << 20, Pin: []int{99}}); err == nil {
-		t.Fatal("pin to missing CPU accepted")
+	if _, err := host.CreateVM(VMConfig{Name: "wide", VCPUs: 3, MemBytes: 1 << 20}); err == nil {
+		t.Fatal("VM with more vCPUs than physical CPUs accepted")
 	}
-	if _, err := host.CreateVM(VMConfig{Name: "pinlen", VCPUs: 2, MemBytes: 1 << 20, Pin: []int{0}}); err == nil {
-		t.Fatal("short pin list accepted")
+	l1, err := host.CreateVM(VMConfig{Name: "l1", VCPUs: 1, MemBytes: 1 << 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	guest := l1.InstallHypervisor(KVM{}, "kvm-l1")
+	if _, err := guest.CreateVM(VMConfig{Name: "wide-l2", VCPUs: 2, MemBytes: 1 << 20}); err == nil {
+		t.Fatal("nested VM with more vCPUs than its parent VM accepted")
 	}
 }
 

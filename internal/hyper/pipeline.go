@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vmx"
 )
 
@@ -52,18 +51,9 @@ const (
 	StageSettle
 )
 
-// stageCount is the number of pipeline stages (for per-stage ledgers).
-const stageCount = int(StageSettle) + 1
-
-// The trace package sizes StageStats' fixed tables by mirrored constants so
-// the observability layer stays allocation-free without importing hyper
-// (trace is below hyper in the import graph). These assertions fail to
-// compile if either enum grows without the mirror moving; a test pins the
-// display names too.
-var (
-	_ [trace.NumStages]struct{}     = [stageCount]struct{}{}
-	_ [trace.NumBoundaries]struct{} = [boundaryCount]struct{}{}
-)
+// NumStages is the number of pipeline stages: the length of every
+// per-stage ledger and table.
+const NumStages = int(StageSettle) + 1
 
 func (s Stage) String() string {
 	switch s {
@@ -114,15 +104,13 @@ type ExitContext struct {
 	// Owner is the hypervisor level routed to handle the exit;
 	// ownerUnresolved until StageRoute, 0 when the host claims it.
 	Owner int
-	// Stage is the stage the transaction is currently in.
-	Stage Stage
 	// Cost is the accumulated cost ledger total — exactly the cycles the
 	// transaction has charged on behalf of its caller so far, and the value
 	// settle returns.
 	Cost sim.Cycles
 
 	// ledger attributes the accumulated cost to the stage that added it.
-	ledger [stageCount]sim.Cycles
+	ledger [NumStages]sim.Cycles
 	// token and checked carry the invariant checker's frame across the
 	// transaction, from begin to settle.
 	token   int
@@ -170,7 +158,6 @@ func (w *World) begin(tx *ExitContext) {
 // operations abandon their partial charges, which the checker's
 // cycle-conservation frame excuses only on the error path).
 func (w *World) settle(tx *ExitContext, err error) (sim.Cycles, error) {
-	tx.Stage = StageSettle
 	w.txDepth--
 	cost := tx.Cost
 	if err != nil {
@@ -182,27 +169,12 @@ func (w *World) settle(tx *ExitContext, err error) (sim.Cycles, error) {
 	if err != nil {
 		return 0, err
 	}
+	// A nested transaction's cost is already in the enclosing ledger, so
+	// only an outermost one is observed (see StageStats).
 	if w.txDepth == 0 && w.Stages != nil {
-		w.observeStages(tx)
+		w.Stages.observe(tx)
 	}
 	return cost, nil
-}
-
-// observeStages walks a settled outermost transaction's cost ledger into the
-// attached StageStats — the pipeline's only observation point for per-stage
-// latency attribution. Nested transactions are not observed: their costs are
-// already folded into the enclosing ledger at the stage that invoked them
-// (an IPI's wake lands in the outer StageForward lump, a cascade kick in the
-// outer StageEmulate/StageForward), so every settled cycle is attributed
-// exactly once. Only the Execute boundary carries an exit reason; deliveries
-// pass reason < 0 and appear in the boundary table alone. Allocation-free:
-// the stack-resident ledger goes to the fixed-size tables in one call.
-func (w *World) observeStages(tx *ExitContext) {
-	reason := -1
-	if tx.Boundary == BoundaryExecute {
-		reason = tx.Reason.Index()
-	}
-	w.Stages.ObserveLedger(int(tx.Boundary), reason, &tx.ledger)
 }
 
 // Interceptor is a direct-handling backend registered on a World: at
@@ -271,7 +243,6 @@ func (w *World) Interceptors() []Interceptor { return w.interceptors }
 // its check work to the host before the exit moves on — the bookkeeping the
 // paper's Table 3 shows as DVH's slightly costlier forwarded hypercall.
 func (w *World) stageIntercept(tx *ExitContext) (bool, error) {
-	tx.Stage = StageIntercept
 	if tx.Level < 2 || len(w.interceptors) == 0 {
 		return false, nil
 	}

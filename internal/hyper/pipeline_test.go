@@ -238,9 +238,6 @@ func TestExitContextLedger(t *testing.T) {
 	if err != nil || cost != 1010 {
 		t.Errorf("settle = (%v, %v), want (1010, nil)", cost, err)
 	}
-	if tx.Stage != StageSettle {
-		t.Errorf("settled transaction stage = %v, want settle", tx.Stage)
-	}
 }
 
 // TestSettleZeroesCostOnError pins the error contract: failed transactions
@@ -280,8 +277,8 @@ func TestStageStringTotal(t *testing.T) {
 			t.Errorf("Stage(%d).String() = %q, want %q", i, got, name)
 		}
 	}
-	if stageCount != len(want) {
-		t.Errorf("stageCount = %d, want %d", stageCount, len(want))
+	if NumStages != len(want) {
+		t.Errorf("NumStages = %d, want %d", NumStages, len(want))
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/hyper"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -88,8 +87,8 @@ func TestStageTotalsReconcileWithStatsAcrossMatrix(t *testing.T) {
 		}
 		v := st.Target.VCPUs[0]
 		st.Machine.Stats.Reset()
-		ss := &trace.StageStats{}
-		st.World.AttachStageStats(ss)
+		ss := &hyper.StageStats{}
+		st.World.Stages = ss
 		var returned sim.Cycles
 		for _, op := range matrixOps(st, v) {
 			c, err := st.World.Execute(v, op)
@@ -110,7 +109,7 @@ func TestStageTotalsReconcileWithStatsAcrossMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		returned += rx
-		st.World.AttachStageStats(nil)
+		st.World.Stages = nil
 
 		if got := ss.TotalCycles(); got != returned {
 			t.Errorf("%v: stage total %v, boundaries returned %v", spec, got, returned)
@@ -121,10 +120,13 @@ func TestStageTotalsReconcileWithStatsAcrossMatrix(t *testing.T) {
 	}
 }
 
-// TestRunMicroObservedDecomposesTable3 ties the stage view back to the
-// paper's numbers: for every Table 3 cell, the per-stage averages sum to
-// exactly the average RunMicro reports, and the observed transaction count
-// matches the iteration count (SendIPI's unmeasured setup halts excluded).
+// TestRunMicroObservedDecomposesTable3 ties the stage view of an observed
+// RunMicro back to the paper's numbers and holds RunMicro's sink contract:
+// for every Table 3 cell, the per-stage averages of the world's attached
+// StageStats sum to exactly the average RunMicro reports, the observed
+// transaction count matches the iteration count (SendIPI's unmeasured setup
+// halts excluded), the same sink is attached when RunMicro returns, and a
+// world with no sink still has none.
 func TestRunMicroObservedDecomposesTable3(t *testing.T) {
 	const iters = 16
 	for _, spec := range matrixSpecs() {
@@ -133,20 +135,32 @@ func TestRunMicroObservedDecomposesTable3(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss := &trace.StageStats{}
-			avg, err := workload.RunMicroObserved(st.World, st.Target.VCPUs[0], m, st.Net, iters, ss)
+			ss := &hyper.StageStats{}
+			st.World.Stages = ss
+			avg, err := workload.RunMicro(st.World, st.Target.VCPUs[0], m, st.Net, iters)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if st.World.Stages != ss {
+				t.Errorf("%v %v: RunMicro returned with sink %p attached, want %p", spec, m, st.World.Stages, ss)
 			}
 			if got := ss.TotalSettled(); got != iters {
 				t.Errorf("%v %v: observed %d transactions, want %d", spec, m, got, iters)
 			}
 			var sum sim.Cycles
-			for s := 0; s < trace.NumStages; s++ {
-				sum += ss.StageTotal(s) / iters
+			for s := range hyper.NumStages {
+				sum += ss.StageTotal(hyper.Stage(s)) / iters
 			}
 			if sum != avg {
 				t.Errorf("%v %v: stage averages sum to %v, RunMicro reports %v", spec, m, sum, avg)
+			}
+
+			st.World.Stages = nil
+			if _, err := workload.RunMicro(st.World, st.Target.VCPUs[0], m, st.Net, iters); err != nil {
+				t.Fatal(err)
+			}
+			if st.World.Stages != nil {
+				t.Errorf("%v %v: RunMicro left a sink on a world that had none", spec, m)
 			}
 		}
 	}

@@ -64,14 +64,13 @@ func (h *Hypervisor) carve(n mem.PFN) (mem.PFN, error) {
 	return base, nil
 }
 
-// VMConfig sizes a virtual machine.
+// VMConfig sizes a virtual machine. Its vCPU i is pinned to CPU i of the
+// level below — the physical CPU for an L1 VM, the parent VM's vCPU for a
+// deeper one — following the paper's pinned measurement setup.
 type VMConfig struct {
 	Name     string
 	VCPUs    int
 	MemBytes uint64
-	// Pin maps each vCPU to a CPU of the level below: physical CPU IDs for
-	// an L1 VM, parent vCPU indexes for deeper VMs. Defaults to identity.
-	Pin []int
 }
 
 // VM is a virtual machine at some nesting level.
@@ -134,6 +133,13 @@ func (h *Hypervisor) CreateVM(cfg VMConfig) (*VM, error) {
 	if cfg.VCPUs <= 0 {
 		return nil, fmt.Errorf("hyper: VM %q needs at least one vCPU", cfg.Name)
 	}
+	below := len(h.Machine.CPUs)
+	if h.HostVM != nil {
+		below = len(h.HostVM.VCPUs)
+	}
+	if cfg.VCPUs > below {
+		return nil, fmt.Errorf("hyper: VM %q has %d vCPUs but the level below has %d CPUs to pin them to", cfg.Name, cfg.VCPUs, below)
+	}
 	pages := mem.PFN((cfg.MemBytes + mem.PageSize - 1) / mem.PageSize)
 	base, err := h.carve(pages)
 	if err != nil {
@@ -152,16 +158,6 @@ func (h *Hypervisor) CreateVM(cfg VMConfig) (*VM, error) {
 		allocNext:  16, // leave a low region for firmware-ish structures
 		mmioNext:   0xf000_0000,
 	}
-	pin := cfg.Pin
-	if pin == nil {
-		pin = make([]int, cfg.VCPUs)
-		for i := range pin {
-			pin[i] = i
-		}
-	}
-	if len(pin) != cfg.VCPUs {
-		return nil, fmt.Errorf("hyper: VM %q pin list has %d entries for %d vCPUs", cfg.Name, len(pin), cfg.VCPUs)
-	}
 	for i := 0; i < cfg.VCPUs; i++ {
 		v := &VCPU{
 			VM:    vm,
@@ -170,16 +166,10 @@ func (h *Hypervisor) CreateVM(cfg VMConfig) (*VM, error) {
 			VMCS:  vmx.NewVMCS(),
 		}
 		if h.HostVM != nil {
-			if pin[i] >= len(h.HostVM.VCPUs) {
-				return nil, fmt.Errorf("hyper: VM %q vCPU %d pinned to missing parent vCPU %d", cfg.Name, i, pin[i])
-			}
-			v.Parent = h.HostVM.VCPUs[pin[i]]
+			v.Parent = h.HostVM.VCPUs[i]
 			v.PhysCPU = v.Parent.PhysCPU
 		} else {
-			if pin[i] >= len(h.Machine.CPUs) {
-				return nil, fmt.Errorf("hyper: VM %q vCPU %d pinned to missing physical CPU %d", cfg.Name, i, pin[i])
-			}
-			v.PhysCPU = pin[i]
+			v.PhysCPU = i
 		}
 		v.PID = apic.NewPIDescriptor(v.PhysCPU)
 		h.initVMCS(v)

@@ -58,9 +58,11 @@ type World struct {
 	Tracer *trace.Recorder
 	// Stages, when non-nil, receives per-stage cycle attribution for every
 	// settled outermost transaction (cmd/nvtrace -stages, the experiment
-	// stage-breakdown figure). Attach with AttachStageStats or set directly;
-	// a nil sink costs one branch at settle.
-	Stages *trace.StageStats
+	// stage tables). A nil sink costs one branch at settle. Replay-cached
+	// and live forwarded exits charge their lump to StageForward through
+	// the same ExitContext.add call, so attaching a sink never perturbs,
+	// and is never perturbed by, the plan-cache mode.
+	Stages *StageStats
 	// txDepth is the current boundary nesting depth (begin increments,
 	// settle decrements): 1 means the settling transaction is outermost and
 	// is the one StageStats observes.
@@ -110,13 +112,6 @@ func PlanCacheDefault() bool {
 	v := os.Getenv(NoPlanCacheEnv)
 	return v == "" || v == "0"
 }
-
-// AttachStageStats installs (or, with nil, detaches) the per-stage latency
-// sink the settle point feeds. Both replay-cached and live forwarded exits
-// charge their lump to StageForward through the same ExitContext.add call,
-// so attaching stage stats never perturbs — and is never perturbed by — the
-// plan-cache mode.
-func (w *World) AttachStageStats(ss *trace.StageStats) { w.Stages = ss }
 
 // SetPlanCache toggles the plan replay cache, overriding the NVSIM_NOPLANCACHE default. Intended for A/B tests; both
 // modes produce byte-identical simulation results.

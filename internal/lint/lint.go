@@ -135,9 +135,7 @@ type StageLedgerConfig struct {
 	Settle string
 	// Charge is the ledger-charge method ("pkg/path.(*Recv).Method"). Its
 	// stage argument must be a constant, and one function may charge only a
-	// single stage — per-stage attribution stays statically decidable. An
-	// assignment to the transaction's Stage field must agree with the stage
-	// the function charges.
+	// single stage — per-stage attribution stays statically decidable.
 	Charge string
 }
 
@@ -196,7 +194,7 @@ func ModuleConfig(dir string) (Config, error) {
 		// The per-stage observability sink runs at every outermost settle,
 		// inside Execute's allocation-freedom contract; rooting it directly
 		// keeps it covered even if the settle wiring moves.
-		mp + "/internal/trace.(*StageStats).ObserveLedger",
+		mp + "/internal/hyper.(*StageStats).observe",
 	}
 	// cachegen: the plan replay cache (internal/hyper/plan.go) bakes
 	// compile-path reads into cached plans; every one of them must be

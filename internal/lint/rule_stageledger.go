@@ -17,8 +17,7 @@ import (
 //     the boundary that owns the transaction;
 //   - every ledger charge (the Charge method) names its stage with a
 //     constant, and one function charges only a single stage — per-stage
-//     latency attribution stays statically decidable, and an assignment to
-//     the transaction's Stage field must agree with the stage charged.
+//     latency attribution stays statically decidable.
 func checkStageLedger(prog *program, cfg *Config, g *callGraph) ([]Finding, error) {
 	sl := cfg.StageLedger
 	beginFn, err := resolveSingle(g, sl.Begin)
@@ -33,7 +32,6 @@ func checkStageLedger(prog *program, cfg *Config, g *callGraph) ([]Finding, erro
 	if err != nil {
 		return nil, err
 	}
-	txNamed := receiverNamed(chargeFn)
 
 	var out []Finding
 	for _, pkg := range prog.pkgs {
@@ -49,7 +47,7 @@ func checkStageLedger(prog *program, cfg *Config, g *callGraph) ([]Finding, erro
 					continue
 				}
 				out = append(out, checkBoundary(prog, pkg, dirs, fd, beginFn, settleFn)...)
-				out = append(out, checkCharges(prog, pkg, dirs, fd, chargeFn, txNamed)...)
+				out = append(out, checkCharges(prog, pkg, dirs, fd, chargeFn)...)
 			}
 		}
 	}
@@ -66,16 +64,6 @@ func resolveSingle(g *callGraph, spec string) (*types.Func, error) {
 		return nil, fmt.Errorf("lint: spec %q resolves to %d functions, want exactly 1", spec, len(fns))
 	}
 	return fns[0], nil
-}
-
-// receiverNamed returns the named type of a method's receiver, nil for plain
-// functions.
-func receiverNamed(fn *types.Func) *types.Named {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	return namedOrElem(sig.Recv().Type())
 }
 
 // checkBoundary applies the begin/settle pairing rules to one function.
@@ -158,53 +146,28 @@ func checkBoundary(prog *program, pkg *Package, dirs *fileDirectives, fd *ast.Fu
 
 // checkCharges applies the constant-stage and single-stage-per-function rules
 // to one function.
-func checkCharges(prog *program, pkg *Package, dirs *fileDirectives, fd *ast.FuncDecl, chargeFn *types.Func, txNamed *types.Named) []Finding {
+func checkCharges(prog *program, pkg *Package, dirs *fileDirectives, fd *ast.FuncDecl, chargeFn *types.Func) []Finding {
 	var out []Finding
 	name := funcID(funcOf(pkg, fd))
 	charged := ""     // exact value of the stage constant this function charges
 	chargedName := "" // its display name for messages
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if calleeOf(pkg, n) != chargeFn || len(n.Args) == 0 {
-				return true
-			}
-			tv, ok := pkg.Info.Types[n.Args[0]]
-			if !ok || tv.Value == nil {
-				out = append(out, finding(prog, pkg, dirs, n.Args[0].Pos(), RuleStageLedger,
-					fmt.Sprintf("%s charges the ledger through a non-constant stage; attribution must be statically decidable", name)))
-				return true
-			}
-			v := tv.Value.ExactString()
-			if charged == "" {
-				charged, chargedName = v, stageConstName(n.Args[0])
-			} else if charged != v {
-				out = append(out, finding(prog, pkg, dirs, n.Args[0].Pos(), RuleStageLedger,
-					fmt.Sprintf("%s charges a second stage (%s after %s); one function attributes cost to exactly one stage", name, stageConstName(n.Args[0]), chargedName)))
-			}
-		case *ast.AssignStmt:
-			if txNamed == nil || len(n.Lhs) != 1 || len(n.Rhs) != 1 {
-				return true
-			}
-			sel, ok := n.Lhs[0].(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Stage" {
-				return true
-			}
-			s, ok := pkg.Info.Selections[sel]
-			if !ok || s.Kind() != types.FieldVal || namedOrElem(s.Recv()) != txNamed {
-				return true
-			}
-			tv, ok := pkg.Info.Types[n.Rhs[0]]
-			if !ok || tv.Value == nil {
-				return true
-			}
-			v := tv.Value.ExactString()
-			if charged == "" {
-				charged, chargedName = v, stageConstName(n.Rhs[0])
-			} else if charged != v {
-				out = append(out, finding(prog, pkg, dirs, n.Rhs[0].Pos(), RuleStageLedger,
-					fmt.Sprintf("%s sets the transaction stage to a value it does not charge under; stage field and ledger must agree", name)))
-			}
+		call, ok := n.(*ast.CallExpr)
+		if !ok || calleeOf(pkg, call) != chargeFn || len(call.Args) == 0 {
+			return true
+		}
+		tv, ok := pkg.Info.Types[call.Args[0]]
+		if !ok || tv.Value == nil {
+			out = append(out, finding(prog, pkg, dirs, call.Args[0].Pos(), RuleStageLedger,
+				fmt.Sprintf("%s charges the ledger through a non-constant stage; attribution must be statically decidable", name)))
+			return true
+		}
+		v := tv.Value.ExactString()
+		if charged == "" {
+			charged, chargedName = v, stageConstName(call.Args[0])
+		} else if charged != v {
+			out = append(out, finding(prog, pkg, dirs, call.Args[0].Pos(), RuleStageLedger,
+				fmt.Sprintf("%s charges a second stage (%s after %s); one function attributes cost to exactly one stage", name, stageConstName(call.Args[0]), chargedName)))
 		}
 		return true
 	})

@@ -12,10 +12,8 @@ const (
 	StageRoute
 )
 
-// Tx is the per-exit transaction; Stage is the current-stage field the rule
-// cross-checks against charges.
+// Tx is the per-exit transaction with its per-stage charge ledger.
 type Tx struct {
-	Stage   Stage
 	charges [2]int
 }
 
@@ -74,9 +72,8 @@ func (e *Eng) NoReturn(t *Tx) {
 	t.add(StageDecode, 1)
 }
 
-// ChargeDecode charges one stage and sets the stage field to match: clean.
+// ChargeDecode charges a single constant stage: clean.
 func ChargeDecode(t *Tx) {
-	t.Stage = StageDecode
 	t.add(StageDecode, 1)
 }
 
@@ -89,10 +86,4 @@ func TwoStages(t *Tx) {
 // VarStage charges through a runtime value, defeating static attribution.
 func VarStage(t *Tx, s Stage) {
 	t.add(s, 1) // want "non-constant stage"
-}
-
-// Mismatch charges one stage but stamps the transaction with another.
-func Mismatch(t *Tx) {
-	t.add(StageDecode, 1)
-	t.Stage = StageRoute // want "does not charge under"
 }

@@ -7,7 +7,6 @@ package machine
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/iommu"
 	"repro/internal/mem"
@@ -36,9 +35,6 @@ type NIC struct {
 type SSD struct {
 	Fn      *pci.Function
 	Backing *mem.AddressSpace
-	// ReadLatency / WriteLatency are per-operation device latencies in
-	// cycles (DC S3500-class: ~50us read, ~60us write).
-	ReadLatency, WriteLatency sim.Cycles
 }
 
 // Config sizes a machine.
@@ -51,21 +47,18 @@ type Config struct {
 	// MemoryBytes is host RAM (paper: 192 GB; the simulator allocates
 	// sparsely so the full size is cheap).
 	MemoryBytes uint64
-	// ClockHz is the core clock (default 2.2 GHz).
-	ClockHz uint64
 	// Caps advertises platform virtualization features.
 	Caps vmx.Caps
 	// NICVFs is the number of SR-IOV virtual functions to provision.
 	NICVFs int
 }
 
-// Machine is the assembled platform.
+// Machine is the assembled platform. Its cores run at sim.DefaultClockHz.
 type Machine struct {
-	Name    string
-	Engine  *sim.Engine
-	Stats   *trace.Stats
-	Caps    vmx.Caps
-	ClockHz uint64
+	Name   string
+	Engine *sim.Engine
+	Stats  *trace.Stats
+	Caps   vmx.Caps
 
 	CPUs   []*PCPU
 	Memory *mem.AddressSpace
@@ -97,17 +90,13 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.CPUs <= 0 {
 		return nil, fmt.Errorf("machine: need at least one CPU")
 	}
-	if cfg.ClockHz == 0 {
-		cfg.ClockHz = sim.DefaultClockHz
-	}
 	m := &Machine{
-		Name:    cfg.Name,
-		Engine:  sim.NewEngine(),
-		Stats:   &trace.Stats{},
-		Caps:    cfg.Caps,
-		ClockHz: cfg.ClockHz,
-		Memory:  mem.NewAddressSpace(cfg.Name+"/ram", cfg.MemoryBytes),
-		Bus:     pci.NewBus(),
+		Name:   cfg.Name,
+		Engine: sim.NewEngine(),
+		Stats:  &trace.Stats{},
+		Caps:   cfg.Caps,
+		Memory: mem.NewAddressSpace(cfg.Name+"/ram", cfg.MemoryBytes),
+		Bus:    pci.NewBus(),
 	}
 	for i := 0; i < cfg.CPUs; i++ {
 		m.CPUs = append(m.CPUs, &PCPU{ID: i, LAPIC: apic.NewLAPIC()})
@@ -134,10 +123,8 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m.SSD = &SSD{
-		Fn:           ssdFn,
-		Backing:      mem.NewAddressSpace(cfg.Name+"/ssd", 480<<30),
-		ReadLatency:  sim.FromDuration(50*time.Microsecond, cfg.ClockHz),
-		WriteLatency: sim.FromDuration(60*time.Microsecond, cfg.ClockHz),
+		Fn:      ssdFn,
+		Backing: mem.NewAddressSpace(cfg.Name+"/ssd", 480<<30),
 	}
 	return m, nil
 }

@@ -19,27 +19,19 @@ type Bar struct {
 	Value float64
 }
 
-// ChartOptions tunes rendering.
-type ChartOptions struct {
-	// Width is the maximum bar width in characters (default 48).
-	Width int
-	// Cap truncates bars beyond this value, annotating the true value at
-	// the end — how the paper's Figure 9 handles its off-scale bars.
-	Cap float64
-	// Unit is appended to the value labels.
-	Unit string
-}
-
-func (o *ChartOptions) fill() {
-	if o.Width <= 0 {
-		o.Width = 48
-	}
-}
+// Chart geometry. Every chart plots overheads vs native, so values are
+// labelled with an "x".
+const (
+	// chartWidth is the maximum bar width in characters.
+	chartWidth = 50
+	// chartCap truncates bars beyond this value, annotating the true value
+	// at the end — how the paper's Figure 9 handles its off-scale bars.
+	chartCap = 14
+)
 
 // BarChart renders bars grouped by Group, preserving first-seen order of
 // groups and series.
-func BarChart(title string, bars []Bar, opts ChartOptions) string {
-	opts.fill()
+func BarChart(title string, bars []Bar) string {
 	if len(bars) == 0 {
 		return title + "\n(no data)\n"
 	}
@@ -55,10 +47,7 @@ func BarChart(title string, bars []Bar, opts ChartOptions) string {
 			seenS[b.Series] = true
 			series = append(series, b.Series)
 		}
-		v := b.Value
-		if opts.Cap > 0 && v > opts.Cap {
-			v = opts.Cap
-		}
+		v := min(b.Value, chartCap)
 		if v > maxVal {
 			maxVal = v
 		}
@@ -87,22 +76,17 @@ func BarChart(title string, bars []Bar, opts ChartOptions) string {
 			if !ok {
 				continue
 			}
-			shown := v
-			capped := false
-			if opts.Cap > 0 && shown > opts.Cap {
-				shown = opts.Cap
-				capped = true
-			}
-			n := int(shown / maxVal * float64(opts.Width))
+			shown := min(v, chartCap)
+			n := int(shown / maxVal * chartWidth)
 			if n < 1 && v > 0 {
 				n = 1
 			}
 			bar := strings.Repeat("█", n)
 			marker := ""
-			if capped {
+			if v > chartCap {
 				marker = "▶"
 			}
-			fmt.Fprintf(&out, "  %-*s %s%s %.2f%s\n", labelWidth, s, bar, marker, v, opts.Unit)
+			fmt.Fprintf(&out, "  %-*s %s%s %.2fx\n", labelWidth, s, bar, marker, v)
 		}
 	}
 	return out.String()

@@ -19,7 +19,7 @@ func sample() []Bar {
 }
 
 func TestBarChartRendering(t *testing.T) {
-	out := BarChart("Figure 7", sample(), ChartOptions{Width: 20, Unit: "x"})
+	out := BarChart("Figure 7", sample())
 	for _, want := range []string{"Figure 7", "Apache", "Memcached", "VM", "Nested", "DVH", "6.00x"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("chart missing %q:\n%s", want, out)
@@ -38,8 +38,8 @@ func TestBarChartRendering(t *testing.T) {
 	if !strings.Contains(label, "Nested") || !strings.Contains(label, "6.00") {
 		t.Errorf("longest bar is %q", label)
 	}
-	if longest != 20 {
-		t.Errorf("max bar width = %d, want 20", longest)
+	if longest != chartWidth {
+		t.Errorf("max bar width = %d, want %d", longest, chartWidth)
 	}
 }
 
@@ -48,7 +48,7 @@ func TestBarChartCapMarksTruncation(t *testing.T) {
 		{Group: "Memcached", Series: "L3", Value: 109.7},
 		{Group: "Memcached", Series: "DVH", Value: 1.8},
 	}
-	out := BarChart("Figure 9", bars, ChartOptions{Width: 20, Cap: 14})
+	out := BarChart("Figure 9", bars)
 	if !strings.Contains(out, "▶") {
 		t.Errorf("capped bar not marked:\n%s", out)
 	}
@@ -58,10 +58,10 @@ func TestBarChartCapMarksTruncation(t *testing.T) {
 }
 
 func TestBarChartEmptyAndZero(t *testing.T) {
-	if !strings.Contains(BarChart("t", nil, ChartOptions{}), "no data") {
+	if !strings.Contains(BarChart("t", nil), "no data") {
 		t.Error("empty chart should say so")
 	}
-	out := BarChart("t", []Bar{{Group: "g", Series: "s", Value: 0}}, ChartOptions{})
+	out := BarChart("t", []Bar{{Group: "g", Series: "s", Value: 0}})
 	if !strings.Contains(out, "0.00") {
 		t.Errorf("zero bar rendering:\n%s", out)
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestClockAdvance(t *testing.T) {
@@ -45,32 +44,6 @@ func TestCyclesString(t *testing.T) {
 		if got := in.String(); got != want {
 			t.Errorf("Cycles(%d).String() = %q, want %q", uint64(in), got, want)
 		}
-	}
-}
-
-func TestFromDuration(t *testing.T) {
-	// One second at the default clock is exactly DefaultClockHz cycles.
-	if c := FromDuration(time.Second, 0); c != DefaultClockHz {
-		t.Fatalf("FromDuration(1s) = %d, want %d", c, uint64(DefaultClockHz))
-	}
-	// 50 us at 2.2 GHz is 110,000 cycles (the SSD read latency).
-	if c := FromDuration(50*time.Microsecond, DefaultClockHz); c != 110_000 {
-		t.Fatalf("FromDuration(50us) = %d, want 110000", c)
-	}
-	if c := FromDuration(-time.Second, 0); c != 0 {
-		t.Fatalf("FromDuration(-1s) = %d, want 0", c)
-	}
-}
-
-func TestFromDurationProperty(t *testing.T) {
-	// Whole milliseconds convert exactly: secs*hz plus the millisecond
-	// remainder at hz/1000 cycles each.
-	f := func(ms uint16) bool {
-		d := time.Duration(ms) * time.Millisecond
-		return FromDuration(d, DefaultClockHz) == Cycles(ms)*DefaultClockHz/1000
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

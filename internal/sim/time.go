@@ -9,10 +9,7 @@
 // reports microbenchmark costs directly in CPU cycles.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Cycles is a quantity of simulated CPU cycles. It is used both for durations
 // and, as Time, for absolute positions on the simulated timeline.
@@ -25,19 +22,6 @@ type Time = Cycles
 // DefaultClockHz is the simulated core clock rate: 2.2 GHz, matching the
 // Intel Xeon Silver 4114 machines used in the paper's evaluation.
 const DefaultClockHz = 2_200_000_000
-
-// FromDuration converts wall-clock time to cycles at the given clock rate.
-func FromDuration(d time.Duration, hz uint64) Cycles {
-	if hz == 0 {
-		hz = DefaultClockHz
-	}
-	if d <= 0 {
-		return 0
-	}
-	secs := uint64(d / time.Second)
-	rem := uint64(d % time.Second) // nanoseconds
-	return Cycles(secs*hz + rem*hz/1_000_000_000)
-}
 
 // String renders the cycle count with a thousands separator, the way the
 // paper's Table 3 presents costs (e.g. "37,733").

@@ -8,7 +8,11 @@
 // configuration's exit paths.
 package workload
 
-import "repro/internal/sim"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Profile is one application workload's transaction model.
 type Profile struct {
@@ -135,5 +139,5 @@ func (m Micro) String() string {
 	case MicroSendIPI:
 		return "SendIPI"
 	}
-	return "Micro(?)"
+	return fmt.Sprintf("Micro(%d)", int(m))
 }

@@ -24,13 +24,6 @@ type Runner struct {
 	// artifact methodology (many runs, best average; Appendix A.6)
 	// meaningful to reproduce.
 	RNG *sim.RNG
-	// Stages, when non-nil, is attached to the world for the duration of a
-	// Run/RunFor (the previous sink is restored afterwards) and receives the
-	// per-stage cycle attribution of every boundary operation the workload
-	// drives — the per-workload stage profile nvreport surfaces. Guest
-	// compute is charged outside transactions and does not appear here; the
-	// stage totals decompose the run's virtualization cycles only.
-	Stages *trace.StageStats
 }
 
 // workJitterPermille bounds the ± work variation applied per transaction.
@@ -90,11 +83,6 @@ func (r *Runner) Run(n int) (Result, error) {
 	}
 	if err := r.validate(); err != nil {
 		return Result{}, err
-	}
-	if r.Stages != nil {
-		prev := r.W.Stages
-		r.W.AttachStageStats(r.Stages)
-		defer r.W.AttachStageStats(prev)
 	}
 
 	st := runState{r: r}
@@ -264,32 +252,16 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 
 // RunMicro measures one Table 1 microbenchmark on a vCPU, returning the
 // average cost in cycles over iters iterations (the paper reports cycles, so
-// no throughput conversion is involved).
+// no throughput conversion is involved). A StageStats attached to the world
+// observes exactly the measured operations: SendIPI's per-iteration setup
+// halt, whose cost the metric excludes like Table 1's, runs with the sink
+// detached, and the sink is back in place when RunMicro returns.
 func RunMicro(w *hyper.World, v *hyper.VCPU, m Micro, net *hyper.AssignedDevice, iters int) (sim.Cycles, error) {
-	return RunMicroObserved(w, v, m, net, iters, nil)
-}
-
-// RunMicroObserved is RunMicro with per-stage attribution: when ss is
-// non-nil it is attached to the world around exactly the measured operations,
-// so the stage totals decompose the returned average — SendIPI's
-// per-iteration setup halt (whose cost the metric excludes, like Table 1's)
-// is executed with the sink detached. The world's previously attached sink
-// is restored on return; with ss nil the behavior is RunMicro's, untouched.
-func RunMicroObserved(w *hyper.World, v *hyper.VCPU, m Micro, net *hyper.AssignedDevice, iters int, ss *trace.StageStats) (sim.Cycles, error) {
 	if iters <= 0 {
-		iters = 1
-	}
-	if ss != nil {
-		prev := w.Stages
-		defer w.AttachStageStats(prev)
+		return 0, fmt.Errorf("workload %v: need a positive iteration count, got %d", m, iters)
 	}
 	var total sim.Cycles
 	for i := 0; i < iters; i++ {
-		if ss != nil {
-			// Setup operations (SendIPI's halt of the destination) are not
-			// part of the reported metric, so they must not be attributed.
-			w.AttachStageStats(nil)
-		}
 		var op hyper.Op
 		switch m {
 		case MicroHypercall:
@@ -302,15 +274,19 @@ func RunMicroObserved(w *hyper.World, v *hyper.VCPU, m Micro, net *hyper.Assigne
 		case MicroProgramTimer:
 			op = hyper.ProgramTimer(uint64(w.Host.Machine.Engine.Now()) + 1_000_000)
 		case MicroSendIPI:
-			// Table 1: the destination vCPU is idle and must be woken.
+			// Table 1: the destination vCPU is idle and must be woken. The
+			// halt that idles it is setup, so the stage sink does not see it.
 			dest := v.VM.VCPUs[(v.ID+1)%len(v.VM.VCPUs)]
-			if _, err := w.Execute(dest, hyper.Halt()); err != nil {
+			ss := w.Stages
+			w.Stages = nil
+			_, err := w.Execute(dest, hyper.Halt())
+			w.Stages = ss
+			if err != nil {
 				return 0, err
 			}
 			op = hyper.SendIPI(uint32(dest.ID), apic.VectorReschedule)
-		}
-		if ss != nil {
-			w.AttachStageStats(ss)
+		default:
+			return 0, fmt.Errorf("workload: unknown microbenchmark %v", m)
 		}
 		c, err := w.Execute(v, op)
 		if err != nil {
@@ -343,11 +319,6 @@ func (r *Runner) RunFor(duration sim.Cycles) (Result, error) {
 	}
 	if err := r.validate(); err != nil {
 		return Result{}, err
-	}
-	if r.Stages != nil {
-		prev := r.W.Stages
-		r.W.AttachStageStats(r.Stages)
-		defer r.W.AttachStageStats(prev)
 	}
 	eng := r.W.Host.Machine.Engine
 	end := eng.Now() + duration

@@ -49,7 +49,7 @@ func (s Storm) String() string {
 // wake — are what the average reports.
 func RunStorm(w *hyper.World, v *hyper.VCPU, s Storm, events int) (sim.Cycles, error) {
 	if events <= 0 {
-		events = 1
+		return 0, fmt.Errorf("workload %v: need a positive event count, got %d", s, events)
 	}
 	var total sim.Cycles
 	for i := 0; i < events; i++ {
@@ -79,6 +79,8 @@ func RunStorm(w *hyper.World, v *hyper.VCPU, s Storm, events int) (sim.Cycles, e
 				return 0, err
 			}
 			total += c
+		default:
+			return 0, fmt.Errorf("workload: unknown storm %v", s)
 		}
 	}
 	return total / sim.Cycles(events), nil

@@ -156,7 +156,10 @@ func TestRunValidation(t *testing.T) {
 
 // TestRunRejectsDegenerateInput: a VM run of a profile that drives no core
 // or does no work per transaction, and a RunFor of zero simulated time, are
-// errors naming the profile, not a divide-by-zero panic or a NaN result.
+// errors naming the profile, not a divide-by-zero panic or a NaN result. A
+// microbenchmark or storm that does not exist, or a count below one, is an
+// error naming the micro or storm and the count, not a number measured on
+// some other operation.
 func TestRunRejectsDegenerateInput(t *testing.T) {
 	base, _ := ProfileByName("Hackbench")
 	noCores, negCores, noWork := base, base, base
@@ -185,6 +188,40 @@ func TestRunRejectsDegenerateInput(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.p.Name) {
 				t.Errorf("error %q does not name the profile %q", err, tc.p.Name)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(w *hyper.World, v *hyper.VCPU, net *hyper.AssignedDevice) (sim.Cycles, error)
+		want []string
+	}{
+		{"RunMicro of an unknown micro", func(w *hyper.World, v *hyper.VCPU, net *hyper.AssignedDevice) (sim.Cycles, error) {
+			return RunMicro(w, v, Micro(7), net, 4)
+		}, []string{"Micro(7)"}},
+		{"RunMicro of zero iterations", func(w *hyper.World, v *hyper.VCPU, net *hyper.AssignedDevice) (sim.Cycles, error) {
+			return RunMicro(w, v, MicroHypercall, net, 0)
+		}, []string{"Hypercall", "got 0"}},
+		{"RunMicro of negative iterations", func(w *hyper.World, v *hyper.VCPU, net *hyper.AssignedDevice) (sim.Cycles, error) {
+			return RunMicro(w, v, MicroSendIPI, net, -3)
+		}, []string{"SendIPI", "got -3"}},
+		{"RunStorm of an unknown storm", func(w *hyper.World, v *hyper.VCPU, _ *hyper.AssignedDevice) (sim.Cycles, error) {
+			return RunStorm(w, v, Storm(5), 8)
+		}, []string{"Storm(5)"}},
+		{"RunStorm of zero events", func(w *hyper.World, v *hyper.VCPU, _ *hyper.AssignedDevice) (sim.Cycles, error) {
+			return RunStorm(w, v, StormIPI, 0)
+		}, []string{"ipi-flood", "got 0"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, vm, net, _ := buildL2(t, 0)
+			c, err := tc.run(w, vm.VCPUs[0], net)
+			if err == nil {
+				t.Fatalf("accepted: %v cycles", c)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
 			}
 		})
 	}
