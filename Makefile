@@ -23,9 +23,8 @@ race:
 
 # lint runs nvlint, the simulator-aware static analyzer (see DESIGN.md §8 and
 # §13): determinism, hot-path allocation-freedom, exit-reason exhaustiveness,
-# nopanic, and the v2 pipeline contracts (cachegen, stageledger) — six
-# rules, each with a mutant on record that no test catches (DESIGN.md
-# §13.1). -unused-directives keeps the suppression inventory honest: a
+# nopanic, and the v2 pipeline contract (cachegen) — five rules, each
+# with a mutant on record that no test catches (DESIGN.md §13.1). -unused-directives keeps the suppression inventory honest: a
 # //nvlint comment that no longer suppresses anything fails the gate.
 # VERBOSE=1 also prints the hot-path call chains and every suppressed
 # finding with its justification.

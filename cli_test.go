@@ -290,6 +290,11 @@ var cliTranscripts = []struct {
 	{"nvtrace-sendipi-l3-dvh", "nvtrace", []string{"-depth", "3", "-micro", "SendIPI", "-dvh", "-timeline", "-stages"}},
 	{"nvtrace-hypercall-l2", "nvtrace", []string{"-depth", "2", "-micro", "Hypercall", "-stages"}},
 	{"nvsim-l3-dvh-all", "nvsim", []string{"-depth", "3", "-io", "dvh", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}},
+	{"nvtrace-devnotify-l3", "nvtrace", []string{"-depth", "3", "-micro", "DevNotify", "-stages"}},
+	{"nvtrace-programtimer-l3-dvh", "nvtrace", []string{"-depth", "3", "-micro", "ProgramTimer", "-dvh", "-stages"}},
+	{"nvtrace-sendipi-l1", "nvtrace", []string{"-depth", "1", "-micro", "SendIPI", "-stages"}},
+	{"nvsim-l2-passthrough-all", "nvsim", []string{"-depth", "2", "-io", "passthrough", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}},
+	{"nvsim-l2-dvh-vp-xen-all", "nvsim", []string{"-depth", "2", "-io", "dvh-vp", "-guest", "xen", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}},
 }
 
 // TestCLITranscripts runs every cliTranscripts row on the built CLIs and

@@ -1,9 +1,8 @@
 // Command nvlint runs the simulator-aware static analyzer over the module:
 // determinism, hot-path allocation-freedom, exit-reason exhaustiveness,
-// no-panic engine code, and the v2 pipeline contracts (plan-cache
-// generation soundness, begin/settle pairing) — six rules, each kept
-// because it catches a bug class tests cannot (see the internal/lint
-// package doc). It prints one file:line finding per violation and exits
+// no-panic engine code, and the v2 pipeline contract (plan-cache
+// generation soundness) — five rules, each kept because it catches a bug
+// class tests cannot (see the internal/lint package doc). It prints one file:line finding per violation and exits
 // nonzero if any are active.
 //
 // Usage:

@@ -78,9 +78,10 @@ func runOf[Op cellOp](op Op) cellRun {
 // cellRecord is everything one cell produces: an application cell's Result
 // (overhead, score, latency histogram, op-class breakdown) or another cell's
 // average cycles per operation, and the stage attribution of the run (a
-// microbenchmark's covers exactly the measured operations; no entry reads a
-// storm's). Every entry but the migration projects these records; a record
-// is shared by every caller of its key, so projections never write it.
+// microbenchmark's or storm's covers exactly the measured operations; no
+// entry reads a storm's). Every entry but the migration projects these
+// records; a record is shared by every caller of its key, so projections
+// never write it.
 type cellRecord struct {
 	result workload.Result
 	avg    sim.Cycles

@@ -72,7 +72,7 @@ func FormatStageBreakdown(rows []StageBreakdownRow) string {
 	b.WriteString("Per-stage cycle attribution of Table 3 (cycles/op; stages sum to the Table 3 value)\n")
 	fmt.Fprintf(&b, "%-14s %-12s %10s", "benchmark", "config", "total")
 	for s := range hyper.NumStages {
-		fmt.Fprintf(&b, " %10s", hyper.Stage(s))
+		fmt.Fprintf(&b, " %10s", s)
 	}
 	b.WriteByte('\n')
 	group := ""
@@ -108,9 +108,9 @@ func markdownStages(head string, n int, row func(i int) (label, config string, t
 	var b strings.Builder
 	fmt.Fprintf(&b, "| %s | Config | total |", head)
 	for s := range hyper.NumStages {
-		fmt.Fprintf(&b, " %s |", hyper.Stage(s))
+		fmt.Fprintf(&b, " %s |", s)
 	}
-	fmt.Fprintf(&b, "\n|---|---|---|%s\n", strings.Repeat("---|", hyper.NumStages))
+	fmt.Fprintf(&b, "\n|---|---|---|%s\n", strings.Repeat("---|", int(hyper.NumStages)))
 	for i := 0; i < n; i++ {
 		label, config, total, stages := row(i)
 		fmt.Fprintf(&b, "| %s | %s | %d |", label, config, uint64(total))

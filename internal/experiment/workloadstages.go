@@ -47,7 +47,7 @@ func FormatWorkloadStageBreakdown(rows []WorkloadStageRow) string {
 	b.WriteString("Per-workload stage attribution over the Figure 7 mixes (virtualization cycles per run)\n")
 	fmt.Fprintf(&b, "%-16s %-22s %12s", "workload", "config", "total")
 	for s := range hyper.NumStages {
-		fmt.Fprintf(&b, " %10s", hyper.Stage(s))
+		fmt.Fprintf(&b, " %10s", s)
 	}
 	b.WriteByte('\n')
 	group := ""

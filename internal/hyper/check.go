@@ -21,8 +21,9 @@ const (
 	BoundaryWake
 )
 
-// boundaryCount is the number of boundaries (for per-boundary ledgers).
-const boundaryCount = int(BoundaryWake) + 1
+// boundaryCount is the number of boundaries (for per-boundary ledgers). It is
+// no boundary; nvlint's exhaustive rule skips it as a count sentinel.
+const boundaryCount = BoundaryWake + 1
 
 func (b Boundary) String() string {
 	switch b {

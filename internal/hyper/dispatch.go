@@ -43,11 +43,7 @@ func reasonFor(op Op) vmx.ExitReason {
 // equivalent of "the guest executed a trapping instruction": it opens an
 // exit transaction and flows it through the pipeline stages.
 func (w *World) Execute(v *VCPU, op Op) (sim.Cycles, error) {
-	var tx ExitContext
-	w.newTx(&tx, v, op, BoundaryExecute)
-	w.begin(&tx)
-	err := w.dispatch(&tx)
-	return w.settle(&tx, err)
+	return w.transact(BoundaryExecute, v, op, nil)
 }
 
 // dispatch drives an Execute transaction through the pipeline: operations

@@ -10,9 +10,10 @@ import (
 
 // This file is the deliver stage of the pipeline: interrupt deliveries
 // (timer, device completion), inbound device data, and idle wakes. Each
-// public entry point opens its own exit transaction — the checker frames
-// stack when a delivery happens inside a larger transaction (an IPI waking
-// its destination) — and settles it at the pipeline's single settle point.
+// public entry point is one call to transact (pipeline.go), which runs the
+// body below as its own exit transaction and charges the body's cost to
+// StageDeliver; the checker frames stack when a delivery happens inside a
+// larger transaction (an IPI waking its destination).
 
 // DeliverTimerIRQ delivers a fired timer interrupt to its vCPU and returns
 // the delivery cost. A level-1 VM (and, with the direct-delivery extension,
@@ -20,12 +21,7 @@ import (
 // otherwise the guest hypervisor emulating the timer must run its injection
 // path first.
 func (w *World) DeliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
-	var tx ExitContext
-	w.newTx(&tx, v, Op{}, BoundaryTimerIRQ)
-	w.begin(&tx)
-	cost, err := w.deliverTimerIRQ(v)
-	tx.add(StageDeliver, cost)
-	return w.settle(&tx, err)
+	return w.transact(BoundaryTimerIRQ, v, Op{}, nil)
 }
 
 func (w *World) deliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
@@ -71,12 +67,7 @@ func (w *World) deliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
 // idle penalty of nested virtualization is paid on the way *into* idle (the
 // forwarded HLT exit), which is exactly what DVH virtual idle removes.
 func (w *World) WakeIfIdle(dest *VCPU) (sim.Cycles, error) {
-	var tx ExitContext
-	w.newTx(&tx, dest, Op{}, BoundaryWake)
-	w.begin(&tx)
-	cost, err := w.wakeIfIdle(dest)
-	tx.add(StageDeliver, cost)
-	return w.settle(&tx, err)
+	return w.transact(BoundaryWake, dest, Op{}, nil)
 }
 
 func (w *World) wakeIfIdle(dest *VCPU) (sim.Cycles, error) {
@@ -112,12 +103,7 @@ func (w *World) wakeLadderCost(idleOwner int, sink chargeSink) sim.Cycles {
 // deliver without an exit; otherwise the interrupt must be injected by the
 // hypervisor level that interposes on it.
 func (w *World) DeliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
-	var tx ExitContext
-	w.newTx(&tx, target, Op{}, BoundaryDeviceIRQ)
-	w.begin(&tx)
-	cost, err := w.deliverDeviceIRQ(dev, target)
-	tx.add(StageDeliver, cost)
-	return w.settle(&tx, err)
+	return w.transact(BoundaryDeviceIRQ, target, Op{}, dev)
 }
 
 func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
@@ -174,12 +160,7 @@ func (w *World) guestPathCost(stack []*Hypervisor, reason vmx.ExitReason, level 
 // to the target vCPU. For passthrough the data lands in VM memory directly;
 // for virtual-passthrough only the host backend runs.
 func (w *World) DeviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
-	var tx ExitContext
-	w.newTx(&tx, target, Op{}, BoundaryDeviceRX)
-	w.begin(&tx)
-	cost, err := w.deviceRX(dev, target)
-	tx.add(StageDeliver, cost)
-	return w.settle(&tx, err)
+	return w.transact(BoundaryDeviceRX, target, Op{}, dev)
 }
 
 func (w *World) deviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the exit-transaction pipeline: every public World entry point
-// builds an ExitContext, opens it with begin, flows it through the ordered
-// stages, and closes it with settle. The paper's Figure 1 flow — an exit
+// is one call to transact, which opens an ExitContext, flows it through the
+// ordered stages, and settles it. The paper's Figure 1 flow — an exit
 // enters at L0 and is either handled directly (1b) or forwarded up the
 // hypervisor stack (1a) — is modeled as explicit stages so that boundary
 // bookkeeping (invariant-checker bracketing, the final cost returned to the
@@ -52,8 +52,9 @@ const (
 )
 
 // NumStages is the number of pipeline stages: the length of every
-// per-stage ledger and table.
-const NumStages = int(StageSettle) + 1
+// per-stage ledger and table. It is no stage; nvlint's exhaustive rule
+// skips it as a count sentinel.
+const NumStages = StageSettle + 1
 
 func (s Stage) String() string {
 	switch s {
@@ -79,7 +80,7 @@ func (s Stage) String() string {
 const ownerUnresolved = -1
 
 // ExitContext is one exit transaction flowing through the pipeline. It lives
-// on the entry point's stack frame — the steady-state exit path stays
+// on transact's stack frame — the steady-state exit path stays
 // allocation-free — and accumulates the transaction's identity (operation,
 // exit reason, nesting level), its routing decision, and a per-stage cost
 // ledger whose total is the cost returned to the caller.
@@ -106,15 +107,11 @@ type ExitContext struct {
 	Owner int
 	// Cost is the accumulated cost ledger total — exactly the cycles the
 	// transaction has charged on behalf of its caller so far, and the value
-	// settle returns.
+	// transact returns.
 	Cost sim.Cycles
 
 	// ledger attributes the accumulated cost to the stage that added it.
 	ledger [NumStages]sim.Cycles
-	// token and checked carry the invariant checker's frame across the
-	// transaction, from begin to settle.
-	token   int
-	checked bool
 }
 
 // add charges cycles to the transaction on behalf of a stage. Stages must
@@ -125,54 +122,66 @@ func (tx *ExitContext) add(s Stage, c sim.Cycles) {
 	tx.ledger[s] += c
 }
 
-// newTx fills a zero ExitContext, declared by the entry point, for one
-// boundary entry. Filling in place through the pointer spares every
-// boundary a copy of the whole context out of a returned value.
-func (w *World) newTx(tx *ExitContext, v *VCPU, op Op, b Boundary) {
-	tx.V, tx.Op, tx.Boundary, tx.Owner = v, op, b, ownerUnresolved
-	if v != nil {
-		tx.Level = v.VM.Level
-	}
-	if b == BoundaryExecute {
-		tx.Reason = reasonFor(op)
-	}
-}
-
-// begin opens the transaction. This is the only place a boundary frame is
-// opened with the invariant checker: entry points never bracket themselves.
-// The world's transaction depth tracks how deeply boundaries are nested so
-// settle can tell an outermost transaction (observed by StageStats) from a
-// nested one (whose cost the enclosing ledger already holds).
-func (w *World) begin(tx *ExitContext) {
+// transact opens, runs and settles one exit transaction. Every public World
+// entry point is a single call to it, so each boundary opens and settles its
+// transaction exactly once on every path. In order, transact
+//
+//   - fills the ExitContext in place on its own stack frame;
+//   - raises the world's transaction depth and opens the invariant checker's
+//     frame;
+//   - runs the boundary's body: Execute's dispatch, or one delivery body,
+//     whose cost it charges to StageDeliver;
+//   - lowers the depth and closes the checker's frame with the settled cost;
+//   - hands an outermost transaction to the attached StageStats;
+//   - returns the ledger total, or zero on error.
+//
+// Failed operations abandon their partial charges: the checker's
+// cycle-conservation frame excuses that only on the error path, and no sink
+// observes them. The depth tells an outermost transaction from a nested one,
+// whose cost the enclosing ledger already holds. op is the zero Op and dev is
+// nil for the boundaries that take none.
+func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.Cycles, error) {
+	var tx ExitContext
+	tx.V, tx.Op, tx.Boundary, tx.Level, tx.Owner = v, op, b, v.VM.Level, ownerUnresolved
 	w.txDepth++
-	if w.Check == nil {
-		return
+	checked := w.Check != nil
+	var token int
+	if checked {
+		token = w.Check.Begin(w, v, b, op)
 	}
-	tx.checked = true
-	tx.token = w.Check.Begin(w, tx.V, tx.Boundary, tx.Op)
-}
 
-// settle closes the transaction and is the single point where a boundary's
-// final cost is decided: the checker observes the completed frame exactly
-// once, and the caller receives the ledger total (or zero on error — failed
-// operations abandon their partial charges, which the checker's
-// cycle-conservation frame excuses only on the error path).
-func (w *World) settle(tx *ExitContext, err error) (sim.Cycles, error) {
+	// Execute's stages charge the ledger themselves, so its body cost stays
+	// zero; a delivery body returns what it charged.
+	var body sim.Cycles
+	var err error
+	switch b {
+	case BoundaryExecute:
+		tx.Reason = reasonFor(op)
+		err = w.dispatch(&tx)
+	case BoundaryTimerIRQ:
+		body, err = w.deliverTimerIRQ(v)
+	case BoundaryDeviceIRQ:
+		body, err = w.deliverDeviceIRQ(dev, v)
+	case BoundaryDeviceRX:
+		body, err = w.deviceRX(dev, v)
+	case BoundaryWake:
+		body, err = w.wakeIfIdle(v)
+	}
+	tx.add(StageDeliver, body)
+
 	w.txDepth--
 	cost := tx.Cost
 	if err != nil {
 		cost = 0
 	}
-	if tx.checked {
-		w.Check.End(tx.token, w, tx.V, tx.Boundary, tx.Op, cost, err)
+	if checked {
+		w.Check.End(token, w, v, b, op, cost, err)
 	}
 	if err != nil {
 		return 0, err
 	}
-	// A nested transaction's cost is already in the enclosing ledger, so
-	// only an outermost one is observed (see StageStats).
 	if w.txDepth == 0 && w.Stages != nil {
-		w.Stages.observe(tx)
+		w.Stages.observe(&tx)
 	}
 	return cost, nil
 }

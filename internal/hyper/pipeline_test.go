@@ -216,15 +216,11 @@ func TestNestedBoundariesStack(t *testing.T) {
 	}
 }
 
-// TestExitContextLedger exercises the per-stage cost ledger directly: the
-// transaction total is always the sum of its stage entries.
+// TestExitContextLedger exercises the per-stage cost ledger: add keeps the
+// transaction total equal to the sum of its stage entries, and the total a
+// forwarded exit settles is the cost its caller receives.
 func TestExitContextLedger(t *testing.T) {
-	w, vms := testStack(t, 1)
 	var tx ExitContext
-	w.newTx(&tx, vms[0].VCPUs[0], Hypercall(), BoundaryExecute)
-	if tx.Owner != ownerUnresolved {
-		t.Fatalf("fresh transaction owner = %d, want unresolved (%d)", tx.Owner, ownerUnresolved)
-	}
 	tx.add(StageRoute, 10)
 	tx.add(StageForward, 700)
 	tx.add(StageForward, 300)
@@ -234,38 +230,50 @@ func TestExitContextLedger(t *testing.T) {
 	if tx.Cost != 1010 {
 		t.Errorf("ledger total = %v, want 1010", tx.Cost)
 	}
-	cost, err := w.settle(&tx, nil)
-	if err != nil || cost != 1010 {
-		t.Errorf("settle = (%v, %v), want (1010, nil)", cost, err)
+
+	w, vms := testStack(t, 2)
+	ledger, cost, err := w.ExecuteLedger(vms[1].VCPUs[0], Hypercall())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum sim.Cycles
+	for _, c := range ledger {
+		sum += c
+	}
+	if sum != cost {
+		t.Errorf("settled ledger sums to %v, caller got %v (%v)", sum, cost, ledger)
+	}
+	if ledger[StageRoute] == 0 || ledger[StageForward] == 0 {
+		t.Errorf("forwarded L2 hypercall ledger %v lacks its route or forward entry", ledger)
 	}
 }
 
-// TestSettleZeroesCostOnError pins the error contract: failed transactions
-// abandon their partial charges and the caller sees zero cost.
+// TestSettleZeroesCostOnError pins the error contract: a transaction that
+// fails after charging its ledger abandons those partial charges, and the
+// caller and the checker both see (0, err). The L2 hypercall takes its
+// hardware exit into L0 before the missing L1 hypervisor fails it.
 func TestSettleZeroesCostOnError(t *testing.T) {
-	w, vms := testStack(t, 1)
+	w, vms := testStack(t, 2)
 	spy := &spyChecker{}
-	w.Check = spy
-	var tx ExitContext
-	w.newTx(&tx, vms[0].VCPUs[0], Hypercall(), BoundaryExecute)
-	w.begin(&tx)
-	tx.add(StageEmulate, 500)
-	wantErr := errSentinel
-	cost, err := w.settle(&tx, wantErr)
-	if cost != 0 || err != wantErr {
-		t.Errorf("settle on error = (%v, %v), want (0, sentinel)", cost, err)
+	ss := &StageStats{}
+	w.Check, w.Stages = spy, ss
+	vms[0].GuestHyp = nil
+	w.Host.Machine.TopoGen++ // so the L2 vCPU's cached hypervisor stack is rebuilt
+
+	cost, err := w.Execute(vms[1].VCPUs[0], Hypercall())
+	if cost != 0 || err == nil {
+		t.Fatalf("Execute on a broken stack = (%v, %v), want (0, error)", cost, err)
 	}
-	if spy.lastCost != 0 || spy.lastErr != wantErr {
-		t.Errorf("checker observed (%v, %v), want (0, sentinel)", spy.lastCost, spy.lastErr)
+	if n := w.Host.Machine.Stats.TotalHardwareExits(); n != 1 {
+		t.Fatalf("hardware exits = %d, want 1: the error must follow a ledger charge", n)
+	}
+	if spy.ends != 1 || spy.lastCost != 0 || spy.lastErr != err {
+		t.Errorf("checker observed %d frames ending (%v, %v), want 1 ending (0, %v)", spy.ends, spy.lastCost, spy.lastErr, err)
+	}
+	if n := ss.TotalSettled(); n != 0 {
+		t.Errorf("sink observed %d transactions of a failed call, want 0", n)
 	}
 }
-
-// errSentinel distinguishes the settle error path without formatting.
-var errSentinel = errSentinelType{}
-
-type errSentinelType struct{}
-
-func (errSentinelType) Error() string { return "sentinel" }
 
 // TestStageStringTotal keeps Stage's String in sync with the enum (nvlint's
 // exhaustive rule checks the switch statically; this covers the rendered
@@ -277,7 +285,7 @@ func TestStageStringTotal(t *testing.T) {
 			t.Errorf("Stage(%d).String() = %q, want %q", i, got, name)
 		}
 	}
-	if NumStages != len(want) {
+	if int(NumStages) != len(want) {
 		t.Errorf("NumStages = %d, want %d", NumStages, len(want))
 	}
 }

@@ -1,10 +1,12 @@
-// Package hyper_test holds the metamorphic settle-ledger tests that need the
-// full experiment matrix: the external test package can import experiment
-// (which imports hyper) without a cycle, while still reaching the
-// ExecuteLedger hook exported by export_test.go.
+// Package hyper_test holds the settle tests that need experiment stacks: the
+// boundary settle table and the metamorphic settle-ledger tests over the full
+// experiment matrix. The external test package can import experiment (which
+// imports hyper) without a cycle, while still reaching the ExecuteLedger hook
+// exported by export_test.go.
 package hyper_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/apic"
@@ -13,6 +15,142 @@ import (
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
+
+// frameSpy is an invariant checker that records the outermost frame of each
+// boundary call: how many opened and closed, and what the last one closed
+// with. open counts the frames open right now, nested ones included.
+type frameSpy struct {
+	open, opened, closed int
+	boundary             hyper.Boundary
+	cost                 sim.Cycles
+	err                  error
+}
+
+func (s *frameSpy) Begin(w *hyper.World, v *hyper.VCPU, b hyper.Boundary, op hyper.Op) int {
+	s.open++
+	if s.open == 1 {
+		s.opened++
+	}
+	return s.open
+}
+
+func (s *frameSpy) End(token int, w *hyper.World, v *hyper.VCPU, b hyper.Boundary, op hyper.Op, cost sim.Cycles, err error) {
+	s.open--
+	if s.open == 0 {
+		s.closed++
+		s.boundary, s.cost, s.err = b, cost, err
+	}
+}
+
+func (s *frameSpy) TimerArmed(w *hyper.World, v *hyper.VCPU, hostDeadline uint64) {}
+
+// enter calls boundary b once on v, with op as Execute's operation and the
+// stack's net device as the device boundaries' device.
+func enter(st *experiment.Stack, b hyper.Boundary, v *hyper.VCPU, op hyper.Op) (sim.Cycles, error) {
+	switch b {
+	case hyper.BoundaryExecute:
+		return st.World.Execute(v, op)
+	case hyper.BoundaryTimerIRQ:
+		return st.World.DeliverTimerIRQ(v)
+	case hyper.BoundaryDeviceIRQ:
+		return st.World.DeliverDeviceIRQ(st.Net, v)
+	case hyper.BoundaryDeviceRX:
+		return st.World.DeviceRX(st.Net, v)
+	case hyper.BoundaryWake:
+		return st.World.WakeIfIdle(v)
+	}
+	return 0, fmt.Errorf("no boundary %v", b)
+}
+
+// TestBoundarySettlePaths drives each of the five public boundaries once on
+// its success path and, where it can fail, once on an error path, and holds
+// every call to the settle contract: it opens one outermost checker frame;
+// that frame closes with the returned cost, or with (0, err) on error; the
+// transaction depth returns to zero, so the next outermost transaction is
+// observed; and an attached StageStats sees only successes. The stack is
+// nested DVH-VP, whose device interrupts are not posted, so the delivery
+// rows reach the guest hypervisor's injection path; the error rows remove
+// that hypervisor first. WakeIfIdle cannot fail.
+func TestBoundarySettlePaths(t *testing.T) {
+	halt := func(st *experiment.Stack, v *hyper.VCPU) {
+		if _, err := st.World.Execute(v, hyper.Halt()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	removeGuestHyp := func(st *experiment.Stack, v *hyper.VCPU) {
+		v.Parent.VM.GuestHyp = nil
+		st.Machine.TopoGen++ // so v's cached hypervisor stack is rebuilt
+	}
+	rows := []struct {
+		b     hyper.Boundary
+		op    hyper.Op // Execute's operation
+		setup func(*experiment.Stack, *hyper.VCPU)
+		fail  string // names an error row; "" for a success row
+	}{
+		{b: hyper.BoundaryExecute, op: hyper.Hypercall()},
+		{b: hyper.BoundaryExecute, op: hyper.DevNotify(0), fail: "unmapped-doorbell"},
+		{b: hyper.BoundaryTimerIRQ},
+		{b: hyper.BoundaryTimerIRQ, setup: removeGuestHyp, fail: "no-guest-hypervisor"},
+		{b: hyper.BoundaryWake, setup: halt},
+		{b: hyper.BoundaryDeviceIRQ},
+		{b: hyper.BoundaryDeviceIRQ, setup: removeGuestHyp, fail: "no-guest-hypervisor"},
+		{b: hyper.BoundaryDeviceRX},
+		{b: hyper.BoundaryDeviceRX, setup: removeGuestHyp, fail: "no-guest-hypervisor"},
+	}
+	for _, r := range rows {
+		name, fail := r.b.String(), r.fail != ""
+		if fail {
+			name += "/" + r.fail
+		}
+		t.Run(name, func(t *testing.T) {
+			st, err := experiment.Build(experiment.Spec{Depth: 2, IO: experiment.IODVHVP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Net.PostedDelivery {
+				t.Fatal("DVH-VP net device posts its interrupts; the delivery rows would skip the guest hypervisor")
+			}
+			v := st.Target.VCPUs[0]
+			if r.setup != nil {
+				r.setup(st, v)
+			}
+			spy, ss := &frameSpy{}, &hyper.StageStats{}
+			st.World.Check, st.World.Stages = spy, ss
+
+			cost, err := enter(st, r.b, v, r.op)
+			if fail != (err != nil) {
+				t.Fatalf("returned (%v, %v), want failure=%v", cost, err, fail)
+			}
+			if fail && cost != 0 {
+				t.Errorf("failed call returned cost %v, want 0", cost)
+			}
+			if spy.opened != 1 || spy.closed != 1 || spy.open != 0 {
+				t.Fatalf("outermost frames opened %d, closed %d, still open %d; want 1, 1, 0", spy.opened, spy.closed, spy.open)
+			}
+			if spy.boundary != r.b || spy.cost != cost || spy.err != err {
+				t.Errorf("frame closed as (%v, %v, %v), want (%v, %v, %v)", spy.boundary, spy.cost, spy.err, r.b, cost, err)
+			}
+			switch {
+			case fail && ss.TotalSettled() != 0:
+				t.Errorf("sink observed %d transactions of a failed call, want 0", ss.TotalSettled())
+			case !fail && (ss.Settled[r.b] != 1 || ss.TotalSettled() != 1 || ss.BoundaryTotal(r.b) != cost):
+				t.Errorf("sink observed %d %v transactions (%d in all) of %v cycles, want 1 of %v",
+					ss.Settled[r.b], r.b, ss.TotalSettled(), ss.BoundaryTotal(r.b), cost)
+			}
+
+			// The next call is outermost only if the depth is back at zero.
+			// An L1 hypercall needs no guest hypervisor, so it runs after
+			// the error rows too.
+			before := ss.Settled[hyper.BoundaryExecute]
+			if _, err := st.World.Execute(v.Parent, hyper.Hypercall()); err != nil {
+				t.Fatal(err)
+			}
+			if ss.Settled[hyper.BoundaryExecute] != before+1 {
+				t.Errorf("the next outermost transaction was not observed: the depth did not return to zero")
+			}
+		})
+	}
+}
 
 // matrixSpecs are the Table 3 / Figure 7–10 configurations: depths 1–3,
 // DVH off and (where nesting makes it meaningful) on.
@@ -149,7 +287,7 @@ func TestRunMicroObservedDecomposesTable3(t *testing.T) {
 			}
 			var sum sim.Cycles
 			for s := range hyper.NumStages {
-				sum += ss.StageTotal(hyper.Stage(s)) / iters
+				sum += ss.StageTotal(s) / iters
 			}
 			if sum != avg {
 				t.Errorf("%v %v: stage averages sum to %v, RunMicro reports %v", spec, m, sum, avg)

@@ -100,7 +100,7 @@ func (ss *StageStats) BoundaryTotal(b Boundary) sim.Cycles {
 func (ss *StageStats) TotalCycles() sim.Cycles {
 	var t sim.Cycles
 	for b := range boundaryCount {
-		t += ss.BoundaryTotal(Boundary(b))
+		t += ss.BoundaryTotal(b)
 	}
 	return t
 }
@@ -125,7 +125,7 @@ func (ss *StageStats) String() string {
 	fmt.Fprintf(&b, "stage cycles by boundary (%d outermost transactions)\n", ss.TotalSettled())
 	fmt.Fprintf(&b, "  %-18s %8s", "boundary", "txns")
 	for s := range NumStages {
-		fmt.Fprintf(&b, " %10s", Stage(s))
+		fmt.Fprintf(&b, " %10s", s)
 	}
 	b.WriteByte('\n')
 	for i, n := range ss.Settled {

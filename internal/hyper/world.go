@@ -63,9 +63,9 @@ type World struct {
 	// the same ExitContext.add call, so attaching a sink never perturbs,
 	// and is never perturbed by, the plan-cache mode.
 	Stages *StageStats
-	// txDepth is the current boundary nesting depth (begin increments,
-	// settle decrements): 1 means the settling transaction is outermost and
-	// is the one StageStats observes.
+	// txDepth is the current boundary nesting depth, which transact raises
+	// around each boundary's body: 0 after the decrement means the settling
+	// transaction is outermost and is the one StageStats observes.
 	txDepth int
 	// Check, when non-nil, observes every boundary entry/exit for invariant
 	// validation (internal/check). A nil checker costs one branch.

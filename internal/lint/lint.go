@@ -26,7 +26,7 @@
 //	nopanic      panic() is forbidden in non-test engine packages; catches:
 //	             a panic on an error return no test reaches
 //
-// v2 rules (the architectural contracts of the exit pipeline):
+// v2 rule (an architectural contract of the exit pipeline):
 //
 //	cachegen     every field the plan compiler reads is covered by a
 //	             generation counter (or explicitly allowlisted as a
@@ -34,18 +34,20 @@
 //	             and guarded fields are written only by their setter;
 //	             catches: a compile-path World field read that is not in
 //	             GuardedReads (ProvideVIOMMU once skipped its CapsGen bump)
-//	stageledger  every boundary that opens a transaction with begin settles
-//	             it exactly once on every path, and each function charges the
-//	             ExitContext ledger under a single statically-known stage;
-//	             catches: DeliverTimerIRQ returning on an error without settle
-//	directive    //nvlint comments that no longer suppress anything are
-//	             themselves flagged (reported via -unused-directives)
 //
-// Two contracts are held by tests instead: a declining interceptor leaves
-// engine state untouched and reports a constant (name, priority)
-// (TestDeclinedInterceptorsLeaveStateUnchanged in internal/check), and
-// hyper.Op stays by value (a pointer makes it escape, which the AllocsPerRun
-// tests of internal/hyper and internal/workload report).
+// Those are the five rules. Beside them, //nvlint comments that no longer
+// suppress anything are themselves flagged (rule "directive", reported via
+// -unused-directives).
+//
+// Three contracts are held by structure and tests instead: a declining
+// interceptor leaves engine state untouched and reports a constant (name,
+// priority) (TestDeclinedInterceptorsLeaveStateUnchanged in
+// internal/check); hyper.Op stays by value (a pointer makes it escape, which
+// the AllocsPerRun tests of internal/hyper and internal/workload report);
+// and every exit transaction is opened and settled exactly once, because one
+// function, hyper's transact, does both for every boundary
+// (TestBoundarySettlePaths drives each boundary's success and error paths,
+// and the stage-table goldens pin which stage each site charges).
 package lint
 
 import (
@@ -63,7 +65,6 @@ const (
 	RuleExhaustive  = "exhaustive"
 	RuleNoPanic     = "nopanic"
 	RuleCacheGen    = "cachegen"
-	RuleStageLedger = "stageledger"
 	RuleDirective   = "directive"
 )
 
@@ -89,8 +90,6 @@ type Config struct {
 	HotRoots []string
 	// CacheGen, when set, enables the plan-cache generation-soundness rule.
 	CacheGen *CacheGenConfig
-	// StageLedger, when set, enables the begin/settle and ledger-charge rule.
-	StageLedger *StageLedgerConfig
 }
 
 // CacheGenConfig configures the cachegen rule: the plan replay cache is
@@ -120,23 +119,6 @@ type CacheGenConfig struct {
 	// functions allowed to assign it; a write anywhere else would bypass the
 	// generation bump and is flagged.
 	SetterOnly map[string][]string
-}
-
-// StageLedgerConfig configures the stageledger rule: the pipeline's
-// single-settle-point contract, checked on every path instead of only
-// executed ones.
-type StageLedgerConfig struct {
-	// Begin and Settle are the transaction open/close methods
-	// ("pkg/path.(*Recv).Method"). Every function calling Begin must call it
-	// exactly once, must route every return through Settle, and may only call
-	// Settle inside a return statement; calling Settle without Begin is a
-	// boundary bypass.
-	Begin  string
-	Settle string
-	// Charge is the ledger-charge method ("pkg/path.(*Recv).Method"). Its
-	// stage argument must be a constant, and one function may charge only a
-	// single stage — per-stage attribution stays statically decidable.
-	Charge string
 }
 
 // Finding is one rule violation.
@@ -177,8 +159,8 @@ type Result struct {
 }
 
 // ModuleConfig returns the configuration nvlint uses for this repository:
-// the DVH engine's hot roots, the plan-cache and stage-ledger contracts, and
-// the parallel runner as the only package allowed to start goroutines.
+// the DVH engine's hot roots, the plan-cache contract, and the parallel
+// runner as the only package allowed to start goroutines.
 func ModuleConfig(dir string) (Config, error) {
 	cfg := Config{Dir: dir}
 	mp, err := modulePath(dir)
@@ -255,13 +237,6 @@ func ModuleConfig(dir string) (Config, error) {
 			},
 		},
 	}
-	// stageledger: the exit-transaction pipeline's single-settle-point
-	// contract (internal/hyper/pipeline.go).
-	cfg.StageLedger = &StageLedgerConfig{
-		Begin:  mp + "/internal/hyper.(*World).begin",
-		Settle: mp + "/internal/hyper.(*World).settle",
-		Charge: mp + "/internal/hyper.(*ExitContext).add",
-	}
 	return cfg, nil
 }
 
@@ -311,14 +286,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.CacheGen != nil {
 		rules = append(rules, RuleCacheGen)
 		fs, err := checkCacheGen(prog, &cfg, g)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, fs...)
-	}
-	if cfg.StageLedger != nil {
-		rules = append(rules, RuleStageLedger)
-		fs, err := checkStageLedger(prog, &cfg, g)
 		if err != nil {
 			return nil, err
 		}

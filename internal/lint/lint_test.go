@@ -160,22 +160,12 @@ func cacheGenTestConfig(c *Config) {
 
 func TestGoldenCacheGen(t *testing.T) { runGolden(t, "cachegen", cacheGenTestConfig) }
 
-func stageLedgerTestConfig(c *Config) {
-	c.StageLedger = &StageLedgerConfig{
-		Begin:  "lintcheck/stageledger.(*Eng).begin",
-		Settle: "lintcheck/stageledger.(*Eng).settle",
-		Charge: "lintcheck/stageledger.(*Tx).add",
-	}
-}
-
-func TestGoldenStageLedger(t *testing.T) { runGolden(t, "stageledger", stageLedgerTestConfig) }
-
-// TestGoldenRequiresRule proves every // want in the v2 fixtures comes from
+// TestGoldenRequiresRule proves every // want in the v2 fixture comes from
 // its rule: with the rule left unconfigured, the same package lints clean, so
-// disabling a rule would fail the golden test above by leaving every
+// disabling the rule would fail the golden test above by leaving every
 // expectation unmatched.
 func TestGoldenRequiresRule(t *testing.T) {
-	for _, name := range []string{"cachegen", "stageledger"} {
+	for _, name := range []string{"cachegen"} {
 		cfg := Config{
 			Dir:            filepath.Join("testdata", "src", name),
 			ModulePath:     "lintcheck/" + name,
@@ -229,8 +219,8 @@ func TestUnusedDirectives(t *testing.T) {
 // TestOutputDeterministic pins the ordering contract: two runs over the same
 // tree yield identical findings, sorted by (file, line, rule).
 func TestOutputDeterministic(t *testing.T) {
-	a := mustRun(t, "stageledger", stageLedgerTestConfig)
-	b := mustRun(t, "stageledger", stageLedgerTestConfig)
+	a := mustRun(t, "cachegen", cacheGenTestConfig)
+	b := mustRun(t, "cachegen", cacheGenTestConfig)
 	if !reflect.DeepEqual(a.Findings, b.Findings) {
 		t.Errorf("two runs disagree:\n%v\n%v", a.Findings, b.Findings)
 	}
@@ -310,7 +300,7 @@ func mustRun(t *testing.T, name string, mutate func(*Config)) *Result {
 // TestEncodeJSON pins the JSON-lines shape: one parseable object per line,
 // findings first, with directive candidates attached to active findings.
 func TestEncodeJSON(t *testing.T) {
-	res := mustRun(t, "stageledger", stageLedgerTestConfig)
+	res := mustRun(t, "cachegen", cacheGenTestConfig)
 	if len(res.Findings) == 0 {
 		t.Fatal("fixture produced no findings to encode")
 	}
@@ -339,7 +329,7 @@ func TestEncodeJSON(t *testing.T) {
 
 // TestModuleLintsClean is the gate the repository itself must pass: nvlint
 // over the whole module reports nothing — no findings and no stale
-// directives — with all six rules enabled.
+// directives — with all five rules enabled.
 func TestModuleLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the full module from source")
@@ -362,8 +352,7 @@ func TestModuleLintsClean(t *testing.T) {
 		t.Error("hot set is empty; the hot roots did not resolve")
 	}
 	wantRules := []string{
-		RuleCacheGen, RuleDeterminism, RuleExhaustive, RuleHotAlloc,
-		RuleNoPanic, RuleStageLedger,
+		RuleCacheGen, RuleDeterminism, RuleExhaustive, RuleHotAlloc, RuleNoPanic,
 	}
 	if !reflect.DeepEqual(res.RulesRun, wantRules) {
 		t.Errorf("rules run = %v, want %v", res.RulesRun, wantRules)

@@ -146,6 +146,18 @@ func checkGenBumps(prog *program, cg *CacheGenConfig, g *callGraph) ([]Finding, 
 	return out, nil
 }
 
+// resolveSingle resolves a spec that must name exactly one concrete function.
+func resolveSingle(g *callGraph, spec string) (*types.Func, error) {
+	fns, err := g.resolveRoot(spec)
+	if err != nil {
+		return nil, err
+	}
+	if len(fns) != 1 {
+		return nil, fmt.Errorf("lint: spec %q resolves to %d functions, want exactly 1", spec, len(fns))
+	}
+	return fns[0], nil
+}
+
 // incrementsField reports whether the body contains fld++ or fld += n.
 func incrementsField(pkg *Package, body *ast.BlockStmt, fld *types.Var) bool {
 	found := false

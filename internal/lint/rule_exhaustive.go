@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -11,10 +12,10 @@ import (
 
 // checkExhaustive verifies that every switch over a module-declared enum type
 // (a named integer type with at least two constants of that exact type)
-// covers every declared constant value or carries an explicit default. The
-// paper's accounting is a count-and-cost over exit reasons: a silently
-// unhandled vmx.ExitReason corrupts the Figure 7–10 numbers without failing
-// any test.
+// covers every declared constant value, count sentinels aside, or carries an
+// explicit default. The paper's accounting is a count-and-cost over exit
+// reasons: a silently unhandled vmx.ExitReason corrupts the Figure 7–10
+// numbers without failing any test.
 func checkExhaustive(prog *program, cfg *Config) []Finding {
 	enums := collectEnums(prog)
 	var out []Finding
@@ -60,9 +61,9 @@ type enumInfo struct {
 
 // collectEnums finds the enum-like types of the loaded program: named types
 // with an integer underlying type and >= 2 package-level constants declared
-// with that exact type.
+// with that exact type, not counting a count sentinel (isCountSentinel).
 func collectEnums(prog *program) map[*types.Named]*enumInfo {
-	enums := make(map[*types.Named]*enumInfo)
+	consts := make(map[*types.Named][]*types.Const)
 	for _, pkg := range prog.pkgs {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() { // sorted
@@ -78,26 +79,51 @@ func collectEnums(prog *program) map[*types.Named]*enumInfo {
 			if !ok || b.Info()&types.IsInteger == 0 {
 				continue
 			}
-			e := enums[named]
-			if e == nil {
-				e = &enumInfo{
-					name:   pkg.Path + "." + named.Obj().Name(),
-					values: make(map[string]string),
-				}
-				enums[named] = e
+			consts[named] = append(consts[named], c)
+		}
+	}
+	enums := make(map[*types.Named]*enumInfo)
+	for named, cs := range consts { //nvlint:ordered each type fills only its own map entry
+		e := &enumInfo{
+			name:   named.Obj().Pkg().Path() + "." + named.Obj().Name(),
+			values: make(map[string]string),
+		}
+		for _, c := range cs {
+			if isCountSentinel(c, cs) {
+				continue
 			}
 			key := c.Val().ExactString()
 			if _, seen := e.values[key]; !seen {
-				e.values[key] = name
+				e.values[key] = c.Name()
 			}
 		}
-	}
-	for n, e := range enums { //nvlint:ordered pruning a set; survivors re-sorted at use
-		if len(e.values) < 2 {
-			delete(enums, n)
+		if len(e.values) >= 2 {
+			enums[named] = e
 		}
 	}
 	return enums
+}
+
+// isCountSentinel reports whether c counts its type's members rather than
+// being one: it is named Num…, num… or …Count, and its value is one past
+// every other value of the type, like hyper.NumStages = StageSettle + 1. A
+// switch need not cover it. Two sentinels may share the count.
+func isCountSentinel(c *types.Const, all []*types.Const) bool {
+	name := c.Name()
+	if !strings.HasPrefix(name, "Num") && !strings.HasPrefix(name, "num") && !strings.HasSuffix(name, "Count") {
+		return false
+	}
+	var last constant.Value
+	for _, o := range all {
+		v := o.Val()
+		if constant.Compare(v, token.EQL, c.Val()) {
+			continue
+		}
+		if last == nil || constant.Compare(v, token.GTR, last) {
+			last = v
+		}
+	}
+	return last != nil && constant.Compare(c.Val(), token.EQL, constant.BinaryOp(last, token.ADD, constant.MakeInt64(1)))
 }
 
 // switchCoverage computes which enum values the switch leaves uncovered. A

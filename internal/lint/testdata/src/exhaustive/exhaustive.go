@@ -109,3 +109,63 @@ func StageTotal(s Stage) string {
 	}
 	return "?"
 }
+
+// Phase has typed count sentinels: NumPhases and phaseCount are one past
+// every member, so they size tables and no switch has to name them.
+type Phase uint8
+
+const (
+	PhaseBoot Phase = iota
+	PhaseRun
+	PhaseHalt
+	NumPhases
+)
+
+const phaseCount = PhaseHalt + 1
+
+// PhaseName covers every member and needs neither sentinel.
+func PhaseName(p Phase) string {
+	switch p {
+	case PhaseBoot:
+		return "boot"
+	case PhaseRun:
+		return "run"
+	case PhaseHalt:
+		return "halt"
+	}
+	return "?"
+}
+
+// PhaseShort drops a genuine member, which is still reported, and the report
+// names neither sentinel.
+func PhaseShort(p Phase) string {
+	switch p { // want "switch over lintcheck/exhaustive.Phase misses PhaseHalt and has no default"
+	case PhaseBoot:
+		return "b"
+	case PhaseRun:
+		return "r"
+	}
+	return "?"
+}
+
+// Slot's NumSlotsReserved is named like a sentinel but is no count: its
+// value is not one past the other members', so it is a member a switch must
+// cover.
+type Slot int
+
+const (
+	SlotA Slot = iota
+	SlotB
+	NumSlotsReserved Slot = 7
+)
+
+// SlotName misses NumSlotsReserved.
+func SlotName(s Slot) string {
+	switch s { // want "misses NumSlotsReserved and has no default"
+	case SlotA:
+		return "a"
+	case SlotB:
+		return "b"
+	}
+	return "?"
+}

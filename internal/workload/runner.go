@@ -250,12 +250,23 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 	return cost, nil
 }
 
+// setupHalt idles v with a HLT that puts it into the state a measured
+// operation assumes (a wake, a delivery to a halted vCPU). The halt's cost is
+// not part of any metric, so it runs with the world's StageStats detached,
+// and the sink is back in place when setupHalt returns: a sink observes
+// exactly the measured operations.
+func setupHalt(w *hyper.World, v *hyper.VCPU) error {
+	ss := w.Stages
+	w.Stages = nil
+	_, err := w.Execute(v, hyper.Halt())
+	w.Stages = ss
+	return err
+}
+
 // RunMicro measures one Table 1 microbenchmark on a vCPU, returning the
 // average cost in cycles over iters iterations (the paper reports cycles, so
-// no throughput conversion is involved). A StageStats attached to the world
-// observes exactly the measured operations: SendIPI's per-iteration setup
-// halt, whose cost the metric excludes like Table 1's, runs with the sink
-// detached, and the sink is back in place when RunMicro returns.
+// no throughput conversion is involved). SendIPI's per-iteration halt of its
+// destination is setup (setupHalt), excluded from the metric like Table 1's.
 func RunMicro(w *hyper.World, v *hyper.VCPU, m Micro, net *hyper.AssignedDevice, iters int) (sim.Cycles, error) {
 	if iters <= 0 {
 		return 0, fmt.Errorf("workload %v: need a positive iteration count, got %d", m, iters)
@@ -277,11 +288,7 @@ func RunMicro(w *hyper.World, v *hyper.VCPU, m Micro, net *hyper.AssignedDevice,
 			// Table 1: the destination vCPU is idle and must be woken. The
 			// halt that idles it is setup, so the stage sink does not see it.
 			dest := v.VM.VCPUs[(v.ID+1)%len(v.VM.VCPUs)]
-			ss := w.Stages
-			w.Stages = nil
-			_, err := w.Execute(dest, hyper.Halt())
-			w.Stages = ss
-			if err != nil {
+			if err := setupHalt(w, dest); err != nil {
 				return 0, err
 			}
 			op = hyper.SendIPI(uint32(dest.ID), apic.VectorReschedule)

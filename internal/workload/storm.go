@@ -44,9 +44,10 @@ func (s Storm) String() string {
 // RunStorm drives one delivery storm for the given number of delivered
 // events and returns the average cycles per event. Setup operations that put
 // the target into the state the storm assumes (the HLT that parks a vCPU
-// before a waking delivery) are executed but excluded from the metric, like
-// Table 1's SendIPI halt; the deliveries themselves — injection, cascade,
-// wake — are what the average reports.
+// before a waking delivery) are executed but excluded from the metric and
+// from the world's StageStats (setupHalt), like Table 1's SendIPI halt; the
+// deliveries themselves — injection, cascade, wake — are what the average
+// reports.
 func RunStorm(w *hyper.World, v *hyper.VCPU, s Storm, events int) (sim.Cycles, error) {
 	if events <= 0 {
 		return 0, fmt.Errorf("workload %v: need a positive event count, got %d", s, events)
@@ -58,7 +59,7 @@ func RunStorm(w *hyper.World, v *hyper.VCPU, s Storm, events int) (sim.Cycles, e
 			// Every fourth tick finds the vCPU idle, so that delivery also
 			// pays the per-level wake ladder.
 			if i%4 == 3 {
-				if _, err := w.Execute(v, hyper.Halt()); err != nil {
+				if err := setupHalt(w, v); err != nil {
 					return 0, err
 				}
 			}
@@ -70,7 +71,7 @@ func RunStorm(w *hyper.World, v *hyper.VCPU, s Storm, events int) (sim.Cycles, e
 		case StormIPI:
 			dest := v.VM.VCPUs[(v.ID+1)%len(v.VM.VCPUs)]
 			if i%2 == 1 {
-				if _, err := w.Execute(dest, hyper.Halt()); err != nil {
+				if err := setupHalt(w, dest); err != nil {
 					return 0, err
 				}
 			}
