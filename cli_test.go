@@ -24,9 +24,13 @@ var (
 	cliBuildErr  error
 )
 
-// buildCLIs compiles every command, the clis and nvlint, once per test
-// process into a shared temporary directory (go's build cache makes repeats
-// cheap).
+// examples are the example programs under examples/, built beside the
+// commands as examples/<name>.
+var examples = []string{"migration", "nestedcloud", "quickstart", "recursive", "suspendresume"}
+
+// buildCLIs compiles every command, the clis and nvlint, and every example
+// once per test process into a shared temporary directory (go's build cache
+// makes repeats cheap).
 func buildCLIs(t *testing.T) string {
 	t.Helper()
 	cliBuildOnce.Do(func() {
@@ -34,11 +38,19 @@ func buildCLIs(t *testing.T) string {
 		if cliBuildErr != nil {
 			return
 		}
-		for _, name := range append([]string{"nvlint"}, clis...) {
-			cmd := exec.Command("go", "build", "-o", filepath.Join(cliBinDir, name), "./cmd/"+name)
+		pkgs := []string{"cmd/nvlint"}
+		for _, name := range clis {
+			pkgs = append(pkgs, "cmd/"+name)
+		}
+		for _, name := range examples {
+			pkgs = append(pkgs, "examples/"+name)
+		}
+		for _, pkg := range pkgs {
+			bin := filepath.Join(cliBinDir, filepath.FromSlash(strings.TrimPrefix(pkg, "cmd/")))
+			cmd := exec.Command("go", "build", "-o", bin, "./"+pkg)
 			if out, err := cmd.CombinedOutput(); err != nil {
 				cliBuildErr = err
-				t.Logf("building %s: %s", name, out)
+				t.Logf("building %s: %s", pkg, out)
 				return
 			}
 		}
@@ -295,6 +307,11 @@ var cliTranscripts = []struct {
 	{"nvtrace-sendipi-l1", "nvtrace", []string{"-depth", "1", "-micro", "SendIPI", "-stages"}},
 	{"nvsim-l2-passthrough-all", "nvsim", []string{"-depth", "2", "-io", "passthrough", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}},
 	{"nvsim-l2-dvh-vp-xen-all", "nvsim", []string{"-depth", "2", "-io", "dvh-vp", "-guest", "xen", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}},
+	{"example-migration", "examples/migration", nil},
+	{"example-nestedcloud", "examples/nestedcloud", nil},
+	{"example-quickstart", "examples/quickstart", nil},
+	{"example-recursive", "examples/recursive", nil},
+	{"example-suspendresume", "examples/suspendresume", nil},
 }
 
 // TestCLITranscripts runs every cliTranscripts row on the built CLIs and
@@ -304,8 +321,8 @@ func TestCLITranscripts(t *testing.T) {
 	for _, tc := range cliTranscripts {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			stdout, _, code := runCLI(t, filepath.Join(dir, tc.cli), cleanEnv(), tc.args...)
-			got := fmt.Sprintf("$ %s %s\nexit %d\n%s", tc.cli, strings.Join(tc.args, " "), code, stdout)
+			stdout, _, code := runCLI(t, filepath.Join(dir, filepath.FromSlash(tc.cli)), cleanEnv(), tc.args...)
+			got := fmt.Sprintf("$ %s\nexit %d\n%s", strings.Join(append([]string{tc.cli}, tc.args...), " "), code, stdout)
 			path := filepath.Join("testdata", "cli", tc.name+".txt")
 			if os.Getenv("NVSIM_UPDATE_GOLDEN") != "" {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {

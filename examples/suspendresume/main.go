@@ -33,7 +33,7 @@ func main() {
 	if err := gm.Write(addr, payload); err != nil {
 		log.Fatal(err)
 	}
-	deadline := uint64(src.Machine.Engine.Now()) + 5_000_000
+	deadline := uint64(src.World.Now()) + 5_000_000
 	if _, err := src.World.Execute(l2.VCPUs[0], nvsim.ProgramTimer(deadline)); err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +59,9 @@ func main() {
 	if dst.Target.VCPUs[0].LAPIC.TSCDeadline() == 0 {
 		log.Fatal("virtual timer lost in the snapshot")
 	}
-	dst.Machine.Engine.RunUntil(6_000_000)
+	if err := dst.World.RunUntil(6_000_000); err != nil {
+		log.Fatal(err)
+	}
 	if dst.Target.VCPUs[0].LAPIC.HasPending() {
 		fmt.Println("the armed virtual timer fired on the destination host — the")
 		fmt.Println("nested VM's virtual hardware survived suspend/resume.")

@@ -164,8 +164,8 @@ func TestEndToEndTimerWakesIdleNestedVM(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := st.Target.VCPUs[0]
-	eng := st.Machine.Engine
-	deadline := uint64(eng.Now()) + 100_000
+	w := st.World
+	deadline := uint64(w.Now()) + 100_000
 	if _, err := st.World.Execute(v, nvsim.ProgramTimer(deadline)); err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,15 @@ func TestEndToEndTimerWakesIdleNestedVM(t *testing.T) {
 	if !v.Idle {
 		t.Fatal("vCPU should be idle")
 	}
-	eng.RunUntil(eng.Now() + 50_000)
+	if err := w.RunUntil(w.Now() + 50_000); err != nil {
+		t.Fatal(err)
+	}
 	if !v.Idle {
 		t.Fatal("woke before the deadline")
 	}
-	eng.RunUntil(eng.Now() + 100_000)
+	if err := w.RunUntil(w.Now() + 100_000); err != nil {
+		t.Fatal(err)
+	}
 	if v.Idle {
 		t.Fatal("timer did not wake the vCPU")
 	}

@@ -95,7 +95,7 @@ func probeOps(st *experiment.Stack, v *hyper.VCPU) []hyper.Op {
 	ops := []hyper.Op{
 		hyper.Hypercall(),
 		hyper.DevNotify(0),
-		hyper.ProgramTimer(uint64(st.Machine.Engine.Now()) + 1_000_000),
+		hyper.ProgramTimer(uint64(st.World.Now()) + 1_000_000),
 		hyper.SendIPI(dest, apic.VectorCallFunc),
 		hyper.Halt(),
 		hyper.EOI(),

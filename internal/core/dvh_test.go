@@ -113,13 +113,14 @@ func TestVirtualTimerOffsetsCombine(t *testing.T) {
 func TestVirtualTimerFiresAndWakes(t *testing.T) {
 	_, w, vms := buildStack(t, 2, FeaturesAll)
 	v := vms[1].VCPUs[0]
-	eng := w.Host.Machine.Engine
-	exec(t, w, v, hyper.ProgramTimer(uint64(eng.Now())+4000))
+	exec(t, w, v, hyper.ProgramTimer(uint64(w.Now())+4000))
 	exec(t, w, v, hyper.Halt())
 	if !v.Idle {
 		t.Fatal("vCPU not idle")
 	}
-	eng.RunUntil(eng.Now() + 8000)
+	if err := w.RunUntil(w.Now() + 8000); err != nil {
+		t.Fatal(err)
+	}
 	if v.Idle {
 		t.Fatal("virtual timer did not wake the nested vCPU")
 	}

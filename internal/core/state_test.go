@@ -45,8 +45,9 @@ func TestSaveRestoreVMState(t *testing.T) {
 		t.Fatal("DVH enable bits not restored")
 	}
 	// The restored timer must actually fire on the destination host.
-	eng := wDst.Host.Machine.Engine
-	eng.RunUntil(1_000_000)
+	if err := wDst.RunUntil(1_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if !dv.LAPIC.Pending(200) {
 		t.Fatal("restored timer never fired on the destination")
 	}

@@ -470,13 +470,14 @@ func TestCreateVMValidation(t *testing.T) {
 func TestTimerFiresThroughEngine(t *testing.T) {
 	w, vms := testStack(t, 1)
 	v := vms[0].VCPUs[0]
-	eng := w.Host.Machine.Engine
-	exec(t, w, v, ProgramTimer(uint64(eng.Now())+5000))
+	exec(t, w, v, ProgramTimer(uint64(w.Now())+5000))
 	exec(t, w, v, Halt())
 	if !v.Idle {
 		t.Fatal("vCPU should be idle awaiting the timer")
 	}
-	eng.RunUntil(eng.Now() + 10_000)
+	if err := w.RunUntil(w.Now() + 10_000); err != nil {
+		t.Fatal(err)
+	}
 	if v.Idle {
 		t.Fatal("timer fire did not wake the vCPU")
 	}

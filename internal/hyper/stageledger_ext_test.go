@@ -171,7 +171,7 @@ func matrixOps(st *experiment.Stack, v *hyper.VCPU) []hyper.Op {
 	return []hyper.Op{
 		hyper.Hypercall(),
 		hyper.DevNotify(st.Net.Doorbell),
-		hyper.ProgramTimer(uint64(st.Machine.Engine.Now()) + 1_000_000),
+		hyper.ProgramTimer(uint64(st.World.Now()) + 1_000_000),
 		hyper.SendIPI(dest, apic.VectorReschedule),
 		hyper.EOI(),
 		hyper.Halt(),

@@ -2,9 +2,10 @@ package hyper
 
 import "repro/internal/sim"
 
-// This file holds the timer plumbing behind the pipeline: hrtimer arming for
-// host-emulated and DVH virtual timers, and the delivery-policy extension an
-// interceptor can implement to post fired timers straight to nested vCPUs.
+// This file holds the timer plumbing behind the pipeline: the World's
+// timeline, hrtimer arming for host-emulated and DVH virtual timers, and the
+// delivery-policy extension an interceptor can implement to post fired
+// timers straight to nested vCPUs.
 
 // TimerDeliveryPolicy is an optional extension of Interceptor: when a
 // registered interceptor implements it, fired virtual-timer interrupts can be
@@ -16,27 +17,37 @@ type TimerDeliveryPolicy interface {
 	DirectTimerDelivery(v *VCPU) bool
 }
 
-// armHostTimer schedules the hrtimer backing a LAPIC deadline, firing the
-// timer interrupt into the vCPU when simulated time reaches it. Timer
-// programming schedules engine events and is excluded from the steady-state
-// allocation contract (OpTimerProgram is not a steady op in alloc_test.go).
+// armHostTimer queues the hrtimer backing a LAPIC deadline on the World's
+// timeline as an event carrying the vCPU. No event is ever cancelled: a
+// stale one still fires, and fireTimer delivers only if FireTimer reports
+// the timer armed. Queue growth allocates, so timer programming is excluded
+// from the steady-state allocation contract (OpTimerProgram is not a steady
+// op in alloc_test.go).
 //
 //nvlint:cold
 func (w *World) armHostTimer(v *VCPU, deadline uint64) {
-	eng := w.Host.Machine.Engine
-	when := sim.Time(deadline)
-	if when < eng.Now() {
-		when = eng.Now()
+	w.timeline.ScheduleAt(max(sim.Time(deadline), w.timeline.Now()), v)
+}
+
+// Now returns the current simulated time on the World's timeline.
+func (w *World) Now() sim.Time { return w.timeline.Now() }
+
+// RunUntil advances the World's timeline to t, firing every host timer due
+// by then in deadline order. It stops at the first delivery error and
+// returns it, with the clock at that timer's deadline.
+func (w *World) RunUntil(t sim.Time) error {
+	_, err := w.timeline.RunUntil(t, w.fireTimer)
+	return err
+}
+
+// fireTimer fires v's LAPIC timer and, if it was still armed, delivers the
+// timer interrupt.
+func (w *World) fireTimer(v *VCPU) error {
+	if !v.LAPIC.FireTimer() {
+		return nil
 	}
-	eng.ScheduleAt(when, func(*sim.Engine) {
-		if v.LAPIC.FireTimer() {
-			if _, err := w.DeliverTimerIRQ(v); err != nil {
-				// No Execute caller exists on an engine callback; park the
-				// failure where the run's driver must look for it.
-				w.setAsyncErr(err)
-			}
-		}
-	})
+	_, err := w.DeliverTimerIRQ(v)
+	return err
 }
 
 // ArmVirtualTimer schedules the host hrtimer backing a DVH virtual timer for

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vmx"
 )
@@ -38,9 +39,11 @@ type PlanCacheStats struct {
 
 // World binds a host hypervisor, its cost model and the registered
 // direct-handling interceptors into the execution engine guest operations
-// run through. The engine itself is the exit-transaction pipeline
+// run through, and owns the simulated timeline the host timers it arms fire
+// on (Now, RunUntil). The engine itself is the exit-transaction pipeline
 // (pipeline.go): dispatch stages live in dispatch.go, interrupt delivery in
-// irq.go, timer plumbing in timer.go and virtio backends in backend.go.
+// irq.go, timer plumbing and the timeline in timer.go and virtio backends in
+// backend.go.
 //
 // Accounting discipline: every method charges to the stats sink exactly the
 // cycles it adds and returns their sum, so a caller's total always equals
@@ -70,10 +73,9 @@ type World struct {
 	// Check, when non-nil, observes every boundary entry/exit for invariant
 	// validation (internal/check). A nil checker costs one branch.
 	Check InvariantChecker
-	// asyncErr holds the first error raised on an engine-scheduled callback
-	// (timer firing), where no Execute caller exists to receive it. Sticky;
-	// read it with AsyncErr after draining the engine.
-	asyncErr error
+	// timeline queues the host hrtimers armed for this World's vCPUs, each
+	// event carrying its vCPU (armHostTimer); RunUntil fires them.
+	timeline sim.Engine[*VCPU]
 	// planCacheOff disables plan replay (see NoPlanCacheEnv and
 	// SetPlanCache); the default is cache on. Read only by charge.
 	planCacheOff bool
@@ -83,18 +85,6 @@ type World struct {
 	// Plan counts plan-cache activity (compiles, replays, invalidations)
 	// for tests and diagnostics.
 	Plan PlanCacheStats
-}
-
-// AsyncErr returns the first error raised by work the world scheduled on the
-// simulation engine (timer deliveries). Runs that drain the engine must check
-// it: a failed delivery means the run's accounting is incomplete.
-func (w *World) AsyncErr() error { return w.asyncErr }
-
-// setAsyncErr records the first asynchronous failure.
-func (w *World) setAsyncErr(err error) {
-	if w.asyncErr == nil {
-		w.asyncErr = err
-	}
 }
 
 // NewWorld wraps a host hypervisor with the default cost model. The plan

@@ -54,36 +54,38 @@ func TestStackWithoutGuestHypervisorErrors(t *testing.T) {
 	}
 }
 
-func TestAsyncErrSurfacesTimerDeliveryFailure(t *testing.T) {
-	// A timer fires on an engine callback, where no Execute caller can
-	// receive an error. If delivery fails there (here: the nesting stack is
-	// corrupted underneath an armed timer), the failure must land in the
-	// world's async-error sink instead of being swallowed or panicking.
+func TestRunUntilReturnsTimerDeliveryFailure(t *testing.T) {
+	// A timer fires inside RunUntil, not under an Execute call. If its
+	// delivery fails (here: the nesting stack is corrupted underneath an
+	// armed timer), RunUntil must return the failure, with the clock at the
+	// timer's deadline, instead of swallowing it or panicking.
 	w, vms := testStack(t, 2)
 	v := vms[1].VCPUs[0]
-	eng := w.Host.Machine.Engine
-	deadline := uint64(eng.Now()) + 1000
+	deadline := uint64(w.Now()) + 1000
 	v.LAPIC.SetTimerVector(apic.VectorTimer)
 	v.LAPIC.SetTSCDeadline(deadline)
 	w.ArmVirtualTimer(v, deadline)
 	vms[0].GuestHyp = nil // corrupt the stack before the timer fires
-	eng.RunUntil(sim.Time(deadline) + 1)
-	if w.AsyncErr() == nil {
-		t.Fatal("timer delivery over a corrupted stack must surface through AsyncErr")
+	if err := w.RunUntil(sim.Time(deadline) + 1); err == nil {
+		t.Fatal("timer delivery over a corrupted stack must surface through RunUntil")
+	}
+	if w.Now() != sim.Time(deadline) {
+		t.Fatalf("clock at %d after the failed delivery, want the deadline %d", w.Now(), deadline)
 	}
 }
 
-func TestAsyncErrNilOnHealthyTimerDelivery(t *testing.T) {
+func TestRunUntilNilOnHealthyTimerDelivery(t *testing.T) {
 	w, vms := testStack(t, 1)
 	v := vms[0].VCPUs[0]
-	eng := w.Host.Machine.Engine
-	deadline := uint64(eng.Now()) + 1000
+	deadline := uint64(w.Now()) + 1000
 	v.LAPIC.SetTimerVector(apic.VectorTimer)
 	v.LAPIC.SetTSCDeadline(deadline)
 	w.ArmVirtualTimer(v, deadline)
-	eng.RunUntil(sim.Time(deadline) + 1)
-	if err := w.AsyncErr(); err != nil {
-		t.Fatalf("healthy timer delivery raised async error: %v", err)
+	if err := w.RunUntil(sim.Time(deadline) + 1); err != nil {
+		t.Fatalf("healthy timer delivery failed: %v", err)
+	}
+	if w.Now() != sim.Time(deadline)+1 {
+		t.Fatalf("clock at %d, want %d", w.Now(), deadline+1)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package machine assembles the physical platform the simulation runs on:
 // CPUs with local APICs, host physical memory, the PCI bus with an SR-IOV
-// capable NIC and an SSD, a VT-d style IOMMU, and the discrete-event engine
-// and stats sink everything shares. The default topology mirrors the paper's
-// CloudLab c220g-class servers (Xeon Silver 4114, 10 GbE X520, SATA SSD).
+// capable NIC and an SSD, a VT-d style IOMMU, and the stats sink everything
+// shares. The simulated timeline belongs to the hyper.World that runs on the
+// machine. The default topology mirrors the paper's CloudLab c220g-class
+// servers (Xeon Silver 4114, 10 GbE X520, SATA SSD).
 package machine
 
 import (
@@ -11,7 +12,6 @@ import (
 	"repro/internal/iommu"
 	"repro/internal/mem"
 	"repro/internal/pci"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vmx"
 
@@ -55,10 +55,9 @@ type Config struct {
 
 // Machine is the assembled platform. Its cores run at sim.DefaultClockHz.
 type Machine struct {
-	Name   string
-	Engine *sim.Engine
-	Stats  *trace.Stats
-	Caps   vmx.Caps
+	Name  string
+	Stats *trace.Stats
+	Caps  vmx.Caps
 
 	CPUs   []*PCPU
 	Memory *mem.AddressSpace
@@ -92,7 +91,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{
 		Name:   cfg.Name,
-		Engine: sim.NewEngine(),
 		Stats:  &trace.Stats{},
 		Caps:   cfg.Caps,
 		Memory: mem.NewAddressSpace(cfg.Name+"/ram", cfg.MemoryBytes),

@@ -25,8 +25,8 @@ func TestNewMachine(t *testing.T) {
 	if m.SSD == nil || m.SSD.Backing.NumPages() != 480<<30/mem.PageSize {
 		t.Error("480GB SSD expected")
 	}
-	if m.Engine == nil || m.Stats == nil {
-		t.Error("engine/stats missing")
+	if m.Stats == nil {
+		t.Error("stats missing")
 	}
 }
 

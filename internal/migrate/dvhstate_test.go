@@ -61,7 +61,9 @@ func TestMigrationCarriesDVHState(t *testing.T) {
 	if dv.LAPIC.TSCDeadline() == 0 {
 		t.Fatal("virtual timer not re-armed at the destination")
 	}
-	wDst.Host.Machine.Engine.RunUntil(3_000_000)
+	if err := wDst.RunUntil(3_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if !dv.LAPIC.Pending(apic.VectorTimer) {
 		t.Fatal("migrated timer never fired at the destination")
 	}

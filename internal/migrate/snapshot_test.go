@@ -61,7 +61,9 @@ func TestSnapshotCarriesDVHState(t *testing.T) {
 	if r2.l2.VCPUs[0].LAPIC.TSCDeadline() == 0 {
 		t.Fatal("resumed VM lost its armed virtual timer")
 	}
-	r2.w.Host.Machine.Engine.RunUntil(6_000_000)
+	if err := r2.w.RunUntil(6_000_000); err != nil {
+		t.Fatal(err)
+	}
 	if !r2.l2.VCPUs[0].LAPIC.Pending(apic.VectorTimer) {
 		t.Fatal("resumed timer never fired")
 	}

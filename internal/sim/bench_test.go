@@ -3,12 +3,14 @@ package sim
 import "testing"
 
 func BenchmarkEngineScheduleFire(b *testing.B) {
-	e := NewEngine()
-	fn := func(*Engine) {}
+	var e Engine[int]
+	fire := func(int) error { return nil }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.ScheduleAt(e.Now()+1, fn)
-		e.RunUntil(e.Now() + 2)
+		e.ScheduleAt(e.Now()+1, i)
+		if _, err := e.RunUntil(e.Now()+2, fire); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

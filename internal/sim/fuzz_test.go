@@ -8,10 +8,11 @@ import (
 )
 
 // FuzzEngine decodes bytes into interleaved ScheduleAt and RunUntil steps
-// (including runs and schedules at the end of the timeline) whose handlers
-// schedule follow-on events, runs them on the engine and on a sorted-slice
-// reference, and requires the same firing sequence (id, time), returned IDs,
-// fire counts, clock and pending count after every step.
+// (including runs and schedules at the end of the timeline) whose events
+// carry actions that the fire function carries out, scheduling follow-on
+// events from inside RunUntil. It runs them on the engine and on a
+// sorted-slice reference, and requires the same firing sequence (id, time),
+// returned IDs, fire counts, clock and pending count after every step.
 func FuzzEngine(f *testing.F) {
 	// Ten events at one time fire in scheduling order.
 	f.Add([]byte{0, 3, 0, 0, 3, 0, 0, 3, 0, 0, 3, 0, 0, 3, 0,
@@ -28,7 +29,7 @@ func FuzzEngine(f *testing.F) {
 	f.Add([]byte{0, 4, 2, 6, 8, 0, 4, 0, 1, 15, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &decoder{data: data}
-		e := &engineSide{e: NewEngine()}
+		e := &engineSide{}
 		r := &refSide{}
 		for step := 0; step < 128 && !d.done(); step++ {
 			desc, got, want := applyStep(d, e, r)
@@ -46,7 +47,7 @@ func FuzzEngine(f *testing.F) {
 	})
 }
 
-// action is what a handler does when its event fires: nothing, or schedule
+// action is what the fire function does with an event: nothing, or schedule
 // a follow-on after delay whose own action is next.
 type action struct {
 	follow bool
@@ -87,8 +88,8 @@ func (d *decoder) delay() Cycles {
 	return Cycles(b) * 1000
 }
 
-// action decodes a handler: 0 nothing, 1 a follow-on, 2 a follow-on that
-// itself schedules one more.
+// action decodes an event's action: 0 nothing, 1 a follow-on, 2 a follow-on
+// that itself schedules one more.
 func (d *decoder) action() action {
 	switch d.byte() % 3 {
 	case 1:
@@ -117,35 +118,48 @@ func applyStep(d *decoder, e *engineSide, r *refSide) (desc, got, want string) {
 		return fmt.Sprintf("ScheduleAt(%d)", at), fmt.Sprint(e.scheduleAt(at, a)), fmt.Sprint(r.scheduleAt(at, a))
 	case 1:
 		limit := satAdd(r.clock, d.delay())
-		return fmt.Sprintf("RunUntil(%d)", limit), fmt.Sprint(e.e.RunUntil(limit)), fmt.Sprint(r.runUntil(limit))
+		return fmt.Sprintf("RunUntil(%d)", limit), fmt.Sprint(e.runUntil(limit)), fmt.Sprint(r.runUntil(limit))
 	case 2:
 		// Within 255 cycles of the end of the timeline, never before now.
 		at, a := max(r.clock, ^Time(0)-Time(d.byte())), d.action()
 		return fmt.Sprintf("ScheduleAt(%d)", at), fmt.Sprint(e.scheduleAt(at, a)), fmt.Sprint(r.scheduleAt(at, a))
 	default:
-		return "RunUntil(end)", fmt.Sprint(e.e.RunUntil(^Time(0))), fmt.Sprint(r.runUntil(^Time(0)))
+		return "RunUntil(end)", fmt.Sprint(e.runUntil(^Time(0))), fmt.Sprint(r.runUntil(^Time(0)))
 	}
 }
 
-// engineSide drives the Engine under test.
+// engineSide drives the Engine under test. Each event's payload is the
+// pending event itself.
 type engineSide struct {
-	e     *Engine
+	e     Engine[*pending]
 	fired []firing
 }
 
-func (s *engineSide) handler(id *EventID, a action) Event {
-	return func(e *Engine) {
-		s.fired = append(s.fired, firing{*id, e.Now()})
-		if a.follow {
-			s.scheduleAt(satAdd(e.Now(), a.delay), *a.next)
-		}
+// pending is one event as the engine side schedules it: its ID, set once
+// ScheduleAt returns, and its action.
+type pending struct {
+	id EventID
+	a  action
+}
+
+// fire records the firing and schedules the event's follow-on, if any.
+func (s *engineSide) fire(p *pending) error {
+	s.fired = append(s.fired, firing{p.id, s.e.Now()})
+	if p.a.follow {
+		s.scheduleAt(satAdd(s.e.Now(), p.a.delay), *p.a.next)
 	}
+	return nil
 }
 
 func (s *engineSide) scheduleAt(t Time, a action) EventID {
-	id := new(EventID)
-	*id = s.e.ScheduleAt(t, s.handler(id, a))
-	return *id
+	p := &pending{a: a}
+	p.id = s.e.ScheduleAt(t, p)
+	return p.id
+}
+
+func (s *engineSide) runUntil(t Time) int {
+	n, _ := s.e.RunUntil(t, s.fire) // fire never fails
+	return n
 }
 
 // refSide is the reference: pending events in a slice kept sorted by

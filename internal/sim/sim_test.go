@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -47,14 +49,22 @@ func TestCyclesString(t *testing.T) {
 	}
 }
 
+// record returns a fire function that appends each payload to order.
+func record(order *[]int) func(int) error {
+	return func(x int) error {
+		*order = append(*order, x)
+		return nil
+	}
+}
+
 func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
+	var e Engine[int]
 	var order []int
-	e.ScheduleAt(30, func(*Engine) { order = append(order, 3) })
-	e.ScheduleAt(10, func(*Engine) { order = append(order, 1) })
-	e.ScheduleAt(20, func(*Engine) { order = append(order, 2) })
-	if n := e.RunUntil(30); n != 3 {
-		t.Fatalf("fired %d events, want 3", n)
+	e.ScheduleAt(30, 3)
+	e.ScheduleAt(10, 1)
+	e.ScheduleAt(20, 2)
+	if n, err := e.RunUntil(30, record(&order)); n != 3 || err != nil {
+		t.Fatalf("RunUntil fired %d events with error %v, want 3 and nil", n, err)
 	}
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("fire order %v, want [1 2 3]", order)
@@ -62,15 +72,16 @@ func TestEngineOrdering(t *testing.T) {
 }
 
 func TestEngineFIFOAtSameTime(t *testing.T) {
-	e := NewEngine()
+	var e Engine[int]
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		if id := e.ScheduleAt(5, func(*Engine) { order = append(order, i) }); id != EventID(i+1) {
+		if id := e.ScheduleAt(5, i); id != EventID(i+1) {
 			t.Fatalf("event %d got ID %d, want %d", i, id, i+1)
 		}
 	}
-	e.RunUntil(5)
+	if _, err := e.RunUntil(5, record(&order)); err != nil {
+		t.Fatal(err)
+	}
 	if len(order) != 10 {
 		t.Fatalf("fired %d simultaneous events, want 10", len(order))
 	}
@@ -82,19 +93,21 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 }
 
 func TestEngineCascade(t *testing.T) {
-	e := NewEngine()
+	var e Engine[int]
 	count := 0
 	var last Time
-	var tick Event
-	tick = func(en *Engine) {
+	tick := func(int) error {
 		count++
-		last = en.Now()
+		last = e.Now()
 		if count < 5 {
-			en.ScheduleAt(en.Now()+100, tick)
+			e.ScheduleAt(e.Now()+100, 0)
 		}
+		return nil
 	}
-	e.ScheduleAt(100, tick)
-	e.RunUntil(^Time(0))
+	e.ScheduleAt(100, 0)
+	if _, err := e.RunUntil(^Time(0), tick); err != nil {
+		t.Fatal(err)
+	}
 	if count != 5 {
 		t.Fatalf("fired %d ticks, want 5", count)
 	}
@@ -104,17 +117,17 @@ func TestEngineCascade(t *testing.T) {
 }
 
 func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
+	var e Engine[int]
 	count := 0
-	var tick Event
-	tick = func(en *Engine) {
+	tick := func(int) error {
 		count++
-		en.ScheduleAt(en.Now()+100, tick)
+		e.ScheduleAt(e.Now()+100, 0)
+		return nil
 	}
-	e.ScheduleAt(100, tick)
-	n := e.RunUntil(1000)
-	if n != 10 {
-		t.Fatalf("fired %d events, want 10", n)
+	e.ScheduleAt(100, 0)
+	n, err := e.RunUntil(1000, tick)
+	if n != 10 || err != nil {
+		t.Fatalf("fired %d events with error %v, want 10 and nil", n, err)
 	}
 	if e.Now() != 1000 {
 		t.Fatalf("clock at %d, want exactly 1000", e.Now())
@@ -124,16 +137,50 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
+// TestEngineRunUntilStopsAtError: the first error a fire function returns
+// ends the run at that event's time, counting it as fired; later events stay
+// queued, and the next RunUntil fires them.
+func TestEngineRunUntilStopsAtError(t *testing.T) {
+	var e Engine[int]
+	e.ScheduleAt(10, 1)
+	e.ScheduleAt(20, 2)
+	e.ScheduleAt(20, 3)
+	errTwo := errors.New("event 2 failed")
+	var order []int
+	fire := func(x int) error {
+		order = append(order, x)
+		if x == 2 {
+			return errTwo
+		}
+		return nil
+	}
+	n, err := e.RunUntil(100, fire)
+	if n != 2 || err != errTwo {
+		t.Fatalf("RunUntil fired %d events with error %v, want 2 and %v", n, err, errTwo)
+	}
+	if e.Now() != 20 || len(e.queue) != 1 {
+		t.Fatalf("clock at %d with %d pending, want 20 with 1", e.Now(), len(e.queue))
+	}
+	if n, err := e.RunUntil(100, fire); n != 1 || err != nil {
+		t.Fatalf("second RunUntil fired %d events with error %v, want 1 and nil", n, err)
+	}
+	if e.Now() != 100 || !slices.Equal(order, []int{1, 2, 3}) {
+		t.Fatalf("clock at %d after firing %v, want 100 after [1 2 3]", e.Now(), order)
+	}
+}
+
 func TestSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	e.ScheduleAt(10, func(*Engine) {})
-	e.RunUntil(10)
+	var e Engine[int]
+	e.ScheduleAt(10, 0)
+	if _, err := e.RunUntil(10, record(new([]int))); err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("ScheduleAt in the past did not panic")
 		}
 	}()
-	e.ScheduleAt(5, func(*Engine) {})
+	e.ScheduleAt(5, 0)
 }
 
 func TestRNGDeterminism(t *testing.T) {

@@ -1,7 +1,8 @@
-// Package sim provides the deterministic discrete-event simulation core used
-// by every other subsystem: a virtual clock measured in CPU cycles, an event
-// queue with stable FIFO ordering for simultaneous events, cycle accounting,
-// and a seedable random number generator.
+// Package sim provides the simulator's deterministic primitives: a virtual
+// clock measured in CPU cycles, the cycle type every subsystem accounts in, a
+// typed event queue with stable FIFO ordering for simultaneous events (the
+// host-timer timeline a hyper.World owns), and a seedable random number
+// generator.
 //
 // All simulated time is expressed in cycles of the simulated platform clock
 // (2.2 GHz for the CloudLab configuration the paper uses). Using cycles rather

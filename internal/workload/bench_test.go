@@ -22,7 +22,7 @@ const timerHorizon = 1_000_000
 // grow with b.N.
 func BenchmarkRunnerRun(b *testing.B) {
 	r := benchRunner(b)
-	eng := r.W.Host.Machine.Engine
+	w := r.W
 	profiles := Profiles()
 	perTxn(b, func(i int) int {
 		r.P = profiles[i%len(profiles)]
@@ -31,7 +31,11 @@ func BenchmarkRunnerRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		return res.Transactions
-	}, func() { eng.RunUntil(eng.Now() + timerHorizon) })
+	}, func() {
+		if err := w.RunUntil(w.Now() + timerHorizon); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 // BenchmarkRunnerRunFor is BenchmarkRunnerRun for RunFor: the clock advances

@@ -202,7 +202,7 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 		st.charge(classRX, c)
 	}
 	for k := st.carries[classTimer].take(p.Timers); k > 0; k-- {
-		c, err := w.Execute(v, hyper.ProgramTimer(uint64(w.Host.Machine.Engine.Now())+1_000_000))
+		c, err := w.Execute(v, hyper.ProgramTimer(uint64(w.Now())+1_000_000))
 		if err != nil {
 			return 0, err
 		}
@@ -283,7 +283,7 @@ func RunMicro(w *hyper.World, v *hyper.VCPU, m Micro, net *hyper.AssignedDevice,
 			}
 			op = hyper.DevNotify(net.Doorbell)
 		case MicroProgramTimer:
-			op = hyper.ProgramTimer(uint64(w.Host.Machine.Engine.Now()) + 1_000_000)
+			op = hyper.ProgramTimer(uint64(w.Now()) + 1_000_000)
 		case MicroSendIPI:
 			// Table 1: the destination vCPU is idle and must be woken. The
 			// halt that idles it is setup, so the stage sink does not see it.
@@ -312,10 +312,10 @@ func RunMicro(w *hyper.World, v *hyper.VCPU, m Micro, net *hyper.AssignedDevice,
 }
 
 // RunFor drives the workload for a span of *simulated time*: transactions
-// execute back to back while the machine's event clock advances with them,
-// so hrtimers armed by ProgramTimer operations genuinely fire mid-run and
+// execute back to back while the World's timeline advances with them, so
+// hrtimers armed by ProgramTimer operations genuinely fire mid-run and
 // deliver their interrupts through the posted or injected paths. Run, by
-// contrast, never advances the engine, which suits pure cost measurement;
+// contrast, never advances the timeline, which suits pure cost measurement;
 // RunFor is the mode for experiments about event interleaving.
 func (r *Runner) RunFor(duration sim.Cycles) (Result, error) {
 	if r.VM == nil {
@@ -327,11 +327,16 @@ func (r *Runner) RunFor(duration sim.Cycles) (Result, error) {
 	if err := r.validate(); err != nil {
 		return Result{}, err
 	}
-	eng := r.W.Host.Machine.Engine
-	end := eng.Now() + duration
+	w := r.W
+	start := w.Now()
+	end := start + duration
+	if end < start {
+		return Result{}, fmt.Errorf("workload %s: RunFor of %d cycles from time %d overflows the timeline",
+			r.P.Name, uint64(duration), uint64(start))
+	}
 	st := runState{r: r}
 	n := 0
-	for eng.Now() < end {
+	for w.Now() < end {
 		cost, err := r.transaction(&st, n)
 		if err != nil {
 			return Result{}, err
@@ -340,13 +345,15 @@ func (r *Runner) RunFor(duration sim.Cycles) (Result, error) {
 			cost = 1 // a zero-cost transaction cannot advance time
 		}
 		n++
-		// Advance the timeline past this transaction, firing any events
-		// (timer expirations, wakes) that fall inside it.
-		eng.RunUntil(eng.Now() + cost)
-		// Events fired on engine callbacks have no Execute caller to return
-		// an error through; the world parks such failures for its driver.
-		if err := r.W.AsyncErr(); err != nil {
-			return Result{}, fmt.Errorf("workload %s: async failure mid-run: %w", r.P.Name, err)
+		// Advance the timeline past this transaction, firing the timers
+		// that fall inside it; the advance saturates at the end of the
+		// timeline rather than wrapping behind the clock.
+		next := w.Now() + cost
+		if next < cost {
+			next = ^sim.Time(0)
+		}
+		if err := w.RunUntil(next); err != nil {
+			return Result{}, fmt.Errorf("workload %s: timer delivery mid-run: %w", r.P.Name, err)
 		}
 	}
 	return st.finish(n), nil

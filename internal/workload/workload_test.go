@@ -380,16 +380,15 @@ func TestJitterSeededDeterminism(t *testing.T) {
 
 func TestRunForAdvancesTimeAndFiresTimers(t *testing.T) {
 	w, vm, net, blk := buildL2(t, core.FeaturesAll)
-	eng := w.Host.Machine.Engine
-	start := eng.Now()
+	start := w.Now()
 	p, _ := ProfileByName("Netperf RR")
 	const span = 50_000_000 // ~23ms of simulated time
 	res, err := (&Runner{W: w, VM: vm, Net: net, Blk: blk, P: p}).RunFor(span)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Now() < start+span {
-		t.Fatalf("engine advanced only to %v", eng.Now())
+	if w.Now() < start+span {
+		t.Fatalf("timeline advanced only to %v", w.Now())
 	}
 	if res.Transactions == 0 {
 		t.Fatal("no transactions completed")
@@ -420,26 +419,41 @@ func TestRunForValidation(t *testing.T) {
 	if _, err := (&Runner{W: w, VM: vm, Net: blk, P: pm}).RunFor(1000); err == nil {
 		t.Fatal("RunFor without blk device accepted")
 	}
-}
-
-// timersProgrammed is how many ProgramTimer operations n transactions of p
-// execute: a run starts its rate carries from zero.
-func timersProgrammed(p Profile, n int) int {
-	var c carry
-	timers := 0
-	for i := 0; i < n; i++ {
-		timers += c.take(p.Timers)
+	// A span whose end overflows the timeline is refused by name, not run
+	// as zero transactions with NaN results.
+	w, vm, net, blk := buildL2(t, 0)
+	r := &Runner{W: w, VM: vm, Net: net, Blk: blk, P: pr}
+	if _, err := r.RunFor(1_000_000); err != nil {
+		t.Fatal(err)
 	}
-	return timers
+	res, err := r.RunFor(^sim.Cycles(0))
+	if err == nil {
+		t.Fatalf("RunFor past the end of the timeline accepted: %d transactions, %v cycles/txn",
+			res.Transactions, res.CyclesPerTxn)
+	}
+	if !strings.Contains(err.Error(), pr.Name) {
+		t.Errorf("overflow error %q does not name the workload", err)
+	}
+	// A span that ends just short of the end of the timeline ends too: the
+	// last transaction's advance saturates there instead of wrapping behind
+	// the clock and looping forever.
+	w, vm, net, blk = buildL2(t, 0)
+	if err := w.RunUntil(^sim.Time(0) - 100); err != nil {
+		t.Fatal(err)
+	}
+	r = &Runner{W: w, VM: vm, Net: net, Blk: blk, P: pr}
+	if res, err := r.RunFor(50); err != nil || res.Transactions != 1 || w.Now() != ^sim.Time(0) {
+		t.Fatalf("RunFor(50) at the end of the timeline: %d transactions, clock %d, error %v; want 1, the end, nil",
+			res.Transactions, w.Now(), err)
+	}
 }
 
-// TestRunAllocBudget pins what a runner allocates once its stack is warm:
-// one object per timer it programs (the engine callback that fires the
-// timer, since every ProgramTimer arms exactly one host timer) plus a small
-// constant per run (the Breakdown map, event-queue growth). The op-class
-// ledgers, the counters, the exit contexts and the event-queue entries
-// allocate nothing. Bytes and objects allocated are deterministic, so the
-// budget holds on any host.
+// TestRunAllocBudget pins what a runner allocates once its stack is warm: a
+// small constant per run (the Breakdown map, event-queue growth), however
+// many transactions it runs and timers it programs. The op-class ledgers,
+// the counters, the exit contexts and the timer events, which carry their
+// vCPU, allocate nothing. Bytes and objects allocated are deterministic, so
+// the budget holds on any host.
 func TestRunAllocBudget(t *testing.T) {
 	const (
 		txns   = 1000
@@ -462,9 +476,9 @@ func TestRunAllocBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if budget := timersProgrammed(p, txns) + perRun; allocs > float64(budget) {
-				t.Errorf("dvh=%v %s: Run(%d) allocates %.0f objects, budget %d (one per timer plus %d)",
-					features != 0, p.Name, txns, allocs, budget, perRun)
+			if allocs > perRun {
+				t.Errorf("dvh=%v %s: Run(%d) allocates %.0f objects, budget %d",
+					features != 0, p.Name, txns, allocs, perRun)
 			}
 			var ran int
 			allocs = testing.AllocsPerRun(1, func() {
@@ -474,9 +488,9 @@ func TestRunAllocBudget(t *testing.T) {
 				}
 				ran = res.Transactions
 			})
-			if budget := timersProgrammed(p, ran) + perRun; allocs > float64(budget) {
-				t.Errorf("dvh=%v %s: RunFor (%d transactions) allocates %.0f objects, budget %d (one per timer plus %d)",
-					features != 0, p.Name, ran, allocs, budget, perRun)
+			if allocs > perRun {
+				t.Errorf("dvh=%v %s: RunFor (%d transactions) allocates %.0f objects, budget %d",
+					features != 0, p.Name, ran, allocs, perRun)
 			}
 		}
 	}
