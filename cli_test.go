@@ -307,6 +307,9 @@ var cliTranscripts = []struct {
 	{"nvtrace-sendipi-l1", "nvtrace", []string{"-depth", "1", "-micro", "SendIPI", "-stages"}},
 	{"nvsim-l2-passthrough-all", "nvsim", []string{"-depth", "2", "-io", "passthrough", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}},
 	{"nvsim-l2-dvh-vp-xen-all", "nvsim", []string{"-depth", "2", "-io", "dvh-vp", "-guest", "xen", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}},
+	{"nvbench-all-ice-lake-sp", "nvbench", []string{"-all", "-profile", "ice-lake-sp"}},
+	{"nvbench-all-epyc-milan", "nvbench", []string{"-all", "-profile", "epyc-milan"}},
+	{"nvbench-all-hyperv-vtpr-heavy", "nvbench", []string{"-all", "-profile", "hyperv-vtpr-heavy"}},
 	{"example-migration", "examples/migration", nil},
 	{"example-nestedcloud", "examples/nestedcloud", nil},
 	{"example-quickstart", "examples/quickstart", nil},

@@ -3,6 +3,7 @@ package check_test
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -22,18 +23,54 @@ import (
 
 // FuzzHistogram feeds arbitrary observation streams to trace.Histogram and
 // checks its ordering and range properties, including the zero-sample edge.
+// Its k-fold arm splits the stream into a prefix and a period and takes k
+// from the first byte: the prefix then k+2 periods, observed one sample at a
+// time, must equal the prefix and two periods plus k times the last period's
+// delta (Histogram.AddRepeats), min and max included.
 func FuzzHistogram(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 255, 255, 255, 255})
 	f.Add(binary.LittleEndian.AppendUint32(nil, 1575))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var k uint64
+		if len(data) > 0 {
+			k = uint64(data[0] % 8)
+		}
 		var h trace.Histogram
+		var samples []sim.Cycles
 		n := uint64(0)
 		for len(data) >= 4 {
-			h.Observe(sim.Cycles(binary.LittleEndian.Uint32(data)))
+			c := sim.Cycles(binary.LittleEndian.Uint32(data))
+			h.Observe(c)
+			samples = append(samples, c)
 			data = data[4:]
 			n++
 		}
+
+		prefix, period := samples[:len(samples)/2], samples[len(samples)/2:]
+		var each, folded, before trace.Histogram
+		for _, c := range prefix {
+			each.Observe(c)
+			folded.Observe(c)
+		}
+		for range k + 2 {
+			for _, c := range period {
+				each.Observe(c)
+			}
+		}
+		for range 2 {
+			before = folded
+			for _, c := range period {
+				folded.Observe(c)
+			}
+		}
+		after := folded
+		folded.AddRepeats(&before, &after, k)
+		if each != folded {
+			t.Fatalf("%d samples then %d repeats of %d: one at a time %s, k-fold add %s",
+				len(prefix), k+2, len(period), each.String(), folded.String())
+		}
+
 		if h.Count() != n {
 			t.Fatalf("Count() = %d after %d observations", h.Count(), n)
 		}
@@ -210,18 +247,53 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzStackCell samples the experiment configuration space and runs the
-// microbenchmarks under the checker: any buildable cell must run to
-// completion with zero invariant violations.
+// noShortPeriod are rates whose carries repeat only past the periodic
+// shortcut's search window (0.01, every 100 transactions) or show no period
+// up to 100 in 1,200 transactions (1/π, √2-1). 1/3 and 1/7 would not do:
+// their floating-point carries repeat every 3 and 7 transactions.
+var noShortPeriod = []float64{0.01, 1 / math.Pi, math.Sqrt2 - 1}
+
+// stackCellApp decodes FuzzStackCell's workload bytes, zero-padded to 12:
+// seven op rates in steps of 0.05 up to 10; a byte whose low three bits pick
+// an op class (0: none, 1-7: class 0-6) and whose high bits pick the
+// noShortPeriod rate it gets; the core count, 1 to 4; the run length in
+// [1, 2000]; and the spec's Enlightened bit and DVH features.
+func stackCellApp(spec *experiment.Spec, app []byte) (workload.Profile, int) {
+	var b [12]byte
+	copy(b[:], app)
+	var rates [7]float64
+	for i := range rates {
+		rates[i] = float64(b[i]%201) * 0.05
+	}
+	if c := b[7] % 8; c > 0 {
+		rates[c-1] = noShortPeriod[int(b[7]/8)%len(noShortPeriod)]
+	}
+	spec.Enlightened = b[11]&1 != 0
+	spec.Features = core.Features(b[11]>>1) & core.FeaturesAll
+	p := workload.Profile{Name: "fuzz", Unit: "trans/s", NativeScore: 1000, HigherIsBetter: true,
+		Cores: 1 + int(b[8])%4, WorkCycles: 50_000,
+		TxKicks: rates[0], RxBatches: rates[1], Timers: rates[2], IPIs: rates[3],
+		Idles: rates[4], EOIs: rates[5], BlkOps: rates[6]}
+	return p, 1 + int(binary.LittleEndian.Uint16(b[9:]))%2000
+}
+
+// FuzzStackCell samples the experiment configuration space. Its micro arm
+// runs the microbenchmarks under the checker: any buildable cell must run to
+// completion with zero invariant violations. Its workload arm runs a decoded
+// access mix (stackCellApp) through Runner.RunPeriodic and through
+// Runner.Run on two fresh Builds, each with a fresh StageStats, and requires
+// equal Results, latency histogram and breakdown included, and equal stage
+// tables.
 func FuzzStackCell(f *testing.F) {
-	f.Add(uint8(2), uint8(3), uint8(0), uint8(16))
-	f.Add(uint8(3), uint8(0), uint8(1), uint8(8))
-	f.Fuzz(func(t *testing.T, depth, io, guest, iters uint8) {
+	f.Add(uint8(2), uint8(3), uint8(0), uint8(16), []byte{})
+	f.Add(uint8(3), uint8(0), uint8(1), uint8(8), []byte{20, 20, 10, 0, 14, 40, 8, 0, 0, 0xb0, 0x04, 0})
+	f.Fuzz(func(t *testing.T, depth, io, guest, iters uint8, app []byte) {
 		spec := experiment.Spec{
 			Depth: 1 + int(depth)%4,
 			IO:    experiment.IOMode(io) % 4,
 			Guest: experiment.GuestKind(guest) % 3,
 		}
+		p, n := stackCellApp(&spec, app)
 		st, err := experiment.Build(spec)
 		if err != nil {
 			// Invalid cells (e.g. DVH at depth 1) must be rejected, not built.
@@ -235,6 +307,33 @@ func FuzzStackCell(f *testing.F) {
 		}
 		if err := c.Finish(); err != nil {
 			t.Fatalf("%+v: %v", spec, err)
+		}
+
+		run := func(periodic bool) (workload.Result, hyper.StageStats, int) {
+			st, err := experiment.Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stages hyper.StageStats
+			st.World.Stages = &stages
+			r := workload.Runner{W: st.World, VM: st.Target, Net: st.Net, Blk: st.Blk, P: p}
+			var res workload.Result
+			simulated := n
+			if periodic {
+				res, simulated, err = r.RunPeriodic(n)
+			} else {
+				res, err = r.Run(n)
+			}
+			if err != nil {
+				t.Fatalf("%+v: %+v: %v", spec, p, err)
+			}
+			return res, stages, simulated
+		}
+		got, gotStages, simulated := run(true)
+		want, wantStages, _ := run(false)
+		if !reflect.DeepEqual(got, want) || gotStages != wantStages {
+			t.Fatalf("%+v: %+v, n=%d (%d simulated): RunPeriodic differs from Run:\n got %+v\nwant %+v\n--- shortcut stages ---\n%s--- Run stages ---\n%s",
+				spec, p, n, simulated, got, want, gotStages.String(), wantStages.String())
 		}
 	})
 }

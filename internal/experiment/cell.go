@@ -34,9 +34,23 @@ type appRun struct{ workload.Profile }
 
 func (r appRun) String() string { return r.Name }
 
+// measure runs the workload through the periodic shortcut
+// (Runner.RunPeriodic), which simulates only until the run repeats itself,
+// when the plan cache is on. With the cache off it simulates every
+// transaction (Runner.Run), so NVSIM_NOPLANCACHE=1 is the one full-simulation
+// reference for both shortcuts.
 func (r appRun) measure(st *Stack, rec *cellRecord) (err error) {
 	runner := workload.Runner{W: st.World, VM: st.Target, Net: st.Net, Blk: st.Blk, P: r.Profile}
-	rec.result, err = runner.Run(appTxns)
+	simulated := appTxns
+	if st.World.PlanCache() {
+		rec.result, simulated, err = runner.RunPeriodic(appTxns)
+	} else {
+		rec.result, err = runner.Run(appTxns)
+	}
+	cells.simulated.Add(int64(simulated))
+	if simulated < appTxns {
+		cells.extrapolated.Add(1)
+	}
 	return err
 }
 
@@ -100,13 +114,16 @@ type cellEntry struct {
 // `nvbench -all` sequence, nvreport, nvperf) shares it, and sharing is safe
 // because a record depends only on its key. The map is guarded by mu; each
 // entry's once lets concurrent pool workers that ask for one key wait for a
-// single computation. lookups and computed count cell calls and computations
-// for tests.
+// single computation. lookups and computed count cell calls and
+// computations, extrapolated the application cells RunPeriodic shortened,
+// and simulated the transactions application cells simulated, for tests.
 var cells struct {
-	mu       sync.Mutex
-	entries  map[cellKey]*cellEntry
-	lookups  atomic.Int64
-	computed atomic.Int64
+	mu           sync.Mutex
+	entries      map[cellKey]*cellEntry
+	lookups      atomic.Int64
+	computed     atomic.Int64
+	extrapolated atomic.Int64
+	simulated    atomic.Int64
 }
 
 // cell returns the record of run on a fresh stack built from spec. A cell is

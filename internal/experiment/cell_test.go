@@ -1,12 +1,15 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/hyper"
+	"repro/internal/parallel"
+	"repro/internal/profile"
 	"repro/internal/workload"
 )
 
@@ -20,6 +23,8 @@ func resetCells() {
 	cells.entries = nil
 	cells.lookups.Store(0)
 	cells.computed.Store(0)
+	cells.extrapolated.Store(0)
+	cells.simulated.Store(0)
 }
 
 // runFresh is runWidth from an empty cell memo: every cell fn needs is
@@ -32,6 +37,9 @@ func runFresh(t testing.TB, width int, fn func() (string, error)) (string, int64
 	out := runWidth(t, width, fn)
 	return out, cells.computed.Load()
 }
+
+// appEntries are the `nvbench -all` entries that show application cells.
+var appEntries = []string{"figure7", "figure8", "figure9", "figure10", "breakdown", "workload-stages", "latency"}
 
 // renderEntries renders the named entries at the given width.
 func renderEntries(t *testing.T, width int, names []string) {
@@ -61,19 +69,30 @@ func memoRecords(t *testing.T) map[cellKey]cellRecord {
 // lookups and 112 computations for the seven application entries, 82 and 38
 // for the microbenchmark and storm entries; a record is a pure function of
 // its key, equal to recomputations at another pool width and with the plan
-// cache off; and concurrent callers of one key share one computation.
+// cache off; and concurrent callers of one key share one computation. It
+// also pins what the periodic shortcut saves: every application cell is
+// extrapolated, and together they simulate 5,920 of their 134,400
+// transactions, while with the plan cache off none is extrapolated and all
+// 134,400 are simulated.
 func TestCellMemo(t *testing.T) {
 	for _, tc := range []struct {
 		names             []string
 		lookups, computed int64
+		// extrapolated and simulated count application cells and
+		// transactions with the plan cache on; liveSimulated counts the
+		// transactions simulated with it off.
+		extrapolated, simulated, liveSimulated int64
 	}{
-		{[]string{"figure7", "figure8", "figure9", "figure10", "breakdown", "workload-stages", "latency"}, 230, 112},
-		{[]string{"table3", "depth", "stages", "storms"}, 82, 38},
+		{appEntries, 230, 112, 112, 5920, 134400},
+		{[]string{"table3", "depth", "stages", "storms"}, 82, 38, 0, 0, 0},
 	} {
 		resetCells()
 		renderEntries(t, 2, tc.names)
 		if l, c := cells.lookups.Load(), cells.computed.Load(); l != tc.lookups || c != tc.computed {
 			t.Fatalf("%v made %d lookups and %d computations, want %d and %d", tc.names, l, c, tc.lookups, tc.computed)
+		}
+		if e, s := cells.extrapolated.Load(), cells.simulated.Load(); e != tc.extrapolated || s != tc.simulated {
+			t.Errorf("%v extrapolated %d cells and simulated %d transactions, want %d and %d", tc.names, e, s, tc.extrapolated, tc.simulated)
 		}
 		first := memoRecords(t)
 		if int64(len(first)) != tc.computed {
@@ -89,6 +108,9 @@ func TestCellMemo(t *testing.T) {
 		renderEntries(t, 2, tc.names)
 		live := memoRecords(t)
 		t.Setenv(hyper.NoPlanCacheEnv, "")
+		if e, s := cells.extrapolated.Load(), cells.simulated.Load(); e != 0 || s != tc.liveSimulated {
+			t.Errorf("%v under %s=1 extrapolated %d cells and simulated %d transactions, want 0 and %d", tc.names, hyper.NoPlanCacheEnv, e, s, tc.liveSimulated)
+		}
 
 		for k, rec := range first {
 			if !k.planCache {
@@ -153,4 +175,59 @@ func TestCellMemo(t *testing.T) {
 			t.Errorf("a failing key was computed %d times, want 1", c)
 		}
 	})
+}
+
+// TestPeriodicCellsMatchRun compares every application cell of `nvbench
+// -all` under every built-in profile, 448 cells, with Runner.Run of its
+// workload on a fresh stack with a fresh StageStats, field by field: the
+// memo's record, which Runner.RunPeriodic computed, must equal Run's Result,
+// its latency histogram and breakdown included, and Run's stage tables.
+func TestPeriodicCellsMatchRun(t *testing.T) {
+	names := profile.Names()
+	if len(names) != 4 {
+		t.Fatalf("%d built-in profiles, want 4: %v", len(names), names)
+	}
+	for _, name := range names {
+		withDefaultProfile(t, name, func() {
+			resetCells()
+			renderEntries(t, 2, appEntries)
+			recs := memoRecords(t)
+			if e := cells.extrapolated.Load(); len(recs) != 112 || e != 112 {
+				t.Fatalf("%s: memo holds %d application records, %d extrapolated; want 112, all extrapolated", name, len(recs), e)
+			}
+			keys := make([]cellKey, 0, len(recs))
+			for k := range recs {
+				keys = append(keys, k)
+			}
+			diffs, err := parallel.Map(2, len(keys), func(i int) (string, error) {
+				k := keys[i]
+				st, err := Build(k.spec)
+				if err != nil {
+					return "", err
+				}
+				var stages hyper.StageStats
+				st.World.SetPlanCache(k.planCache)
+				st.World.Stages = &stages
+				app := k.run.(appRun)
+				res, err := (&workload.Runner{W: st.World, VM: st.Target, Net: st.Net, Blk: st.Blk, P: app.Profile}).Run(appTxns)
+				if err != nil {
+					return "", err
+				}
+				rec := recs[k]
+				if !reflect.DeepEqual(rec.result, res) || !reflect.DeepEqual(rec.stages, stages) {
+					return fmt.Sprintf("%s: %v on %+v: shortcut record differs from Run (result equal %v, stages equal %v)",
+						name, app, k.spec, reflect.DeepEqual(rec.result, res), reflect.DeepEqual(rec.stages, stages)), nil
+				}
+				return "", nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range diffs {
+				if d != "" {
+					t.Error(d)
+				}
+			}
+		})
+	}
 }

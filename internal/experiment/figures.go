@@ -13,7 +13,10 @@ import (
 
 // microIters and appTxns size the measurement runs. Costs are deterministic,
 // so small iteration counts already give exact averages; app runs use enough
-// transactions for the fractional access rates to converge.
+// transactions for the fractional access rates to converge. An application
+// cell's record is that of appTxns transactions, but with the plan cache on
+// the cell simulates only a warm-up and a few periods and adds the rest
+// exactly (Runner.RunPeriodic, DESIGN.md §17.1): 30 to 60 of the 1,200.
 const (
 	microIters = 16
 	appTxns    = 1200

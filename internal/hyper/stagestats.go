@@ -69,6 +69,31 @@ func (ss *StageStats) observe(tx *ExitContext) {
 	}
 }
 
+// AddRepeats adds k repeats of the transactions ss observed between two
+// snapshots of itself, before and after: k times the change in every table,
+// stage histogram and settle count. Histogram min and max stay as they are
+// (trace.Histogram.AddRepeats).
+func (ss *StageStats) AddRepeats(before, after *StageStats, k uint64) {
+	c := sim.Cycles(k)
+	for b := range ss.BoundaryCycles {
+		addRepeats(ss.BoundaryCycles[b][:], before.BoundaryCycles[b][:], after.BoundaryCycles[b][:], c)
+	}
+	for r := range ss.ReasonCycles {
+		addRepeats(ss.ReasonCycles[r][:], before.ReasonCycles[r][:], after.ReasonCycles[r][:], c)
+	}
+	for s := range ss.Hist {
+		ss.Hist[s].AddRepeats(&before.Hist[s], &after.Hist[s], k)
+	}
+	addRepeats(ss.Settled[:], before.Settled[:], after.Settled[:], k)
+}
+
+// addRepeats adds k times each counter's change from before to after.
+func addRepeats[T ~uint64](dst, before, after []T, k T) {
+	for i := range dst {
+		dst[i] += k * (after[i] - before[i])
+	}
+}
+
 // StageTotal sums the cycles attributed to one stage across all boundaries.
 func (ss *StageStats) StageTotal(s Stage) sim.Cycles {
 	if ss == nil {

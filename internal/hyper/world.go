@@ -77,7 +77,7 @@ type World struct {
 	// event carrying its vCPU (armHostTimer); RunUntil fires them.
 	timeline sim.Engine[*VCPU]
 	// planCacheOff disables plan replay (see NoPlanCacheEnv and
-	// SetPlanCache); the default is cache on. Read only by charge.
+	// SetPlanCache); the default is cache on. Read by charge and PlanCache.
 	planCacheOff bool
 	// plans is the World's compiled-plan table (plan.go), lazily allocated
 	// on the first cached charge.
@@ -106,6 +106,9 @@ func PlanCacheDefault() bool {
 // SetPlanCache toggles the plan replay cache, overriding the NVSIM_NOPLANCACHE default. Intended for A/B tests; both
 // modes produce byte-identical simulation results.
 func (w *World) SetPlanCache(on bool) { w.planCacheOff = !on }
+
+// PlanCache reports whether the world replays compiled plans.
+func (w *World) PlanCache() bool { return !w.planCacheOff }
 
 // SetCosts replaces the world's cost model and bumps the machine's cost
 // generation so compiled plans (which bake cycle costs in) are

@@ -39,6 +39,18 @@ func (h *Histogram) Observe(c sim.Cycles) {
 	}
 }
 
+// AddRepeats adds k repeats of the samples h observed between two snapshots
+// of itself, before and after: k times their bucket counts, count and sum.
+// Min and max stay as they are, since h has already observed every sample it
+// repeats.
+func (h *Histogram) AddRepeats(before, after *Histogram, k uint64) {
+	for i := range h.buckets {
+		h.buckets[i] += k * (after.buckets[i] - before.buckets[i])
+	}
+	h.count += k * (after.count - before.count)
+	h.sum += k * (after.sum - before.sum)
+}
+
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.count }
 

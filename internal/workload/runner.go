@@ -86,12 +86,143 @@ func (r *Runner) Run(n int) (Result, error) {
 	}
 
 	st := runState{r: r}
-	for i := 0; i < n; i++ {
-		if _, err := r.transaction(&st, i); err != nil {
-			return Result{}, err
-		}
+	if err := r.simulate(&st, 0, n); err != nil {
+		return Result{}, err
 	}
 	return st.finish(n), nil
+}
+
+// RunPeriodic returns exactly the Result that Run(n) returns, and leaves
+// exactly Run(n)'s tables in the World's StageStats, but simulates only until
+// the run repeats itself. It also returns how many transactions it simulated.
+//
+// The run's transaction shapes repeat with a period p after a warm-up
+// (period). RunPeriodic simulates the warm-up and then whole periods, and
+// snapshots the additive ledgers at each period boundary: the total and
+// op-class cycles, the latency histogram, and every StageStats table, stage
+// histogram and settle count. Once two consecutive periods have left equal
+// deltas, and the second moved no histogram's min or max, it simulates the
+// first (n-i) mod p transactions of the next period and adds the k whole
+// periods left as k times the last period's delta. Histogram min and max are
+// those of the simulated transactions.
+//
+// Exactness assumes that after the warm-up a transaction's cost depends only
+// on its shape: its op counts and its vCPU. Two equal periods are evidence of
+// that, not proof: a stack whose costs changed after them would defeat the
+// check (DESIGN.md §17.1). The World's own Stats, counters and timeline are
+// not extrapolated; they hold only the simulated transactions. A native run
+// simulates nothing, and a jittered one never repeats, so both run as Run.
+func (r *Runner) RunPeriodic(n int) (Result, int, error) {
+	if r.VM == nil || r.RNG != nil || n <= 0 {
+		res, err := r.Run(n)
+		return res, res.Transactions, err
+	}
+	if err := r.validate(); err != nil {
+		return Result{}, 0, err
+	}
+	warm, p := r.period(n)
+	st := runState{r: r}
+	if err := r.simulate(&st, 0, warm); err != nil {
+		return Result{}, 0, err
+	}
+	// at[j%3] holds the ledgers at period boundary j, before transaction
+	// warm + j*p.
+	var at [3]snapshot
+	for i, j := warm, 0; i < n; i, j = min(i+p, n), j+1 {
+		st.snapshot(&at[j%3])
+		if j >= 2 && repeats(&at[(j-2)%3], &at[(j-1)%3], &at[j%3]) {
+			k, rem := (n-i)/p, (n-i)%p
+			if err := r.simulate(&st, i, i+rem); err != nil {
+				return Result{}, 0, err
+			}
+			st.addRepeats(&at[(j-1)%3], &at[j%3], uint64(k))
+			return st.finish(n), i + rem, nil
+		}
+		if err := r.simulate(&st, i, min(i+p, n)); err != nil {
+			return Result{}, 0, err
+		}
+	}
+	return st.finish(n), n, nil
+}
+
+// simulate executes transactions [from, to).
+func (r *Runner) simulate(st *runState, from, to int) error {
+	for i := from; i < to; i++ {
+		if _, err := r.transaction(st, i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Period search bounds: a period is at most maxPeriod transactions long, and
+// the search reads the shapes of the first periodWindow transactions, which
+// must hold the warm-up and two periods.
+const (
+	maxPeriod    = 64
+	periodWindow = 3 * maxPeriod
+)
+
+// period returns the warm-up and the period of the run's transaction shapes
+// over all n transactions: from transaction warm on, shape i+p equals shape
+// i. A transaction's shape is what it does before it touches the World, its
+// op count per class and its vCPU slot, so a period repeats the vCPU
+// rotation too. The shapes come from fresh carries, without simulating, and
+// only the window's are kept. Of the periods up to maxPeriod that repeat
+// twice in the window, period takes the one with the least warm + 2p, then
+// checks it over the rest of the run. Without one it returns warm = n and
+// p = 0.
+func (r *Runner) period(n int) (warm, p int) {
+	var shapes [periodWindow]uint64
+	var carries [numOpClasses]carry
+	slots := r.slots()
+	m := min(n, periodWindow)
+	for i := range m {
+		s, ok := shapeOf(takeOps(&carries, &r.P), i%slots)
+		if !ok {
+			return n, 0
+		}
+		shapes[i] = s
+	}
+	warm, best := n, m+1
+	for q := 1; q <= maxPeriod && 2*q < best; q++ {
+		i := m - 1
+		for i >= q && shapes[i] == shapes[i-q] {
+			i--
+		}
+		if w := i - q + 1; w+2*q < best {
+			warm, p, best = w, q, w+2*q
+		}
+	}
+	if p == 0 {
+		return n, 0
+	}
+	for i, j := m, warm+(m-warm)%p; i < n; i++ {
+		s, ok := shapeOf(takeOps(&carries, &r.P), i%slots)
+		if !ok || s != shapes[j] {
+			return n, 0
+		}
+		if j++; j == warm+p {
+			j = warm
+		}
+	}
+	return warm, p
+}
+
+// shapeOf packs a transaction's op counts and vCPU slot into one word, a
+// byte each; ok is false when one does not fit in a byte.
+func shapeOf(ops [numOpClasses]int, slot int) (s uint64, ok bool) {
+	if uint(slot) > 0xff {
+		return 0, false
+	}
+	s = uint64(slot)
+	for _, c := range ops {
+		if uint(c) > 0xff {
+			return 0, false
+		}
+		s = s<<8 | uint64(c)
+	}
+	return s, true
 }
 
 // validate checks the shared preconditions of a VM Run and RunFor: the
@@ -136,14 +267,64 @@ var opClassNames = [numOpClasses]string{"kick", "rx", "timer", "ipi", "idle", "e
 // per-class ledger is a fixed array: transactions add into it without
 // hashing, and finish turns it into Result.Breakdown once per run.
 type runState struct {
-	r       *Runner
-	total   sim.Cycles
-	latency trace.Histogram
+	r *Runner
+	tally
 	carries [numOpClasses]carry
-	cycles  [numOpClasses]sim.Cycles
 	// ran marks the classes with at least one operation this run: exactly
 	// those appear in Breakdown, even when their cycles sum to zero.
 	ran [numOpClasses]bool
+}
+
+// tally is a run's own additive ledger: its total and op-class cycles and
+// its latency histogram.
+type tally struct {
+	total   sim.Cycles
+	cycles  [numOpClasses]sim.Cycles
+	latency trace.Histogram
+}
+
+// addRepeats adds k times the change in t's ledgers from before to after.
+func (t *tally) addRepeats(before, after *tally, k uint64) {
+	t.total += sim.Cycles(k) * (after.total - before.total)
+	for c := range t.cycles {
+		t.cycles[c] += sim.Cycles(k) * (after.cycles[c] - before.cycles[c])
+	}
+	t.latency.AddRepeats(&before.latency, &after.latency, k)
+}
+
+// snapshot is every additive ledger of a run at one transaction boundary:
+// the run's tally and a copy of the World's stage tables (zero when the
+// World has none).
+type snapshot struct {
+	tally
+	stages hyper.StageStats
+}
+
+// snapshot copies the run's ledgers into s.
+func (st *runState) snapshot(s *snapshot) {
+	s.tally = st.tally
+	if ss := st.r.W.Stages; ss != nil {
+		s.stages = *ss
+	}
+}
+
+// addRepeats adds k repeats of the transactions run between snapshots
+// before and after to the run's ledgers.
+func (st *runState) addRepeats(before, after *snapshot, k uint64) {
+	st.tally.addRepeats(&before.tally, &after.tally, k)
+	if ss := st.r.W.Stages; ss != nil {
+		ss.AddRepeats(&before.stages, &after.stages, k)
+	}
+}
+
+// repeats reports whether the period from last to cur left exactly the
+// deltas of the period from before to last and moved no histogram's min or
+// max: whether last plus one more of its period's delta is cur.
+func repeats(before, last, cur *snapshot) bool {
+	next := *last
+	next.tally.addRepeats(&before.tally, &last.tally, 1)
+	next.stages.AddRepeats(&before.stages, &last.stages, 1)
+	return next == *cur
 }
 
 // charge attributes one operation's cycles to its class.
@@ -172,13 +353,31 @@ func (st *runState) finish(n int) Result {
 	return res
 }
 
+// slots is how many vCPUs the run rotates through: transaction i runs on
+// vCPU i mod slots.
+func (r *Runner) slots() int { return min(r.P.Cores, len(r.VM.VCPUs)) }
+
+// takeOps advances every class's carry by the profile's rate for one
+// transaction and returns the transaction's op count per class.
+func takeOps(carries *[numOpClasses]carry, p *Profile) [numOpClasses]int {
+	return [numOpClasses]int{
+		classKick:  carries[classKick].take(p.TxKicks),
+		classRX:    carries[classRX].take(p.RxBatches),
+		classTimer: carries[classTimer].take(p.Timers),
+		classIPI:   carries[classIPI].take(p.IPIs),
+		classIdle:  carries[classIdle].take(p.Idles),
+		classEOI:   carries[classEOI].take(p.EOIs),
+		classBlk:   carries[classBlk].take(p.BlkOps),
+	}
+}
+
 // transaction executes one transaction and returns its cost.
 func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 	p := &r.P
 	w := r.W
 	vcpus := r.VM.VCPUs
 	txnStart := st.total
-	v := vcpus[i%min(p.Cores, len(vcpus))]
+	v := vcpus[i%r.slots()]
 	work := p.WorkCycles
 	if r.RNG != nil {
 		span := work * workJitterPermille / 1000
@@ -187,28 +386,29 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 	st.total += work
 	w.Host.Machine.Stats.ChargeGuest(work)
 
-	for k := st.carries[classKick].take(p.TxKicks); k > 0; k-- {
+	ops := takeOps(&st.carries, p)
+	for k := ops[classKick]; k > 0; k-- {
 		c, err := w.Execute(v, hyper.DevNotify(r.Net.Doorbell))
 		if err != nil {
 			return 0, err
 		}
 		st.charge(classKick, c)
 	}
-	for k := st.carries[classRX].take(p.RxBatches); k > 0; k-- {
+	for k := ops[classRX]; k > 0; k-- {
 		c, err := w.DeviceRX(r.Net, v)
 		if err != nil {
 			return 0, err
 		}
 		st.charge(classRX, c)
 	}
-	for k := st.carries[classTimer].take(p.Timers); k > 0; k-- {
+	for k := ops[classTimer]; k > 0; k-- {
 		c, err := w.Execute(v, hyper.ProgramTimer(uint64(w.Now())+1_000_000))
 		if err != nil {
 			return 0, err
 		}
 		st.charge(classTimer, c)
 	}
-	for k := st.carries[classIPI].take(p.IPIs); k > 0; k-- {
+	for k := ops[classIPI]; k > 0; k-- {
 		dest := uint32((v.ID + 1) % len(vcpus))
 		c, err := w.Execute(v, hyper.SendIPI(dest, apic.VectorReschedule))
 		if err != nil {
@@ -216,7 +416,7 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 		}
 		st.charge(classIPI, c)
 	}
-	for k := st.carries[classIdle].take(p.Idles); k > 0; k-- {
+	for k := ops[classIdle]; k > 0; k-- {
 		c, err := w.Execute(v, hyper.Halt())
 		if err != nil {
 			return 0, err
@@ -227,14 +427,14 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 		}
 		st.charge(classIdle, c+wake)
 	}
-	for k := st.carries[classEOI].take(p.EOIs); k > 0; k-- {
+	for k := ops[classEOI]; k > 0; k-- {
 		c, err := w.Execute(v, hyper.EOI())
 		if err != nil {
 			return 0, err
 		}
 		st.charge(classEOI, c)
 	}
-	for k := st.carries[classBlk].take(p.BlkOps); k > 0; k-- {
+	for k := ops[classBlk]; k > 0; k-- {
 		c, err := w.Execute(v, hyper.DevNotify(r.Blk.Doorbell))
 		if err != nil {
 			return 0, err

@@ -452,8 +452,9 @@ func TestRunForValidation(t *testing.T) {
 // small constant per run (the Breakdown map, event-queue growth), however
 // many transactions it runs and timers it programs. The op-class ledgers,
 // the counters, the exit contexts and the timer events, which carry their
-// vCPU, allocate nothing. Bytes and objects allocated are deterministic, so
-// the budget holds on any host.
+// vCPU, allocate nothing. RunPeriodic, unjittered, allocates no more than
+// Run: its period search and its snapshots live on the stack. Bytes and
+// objects allocated are deterministic, so the budget holds on any host.
 func TestRunAllocBudget(t *testing.T) {
 	const (
 		txns   = 1000
@@ -491,6 +492,21 @@ func TestRunAllocBudget(t *testing.T) {
 			if allocs > perRun {
 				t.Errorf("dvh=%v %s: RunFor (%d transactions) allocates %.0f objects, budget %d",
 					features != 0, p.Name, ran, allocs, perRun)
+			}
+			r.RNG = nil
+			run := testing.AllocsPerRun(1, func() {
+				if _, err := r.Run(txns); err != nil {
+					t.Fatal(err)
+				}
+			})
+			periodic := testing.AllocsPerRun(1, func() {
+				if _, _, err := r.RunPeriodic(txns); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if periodic > run {
+				t.Errorf("dvh=%v %s: RunPeriodic(%d) allocates %.0f objects, Run %.0f",
+					features != 0, p.Name, txns, periodic, run)
 			}
 		}
 	}
