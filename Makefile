@@ -34,15 +34,17 @@ lint:
 # bench runs the harness and hot-path benchmarks: Figure 7 sequential vs
 # parallel pool (each iteration clears the cell memo, so it times
 # simulation, not memo hits), stack construction at L1, L2 DVH and L4 (ns,
-# bytes and allocations per Build), the allocation-free nested Execute path
+# bytes and allocations per Build), the Section 4 migration entry at pool
+# width 1 (ns and bytes per call), the allocation-free nested Execute path
 # in both plan modes, one cold plan compile at L2-L4 (ns and bytes per
-# compile), and the workload runner's Run and RunFor (ns and allocs per
-# transaction).
+# compile), the workload runner's Run and RunFor (ns and allocs per
+# transaction), and the memory layer: page-table Map, full-page writes and
+# quadword writes to fresh pages (ns, bytes and allocations per page).
 # It then regenerates BENCH_10.json, the committed machine-readable artifact
 # (per-figure modeled cycles and overheads plus ns/op and allocs/op for the
 # pipeline's hot paths, uncached vs replayed).
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkFigure7|BenchmarkBuild|BenchmarkExecuteNested|BenchmarkExecute/|BenchmarkCompilePlan|BenchmarkRunnerRun' -benchmem ./internal/experiment/ ./internal/hyper/ ./internal/workload/
+	$(GO) test -run='^$$' -bench='BenchmarkFigure7|BenchmarkBuild|BenchmarkMigration|BenchmarkExecuteNested|BenchmarkExecute/|BenchmarkCompilePlan|BenchmarkRunnerRun|BenchmarkPageTableMap|BenchmarkAddressSpaceWrite' -benchmem ./internal/experiment/ ./internal/hyper/ ./internal/workload/ ./internal/mem/
 	$(GO) run ./cmd/nvperf -o BENCH_10.json
 
 # bench-compare re-collects the artifact and gates it against the committed

@@ -46,13 +46,11 @@ type AddressSpace struct {
 	name   string
 	npages PFN
 	// leaves holds each materialized page's extent, in leaves of leafPages
-	// frames keyed by p >> leafShift. An extent's capacity is a size class
-	// (frameCap); bytes between length and capacity may be stale and are
-	// cleared before a growth exposes them.
+	// frames keyed by p >> leafShift.
 	leaves map[PFN]*frameLeaf
 	// last caches leaves[lastKey], nil when that leaf is absent (the zero
 	// pair fits an empty space), so a sequential scan hashes once per leaf.
-	// Leaves are never removed, and setFrame updates it when it adds one.
+	// Leaves are never removed, and resize updates it when it adds one.
 	last    *frameLeaf
 	lastKey PFN
 	written *Bitmap // every page ever written; migration's first pass sends these
@@ -64,15 +62,36 @@ const (
 	leafPages = 1 << leafShift
 )
 
-// frameLeaf holds the extents of leafPages consecutive frames, 1.5 KiB,
-// allocated on the first write into its range. Leaves are keyed by a map,
-// not indexed by a table sized to the highest frame written, so a lone page
-// high in a large space costs one leaf.
-type frameLeaf [leafPages][]byte
+// frameLeaf holds the extents of leafPages consecutive frames, allocated on
+// the first write into its range. Leaves are keyed by a map, not indexed by
+// a table sized to the highest frame written, so a lone page high in a large
+// space costs one leaf.
+//
+// An extent of at most minFrame bytes lives inline, in quads with its length
+// in lens, so a leaf of quadword pages is one 584-byte object with a single
+// pointer. A longer extent lives in long, a table the leaf's first long
+// extent allocates; from then on the page stays there, whatever its length,
+// and its inline slot is dead. A long extent's capacity is a size class
+// (frameCap). In both forms the bytes between length and capacity may be
+// stale, and resize clears them before exposing them.
+type frameLeaf struct {
+	quads [leafPages][minFrame]byte
+	lens  [leafPages]uint8
+	long  *[leafPages][]byte
+}
 
-// minFrame is the smallest frame size class: one quadword, the unit virtio
-// descriptors and migration's churn write.
+// minFrame is the smallest frame size class and the inline capacity: one
+// quadword, the unit virtio descriptors and migration's churn write.
 const minFrame = 8
+
+// extent returns page i's extent: its long one if it has one, else its
+// inline quadword, empty for a page never written.
+func (l *frameLeaf) extent(i PFN) []byte {
+	if l.long != nil && l.long[i] != nil {
+		return l.long[i]
+	}
+	return l.quads[i][:l.lens[i]]
+}
 
 // frameCap rounds an extent of n bytes up to its size class: the next power
 // of two, at least minFrame and at most PageSize. Power-of-two classes are
@@ -97,7 +116,7 @@ func NewAddressSpace(name string, size uint64) *AddressSpace {
 // NumPages returns the number of page frames in the space.
 func (as *AddressSpace) NumPages() PFN { return as.npages }
 
-// frame returns page p's extent, nil for a page never written. It never
+// frame returns page p's extent, empty for a page never written. It never
 // allocates; a hash lookup happens only when p's leaf is not the cached one.
 func (as *AddressSpace) frame(p PFN) ([]byte, error) {
 	if p >= as.npages {
@@ -109,41 +128,49 @@ func (as *AddressSpace) frame(p PFN) ([]byte, error) {
 	if as.last == nil {
 		return nil, nil
 	}
-	return as.last[p&(leafPages-1)], nil
-}
-
-// setFrame makes f, a non-nil extent, page p's frame, materializing p's
-// leaf on the first write into its range. Only the write paths call it.
-func (as *AddressSpace) setFrame(p PFN, f []byte) {
-	if k := p >> leafShift; k != as.lastKey {
-		as.last, as.lastKey = as.leaves[k], k
-	}
-	if as.last == nil {
-		as.last = new(frameLeaf)
-		as.leaves[as.lastKey] = as.last
-	}
-	as.last[p&(leafPages-1)] = f
+	return as.last.extent(p & (leafPages - 1)), nil
 }
 
 func (as *AddressSpace) beyond(p PFN) error {
 	return fmt.Errorf("mem: %s: page %#x beyond end (%#x pages)", as.name, uint64(p), uint64(as.npages))
 }
 
-// grow extends page p's frame f to end bytes. The bytes it exposes past the
-// old extent read as zero: a new allocation comes zeroed, and a reslice
-// within capacity clears the stale tail a shrinking CopyFrame left behind.
-func (as *AddressSpace) grow(p PFN, f []byte, end int) []byte {
-	if end <= cap(f) {
-		g := f[:end]
-		clear(g[len(f):])
-		as.setFrame(p, g)
-		return g
+// resize sets page p's extent to n bytes and returns it. The extent keeps
+// its first bytes, and the bytes it exposes past its old length read as
+// zero: a new allocation comes zeroed, and a reslice within capacity clears
+// the stale tail a shrinking CopyFrame left behind. It materializes p's leaf
+// on the first write into its range, but not for n of 0. Only the write
+// paths call it; reads never allocate.
+func (as *AddressSpace) resize(p PFN, n int) []byte {
+	if k := p >> leafShift; k != as.lastKey {
+		as.last, as.lastKey = as.leaves[k], k
 	}
-	// Sparse backing store: a frame materializes on first write and grows
-	// by size class. Reads never reach this.
-	g := make([]byte, end, frameCap(end))
-	copy(g, f)
-	as.setFrame(p, g)
+	l, i := as.last, p&(leafPages-1)
+	if l == nil {
+		if n == 0 {
+			return nil
+		}
+		l = new(frameLeaf)
+		as.leaves[as.lastKey], as.last = l, l
+	}
+	f := l.extent(i)
+	if n > cap(f) {
+		if l.long == nil {
+			l.long = new([leafPages][]byte)
+		}
+		l.long[i] = make([]byte, n, frameCap(n))
+		copy(l.long[i], f)
+		return l.long[i]
+	}
+	g := f[:n]
+	if n > len(f) {
+		clear(g[len(f):])
+	}
+	if l.long != nil && l.long[i] != nil {
+		l.long[i] = g
+	} else {
+		l.lens[i] = uint8(n)
+	}
 	return g
 }
 
@@ -185,7 +212,7 @@ func (as *AddressSpace) Write(a Addr, buf []byte) error {
 			return err
 		}
 		if off+n > len(f) {
-			f = as.grow(p, f, off+n)
+			f = as.resize(p, off+n)
 		}
 		copy(f[off:], buf[:n])
 		as.mark(p)
@@ -199,22 +226,16 @@ func (as *AddressSpace) Write(a Addr, buf []byte) error {
 // written, leaving both spaces exactly as reading
 // the source page and writing it whole to the destination would. It moves
 // only the source's extent, so a page holding one quadword costs a quadword.
-// Shrinking keeps the destination's capacity; grow clears it before reuse.
+// Shrinking keeps the destination's capacity; resize clears it before reuse.
 func CopyFrame(dst *AddressSpace, dp PFN, src *AddressSpace, sp PFN) error {
 	sf, err := src.frame(sp)
 	if err != nil {
 		return err
 	}
-	df, err := dst.frame(dp)
-	if err != nil {
-		return err
+	if dp >= dst.npages {
+		return dst.beyond(dp)
 	}
-	if len(sf) > cap(df) {
-		df = make([]byte, 0, frameCap(len(sf)))
-	}
-	if df != nil { // an empty source over an absent frame leaves it absent
-		dst.setFrame(dp, append(df[:0], sf...))
-	}
+	copy(dst.resize(dp, len(sf)), sf)
 	dst.mark(dp)
 	return nil
 }

@@ -87,8 +87,10 @@ func asStep(op, sel byte, x, y uint16, v byte) []byte {
 // (across pages and off the end), CopyFrame in both directions and within
 // one space, and EqualFrames. The second space spans three frame leaves,
 // the last one partly, so steps cross leaf boundaries and alternate between
-// leaves. Every read, EqualFrames answer and, after every step,
-// WrittenPages must match the model, as must every byte at the end.
+// leaves. Extents cross the 8-byte boundary between the inline and the
+// long form in both directions. Every read, EqualFrames answer and, after
+// every step, WrittenPages must match the model, as must every byte at the
+// end.
 func FuzzAddressSpace(f *testing.F) {
 	// The stale tail: a full frame shrunk by copying an 8-byte frame over
 	// it keeps its capacity; growing it again by one byte at offset 100
@@ -127,6 +129,45 @@ func FuzzAddressSpace(f *testing.F) {
 		asStep(asOpCopyFrame, 1, 129, 1, 0),
 		asStep(asOpEqualFrames, 1, 1, 129, 0),
 		asStep(asOpRead, 1|win8, PageSize, 64, 0),
+	}, nil))
+	// An extent that grows from 8 to 9 bytes moves from its inline slot to
+	// the leaf's long table and must keep its first 8 bytes, then a long
+	// extent shrinks to a quadword and regrows. Space a's one leaf ends up
+	// holding both forms: pages 0 and 1 long, pages 2 and 3 inline.
+	f.Add(bytes.Join([][]byte{
+		asStep(asOpWrite, 0, PageSize, 8, 3),
+		asStep(asOpWrite, 0, PageSize+8, 1, 5),
+		asStep(asOpRead, 0, PageSize, 16, 0),
+		asStep(asOpWrite, 0, 2*PageSize+2, 3, 7),
+		asStep(asOpCopyFrame, 0, 0, 1, 0),
+		asStep(asOpRead, 0, PageSize-4, 32, 0),
+		asStep(asOpWrite, 0, 3*PageSize, 8, 9),
+		asStep(asOpEqualFrames, 0, 3, 1, 0),
+		asStep(asOpCopyFrame, 0, 1, 3, 0),
+		asStep(asOpRead, 0, PageSize, 16, 0),
+		asStep(asOpWrite, 0, PageSize+12, 1, 11),
+		asStep(asOpRead, 0, PageSize, 16, 0),
+		asStep(asOpEqualFrames, 0, 1, 3, 0),
+	}, nil))
+	// The stale tail in both forms, down to an empty extent: a long extent
+	// and an inline one each shrunk by copying a shorter frame over it,
+	// then read and regrown within capacity, and a long extent emptied by
+	// an absent frame, then written past its old length.
+	f.Add(bytes.Join([][]byte{
+		asStep(asOpWrite, 0, 0, 100, 1),
+		asStep(asOpWrite, 1, 0, 5, 3),
+		asStep(asOpCopyFrame, 2, 0, 0, 0),
+		asStep(asOpRead, 0, 0, 16, 0),
+		asStep(asOpWrite, 0, 12, 1, 9),
+		asStep(asOpRead, 0, 0, 128, 0),
+		asStep(asOpWrite, 0, 2*PageSize, 8, 5),
+		asStep(asOpCopyFrame, 2, 2, 0, 0),
+		asStep(asOpWrite, 0, 2*PageSize+7, 1, 2),
+		asStep(asOpRead, 0, 2*PageSize, 8, 0),
+		asStep(asOpCopyFrame, 2, 0, 7, 0),
+		asStep(asOpRead, 0, 0, 16, 0),
+		asStep(asOpWrite, 0, 50, 1, 4),
+		asStep(asOpRead, 0, 0, 64, 0),
 	}, nil))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const bPages = 2*leafPages + 5
@@ -223,6 +264,58 @@ func TestAddressSpaceSparseAlloc(t *testing.T) {
 			t.Errorf("a write at frame %#x allocated %d bytes, budget %d", p, got, budget)
 		} else {
 			t.Logf("a write at frame %#x allocated %d bytes", p, got)
+		}
+	}
+}
+
+// TestQuadwordPagesAllocFree pins the layouts that keep a page from costing
+// its own heap object: once a frame leaf or a level-4 page-table leaf exists,
+// a quadword Write to an unwritten page of that frame leaf, a CopyFrame of a
+// quadword page onto an absent page of it, and Map and Lookup within that
+// page-table leaf each allocate nothing. A leaf of per-page slices costs
+// one allocation for each of the first two.
+func TestQuadwordPagesAllocFree(t *testing.T) {
+	const runs = leafPages/3 - 1 // AllocsPerRun calls each case runs+1 times
+	val := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	dst, src := NewAddressSpace("dst", 1<<20), NewAddressSpace("src", 1<<20)
+	for _, err := range []error{dst.Write(0, val), src.Write(0, val)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	pt := NewPageTable()
+	pt.Map(0, 100, PermRW)
+	next := PFN(1)
+	for _, c := range []struct {
+		name string
+		fn   func(p PFN) error
+	}{
+		{"a quadword Write to an unwritten page", func(p PFN) error { return dst.Write(p.Base(), val) }},
+		{"CopyFrame of a quadword page onto an absent page", func(p PFN) error { return CopyFrame(dst, p, src, 0) }},
+		{"PageTable.Map and Lookup", func(p PFN) error {
+			pt.Map(p, p+100, PermRW)
+			if w := pt.Lookup(p, PermWrite); w.PFN != p+100 {
+				t.Errorf("Lookup(%d) = %+v", p, w)
+			}
+			return nil
+		}},
+	} {
+		if n := testing.AllocsPerRun(runs, func() {
+			if err := c.fn(next); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}); n != 0 {
+			t.Errorf("%s allocated %v times per call, want 0", c.name, n)
+		}
+	}
+	if next > leafPages {
+		t.Fatalf("the calls reached page %d; every page must lie in leaf 0", next-1)
+	}
+	got := make([]byte, minFrame)
+	for p := PFN(1); p < 1+2*(runs+1); p++ {
+		if err := dst.Read(p.Base(), got); err != nil || !bytes.Equal(got, val) {
+			t.Fatalf("page %d reads %v, %v; want %v", p, got, err, val)
 		}
 	}
 }

@@ -40,8 +40,8 @@ func TestAddressSpaceCrossPage(t *testing.T) {
 	}
 	resident := 0
 	for _, leaf := range as.leaves {
-		for _, f := range leaf {
-			if f != nil {
+		for i := range PFN(leafPages) {
+			if len(leaf.extent(i)) != 0 {
 				resident++
 			}
 		}

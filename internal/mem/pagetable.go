@@ -44,31 +44,41 @@ func (p Perm) String() string {
 // A PageTable is not safe for concurrent use, even by readers only: Lookup
 // stamps A/D bits and updates the last-leaf cache.
 type PageTable struct {
-	root   *ptNode // nil until the first mapping: an empty table costs no node
+	root   *ptRoot // nil until the first mapping: an empty table costs no node
 	mapped int
-	// last caches the level-4 node a walk last reached, and lastKey its
-	// prefix (from >> 9), so consecutive frames under one node skip the
-	// descent. No generation guards it: interior nodes are freed or
-	// replaced only by Clear, which drops it.
-	last    *ptNode
+	// last caches the level-4 leaf a walk last reached, and lastKey its
+	// prefix (from >> 9), so consecutive frames under one leaf skip the
+	// descent. No generation guards it: nodes are freed or replaced only by
+	// Clear, which drops it.
+	last    *ptLeaf
 	lastKey PFN
 }
 
 // ptLevels is the radix depth: 4 levels of 9 bits cover 48-bit addresses.
 const ptLevels = 4
 
-type ptNode struct {
-	entries [512]ptEntry
-}
+// ptDir is an interior node, levels 1-3: 512 child pointers, 4 KiB.
+type ptDir[T any] [512]*T
 
-type ptEntry struct {
-	next     *ptNode // interior pointer (nil at leaf level)
-	pfn      PFN     // leaf target frame
-	perms    Perm
-	present  bool
-	accessed bool
-	dirty    bool
-}
+type (
+	ptRoot = ptDir[ptMid]
+	ptMid  = ptDir[ptLow]
+	ptLow  = ptDir[ptLeaf]
+)
+
+// ptLeaf is a level-4 node: 512 packed entries, 4 KiB with no pointer for
+// the allocator to zero or the collector to scan. An entry follows Intel's
+// EPT layout: R/W/X in bits 0-2 (the Perm bits), accessed in bit 8, dirty in
+// bit 9, present in bit 11 (ignored by hardware) and the target frame in
+// bits 12-63, which hold every frame of a 64-bit address.
+type ptLeaf [512]uint64
+
+const (
+	pteAccessed   = 1 << 8
+	pteDirty      = 1 << 9
+	ptePresent    = 1 << 11
+	pteFrameShift = 12
+)
 
 // NewPageTable returns an empty table. Its top-level node is allocated by
 // the first mapping, so tables that are never populated (an idle vIOMMU
@@ -77,72 +87,69 @@ func NewPageTable() *PageTable {
 	return &PageTable{}
 }
 
-// top returns the top-level node, allocating it for the first mapping.
-func (t *PageTable) top() *ptNode {
-	if t.root == nil {
-		t.root = &ptNode{}
+// child returns the node *slot points to, allocating it when absent.
+func child[T any](slot **T) *T {
+	if *slot == nil {
+		*slot = new(T)
 	}
-	return t.root
+	return *slot
 }
 
 // Map installs a translation from frame from to frame to with the given
-// permissions, building intermediate levels as needed. Remapping an existing
-// entry overwrites it.
+// permissions (only R, W and X are kept), building intermediate levels as
+// needed. Remapping an existing entry overwrites it and clears its A/D bits.
 func (t *PageTable) Map(from, to PFN, perms Perm) {
-	node, _ := t.levelFour(from)
-	if node == nil {
-		node = t.top()
-		for shift := 9 * (ptLevels - 1); shift > 0; shift -= 9 {
-			e := &node.entries[from>>shift&0x1ff]
-			if e.next == nil {
-				e.next = &ptNode{}
-				e.present = true
-			}
-			node = e.next
-		}
-		t.last, t.lastKey = node, from>>9
+	leaf, _ := t.levelFour(from)
+	if leaf == nil {
+		root := child(&t.root)
+		mid := child(&root[from>>27&0x1ff])
+		low := child(&mid[from>>18&0x1ff])
+		leaf = child(&low[from>>9&0x1ff])
+		t.last, t.lastKey = leaf, from>>9
 	}
-	leaf := &node.entries[from&0x1ff]
-	if !leaf.present {
+	e := &leaf[from&0x1ff]
+	if *e&ptePresent == 0 {
 		t.mapped++
 	}
-	*leaf = ptEntry{pfn: to, perms: perms, present: true}
+	*e = uint64(to)<<pteFrameShift | ptePresent | uint64(perms&PermRWX)
 }
 
 // Unmap removes a translation, reporting whether one existed.
 func (t *PageTable) Unmap(from PFN) bool {
-	node, _ := t.levelFour(from)
-	if node == nil {
+	leaf, _ := t.levelFour(from)
+	if leaf == nil || leaf[from&0x1ff]&ptePresent == 0 {
 		return false
 	}
-	leaf := &node.entries[from&0x1ff]
-	if !leaf.present {
-		return false
-	}
-	*leaf = ptEntry{}
+	leaf[from&0x1ff] = 0
 	t.mapped--
 	return true
 }
 
-// levelFour returns the level-4 node covering frame from, caching it, and
+// levelFour returns the level-4 leaf covering frame from, caching it, and
 // the number of nodes a walk visits above it. A walk that stops early on a
 // missing entry returns nil and the nodes it visited; an empty table counts
 // its absent top level as one.
-func (t *PageTable) levelFour(from PFN) (*ptNode, int) {
+func (t *PageTable) levelFour(from PFN) (*ptLeaf, int) {
 	if t.last != nil && t.lastKey == from>>9 {
 		return t.last, ptLevels - 1
 	}
 	if t.root == nil {
 		return nil, 1
 	}
-	node := t.root
-	for shift := 9 * (ptLevels - 1); shift > 0; shift -= 9 {
-		if node = node.entries[from>>shift&0x1ff].next; node == nil {
-			return nil, ptLevels - shift/9
-		}
+	mid := t.root[from>>27&0x1ff]
+	if mid == nil {
+		return nil, 1
 	}
-	t.last, t.lastKey = node, from>>9
-	return node, ptLevels - 1
+	low := mid[from>>18&0x1ff]
+	if low == nil {
+		return nil, 2
+	}
+	leaf := low[from>>9&0x1ff]
+	if leaf == nil {
+		return nil, 3
+	}
+	t.last, t.lastKey = leaf, from>>9
+	return leaf, ptLevels - 1
 }
 
 // Walk describes the result of a page-table walk.
@@ -162,24 +169,26 @@ type Walk struct {
 // Lookup walks the table for frame from, setting accessed (and, for write
 // access, dirty) bits like hardware A/D-bit tracking. A hit in the last-leaf
 // cache reports the same Walk, LevelsTouched included, as the full descent.
+// Lookup is on the exit path, so it checks the cache itself: a hit then
+// costs no call, and levelFour, with its descent, is too large to inline.
 func (t *PageTable) Lookup(from PFN, access Perm) Walk {
-	node, levels := t.levelFour(from)
-	if node == nil {
-		return Walk{LevelsTouched: levels}
+	leaf, levels := t.last, ptLevels-1
+	if leaf == nil || t.lastKey != from>>9 {
+		if leaf, levels = t.levelFour(from); leaf == nil {
+			return Walk{LevelsTouched: levels}
+		}
 	}
-	w := Walk{LevelsTouched: levels + 1}
-	leaf := &node.entries[from&0x1ff]
-	if !leaf.present {
-		return w
+	e := leaf[from&0x1ff]
+	if e&ptePresent == 0 {
+		return Walk{LevelsTouched: levels + 1}
 	}
-	w.Present = true
-	w.PFN = leaf.pfn
-	w.Perms = leaf.perms
-	leaf.accessed = true
-	if access.Has(PermWrite) && leaf.perms.Has(PermWrite) {
-		leaf.dirty = true
+	perms := Perm(e & uint64(PermRWX))
+	e |= pteAccessed
+	if access.Has(PermWrite) && perms.Has(PermWrite) {
+		e |= pteDirty
 	}
-	return w
+	leaf[from&0x1ff] = e
+	return Walk{PFN: PFN(e >> pteFrameShift), Perms: perms, Present: true, LevelsTouched: levels + 1}
 }
 
 // Translate converts a byte address through the table, preserving the page
@@ -216,21 +225,35 @@ type Entry struct {
 // exposing the hardware A/D bits Lookup maintains — the view a hypervisor's
 // dirty-page scanner has of an EPT.
 func (t *PageTable) ForEachEntry(fn func(Entry)) {
-	var walk func(n *ptNode, prefix PFN, level int)
-	walk = func(n *ptNode, prefix PFN, level int) {
-		for i := range n.entries {
-			e := &n.entries[i]
-			p := prefix<<9 | PFN(i)
-			switch {
-			case e.next != nil:
-				walk(e.next, p, level+1)
-			case level == ptLevels-1 && e.present:
-				fn(Entry{From: p, To: e.pfn, Perms: e.perms, Accessed: e.accessed, Dirty: e.dirty})
+	if t.root == nil {
+		return
+	}
+	for i, mid := range t.root {
+		if mid == nil {
+			continue
+		}
+		for j, low := range mid {
+			if low == nil {
+				continue
+			}
+			for k, leaf := range low {
+				if leaf == nil {
+					continue
+				}
+				for s, e := range leaf {
+					if e&ptePresent == 0 {
+						continue
+					}
+					fn(Entry{
+						From:     PFN(i)<<27 | PFN(j)<<18 | PFN(k)<<9 | PFN(s),
+						To:       PFN(e >> pteFrameShift),
+						Perms:    Perm(e & uint64(PermRWX)),
+						Accessed: e&pteAccessed != 0,
+						Dirty:    e&pteDirty != 0,
+					})
+				}
 			}
 		}
-	}
-	if t.root != nil {
-		walk(t.root, 0, 0)
 	}
 }
 

@@ -66,8 +66,8 @@ func (r *refTable) sorted() []Entry {
 }
 
 // Page-table fuzz steps are ptStepLen-byte records: an opcode, a
-// little-endian 16-bit frame operand x, a target byte and an argument byte
-// (permissions, access kind or page offset).
+// little-endian 16-bit frame operand x, a little-endian 16-bit target
+// operand and an argument byte (permissions, access kind or page offset).
 const (
 	ptOpMap = iota
 	ptOpUnmap
@@ -78,7 +78,7 @@ const (
 	ptOpClear
 	ptNumOps
 
-	ptStepLen = 5
+	ptStepLen = 6
 
 	// ptRelative in the opcode byte keeps the previous step's level-4 node
 	// and takes only the slot from x, so random inputs revisit the cached
@@ -86,8 +86,8 @@ const (
 	ptRelative = 0x80
 )
 
-func ptStep(op byte, x uint16, to, arg byte) []byte {
-	return []byte{op, byte(x), byte(x >> 8), to, arg}
+func ptStep(op byte, x, to uint16, arg byte) []byte {
+	return []byte{op, byte(x), byte(x >> 8), byte(to), byte(to >> 8), arg}
 }
 
 // ptFrame spreads a 16-bit operand over the radix, staying below 2^36:
@@ -98,12 +98,31 @@ func ptFrame(x uint16) PFN {
 	return PFN(x&0x3ff) | PFN(x>>10&3)<<18 | PFN(x>>12&3)<<27 | PFN(x>>14)<<34
 }
 
+// ptTarget spreads a 16-bit operand over the 52 bits of a target frame:
+// bits 14-15 pick a region, near 0, just past 2^32 (where a 32-bit field
+// wraps), just below 2^52 (2^52-1 is the last frame of a 64-bit address)
+// or in bits 38-51, and bits 0-13 the frame within it.
+func ptTarget(y uint16) PFN {
+	low := PFN(y & 0x3fff)
+	switch y >> 14 {
+	case 0:
+		return low
+	case 1:
+		return 1<<32 | low
+	case 2:
+		return 1<<52 - 1 - low
+	default:
+		return low << 38
+	}
+}
+
 // FuzzPageTable checks the radix table, with its last-leaf walk cache,
 // against a map over interleaved Map, Unmap, Lookup (no access, read and
-// write), Translate and Clear. Every Walk must match the reference,
-// LevelsTouched included, as must Unmap's and Translate's answers; after
-// every step Mapped and the ForEachEntry sequence (order, targets, perms
-// and A/D bits) must match too.
+// write), Translate and Clear, with targets up to 2^52-1 and every R/W/X
+// combination. Every Walk must match the reference, LevelsTouched
+// included, as must Unmap's and Translate's answers; after every step
+// Mapped and the ForEachEntry sequence (order, targets, perms and A/D bits)
+// must match too.
 func FuzzPageTable(f *testing.F) {
 	// A sequential run of mappings that crosses from one level-4 node into
 	// the next, then lookups that alternate between the two nodes at the
@@ -148,11 +167,34 @@ func FuzzPageTable(f *testing.F) {
 		ptStep(ptOpMap, 0xc000, 93, byte(PermRW)),
 		ptStep(ptOpLookupWrite|ptRelative, 0x1ff, 0, 0),
 	}, nil))
+	// High targets, each under another permission combination, looked up
+	// and translated: a packed entry that drops a target bit above bit 31,
+	// or mixes the target into the A/D or permission bits, answers wrongly.
+	const past32, top52, high38 = 1 << 14, 2 << 14, 3 << 14
+	f.Add(bytes.Join([][]byte{
+		ptStep(ptOpMap, 0x10, past32|5, 0),
+		ptStep(ptOpMap, 0x11, top52, byte(PermRead)),
+		ptStep(ptOpMap, 0x12, top52|1, byte(PermWrite)),
+		ptStep(ptOpMap, 0x13, high38|0x3fff, byte(PermRW)),
+		ptStep(ptOpMap, 0x14, past32, byte(PermExec)),
+		ptStep(ptOpMap, 0x15, high38|1, byte(PermRead|PermExec)),
+		ptStep(ptOpMap, 0x16, top52|0x3fff, byte(PermWrite|PermExec)),
+		ptStep(ptOpMap, 0x17, 0x3fff, byte(PermRWX)),
+		ptStep(ptOpLookupWrite, 0x11, 0, 0),
+		ptStep(ptOpLookupWrite, 0x12, 0, 0),
+		ptStep(ptOpLookupRead, 0x13, 0, 0),
+		ptStep(ptOpLookupWrite, 0x16, 0, 0),
+		ptStep(ptOpTranslate, 0x11, 0, 0xf1),
+		ptStep(ptOpTranslate, 0x13, 0, 0xf3),
+		ptStep(ptOpTranslate, 0x17, 0, 0xf6),
+		ptStep(ptOpMap, 0x11, past32|1, byte(PermRW)),
+		ptStep(ptOpLookupNone, 0x11, 0, 0),
+	}, nil))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		pt, ref := NewPageTable(), newRefTable()
 		var prev PFN
 		for step := 0; len(ops) >= ptStepLen; step++ {
-			op, x, to, arg := (ops[0]&^ptRelative)%ptNumOps, binary.LittleEndian.Uint16(ops[1:]), PFN(ops[3]), ops[4]
+			op, x, to, arg := (ops[0]&^ptRelative)%ptNumOps, binary.LittleEndian.Uint16(ops[1:]), ptTarget(binary.LittleEndian.Uint16(ops[3:])), ops[5]
 			p := ptFrame(x)
 			if ops[0]&ptRelative != 0 {
 				p = prev&^0x1ff | PFN(x&0x1ff)
