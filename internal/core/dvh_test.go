@@ -326,7 +326,7 @@ func TestVPDMAWritesInvisibleToGuestDirtyLog(t *testing.T) {
 	if got := l2.CollectDirty(); len(got) != 0 {
 		t.Fatalf("guest-visible dirty log saw DMA pages %v; it must not", got)
 	}
-	dma := vp.CollectDMADirty()
+	dma := vp.HostDirty.PFNs()
 	if len(dma) != 1 || dma[0] != pageOf(buf) {
 		t.Fatalf("host DMA dirty log = %v, want [%d]", dma, pageOf(buf))
 	}

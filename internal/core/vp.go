@@ -206,13 +206,17 @@ func (vp *VPState) ensureShadow(p mem.PFN) (mem.PFN, error) {
 			return 0, err
 		}
 		if di >= 0 {
-			vp.Domains[di].Table.Map(frame, target, mem.PermRW)
+			if err := vp.Domains[di].Table.Map(frame, target, mem.PermRW); err != nil {
+				return 0, err
+			}
 			di--
 		}
 		frame = target
 		cur = cur.Owner.HostVM
 	}
-	vp.Shadow.Map(p, frame, mem.PermRW)
+	if err := vp.Shadow.Map(p, frame, mem.PermRW); err != nil {
+		return 0, err
+	}
 	return frame, nil
 }
 
@@ -258,14 +262,6 @@ func (v *vpDMA) Write(a mem.Addr, buf []byte) error {
 		v.vp.HostDirty.Set(uint64(page))
 		return v.vp.holder.Memory().Write(l1, buf[off:off+step])
 	})
-}
-
-// CollectDMADirty drains the DMA dirty log — the data the migration
-// capability exposes to the guest hypervisor per pre-copy round.
-func (vp *VPState) CollectDMADirty() []mem.PFN {
-	out := vp.HostDirty.PFNs()
-	vp.HostDirty.Reset()
-	return out
 }
 
 // vpDeviceState is the serialized device state the host captures for the

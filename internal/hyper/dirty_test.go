@@ -2,7 +2,9 @@ package hyper
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,33 +132,38 @@ func TestAllocPagesExhaustionIsError(t *testing.T) {
 	}
 }
 
-// TestCopyPageMatchesReadWrite: CopyPageTo must leave both chains exactly as
-// a whole-page Read from the source plus a full-page Write to the
-// destination do. Two identical source/destination stack pairs start from
-// the same absent, short (8-byte) and full source and destination frames,
-// at L1 and at L2; one pair transfers with CopyPageTo, the other with Read
-// and Write, with dirty logging on at every VM level. The destination bytes,
-// every VM's written and dirty frames, host memory's written frames and
-// every EPT's A/D bits must then agree.
+// TestCopyPageMatchesReadWrite: the page-run operations must leave both
+// chains exactly as their per-page forms do. Two identical source and
+// destination stack pairs start from the same absent, short (8-byte) and
+// full frames, at L1 and at L2, with dirty logging on at every VM level.
+// The page set holds runs and gaps that cross a 64-frame host leaf, a
+// 512-entry EPT leaf and a 32,768-bit bitmap chunk. One pair then runs
+// WritePageQuads over each run, CopyPagesTo and DiffPages; the other runs
+// WriteU64 per page, a whole-page Read from the source plus a full-page
+// Write to the destination per page, and a whole-page Read of both per
+// page. After each phase every VM's written and dirty frames, host memory's
+// written frames and every EPT's A/D bits must agree, as must the
+// destination bytes and the pages DiffPages reports.
 func TestCopyPageMatchesReadWrite(t *testing.T) {
 	fills := []int{0, 8, mem.PageSize}
+	var pages []mem.PFN
+	for _, r := range [][2]mem.PFN{{60, 70}, {500, 530}, {1000, 1001}, {1002, 1003}, {32760, 32780}, {40000, 40001}} {
+		for p := r[0]; p < r[1]; p++ {
+			pages = append(pages, p)
+		}
+	}
 	for _, level := range []int{1, 2} {
 		t.Run(fmt.Sprintf("L%d", level), func(t *testing.T) {
-			var stacks [2][2][]*VM // [CopyPageTo, Read+Write][source, destination]
+			var stacks [2][2][]*VM // [runs, per page][source, destination]
 			for i := range stacks {
 				for j := range stacks[i] {
 					_, stacks[i][j] = testStack(t, level)
 				}
 			}
-			var pages []mem.PFN
-			for si, sn := range fills {
-				for di, dn := range fills {
-					p := mem.PFN(64 + len(pages))
-					pages = append(pages, p)
-					for _, pair := range stacks {
-						fillPage(t, pair[0][level-1], p, sn, byte(1+si))
-						fillPage(t, pair[1][level-1], p, dn, byte(0x80+di))
-					}
+			for i, p := range pages {
+				for _, pair := range stacks {
+					fillPage(t, pair[0][level-1], p, fills[i%3], byte(1+i))
+					fillPage(t, pair[1][level-1], p, fills[i/3%3], byte(0x80+i))
 				}
 			}
 			for _, pair := range stacks {
@@ -166,13 +173,46 @@ func TestCopyPageMatchesReadWrite(t *testing.T) {
 					}
 				}
 			}
-			buf := make([]byte, mem.PageSize)
-			for _, p := range pages {
-				src, dst := stacks[0][0][level-1].Memory(), stacks[0][1][level-1].Memory()
-				if err := src.CopyPageTo(dst, p); err != nil {
+			mems := func(i int) (src, dst *GuestMemory) {
+				return stacks[i][0][level-1].Memory(), stacks[i][1][level-1].Memory()
+			}
+			agree := func(phase string) {
+				t.Helper()
+				for j, side := range []string{"source", "destination"} {
+					if got, want := transferState(stacks[0][j]), transferState(stacks[1][j]); got != want {
+						t.Fatalf("%s: %s after the runs:\n%s\nafter the per-page forms:\n%s", phase, side, got, want)
+					}
+				}
+			}
+
+			// The run write on every other run of the page set.
+			src, _ := mems(0)
+			ref, _ := mems(1)
+			val := func(i int) uint64 { return 0x5eed0000 + uint64(i)*3 }
+			var next int
+			forRuns(pages, func(p mem.PFN, n int) error {
+				if next++; next%2 == 0 {
+					return nil
+				}
+				if err := src.WritePageQuads(p, n, val); err != nil {
 					t.Fatal(err)
 				}
-				src, dst = stacks[1][0][level-1].Memory(), stacks[1][1][level-1].Memory()
+				for i := range n {
+					if err := ref.WriteU64((p + mem.PFN(i)).Base(), val(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return nil
+			})
+			agree("WritePageQuads")
+
+			src, dst := mems(0)
+			if err := src.CopyPagesTo(dst, pages); err != nil {
+				t.Fatal(err)
+			}
+			src, dst = mems(1)
+			buf := make([]byte, mem.PageSize)
+			for _, p := range pages {
 				if err := src.Read(p.Base(), buf); err != nil {
 					t.Fatal(err)
 				}
@@ -180,26 +220,141 @@ func TestCopyPageMatchesReadWrite(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for j, side := range []string{"source", "destination"} {
-				if got, want := transferState(stacks[0][j]), transferState(stacks[1][j]); got != want {
-					t.Fatalf("%s after CopyPageTo:\n%s\nafter Read+Write:\n%s", side, got, want)
-				}
-			}
-			got, want := make([]byte, mem.PageSize), make([]byte, mem.PageSize)
-			for _, p := range pages {
-				for i, out := range [][]byte{got, want} {
-					if err := stacks[i][1][level-1].Memory().Read(p.Base(), out); err != nil {
+			agree("CopyPagesTo")
+
+			// Make the destinations differ on a few pages, one at each end of
+			// a run, then compare every page.
+			for i := range stacks {
+				_, dst := mems(i)
+				for _, p := range []mem.PFN{60, 529, 1002, 32768} {
+					if err := dst.WriteU64(p.Base()+16, 0xbad); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if err := stacks[1][0][level-1].Memory().Read(p.Base(), buf); err != nil {
-					t.Fatal(err)
+			}
+			src, dst = mems(0)
+			diff, err := src.DiffPages(dst, pages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, dst = mems(1)
+			var want []mem.PFN
+			got := make([]byte, mem.PageSize)
+			for _, p := range pages {
+				for _, rd := range []struct {
+					g   *GuestMemory
+					out []byte
+				}{{src, buf}, {dst, got}} {
+					if err := rd.g.Read(p.Base(), rd.out); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if !bytes.Equal(got, want) || !bytes.Equal(got, buf) {
-					t.Fatalf("frame %#x: CopyPageTo left bytes differing from Read+Write or from the source", uint64(p))
+				if !bytes.Equal(buf, got) {
+					want = append(want, p)
 				}
 			}
+			if !slices.Equal(diff, want) || len(want) != 4 {
+				t.Fatalf("DiffPages = %v, per-page reads differ on %v; want the 4 pages written after the copy", diff, want)
+			}
+			agree("DiffPages")
 		})
+	}
+}
+
+// TestRunsFollowEntriesMappedElsewhere: no code path maps an EPT entry
+// anywhere but its VM's carve, but the walker must still honour one the way
+// the per-page walk does. On twin L2 stacks, an L2 entry inside a run and an
+// L1 entry under another page of it are remapped elsewhere; a run write over
+// the pages must then leave the same EPTs, written and dirty sets and host
+// written frames as one WriteU64 per page, and put each page's value in the
+// host frame the EPT entries lead to.
+func TestRunsFollowEntriesMappedElsewhere(t *testing.T) {
+	var twins [2][]*VM
+	for i := range twins {
+		_, vms := testStack(t, 2)
+		l1, l2 := vms[0], vms[1]
+		base, err := l2.EnsureMapped(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l2.EPT.Map(7, base+100, mem.PermRWX)
+		l1.EPT.Map(base+5, 1<<20, mem.PermRWX)
+		for _, vm := range vms {
+			vm.StartDirtyLog()
+		}
+		twins[i] = vms
+	}
+	val := func(i int) uint64 { return 0xa110c + uint64(i) }
+	if err := twins[0][1].Memory().WritePageQuads(0, 12, val); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 12 {
+		if err := twins[1][1].Memory().WriteU64(mem.PFN(i).Base(), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := transferState(twins[0]), transferState(twins[1]); got != want {
+		t.Fatalf("after WritePageQuads:\n%s\nafter WriteU64 per page:\n%s", got, want)
+	}
+	// Each page's value must sit in the host frame the two EPTs' own
+	// entries lead to.
+	for _, p := range []mem.PFN{4, 5, 6, 7, 8, 11} {
+		var got [2]uint64
+		for i, vms := range twins {
+			l1f := vms[1].EPT.Lookup(p, 0)
+			h := vms[0].EPT.Lookup(l1f.PFN, 0)
+			var b [8]byte
+			if err := vms[0].Owner.Machine.Memory.Read(h.PFN.Base(), b[:]); err != nil || !l1f.Present || !h.Present {
+				t.Fatalf("page %d: walk %+v, %+v: %v", p, l1f, h, err)
+			}
+			got[i] = binary.LittleEndian.Uint64(b[:])
+		}
+		if got[0] != got[1] || got[0] != val(int(p)) {
+			t.Fatalf("page %d holds %#x after the run, %#x per page; want %#x", p, got[0], got[1], val(int(p)))
+		}
+	}
+}
+
+// TestRunErrorsLandOnTheSamePage: a run that reaches past the guest's RAM
+// must fail where the per-page walk fails, with the same error, after the
+// same pages, and touch no level for a page past the failing one. On twin
+// L2 stacks, a three-page Write and a three-page WritePageQuads starting two
+// pages before the end of RAM run against the same writes made one page at
+// a time; the errors and every EPT entry, written set, dirty log and host
+// written set must agree.
+func TestRunErrorsLandOnTheSamePage(t *testing.T) {
+	var twins [2][]*VM
+	for i := range twins {
+		_, twins[i] = testStack(t, 2)
+		for _, vm := range twins[i] {
+			vm.StartDirtyLog()
+		}
+	}
+	end := twins[0][1].NumPages
+	buf := bytes.Repeat([]byte{7}, 3*mem.PageSize)
+	val := func(i int) uint64 { return uint64(i) + 9 }
+	run := twins[0][1].Memory()
+	errs := [2][2]error{
+		{run.Write((end - 2).Base(), buf), run.WritePageQuads(end-2, 3, val)},
+	}
+	one := twins[1][1].Memory()
+	for i := range 3 {
+		if errs[1][0] = one.Write((end - 2 + mem.PFN(i)).Base(), buf[:mem.PageSize]); errs[1][0] != nil {
+			break
+		}
+	}
+	for i := range 3 {
+		if errs[1][1] = one.WriteU64((end - 2 + mem.PFN(i)).Base(), val(i)); errs[1][1] != nil {
+			break
+		}
+	}
+	for k, what := range []string{"Write", "WritePageQuads"} {
+		if errs[0][k] == nil || fmt.Sprint(errs[0][k]) != fmt.Sprint(errs[1][k]) {
+			t.Fatalf("%s past the end of RAM: error %v, one page at a time %v", what, errs[0][k], errs[1][k])
+		}
+	}
+	if got, want := transferState(twins[0]), transferState(twins[1]); got != want {
+		t.Fatalf("after the runs:\n%s\none page at a time:\n%s", got, want)
 	}
 }
 

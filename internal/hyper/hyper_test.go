@@ -368,12 +368,12 @@ func TestGuestMemoryReadWriteThroughChain(t *testing.T) {
 		t.Fatalf("round trip got %q", buf)
 	}
 	// The same bytes must be visible at the translated host address.
-	host, err := l2.translateToHost(addr, mem.PermRead)
+	host, _, err := l2.translateRun(mem.PageOf(addr), 1, mem.PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := make([]byte, len(data))
-	if err := vms[0].Owner.Machine.Memory.Read(host, raw); err != nil {
+	if err := vms[0].Owner.Machine.Memory.Read(host.Base()+addr%mem.PageSize, raw); err != nil {
 		t.Fatal(err)
 	}
 	if string(raw) != string(data) {

@@ -284,40 +284,78 @@ func (vm *VM) AllocMMIO(size int) mem.Addr {
 }
 
 // EnsureMapped installs the EPT translation for a guest frame (identity plus
-// the VM's carve base), the lazy fault-in a hypervisor performs.
+// the VM's carve base), the lazy fault-in a hypervisor performs, and returns
+// the frame it maps to.
 func (vm *VM) EnsureMapped(p mem.PFN) (mem.PFN, error) {
-	return vm.ensureMapped(p, 0)
+	f, _, err := vm.ensureRun(p, 1, 0)
+	return f, err
 }
 
-// ensureMapped is EnsureMapped carrying the access kind, so the EPT's
-// hardware A/D bits track the access like a real walk would.
-func (vm *VM) ensureMapped(p mem.PFN, access mem.Perm) (mem.PFN, error) {
+// ensureRun faults in this VM's EPT for guest frames [p, p+n), stamping the
+// hardware A/D bits for the access kind like a real walk would, and returns
+// the frame p maps to and how many of the frames, at least one, map on from
+// it consecutively. A run stops early at an entry that maps elsewhere; when
+// p's own entry does, ensureRun follows it for one page. The caller keeps
+// the run inside the VM's RAM (holds), so only p is checked.
+func (vm *VM) ensureRun(p mem.PFN, n int, access mem.Perm) (mem.PFN, int, error) {
 	if p >= vm.NumPages {
-		return 0, fmt.Errorf("hyper: VM %s access beyond RAM: frame %#x", vm.Name, uint64(p))
+		return 0, 0, fmt.Errorf("hyper: VM %s access beyond RAM: frame %#x", vm.Name, uint64(p))
 	}
-	if w := vm.EPT.Lookup(p, access); w.Present {
-		return w.PFN, nil
+	if n == 1 {
+		// One present page: Lookup, the hardware walk, stamps and follows
+		// it as the run would, for less.
+		if w := vm.EPT.Lookup(p, access); w.Present {
+			return w.PFN, 1, nil
+		}
 	}
 	target := vm.parentBase + p
-	vm.EPT.Map(p, target, mem.PermRWX)
-	if access != 0 {
-		vm.EPT.Lookup(p, access) // stamp A/D on the fresh mapping
+	k, err := vm.EPT.EnsureRun(p, target, n, mem.PermRWX, access)
+	if err != nil {
+		return 0, 0, err
 	}
-	return target, nil
+	if k == 0 {
+		return vm.EPT.Lookup(p, access).PFN, 1, nil
+	}
+	return target, k, nil
 }
 
-// translateToHost resolves a guest-physical address down the whole nesting
-// chain to a machine physical address, faulting mappings in along the way.
-func (vm *VM) translateToHost(a mem.Addr, access mem.Perm) (mem.Addr, error) {
-	pf, err := vm.ensureMapped(mem.PageOf(a), access)
-	if err != nil {
-		return 0, err
+// translateRun resolves guest frames [p, p+n) down the whole nesting chain
+// to machine frames, faulting mappings in and stamping A/D bits along the
+// way, one EPT run per level. It returns p's machine frame and how many of
+// the frames, at least one, map to consecutive machine frames from it. It
+// leaves every level exactly as translating those frames one page at a time
+// would. The run is first clipped to the frames every level holds, so a
+// frame beyond some level's RAM fails alone, after the frames before it
+// translated and with no level touching a frame past it.
+func (vm *VM) translateRun(p mem.PFN, n int, access mem.Perm) (mem.PFN, int, error) {
+	if n > 1 {
+		n = vm.holds(p, n)
 	}
-	parentAddr := pf.Base() + (a & (mem.PageSize - 1))
-	if vm.Owner.HostVM == nil {
-		return parentAddr, nil
+	for cur := vm; ; cur = cur.Owner.HostVM {
+		f, k, err := cur.ensureRun(p, n, access)
+		if err != nil {
+			return 0, 0, err
+		}
+		if cur.Owner.HostVM == nil {
+			return f, k, nil
+		}
+		p, n = f, k
 	}
-	return vm.Owner.HostVM.translateToHost(parentAddr, access)
+}
+
+// holds returns how many of guest frames [p, p+n) every level of the chain
+// holds, translating identically, or 1 when p itself falls outside one, so
+// that the walk fails on it alone.
+func (vm *VM) holds(p mem.PFN, n int) int {
+	for cur := vm; cur != nil; cur = cur.Owner.HostVM {
+		end := min(cur.NumPages, mem.TableFrames)
+		if p >= end {
+			return 1
+		}
+		n = int(min(mem.PFN(n), end-p))
+		p += cur.parentBase
+	}
+	return n
 }
 
 // Memory returns a byte-addressable view of the VM's guest-physical memory,
@@ -335,13 +373,19 @@ func (vm *VM) StopDirtyLog() { vm.dirty = nil }
 
 // CollectDirty drains and resets the dirty log, returning the frames in
 // ascending order.
-func (vm *VM) CollectDirty() []mem.PFN {
+func (vm *VM) CollectDirty() []mem.PFN { return vm.DrainDirty(nil) }
+
+// DrainDirty is CollectDirty into a caller's buffer: it appends the logged
+// frames to dst in ascending order, resets the log and returns the extended
+// slice, so a migration draining the log every pre-copy round reuses one
+// buffer.
+func (vm *VM) DrainDirty(dst []mem.PFN) []mem.PFN {
 	if vm.dirty == nil {
-		return nil
+		return dst
 	}
-	out := vm.dirty.PFNs()
+	dst = vm.dirty.AppendPFNs(dst)
 	vm.dirty.Reset()
-	return out
+	return dst
 }
 
 // PeekDirty returns the currently logged dirty frames without draining the
@@ -356,18 +400,23 @@ func (vm *VM) PeekDirty() []mem.PFN {
 // WrittenPages returns every guest frame ever written, in ascending order.
 func (vm *VM) WrittenPages() []mem.PFN { return vm.written.PFNs() }
 
+// AppendWrittenPages is WrittenPages into a caller's buffer: it appends the
+// frames to dst and returns the extended slice.
+func (vm *VM) AppendWrittenPages(dst []mem.PFN) []mem.PFN { return vm.written.AppendPFNs(dst) }
+
 // Written reports whether a guest frame has ever been written.
 func (vm *VM) Written(p mem.PFN) bool { return vm.written.Test(uint64(p)) }
 
-// markWrite records a write for dirty tracking at this level and recurses to
-// the levels below (an L2 write dirties the containing L1 pages too).
-func (vm *VM) markWrite(p mem.PFN) {
-	vm.written.Set(uint64(p))
-	if vm.dirty != nil {
-		vm.dirty.Set(uint64(p))
-	}
-	if vm.Owner.HostVM != nil {
-		vm.Owner.HostVM.markWrite(vm.parentBase + p)
+// markRun records writes to guest frames [p, p+n) for dirty tracking at this
+// level and every level below (an L2 write dirties the containing L1 pages
+// too), one range per bitmap.
+func (vm *VM) markRun(p mem.PFN, n int) {
+	for cur := vm; cur != nil; cur = cur.Owner.HostVM {
+		cur.written.SetRange(uint64(p), uint64(n))
+		if cur.dirty != nil {
+			cur.dirty.SetRange(uint64(p), uint64(n))
+		}
+		p += cur.parentBase
 	}
 }
 
@@ -389,57 +438,130 @@ func (g *GuestMemory) Read(a mem.Addr, buf []byte) error {
 // Write copies bytes into guest memory, marking dirty pages at every level.
 func (g *GuestMemory) Write(a mem.Addr, buf []byte) error {
 	return g.chunked(a, len(buf), mem.PermWrite, func(host mem.Addr, off, n int) error {
-		g.vm.markWrite(mem.PageOf(a + mem.Addr(off)))
+		first := mem.PageOf(a + mem.Addr(off))
+		g.vm.markRun(first, int(mem.PageOf(a+mem.Addr(off+n-1))-first)+1)
 		return g.vm.Owner.Machine.Memory.Write(host, buf[off:off+n])
 	})
 }
 
-// CopyPageTo copies guest frame p of g over guest frame p of dst, the unit
-// of migration transfer. It translates, stamps EPT A/D bits and records
-// written and dirty frames at every level of both chains exactly as a
-// whole-page Read from g followed by a full-page Write to dst does, but
-// moves only the source frame's written extent.
-func (g *GuestMemory) CopyPageTo(dst *GuestMemory, p mem.PFN) error {
-	from, err := g.vm.translateToHost(p.Base(), mem.PermRead)
-	if err != nil {
-		return err
-	}
-	to, err := dst.vm.translateToHost(p.Base(), mem.PermWrite)
-	if err != nil {
-		return err
-	}
-	dst.vm.markWrite(p)
-	return mem.CopyFrame(dst.vm.Owner.Machine.Memory, mem.PageOf(to), g.vm.Owner.Machine.Memory, mem.PageOf(from))
-}
-
-// PageEqual reports whether guest frame p holds the same bytes in g and in
-// other, translating both as a Read of the whole page would.
-func (g *GuestMemory) PageEqual(other *GuestMemory, p mem.PFN) (bool, error) {
-	a, err := g.vm.translateToHost(p.Base(), mem.PermRead)
-	if err != nil {
-		return false, err
-	}
-	b, err := other.vm.translateToHost(p.Base(), mem.PermRead)
-	if err != nil {
-		return false, err
-	}
-	return mem.EqualFrames(g.vm.Owner.Machine.Memory, mem.PageOf(a), other.vm.Owner.Machine.Memory, mem.PageOf(b))
-}
-
-// chunked walks [a, a+n) page by page, translating each piece with the access
-// kind so EPT A/D bits at every level record it.
-func (g *GuestMemory) chunked(a mem.Addr, n int, access mem.Perm, fn func(host mem.Addr, off, n int) error) error {
-	off := 0
-	for n > 0 {
-		step := mem.PageSize - int(a&(mem.PageSize-1))
-		if step > n {
-			step = n
-		}
-		host, err := g.vm.translateToHost(a, access)
+// WritePageQuads writes val(i), little-endian, over the first quadword of
+// guest frame p+i for each i in [0, n), in ascending order, leaving both
+// chains exactly as n WriteU64 calls at those frame bases would: one
+// translation and one dirty mark per run of frames, and no allocation per
+// page.
+func (g *GuestMemory) WritePageQuads(p mem.PFN, n int, val func(i int) uint64) error {
+	host := g.vm.Owner.Machine.Memory
+	for done := 0; done < n; {
+		h, k, err := g.vm.translateRun(p, n-done, mem.PermWrite)
 		if err != nil {
 			return err
 		}
-		if err := fn(host, off, step); err != nil {
+		g.vm.markRun(p, k)
+		if err := host.WriteQuads(h, k, func(i int) uint64 { return val(done + i) }); err != nil {
+			return err
+		}
+		p, done = p+mem.PFN(k), done+k
+	}
+	return nil
+}
+
+// CopyPagesTo copies guest frames pages of g, in ascending order, over the
+// same guest frames of dst: the unit of migration transfer. It translates,
+// stamps EPT A/D bits and records written and dirty frames at every level
+// of both chains exactly as a whole-page Read from g followed by a
+// full-page Write to dst does for each page, but moves only the source
+// frames' written extents, and it walks each run of consecutive pages down
+// both chains once.
+func (g *GuestMemory) CopyPagesTo(dst *GuestMemory, pages []mem.PFN) error {
+	from, to := g.vm.Owner.Machine.Memory, dst.vm.Owner.Machine.Memory
+	return forRuns(pages, func(p mem.PFN, n int) error {
+		for n > 0 {
+			hs, hd, k, err := translatePair(g.vm, mem.PermRead, dst.vm, mem.PermWrite, p, n)
+			if err != nil {
+				return err
+			}
+			dst.vm.markRun(p, k)
+			if err := mem.CopyFrames(to, hd, from, hs, k); err != nil {
+				return err
+			}
+			p, n = p+mem.PFN(k), n-k
+		}
+		return nil
+	})
+}
+
+// DiffPages returns the guest frames of pages, in ascending order, whose
+// bytes differ between g and other, or nil when none do. It translates both
+// chains as a Read of each whole page would, one walk per run of
+// consecutive pages.
+func (g *GuestMemory) DiffPages(other *GuestMemory, pages []mem.PFN) ([]mem.PFN, error) {
+	am, bm := g.vm.Owner.Machine.Memory, other.vm.Owner.Machine.Memory
+	var diff []mem.PFN
+	err := forRuns(pages, func(p mem.PFN, n int) error {
+		for n > 0 {
+			ha, hb, k, err := translatePair(g.vm, mem.PermRead, other.vm, mem.PermRead, p, n)
+			if err != nil {
+				return err
+			}
+			same, err := mem.EqualFrames(am, ha, bm, hb, k)
+			if err != nil {
+				return err
+			}
+			if same < k {
+				diff = append(diff, p+mem.PFN(same))
+				k = same + 1
+			}
+			p, n = p+mem.PFN(k), n-k
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return diff, nil
+}
+
+// translatePair translates guest frames [p, p+n) down x's chain with access
+// ax, then down y's with ay, and returns p's machine frame in each and how
+// many of the frames, at least one, map consecutively in both. It clips the
+// run to what y's chain holds first, so a frame y cannot hold fails alone
+// and x translates no frame past it.
+func translatePair(x *VM, ax mem.Perm, y *VM, ay mem.Perm, p mem.PFN, n int) (hx, hy mem.PFN, k int, err error) {
+	if hx, k, err = x.translateRun(p, y.holds(p, n), ax); err == nil {
+		hy, k, err = y.translateRun(p, k, ay)
+	}
+	return hx, hy, k, err
+}
+
+// forRuns calls fn once for each maximal run of consecutive frames in the
+// ascending list pages, in order, stopping at the first error.
+func forRuns(pages []mem.PFN, fn func(p mem.PFN, n int) error) error {
+	for len(pages) > 0 {
+		n := 1
+		for n < len(pages) && pages[n] == pages[0]+mem.PFN(n) {
+			n++
+		}
+		if err := fn(pages[0], n); err != nil {
+			return err
+		}
+		pages = pages[n:]
+	}
+	return nil
+}
+
+// chunked walks [a, a+n) in runs of guest pages that map to consecutive
+// machine pages, translating each run with the access kind so EPT A/D bits
+// at every level record it, and hands fn each run's bytes.
+func (g *GuestMemory) chunked(a mem.Addr, n int, access mem.Perm, fn func(host mem.Addr, off, n int) error) error {
+	off := 0
+	for n > 0 {
+		p, in := mem.PageOf(a), int(a&(mem.PageSize-1))
+		h, k, err := g.vm.translateRun(p, (in+n+mem.PageSize-1)/mem.PageSize, access)
+		if err != nil {
+			return err
+		}
+		step := min(n, k*mem.PageSize-in)
+		if err := fn(h.Base()+mem.Addr(in), off, step); err != nil {
 			return err
 		}
 		a += mem.Addr(step)

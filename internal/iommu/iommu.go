@@ -90,9 +90,10 @@ func (u *IOMMU) Attach(fn *pci.Function, d *Domain) error {
 
 // Map installs a translation for the device's domain: DMA page iova → target
 // page. This is the call a hypervisor makes while programming the (v)IOMMU
-// for an assigned device (step 1 in the paper's Figure 3).
-func (u *IOMMU) Map(d *Domain, iova, target mem.PFN, perms mem.Perm) {
-	d.Table.Map(iova, target, perms)
+// for an assigned device (step 1 in the paper's Figure 3). An iova past a
+// page table's reach (mem.TableFrames) is an error and installs nothing.
+func (u *IOMMU) Map(d *Domain, iova, target mem.PFN, perms mem.Perm) error {
+	return d.Table.Map(iova, target, perms)
 }
 
 // Unmap removes a translation.

@@ -10,6 +10,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -122,37 +123,53 @@ func (as *AddressSpace) frame(p PFN) ([]byte, error) {
 	if p >= as.npages {
 		return nil, as.beyond(p)
 	}
-	if k := p >> leafShift; k != as.lastKey {
-		as.last, as.lastKey = as.leaves[k], k
-	}
-	if as.last == nil {
-		return nil, nil
-	}
-	return as.last.extent(p & (leafPages - 1)), nil
+	return as.leaf(p >> leafShift).extentOrNil(p & (leafPages - 1)), nil
 }
 
 func (as *AddressSpace) beyond(p PFN) error {
 	return fmt.Errorf("mem: %s: page %#x beyond end (%#x pages)", as.name, uint64(p), uint64(as.npages))
 }
 
-// resize sets page p's extent to n bytes and returns it. The extent keeps
-// its first bytes, and the bytes it exposes past its old length read as
-// zero: a new allocation comes zeroed, and a reslice within capacity clears
-// the stale tail a shrinking CopyFrame left behind. It materializes p's leaf
-// on the first write into its range, but not for n of 0. Only the write
-// paths call it; reads never allocate.
-func (as *AddressSpace) resize(p PFN, n int) []byte {
-	if k := p >> leafShift; k != as.lastKey {
+// leaf returns the frame leaf with key k, nil when absent, through the
+// last-leaf cache.
+func (as *AddressSpace) leaf(k PFN) *frameLeaf {
+	if k != as.lastKey {
 		as.last, as.lastKey = as.leaves[k], k
 	}
-	l, i := as.last, p&(leafPages-1)
+	return as.last
+}
+
+// newLeaf materializes the absent leaf with key k and caches it.
+func (as *AddressSpace) newLeaf(k PFN) *frameLeaf {
+	l := new(frameLeaf)
+	as.leaves[k], as.last, as.lastKey = l, l, k
+	return l
+}
+
+// leafRun returns how many frames from p, at most n, lie in p's leaf.
+func leafRun(p PFN, n int) int {
+	return min(n, leafPages-int(p&(leafPages-1)))
+}
+
+// resize sets page p's extent to n bytes and returns it (frameLeaf.resize).
+// It materializes p's leaf on the first write into its range, but not for n
+// of 0. Only the write paths call it; reads never allocate.
+func (as *AddressSpace) resize(p PFN, n int) []byte {
+	l := as.leaf(p >> leafShift)
 	if l == nil {
 		if n == 0 {
 			return nil
 		}
-		l = new(frameLeaf)
-		as.leaves[as.lastKey], as.last = l, l
+		l = as.newLeaf(p >> leafShift)
 	}
+	return l.resize(p&(leafPages-1), n)
+}
+
+// resize sets page i's extent to n bytes and returns it. The extent keeps
+// its first bytes, and the bytes it exposes past its old length read as
+// zero: a new allocation comes zeroed, and a reslice within capacity clears
+// the stale tail a shrinking CopyFrames left behind.
+func (l *frameLeaf) resize(i PFN, n int) []byte {
 	f := l.extent(i)
 	if n > cap(f) {
 		if l.long == nil {
@@ -222,47 +239,120 @@ func (as *AddressSpace) Write(a Addr, buf []byte) error {
 	return nil
 }
 
-// CopyFrame overwrites frame dp of dst with frame sp of src and marks dp
-// written, leaving both spaces exactly as reading
-// the source page and writing it whole to the destination would. It moves
-// only the source's extent, so a page holding one quadword costs a quadword.
-// Shrinking keeps the destination's capacity; resize clears it before reuse.
-func CopyFrame(dst *AddressSpace, dp PFN, src *AddressSpace, sp PFN) error {
-	sf, err := src.frame(sp)
-	if err != nil {
-		return err
+// CopyFrames overwrites frames [dp, dp+n) of dst with frames [sp, sp+n) of
+// src in ascending order and marks them written, leaving both spaces exactly
+// as reading each source page and writing it whole to its destination page
+// would. It moves only the source extents, so a page holding one quadword
+// costs a quadword, and it resolves each frame leaf once per run of frames
+// inside it. Shrinking keeps a destination extent's capacity; resize clears
+// it before reuse. A frame past either end fails the copy there, the
+// source's end checked first, after the frames before it moved.
+func CopyFrames(dst *AddressSpace, dp PFN, src *AddressSpace, sp PFN, n int) error {
+	for n > 0 {
+		if sp >= src.npages {
+			return src.beyond(sp)
+		}
+		if dp >= dst.npages {
+			return dst.beyond(dp)
+		}
+		k := int(min(PFN(leafRun(dp, leafRun(sp, n))), src.npages-sp, dst.npages-dp))
+		sl, dl := src.leaf(sp>>leafShift), dst.leaf(dp>>leafShift)
+		for i := range PFN(k) {
+			sf := sl.extentOrNil(sp&(leafPages-1) + i)
+			if dl == nil {
+				if len(sf) == 0 {
+					continue
+				}
+				dl = dst.newLeaf(dp >> leafShift)
+			}
+			copy(dl.resize(dp&(leafPages-1)+i, len(sf)), sf)
+		}
+		dst.written.SetRange(uint64(dp), uint64(k))
+		sp, dp, n = sp+PFN(k), dp+PFN(k), n-k
 	}
-	if dp >= dst.npages {
-		return dst.beyond(dp)
-	}
-	copy(dst.resize(dp, len(sf)), sf)
-	dst.mark(dp)
 	return nil
 }
 
-// EqualFrames reports whether frame p of a and frame q of b hold the same
-// bytes. It compares extents: past the shorter one, the longer must be zero.
-func EqualFrames(a *AddressSpace, p PFN, b *AddressSpace, q PFN) (bool, error) {
-	fa, err := a.frame(p)
-	if err != nil {
-		return false, err
+// EqualFrames compares frames [p, p+n) of a with frames [q, q+n) of b, pair
+// by pair, and returns how many leading pairs hold the same bytes: n when
+// all do, else the index of the first pair that differs. It compares
+// extents: past the shorter one, the longer must be zero. It resolves each
+// frame leaf once per run of frames inside it. A frame past either end is
+// an error, a's end checked first, returned with its index once every pair
+// before it compared equal.
+func EqualFrames(a *AddressSpace, p PFN, b *AddressSpace, q PFN, n int) (int, error) {
+	for done := 0; done < n; {
+		if p >= a.npages {
+			return done, a.beyond(p)
+		}
+		if q >= b.npages {
+			return done, b.beyond(q)
+		}
+		k := int(min(PFN(leafRun(q, leafRun(p, n-done))), a.npages-p, b.npages-q))
+		la, lb := a.leaf(p>>leafShift), b.leaf(q>>leafShift)
+		for i := range PFN(k) {
+			if !sameBytes(la.extentOrNil(p&(leafPages-1)+i), lb.extentOrNil(q&(leafPages-1)+i)) {
+				return done + int(i), nil
+			}
+		}
+		p, q, done = p+PFN(k), q+PFN(k), done+k
 	}
-	fb, err := b.frame(q)
-	if err != nil {
-		return false, err
-	}
+	return n, nil
+}
+
+// sameBytes reports whether two extents hold the same page: past the shorter
+// one, the longer must be zero.
+func sameBytes(fa, fb []byte) bool {
 	if len(fa) < len(fb) {
 		fa, fb = fb, fa
 	}
 	if !bytes.Equal(fa[:len(fb)], fb) {
-		return false, nil
+		return false
 	}
 	for _, c := range fa[len(fb):] {
 		if c != 0 {
-			return false, nil
+			return false
 		}
 	}
-	return true, nil
+	return true
+}
+
+// extentOrNil is extent on a leaf that may be absent: a page never written.
+func (l *frameLeaf) extentOrNil(i PFN) []byte {
+	if l == nil {
+		return nil
+	}
+	return l.extent(i)
+}
+
+// WriteQuads writes val(i), little-endian, over the first 8 bytes of frame
+// p+i for each i in [0, n), in ascending order, and marks the frames
+// written, leaving the space exactly as n 8-byte Writes at those frame
+// bases would. It resolves each frame leaf once per run of frames inside
+// it. A frame past the end fails the write there, after the frames before
+// it were written.
+func (as *AddressSpace) WriteQuads(p PFN, n int, val func(i int) uint64) error {
+	for done := 0; done < n; {
+		if p >= as.npages {
+			return as.beyond(p)
+		}
+		k := int(min(PFN(leafRun(p, n-done)), as.npages-p))
+		l := as.leaf(p >> leafShift)
+		if l == nil {
+			l = as.newLeaf(p >> leafShift)
+		}
+		for i := range PFN(k) {
+			j := p&(leafPages-1) + i
+			f := l.extent(j)
+			if len(f) < minFrame {
+				f = l.resize(j, minFrame)
+			}
+			binary.LittleEndian.PutUint64(f, val(done+int(i)))
+		}
+		as.written.SetRange(uint64(p), uint64(k))
+		p, done = p+PFN(k), done+k
+	}
+	return nil
 }
 
 // WrittenPages returns every frame ever written, in ascending order: the

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -67,12 +68,14 @@ func sortedPFNs(set map[PFN]bool) []PFN {
 // selector (bit 0 picks the acted-on space; bit 1 makes the other operand
 // the other space instead of the same one; bits 2-7 pick the 16-page window
 // a byte address x lies in), two little-endian 16-bit operands x and y, and
-// a value byte v.
+// a value byte v. A run step (CopyFrames, EqualFrames, WriteQuads) spans
+// 1+v frames.
 const (
 	asOpWrite = iota
 	asOpRead
-	asOpCopyFrame
+	asOpCopyFrames
 	asOpEqualFrames
+	asOpWriteQuads
 	asNumOps
 
 	asStepLen = 7
@@ -84,13 +87,15 @@ func asStep(op, sel byte, x, y uint16, v byte) []byte {
 
 // FuzzAddressSpace checks byte-extent frames against the full-frame
 // reference over two spaces: writes and reads at any offset and length
-// (across pages and off the end), CopyFrame in both directions and within
-// one space, and EqualFrames. The second space spans three frame leaves,
-// the last one partly, so steps cross leaf boundaries and alternate between
-// leaves. Extents cross the 8-byte boundary between the inline and the
-// long form in both directions. Every read, EqualFrames answer and, after
-// every step, WrittenPages must match the model, as must every byte at the
-// end.
+// (across pages and off the end), and runs of up to 256 frames: CopyFrames
+// in both directions and within one space, overlapping runs included,
+// EqualFrames and WriteQuads, each against the reference applied one frame
+// at a time. The second space spans three frame leaves, the last one partly,
+// so steps cross leaf boundaries and alternate between leaves. Extents cross
+// the 8-byte boundary between the inline and the long form in both
+// directions. Every read, EqualFrames answer and run error (the first frame
+// past an end, the source's first) and, after every step, WrittenPages must
+// match the model, as must every byte at the end.
 func FuzzAddressSpace(f *testing.F) {
 	// The stale tail: a full frame shrunk by copying an 8-byte frame over
 	// it keeps its capacity; growing it again by one byte at offset 100
@@ -98,7 +103,7 @@ func FuzzAddressSpace(f *testing.F) {
 	f.Add(bytes.Join([][]byte{
 		asStep(asOpWrite, 0, 0, PageSize, 1),
 		asStep(asOpWrite, 1, 0, 8, 3),
-		asStep(asOpCopyFrame, 2, 0, 0, 0),
+		asStep(asOpCopyFrames, 2, 0, 0, 0),
 		asStep(asOpWrite, 0, 100, 1, 5),
 		asStep(asOpRead, 0, 0, PageSize, 0),
 	}, nil))
@@ -107,10 +112,10 @@ func FuzzAddressSpace(f *testing.F) {
 	f.Add(bytes.Join([][]byte{
 		asStep(asOpWrite, 0, PageSize-4, 20, 7),
 		asStep(asOpWrite, 1, 3*PageSize+9, 8, 9),
-		asStep(asOpCopyFrame, 3, 3, 0, 0),
+		asStep(asOpCopyFrames, 3, 3, 0, 0),
 		asStep(asOpEqualFrames, 2, 0, 3, 0),
 		asStep(asOpEqualFrames, 2, 1, 0, 0),
-		asStep(asOpCopyFrame, 0, 2, 0, 0),
+		asStep(asOpCopyFrames, 0, 2, 0, 0),
 		asStep(asOpWrite, 0, 4*PageSize-2, 8, 2),
 	}, nil))
 	// Writes and reads alternating between the same slot of the first and
@@ -126,7 +131,7 @@ func FuzzAddressSpace(f *testing.F) {
 		asStep(asOpRead, 1|win8, PageSize, 64, 0),
 		asStep(asOpWrite, 1|win4, 0, 8, 9),
 		asStep(asOpRead, 1|win3, 16*PageSize-16, 32, 0),
-		asStep(asOpCopyFrame, 1, 129, 1, 0),
+		asStep(asOpCopyFrames, 1, 129, 1, 0),
 		asStep(asOpEqualFrames, 1, 1, 129, 0),
 		asStep(asOpRead, 1|win8, PageSize, 64, 0),
 	}, nil))
@@ -139,11 +144,11 @@ func FuzzAddressSpace(f *testing.F) {
 		asStep(asOpWrite, 0, PageSize+8, 1, 5),
 		asStep(asOpRead, 0, PageSize, 16, 0),
 		asStep(asOpWrite, 0, 2*PageSize+2, 3, 7),
-		asStep(asOpCopyFrame, 0, 0, 1, 0),
+		asStep(asOpCopyFrames, 0, 0, 1, 0),
 		asStep(asOpRead, 0, PageSize-4, 32, 0),
 		asStep(asOpWrite, 0, 3*PageSize, 8, 9),
 		asStep(asOpEqualFrames, 0, 3, 1, 0),
-		asStep(asOpCopyFrame, 0, 1, 3, 0),
+		asStep(asOpCopyFrames, 0, 1, 3, 0),
 		asStep(asOpRead, 0, PageSize, 16, 0),
 		asStep(asOpWrite, 0, PageSize+12, 1, 11),
 		asStep(asOpRead, 0, PageSize, 16, 0),
@@ -156,18 +161,36 @@ func FuzzAddressSpace(f *testing.F) {
 	f.Add(bytes.Join([][]byte{
 		asStep(asOpWrite, 0, 0, 100, 1),
 		asStep(asOpWrite, 1, 0, 5, 3),
-		asStep(asOpCopyFrame, 2, 0, 0, 0),
+		asStep(asOpCopyFrames, 2, 0, 0, 0),
 		asStep(asOpRead, 0, 0, 16, 0),
 		asStep(asOpWrite, 0, 12, 1, 9),
 		asStep(asOpRead, 0, 0, 128, 0),
 		asStep(asOpWrite, 0, 2*PageSize, 8, 5),
-		asStep(asOpCopyFrame, 2, 2, 0, 0),
+		asStep(asOpCopyFrames, 2, 2, 0, 0),
 		asStep(asOpWrite, 0, 2*PageSize+7, 1, 2),
 		asStep(asOpRead, 0, 2*PageSize, 8, 0),
-		asStep(asOpCopyFrame, 2, 0, 7, 0),
+		asStep(asOpCopyFrames, 2, 0, 7, 0),
 		asStep(asOpRead, 0, 0, 16, 0),
 		asStep(asOpWrite, 0, 50, 1, 4),
 		asStep(asOpRead, 0, 0, 64, 0),
+	}, nil))
+	// Runs: a copy from a's last frames into b's first leaf that runs off
+	// a's end, a copy across both of b's leaf boundaries that runs off b's
+	// end, an overlapping copy within b, quadword runs over absent, inline
+	// and long extents, and compares that stop at a difference, at the end
+	// of a, and after a whole run of equal frames.
+	f.Add(bytes.Join([][]byte{
+		asStep(asOpWrite, 0, 2*PageSize, PageSize+16, 3),
+		asStep(asOpWriteQuads, 1, 60, 0x1234, 9),
+		asStep(asOpCopyFrames, 3, 62, 2, 5),
+		asStep(asOpEqualFrames, 3, 62, 2, 3),
+		asStep(asOpCopyFrames, 1, 50, 0, 100),
+		asStep(asOpCopyFrames, 1, 3, 1, 40),
+		asStep(asOpWriteQuads, 0, 1, 7, 2),
+		asStep(asOpEqualFrames, 1, 60, 62, 20),
+		asStep(asOpEqualFrames, 3, 0, 0, 255),
+		asStep(asOpEqualFrames, 1, 80, 80, 30),
+		asStep(asOpRead, 1|8<<2, 0, 2*PageSize, 0),
 	}, nil))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const bPages = 2*leafPages + 5
@@ -185,6 +208,7 @@ func FuzzAddressSpace(f *testing.F) {
 			a := Addr((uint32(sel>>2)<<16 | uint32(x)) % uint32((ref.npages+1)*PageSize))
 			n := int(y) % (2*PageSize + 1)
 			p, q := PFN(x)%(ref.npages+1), PFN(y)%(refs[j].npages+1)
+			run := 1 + int(v) // frames in a run step
 			switch op {
 			case asOpWrite:
 				buf := make([]byte, n)
@@ -204,23 +228,57 @@ func FuzzAddressSpace(f *testing.F) {
 				if ok && !bytes.Equal(got, want) {
 					t.Fatalf("step %d: Read(%s, %#x, %d) differs from the reference", step, as.name, a, n)
 				}
-			case asOpCopyFrame:
-				err := CopyFrame(as, p, spaces[j], q)
-				if (err == nil) != (p < ref.npages && q < refs[j].npages) {
-					t.Fatalf("step %d: CopyFrame(%s:%d <- %s:%d) error %v", step, as.name, p, spaces[j].name, q, err)
+			case asOpCopyFrames:
+				// The reference copies frame by frame, in ascending order, up
+				// to the first frame past either end, the source's first.
+				var want error
+				for k := range PFN(run) {
+					if q+k >= refs[j].npages {
+						want = spaces[j].beyond(q + k)
+						break
+					}
+					if p+k >= ref.npages {
+						want = as.beyond(p + k)
+						break
+					}
+					*ref.frame(p + k) = *refs[j].frame(q + k)
+					ref.mark(p + k)
 				}
-				if err == nil {
-					*ref.frame(p) = *refs[j].frame(q)
-					ref.mark(p)
+				if err := CopyFrames(as, p, spaces[j], q, run); fmt.Sprint(err) != fmt.Sprint(want) {
+					t.Fatalf("step %d: CopyFrames(%s:%d <- %s:%d, %d) error %v, reference %v", step, as.name, p, spaces[j].name, q, run, err, want)
 				}
 			case asOpEqualFrames:
-				got, err := EqualFrames(as, p, spaces[j], q)
-				ok := p < ref.npages && q < refs[j].npages
-				if (err == nil) != ok {
-					t.Fatalf("step %d: EqualFrames(%s:%d, %s:%d) error %v", step, as.name, p, spaces[j].name, q, err)
+				wantN, want := run, error(nil)
+				for k := range PFN(run) {
+					if p+k >= ref.npages {
+						wantN, want = int(k), as.beyond(p+k)
+						break
+					}
+					if q+k >= refs[j].npages {
+						wantN, want = int(k), spaces[j].beyond(q+k)
+						break
+					}
+					if *ref.frame(p + k) != *refs[j].frame(q + k) {
+						wantN = int(k)
+						break
+					}
 				}
-				if want := ok && *ref.frame(p) == *refs[j].frame(q); ok && got != want {
-					t.Fatalf("step %d: EqualFrames(%s:%d, %s:%d) = %v, reference %v", step, as.name, p, spaces[j].name, q, got, want)
+				if got, err := EqualFrames(as, p, spaces[j], q, run); got != wantN || fmt.Sprint(err) != fmt.Sprint(want) {
+					t.Fatalf("step %d: EqualFrames(%s:%d, %s:%d, %d) = %d, %v; reference %d, %v", step, as.name, p, spaces[j].name, q, run, got, err, wantN, want)
+				}
+			case asOpWriteQuads:
+				val := func(k int) uint64 { return uint64(y)<<32 | uint64(k)*0x0101 + 1 }
+				var want error
+				for k := range PFN(run) {
+					if p+k >= ref.npages {
+						want = as.beyond(p + k)
+						break
+					}
+					binary.LittleEndian.PutUint64(ref.frame(p + k)[:8], val(int(k)))
+					ref.mark(p + k)
+				}
+				if err := as.WriteQuads(p, run, val); fmt.Sprint(err) != fmt.Sprint(want) {
+					t.Fatalf("step %d: WriteQuads(%s:%d, %d) error %v, reference %v", step, as.name, p, run, err, want)
 				}
 			}
 			for k := range spaces {
@@ -270,7 +328,7 @@ func TestAddressSpaceSparseAlloc(t *testing.T) {
 
 // TestQuadwordPagesAllocFree pins the layouts that keep a page from costing
 // its own heap object: once a frame leaf or a level-4 page-table leaf exists,
-// a quadword Write to an unwritten page of that frame leaf, a CopyFrame of a
+// a quadword Write to an unwritten page of that frame leaf, a CopyFrames of a
 // quadword page onto an absent page of it, and Map and Lookup within that
 // page-table leaf each allocate nothing. A leaf of per-page slices costs
 // one allocation for each of the first two.
@@ -291,7 +349,7 @@ func TestQuadwordPagesAllocFree(t *testing.T) {
 		fn   func(p PFN) error
 	}{
 		{"a quadword Write to an unwritten page", func(p PFN) error { return dst.Write(p.Base(), val) }},
-		{"CopyFrame of a quadword page onto an absent page", func(p PFN) error { return CopyFrame(dst, p, src, 0) }},
+		{"CopyFrames of a quadword page onto an absent page", func(p PFN) error { return CopyFrames(dst, p, src, 0, 1) }},
 		{"PageTable.Map and Lookup", func(p PFN) error {
 			pt.Map(p, p+100, PermRW)
 			if w := pt.Lookup(p, PermWrite); w.PFN != p+100 {

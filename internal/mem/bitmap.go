@@ -1,6 +1,9 @@
 package mem
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Bitmap chunking: a chunk is 4 KiB of words covering chunkBits bits — 128
 // MiB of 4 KiB pages — so a working set of tens of thousands of pages fits
@@ -46,6 +49,23 @@ func (b *Bitmap) Set(i uint64) {
 		b.materialize(c)
 	}
 	b.chunks[c][i>>6&(chunkWords-1)] |= 1 << (i & 63)
+}
+
+// SetRange marks bits [lo, lo+n), one word-wide OR per 64 bits: what n
+// calls to Set do. Like Set, it ignores bits at or past Len.
+func (b *Bitmap) SetRange(lo, n uint64) {
+	if lo >= b.n {
+		return
+	}
+	for hi := lo + min(n, b.n-lo); lo < hi; {
+		c := lo >> chunkShift
+		if c >= uint64(len(b.chunks)) || b.chunks[c] == nil {
+			b.materialize(c)
+		}
+		k := min(hi-lo, 64-lo&63)
+		b.chunks[c][lo>>6&(chunkWords-1)] |= ^uint64(0) >> (64 - k) << (lo & 63)
+		lo += k
+	}
 }
 
 // materialize allocates chunk c, growing the top-level table to reach it.
@@ -122,15 +142,17 @@ func (b *Bitmap) ForEach(fn func(i uint64)) {
 
 // PFNs returns the set bits as page frame numbers in ascending order, in one
 // exactly sized slice, or nil when no bit is set. Dirty logs and written
-// sets hand their pages to migration and snapshots this way.
-func (b *Bitmap) PFNs() []PFN {
-	n := b.Count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]PFN, 0, n)
-	b.ForEach(func(i uint64) { out = append(out, PFN(i)) })
-	return out
+// sets hand their pages to snapshots and invariant sweeps this way.
+func (b *Bitmap) PFNs() []PFN { return b.AppendPFNs(nil) }
+
+// AppendPFNs appends the set bits to dst as page frame numbers in ascending
+// order and returns the extended slice, growing dst at most once. Migration
+// drains its dirty logs this way, into one buffer it reuses every pre-copy
+// round.
+func (b *Bitmap) AppendPFNs(dst []PFN) []PFN {
+	dst = slices.Grow(dst, int(b.Count()))
+	b.ForEach(func(i uint64) { dst = append(dst, PFN(i)) })
+	return dst
 }
 
 // Reset clears every bit. Materialized chunks are kept and zeroed, so a log

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -84,6 +85,33 @@ func TestBitmapOrRespectsCapacity(t *testing.T) {
 	}
 	if small.Count() != uint64(len(want)) {
 		t.Fatalf("Count = %d after Or, want %d", small.Count(), len(want))
+	}
+}
+
+// TestBitmapSetRangeMatchesSet: SetRange(lo, n) must leave a bitmap exactly
+// as n calls to Set do, for ranges that start and end inside a word, on a
+// word edge and on a chunk edge, span whole words and whole chunks, and
+// reach past Len, on bitmaps already holding bits around them.
+func TestBitmapSetRangeMatchesSet(t *testing.T) {
+	const n = 2*chunkBits + 100
+	edges := []uint64{0, 1, 63, 64, 65, 127, 128, 1000, chunkBits - 65, chunkBits - 1, chunkBits, chunkBits + 1, 2*chunkBits - 1, 2 * chunkBits, n - 1, n, n + 5}
+	lens := []uint64{0, 1, 2, 63, 64, 65, 129, chunkBits - 1, chunkBits + 64, n}
+	for _, lo := range edges {
+		for _, k := range lens {
+			got, want := NewBitmap(n), NewBitmap(n)
+			for _, b := range []*Bitmap{got, want} {
+				b.Set(lo - 1)
+				b.Set(lo + k)
+				b.Set(chunkBits + 3)
+			}
+			got.SetRange(lo, k)
+			for i := lo; i < lo+k; i++ {
+				want.Set(i)
+			}
+			if !slices.Equal(got.PFNs(), want.PFNs()) {
+				t.Fatalf("SetRange(%d, %d) sets %d bits, %d calls to Set %d", lo, k, got.Count(), k, want.Count())
+			}
+		}
 	}
 }
 

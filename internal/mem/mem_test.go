@@ -81,7 +81,7 @@ func TestWrittenPages(t *testing.T) {
 	as := NewAddressSpace("vm", 1<<20)
 	as.Write(0, []byte{1})
 	as.Write(PageSize*5, []byte{1})
-	if err := CopyFrame(as, 9, as, 0); err != nil {
+	if err := CopyFrames(as, 9, as, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	w := as.WrittenPages()

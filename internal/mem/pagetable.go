@@ -57,6 +57,11 @@ type PageTable struct {
 // ptLevels is the radix depth: 4 levels of 9 bits cover 48-bit addresses.
 const ptLevels = 4
 
+// TableFrames is the number of source frames a PageTable indexes: 4 levels
+// of 9 bits, a 48-bit address space. Map and EnsureRun refuse a frame at or
+// above it, and Lookup reports one absent.
+const TableFrames PFN = 1 << (9 * ptLevels)
+
 // ptDir is an interior node, levels 1-3: 512 child pointers, 4 KiB.
 type ptDir[T any] [512]*T
 
@@ -98,20 +103,78 @@ func child[T any](slot **T) *T {
 // Map installs a translation from frame from to frame to with the given
 // permissions (only R, W and X are kept), building intermediate levels as
 // needed. Remapping an existing entry overwrites it and clears its A/D bits.
-func (t *PageTable) Map(from, to PFN, perms Perm) {
-	leaf, _ := t.levelFour(from)
-	if leaf == nil {
-		root := child(&t.root)
-		mid := child(&root[from>>27&0x1ff])
-		low := child(&mid[from>>18&0x1ff])
-		leaf = child(&low[from>>9&0x1ff])
-		t.last, t.lastKey = leaf, from>>9
+// A frame at or above TableFrames is an error and installs nothing.
+func (t *PageTable) Map(from, to PFN, perms Perm) error {
+	if from >= TableFrames {
+		return beyondTable(from)
 	}
-	e := &leaf[from&0x1ff]
+	e := &t.leafFor(from)[from&0x1ff]
 	if *e&ptePresent == 0 {
 		t.mapped++
 	}
 	*e = uint64(to)<<pteFrameShift | ptePresent | uint64(perms&PermRWX)
+	return nil
+}
+
+func beyondTable(from PFN) error {
+	return fmt.Errorf("mem: frame %#x beyond a page table's %d-bit reach", uint64(from), 9*ptLevels+PageShift)
+}
+
+// leafFor returns the level-4 leaf covering frame from, below TableFrames,
+// building it and the levels above it when absent, and caches it.
+func (t *PageTable) leafFor(from PFN) *ptLeaf {
+	leaf, _ := t.levelFour(from)
+	if leaf == nil {
+		root := child(&t.root)
+		mid := child(&root[from>>27])
+		low := child(&mid[from>>18&0x1ff])
+		leaf = child(&low[from>>9&0x1ff])
+		t.last, t.lastKey = leaf, from>>9
+	}
+	return leaf
+}
+
+// EnsureRun faults in frames [from, from+n) the way a hypervisor's lazy
+// fault-in does one page at a time: it maps an absent entry to to+i with
+// perms (only R, W and X are kept) and, when access is not zero, stamps it
+// like Lookup(from+i, access); it stamps a present entry that maps to to+i
+// like Lookup(from+i, access), accessed always and dirty when both the
+// access and the entry allow write. It stops before the first present
+// entry that maps elsewhere, and before TableFrames, and returns how many
+// frames it handled; the entry it stopped at is left as it was. It
+// descends once per level-4 leaf. A from at or above TableFrames is an
+// error and installs nothing.
+func (t *PageTable) EnsureRun(from, to PFN, n int, perms, access Perm) (int, error) {
+	if from >= TableFrames {
+		return 0, beyondTable(from)
+	}
+	n = int(min(PFN(max(n, 0)), TableFrames-from))
+	write := access.Has(PermWrite)
+	var leaf *ptLeaf
+	for i := 0; i < n; i++ {
+		p := from + PFN(i)
+		if leaf == nil || p&0x1ff == 0 {
+			leaf = t.leafFor(p)
+		}
+		want := uint64(to+PFN(i)) << pteFrameShift
+		e := leaf[p&0x1ff]
+		if e&ptePresent == 0 {
+			e = want | ptePresent | uint64(perms&PermRWX)
+			t.mapped++
+			if access == 0 {
+				leaf[p&0x1ff] = e
+				continue
+			}
+		} else if e>>pteFrameShift<<pteFrameShift != want {
+			return i, nil
+		}
+		e |= pteAccessed
+		if write && e&uint64(PermWrite) != 0 {
+			e |= pteDirty
+		}
+		leaf[p&0x1ff] = e
+	}
+	return n, nil
 }
 
 // Unmap removes a translation, reporting whether one existed.
@@ -128,15 +191,15 @@ func (t *PageTable) Unmap(from PFN) bool {
 // levelFour returns the level-4 leaf covering frame from, caching it, and
 // the number of nodes a walk visits above it. A walk that stops early on a
 // missing entry returns nil and the nodes it visited; an empty table counts
-// its absent top level as one.
+// its absent top level as one, as does a frame at or above TableFrames.
 func (t *PageTable) levelFour(from PFN) (*ptLeaf, int) {
 	if t.last != nil && t.lastKey == from>>9 {
 		return t.last, ptLevels - 1
 	}
-	if t.root == nil {
+	if t.root == nil || from >= TableFrames {
 		return nil, 1
 	}
-	mid := t.root[from>>27&0x1ff]
+	mid := t.root[from>>27]
 	if mid == nil {
 		return nil, 1
 	}

@@ -24,11 +24,36 @@ func newRefTable() *refTable {
 	return r
 }
 
-func (r *refTable) mapFrame(from, to PFN, perms Perm) {
+// mapFrame is Map: a frame past TableFrames is refused.
+func (r *refTable) mapFrame(from, to PFN, perms Perm) bool {
+	if from >= TableFrames {
+		return false
+	}
 	for i := range r.nodes {
 		r.nodes[i][from>>(27-9*i)] = true
 	}
 	r.entries[from] = Entry{From: from, To: to, Perms: perms}
+	return true
+}
+
+// ensure is one page of a hypervisor's lazy fault-in, the page-at-a-time
+// form of EnsureRun: a present entry that maps to to is stamped like a
+// lookup, an absent one is mapped and, for a nonzero access, stamped. It
+// reports false for a present entry that maps elsewhere, which it leaves
+// alone.
+func (r *refTable) ensure(from, to PFN, perms, access Perm) bool {
+	if e, ok := r.entries[from]; ok {
+		if e.To != to {
+			return false
+		}
+		r.lookup(from, access)
+		return true
+	}
+	r.mapFrame(from, to, perms&PermRWX)
+	if access != 0 {
+		r.lookup(from, access)
+	}
+	return true
 }
 
 // lookup is the walk a 4-level radix table performs: one level for the top
@@ -67,7 +92,9 @@ func (r *refTable) sorted() []Entry {
 
 // Page-table fuzz steps are ptStepLen-byte records: an opcode, a
 // little-endian 16-bit frame operand x, a little-endian 16-bit target
-// operand and an argument byte (permissions, access kind or page offset).
+// operand and an argument byte (permissions, access kind, page offset, or
+// for a run the access kind in bits 0-1, R-X instead of RWX perms in bit 2
+// and the length in bits 3-7, ptRunLen).
 const (
 	ptOpMap = iota
 	ptOpUnmap
@@ -76,6 +103,7 @@ const (
 	ptOpLookupWrite
 	ptOpTranslate
 	ptOpClear
+	ptOpEnsureRun
 	ptNumOps
 
 	ptStepLen = 6
@@ -90,12 +118,22 @@ func ptStep(op byte, x, to uint16, arg byte) []byte {
 	return []byte{op, byte(x), byte(x >> 8), byte(to), byte(to >> 8), arg}
 }
 
-// ptFrame spreads a 16-bit operand over the radix, staying below 2^36:
-// bits 0-9 pick a frame in two adjacent level-4 nodes, bits 10-11 one of
-// four level-3 nodes, bits 12-13 one of four level-2 nodes, and bits 14-15
-// move the top-level index up by 128s.
+// ptFrame spreads a 16-bit operand over the radix: bits 0-9 pick a frame
+// in two adjacent level-4 nodes, bits 10-11 one of four level-3 nodes, bits
+// 12-13 one of four level-2 nodes, and bits 14-15 the top-level index 0,
+// 256, 512 or 768. The last two lie at and past 2^36 (TableFrames), beyond
+// a table's reach, where a top-level index masked to 9 bits would alias the
+// first two.
 func ptFrame(x uint16) PFN {
-	return PFN(x&0x3ff) | PFN(x>>10&3)<<18 | PFN(x>>12&3)<<27 | PFN(x>>14)<<34
+	return PFN(x&0x3ff) | PFN(x>>10&3)<<18 | PFN(x>>12&3)<<27 | PFN(x>>14)<<35
+}
+
+// ptRunLen is a run step's length, 1 to 1,100 frames, from its argument
+// byte: quadratic in bits 3-7, so short runs are common and the longest
+// cross two level-4 nodes.
+func ptRunLen(arg byte) int {
+	k := int(arg >> 3)
+	return 1 + k*k*1099/(31*31)
 }
 
 // ptTarget spreads a 16-bit operand over the 52 bits of a target frame:
@@ -118,11 +156,14 @@ func ptTarget(y uint16) PFN {
 
 // FuzzPageTable checks the radix table, with its last-leaf walk cache,
 // against a map over interleaved Map, Unmap, Lookup (no access, read and
-// write), Translate and Clear, with targets up to 2^52-1 and every R/W/X
-// combination. Every Walk must match the reference, LevelsTouched
-// included, as must Unmap's and Translate's answers; after every step
-// Mapped and the ForEachEntry sequence (order, targets, perms and A/D bits)
-// must match too.
+// write), Translate, Clear and EnsureRun, with source frames past 2^36,
+// targets up to 2^52-1 and every R/W/X combination. Every Walk must match
+// the reference, LevelsTouched included, as must Map's, Unmap's and
+// Translate's answers. A run must handle as many frames as single-page
+// ensure steps on the reference do before the first entry that maps
+// elsewhere or TableFrames, and fail only at a from past TableFrames.
+// After every step Mapped and the ForEachEntry sequence (order, targets,
+// perms and A/D bits) must match too.
 func FuzzPageTable(f *testing.F) {
 	// A sequential run of mappings that crosses from one level-4 node into
 	// the next, then lookups that alternate between the two nodes at the
@@ -164,7 +205,7 @@ func FuzzPageTable(f *testing.F) {
 		ptStep(ptOpMap, 0x1409, 91, byte(PermRW)),
 		ptStep(ptOpMap|ptRelative, 0x1ff, 92, byte(PermRW)),
 		ptStep(ptOpLookupRead, 0x1409, 0, 0),
-		ptStep(ptOpMap, 0xc000, 93, byte(PermRW)),
+		ptStep(ptOpMap, 0x4000, 93, byte(PermRW)),
 		ptStep(ptOpLookupWrite|ptRelative, 0x1ff, 0, 0),
 	}, nil))
 	// High targets, each under another permission combination, looked up
@@ -190,6 +231,32 @@ func FuzzPageTable(f *testing.F) {
 		ptStep(ptOpMap, 0x11, past32|1, byte(PermRW)),
 		ptStep(ptOpLookupNone, 0x11, 0, 0),
 	}, nil))
+	// Runs: one across a level-4 node boundary over absent entries,
+	// stamped for a write; runs over present entries with and without write
+	// permission, for a read, a write and no access, which must still stamp
+	// an entry remapped (so never accessed) accessed; one that stops at an
+	// entry inside it that maps elsewhere and one that starts at it; a
+	// 1,100-frame run across two boundaries with R-X perms, read; then
+	// Map, a lookup and a run at 2^36+5, and a lookup of frame 5.
+	const run = ptOpEnsureRun
+	f.Add(bytes.Join([][]byte{
+		ptStep(run, 0x1f0, 100, 2|20<<3),
+		ptStep(ptOpMap, 0x1f4, 104, byte(PermRead)),
+		ptStep(run, 0x1f2, 102, 1|4<<3),
+		ptStep(run, 0x1f2, 102, 2|4<<3),
+		ptStep(ptOpMap, 0x1f8, 108, byte(PermRW)),
+		ptStep(run, 0x1f0, 100, 0|8<<3),
+		ptStep(ptOpMap, 0x3c5, 999, byte(PermRW)),
+		ptStep(run, 0x3c0, 0x100, 2|3<<3),
+		ptStep(run, 0x3c5, 0x105, 2|3<<3),
+		ptStep(ptOpLookupRead, 0x3c5, 0, 0),
+		ptStep(run, 0x500, 7, 1|4|31<<3),
+		ptStep(ptOpLookupWrite, 0x6ff, 0, 0),
+		ptStep(ptOpMap, 0x8005, 99, byte(PermRW)),
+		ptStep(ptOpLookupRead, 0x8005, 0, 0),
+		ptStep(run, 0x8005, 99, 2|1<<3),
+		ptStep(ptOpLookupRead, 0x0005, 0, 0),
+	}, nil))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		pt, ref := NewPageTable(), newRefTable()
 		var prev PFN
@@ -202,8 +269,21 @@ func FuzzPageTable(f *testing.F) {
 			ops, prev = ops[ptStepLen:], p
 			switch op {
 			case ptOpMap:
-				pt.Map(p, to, Perm(arg&7))
-				ref.mapFrame(p, to, Perm(arg&7))
+				err := pt.Map(p, to, Perm(arg&7))
+				if ok := ref.mapFrame(p, to, Perm(arg&7)); (err == nil) != ok {
+					t.Fatalf("step %d: Map(%#x) error %v, reference accepts %v", step, p, err, ok)
+				}
+			case ptOpEnsureRun:
+				n, perms, access := ptRunLen(arg), PermRWX&^(PermWrite*Perm(arg>>2&1)), Perm(arg&3)
+				to = min(to, 1<<52-PFN(n)) // keep to+i a frame of a 64-bit address
+				want := 0
+				for p+PFN(want) < TableFrames && want < n && ref.ensure(p+PFN(want), to+PFN(want), perms, access) {
+					want++
+				}
+				got, err := pt.EnsureRun(p, to, n, perms, access)
+				if got != want || (err != nil) != (p >= TableFrames) {
+					t.Fatalf("step %d: EnsureRun(%#x, %#x, %d, %s, %s) = %d, %v; reference handles %d", step, p, to, n, perms, access, got, err, want)
+				}
 			case ptOpUnmap:
 				_, want := ref.entries[p]
 				delete(ref.entries, p)
@@ -237,4 +317,39 @@ func FuzzPageTable(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPageTableRefusesFramesPastReach: a frame at or above 2^36 used to
+// alias the frame 2^36 below it, because the top level was indexed with
+// from>>27&0x1ff. Map must refuse it and install nothing, so frame 5 stays
+// absent and ForEachEntry lists nothing; Lookup must report it absent with
+// one level touched, and EnsureRun must refuse it and stop a run short of
+// it.
+func TestPageTableRefusesFramesPastReach(t *testing.T) {
+	pt := NewPageTable()
+	if err := pt.Map(1<<36+5, 99, PermRW); err == nil {
+		t.Fatal("Map(2^36+5) accepted a frame past the table's reach")
+	}
+	if w := pt.Lookup(5, PermRead); w.Present {
+		t.Fatalf("Lookup(5) = %+v after Map(2^36+5); the frame aliased", w)
+	}
+	pt.ForEachEntry(func(e Entry) { t.Errorf("ForEachEntry lists %+v", e) })
+	if pt.Mapped() != 0 {
+		t.Fatalf("Mapped() = %d, want 0", pt.Mapped())
+	}
+	if err := pt.Map(5, 50, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if w := pt.Lookup(1<<36+5, PermRead); w != (Walk{LevelsTouched: 1}) {
+		t.Fatalf("Lookup(2^36+5) = %+v, want absent with 1 level touched", w)
+	}
+	if n, err := pt.EnsureRun(1<<36, 0, 4, PermRW, 0); n != 0 || err == nil {
+		t.Fatalf("EnsureRun(2^36, 4) = %d, %v; want 0 and an error", n, err)
+	}
+	if n, err := pt.EnsureRun(1<<36-2, 0, 4, PermRW, 0); n != 2 || err != nil {
+		t.Fatalf("EnsureRun(2^36-2, 4) = %d, %v; want 2 frames handled", n, err)
+	}
+	if pt.Mapped() != 3 {
+		t.Fatalf("Mapped() = %d, want 3", pt.Mapped())
+	}
 }

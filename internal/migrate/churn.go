@@ -39,31 +39,37 @@ func newChurner(vm *hyper.VM, vp []*core.VPState, c Churn) *churner {
 // touchWorkingSet writes identifiable content to every working-set page so
 // the first migration pass ships real data.
 func (c *churner) touchWorkingSet() error {
-	gm := c.vm.Memory()
-	for i := 0; i < c.churn.WorkingSetPages; i++ {
-		c.serial++
-		if err := gm.WriteU64(mem.PFN(i).Base(), c.serial); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.write(0, c.churn.WorkingSetPages)
+}
+
+// write stores the next n serials in the first quadwords of guest pages
+// [p, p+n), one serial per page in ascending order, through guest memory.
+func (c *churner) write(p mem.PFN, n int) error {
+	first := c.serial + 1
+	c.serial += uint64(n)
+	return c.vm.Memory().WritePageQuads(p, n, func(i int) uint64 { return first + uint64(i) })
 }
 
 // run advances the workload for the given wall-time span, performing the
-// corresponding number of CPU and DMA page writes.
+// corresponding number of CPU and DMA page writes. The CPU writes go in runs
+// of consecutive pages, split where the cursor wraps around the working set.
 func (c *churner) run(d time.Duration) error {
 	cpuWrites := int(c.churn.CPUPagesPerSec * d.Seconds())
 	dmaWrites := int(c.churn.DMAPagesPerSec * d.Seconds())
 	ws := mem.PFN(c.churn.WorkingSetPages)
-	gm := c.vm.Memory()
-	for i := 0; i < cpuWrites; i++ {
+	for cpuWrites > 0 {
 		pg := c.cpuCursor % ws
-		c.cpuCursor++
-		c.serial++
-		if err := gm.WriteU64(pg.Base(), c.serial); err != nil {
+		n := int(min(mem.PFN(cpuWrites), ws-pg))
+		if err := c.write(pg, n); err != nil {
 			return err
 		}
-		delete(c.dmaTouched, pg)
+		if len(c.dmaTouched) > 0 {
+			for i := range mem.PFN(n) {
+				delete(c.dmaTouched, pg+i)
+			}
+		}
+		c.cpuCursor += mem.PFN(n)
+		cpuWrites -= n
 	}
 	if len(c.vp) > 0 {
 		for i := 0; i < dmaWrites; i++ {

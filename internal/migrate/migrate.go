@@ -87,6 +87,12 @@ type Plan struct {
 	Churn Churn
 	// Options tune bandwidth and downtime.
 	Options Options
+
+	// pages is the page list every pre-copy round drains the dirty logs
+	// into, and VerifyDest lists the written pages in; union merges the
+	// guest-visible and DMA logs. Both are reused across rounds.
+	pages []mem.PFN
+	union *mem.Bitmap
 }
 
 // Report summarizes a migration.
@@ -163,7 +169,8 @@ func (p *Plan) Run() (Report, error) {
 	}
 
 	// First pass: every written page.
-	pending := p.VM.WrittenPages()
+	pending := p.VM.AppendWrittenPages(p.pages[:0])
+	defer func() { p.pages = pending[:0] }()
 	for {
 		bytes := uint64(len(pending)) * mem.PageSize
 		dur := p.Options.transferTime(bytes)
@@ -178,8 +185,8 @@ func (p *Plan) Run() (Report, error) {
 			return rep, err
 		}
 
-		dirty := p.collectDirty()
-		if uint64(len(dirty)) <= p.Options.pagesFitting(p.Options.DowntimeLimit) || rep.Rounds >= p.Options.MaxRounds {
+		pending = p.collectDirty(pending)
+		if uint64(len(pending)) <= p.Options.pagesFitting(p.Options.DowntimeLimit) || rep.Rounds >= p.Options.MaxRounds {
 			// Stop-and-copy: blackout, ship the remainder plus device state.
 			var blob []byte
 			for _, vp := range p.VP {
@@ -201,10 +208,10 @@ func (p *Plan) Run() (Report, error) {
 				}
 			}
 			rep.DeviceStateBytes = len(blob)
-			if err := p.copyPages(dirty, &rep); err != nil {
+			if err := p.copyPages(pending, &rep); err != nil {
 				return rep, err
 			}
-			rep.Downtime = p.Options.transferTime(uint64(len(dirty))*mem.PageSize + uint64(len(blob)))
+			rep.Downtime = p.Options.transferTime(uint64(len(pending))*mem.PageSize + uint64(len(blob)))
 			rep.TotalTime += rep.Downtime
 			if p.Dest != nil && p.UseMigrationCap {
 				for _, vp := range p.VP {
@@ -219,16 +226,16 @@ func (p *Plan) Run() (Report, error) {
 			rep.MissedDMAPages = churnState.missedDMA(p.UseMigrationCap)
 			return rep, nil
 		}
-		pending = dirty
 	}
 }
 
-// collectDirty merges the guest-visible log with the DMA log exported by the
-// migration capability (when in use), returning each page once in ascending
-// order. Both logs drain in ascending order already; the union goes through
-// a sparse bitmap, which keeps it ordered and duplicate-free in linear time.
-func (p *Plan) collectDirty() []mem.PFN {
-	dirty := p.VM.CollectDirty()
+// collectDirty drains the guest-visible log and, when the migration
+// capability is in use, the DMA logs it exports, returning each page once in
+// ascending order, in buf's storage: buf is the list the round just sent.
+// The union goes through a sparse bitmap, which keeps it ordered and
+// duplicate-free in linear time.
+func (p *Plan) collectDirty(buf []mem.PFN) []mem.PFN {
+	dirty := p.VM.DrainDirty(buf[:0])
 	if !p.UseMigrationCap || len(p.VP) == 0 {
 		return dirty
 	}
@@ -236,16 +243,19 @@ func (p *Plan) collectDirty() []mem.PFN {
 	for _, vp := range p.VP {
 		n = max(n, vp.HostDirty.Len())
 	}
-	set := mem.NewBitmap(n)
+	if p.union == nil || p.union.Len() != n {
+		p.union = mem.NewBitmap(n)
+	}
+	set := p.union
+	set.Reset()
 	for _, pg := range dirty {
 		set.Set(uint64(pg))
 	}
 	for _, vp := range p.VP {
-		for _, pg := range vp.CollectDMADirty() {
-			set.Set(uint64(pg))
-		}
+		set.Or(vp.HostDirty)
+		vp.HostDirty.Reset()
 	}
-	return set.PFNs()
+	return set.AppendPFNs(dirty[:0])
 }
 
 // copyPages materializes the transfer into the destination (when present)
@@ -257,13 +267,7 @@ func (p *Plan) copyPages(pages []mem.PFN, rep *Report) error {
 	if p.Dest == nil {
 		return nil
 	}
-	src, dst := p.VM.Memory(), p.Dest.Memory()
-	for _, pg := range pages {
-		if err := src.CopyPageTo(dst, pg); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.VM.Memory().CopyPagesTo(p.Dest.Memory(), pages)
 }
 
 // VerifyDest compares every written source page against the destination,
@@ -274,16 +278,6 @@ func (p *Plan) VerifyDest() ([]mem.PFN, error) {
 	if p.Dest == nil {
 		return nil, fmt.Errorf("migrate: no destination to verify")
 	}
-	var bad []mem.PFN
-	src, dst := p.VM.Memory(), p.Dest.Memory()
-	for _, pg := range p.VM.WrittenPages() {
-		same, err := src.PageEqual(dst, pg)
-		if err != nil {
-			return nil, err
-		}
-		if !same {
-			bad = append(bad, pg)
-		}
-	}
-	return bad, nil
+	p.pages = p.VM.AppendWrittenPages(p.pages[:0])
+	return p.VM.Memory().DiffPages(p.Dest.Memory(), p.pages)
 }

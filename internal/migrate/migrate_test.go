@@ -144,7 +144,7 @@ func TestCollectDirtyUnionsLogsInOrder(t *testing.T) {
 		}
 	}
 	p := &Plan{VM: r.l2, VP: r.vp, UseMigrationCap: true}
-	got := p.collectDirty()
+	got := p.collectDirty(nil)
 	want := []mem.PFN{2, 5, 9, 40000, 70000}
 	if len(got) != len(want) {
 		t.Fatalf("collectDirty = %v, want %v", got, want)
@@ -154,7 +154,7 @@ func TestCollectDirtyUnionsLogsInOrder(t *testing.T) {
 			t.Fatalf("collectDirty = %v, want %v", got, want)
 		}
 	}
-	if again := p.collectDirty(); len(again) != 0 {
+	if again := p.collectDirty(got); len(again) != 0 {
 		t.Fatalf("second round re-sent %v; both logs should have drained", again)
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/apic"
 	"repro/internal/hyper"
@@ -163,22 +164,58 @@ const (
 	periodWindow = 3 * maxPeriod
 )
 
+// periodKey is everything a run's period depends on: the profile's op
+// rates, the vCPU slots and the run length.
+type periodKey struct {
+	rates    [numOpClasses]float64
+	slots, n int
+}
+
+// periods memoizes period, a pure function of its key, so sharing it across
+// runs and tests cannot change a result: a process asks for the same few
+// keys many times (an `nvbench -all` pass makes 112 calls for 7 keys). mu
+// guards the map; pool workers share it.
+var periods struct {
+	mu sync.Mutex
+	m  map[periodKey][2]int
+}
+
 // period returns the warm-up and the period of the run's transaction shapes
-// over all n transactions: from transaction warm on, shape i+p equals shape
-// i. A transaction's shape is what it does before it touches the World, its
-// op count per class and its vCPU slot, so a period repeats the vCPU
-// rotation too. The shapes come from fresh carries, without simulating, and
-// only the window's are kept. Of the periods up to maxPeriod that repeat
-// twice in the window, period takes the one with the least warm + 2p, then
-// checks it over the rest of the run. Without one it returns warm = n and
-// p = 0.
+// over all n transactions (findPeriod), computed once per process for each
+// periodKey.
 func (r *Runner) period(n int) (warm, p int) {
+	k := periodKey{slots: r.slots(), n: n, rates: [numOpClasses]float64{
+		r.P.TxKicks, r.P.RxBatches, r.P.Timers, r.P.IPIs, r.P.Idles, r.P.EOIs, r.P.BlkOps}}
+	periods.mu.Lock()
+	got, ok := periods.m[k]
+	periods.mu.Unlock()
+	if !ok {
+		got[0], got[1] = findPeriod(&r.P, k.slots, n)
+		periods.mu.Lock()
+		if periods.m == nil {
+			periods.m = make(map[periodKey][2]int)
+		}
+		periods.m[k] = got
+		periods.mu.Unlock()
+	}
+	return got[0], got[1]
+}
+
+// findPeriod returns the warm-up and the period of the transaction shapes of
+// a run of n transactions of profile p over slots vCPUs: from transaction
+// warm on, shape i+p equals shape i. A transaction's shape is what it does
+// before it touches the World, its op count per class and its vCPU slot, so
+// a period repeats the vCPU rotation too. The shapes come from fresh
+// carries, without simulating, and only the window's are kept. Of the
+// periods up to maxPeriod that repeat twice in the window, findPeriod takes
+// the one with the least warm + 2p, then checks it over the rest of the
+// run. Without one it returns warm = n and p = 0.
+func findPeriod(prof *Profile, slots, n int) (warm, p int) {
 	var shapes [periodWindow]uint64
 	var carries [numOpClasses]carry
-	slots := r.slots()
 	m := min(n, periodWindow)
 	for i := range m {
-		s, ok := shapeOf(takeOps(&carries, &r.P), i%slots)
+		s, ok := shapeOf(takeOps(&carries, prof), i%slots)
 		if !ok {
 			return n, 0
 		}
@@ -198,7 +235,7 @@ func (r *Runner) period(n int) (warm, p int) {
 		return n, 0
 	}
 	for i, j := m, warm+(m-warm)%p; i < n; i++ {
-		s, ok := shapeOf(takeOps(&carries, &r.P), i%slots)
+		s, ok := shapeOf(takeOps(&carries, prof), i%slots)
 		if !ok || s != shapes[j] {
 			return n, 0
 		}
