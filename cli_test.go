@@ -310,6 +310,7 @@ var cliTranscripts = []struct {
 	{"nvbench-all-ice-lake-sp", "nvbench", []string{"-all", "-profile", "ice-lake-sp"}},
 	{"nvbench-all-epyc-milan", "nvbench", []string{"-all", "-profile", "epyc-milan"}},
 	{"nvbench-all-hyperv-vtpr-heavy", "nvbench", []string{"-all", "-profile", "hyperv-vtpr-heavy"}},
+	{"nvartifact-l2-xen-enlightened", "nvartifact", []string{"-level", "L2", "-guest", "xen", "-enlightened", "-runs", "3", "-benchmarks", "Apache"}},
 	{"example-migration", "examples/migration", nil},
 	{"example-nestedcloud", "examples/nestedcloud", nil},
 	{"example-quickstart", "examples/quickstart", nil},
