@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"encoding/binary"
 	"time"
 
 	"repro/internal/core"
@@ -21,19 +22,29 @@ type churner struct {
 	cpuCursor mem.PFN
 	dmaCursor mem.PFN
 	// dmaTouched tracks pages dirtied by DMA after their last CPU write, the
-	// candidates for silent loss without the migration capability.
+	// candidates for silent loss without the migration capability. It is
+	// nil when the capability exports the DMA log, which loses none.
 	dmaTouched map[mem.PFN]bool
-	serial     uint64
+	// dmaBuf is the quadword each DMA write stores, kept here so that no
+	// write moves a buffer of its own to the heap.
+	dmaBuf [8]byte
+	serial uint64
 }
 
-func newChurner(vm *hyper.VM, vp []*core.VPState, c Churn) *churner {
+// newChurner returns the churner for a migration that uses the migration
+// capability or not (useCap).
+func newChurner(vm *hyper.VM, vp []*core.VPState, c Churn, useCap bool) *churner {
 	if c.WorkingSetPages <= 0 {
 		c.WorkingSetPages = 1024
 	}
 	if c.WorkingSetPages > int(vm.NumPages) {
 		c.WorkingSetPages = int(vm.NumPages)
 	}
-	return &churner{vm: vm, vp: vp, churn: c, dmaTouched: make(map[mem.PFN]bool)}
+	ch := &churner{vm: vm, vp: vp, churn: c}
+	if !useCap {
+		ch.dmaTouched = make(map[mem.PFN]bool)
+	}
+	return ch
 }
 
 // touchWorkingSet writes identifiable content to every working-set page so
@@ -78,25 +89,20 @@ func (c *churner) run(d time.Duration) error {
 			pg := (c.dmaCursor + ws/2) % ws
 			c.dmaCursor++
 			c.serial++
-			var buf [8]byte
-			for k := 0; k < 8; k++ {
-				buf[k] = byte(c.serial >> (8 * k))
-			}
-			if err := c.vp[0].Dev.DMAView.Write(pg.Base(), buf[:]); err != nil {
+			binary.LittleEndian.PutUint64(c.dmaBuf[:], c.serial)
+			if err := c.vp[0].Dev.DMAView.Write(pg.Base(), c.dmaBuf[:]); err != nil {
 				return err
 			}
-			c.dmaTouched[pg] = true
+			if c.dmaTouched != nil {
+				c.dmaTouched[pg] = true
+			}
 		}
 	}
 	return nil
 }
 
 // missedDMA reports how many DMA-dirtied pages the migration could have
-// missed: zero when the capability exported them, the accumulated count
-// otherwise. (VerifyDest gives ground truth; this is the accounting view.)
-func (c *churner) missedDMA(usedCap bool) int {
-	if usedCap {
-		return 0
-	}
-	return len(c.dmaTouched)
-}
+// missed: zero when the capability exported them (nothing is tracked then),
+// the accumulated count otherwise. (VerifyDest gives ground truth; this is
+// the accounting view.)
+func (c *churner) missedDMA() int { return len(c.dmaTouched) }

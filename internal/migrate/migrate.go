@@ -151,7 +151,7 @@ func (p *Plan) Run() (Report, error) {
 	}
 
 	// Touch the working set so the first pass has real content to ship.
-	churnState := newChurner(p.VM, p.VP, p.Churn)
+	churnState := newChurner(p.VM, p.VP, p.Churn, p.UseMigrationCap)
 	if err := churnState.touchWorkingSet(); err != nil {
 		return rep, err
 	}
@@ -223,7 +223,7 @@ func (p *Plan) Run() (Report, error) {
 					}
 				}
 			}
-			rep.MissedDMAPages = churnState.missedDMA(p.UseMigrationCap)
+			rep.MissedDMAPages = churnState.missedDMA()
 			return rep, nil
 		}
 	}
