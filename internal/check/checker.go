@@ -3,8 +3,6 @@
 // verifies, after every boundary operation and again at end of run, the
 // conservation laws the cost model promises:
 //
-//   - cycle conservation: every boundary returns exactly the cycles it
-//     charged to the stats sink;
 //   - exit conservation: every hardware exit is handled by exactly one level
 //     (TotalHardwareExits == TotalHandledExits);
 //   - LAPIC sanity: a vector is never both pending (IRR) and in service
@@ -48,11 +46,10 @@ const (
 	maxTimerArms = 16384
 )
 
-// frame snapshots the stats sink at a boundary entry.
+// frame snapshots the stats sink's exit counts at a boundary entry.
 type frame struct {
 	b       hyper.Boundary
 	op      hyper.Op
-	cycles  sim.Cycles
 	hw      uint64
 	handled uint64
 }
@@ -121,7 +118,6 @@ func (c *Checker) Begin(w *hyper.World, v *hyper.VCPU, b hyper.Boundary, op hype
 	c.frames = append(c.frames, frame{
 		b:       b,
 		op:      op,
-		cycles:  s.TotalCycles(),
 		hw:      s.TotalHardwareExits(),
 		handled: s.TotalHandledExits(),
 	})
@@ -141,15 +137,10 @@ func (c *Checker) End(token int, w *hyper.World, v *hyper.VCPU, b hyper.Boundary
 	f := c.frames[token]
 	c.frames = c.frames[:token]
 	if err != nil {
-		// Error paths abandon the operation midway; their partial charges are
-		// not claimed by the returned (zero) cost.
+		// Error paths abandon the operation midway, with its partial counts.
 		return
 	}
 	s := w.Host.Machine.Stats
-	if d := s.TotalCycles() - f.cycles; d != cost {
-		//nvlint:ignore hotalloc violation path: formatting the breach report may allocate
-		c.violate("cycle-conservation", "%v(%v) on %s returned %v cycles but charged %v", b, f.op.Kind, vcpuName(v), cost, d)
-	}
 	hwD := s.TotalHardwareExits() - f.hw
 	hdD := s.TotalHandledExits() - f.handled
 	if hwD != hdD {

@@ -229,7 +229,7 @@ func probeStack(t *testing.T, st *experiment.Stack, counter *armCounter, probes 
 			for _, op := range probeOps(st, v) {
 				for _, it := range probes {
 					before.capture(st, counter)
-					handled, _, err := it.TryHandle(st.World, v, op)
+					handled, err := it.TryHandle(st.World, v, op)
 					if err != nil {
 						t.Fatalf("%+v: %T.TryHandle(%s, %v): %v", st.Spec, it, v.Path(), op.Kind, err)
 					}

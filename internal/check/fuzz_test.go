@@ -447,11 +447,14 @@ const planCacheMaxSteps = 48
 // sequence of boundary calls and mid-run plan-input mutations, runs that
 // sequence on two Builds of the spec — one replaying compiled plans, one
 // walking every charge tree live — and requires identical per-step costs and
-// errors, identical Stats and trace timelines, and zero invariant violations
-// on both. Each World starts with its own recorder attached; the tracer
-// toggle detaches it and re-attaches the same one. A traced World never
-// replays, so the timelines compare two live walks; the costs and Stats
-// compare replay with live across every detached span.
+// errors, identical Stats, stage tables and trace timelines, and zero
+// invariant violations on both. Each World starts with its own recorder
+// and StageStats attached; the tracer toggle detaches the recorder and
+// re-attaches the same one. A traced World never replays, so the timelines
+// compare two live walks; the costs, Stats and stage tables compare replay
+// with live across every detached span. Each World's stage tables must also
+// hold exactly what its boundary steps returned: their costs summed, and
+// one settled transaction per step that succeeded.
 func FuzzPlanCache(f *testing.F) {
 	steps := func(spec []byte, ops ...byte) []byte { return append(spec, ops...) }
 	// Warm forward, injection, cascade and wake plans at L3, then swap the
@@ -499,6 +502,7 @@ func FuzzPlanCache(f *testing.F) {
 			st.World.SetPlanCache(cache)
 			rec := trace.NewRecorder(1 << 12)
 			st.World.Tracer = rec
+			st.World.Stages = &hyper.StageStats{}
 			st.AttachChecker()
 			return st, rec
 		}
@@ -508,6 +512,8 @@ func FuzzPlanCache(f *testing.F) {
 			// Invalid cells (e.g. DVH at depth 1) are rejected by Build.
 			return
 		}
+		var returned sim.Cycles
+		var settled uint64
 		for i := 0; i+1 < len(data); i += 2 {
 			cc, cerr := planCacheStep(cached, cachedRec, data[i], data[i+1])
 			lc, lerr := planCacheStep(live, liveRec, data[i], data[i+1])
@@ -515,9 +521,23 @@ func FuzzPlanCache(f *testing.F) {
 				t.Fatalf("%+v step %d (op %d arg %d): cached %v (err %v), live %v (err %v)",
 					spec, i/2, data[i]%pcNumSteps, data[i+1], cc, cerr, lc, lerr)
 			}
+			returned += cc
+			if data[i]%pcNumSteps <= pcWake && cerr == nil {
+				settled++
+			}
 		}
 		if cs, ls := cached.Machine.Stats.String(), live.Machine.Stats.String(); cs != ls {
 			t.Fatalf("%+v: stats diverge:\n--- cached ---\n%s--- live ---\n%s", spec, cs, ls)
+		}
+		if cs, ls := cached.World.Stages, live.World.Stages; *cs != *ls {
+			t.Fatalf("%+v: stage tables diverge:\n--- cached ---\n%s--- live ---\n%s", spec, cs, ls)
+		}
+		for _, st := range []*experiment.Stack{cached, live} {
+			ss := st.World.Stages
+			if ss.TotalCycles() != returned || ss.TotalSettled() != settled {
+				t.Fatalf("%+v: stage tables hold %v cycles in %d transactions; the boundary steps returned %v cycles in %d successes",
+					spec, ss.TotalCycles(), ss.TotalSettled(), returned, settled)
+			}
 		}
 		if !reflect.DeepEqual(cachedRec.Events(), liveRec.Events()) {
 			t.Fatalf("%+v: trace timelines diverge:\n--- cached ---\n%s--- live ---\n%s",

@@ -227,15 +227,15 @@ func (d *DVH) configureVMControls(vm *hyper.VM) {
 
 // TryHandle implements hyper.Interceptor: the host inspects an exit from a
 // nested VM and, when the corresponding virtual hardware is enabled, handles
-// it directly (paper Figure 1b). Returned work is charged to the stats sink.
-func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.Cycles, error) {
+// it directly (paper Figure 1b), charging its work to the stats sink.
+func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, error) {
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	switch op.Kind {
 	case hyper.OpTimerProgram:
 		if !d.Features.Has(FeatureVirtualTimers) ||
 			!v.VMCS.ControlSet(vmx.FieldProcBasedControls3, vmx.Proc3VirtualTimerEnable) {
-			return false, 0, nil
+			return false, nil
 		}
 		// Combine the TSC offsets the guest hypervisors programmed at each
 		// level, then arm the host hrtimer backing the virtual timer.
@@ -244,44 +244,40 @@ func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.C
 		deadline := uint64(int64(op.Deadline) + offset)
 		v.LAPIC.SetTSCDeadline(deadline)
 		w.ArmVirtualTimer(v, deadline)
-		work := c.DVHTimerCheckWork + sim.Cycles(levels)*c.TimerOffsetWork + c.TimerProgramWork
-		stats.ChargeLevel(0, work)
+		stats.ChargeLevel(0, c.DVHTimerCheckWork+sim.Cycles(levels)*c.TimerOffsetWork+c.TimerProgramWork)
 		stats.Inc(trace.DVHVTimerPrograms, 1)
-		return true, work, nil
+		return true, nil
 
 	case hyper.OpSendIPI:
 		if !d.Features.Has(FeatureVirtualIPIs) ||
 			!v.VMCS.ControlSet(vmx.FieldProcBasedControls3, vmx.Proc3VirtualIPIEnable) {
-			return false, 0, nil
+			return false, nil
 		}
 		table, ok := d.vcimts[v.VM]
 		if !ok {
-			return false, 0, fmt.Errorf("dvh: virtual IPI enabled for %s but no VCIMT published", v.VM.Name)
+			return false, fmt.Errorf("dvh: virtual IPI enabled for %s but no VCIMT published", v.VM.Name)
 		}
 		dest, err := table.Lookup(int(op.ICR.Dest()))
 		if err != nil {
-			return false, 0, err
+			return false, err
 		}
 		dest.PID.Post(op.ICR.Vector())
 		dest.PID.Sync(dest.LAPIC)
-		work := c.IPIEmulWork + c.VCIMTLookupWork +
-			sim.Cycles(v.VM.Level-2)*c.VCIMTPerLevelWork
-		wake, err := w.WakeIfIdle(dest)
-		if err != nil {
-			return false, 0, err
+		if _, err := w.WakeIfIdle(dest); err != nil {
+			return false, err
 		}
-		stats.ChargeLevel(0, work)
+		stats.ChargeLevel(0, c.IPIEmulWork+c.VCIMTLookupWork+sim.Cycles(v.VM.Level-2)*c.VCIMTPerLevelWork)
 		stats.Inc(trace.DVHVIPISends, 1)
-		return true, work + wake, nil
+		return true, nil
 
 	case hyper.OpDevNotify:
 		dev := v.VM.FindDeviceByDoorbell(op.Addr)
 		if dev == nil || !dev.VP {
-			return false, 0, nil
+			return false, nil
 		}
 		vp, ok := d.vp[dev]
 		if !ok {
-			return false, 0, fmt.Errorf("dvh: device %s marked VP but has no VP state", dev.Name)
+			return false, fmt.Errorf("dvh: device %s marked VP but has no VP state", dev.Name)
 		}
 		// The host must confirm the fault is a doorbell access, not a
 		// missing mapping: a software walk of the nested VM's (merged) EPT —
@@ -291,20 +287,18 @@ func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.C
 		if levels < eptWalkLevels {
 			levels = eptWalkLevels
 		}
-		work := sim.Cycles(levels) * c.EPTWalkPerLevel
-		stats.ChargeLevel(0, work)
-		backend, err := w.HostBackendKick(v, dev)
-		if err != nil {
-			return false, 0, err
+		stats.ChargeLevel(0, sim.Cycles(levels)*c.EPTWalkPerLevel)
+		if err := w.HostBackendKick(v, dev); err != nil {
+			return false, err
 		}
 		vp.Kicks++
 		stats.Inc(trace.DVHVPKicks, 1)
-		return true, work + backend, nil
+		return true, nil
 
 	default:
 		// DVH interposes only on the three kinds above; everything else is
 		// forwarded to the owning guest hypervisor unchanged.
-		return false, 0, nil
+		return false, nil
 	}
 }
 

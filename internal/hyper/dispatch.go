@@ -49,17 +49,20 @@ func (w *World) Execute(v *VCPU, op Op) (sim.Cycles, error) {
 // dispatch drives an Execute transaction through the pipeline: operations
 // with exit-free fast paths end at StageFastPath; everything else takes a
 // hardware exit into L0, where the interceptor chain may claim it before it
-// is routed to its owning level and emulated (owner 0) or forwarded.
+// is routed to its owning level and emulated (owner 0) or forwarded. It
+// enters each stage before the stage charges anything, so an observed
+// transaction's stage shares come out of the stats sink's total.
 func (w *World) dispatch(tx *ExitContext) error {
 	done, err := w.stageFastPath(tx)
 	if done || err != nil {
 		return err
 	}
 
-	// Every remaining path takes a physical exit into L0.
+	// Every remaining path takes a physical exit into L0, which routing
+	// pays for.
 	stats := w.Host.Machine.Stats
+	tx.enter(StageRoute, stats)
 	stats.RecordHardwareExit(tx.Reason)
-	tx.add(StageRoute, w.Costs.HwExit)
 	stats.ChargeLevel(0, w.Costs.HwExit)
 
 	stack, err := w.stack(tx.V)
@@ -67,6 +70,7 @@ func (w *World) dispatch(tx *ExitContext) error {
 		return err
 	}
 
+	tx.enter(StageIntercept, stats)
 	done, err = w.stageIntercept(tx)
 	if done || err != nil {
 		return err
@@ -74,8 +78,10 @@ func (w *World) dispatch(tx *ExitContext) error {
 
 	w.stageRoute(tx)
 	if tx.Owner == 0 {
+		tx.enter(StageEmulate, stats)
 		return w.stageEmulate(tx)
 	}
+	tx.enter(StageForward, stats)
 	return w.stageForward(tx, stack)
 }
 
@@ -89,7 +95,6 @@ func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
 	case OpMemTouch:
 		if _, miss := w.faultOwner(tx.V, tx.Op.Addr); !miss {
 			stats.ChargeGuest(c.TLBHitCost)
-			tx.add(StageFastPath, c.TLBHitCost)
 			return true, nil
 		}
 	case OpDevNotify:
@@ -103,7 +108,6 @@ func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
 			stats.Inc(trace.PassthroughKicks, 1)
 			w.Host.Machine.NIC.TxFrames++
 			stats.ChargeGuest(c.MMIODirect)
-			tx.add(StageFastPath, c.MMIODirect)
 			return true, nil
 		}
 	case OpEOI:
@@ -111,7 +115,6 @@ func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
 		if tx.V.VMCS.ControlSet(vmx.FieldProcBasedControls2, vmx.Proc2APICRegisterVirt) {
 			tx.V.LAPIC.EOI()
 			stats.ChargeGuest(c.APICvEOICost)
-			tx.add(StageFastPath, c.APICvEOICost)
 			return true, nil
 		}
 	default:
@@ -135,12 +138,7 @@ func (w *World) stageEmulate(tx *ExitContext) error {
 	stats := w.Host.Machine.Stats
 	stats.RecordHandledExit(tx.Reason, 0)
 	stats.ChargeLevel(0, c.HostDispatch+c.HwEntry)
-	work, err := w.hostHandle(tx.V, tx.Op)
-	if err != nil {
-		return err
-	}
-	tx.add(StageEmulate, c.HostDispatch+work+c.HwEntry)
-	return nil
+	return w.hostHandle(tx.V, tx.Op)
 }
 
 // stageForward reflects a guest-hypervisor-owned exit up the stack. The pure
@@ -149,13 +147,8 @@ func (w *World) stageEmulate(tx *ExitContext) error {
 // — and the owner's side effects always run live after it.
 func (w *World) stageForward(tx *ExitContext, stack []*Hypervisor) error {
 	w.Host.Machine.Stats.RecordHandledExit(tx.Reason, tx.Owner)
-	fwd := w.charge(stack, planForward, tx.Reason, tx.Owner)
-	eff, err := w.ownerEffects(tx.V, tx.Op, tx.Owner)
-	if err != nil {
-		return err
-	}
-	tx.add(StageForward, fwd+eff)
-	return nil
+	w.charge(stack, planForward, tx.Reason, tx.Owner)
+	return w.ownerEffects(tx.V, tx.Op, tx.Owner)
 }
 
 // ownerLevel decides which hypervisor level must handle the exit.
@@ -235,24 +228,25 @@ func (w *World) fillFault(v *VCPU, a mem.Addr, owner int) error {
 // execAsLevel executes an operation as if issued by the hypervisor at the
 // given level (which runs as a guest in the VM at that level). Level 0 ops
 // are native and must be charged by the caller.
-func (w *World) execAsLevel(v *VCPU, level int, op Op) (sim.Cycles, error) {
+func (w *World) execAsLevel(v *VCPU, level int, op Op) error {
 	if level == 0 {
-		return 0, fmt.Errorf("hyper: execAsLevel(0) is native work, not an exit")
+		return fmt.Errorf("hyper: execAsLevel(0) is native work, not an exit")
 	}
 	av, err := v.AncestorAt(level)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return w.Execute(av, op)
+	_, err = w.Execute(av, op)
+	return err
 }
 
 // ownerEffects applies the state changes and follow-on operations of a
 // guest-hypervisor-owned exit.
-func (w *World) ownerEffects(v *VCPU, op Op, owner int) (sim.Cycles, error) {
+func (w *World) ownerEffects(v *VCPU, op Op, owner int) error {
 	stats := w.Host.Machine.Stats
 	switch op.Kind {
 	case OpHypercall, OpEOI:
-		return 0, nil
+		return nil
 	case OpTimerProgram:
 		// The guest hypervisor emulates the timer with its own hrtimer,
 		// which it arms by programming its (virtual) LAPIC timer — a fresh
@@ -265,19 +259,15 @@ func (w *World) ownerEffects(v *VCPU, op Op, owner int) (sim.Cycles, error) {
 		// IPI by writing its own ICR — again a trapping operation below.
 		dest, err := w.ipiDestination(v, op)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		dest.PID.Post(op.ICR.Vector())
-		cost, err := w.execAsLevel(v, owner, SendIPI(uint32(dest.PhysCPU), op.ICR.Vector()))
-		if err != nil {
-			return 0, err
+		if err := w.execAsLevel(v, owner, SendIPI(uint32(dest.PhysCPU), op.ICR.Vector())); err != nil {
+			return err
 		}
 		dest.PID.Sync(dest.LAPIC)
-		wake, err := w.WakeIfIdle(dest)
-		if err != nil {
-			return 0, err
-		}
-		return cost + wake, nil
+		_, err = w.WakeIfIdle(dest)
+		return err
 	case OpHLT:
 		// The guest hypervisor blocks the vCPU and, if it manages another
 		// runnable nested vCPU on this CPU, switches to it — the reason the
@@ -286,16 +276,16 @@ func (w *World) ownerEffects(v *VCPU, op Op, owner int) (sim.Cycles, error) {
 		stats.Inc(trace.IdleBlocks, 1)
 		stack, err := w.stack(v)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if next := stack[owner].EnsureScheduler().PickNext(v.PhysCPU, v); next != nil {
 			return w.guestSwitch(stack, owner, v, next)
 		}
-		return 0, nil
+		return nil
 	case OpDevNotify:
 		dev := v.VM.FindDeviceByDoorbell(op.Addr)
 		if dev == nil {
-			return 0, fmt.Errorf("hyper: doorbell %#x vanished during forwarding", uint64(op.Addr))
+			return fmt.Errorf("hyper: doorbell %#x vanished during forwarding", uint64(op.Addr))
 		}
 		return w.backendWork(v, dev, owner)
 	case OpMemTouch:
@@ -303,61 +293,58 @@ func (w *World) ownerEffects(v *VCPU, op Op, owner int) (sim.Cycles, error) {
 		// for the new table pages may fault one level further down, which
 		// the recursion models as part of the forwarded handler cost.
 		if err := w.fillFault(v, op.Addr, owner); err != nil {
-			return 0, err
+			return err
 		}
 		stats.ChargeLevel(owner, w.Costs.EPTFillWork)
-		return w.Costs.EPTFillWork, nil
+		return nil
 	}
-	return 0, nil
+	return nil
 }
 
-// hostHandle performs the host hypervisor's emulation work for an exit it
-// owns, charges that work, and returns it (the fixed dispatch/entry costs
-// are charged by stageEmulate).
-func (w *World) hostHandle(v *VCPU, op Op) (sim.Cycles, error) {
+// hostHandle performs and charges the host hypervisor's emulation work for
+// an exit it owns (the fixed dispatch/entry costs are charged by
+// stageEmulate).
+func (w *World) hostHandle(v *VCPU, op Op) error {
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	switch op.Kind {
 	case OpHypercall:
-		return 0, nil
+		return nil
 	case OpTimerProgram:
 		v.LAPIC.SetTSCDeadline(op.Deadline)
 		w.armHostTimer(v, op.Deadline)
 		stats.ChargeLevel(0, c.TimerProgramWork)
-		return c.TimerProgramWork, nil
+		return nil
 	case OpSendIPI:
 		dest, err := w.ipiDestination(v, op)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		dest.PID.Post(op.ICR.Vector())
 		dest.PID.Sync(dest.LAPIC)
 		stats.ChargeLevel(0, c.IPIEmulWork)
-		wake, err := w.WakeIfIdle(dest)
-		if err != nil {
-			return 0, err
-		}
-		return c.IPIEmulWork + wake, nil
+		_, err = w.WakeIfIdle(dest)
+		return err
 	case OpHLT:
 		v.Idle = true
 		stats.Inc(trace.IdleBlocks, 1)
 		stats.ChargeLevel(0, c.HLTBlockWork)
-		return c.HLTBlockWork, nil
+		return nil
 	case OpDevNotify:
 		dev := v.VM.FindDeviceByDoorbell(op.Addr)
 		if dev == nil {
-			return 0, fmt.Errorf("hyper: doorbell %#x has no device", uint64(op.Addr))
+			return fmt.Errorf("hyper: doorbell %#x has no device", uint64(op.Addr))
 		}
 		return w.backendWork(v, dev, 0)
 	case OpEOI:
 		v.LAPIC.EOI()
-		return 0, nil
+		return nil
 	case OpMemTouch:
 		if err := w.fillFault(v, op.Addr, 0); err != nil {
-			return 0, err
+			return err
 		}
 		stats.ChargeLevel(0, c.EPTFillWork)
-		return c.EPTFillWork, nil
+		return nil
 	}
-	return 0, fmt.Errorf("hyper: host cannot handle op %v", op.Kind)
+	return fmt.Errorf("hyper: host cannot handle op %v", op.Kind)
 }

@@ -11,9 +11,9 @@ import (
 // This file is the deliver stage of the pipeline: interrupt deliveries
 // (timer, device completion), inbound device data, and idle wakes. Each
 // public entry point is one call to transact (pipeline.go), which runs the
-// body below as its own exit transaction and charges the body's cost to
-// StageDeliver; the checker frames stack when a delivery happens inside a
-// larger transaction (an IPI waking its destination).
+// body below as its own exit transaction, one StageDeliver span; the checker
+// frames stack when a delivery happens inside a larger transaction (an IPI
+// waking its destination).
 
 // DeliverTimerIRQ delivers a fired timer interrupt to its vCPU and returns
 // the delivery cost. A level-1 VM (and, with the direct-delivery extension,
@@ -24,7 +24,7 @@ func (w *World) DeliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
 	return w.transact(BoundaryTimerIRQ, v, Op{}, nil)
 }
 
-func (w *World) deliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
+func (w *World) deliverTimerIRQ(v *VCPU) error {
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	v.PID.Post(v.LAPIC.TimerVector())
@@ -42,22 +42,17 @@ func (w *World) deliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
 			}
 		}
 	}
-	var cost sim.Cycles
 	if direct {
 		stats.ChargeLevel(0, c.InjectPostedRunning)
-		cost = c.InjectPostedRunning
 	} else {
 		stack, err := w.stack(v)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		cost = w.charge(stack, planInject, 0, v.VM.Level-1)
+		w.charge(stack, planInject, 0, v.VM.Level-1)
 	}
-	wake, err := w.WakeIfIdle(v)
-	if err != nil {
-		return 0, err
-	}
-	return cost + wake, nil
+	_, err := w.WakeIfIdle(v)
+	return err
 }
 
 // WakeIfIdle transitions an idle vCPU back to running and returns the wake
@@ -70,9 +65,9 @@ func (w *World) WakeIfIdle(dest *VCPU) (sim.Cycles, error) {
 	return w.transact(BoundaryWake, dest, Op{}, nil)
 }
 
-func (w *World) wakeIfIdle(dest *VCPU) (sim.Cycles, error) {
+func (w *World) wakeIfIdle(dest *VCPU) {
 	if !dest.Idle {
-		return 0, nil
+		return
 	}
 	dest.Idle = false
 	w.Host.Machine.Stats.Inc(trace.IdleWakes, 1)
@@ -80,22 +75,19 @@ func (w *World) wakeIfIdle(dest *VCPU) (sim.Cycles, error) {
 	// The idle-owner level is recomputed live on every wake — it depends on
 	// the stack's HLT-exiting controls, which DVH virtual idle flips without
 	// moving any generation — and is the wake plan's key.
-	return w.charge(nil, planWake, 0, w.ownerLevel(dest, Op{Kind: OpHLT})), nil
+	w.charge(nil, planWake, 0, w.ownerLevel(dest, Op{Kind: OpHLT}))
 }
 
 // wakeLadderCost is the wake ladder's pure charge tree: the host processes
 // the posted notification and unblocks the destination, then every guest
 // hypervisor level that had parked the vCPU runs its scheduler and re-enters
 // the guest. Written once over the sink, like every cached charge tree.
-func (w *World) wakeLadderCost(idleOwner int, sink chargeSink) sim.Cycles {
+func (w *World) wakeLadderCost(idleOwner int, sink chargeSink) {
 	c := &w.Costs
 	sink.chargeLevel(0, c.WakeWork)
-	cost := c.WakeWork
 	for j := 1; j <= idleOwner; j++ {
 		sink.chargeLevel(j, c.GuestWakeWork)
-		cost += c.GuestWakeWork
 	}
-	return cost
 }
 
 // DeliverDeviceIRQ models a completion interrupt from a device to the vCPU
@@ -106,19 +98,18 @@ func (w *World) DeliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles,
 	return w.transact(BoundaryDeviceIRQ, target, Op{}, dev)
 }
 
-func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
+func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) error {
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	target.LAPIC.Deliver(dev.IRQ)
 	stats.Inc(trace.IRQDelivered, 1)
 
-	wake, err := w.WakeIfIdle(target)
-	if err != nil {
-		return 0, err
+	if _, err := w.WakeIfIdle(target); err != nil {
+		return err
 	}
 	if dev.PostedDelivery {
 		stats.ChargeLevel(0, c.InjectPostedRunning)
-		return c.InjectPostedRunning + wake, nil
+		return nil
 	}
 	// Exit-based injection: the hypervisor that interposes on the interrupt
 	// must run its (short) injection path. For a virtual-passthrough device
@@ -127,31 +118,30 @@ func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles,
 	injector := target.VM.Level - 1
 	if injector <= 0 {
 		stats.ChargeLevel(0, c.InjectExitPath)
-		return c.InjectExitPath + wake, nil
+		return nil
 	}
 	stack, err := w.stack(target)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return w.charge(stack, planInject, 0, injector) + wake, nil
+	w.charge(stack, planInject, 0, injector)
+	return nil
 }
 
 // guestPathCost charges an exit into the hypervisor at the given level that
 // runs the supplied script there (reflecting through intermediate levels),
 // without any owner side effects — the charge tree of an interrupt injection
 // and of each receive-path interposition, written once over the sink.
-func (w *World) guestPathCost(stack []*Hypervisor, reason vmx.ExitReason, level int, s Script, sink chargeSink) sim.Cycles {
+func (w *World) guestPathCost(stack []*Hypervisor, reason vmx.ExitReason, level int, s Script, sink chargeSink) {
 	c := &w.Costs
 	sink.hardwareExit(reason)
 	sink.handledExit(reason, level)
 	sink.traceEvent(reason, level+1, level)
-	cost := c.HwExit + c.ReflectWork + c.HwEntry
-	sink.chargeLevel(0, cost)
+	sink.chargeLevel(0, c.HwExit+c.ReflectWork+c.HwEntry)
 	for j := 1; j < level; j++ {
-		cost += w.scriptCost(stack, j, stack[j].Personality.ReflectScript(), sink)
+		w.scriptCost(stack, j, stack[j].Personality.ReflectScript(), sink)
 	}
-	cost += w.scriptCost(stack, level, s, sink)
-	return cost
+	w.scriptCost(stack, level, s, sink)
 }
 
 // DeviceRX models inbound data arriving for a device: every interposing
@@ -163,8 +153,7 @@ func (w *World) DeviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) 
 	return w.transact(BoundaryDeviceRX, target, Op{}, dev)
 }
 
-func (w *World) deviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
-	var cost sim.Cycles
+func (w *World) deviceRX(dev *AssignedDevice, target *VCPU) error {
 	w.Host.Machine.NIC.RxFrames++
 
 	if dev.Phys == nil {
@@ -174,32 +163,26 @@ func (w *World) deviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) 
 			var err error
 			stack, err = w.stack(target)
 			if err != nil {
-				return 0, err
+				return err
 			}
 		}
-		cost += w.charge(stack, planCascade, 0, provider)
+		w.charge(stack, planCascade, 0, provider)
 	}
-	del, err := w.DeliverDeviceIRQ(dev, target)
-	if err != nil {
-		return 0, err
-	}
-	return cost + del, nil
+	_, err := w.DeliverDeviceIRQ(dev, target)
+	return err
 }
 
 // rxCascadeCost is the receive cascade's pure charge tree: the host backend
 // (vhost) receives from the wire, then each interposing hypervisor's backend
 // runs its receive path and re-queues the data into the next level's ring.
 // stack may be nil when provider < 1 (nothing interposes).
-func (w *World) rxCascadeCost(stack []*Hypervisor, provider int, sink chargeSink) sim.Cycles {
+func (w *World) rxCascadeCost(stack []*Hypervisor, provider int, sink chargeSink) {
 	c := &w.Costs
 	sink.chargeLevel(0, c.VirtioBackendWork)
-	cost := c.VirtioBackendWork
 	for j := 1; j <= provider; j++ {
-		cost += w.guestPathCost(stack, vmx.ExitEPTViolation, j, stack[j].Personality.HandlerScript(vmx.ExitEPTViolation), sink)
+		w.guestPathCost(stack, vmx.ExitEPTViolation, j, stack[j].Personality.HandlerScript(vmx.ExitEPTViolation), sink)
 		sink.chargeLevel(j, c.VirtioBackendWork)
-		cost += c.VirtioBackendWork
 	}
-	return cost
 }
 
 // ipiDestination resolves an ICR destination to a vCPU of the sender's VM.

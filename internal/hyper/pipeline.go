@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vmx"
 )
 
@@ -81,9 +82,11 @@ const ownerUnresolved = -1
 
 // ExitContext is one exit transaction flowing through the pipeline. It lives
 // on transact's stack frame — the steady-state exit path stays
-// allocation-free — and accumulates the transaction's identity (operation,
-// exit reason, nesting level), its routing decision, and a per-stage cost
-// ledger whose total is the cost returned to the caller.
+// allocation-free — and holds the transaction's identity (operation, exit
+// reason, nesting level) and its routing decision. Its cost is not kept
+// here: every cycle lands once, in the stats sink, and transact reads the
+// boundary's cost off the sink's total. Only a transaction a StageStats will
+// observe also splits that total across the stages it runs.
 //
 // Nested transactions stack naturally: a forwarded exit whose owner re-enters
 // Execute (a guest hypervisor arming its own timer, a cascaded virtio kick)
@@ -100,49 +103,65 @@ type ExitContext struct {
 	// Reason is the VM-exit reason for Execute transactions; delivery
 	// transactions record their injection reasons per injected charge.
 	Reason vmx.ExitReason
+	// observed is set on an outermost transaction when a StageStats is
+	// attached; only then are stage, mark and ledger kept. It and stage sit
+	// in the padding after Reason, keeping the value at 128 bytes.
+	observed bool
+	// stage is the stage the transaction is in.
+	stage Stage
 	// Level is V's virtualization level at entry.
 	Level int
 	// Owner is the hypervisor level routed to handle the exit;
 	// ownerUnresolved until StageRoute, 0 when the host claims it.
 	Owner int
-	// Cost is the accumulated cost ledger total — exactly the cycles the
-	// transaction has charged on behalf of its caller so far, and the value
-	// transact returns.
-	Cost sim.Cycles
-
-	// ledger attributes the accumulated cost to the stage that added it.
+	// mark is the stats sink's total when the transaction entered stage.
+	mark sim.Cycles
+	// ledger holds the cycles charged while the transaction was in each
+	// stage, nested transactions' included.
 	ledger [NumStages]sim.Cycles
 }
 
-// add charges cycles to the transaction on behalf of a stage. Stages must
-// pair every add with the matching stats-sink charges so the settle-point
-// invariant — returned cost equals charged cost — holds.
-func (tx *ExitContext) add(s Stage, c sim.Cycles) {
-	tx.Cost += c
-	tx.ledger[s] += c
+// enter moves an observed transaction into stage s: the cycles the stats
+// sink gained since the current stage began are that stage's.
+func (tx *ExitContext) enter(s Stage, stats *trace.Stats) {
+	if !tx.observed {
+		return
+	}
+	t := stats.TotalCycles()
+	tx.ledger[tx.stage] += t - tx.mark
+	tx.stage, tx.mark = s, t
 }
 
 // transact opens, runs and settles one exit transaction. Every public World
 // entry point is a single call to it, so each boundary opens and settles its
 // transaction exactly once on every path. In order, transact
 //
-//   - fills the ExitContext in place on its own stack frame;
+//   - fills the ExitContext in place on its own stack frame and reads the
+//     stats sink's total;
 //   - raises the world's transaction depth and opens the invariant checker's
 //     frame;
-//   - runs the boundary's body: Execute's dispatch, or one delivery body,
-//     whose cost it charges to StageDeliver;
-//   - lowers the depth and closes the checker's frame with the settled cost;
-//   - hands an outermost transaction to the attached StageStats;
-//   - returns the ledger total, or zero on error.
+//   - runs the boundary's body: Execute's dispatch, which enters each stage
+//     it runs, or one delivery body, which is one StageDeliver span;
+//   - lowers the depth and closes the checker's frame with the settled cost:
+//     the change in the sink's total;
+//   - hands an outermost transaction to the StageStats attached when it
+//     opened;
+//   - returns the cost, or zero on error.
 //
-// Failed operations abandon their partial charges: the checker's
-// cycle-conservation frame excuses that only on the error path, and no sink
-// observes them. The depth tells an outermost transaction from a nested one,
-// whose cost the enclosing ledger already holds. op is the zero Op and dev is
-// nil for the boundaries that take none.
+// Below the boundaries nothing returns cycles: each charge lands in the
+// stats sink once, so the returned cost is the charged cost by construction.
+// Failed operations abandon their partial charges, and no sink observes
+// them. op is the zero Op and dev is nil for the boundaries that take none.
 func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.Cycles, error) {
 	var tx ExitContext
 	tx.V, tx.Op, tx.Boundary, tx.Level, tx.Owner = v, op, b, v.VM.Level, ownerUnresolved
+	stats := w.Host.Machine.Stats
+	start := stats.TotalCycles()
+	var ss *StageStats
+	if w.txDepth == 0 {
+		ss = w.Stages
+	}
+	tx.observed, tx.mark = ss != nil, start
 	w.txDepth++
 	checked := w.Check != nil
 	var token int
@@ -150,29 +169,31 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 		token = w.Check.Begin(w, v, b, op)
 	}
 
-	// Execute's stages charge the ledger themselves, so its body cost stays
-	// zero; a delivery body returns what it charged.
-	var body sim.Cycles
+	// Execute starts at StageFastPath, the zero Stage, and dispatch moves it
+	// on; a delivery body runs wholly at StageDeliver.
 	var err error
 	switch b {
 	case BoundaryExecute:
 		tx.Reason = reasonFor(op)
 		err = w.dispatch(&tx)
 	case BoundaryTimerIRQ:
-		body, err = w.deliverTimerIRQ(v)
+		tx.stage = StageDeliver
+		err = w.deliverTimerIRQ(v)
 	case BoundaryDeviceIRQ:
-		body, err = w.deliverDeviceIRQ(dev, v)
+		tx.stage = StageDeliver
+		err = w.deliverDeviceIRQ(dev, v)
 	case BoundaryDeviceRX:
-		body, err = w.deviceRX(dev, v)
+		tx.stage = StageDeliver
+		err = w.deviceRX(dev, v)
 	case BoundaryWake:
-		body, err = w.wakeIfIdle(v)
+		tx.stage = StageDeliver
+		w.wakeIfIdle(v)
 	}
-	tx.add(StageDeliver, body)
 
 	w.txDepth--
-	cost := tx.Cost
-	if err != nil {
-		cost = 0
+	var cost sim.Cycles
+	if err == nil {
+		cost = stats.TotalCycles() - start
 	}
 	if checked {
 		w.Check.End(token, w, v, b, op, cost, err)
@@ -180,8 +201,9 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 	if err != nil {
 		return 0, err
 	}
-	if w.txDepth == 0 && w.Stages != nil {
-		w.Stages.observe(&tx)
+	if ss != nil {
+		tx.enter(StageSettle, stats)
+		ss.observe(&tx)
 	}
 	return cost, nil
 }
@@ -193,11 +215,11 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 // (packages hyperv, xen) are others — a world can stack several without the
 // dispatch code knowing any of them.
 //
-// TryHandle performs the emulation effects, charges its own work to the
-// stats sink, and returns that work so the intercept stage can wrap it in
-// the fixed exit/dispatch/entry costs. A TryHandle that declines (false,
-// nil) must leave engine state as it found it, because the exit is then
-// forwarded to the guest hypervisor unchanged (paper Figure 1a);
+// TryHandle performs the emulation effects and charges its own work to the
+// stats sink; the intercept stage adds the fixed dispatch and entry costs of
+// a claimed exit. A TryHandle that declines (false, nil) must leave engine
+// state as it found it, because the exit is then forwarded to the guest
+// hypervisor unchanged (paper Figure 1a);
 // TestDeclinedInterceptorsLeaveStateUnchanged (internal/check) holds every
 // implementation to that. Op is passed by value: TryHandle never mutates
 // it, and a pointer would force every Execute call's op to escape to the
@@ -212,8 +234,8 @@ type Interceptor interface {
 	// each pair to its package's declared one.
 	InterceptorInfo() (name string, priority int)
 	// TryHandle inspects an exit from a nested VM (level >= 2) and reports
-	// whether it handled it directly, with the work charged.
-	TryHandle(w *World, v *VCPU, op Op) (handled bool, work sim.Cycles, err error)
+	// whether it handled it directly, its work charged to the stats sink.
+	TryHandle(w *World, v *VCPU, op Op) (handled bool, err error)
 }
 
 // RegisterInterceptor adds a direct-handling backend to the world's chain.
@@ -258,7 +280,7 @@ func (w *World) stageIntercept(tx *ExitContext) (bool, error) {
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	for _, it := range w.interceptors {
-		handled, work, err := it.TryHandle(w, tx.V, tx.Op)
+		handled, err := it.TryHandle(w, tx.V, tx.Op)
 		if err != nil {
 			return false, err
 		}
@@ -266,10 +288,8 @@ func (w *World) stageIntercept(tx *ExitContext) (bool, error) {
 			stats.RecordHandledExit(tx.Reason, 0)
 			w.Tracer.Record(tx.Reason, tx.Level, 0)
 			stats.ChargeLevel(0, c.HostDispatch+c.HwEntry)
-			tx.add(StageIntercept, c.HostDispatch+work+c.HwEntry)
 			return true, nil
 		}
-		tx.add(StageIntercept, c.DVHCheckWork)
 		stats.ChargeLevel(0, c.DVHCheckWork)
 	}
 	return false, nil

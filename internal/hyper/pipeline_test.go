@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // stubInterceptor is a minimal chain member recording when it fires.
@@ -17,13 +18,13 @@ type stubInterceptor struct {
 
 func (s *stubInterceptor) InterceptorInfo() (string, int) { return s.name, s.priority }
 
-func (s *stubInterceptor) TryHandle(w *World, v *VCPU, op Op) (bool, sim.Cycles, error) {
+func (s *stubInterceptor) TryHandle(w *World, v *VCPU, op Op) (bool, error) {
 	*s.log = append(*s.log, s.name)
 	if !s.handle {
-		return false, 0, nil
+		return false, nil
 	}
 	w.Host.Machine.Stats.ChargeLevel(0, s.work)
-	return true, s.work, nil
+	return true, nil
 }
 
 // mustRegister registers an interceptor, failing the test on rejection.
@@ -216,19 +217,27 @@ func TestNestedBoundariesStack(t *testing.T) {
 	}
 }
 
-// TestExitContextLedger exercises the per-stage cost ledger: add keeps the
-// transaction total equal to the sum of its stage entries, and the total a
-// forwarded exit settles is the cost its caller receives.
+// TestExitContextLedger exercises the per-stage cost ledger: each stage an
+// observed transaction enters gets what the stats sink gained while it was
+// in it, an unobserved one keeps no ledger, and the ledger a forwarded exit
+// settles sums to the cost its caller receives.
 func TestExitContextLedger(t *testing.T) {
-	var tx ExitContext
-	tx.add(StageRoute, 10)
-	tx.add(StageForward, 700)
-	tx.add(StageForward, 300)
-	if tx.ledger[StageForward] != 1000 {
-		t.Errorf("forward stage = %v, want 1000", tx.ledger[StageForward])
-	}
-	if tx.Cost != 1010 {
-		t.Errorf("ledger total = %v, want 1010", tx.Cost)
+	var stats trace.Stats
+	for _, observed := range []bool{true, false} {
+		tx := ExitContext{observed: observed}
+		tx.enter(StageRoute, &stats)
+		stats.ChargeLevel(0, 10)
+		tx.enter(StageForward, &stats)
+		stats.ChargeLevel(1, 700)
+		stats.ChargeGuest(300)
+		tx.enter(StageSettle, &stats)
+		want := [NumStages]sim.Cycles{StageRoute: 10, StageForward: 1000}
+		if !observed {
+			want = [NumStages]sim.Cycles{}
+		}
+		if tx.ledger != want {
+			t.Errorf("observed=%v: ledger = %v, want %v", observed, tx.ledger, want)
+		}
 	}
 
 	w, vms := testStack(t, 2)

@@ -49,9 +49,9 @@ type chargeSink interface {
 	// traceEvent reports one hardware exit on the timeline.
 	traceEvent(r vmx.ExitReason, from, handler int)
 	// privOps runs n consecutive privileged instructions with the given
-	// reason, executed by the hypervisor at level, and returns their total
-	// cost: exactly n walks of privOpCost into this sink.
-	privOps(stack []*Hypervisor, level int, reason vmx.ExitReason, n int) sim.Cycles
+	// reason, executed by the hypervisor at level: exactly n walks of
+	// privOpCost into this sink.
+	privOps(stack []*Hypervisor, level int, reason vmx.ExitReason, n int)
 }
 
 // chargeLevel implements chargeSink live: charges go straight to the stats
@@ -78,78 +78,66 @@ func (w *World) traceEvent(r vmx.ExitReason, from, handler int) {
 
 // privOps implements chargeSink live: it walks the instruction's subtree n
 // times, as the pre-cache engine did.
-func (w *World) privOps(stack []*Hypervisor, level int, reason vmx.ExitReason, n int) sim.Cycles {
-	var cost sim.Cycles
+func (w *World) privOps(stack []*Hypervisor, level int, reason vmx.ExitReason, n int) {
 	for i := 0; i < n; i++ {
-		cost += w.privOpCost(stack, level, reason, w)
+		w.privOpCost(stack, level, reason, w)
 	}
-	return cost
 }
 
 // forwardCost is the pure cost/charge tree of one forwarded exit: the host
 // reflects the exit into L1, intermediate levels re-reflect toward the
 // owner, and the owner runs its handler — every privileged instruction of
 // which recurses through privOpCost. It emits all charges, counts and trace
-// events into the sink and returns the total cycles. Owner side effects are
-// explicitly NOT part of this tree (see ownerEffects).
-func (w *World) forwardCost(stack []*Hypervisor, reason vmx.ExitReason, owner int, sink chargeSink) sim.Cycles {
-	c := &w.Costs
-	cost := c.ReflectWork + c.HwEntry
-	sink.chargeLevel(0, c.ReflectWork+c.HwEntry)
+// events into the sink. Owner side effects are explicitly NOT part of this
+// tree (see ownerEffects).
+func (w *World) forwardCost(stack []*Hypervisor, reason vmx.ExitReason, owner int, sink chargeSink) {
+	sink.chargeLevel(0, w.Costs.ReflectWork+w.Costs.HwEntry)
 
 	// Intermediate levels re-reflect toward the owner.
 	for j := 1; j < owner; j++ {
-		cost += w.scriptCost(stack, j, stack[j].Personality.ReflectScript(), sink)
+		w.scriptCost(stack, j, stack[j].Personality.ReflectScript(), sink)
 	}
 	// The owner's handler.
-	cost += w.scriptCost(stack, owner, stack[owner].Personality.HandlerScript(reason), sink)
-	return cost
+	w.scriptCost(stack, owner, stack[owner].Personality.HandlerScript(reason), sink)
 }
 
 // scriptCost charges the cost of a hypervisor code path executed at the given
 // level. At level 1 with VMCS shadowing, VMREAD/VMWRITEs are satisfied in
 // hardware; at deeper levels every one of them is a trapped instruction
 // whose emulation recurses — the exit-multiplication engine.
-func (w *World) scriptCost(stack []*Hypervisor, level int, s Script, sink chargeSink) sim.Cycles {
+func (w *World) scriptCost(stack []*Hypervisor, level int, s Script, sink chargeSink) {
 	c := &w.Costs
-	var cost sim.Cycles
-
 	if level == 0 {
-		cost = sim.Cycles(s.VMAccesses)*c.NativeVMAccess + sim.Cycles(s.PrivOps)*c.PrivEmulWork + s.SoftWork
+		cost := sim.Cycles(s.VMAccesses)*c.NativeVMAccess + sim.Cycles(s.PrivOps)*c.PrivEmulWork + s.SoftWork
 		if s.Resume {
 			cost += c.ResumeMergeWork + c.HwEntry
 		}
 		sink.chargeLevel(0, cost)
-		return cost
+		return
 	}
 
 	if s.VMAccesses > 0 {
 		if level == 1 && w.Host.Caps.Has(vmx.CapVMCSShadowing) {
-			shadow := sim.Cycles(s.VMAccesses) * c.ShadowVMAccess
-			cost += shadow
-			sink.chargeLevel(level, shadow)
+			sink.chargeLevel(level, sim.Cycles(s.VMAccesses)*c.ShadowVMAccess)
 		} else {
-			cost += sink.privOps(stack, level, vmx.ExitVMREAD, s.VMAccesses)
+			sink.privOps(stack, level, vmx.ExitVMREAD, s.VMAccesses)
 		}
 	}
-	cost += sink.privOps(stack, level, vmx.ExitVMPTRLD, s.PrivOps)
-	cost += s.SoftWork
+	sink.privOps(stack, level, vmx.ExitVMPTRLD, s.PrivOps)
 	sink.chargeLevel(level, s.SoftWork)
 	if s.Resume {
-		cost += sink.privOps(stack, level, vmx.ExitVMRESUME, 1)
+		sink.privOps(stack, level, vmx.ExitVMRESUME, 1)
 	}
-	return cost
 }
 
 // privOpCost charges one privileged virtualization instruction executed by
 // the hypervisor at the given level. Level-1 instructions are emulated
 // directly by the host; deeper ones are forwarded to the level below, whose
 // emulation path is itself a script full of privileged instructions.
-func (w *World) privOpCost(stack []*Hypervisor, level int, reason vmx.ExitReason, sink chargeSink) sim.Cycles {
+func (w *World) privOpCost(stack []*Hypervisor, level int, reason vmx.ExitReason, sink chargeSink) {
 	c := &w.Costs
 	sink.hardwareExit(reason)
 	sink.traceEvent(reason, level, level-1)
-	cost := c.HwExit
 
 	if level == 1 {
 		sink.handledExit(reason, 0)
@@ -157,21 +145,18 @@ func (w *World) privOpCost(stack []*Hypervisor, level int, reason vmx.ExitReason
 		if reason == vmx.ExitVMRESUME || reason == vmx.ExitVMLAUNCH {
 			work += c.ResumeMergeWork
 		}
-		cost += c.HostDispatch + work + c.HwEntry
-		sink.chargeLevel(0, cost)
-		return cost
+		sink.chargeLevel(0, c.HwExit+c.HostDispatch+work+c.HwEntry)
+		return
 	}
 
 	// Forward the emulation to the hypervisor one level below.
 	handler := level - 1
 	sink.handledExit(reason, handler)
-	cost += c.ReflectWork + c.HwEntry
 	sink.chargeLevel(0, c.HwExit+c.ReflectWork+c.HwEntry)
 	for j := 1; j < handler; j++ {
-		cost += w.scriptCost(stack, j, stack[j].Personality.ReflectScript(), sink)
+		w.scriptCost(stack, j, stack[j].Personality.ReflectScript(), sink)
 	}
-	cost += w.scriptCost(stack, handler, stack[handler].Personality.EmulScript(reason), sink)
-	return cost
+	w.scriptCost(stack, handler, stack[handler].Personality.EmulScript(reason), sink)
 }
 
 // planKind names the charge tree a plan caches. With the level the tree ends
@@ -212,23 +197,22 @@ func planRow(kind planKind, reason vmx.ExitReason) int {
 	return vmx.NumReasonIndexes + int(kind) - 1
 }
 
-// walk runs one kind's charge tree into the sink and returns its total cost.
-// Only planForward reads reason; every other kind fixes its own. The wake
-// ladder reads no stack, so stack may be nil for it.
-func (w *World) walk(stack []*Hypervisor, kind planKind, reason vmx.ExitReason, level int, sink chargeSink) sim.Cycles {
+// walk runs one kind's charge tree into the sink. Only planForward reads
+// reason; every other kind fixes its own. The wake ladder reads no stack, so
+// stack may be nil for it.
+func (w *World) walk(stack []*Hypervisor, kind planKind, reason vmx.ExitReason, level int, sink chargeSink) {
 	switch kind {
 	case planForward:
-		return w.forwardCost(stack, reason, level, sink)
+		w.forwardCost(stack, reason, level, sink)
 	case planInject:
-		return w.guestPathCost(stack, vmx.ExitExternalInterrupt, level, stack[level].Personality.InjectScript(), sink)
+		w.guestPathCost(stack, vmx.ExitExternalInterrupt, level, stack[level].Personality.InjectScript(), sink)
 	case planCascade:
-		return w.rxCascadeCost(stack, level, sink)
+		w.rxCascadeCost(stack, level, sink)
 	case planWake:
-		return w.wakeLadderCost(level, sink)
+		w.wakeLadderCost(level, sink)
 	case planSwitch:
-		return w.scriptCost(stack, level, switchScript(), sink)
+		w.scriptCost(stack, level, switchScript(), sink)
 	}
-	return 0
 }
 
 // reasonCount is one aggregated hardware-exit delta of a plan.
@@ -248,8 +232,6 @@ type handledCount struct {
 // applies. A plan holds the deltas of its whole tree; a compile also builds
 // deltas for each privileged-instruction subtree it memoizes.
 type deltas struct {
-	// cost is the total cycles of the tree.
-	cost sim.Cycles
 	// levels holds the per-level ChargeLevel deltas, pre-clamped to the
 	// stats tables' level range.
 	levels [trace.MaxLevels]sim.Cycles
@@ -261,8 +243,7 @@ type deltas struct {
 
 // plan is the compiled, immutable replay form of one charge tree. Replaying
 // it applies exactly the stats deltas the tree would emit, in
-// O(levels + deltas) with zero allocations, and returns the identical total
-// cost.
+// O(levels + deltas) with zero allocations.
 type plan struct {
 	deltas
 	// pers pins the plan to the personalities it was compiled against:
@@ -358,19 +339,18 @@ func (b *planBuilder) traceEvent(vmx.ExitReason, int, int) {}
 // that subtree n times.
 //
 //nvlint:cold
-func (b *planBuilder) privOps(stack []*Hypervisor, level int, reason vmx.ExitReason, n int) sim.Cycles {
+func (b *planBuilder) privOps(stack []*Hypervisor, level int, reason vmx.ExitReason, n int) {
 	if n <= 0 {
-		return 0
+		return
 	}
 	key := subtreeKey{level: level, reason: reason}
 	sub := b.memo[key]
 	if sub == nil {
 		sub = &deltas{}
-		sub.cost = b.w.privOpCost(stack, level, reason, &planBuilder{w: b.w, d: sub, memo: b.memo})
+		b.w.privOpCost(stack, level, reason, &planBuilder{w: b.w, d: sub, memo: b.memo})
 		b.memo[key] = sub
 	}
 	b.merge(sub, n)
-	return sub.cost * sim.Cycles(n)
 }
 
 // merge adds n copies of a subtree's deltas, exactly as n walks of it
@@ -396,7 +376,7 @@ func (b *planBuilder) merge(sub *deltas, n int) {
 func (w *World) compilePlan(stack []*Hypervisor, kind planKind, reason vmx.ExitReason, level int) *plan {
 	p := &plan{pinned: min(level, len(stack)-1)}
 	b := &planBuilder{w: w, d: &p.deltas, memo: map[subtreeKey]*deltas{}}
-	p.cost = w.walk(stack, kind, reason, level, b)
+	w.walk(stack, kind, reason, level, b)
 	for k := 1; k <= p.pinned; k++ {
 		p.pers[k] = stack[k].Personality
 	}
@@ -409,9 +389,8 @@ func (w *World) compilePlan(stack []*Hypervisor, kind planKind, reason vmx.ExitR
 }
 
 // applyPlan applies a compiled plan's deltas — the aggregated per-level
-// charges and the exit counts — and returns the plan's total cost,
-// byte-identical to walking the tree live.
-func (w *World) applyPlan(p *plan) sim.Cycles {
+// charges and the exit counts — byte-identical to walking the tree live.
+func (w *World) applyPlan(p *plan) {
 	stats := w.Host.Machine.Stats
 	for l := range p.levels {
 		if c := p.levels[l]; c != 0 {
@@ -424,7 +403,6 @@ func (w *World) applyPlan(p *plan) sim.Cycles {
 	for _, d := range p.handled {
 		stats.AddHandledExits(d.reason, d.level, d.n)
 	}
-	return p.cost
 }
 
 // planTable is the World's compiled-plan cache, valid for one (topology,
@@ -456,7 +434,7 @@ func (w *World) validPlans() *planTable {
 	return t
 }
 
-// charge runs one charge tree and returns its cost. With the cache on, it
+// charge runs one charge tree into the stats sink. With the cache on, it
 // replays the key's compiled plan, compiling on a miss, after a flush, or
 // when a pinned personality differs; with NVSIM_NOPLANCACHE, with a Tracer
 // attached (a timeline needs every event, and only nvtrace attaches one,
@@ -464,9 +442,10 @@ func (w *World) validPlans() *planTable {
 // walks the tree live. This is the single live-or-replay decision for every
 // cached path. Only planForward reads reason; callers pass 0 for the other
 // kinds.
-func (w *World) charge(stack []*Hypervisor, kind planKind, reason vmx.ExitReason, level int) sim.Cycles {
+func (w *World) charge(stack []*Hypervisor, kind planKind, reason vmx.ExitReason, level int) {
 	if w.planCacheOff || w.Tracer != nil || level < 0 || level >= trace.MaxLevels {
-		return w.walk(stack, kind, reason, level, w)
+		w.walk(stack, kind, reason, level, w)
+		return
 	}
 	slot := &w.validPlans().slots[planRow(kind, reason)][level]
 	if p := *slot; p == nil || !p.matchesStack(stack) {
@@ -477,5 +456,5 @@ func (w *World) charge(stack []*Hypervisor, kind planKind, reason vmx.ExitReason
 	} else {
 		w.Plan.DeliveryReplays++
 	}
-	return w.applyPlan(*slot)
+	w.applyPlan(*slot)
 }

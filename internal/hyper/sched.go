@@ -3,7 +3,6 @@ package hyper
 import (
 	"fmt"
 
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -17,8 +16,6 @@ type Scheduler struct {
 	// rr holds the round-robin cursor per CPU so repeated picks rotate
 	// fairly among runnable vCPUs sharing that CPU.
 	rr map[int]int
-	// Switches counts context switches performed.
-	Switches uint64
 
 	// scratch backs candidates so the HLT exit path does not allocate a
 	// fresh slice on every pick. Valid only until the next candidates call.
@@ -82,17 +79,16 @@ func switchScript() Script {
 // the incoming one loaded, and its guest state restored. The VMCS operations
 // and scheduler bookkeeping stay live; the switch's charge tree — a fixed
 // script at the switching level, exit-multiplied below it — replays a
-// compiled plan in steady state.
-func (w *World) guestSwitch(stack []*Hypervisor, level int, from, to *VCPU) (sim.Cycles, error) {
+// compiled plan in steady state. The stats sink's sched.switches counter
+// counts the switches.
+func (w *World) guestSwitch(stack []*Hypervisor, level int, from, to *VCPU) error {
 	if from.VM.Owner != to.VM.Owner {
-		return 0, fmt.Errorf("hyper: switch between vCPUs of different hypervisors (%s -> %s)", from.Path(), to.Path())
+		return fmt.Errorf("hyper: switch between vCPUs of different hypervisors (%s -> %s)", from.Path(), to.Path())
 	}
 	from.VMCS.Clear()
 	to.VMCS.Load()
 	to.VMCS.CopyGuestState(from.VMCS)
-	cost := w.charge(stack, planSwitch, 0, level)
-	sched := stack[level].EnsureScheduler()
-	sched.Switches++
+	w.charge(stack, planSwitch, 0, level)
 	w.Host.Machine.Stats.Inc(trace.SchedSwitches, 1)
-	return cost, nil
+	return nil
 }

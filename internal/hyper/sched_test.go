@@ -51,7 +51,7 @@ func TestSchedulerSkipsIdleAndExcept(t *testing.T) {
 }
 
 func TestHLTSwitchesToSiblingNestedVM(t *testing.T) {
-	w, gh, a, b := twoGuestStack(t)
+	w, _, a, b := twoGuestStack(t)
 	stats := w.Host.Machine.Stats
 	// a's vCPU 0 halts; the guest hypervisor owns the exit (two nested VMs:
 	// virtual idle would not be enabled here) and must switch to b's vCPU 0.
@@ -61,9 +61,6 @@ func TestHLTSwitchesToSiblingNestedVM(t *testing.T) {
 	}
 	if stats.Counter("sched.switches") != 1 {
 		t.Fatalf("sched.switches = %d, want 1", stats.Counter("sched.switches"))
-	}
-	if gh.EnsureScheduler().Switches != 1 {
-		t.Fatal("per-scheduler switch count wrong")
 	}
 	// The incoming vCPU's VMCS is now current; the outgoing one is cleared.
 	if !b.VCPUs[0].VMCS.Current() {
@@ -93,7 +90,7 @@ func TestGuestSwitchRejectsCrossHypervisor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.guestSwitch(stack, 1, vms[1].VCPUs[0], vms[0].VCPUs[0]); err == nil {
+	if err := w.guestSwitch(stack, 1, vms[1].VCPUs[0], vms[0].VCPUs[0]); err == nil {
 		t.Fatal("cross-hypervisor switch accepted")
 	}
 }

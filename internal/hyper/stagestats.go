@@ -14,7 +14,8 @@ import (
 // vs deliver — which the aggregate trace.Stats tables cannot (they attribute
 // cycles to hypervisor *levels*, not pipeline *stages*). The pipeline's
 // single settle point feeds it through observe, walking the transaction's
-// per-stage cost ledger, so exactly the cycles a boundary returned to its
+// per-stage ledger: the stats sink's total, split at each stage the
+// transaction entered. So exactly the cycles a boundary returned to its
 // caller are attributed, once each.
 //
 // All tables are fixed-size arrays indexed by Stage and Boundary, so the
@@ -22,9 +23,10 @@ import (
 // so output is deterministic.
 //
 // The simulator observes only *outermost* transactions: a nested boundary
-// (a wake inside an IPI, a cascade kick inside a forwarded doorbell) already
-// folds its cost into the enclosing transaction's ledger at the stage that
-// invoked it, so observing it again would double-count. Each settled cycle
+// (a wake inside an IPI, a cascade kick inside a forwarded doorbell) charges
+// the stats sink while the enclosing transaction is in the stage that
+// invoked it, so its cycles are already that stage's, and observing it
+// again would double-count. Each settled cycle
 // therefore appears in exactly one (boundary, stage) cell.
 //
 // The zero value is ready to use; it is not safe for concurrent use (one per
@@ -118,10 +120,9 @@ func (ss *StageStats) BoundaryTotal(b Boundary) sim.Cycles {
 	return t
 }
 
-// TotalCycles sums every attributed cycle. On a consistent run driven only
-// through World boundaries this equals the Stats grand total (LevelCycles sum
-// plus the guest cycles charged on fast paths) — the reconciliation the
-// settle-ledger metamorphic tests assert.
+// TotalCycles sums every attributed cycle. On a run driven only through
+// World boundaries this equals the Stats grand total — the reconciliation
+// the settle-ledger metamorphic tests assert.
 func (ss *StageStats) TotalCycles() sim.Cycles {
 	var t sim.Cycles
 	for b := range boundaryCount {

@@ -19,8 +19,8 @@ type stubTimerPolicy struct {
 
 func (s *stubTimerPolicy) InterceptorInfo() (string, int) { return s.name, s.priority }
 
-func (s *stubTimerPolicy) TryHandle(w *World, v *VCPU, op Op) (bool, sim.Cycles, error) {
-	return false, 0, nil
+func (s *stubTimerPolicy) TryHandle(w *World, v *VCPU, op Op) (bool, error) {
+	return false, nil
 }
 
 func (s *stubTimerPolicy) DirectTimerDelivery(v *VCPU) bool {

@@ -45,10 +45,11 @@ type PlanCacheStats struct {
 // irq.go, timer plumbing and the timeline in timer.go and virtio backends in
 // backend.go.
 //
-// Accounting discipline: every method charges to the stats sink exactly the
-// cycles it adds and returns their sum, so a caller's total always equals
-// what was recorded. The pipeline's settle point is where the invariant
-// checker verifies that promise per boundary.
+// Accounting discipline: the stats sink (Host.Machine.Stats) is the one
+// record of a cycle. Every charge lands there once, at the level that spent
+// it, and nothing below the five public boundaries returns cycles: each
+// boundary returns the change in the sink's total across it, so a caller's
+// cost is what was recorded by construction.
 type World struct {
 	Host  *Hypervisor
 	Costs CostModel
@@ -61,10 +62,11 @@ type World struct {
 	Tracer *trace.Recorder
 	// Stages, when non-nil, receives per-stage cycle attribution for every
 	// settled outermost transaction (cmd/nvtrace -stages, the experiment
-	// stage tables). A nil sink costs one branch at settle. Replay-cached
-	// and live forwarded exits charge their lump to StageForward through
-	// the same ExitContext.add call, so attaching a sink never perturbs,
-	// and is never perturbed by, the plan-cache mode.
+	// stage tables). A nil sink costs one branch per stage entered. Stage
+	// shares are read off the stats sink's total, which replay-cached and
+	// live charge trees move alike, so attaching a sink never perturbs, and
+	// is never perturbed by, the plan-cache mode. The sink attached when an
+	// outermost transaction opens is the one that observes it.
 	Stages *StageStats
 	// txDepth is the current boundary nesting depth, which transact raises
 	// around each boundary's body: 0 after the decrement means the settling

@@ -18,10 +18,10 @@ func TestExecuteUnknownDoorbellErrors(t *testing.T) {
 
 func TestExecAsLevelZeroRejected(t *testing.T) {
 	w, vms := testStack(t, 2)
-	if _, err := w.execAsLevel(vms[1].VCPUs[0], 0, Hypercall()); err == nil {
+	if err := w.execAsLevel(vms[1].VCPUs[0], 0, Hypercall()); err == nil {
 		t.Fatal("execAsLevel(0) accepted")
 	}
-	if _, err := w.execAsLevel(vms[1].VCPUs[0], 9, Hypercall()); err == nil {
+	if err := w.execAsLevel(vms[1].VCPUs[0], 9, Hypercall()); err == nil {
 		t.Fatal("execAsLevel beyond stack accepted")
 	}
 }

@@ -2,7 +2,6 @@ package hyperv
 
 import (
 	"repro/internal/hyper"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -36,22 +35,20 @@ func (Enlightenment) InterceptorInfo() (string, int) {
 }
 
 // TryHandle implements hyper.Interceptor: flush-class hypercalls from a
-// nested VM running under a Hyper-V guest hypervisor are executed at L0.
-// Returned work is charged to the stats sink, keeping the settle point's
-// cycle-conservation invariant.
-func (Enlightenment) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.Cycles, error) {
+// nested VM running under a Hyper-V guest hypervisor are executed at L0,
+// their work charged to the stats sink.
+func (Enlightenment) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, error) {
 	if op.Kind != hyper.OpHypercall {
-		return false, 0, nil
+		return false, nil
 	}
 	if _, ok := v.VM.Owner.Personality.(HyperV); !ok {
 		// The VM's hypervisor is not Hyper-V: no enlightenment contract.
-		return false, 0, nil
+		return false, nil
 	}
 	stats := w.Host.Machine.Stats
-	work := w.Costs.EnlightenedHypercallWork
-	stats.ChargeLevel(0, work)
+	stats.ChargeLevel(0, w.Costs.EnlightenedHypercallWork)
 	stats.Inc(trace.HyperVEnlightenedHypercalls, 1)
-	return true, work, nil
+	return true, nil
 }
 
 var _ hyper.Interceptor = Enlightenment{}

@@ -21,9 +21,11 @@ import (
 // headroom keeps recursive-DVH experiments honest).
 const MaxLevels = 6
 
-// Stats accumulates simulation accounting. The zero value is ready to use.
-// Stats is not safe for concurrent use; the simulation kernel is
-// single-threaded by design.
+// Stats accumulates simulation accounting. It is the one record of a
+// simulated cycle: every charge lands here once, at the level that spent it,
+// and an engine boundary's cost is the change in TotalCycles across it. The
+// zero value is ready to use. Stats is not safe for concurrent use; the
+// simulation kernel is single-threaded by design.
 type Stats struct {
 	// HardwareExits counts exits taken by the physical CPU (always to L0),
 	// indexed by exit reason.
@@ -39,6 +41,10 @@ type Stats struct {
 	LevelCycles [MaxLevels]sim.Cycles
 	// GuestCycles counts cycles spent doing the VM's own (useful) work.
 	GuestCycles sim.Cycles
+
+	// total is GuestCycles plus every LevelCycles entry, kept as the charges
+	// land so that TotalCycles, read at every boundary, is one field read.
+	total sim.Cycles
 
 	counters [NumCounters]uint64
 	// touched has bit c set once counter c has been incremented, so a
@@ -126,10 +132,14 @@ func (s *Stats) AddHandledExits(r vmx.ExitReason, level int, n uint64) {
 // ChargeLevel attributes cycles to a hypervisor level.
 func (s *Stats) ChargeLevel(level int, c sim.Cycles) {
 	s.LevelCycles[ClampLevel(level)] += c
+	s.total += c
 }
 
 // ChargeGuest attributes cycles to useful guest work.
-func (s *Stats) ChargeGuest(c sim.Cycles) { s.GuestCycles += c }
+func (s *Stats) ChargeGuest(c sim.Cycles) {
+	s.GuestCycles += c
+	s.total += c
+}
 
 // Inc adds delta to a counter.
 func (s *Stats) Inc(c Counter, delta uint64) {
@@ -190,14 +200,8 @@ func (s *Stats) GuestHypervisorExits() uint64 {
 	return t
 }
 
-// TotalCycles sums all attributed cycles, hypervisor and guest.
-func (s *Stats) TotalCycles() sim.Cycles {
-	t := s.GuestCycles
-	for _, c := range s.LevelCycles {
-		t += c
-	}
-	return t
-}
+// TotalCycles returns every cycle charged, hypervisor and guest.
+func (s *Stats) TotalCycles() sim.Cycles { return s.total }
 
 // Reset zeroes all accounting.
 func (s *Stats) Reset() { *s = Stats{} }

@@ -22,14 +22,13 @@ type timerClaim struct {
 
 func (*timerClaim) InterceptorInfo() (string, int) { return "test-timer-claim", 0 }
 
-func (c *timerClaim) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.Cycles, error) {
+func (c *timerClaim) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, error) {
 	if op.Kind != hyper.OpTimerProgram {
-		return false, 0, nil
+		return false, nil
 	}
-	work := c.cost(c.claims, v)
+	w.Host.Machine.Stats.ChargeLevel(0, c.cost(c.claims, v))
 	c.claims++
-	w.Host.Machine.Stats.ChargeLevel(0, work)
-	return true, work, nil
+	return true, nil
 }
 
 // periodicCase is one workload on a depth-2 paravirtual stack, with a

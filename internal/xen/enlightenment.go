@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/hyper"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -32,33 +31,30 @@ func (Enlightenment) InterceptorInfo() (string, int) {
 // TryHandle implements hyper.Interceptor: event-channel IPIs from a nested
 // VM running under a Xen guest hypervisor are delivered at L0. The state
 // effects mirror the host's own IPI emulation — post to the destination's
-// posted-interrupt descriptor, sync, wake — and the returned work is charged
-// to the stats sink, keeping the settle point's cycle-conservation
-// invariant.
-func (Enlightenment) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.Cycles, error) {
+// posted-interrupt descriptor, sync, wake — and the notify work is charged
+// to the stats sink at L0.
+func (Enlightenment) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, error) {
 	if op.Kind != hyper.OpSendIPI {
-		return false, 0, nil
+		return false, nil
 	}
 	if _, ok := v.VM.Owner.Personality.(Xen); !ok {
 		// The VM's hypervisor is not Xen: no event-channel ABI to offload.
-		return false, 0, nil
+		return false, nil
 	}
 	id := int(op.ICR.Dest())
 	if id < 0 || id >= len(v.VM.VCPUs) {
-		return false, 0, fmt.Errorf("xen: evtchn IPI from %s to missing vCPU %d", v.Path(), id)
+		return false, fmt.Errorf("xen: evtchn IPI from %s to missing vCPU %d", v.Path(), id)
 	}
 	dest := v.VM.VCPUs[id]
 	dest.PID.Post(op.ICR.Vector())
 	dest.PID.Sync(dest.LAPIC)
-	stats := w.Host.Machine.Stats
-	work := w.Costs.EvtchnNotifyWork
-	wake, err := w.WakeIfIdle(dest)
-	if err != nil {
-		return false, 0, err
+	if _, err := w.WakeIfIdle(dest); err != nil {
+		return false, err
 	}
-	stats.ChargeLevel(0, work)
+	stats := w.Host.Machine.Stats
+	stats.ChargeLevel(0, w.Costs.EvtchnNotifyWork)
 	stats.Inc(trace.XenEvtchnIPIs, 1)
-	return true, work + wake, nil
+	return true, nil
 }
 
 var _ hyper.Interceptor = Enlightenment{}
