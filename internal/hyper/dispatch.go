@@ -51,8 +51,9 @@ func (w *World) Execute(v *VCPU, op Op) (sim.Cycles, error) {
 // hardware exit into L0, where the interceptor chain may claim it before it
 // is routed to its owning level and emulated (owner 0) or forwarded. It
 // enters each stage before the stage charges anything, so an observed
-// transaction's stage shares come out of the stats sink's total.
-func (w *World) dispatch(tx *ExitContext) error {
+// transaction's spans split the stats sink's total by stage; sp is nil for
+// an unobserved one.
+func (w *World) dispatch(tx *ExitContext, sp *stageSpans) error {
 	done, err := w.stageFastPath(tx)
 	if done || err != nil {
 		return err
@@ -61,7 +62,7 @@ func (w *World) dispatch(tx *ExitContext) error {
 	// Every remaining path takes a physical exit into L0, which routing
 	// pays for.
 	stats := w.Host.Machine.Stats
-	tx.enter(StageRoute, stats)
+	sp.enter(StageRoute, stats)
 	stats.RecordHardwareExit(tx.Reason)
 	stats.ChargeLevel(0, w.Costs.HwExit)
 
@@ -70,7 +71,7 @@ func (w *World) dispatch(tx *ExitContext) error {
 		return err
 	}
 
-	tx.enter(StageIntercept, stats)
+	sp.enter(StageIntercept, stats)
 	done, err = w.stageIntercept(tx)
 	if done || err != nil {
 		return err
@@ -78,10 +79,10 @@ func (w *World) dispatch(tx *ExitContext) error {
 
 	w.stageRoute(tx)
 	if tx.Owner == 0 {
-		tx.enter(StageEmulate, stats)
+		sp.enter(StageEmulate, stats)
 		return w.stageEmulate(tx)
 	}
-	tx.enter(StageForward, stats)
+	sp.enter(StageForward, stats)
 	return w.stageForward(tx, stack)
 }
 

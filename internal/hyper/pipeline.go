@@ -86,7 +86,9 @@ const ownerUnresolved = -1
 // reason, nesting level) and its routing decision. Its cost is not kept
 // here: every cycle lands once, in the stats sink, and transact reads the
 // boundary's cost off the sink's total. Only a transaction a StageStats will
-// observe also splits that total across the stages it runs.
+// observe also splits that total across the stages it runs, in stageSpans
+// that transact declares for it alone and hands to dispatch, so an
+// unobserved transaction zeroes and carries none.
 //
 // Nested transactions stack naturally: a forwarded exit whose owner re-enters
 // Execute (a guest hypervisor arming its own timer, a cascaded virtio kick)
@@ -103,19 +105,20 @@ type ExitContext struct {
 	// Reason is the VM-exit reason for Execute transactions; delivery
 	// transactions record their injection reasons per injected charge.
 	Reason vmx.ExitReason
-	// observed is set on an outermost transaction when a StageStats is
-	// attached; only then are stage, mark and ledger kept. It and stage sit
-	// in the padding after Reason, keeping the value at 128 bytes.
-	observed bool
-	// stage is the stage the transaction is in.
-	stage Stage
 	// Level is V's virtualization level at entry.
 	Level int
 	// Owner is the hypervisor level routed to handle the exit;
 	// ownerUnresolved until StageRoute, 0 when the host claims it.
 	Owner int
-	// mark is the stats sink's total when the transaction entered stage.
-	mark sim.Cycles
+}
+
+// stageSpans splits an observed transaction's cost across its stages. A nil
+// *stageSpans is an unobserved transaction's, and enter on it does nothing.
+type stageSpans struct {
+	// stage is the stage the transaction is in, and mark the stats sink's
+	// total when it entered it.
+	stage Stage
+	mark  sim.Cycles
 	// ledger holds the cycles charged while the transaction was in each
 	// stage, nested transactions' included.
 	ledger [NumStages]sim.Cycles
@@ -123,13 +126,12 @@ type ExitContext struct {
 
 // enter moves an observed transaction into stage s: the cycles the stats
 // sink gained since the current stage began are that stage's.
-func (tx *ExitContext) enter(s Stage, stats *trace.Stats) {
-	if !tx.observed {
-		return
+func (sp *stageSpans) enter(s Stage, stats *trace.Stats) {
+	if sp != nil {
+		t := stats.TotalCycles()
+		sp.ledger[sp.stage] += t - sp.mark
+		sp.stage, sp.mark = s, t
 	}
-	t := stats.TotalCycles()
-	tx.ledger[tx.stage] += t - tx.mark
-	tx.stage, tx.mark = s, t
 }
 
 // transact opens, runs and settles one exit transaction. Every public World
@@ -161,7 +163,16 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 	if w.txDepth == 0 {
 		ss = w.Stages
 	}
-	tx.observed, tx.mark = ss != nil, start
+	var sp *stageSpans
+	if ss != nil {
+		// Execute starts at StageFastPath, the zero Stage, and dispatch
+		// moves it on; a delivery body runs wholly at StageDeliver.
+		spans := stageSpans{mark: start}
+		if b != BoundaryExecute {
+			spans.stage = StageDeliver
+		}
+		sp = &spans
+	}
 	w.txDepth++
 	checked := w.Check != nil
 	var token int
@@ -169,24 +180,18 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 		token = w.Check.Begin(w, v, b, op)
 	}
 
-	// Execute starts at StageFastPath, the zero Stage, and dispatch moves it
-	// on; a delivery body runs wholly at StageDeliver.
 	var err error
 	switch b {
 	case BoundaryExecute:
 		tx.Reason = reasonFor(op)
-		err = w.dispatch(&tx)
+		err = w.dispatch(&tx, sp)
 	case BoundaryTimerIRQ:
-		tx.stage = StageDeliver
 		err = w.deliverTimerIRQ(v)
 	case BoundaryDeviceIRQ:
-		tx.stage = StageDeliver
 		err = w.deliverDeviceIRQ(dev, v)
 	case BoundaryDeviceRX:
-		tx.stage = StageDeliver
 		err = w.deviceRX(dev, v)
 	case BoundaryWake:
-		tx.stage = StageDeliver
 		w.wakeIfIdle(v)
 	}
 
@@ -202,8 +207,8 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 		return 0, err
 	}
 	if ss != nil {
-		tx.enter(StageSettle, stats)
-		ss.observe(&tx)
+		sp.enter(StageSettle, stats)
+		ss.observe(b, tx.Reason, &sp.ledger)
 	}
 	return cost, nil
 }

@@ -219,25 +219,21 @@ func TestNestedBoundariesStack(t *testing.T) {
 
 // TestExitContextLedger exercises the per-stage cost ledger: each stage an
 // observed transaction enters gets what the stats sink gained while it was
-// in it, an unobserved one keeps no ledger, and the ledger a forwarded exit
-// settles sums to the cost its caller receives.
+// in it, an unobserved one (nil spans) keeps no ledger, and the ledger a
+// forwarded exit settles sums to the cost its caller receives.
 func TestExitContextLedger(t *testing.T) {
 	var stats trace.Stats
-	for _, observed := range []bool{true, false} {
-		tx := ExitContext{observed: observed}
-		tx.enter(StageRoute, &stats)
+	sp := &stageSpans{stage: StageFastPath}
+	for _, sp := range []*stageSpans{sp, nil} {
+		sp.enter(StageRoute, &stats)
 		stats.ChargeLevel(0, 10)
-		tx.enter(StageForward, &stats)
+		sp.enter(StageForward, &stats)
 		stats.ChargeLevel(1, 700)
 		stats.ChargeGuest(300)
-		tx.enter(StageSettle, &stats)
-		want := [NumStages]sim.Cycles{StageRoute: 10, StageForward: 1000}
-		if !observed {
-			want = [NumStages]sim.Cycles{}
-		}
-		if tx.ledger != want {
-			t.Errorf("observed=%v: ledger = %v, want %v", observed, tx.ledger, want)
-		}
+		sp.enter(StageSettle, &stats)
+	}
+	if want := [NumStages]sim.Cycles{StageRoute: 10, StageForward: 1000}; sp.ledger != want {
+		t.Errorf("ledger = %v, want %v", sp.ledger, want)
 	}
 
 	w, vms := testStack(t, 2)

@@ -47,19 +47,20 @@ type StageStats struct {
 	Settled [boundaryCount]uint64
 }
 
-// observe records one settled outermost transaction from its whole per-stage
-// cost ledger: the boundary's settle count, then, for every stage with
-// nonzero cycles, the (boundary, stage) cell, the (exit reason, stage) cell
-// for Execute transactions, and the stage histogram. It runs on every
-// outermost settle of every observed run, so it is allocation-free.
-func (ss *StageStats) observe(tx *ExitContext) {
-	ss.Settled[tx.Boundary]++
-	bc := &ss.BoundaryCycles[tx.Boundary]
+// observe records one settled outermost transaction of boundary b, with
+// exit reason r for Execute, from its whole per-stage ledger: the
+// boundary's settle count, then, for every stage with nonzero cycles, the
+// (boundary, stage) cell, the (exit reason, stage) cell for Execute
+// transactions, and the stage histogram. It runs on every outermost settle
+// of every observed run, so it is allocation-free.
+func (ss *StageStats) observe(b Boundary, r vmx.ExitReason, ledger *[NumStages]sim.Cycles) {
+	ss.Settled[b]++
+	bc := &ss.BoundaryCycles[b]
 	var rc *[NumStages]sim.Cycles
-	if tx.Boundary == BoundaryExecute {
-		rc = &ss.ReasonCycles[tx.Reason.Index()]
+	if b == BoundaryExecute {
+		rc = &ss.ReasonCycles[r.Index()]
 	}
-	for s, c := range tx.ledger {
+	for s, c := range ledger {
 		if c == 0 {
 			continue
 		}

@@ -36,10 +36,9 @@ func TestStageStatsNilSafe(t *testing.T) {
 
 func TestStageStatsObserve(t *testing.T) {
 	ss := &StageStats{}
-	ss.observe(&ExitContext{Boundary: BoundaryExecute, Reason: vmx.ExitVMCALL,
-		ledger: [NumStages]sim.Cycles{StageRoute: 750, StageForward: 38300}})
+	ss.observe(BoundaryExecute, vmx.ExitVMCALL, &[NumStages]sim.Cycles{StageRoute: 750, StageForward: 38300})
 	// A wake settles with no exit reason.
-	ss.observe(&ExitContext{Boundary: BoundaryWake, ledger: [NumStages]sim.Cycles{StageDeliver: 40}})
+	ss.observe(BoundaryWake, 0, &[NumStages]sim.Cycles{StageDeliver: 40})
 
 	if got := ss.StageTotal(StageForward); got != 38300 {
 		t.Fatalf("forward total = %v", got)
@@ -72,26 +71,30 @@ func TestStageStatsObserve(t *testing.T) {
 // histograms and settle counts — for Execute reasons and for delivery
 // boundaries, which carry none.
 func TestObserveLedgerMatchesStages(t *testing.T) {
-	txs := []ExitContext{
-		{Boundary: BoundaryExecute, Reason: vmx.ExitVMCALL, ledger: [NumStages]sim.Cycles{StageRoute: 750, StageForward: 38300}},
-		{Boundary: BoundaryExecute, Reason: vmx.ExitHLT, ledger: [NumStages]sim.Cycles{1, 2, 3, 4, 5, 6, 7}},
-		{Boundary: BoundaryWake, ledger: [NumStages]sim.Cycles{StageDeliver: 40}},
-		{Boundary: BoundaryTimerIRQ},
+	txs := []struct {
+		b      Boundary
+		r      vmx.ExitReason
+		ledger [NumStages]sim.Cycles
+	}{
+		{BoundaryExecute, vmx.ExitVMCALL, [NumStages]sim.Cycles{StageRoute: 750, StageForward: 38300}},
+		{BoundaryExecute, vmx.ExitHLT, [NumStages]sim.Cycles{1, 2, 3, 4, 5, 6, 7}},
+		{BoundaryWake, 0, [NumStages]sim.Cycles{StageDeliver: 40}},
+		{BoundaryTimerIRQ, 0, [NumStages]sim.Cycles{}},
 	}
 	var want, got StageStats
 	for i := range txs {
 		tx := &txs[i]
 		reason := -1
-		if tx.Boundary == BoundaryExecute {
-			reason = tx.Reason.Index()
+		if tx.b == BoundaryExecute {
+			reason = tx.r.Index()
 		}
-		want.observeSettled(tx.Boundary)
+		want.observeSettled(tx.b)
 		for s, c := range tx.ledger {
 			if c != 0 {
-				want.observeStage(tx.Boundary, reason, Stage(s), c)
+				want.observeStage(tx.b, reason, Stage(s), c)
 			}
 		}
-		got.observe(tx)
+		got.observe(tx.b, tx.r, &tx.ledger)
 	}
 	if got != want {
 		t.Errorf("observe diverges from observeSettled+observeStage:\n got:\n%s\nwant:\n%s", got.String(), want.String())
@@ -100,8 +103,7 @@ func TestObserveLedgerMatchesStages(t *testing.T) {
 
 func TestStageStatsString(t *testing.T) {
 	ss := &StageStats{}
-	ss.observe(&ExitContext{Boundary: BoundaryExecute, Reason: vmx.ExitVMCALL,
-		ledger: [NumStages]sim.Cycles{StageRoute: 750, StageForward: 38300}})
+	ss.observe(BoundaryExecute, vmx.ExitVMCALL, &[NumStages]sim.Cycles{StageRoute: 750, StageForward: 38300})
 	out := ss.String()
 	for _, want := range []string{"Execute", "VMCALL", "route", "forward", "750", "38300", "per-stage cost histograms"} {
 		if !strings.Contains(out, want) {

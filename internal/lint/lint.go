@@ -39,15 +39,18 @@
 // suppress anything are themselves flagged (rule "directive", reported via
 // -unused-directives).
 //
-// Three contracts are held by structure and tests instead: a declining
+// Four contracts are held by structure and tests instead: a declining
 // interceptor leaves engine state untouched and reports a constant (name,
 // priority) (TestDeclinedInterceptorsLeaveStateUnchanged in
 // internal/check); hyper.Op stays by value (a pointer makes it escape, which
 // the AllocsPerRun tests of internal/hyper and internal/workload report);
-// and every exit transaction is opened and settled exactly once, because one
+// every exit transaction is opened and settled exactly once, because one
 // function, hyper's transact, does both for every boundary
-// (TestBoundarySettlePaths drives each boundary's success and error paths,
-// and the stage-table goldens pin which stage each site charges).
+// (TestBoundarySettlePaths drives each boundary's success and error paths);
+// and each cycle is recorded once, because trace.Stats is its only record
+// and a boundary returns the change in the stats total across it, which
+// dispatch also splits by stage (the stage-table goldens pin which stage
+// each charge lands in).
 package lint
 
 import (
