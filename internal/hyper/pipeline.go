@@ -159,12 +159,9 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 	tx.V, tx.Op, tx.Boundary, tx.Level, tx.Owner = v, op, b, v.VM.Level, ownerUnresolved
 	stats := w.Host.Machine.Stats
 	start := stats.TotalCycles()
-	var ss *StageStats
-	if w.txDepth == 0 {
-		ss = w.Stages
-	}
+	ss := w.Stages
 	var sp *stageSpans
-	if ss != nil {
+	if w.txDepth == 0 && ss != nil {
 		// Execute starts at StageFastPath, the zero Stage, and dispatch
 		// moves it on; a delivery body runs wholly at StageDeliver.
 		spans := stageSpans{mark: start}
@@ -206,7 +203,7 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 	if err != nil {
 		return 0, err
 	}
-	if ss != nil {
+	if sp != nil {
 		sp.enter(StageSettle, stats)
 		ss.observe(b, tx.Reason, &sp.ledger)
 	}
