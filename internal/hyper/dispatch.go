@@ -59,8 +59,8 @@ func (w *World) dispatch(tx *ExitContext, sp *stageSpans) error {
 		return err
 	}
 
-	// Every remaining path takes a physical exit into L0, which routing
-	// pays for.
+	// Every remaining path takes a physical exit into L0, charged to
+	// StageRoute.
 	stats := w.Host.Machine.Stats
 	sp.enter(StageRoute, stats)
 	stats.RecordHardwareExit(tx.Reason)

@@ -65,8 +65,9 @@ type World struct {
 	// stage tables). A nil sink costs one branch per stage entered. Stage
 	// shares are read off the stats sink's total, which replay-cached and
 	// live charge trees move alike, so attaching a sink never perturbs, and
-	// is never perturbed by, the plan-cache mode. The sink attached when an
-	// outermost transaction opens is the one that observes it.
+	// is never perturbed by, the plan-cache mode. Attach or detach it
+	// between outermost transactions: one that opens without a sink is not
+	// observed.
 	Stages *StageStats
 	// txDepth is the current boundary nesting depth, which transact raises
 	// around each boundary's body: 0 after the decrement means the settling
