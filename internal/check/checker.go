@@ -137,7 +137,8 @@ func (c *Checker) End(token int, w *hyper.World, v *hyper.VCPU, b hyper.Boundary
 	f := c.frames[token]
 	c.frames = c.frames[:token]
 	if err != nil {
-		// Error paths abandon the operation midway, with its partial counts.
+		// Error paths abandon the operation midway; its partial exit counts
+		// need not balance.
 		return
 	}
 	s := w.Host.Machine.Stats
