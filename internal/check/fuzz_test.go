@@ -447,14 +447,17 @@ const planCacheMaxSteps = 48
 // sequence of boundary calls and mid-run plan-input mutations, runs that
 // sequence on two Builds of the spec — one replaying compiled plans, one
 // walking every charge tree live — and requires identical per-step costs and
-// errors, identical Stats, stage tables and trace timelines, and zero
-// invariant violations on both. Each World starts with its own recorder
-// and StageStats attached; the tracer toggle detaches the recorder and
+// errors, every boundary step to succeed on both, identical Stats, stage
+// tables and trace timelines, and zero invariant violations on both. No
+// fuzzed step fails on a sound engine, so a failure is a bug even when both
+// worlds share it: the recursive-DVH VCIMT bug (DESIGN.md §7.3) failed the
+// same mid-exit IPI on both. Each World starts with its own recorder and
+// StageStats attached; the tracer toggle detaches the recorder and
 // re-attaches the same one. A traced World never replays, so the timelines
 // compare two live walks; the costs, Stats and stage tables compare replay
 // with live across every detached span. Each World's stage tables must also
 // hold exactly what its boundary steps returned: their costs summed, and
-// one settled transaction per step that succeeded.
+// one settled transaction per boundary step.
 func FuzzPlanCache(f *testing.F) {
 	steps := func(spec []byte, ops ...byte) []byte { return append(spec, ops...) }
 	// Warm forward, injection, cascade and wake plans at L3, then swap the
@@ -521,8 +524,12 @@ func FuzzPlanCache(f *testing.F) {
 				t.Fatalf("%+v step %d (op %d arg %d): cached %v (err %v), live %v (err %v)",
 					spec, i/2, data[i]%pcNumSteps, data[i+1], cc, cerr, lc, lerr)
 			}
+			if cerr != nil {
+				t.Fatalf("%+v step %d (op %d arg %d): boundary failed: %v",
+					spec, i/2, data[i]%pcNumSteps, data[i+1], cerr)
+			}
 			returned += cc
-			if data[i]%pcNumSteps <= pcWake && cerr == nil {
+			if data[i]%pcNumSteps <= pcWake {
 				settled++
 			}
 		}
