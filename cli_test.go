@@ -305,6 +305,7 @@ var cliTranscripts = []struct {
 	{"nvtrace-devnotify-l3", "nvtrace", []string{"-depth", "3", "-micro", "DevNotify", "-stages"}},
 	{"nvtrace-programtimer-l3-dvh", "nvtrace", []string{"-depth", "3", "-micro", "ProgramTimer", "-dvh", "-stages"}},
 	{"nvtrace-sendipi-l1", "nvtrace", []string{"-depth", "1", "-micro", "SendIPI", "-stages"}},
+	{"nvtrace-hypercall-l3-timeline", "nvtrace", []string{"-depth", "3", "-micro", "Hypercall", "-timeline", "-stages"}},
 	{"nvsim-l2-passthrough-all", "nvsim", []string{"-depth", "2", "-io", "passthrough", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}},
 	{"nvsim-l2-dvh-vp-xen-all", "nvsim", []string{"-depth", "2", "-io", "dvh-vp", "-guest", "xen", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}},
 	{"nvbench-all-ice-lake-sp", "nvbench", []string{"-all", "-profile", "ice-lake-sp"}},

@@ -1,6 +1,7 @@
 package hyper
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/apic"
@@ -503,6 +504,61 @@ func TestTracerRecordsExitStorm(t *testing.T) {
 	for _, e := range evs[1:] {
 		if e.FromLevel != 1 || e.HandlerLevel != 0 {
 			t.Fatalf("trap-storm event should be L1->L0: %+v", e)
+		}
+	}
+
+	// The delivery arm: an injection into L3 and the DeviceRX cascade on a
+	// paravirtual L3 stack. Each injection and each cascade level is one
+	// exit from the level above its handler; every other event is a
+	// privileged instruction of a handler's trap storm, taken one level
+	// down.
+	w, vms = testStack(t, 3)
+	var dev *AssignedDevice
+	for _, vm := range vms {
+		d, err := AttachParavirtNet(vm, "net-"+vm.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev = d
+	}
+	v := vms[2].VCPUs[0]
+	deliveries := []struct {
+		name string
+		run  func() (sim.Cycles, error)
+		want []trace.Event
+	}{
+		{"DeliverTimerIRQ", func() (sim.Cycles, error) { return w.DeliverTimerIRQ(v) },
+			[]trace.Event{{Reason: vmx.ExitExternalInterrupt, FromLevel: 3, HandlerLevel: 2}}},
+		{"DeviceRX", func() (sim.Cycles, error) { return w.DeviceRX(dev, v) },
+			[]trace.Event{
+				{Reason: vmx.ExitEPTViolation, FromLevel: 2, HandlerLevel: 1},
+				{Reason: vmx.ExitEPTViolation, FromLevel: 3, HandlerLevel: 2},
+			}},
+	}
+	for _, d := range deliveries {
+		rec := trace.NewRecorder(1 << 12)
+		w.Tracer = rec
+		stats := w.Host.Machine.Stats
+		stats.Reset()
+		if _, err := d.run(); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if rec.Len() != stats.TotalHardwareExits() || rec.Len() > 1<<12 {
+			t.Fatalf("%s: tracer recorded %d events, stats counted %d exits", d.name, rec.Len(), stats.TotalHardwareExits())
+		}
+		var got []trace.Event
+		for _, e := range rec.Events() {
+			switch e.Reason {
+			case vmx.ExitVMREAD, vmx.ExitVMPTRLD, vmx.ExitVMRESUME:
+				if e.HandlerLevel != e.FromLevel-1 {
+					t.Fatalf("%s: trap-storm event should be handled one level down: %+v", d.name, e)
+				}
+			default:
+				got = append(got, trace.Event{Reason: e.Reason, FromLevel: e.FromLevel, HandlerLevel: e.HandlerLevel})
+			}
+		}
+		if !reflect.DeepEqual(got, d.want) {
+			t.Fatalf("%s: delivery exits %+v, want %+v", d.name, got, d.want)
 		}
 	}
 }
