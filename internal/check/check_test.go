@@ -134,48 +134,6 @@ func TestCheckerCatchesCorruptTSCChain(t *testing.T) {
 	}
 }
 
-// TestCheckerCatchesDroppedExit injects the other canonical engine bug: a
-// forwarded exit whose handling is never recorded. Exit-count conservation
-// must trip at the end-of-run sweep.
-func TestCheckerCatchesDroppedExit(t *testing.T) {
-	spec := experiment.Spec{Depth: 2, IO: experiment.IOParavirt}
-	st, c := buildChecked(t, spec)
-	drive(t, st, 60, workload.Profiles()[0])
-	if err := c.Finish(); err != nil {
-		t.Fatalf("clean run not clean: %v", err)
-	}
-
-	// Drop one handled exit, as an engine that lost a forwarded exit would.
-	s := st.Machine.Stats
-	dropped := false
-injection:
-	for i := range s.HandledExits {
-		for lvl := range s.HandledExits[i] {
-			if s.HandledExits[i][lvl] > 0 {
-				s.HandledExits[i][lvl]--
-				dropped = true
-				break injection
-			}
-		}
-	}
-	if !dropped {
-		t.Fatal("run recorded no handled exits to drop")
-	}
-
-	if err := c.Finish(); err == nil {
-		t.Fatal("checker missed the dropped exit")
-	}
-	found := false
-	for _, viol := range c.Violations() {
-		if viol.Invariant == "exit-conservation" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no exit-conservation violation recorded: %v", c.Violations())
-	}
-}
-
 // TestCheckerCatchesDirtyTrackingSplits breaks the agreement between a VM's
 // written set and its EPT dirty bits in both directions, at the top of a
 // 12 GiB guest where the sparse written set keeps a region of its own, and

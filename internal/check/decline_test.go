@@ -9,7 +9,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/hyper"
 	"repro/internal/hyperv"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vmx"
 	"repro/internal/workload"
@@ -20,9 +19,9 @@ import (
 // checks nothing else.
 type armCounter struct{ arms int }
 
-func (*armCounter) Begin(*hyper.World, *hyper.VCPU, hyper.Boundary, hyper.Op) int { return 0 }
+func (*armCounter) Begin(hyper.Boundary, hyper.Op) int { return 0 }
 
-func (*armCounter) End(int, *hyper.World, *hyper.VCPU, hyper.Boundary, hyper.Op, sim.Cycles, error) {}
+func (*armCounter) End(int, *hyper.VCPU, hyper.Boundary, error) {}
 
 func (c *armCounter) TimerArmed(*hyper.World, *hyper.VCPU, uint64) { c.arms++ }
 

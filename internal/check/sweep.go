@@ -40,10 +40,6 @@ func (c *Checker) Finish() error {
 		c.violate("frame-balance", "%d boundary frame(s) still open at end of run", n)
 		c.frames = c.frames[:0]
 	}
-	s := c.w.Host.Machine.Stats
-	if hw, hd := s.TotalHardwareExits(), s.TotalHandledExits(); hw != hd {
-		c.violate("exit-conservation", "end of run: %d hardware exits but only %d handled", hw, hd)
-	}
 	forEachVM(c.w.Host, c.sweepVM)
 	for _, p := range c.w.Host.Machine.CPUs {
 		c.checkLAPIC(fmt.Sprintf("pcpu%d", p.ID), p.LAPIC)

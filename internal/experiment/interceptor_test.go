@@ -15,8 +15,7 @@ import (
 // enlightenment together, the invariant checker brackets every boundary, and
 // each interceptor claims its own exit class — the enlightenment executes the
 // nested VM's hypercall at L0 (direct virtual flush) while DVH keeps claiming
-// doorbells and timer writes. The checker's exit-conservation frames verify
-// every hardware exit a transaction took was handled exactly once.
+// doorbells and timer writes.
 func TestUnifiedInterceptorChainHyperV(t *testing.T) {
 	st, err := Build(Spec{Depth: 2, IO: IODVH, Guest: GuestHyperV})
 	if err != nil {

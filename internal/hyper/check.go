@@ -1,7 +1,5 @@
 package hyper
 
-import "repro/internal/sim"
-
 // Boundary identifies which engine entry point an invariant-checker frame
 // covers. Every public World entry point opens a frame on entry and closes it
 // on return; nested entries (a forwarded exit re-entering Execute, a wake
@@ -42,9 +40,11 @@ func (b Boundary) String() string {
 }
 
 // InvariantChecker observes the engine/hypervisor boundary so an external
-// validator (internal/check) can verify conservation laws after every
-// operation without the engine knowing what is being checked. All methods are
-// called on the single simulation goroutine.
+// validator (internal/check) can verify invariants after every operation
+// without the engine knowing what is being checked. All methods are called
+// on the single simulation goroutine. The conservation laws need no
+// observer: a cycle is charged once and an exit recorded once, in the stats
+// sink, so a boundary's cost and its exits balance by construction.
 //
 // Op is passed by value for the same reason Interceptor.TryHandle takes it by
 // value: a pointer through the interface boundary would force every Execute
@@ -53,9 +53,10 @@ func (b Boundary) String() string {
 type InvariantChecker interface {
 	// Begin opens a frame when a boundary is entered; the returned token is
 	// handed back to the matching End.
-	Begin(w *World, v *VCPU, b Boundary, op Op) int
-	// End closes the frame with the boundary's returned cost and error.
-	End(token int, w *World, v *VCPU, b Boundary, op Op, cost sim.Cycles, err error)
+	Begin(b Boundary, op Op) int
+	// End closes the frame with the boundary's error; v is the vCPU the
+	// transaction ran on.
+	End(token int, v *VCPU, b Boundary, err error)
 	// TimerArmed reports a DVH virtual-timer arm with the host-TSC deadline
 	// (the guest-programmed deadline plus the combined TSC-offset chain).
 	TimerArmed(w *World, v *VCPU, hostDeadline uint64)

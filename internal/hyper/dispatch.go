@@ -60,10 +60,10 @@ func (w *World) dispatch(tx *ExitContext, sp *stageSpans) error {
 	}
 
 	// Every remaining path takes a physical exit into L0, charged to
-	// StageRoute.
+	// StageRoute. The exit is recorded once, where its handler is known:
+	// by stageIntercept if an interceptor claims it, else by stageRoute.
 	stats := w.Host.Machine.Stats
 	sp.enter(StageRoute, stats)
-	stats.RecordHardwareExit(tx.Reason)
 	stats.ChargeLevel(0, w.Costs.HwExit)
 
 	stack, err := w.stack(tx.V)
@@ -126,19 +126,17 @@ func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
 }
 
 // stageRoute resolves which hypervisor level owns the exit and records the
-// routed transaction on the trace timeline.
+// exit, counted at that owner and put on the trace timeline.
 func (w *World) stageRoute(tx *ExitContext) {
 	tx.Owner = w.ownerLevel(tx.V, tx.Op)
-	w.Tracer.Record(tx.Reason, tx.Level, tx.Owner)
+	w.exit(tx.Reason, tx.Level, tx.Owner)
 }
 
 // stageEmulate concludes a host-owned exit: L0 dispatches to its handler,
 // performs the emulation work, and re-enters the guest.
 func (w *World) stageEmulate(tx *ExitContext) error {
 	c := &w.Costs
-	stats := w.Host.Machine.Stats
-	stats.RecordHandledExit(tx.Reason, 0)
-	stats.ChargeLevel(0, c.HostDispatch+c.HwEntry)
+	w.Host.Machine.Stats.ChargeLevel(0, c.HostDispatch+c.HwEntry)
 	return w.hostHandle(tx.V, tx.Op)
 }
 
@@ -147,7 +145,6 @@ func (w *World) stageEmulate(tx *ExitContext) error {
 // in steady state — or re-runs the live recursion when the cache is disabled
 // — and the owner's side effects always run live after it.
 func (w *World) stageForward(tx *ExitContext, stack []*Hypervisor) error {
-	w.Host.Machine.Stats.RecordHandledExit(tx.Reason, tx.Owner)
 	w.charge(stack, planForward, tx.Reason, tx.Owner)
 	return w.ownerEffects(tx.V, tx.Op, tx.Owner)
 }

@@ -134,9 +134,7 @@ func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) error {
 // and of each receive-path interposition, written once over the sink.
 func (w *World) guestPathCost(stack []*Hypervisor, reason vmx.ExitReason, level int, s Script, sink chargeSink) {
 	c := &w.Costs
-	sink.hardwareExit(reason)
-	sink.handledExit(reason, level)
-	sink.traceEvent(reason, level+1, level)
+	sink.exit(reason, level+1, level)
 	sink.chargeLevel(0, c.HwExit+c.ReflectWork+c.HwEntry)
 	for j := 1; j < level; j++ {
 		w.scriptCost(stack, j, stack[j].Personality.ReflectScript(), sink)

@@ -144,11 +144,10 @@ func (sp *stageSpans) enter(s Stage, stats *trace.Stats) {
 //     frame;
 //   - runs the boundary's body: Execute's dispatch, which enters each stage
 //     it runs, or one delivery body, which is one StageDeliver span;
-//   - lowers the depth and closes the checker's frame with the settled cost:
-//     the change in the sink's total;
+//   - lowers the depth and closes the checker's frame with the body's error;
 //   - hands an outermost transaction that opened with a StageStats attached
 //     to the one attached when it settles;
-//   - returns the cost, or zero on error.
+//   - returns the cost, the change in the sink's total, or zero on error.
 //
 // Below the boundaries nothing returns cycles: each charge lands in the
 // stats sink once, so the returned cost is the charged cost by construction.
@@ -172,7 +171,7 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 	checked := w.Check != nil
 	var token int
 	if checked {
-		token = w.Check.Begin(w, v, b, op)
+		token = w.Check.Begin(b, op)
 	}
 
 	var err error
@@ -195,22 +194,18 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 	// across that call is spilled and reloaded on each transaction, and a
 	// smaller set measurably speeds up BenchmarkExecute.
 	w.txDepth--
-	stats := w.Host.Machine.Stats
-	var cost sim.Cycles
-	if err == nil {
-		cost = stats.TotalCycles() - start
-	}
 	if checked {
-		w.Check.End(token, w, tx.V, tx.Boundary, tx.Op, cost, err)
+		w.Check.End(token, tx.V, tx.Boundary, err)
 	}
 	if err != nil {
 		return 0, err
 	}
+	stats := w.Host.Machine.Stats
 	if sp != nil && w.Stages != nil {
 		sp.enter(StageSettle, stats)
 		w.Stages.observe(tx.Boundary, tx.Reason, &sp.ledger)
 	}
-	return cost, nil
+	return stats.TotalCycles() - start, nil
 }
 
 // Interceptor is a direct-handling backend registered on a World: at
@@ -290,8 +285,7 @@ func (w *World) stageIntercept(tx *ExitContext) (bool, error) {
 			return false, err
 		}
 		if handled {
-			stats.RecordHandledExit(tx.Reason, 0)
-			w.Tracer.Record(tx.Reason, tx.Level, 0)
+			w.exit(tx.Reason, tx.Level, 0)
 			stats.ChargeLevel(0, c.HostDispatch+c.HwEntry)
 			return true, nil
 		}

@@ -133,17 +133,16 @@ func TestInterceptorSkippedAtLevel1(t *testing.T) {
 }
 
 // spyChecker counts boundary frames to prove the pipeline's single settle
-// point: one Begin and one End per public entry, with End receiving exactly
-// the cost the caller got.
+// point: one Begin and one End per public entry, with End receiving the
+// error the caller got.
 type spyChecker struct {
 	begins, ends int
-	lastCost     sim.Cycles
 	lastErr      error
 	open         int
 	maxDepth     int
 }
 
-func (s *spyChecker) Begin(w *World, v *VCPU, b Boundary, op Op) int {
+func (s *spyChecker) Begin(b Boundary, op Op) int {
 	s.begins++
 	s.open++
 	if s.open > s.maxDepth {
@@ -152,18 +151,17 @@ func (s *spyChecker) Begin(w *World, v *VCPU, b Boundary, op Op) int {
 	return s.begins
 }
 
-func (s *spyChecker) End(token int, w *World, v *VCPU, b Boundary, op Op, cost sim.Cycles, err error) {
+func (s *spyChecker) End(token int, v *VCPU, b Boundary, err error) {
 	s.ends++
 	s.open--
-	s.lastCost, s.lastErr = cost, err
+	s.lastErr = err
 }
 
 func (s *spyChecker) TimerArmed(w *World, v *VCPU, hostDeadline uint64) {}
 
 // TestSingleSettlePoint drives representative paths through each pipeline
 // outcome — fast path, host emulation, interceptor claim, full forwarding —
-// and checks every Execute produced exactly one balanced checker frame whose
-// settled cost equals the caller's return value.
+// and checks every Execute produced exactly one balanced checker frame.
 func TestSingleSettlePoint(t *testing.T) {
 	w, vms := testStack(t, 2)
 	spy := &spyChecker{}
@@ -173,15 +171,12 @@ func TestSingleSettlePoint(t *testing.T) {
 	ops := []Op{EOI(), Hypercall()}
 	for _, op := range ops {
 		before := spy.begins
-		cost := exec(t, w, v, op)
+		exec(t, w, v, op)
 		if spy.begins != before+1 {
 			t.Fatalf("%v: %d Begin frames for one Execute, want 1", op.Kind, spy.begins-before)
 		}
 		if spy.ends != spy.begins {
 			t.Fatalf("%v: unbalanced frames: %d begins, %d ends", op.Kind, spy.begins, spy.ends)
-		}
-		if spy.lastCost != cost {
-			t.Errorf("%v: settle reported %v to checker, caller got %v", op.Kind, spy.lastCost, cost)
 		}
 	}
 
@@ -189,12 +184,9 @@ func TestSingleSettlePoint(t *testing.T) {
 	log := &[]string{}
 	mustRegister(t, w, &stubInterceptor{name: "claimer", priority: 1, handle: true, work: 100, log: log})
 	before := spy.begins
-	cost := exec(t, w, v, Hypercall())
+	exec(t, w, v, Hypercall())
 	if spy.begins != before+1 || spy.ends != spy.begins {
 		t.Fatalf("intercepted exit: frames begin=%d end=%d (before=%d), want one balanced frame", spy.begins, spy.ends, before)
-	}
-	if spy.lastCost != cost {
-		t.Errorf("intercepted exit: settle reported %v, caller got %v", spy.lastCost, cost)
 	}
 }
 
@@ -254,9 +246,10 @@ func TestExitContextLedger(t *testing.T) {
 }
 
 // TestSettleZeroesCostOnError pins the error contract: a transaction that
-// fails after charging its ledger abandons those partial charges, and the
-// caller and the checker both see (0, err). The L2 hypercall takes its
-// hardware exit into L0 before the missing L1 hypervisor fails it.
+// fails after charging its ledger abandons those partial charges, the
+// caller sees (0, err) and the checker the same err. The L2 hypercall takes
+// its hardware exit into L0, charging the route's HwExit, before the missing
+// L1 hypervisor fails it.
 func TestSettleZeroesCostOnError(t *testing.T) {
 	w, vms := testStack(t, 2)
 	spy := &spyChecker{}
@@ -269,11 +262,11 @@ func TestSettleZeroesCostOnError(t *testing.T) {
 	if cost != 0 || err == nil {
 		t.Fatalf("Execute on a broken stack = (%v, %v), want (0, error)", cost, err)
 	}
-	if n := w.Host.Machine.Stats.TotalHardwareExits(); n != 1 {
-		t.Fatalf("hardware exits = %d, want 1: the error must follow a ledger charge", n)
+	if c := w.Host.Machine.Stats.TotalCycles(); c != w.Costs.HwExit {
+		t.Fatalf("charged %v cycles, want the route's HwExit %v: the error must follow a ledger charge", c, w.Costs.HwExit)
 	}
-	if spy.ends != 1 || spy.lastCost != 0 || spy.lastErr != err {
-		t.Errorf("checker observed %d frames ending (%v, %v), want 1 ending (0, %v)", spy.ends, spy.lastCost, spy.lastErr, err)
+	if spy.ends != 1 || spy.lastErr != err {
+		t.Errorf("checker observed %d frames ending with %v, want 1 ending with %v", spy.ends, spy.lastErr, err)
 	}
 	if n := ss.TotalSettled(); n != 0 {
 		t.Errorf("sink observed %d transactions of a failed call, want 0", n)

@@ -37,17 +37,15 @@ import (
 // subtrees) where the tree itself has O(exits) nodes.
 
 // chargeSink receives every emission of a charge tree: cycle charges per
-// hypervisor level, hardware- and handled-exit counts, the ordered trace
-// events, and runs of privileged instructions. Implementations: *World
-// (live, charges the stats sink and trace recorder) and *planBuilder
-// (aggregates into a plan; a traced World never replays, so plans hold no
-// trace events).
+// hypervisor level, exits, and runs of privileged instructions.
+// Implementations: *World (live, charges the stats sink and trace recorder)
+// and *planBuilder (aggregates into a plan; a traced World never replays, so
+// plans hold no trace events).
 type chargeSink interface {
 	chargeLevel(level int, c sim.Cycles)
-	hardwareExit(r vmx.ExitReason)
-	handledExit(r vmx.ExitReason, level int)
-	// traceEvent reports one hardware exit on the timeline.
-	traceEvent(r vmx.ExitReason, from, handler int)
+	// exit reports one hardware exit with the given reason, taken by the
+	// level from and handled by the level handler.
+	exit(r vmx.ExitReason, from, handler int)
 	// privOps runs n consecutive privileged instructions with the given
 	// reason, executed by the hypervisor at level: exactly n walks of
 	// privOpCost into this sink.
@@ -60,19 +58,12 @@ func (w *World) chargeLevel(level int, c sim.Cycles) {
 	w.Host.Machine.Stats.ChargeLevel(level, c)
 }
 
-// hardwareExit implements chargeSink live.
-func (w *World) hardwareExit(r vmx.ExitReason) {
-	w.Host.Machine.Stats.RecordHardwareExit(r)
-}
-
-// handledExit implements chargeSink live.
-func (w *World) handledExit(r vmx.ExitReason, level int) {
-	w.Host.Machine.Stats.RecordHandledExit(r, level)
-}
-
-// traceEvent implements chargeSink live (Record on a nil recorder is a
-// no-op).
-func (w *World) traceEvent(r vmx.ExitReason, from, handler int) {
+// exit implements chargeSink live, and is the one place an exit is
+// recorded: it counts the exit at its handler and puts it on the timeline
+// (Record on a nil recorder is a no-op). Dispatch calls it too, for the
+// exit an Execute takes.
+func (w *World) exit(r vmx.ExitReason, from, handler int) {
+	w.Host.Machine.Stats.RecordHandledExit(r, handler)
 	w.Tracer.Record(r, from, handler)
 }
 
@@ -87,8 +78,8 @@ func (w *World) privOps(stack []*Hypervisor, level int, reason vmx.ExitReason, n
 // forwardCost is the pure cost/charge tree of one forwarded exit: the host
 // reflects the exit into L1, intermediate levels re-reflect toward the
 // owner, and the owner runs its handler — every privileged instruction of
-// which recurses through privOpCost. It emits all charges, counts and trace
-// events into the sink. Owner side effects are explicitly NOT part of this
+// which recurses through privOpCost. It emits all charges and exits into
+// the sink. Owner side effects are explicitly NOT part of this
 // tree (see ownerEffects).
 func (w *World) forwardCost(stack []*Hypervisor, reason vmx.ExitReason, owner int, sink chargeSink) {
 	sink.chargeLevel(0, w.Costs.ReflectWork+w.Costs.HwEntry)
@@ -136,11 +127,9 @@ func (w *World) scriptCost(stack []*Hypervisor, level int, s Script, sink charge
 // emulation path is itself a script full of privileged instructions.
 func (w *World) privOpCost(stack []*Hypervisor, level int, reason vmx.ExitReason, sink chargeSink) {
 	c := &w.Costs
-	sink.hardwareExit(reason)
-	sink.traceEvent(reason, level, level-1)
+	sink.exit(reason, level, level-1)
 
 	if level == 1 {
-		sink.handledExit(reason, 0)
 		work := c.PrivEmulWork
 		if reason == vmx.ExitVMRESUME || reason == vmx.ExitVMLAUNCH {
 			work += c.ResumeMergeWork
@@ -151,7 +140,6 @@ func (w *World) privOpCost(stack []*Hypervisor, level int, reason vmx.ExitReason
 
 	// Forward the emulation to the hypervisor one level below.
 	handler := level - 1
-	sink.handledExit(reason, handler)
 	sink.chargeLevel(0, c.HwExit+c.ReflectWork+c.HwEntry)
 	for j := 1; j < handler; j++ {
 		w.scriptCost(stack, j, stack[j].Personality.ReflectScript(), sink)
@@ -215,13 +203,7 @@ func (w *World) walk(stack []*Hypervisor, kind planKind, reason vmx.ExitReason, 
 	}
 }
 
-// reasonCount is one aggregated hardware-exit delta of a plan.
-type reasonCount struct {
-	reason vmx.ExitReason
-	n      uint64
-}
-
-// handledCount is one aggregated handled-exit delta of a plan.
+// handledCount is one aggregated exit-count delta of a plan.
 type handledCount struct {
 	reason vmx.ExitReason
 	level  int
@@ -235,9 +217,8 @@ type deltas struct {
 	// levels holds the per-level ChargeLevel deltas, pre-clamped to the
 	// stats tables' level range.
 	levels [trace.MaxLevels]sim.Cycles
-	// hw and handled are the aggregated exit-count deltas, kept sorted by
-	// (reason index) and (reason index, level) for deterministic replay.
-	hw      []reasonCount
+	// handled holds the aggregated exit counts by handler level, kept
+	// sorted by (reason index, level) for deterministic replay.
 	handled []handledCount
 }
 
@@ -264,21 +245,6 @@ func (p *plan) matchesStack(stack []*Hypervisor) bool {
 		}
 	}
 	return true
-}
-
-// addHardware adds n hardware exits with reason r, keeping hw sorted.
-//
-//nvlint:cold
-func (d *deltas) addHardware(r vmx.ExitReason, n uint64) {
-	i := 0
-	for i < len(d.hw) && d.hw[i].reason.Index() < r.Index() {
-		i++
-	}
-	if i < len(d.hw) && d.hw[i].reason.Index() == r.Index() {
-		d.hw[i].n += n
-		return
-	}
-	d.hw = slices.Insert(d.hw, i, reasonCount{reason: r, n: n})
 }
 
 // addHandled adds n exits with reason r handled at the (clamped) level,
@@ -322,17 +288,12 @@ func (b *planBuilder) chargeLevel(level int, c sim.Cycles) {
 	b.d.levels[trace.ClampLevel(level)] += c
 }
 
-// hardwareExit implements chargeSink.
-func (b *planBuilder) hardwareExit(r vmx.ExitReason) { b.d.addHardware(r, 1) }
-
-// handledExit implements chargeSink, with RecordHandledExit's clamping.
-func (b *planBuilder) handledExit(r vmx.ExitReason, level int) {
-	b.d.addHandled(r, trace.ClampLevel(level), 1)
+// exit implements chargeSink: it counts the exit at its handler, with
+// RecordHandledExit's clamping. Plans hold no trace events, because charge
+// walks a traced World live, so from goes unread.
+func (b *planBuilder) exit(r vmx.ExitReason, _, handler int) {
+	b.d.addHandled(r, trace.ClampLevel(handler), 1)
 }
-
-// traceEvent implements chargeSink: plans hold no trace events, because
-// charge walks a traced World live.
-func (b *planBuilder) traceEvent(vmx.ExitReason, int, int) {}
 
 // privOps implements chargeSink: the first run of a (level, reason) in this
 // compile walks privOpCost once into a child builder, and every run merges
@@ -358,9 +319,6 @@ func (b *planBuilder) privOps(stack []*Hypervisor, level int, reason vmx.ExitRea
 func (b *planBuilder) merge(sub *deltas, n int) {
 	for l, c := range sub.levels {
 		b.d.levels[l] += c * sim.Cycles(n)
-	}
-	for _, h := range sub.hw {
-		b.d.addHardware(h.reason, h.n*uint64(n))
 	}
 	for _, h := range sub.handled {
 		b.d.addHandled(h.reason, h.level, h.n*uint64(n))
@@ -389,16 +347,13 @@ func (w *World) compilePlan(stack []*Hypervisor, kind planKind, reason vmx.ExitR
 }
 
 // applyPlan applies a compiled plan's deltas — the aggregated per-level
-// charges and the exit counts — byte-identical to walking the tree live.
+// charges and exit counts — byte-identical to walking the tree live.
 func (w *World) applyPlan(p *plan) {
 	stats := w.Host.Machine.Stats
 	for l := range p.levels {
 		if c := p.levels[l]; c != 0 {
 			stats.ChargeLevel(l, c)
 		}
-	}
-	for _, d := range p.hw {
-		stats.AddHardwareExits(d.reason, d.n)
 	}
 	for _, d := range p.handled {
 		stats.AddHandledExits(d.reason, d.level, d.n)

@@ -123,9 +123,6 @@ func checkReplayEquivalence(t *testing.T, mix func(*testing.T, *World, []*VM, *A
 					t.Errorf("per-step costs diverge:\ncached: %v\nlive:   %v", aCosts, bCosts)
 				}
 				as, bs := aw.Host.Machine.Stats, bw.Host.Machine.Stats
-				if as.HardwareExits != bs.HardwareExits {
-					t.Error("HardwareExits tables diverge")
-				}
 				if as.HandledExits != bs.HandledExits {
 					t.Error("HandledExits tables diverge")
 				}

@@ -22,11 +22,10 @@ import (
 type frameSpy struct {
 	open, opened, closed int
 	boundary             hyper.Boundary
-	cost                 sim.Cycles
 	err                  error
 }
 
-func (s *frameSpy) Begin(w *hyper.World, v *hyper.VCPU, b hyper.Boundary, op hyper.Op) int {
+func (s *frameSpy) Begin(b hyper.Boundary, op hyper.Op) int {
 	s.open++
 	if s.open == 1 {
 		s.opened++
@@ -34,11 +33,11 @@ func (s *frameSpy) Begin(w *hyper.World, v *hyper.VCPU, b hyper.Boundary, op hyp
 	return s.open
 }
 
-func (s *frameSpy) End(token int, w *hyper.World, v *hyper.VCPU, b hyper.Boundary, op hyper.Op, cost sim.Cycles, err error) {
+func (s *frameSpy) End(token int, v *hyper.VCPU, b hyper.Boundary, err error) {
 	s.open--
 	if s.open == 0 {
 		s.closed++
-		s.boundary, s.cost, s.err = b, cost, err
+		s.boundary, s.err = b, err
 	}
 }
 
@@ -65,9 +64,9 @@ func enter(st *experiment.Stack, b hyper.Boundary, v *hyper.VCPU, op hyper.Op) (
 // TestBoundarySettlePaths drives each of the five public boundaries once on
 // its success path and, where it can fail, once on an error path, and holds
 // every call to the settle contract: it opens one outermost checker frame;
-// that frame closes with the returned cost, or with (0, err) on error; the
-// transaction depth returns to zero, so the next outermost transaction is
-// observed; and an attached StageStats sees only successes. The stack is
+// that frame closes with the boundary's error; a failed call returns zero
+// cost; the transaction depth returns to zero, so the next outermost
+// transaction is observed; and an attached StageStats sees only successes. The stack is
 // nested DVH-VP, whose device interrupts are not posted, so the delivery
 // rows reach the guest hypervisor's injection path; the error rows remove
 // that hypervisor first. WakeIfIdle cannot fail.
@@ -127,8 +126,8 @@ func TestBoundarySettlePaths(t *testing.T) {
 			if spy.opened != 1 || spy.closed != 1 || spy.open != 0 {
 				t.Fatalf("outermost frames opened %d, closed %d, still open %d; want 1, 1, 0", spy.opened, spy.closed, spy.open)
 			}
-			if spy.boundary != r.b || spy.cost != cost || spy.err != err {
-				t.Errorf("frame closed as (%v, %v, %v), want (%v, %v, %v)", spy.boundary, spy.cost, spy.err, r.b, cost, err)
+			if spy.boundary != r.b || spy.err != err {
+				t.Errorf("frame closed as (%v, %v), want (%v, %v)", spy.boundary, spy.err, r.b, err)
 			}
 			switch {
 			case fail && ss.TotalSettled() != 0:

@@ -39,7 +39,7 @@
 // suppress anything are themselves flagged (rule "directive", reported via
 // -unused-directives).
 //
-// Four contracts are held by structure and tests instead: a declining
+// Five contracts are held by structure and tests instead: a declining
 // interceptor leaves engine state untouched and reports a constant (name,
 // priority) (TestDeclinedInterceptorsLeaveStateUnchanged in
 // internal/check); hyper.Op stays by value (a pointer makes it escape, which
@@ -47,10 +47,13 @@
 // every exit transaction is opened and settled exactly once, because one
 // function, hyper's transact, does both for every boundary
 // (TestBoundarySettlePaths drives each boundary's success and error paths);
-// and each cycle is recorded once, because trace.Stats is its only record
-// and a boundary returns the change in the stats total across it, which
-// dispatch also splits by stage (the stage-table goldens pin which stage
-// each charge lands in).
+// each cycle is recorded once, because trace.Stats is its only record and a
+// boundary returns the change in the stats total across it, which dispatch
+// also splits by stage (the stage-table goldens pin which stage each charge
+// lands in); and each exit is recorded once, because trace.Stats'
+// HandledExits is the only exit table and one chargeSink call counts an
+// exit at its handler and puts it on the timeline (the transcripts pin the
+// counts, and TestTracerRecordsExitStorm each exit's levels).
 package lint
 
 import (

@@ -60,7 +60,7 @@ func TestAnchorsMeasuredLive(t *testing.T) {
 }
 
 // TestCheckerSweepEveryProfile runs the internal/check invariant sweep under
-// every registered profile: exit conservation, boundary bracketing and the
+// every registered profile: boundary bracketing, LAPIC sanity and the
 // end-of-run chain verification are engine properties, so they must hold for
 // any calibration the engine is pointed at.
 func TestCheckerSweepEveryProfile(t *testing.T) {

@@ -1,5 +1,5 @@
-// Package trace provides the accounting layer for the simulator: per-reason
-// and per-level exit counters, cycle attribution, and named counters. Every
+// Package trace provides the accounting layer for the simulator: exits by
+// reason and handler level, cycle attribution, and named counters. Every
 // hypervisor, device and DVH mechanism reports into a Stats sink so
 // experiments can show not only how long an operation took but *why* — how
 // many exits it produced, which hypervisor level handled them, and where the
@@ -22,18 +22,18 @@ import (
 const MaxLevels = 6
 
 // Stats accumulates simulation accounting. It is the one record of a
-// simulated cycle: every charge lands here once, at the level that spent it,
-// and an engine boundary's cost is the change in TotalCycles across it. The
-// zero value is ready to use. Stats is not safe for concurrent use; the
-// simulation kernel is single-threaded by design.
+// simulated cycle and of a simulated exit: every charge lands here once, at
+// the level that spent it, and an engine boundary's cost is the change in
+// TotalCycles across it; every exit is counted once, at the level that
+// handled it. The zero value is ready to use. Stats is not safe for
+// concurrent use; the simulation kernel is single-threaded by design.
 type Stats struct {
-	// HardwareExits counts exits taken by the physical CPU (always to L0),
-	// indexed by exit reason.
-	HardwareExits [vmx.NumReasonIndexes]uint64
-	// HandledExits counts logical exits by (reason, handler level): a nested
-	// VM exit forwarded to its guest hypervisor counts once at that level,
-	// and the hardware exits the forwarding itself produces count in
-	// HardwareExits.
+	// HandledExits counts exits by (reason, handler level). Each exit the
+	// physical CPU takes is handled by exactly one level — the host, or the
+	// guest hypervisor a nested VM's exit is forwarded to — so this one
+	// table is also the hardware-exit record: TotalHardwareExits sums it.
+	// The privileged instructions a forwarded exit's handler runs are exits
+	// of their own, each counted at the level below it.
 	HandledExits [vmx.NumReasonIndexes][MaxLevels]uint64
 	// LevelCycles attributes simulated cycles to the hypervisor level that
 	// consumed them (index 0 = host hypervisor; MaxLevels-1 aggregates guest
@@ -102,29 +102,17 @@ func (c Counter) String() string {
 	return fmt.Sprintf("Counter(%d)", uint8(c))
 }
 
-// RecordHardwareExit notes one physical VM exit to the host hypervisor.
-func (s *Stats) RecordHardwareExit(r vmx.ExitReason) {
-	s.HardwareExits[r.Index()]++
-}
-
-// AddHardwareExits notes n physical VM exits with the same reason — the bulk
-// form RecordHardwareExit aggregates to when a compiled forward plan is
-// replayed. Calling it is arithmetically identical to n RecordHardwareExit
-// calls (counter addition commutes), which is what keeps replayed runs
-// byte-identical to recomputed ones.
-func (s *Stats) AddHardwareExits(r vmx.ExitReason, n uint64) {
-	s.HardwareExits[r.Index()] += n
-}
-
-// RecordHandledExit notes that a logical exit with the given reason was
-// handled by the hypervisor at the given level.
+// RecordHandledExit notes that an exit with the given reason was handled by
+// the hypervisor at the given level.
 func (s *Stats) RecordHandledExit(r vmx.ExitReason, level int) {
 	s.HandledExits[r.Index()][ClampLevel(level)]++
 }
 
-// AddHandledExits notes n logical exits with the same (reason, handler
-// level) — the bulk companion of AddHardwareExits, with the same clamping as
-// RecordHandledExit.
+// AddHandledExits notes n exits with the same (reason, handler level), with
+// RecordHandledExit's clamping — the bulk form a replayed plan applies.
+// Calling it is arithmetically identical to n RecordHandledExit calls
+// (counter addition commutes), which is what keeps replayed runs
+// byte-identical to recomputed ones.
 func (s *Stats) AddHandledExits(r vmx.ExitReason, level int, n uint64) {
 	s.HandledExits[r.Index()][ClampLevel(level)] += n
 }
@@ -157,16 +145,27 @@ func (s *Stats) Counter(name string) uint64 {
 	return 0
 }
 
-// TotalHardwareExits sums physical exits across all reasons.
-func (s *Stats) TotalHardwareExits() uint64 {
+// hardwareExits sums the exits with reason index i over every handler
+// level.
+func (s *Stats) hardwareExits(i int) uint64 {
 	var t uint64
-	for _, v := range s.HardwareExits {
-		t += v
+	for _, n := range s.HandledExits[i] {
+		t += n
 	}
 	return t
 }
 
-// TotalHandledAt sums logical exits handled by the given level.
+// TotalHardwareExits sums exits over every reason and handler level: each
+// exit the physical CPU takes is handled by exactly one level.
+func (s *Stats) TotalHardwareExits() uint64 {
+	var t uint64
+	for i := range s.HandledExits {
+		t += s.hardwareExits(i)
+	}
+	return t
+}
+
+// TotalHandledAt sums exits handled by the given level.
 func (s *Stats) TotalHandledAt(level int) uint64 {
 	if level < 0 || level >= MaxLevels {
 		return 0
@@ -178,19 +177,7 @@ func (s *Stats) TotalHandledAt(level int) uint64 {
 	return t
 }
 
-// TotalHandledExits sums logical exits over every reason and handler level.
-// Because every hardware exit is handled by exactly one level, this equals
-// TotalHardwareExits on a consistent Stats — the conservation law the
-// invariant checker (internal/check) enforces.
-func (s *Stats) TotalHandledExits() uint64 {
-	var t uint64
-	for l := 0; l < MaxLevels; l++ {
-		t += s.TotalHandledAt(l)
-	}
-	return t
-}
-
-// GuestHypervisorExits sums logical exits handled by any guest hypervisor
+// GuestHypervisorExits sums exits handled by any guest hypervisor
 // (level >= 1) — the quantity DVH exists to eliminate.
 func (s *Stats) GuestHypervisorExits() uint64 {
 	var t uint64
@@ -206,26 +193,21 @@ func (s *Stats) TotalCycles() sim.Cycles { return s.total }
 // Reset zeroes all accounting.
 func (s *Stats) Reset() { *s = Stats{} }
 
-// String renders a human-readable report: exits by reason and handler level,
-// then cycle attribution, then named counters.
+// String renders a human-readable report: exits by reason, each reason's
+// total (hw=) then its count at each handler level, then cycle attribution,
+// then named counters.
 func (s *Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "hardware exits: %d\n", s.TotalHardwareExits())
 	for _, r := range vmx.AllReasons() {
-		hw := s.HardwareExits[r.Index()]
-		var handled [MaxLevels]uint64
-		any := hw > 0
-		for l := 0; l < MaxLevels; l++ {
-			handled[l] = s.HandledExits[r.Index()][l]
-			any = any || handled[l] > 0
-		}
-		if !any {
+		hw := s.hardwareExits(r.Index())
+		if hw == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "  %-20s hw=%-8d", r, hw)
-		for l := 0; l < MaxLevels; l++ {
-			if handled[l] > 0 {
-				fmt.Fprintf(&b, " L%d=%d", l, handled[l])
+		for l, n := range s.HandledExits[r.Index()] {
+			if n > 0 {
+				fmt.Fprintf(&b, " L%d=%d", l, n)
 			}
 		}
 		b.WriteByte('\n')

@@ -9,14 +9,12 @@ import (
 
 func TestRecordAndTotals(t *testing.T) {
 	var s Stats
-	s.RecordHardwareExit(vmx.ExitHLT)
-	s.RecordHardwareExit(vmx.ExitHLT)
-	s.RecordHardwareExit(vmx.ExitVMCALL)
+	s.RecordHandledExit(vmx.ExitHLT, 0)
+	s.AddHandledExits(vmx.ExitHLT, 0, 1)
+	s.RecordHandledExit(vmx.ExitVMCALL, 1)
 	if got := s.TotalHardwareExits(); got != 3 {
 		t.Fatalf("TotalHardwareExits = %d, want 3", got)
 	}
-	s.RecordHandledExit(vmx.ExitVMCALL, 1)
-	s.RecordHandledExit(vmx.ExitHLT, 0)
 	if got := s.TotalHandledAt(1); got != 1 {
 		t.Fatalf("TotalHandledAt(1) = %d, want 1", got)
 	}
@@ -90,7 +88,6 @@ func TestCounterNames(t *testing.T) {
 		}
 	}
 	var s Stats
-	s.RecordHardwareExit(vmx.ExitVMCALL)
 	s.RecordHandledExit(vmx.ExitVMCALL, 1)
 	s.ChargeLevel(0, 1500)
 	s.ChargeGuest(2500)
@@ -128,7 +125,7 @@ func TestCounterNames(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	var s Stats
-	s.RecordHardwareExit(vmx.ExitHLT)
+	s.RecordHandledExit(vmx.ExitHLT, 0)
 	s.Inc(IRQDelivered, 1)
 	s.ChargeGuest(5)
 	s.Reset()
@@ -139,12 +136,12 @@ func TestReset(t *testing.T) {
 
 func TestStringReport(t *testing.T) {
 	var s Stats
-	s.RecordHardwareExit(vmx.ExitVMCALL)
 	s.RecordHandledExit(vmx.ExitVMCALL, 1)
+	s.RecordHandledExit(vmx.ExitVMCALL, 2)
 	s.ChargeLevel(0, 1500)
 	s.Inc(VirtioKicks, 3)
 	out := s.String()
-	for _, want := range []string{"VMCALL", "L1=1", "virtio.kicks=3", "hardware exits: 1"} {
+	for _, want := range []string{"VMCALL               hw=2        L1=1 L2=1\n", "virtio.kicks=3", "hardware exits: 2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
