@@ -36,12 +36,13 @@ lint:
 # simulation, not memo hits), stack construction at L1, L2 DVH and L4 (ns,
 # bytes and allocations per Build), the Section 4 migration entry at pool
 # width 1 (ns and bytes per call), the allocation-free nested Execute path
-# in both plan modes, one cold plan compile at L2-L4 (ns and bytes per
-# compile), the workload runner's Run and RunFor (ns and allocs per
-# transaction), the page path migration takes: first touch, copy and
-# verify of an 8,192-page working set on a 2-level stack, in page runs (ns
-# per page), and the memory layer: page-table Map, full-page writes and
-# quadword writes to fresh pages (ns, bytes and allocations per page).
+# in both plan modes, one cold plan compile at L2-L4 (ns, bytes and
+# allocations per compile), the workload runner's Run and RunFor (ns and
+# allocs per transaction), the page path migration takes: first touch,
+# copy and verify of an 8,192-page working set on a 2-level stack, in page
+# runs (ns per page), and the memory layer: page-table Map, full-page
+# writes and quadword writes to fresh pages (ns, bytes and allocations per
+# page).
 # It then regenerates BENCH_10.json, the committed machine-readable artifact
 # (per-figure modeled cycles and overheads plus ns/op and allocs/op for the
 # pipeline's hot paths, uncached vs replayed).

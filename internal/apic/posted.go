@@ -7,16 +7,18 @@ package apic
 // directly to a nested VM's destination vCPU.
 type PIDescriptor struct {
 	pir vecSet // posted-interrupt requests
+	// ndst is the physical CPU the notification should be sent to. It is
+	// 32 bits wide, as the hardware's NDST field is, which keeps the
+	// descriptor at 40 bytes.
+	ndst int32
 	// on is the outstanding-notification bit: set while a notification IPI is
 	// in flight, suppressing duplicates.
 	on bool
-	// ndst is the physical CPU the notification should be sent to.
-	ndst int
 }
 
 // NewPIDescriptor returns a descriptor targeting physical CPU ndst.
 func NewPIDescriptor(ndst int) *PIDescriptor {
-	return &PIDescriptor{ndst: ndst}
+	return &PIDescriptor{ndst: int32(ndst)}
 }
 
 // Post records vector v in the PIR and sets the outstanding-notification bit.
@@ -53,4 +55,4 @@ func (p *PIDescriptor) Sync(l *LAPIC) int {
 }
 
 // NDst returns the physical CPU notifications target.
-func (p *PIDescriptor) NDst() int { return p.ndst }
+func (p *PIDescriptor) NDst() int { return int(p.ndst) }

@@ -148,7 +148,7 @@ func (c *Checker) End(token int, v *hyper.VCPU, b hyper.Boundary, err error) {
 // TimerArmed implements hyper.InvariantChecker: a DVH virtual-timer arm is
 // checked immediately against the current TSC-offset chain and recorded for
 // the end-of-run re-verification (which catches later chain corruption).
-func (c *Checker) TimerArmed(w *hyper.World, v *hyper.VCPU, hostDeadline uint64) {
+func (c *Checker) TimerArmed(v *hyper.VCPU, hostDeadline uint64) {
 	guest, ok := c.pendingTimerProgram()
 	if !ok {
 		// Not a guest timer program: a snapshot restore re-arming the saved

@@ -23,7 +23,7 @@ func (*armCounter) Begin(hyper.Boundary, hyper.Op) int { return 0 }
 
 func (*armCounter) End(int, *hyper.VCPU, hyper.Boundary, error) {}
 
-func (c *armCounter) TimerArmed(*hyper.World, *hyper.VCPU, uint64) { c.arms++ }
+func (c *armCounter) TimerArmed(*hyper.VCPU, uint64) { c.arms++ }
 
 // vcpuState is the part of one vCPU a declined TryHandle must not touch.
 type vcpuState struct {

@@ -484,6 +484,15 @@ func FuzzPlanCache(f *testing.F) {
 		pcToggleTracer, 0, pcHypercall, 0, pcTimerIRQ, 0, pcDeviceRX, 0, pcHalt, 1, pcSendIPI, 0x10,
 		pcHalt, 1, pcWake, 1, pcToggleTracer, 0, pcHypercall, 0, pcTimerIRQ, 0, pcDeviceRX, 0,
 		pcHalt, 1, pcSendIPI, 0x10, pcHalt, 1, pcWake, 1))
+	// One World's compile scratch across keys at depth 4: forward plans for
+	// three reasons (VMCALL, MSR write, APIC access), an injection plan and
+	// a cascade plan, then the L2 guest hypervisor turns Xen and VMCS
+	// shadowing goes off, which changes the subtrees at levels 1-3 that
+	// every one of those plans merges, and the same steps compile again. A
+	// subtree memo that outlived a compile would replay the old subtrees.
+	round := []byte{pcHypercall, 0, pcProgramTimer, 1, pcSendIPI, 0x10, pcTimerIRQ, 0, pcDeviceRX, 0}
+	f.Add(steps(steps(steps([]byte{3, 0, 0, pcToggleTracer, 0}, round...),
+		pcSwapPersonality, 0x11, pcToggleShadowing, 0), round...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return

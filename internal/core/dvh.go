@@ -192,7 +192,7 @@ func (d *DVH) ConfigureVM(vm *hyper.VM) error {
 // below, so the virtual hardware is configured for each of them — in
 // particular, *all* guest hypervisors stop trapping HLT (Section 3.4).
 func (d *DVH) configureControls(vm *hyper.VM) {
-	for _, cur := range stackVMs(vm) {
+	for cur := vm; cur != nil; cur = cur.Owner.HostVM {
 		if cur.Level >= 2 {
 			d.configureVMControls(cur)
 		}

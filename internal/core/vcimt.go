@@ -40,7 +40,7 @@ func (d *DVH) buildVCIMT(vm *hyper.VM) (*VCIMT, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &VCIMT{VM: vm, holder: holder.VM, dvh: d}
+	t := &VCIMT{VM: vm, holder: holder.VM, dvh: d, registry: make([]*hyper.VCPU, 0, len(vm.VCPUs))}
 	bytes := len(vm.VCPUs) * 8
 	pages := (bytes + mem.PageSize - 1) / mem.PageSize
 	t.Base, err = t.holder.AllocPages(pages)

@@ -38,6 +38,10 @@ type VPState struct {
 
 	holder *hyper.VM // the L1 VM whose memory the shadow table resolves into
 	vm     *hyper.VM
+	// dma and migOps are the device's DMA view and the migration
+	// capability's host side, allocated with the state.
+	dma    vpDMA
+	migOps vpMigOps
 }
 
 // AttachVirtualPassthroughNet performs the paper's Section 3.1 configuration
@@ -112,6 +116,7 @@ func (d *DVH) attachVP(vm *hyper.VM, name string, class hyper.DeviceClass) (*hyp
 	vp := &VPState{
 		Dev:       dev,
 		Shadow:    mem.NewPageTable(),
+		Domains:   make([]*iommu.Domain, 0, len(chain)-1),
 		HostDirty: mem.NewBitmap(uint64(vm.NumPages)),
 		holder:    chain[0],
 		vm:        vm,
@@ -147,8 +152,9 @@ func (d *DVH) attachVP(vm *hyper.VM, name string, class hyper.DeviceClass) (*hyp
 		}
 	}
 
-	dev.DMAView = &vpDMA{vp: vp}
-	migCap, err := pci.AddMigrationCap(fn, &vpMigOps{vp: vp})
+	vp.dma.vp, vp.migOps.vp = vp, vp
+	dev.DMAView = &vp.dma
+	migCap, err := pci.AddMigrationCap(fn, &vp.migOps)
 	if err != nil {
 		return nil, err
 	}
@@ -158,19 +164,17 @@ func (d *DVH) attachVP(vm *hyper.VM, name string, class hyper.DeviceClass) (*hyp
 	return dev, nil
 }
 
-// stackVMs returns the VM chain from level 1 up to vm.
+// stackVMs returns the VM chain from level 1 up to vm, in one exactly
+// sized slice.
 func stackVMs(vm *hyper.VM) []*hyper.VM {
-	var rev []*hyper.VM
-	for cur := vm; cur != nil; {
-		rev = append(rev, cur)
-		if cur.Owner.HostVM == nil {
-			break
-		}
-		cur = cur.Owner.HostVM
+	n := 0
+	for cur := vm; cur != nil; cur = cur.Owner.HostVM {
+		n++
 	}
-	out := make([]*hyper.VM, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
+	out := make([]*hyper.VM, n)
+	for cur := vm; cur != nil; cur = cur.Owner.HostVM {
+		n--
+		out[n] = cur
 	}
 	return out
 }

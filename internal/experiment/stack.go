@@ -9,6 +9,7 @@ package experiment
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/check"
@@ -167,7 +168,7 @@ func Build(spec Spec) (*Stack, error) {
 		return nil, err
 	}
 	m, err := machine.New(machine.Config{
-		Name:        fmt.Sprintf("cloudlab-L%d-%v", spec.Depth, spec.IO),
+		Name:        "cloudlab-L" + strconv.Itoa(spec.Depth) + "-" + spec.IO.String(),
 		CPUs:        10,
 		MemoryBytes: 96 << 30,
 		Caps:        prof.Caps,
@@ -177,7 +178,7 @@ func Build(spec Spec) (*Stack, error) {
 		return nil, err
 	}
 	host := hyper.NewHost(m, hyper.KVM{})
-	st := &Stack{Spec: spec, Profile: prof, Machine: m, World: hyper.NewWorld(host)}
+	st := &Stack{Spec: spec, Profile: prof, Machine: m, World: hyper.NewWorld(host), VMs: make([]*hyper.VM, 0, spec.Depth)}
 	// Install the calibration before anything compiles or measures. This is
 	// the one place experiment stacks ever touch cost models or capability
 	// words; under the default profile it is a bit-identical no-op relative to
@@ -211,7 +212,7 @@ func Build(spec Spec) (*Stack, error) {
 		cores := 4 + 2*(spec.Depth-lvl)
 		memBytes := uint64(12*(spec.Depth-lvl+1)) << 30
 		vm, err := h.CreateVM(hyper.VMConfig{
-			Name:     fmt.Sprintf("L%d-vm", lvl),
+			Name:     "L" + strconv.Itoa(lvl) + "-vm",
 			VCPUs:    cores,
 			MemBytes: memBytes,
 		})
@@ -220,7 +221,8 @@ func Build(spec Spec) (*Stack, error) {
 		}
 		st.VMs = append(st.VMs, vm)
 		if lvl < spec.Depth {
-			h = vm.InstallHypervisor(guestPersonality(), fmt.Sprintf("%s-L%d", guestPersonality().Name(), lvl))
+			p := guestPersonality()
+			h = vm.InstallHypervisor(p, p.Name()+"-L"+strconv.Itoa(lvl))
 		}
 	}
 	st.Target = st.VMs[spec.Depth-1]
@@ -304,11 +306,11 @@ func (st *Stack) attachIO() error {
 	case IOParavirt:
 		// The cascade: every level gets its own virtio devices.
 		for _, vm := range st.VMs {
-			net, err := hyper.AttachParavirtNet(vm, fmt.Sprintf("virtio-net-L%d", vm.Level))
+			net, err := hyper.AttachParavirtNet(vm, "virtio-net-L"+strconv.Itoa(vm.Level))
 			if err != nil {
 				return err
 			}
-			blk, err := hyper.AttachParavirtBlk(vm, fmt.Sprintf("virtio-blk-L%d", vm.Level))
+			blk, err := hyper.AttachParavirtBlk(vm, "virtio-blk-L"+strconv.Itoa(vm.Level))
 			if err != nil {
 				return err
 			}
@@ -324,7 +326,7 @@ func (st *Stack) attachIO() error {
 			vm.ProvideVIOMMU(true)
 		}
 		for _, vm := range st.VMs {
-			blk, err := hyper.AttachParavirtBlk(vm, fmt.Sprintf("virtio-blk-L%d", vm.Level))
+			blk, err := hyper.AttachParavirtBlk(vm, "virtio-blk-L"+strconv.Itoa(vm.Level))
 			if err != nil {
 				return err
 			}

@@ -59,5 +59,5 @@ type InvariantChecker interface {
 	End(token int, v *VCPU, b Boundary, err error)
 	// TimerArmed reports a DVH virtual-timer arm with the host-TSC deadline
 	// (the guest-programmed deadline plus the combined TSC-offset chain).
-	TimerArmed(w *World, v *VCPU, hostDeadline uint64)
+	TimerArmed(v *VCPU, hostDeadline uint64)
 }

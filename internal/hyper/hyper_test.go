@@ -446,6 +446,40 @@ func TestAncestorAt(t *testing.T) {
 	}
 }
 
+// TestCPUBlocksKeepStatePerCPU holds the blocks CreateVM and machine.New
+// allocate to one LAPIC, posted-interrupt descriptor and VMCS per CPU: no
+// two vCPUs of a stack share one, each descriptor notifies its vCPU's
+// physical CPU, no two pCPUs share a LAPIC, and a vector latched into one
+// vCPU's LAPIC is pending on no other.
+func TestCPUBlocksKeepStatePerCPU(t *testing.T) {
+	w, vms := testStack(t, 3)
+	seen := map[any]bool{}
+	own := func(what string, p any) {
+		if seen[p] {
+			t.Errorf("%s shared between CPUs", what)
+		}
+		seen[p] = true
+	}
+	for _, c := range w.Host.Machine.CPUs {
+		own("pCPU LAPIC", c.LAPIC)
+	}
+	target := vms[1].VCPUs[2]
+	target.LAPIC.Deliver(apic.VectorVirtioIRQ)
+	for _, vm := range vms {
+		for _, v := range vm.VCPUs {
+			own("LAPIC", v.LAPIC)
+			own("PI descriptor", v.PID)
+			own("VMCS", v.VMCS)
+			if v.PID.NDst() != v.PhysCPU {
+				t.Errorf("%s: descriptor notifies pCPU %d, vCPU runs on %d", v.Path(), v.PID.NDst(), v.PhysCPU)
+			}
+			if got := v.LAPIC.Pending(apic.VectorVirtioIRQ); got != (v == target) {
+				t.Errorf("%s: vector pending = %v", v.Path(), got)
+			}
+		}
+	}
+}
+
 func TestCreateVMValidation(t *testing.T) {
 	m := machine.MustNew(machine.Config{Name: "t", CPUs: 2, MemoryBytes: 1 << 30})
 	host := NewHost(m, KVM{})

@@ -157,7 +157,7 @@ func (s *spyChecker) End(token int, v *VCPU, b Boundary, err error) {
 	s.lastErr = err
 }
 
-func (s *spyChecker) TimerArmed(w *World, v *VCPU, hostDeadline uint64) {}
+func (s *spyChecker) TimerArmed(v *VCPU, hostDeadline uint64) {}
 
 // TestSingleSettlePoint drives representative paths through each pipeline
 // outcome — fast path, host emulation, interceptor claim, full forwarding —

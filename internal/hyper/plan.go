@@ -247,8 +247,15 @@ func (p *plan) matchesStack(stack []*Hypervisor) bool {
 	return true
 }
 
+// reset empties the deltas, keeping handled's capacity.
+func (d *deltas) reset() {
+	d.levels = [trace.MaxLevels]sim.Cycles{}
+	d.handled = d.handled[:0]
+}
+
 // addHandled adds n exits with reason r handled at the (clamped) level,
-// keeping handled sorted.
+// keeping handled sorted. It grows handled only past its capacity, which a
+// warm compile scratch already has.
 //
 //nvlint:cold
 func (d *deltas) addHandled(r vmx.ExitReason, level int, n uint64) {
@@ -265,21 +272,40 @@ func (d *deltas) addHandled(r vmx.ExitReason, level int, n uint64) {
 }
 
 // planBuilder is the compiling chargeSink: it aggregates a tree's emissions
-// into d, straight into the sorted sparse lists replay reads. The builders
-// of one compile share the world and the subtree memo.
+// into d, straight into the sorted sparse lists replay reads. Builders live
+// in the World's compile scratch and share its subtree memo.
 type planBuilder struct {
-	w *World
-	d *deltas
-	// memo holds each privileged-instruction subtree compiled so far, by
-	// (level, reason). A subtree reads only inputs that one compile holds
-	// fixed, so one walk serves every occurrence.
-	memo map[subtreeKey]*deltas
+	s *compileScratch
+	d deltas
 }
 
-// subtreeKey names one privileged-instruction subtree of a compile.
-type subtreeKey struct {
+// compileScratch is a World's compile working memory: the builders, the
+// subtree memo and the memoized subtrees' deltas. Compiles reuse it, so a
+// compile on a warm scratch allocates only the plan it returns. Each compile
+// empties the memo before it walks, and no plan keeps a reference into the
+// scratch, so nothing one compile leaves in it reaches another's plan.
+type compileScratch struct {
+	w *World
+	// top is the builder of the tree being compiled.
+	top planBuilder
+	// sub[k] is the builder of the level-k subtree being compiled. A subtree
+	// at level k walks only subtrees below k, so one builder per level
+	// serves every subtree of a compile.
+	sub [trace.MaxLevels]planBuilder
+	// memo holds each privileged-instruction subtree compiled so far in this
+	// compile. A subtree reads only inputs that one compile holds fixed, so
+	// one walk serves every occurrence.
+	memo []subtree
+	// handled backs the memoized subtrees' exit counts, back to back.
+	handled []handledCount
+}
+
+// subtree is one memoized privileged-instruction subtree: its key and its
+// deltas, whose exit counts sit in the scratch's handled list.
+type subtree struct {
 	level  int
 	reason vmx.ExitReason
+	deltas
 }
 
 // chargeLevel implements chargeSink, clamping exactly as the stats tables
@@ -296,22 +322,27 @@ func (b *planBuilder) exit(r vmx.ExitReason, _, handler int) {
 }
 
 // privOps implements chargeSink: the first run of a (level, reason) in this
-// compile walks privOpCost once into a child builder, and every run merges
-// that subtree n times.
+// compile walks privOpCost once into the level's builder, and every run
+// merges that subtree n times.
 //
 //nvlint:cold
 func (b *planBuilder) privOps(stack []*Hypervisor, level int, reason vmx.ExitReason, n int) {
 	if n <= 0 {
 		return
 	}
-	key := subtreeKey{level: level, reason: reason}
-	sub := b.memo[key]
-	if sub == nil {
-		sub = &deltas{}
-		b.w.privOpCost(stack, level, reason, &planBuilder{w: b.w, d: sub, memo: b.memo})
-		b.memo[key] = sub
+	s := b.s
+	i := slices.IndexFunc(s.memo, func(t subtree) bool { return t.level == level && t.reason == reason })
+	if i < 0 {
+		sb := &s.sub[level]
+		sb.d.reset()
+		s.w.privOpCost(stack, level, reason, sb)
+		lo := len(s.handled)
+		s.handled = append(s.handled, sb.d.handled...)
+		hi := len(s.handled)
+		s.memo = append(s.memo, subtree{level, reason, deltas{sb.d.levels, s.handled[lo:hi:hi]}})
+		i = len(s.memo) - 1
 	}
-	b.merge(sub, n)
+	b.merge(&s.memo[i].deltas, n)
 }
 
 // merge adds n copies of a subtree's deltas, exactly as n walks of it
@@ -327,14 +358,31 @@ func (b *planBuilder) merge(sub *deltas, n int) {
 
 // compilePlan walks one charge tree with the compiling sink and flattens it
 // into an immutable plan, pinning the personalities of the stack up to the
-// level. This is the cold path: it runs once per key, stack shape and
-// generation triple, and its cost is amortized across every replay.
+// level, which must be below trace.MaxLevels (charge walks deeper trees
+// live). This is the cold path: it runs once per key, stack shape and
+// generation triple, and its cost is amortized across every replay. It
+// allocates the plan and its exact-size exit counts; everything else it
+// works in is the World's compile scratch.
 //
 //nvlint:cold
 func (w *World) compilePlan(stack []*Hypervisor, kind planKind, reason vmx.ExitReason, level int) *plan {
+	s := w.scratch
+	if s == nil {
+		s = &compileScratch{w: w}
+		for k := range s.sub {
+			s.sub[k].s = s
+		}
+		s.top.s = s
+		w.scratch = s
+	}
+	s.memo, s.handled = s.memo[:0], s.handled[:0]
+	s.top.d.reset()
+	w.walk(stack, kind, reason, level, &s.top)
+
 	p := &plan{pinned: min(level, len(stack)-1)}
-	b := &planBuilder{w: w, d: &p.deltas, memo: map[subtreeKey]*deltas{}}
-	w.walk(stack, kind, reason, level, b)
+	p.levels = s.top.d.levels
+	p.handled = make([]handledCount, len(s.top.d.handled))
+	copy(p.handled, s.top.d.handled)
 	for k := 1; k <= p.pinned; k++ {
 		p.pers[k] = stack[k].Personality
 	}

@@ -340,37 +340,64 @@ func forwardCompileStack(t testing.TB, depth int, caps vmx.Caps) (*World, []*Hyp
 	return w, stack
 }
 
-// TestCompileAllocBudget pins the compile cost the subtree memo and
-// event-free plans buy: a compile allocates O(levels x distinct subtrees),
-// not O(exits). Compiling each plan whole, with the timeline always kept,
-// an L2 forwarded-hypercall compile allocated 4,312 B and an L4 one
-// 515,128 B (720,312 B without VMCS shadowing). Bytes per compile are
-// averaged over repeated compiles from TotalAlloc deltas; the measured
-// figures sit far enough under each budget to hold under -race.
+// TestCompileAllocBudget pins the compile cost the subtree memo, event-free
+// plans and the reused compile scratch buy. Once the World's first compile
+// has warmed its scratch, a compile allocates only the plan it returns: a
+// forwarded-hypercall compile allocates 224-400 B at L2-L4, within a 1 KiB
+// budget, and a compile of every plan kind makes at most two allocations,
+// the plan and its exact-size exit counts. Compiling each plan whole, with
+// the timeline always kept, an L2 forwarded-hypercall compile allocated
+// 4,312 B and an L4 one 515,128 B (720,312 B without VMCS shadowing); with
+// a per-compile memo map, a deltas and a builder per subtree and exit
+// counts grown by insertion, it allocated 784-3,280 B, and a forwarded
+// compile made 12, 29 and 47 allocations at L2, L3 and L4, inject and
+// cascade 13, 29 and 48, switch 8, 23 and 41, and wake 3. Bytes per compile
+// are averaged over repeated compiles from TotalAlloc deltas; both bounds
+// hold under -race.
 func TestCompileAllocBudget(t *testing.T) {
 	noShadow := vmx.HardwareCaps.Without(vmx.CapVMCSShadowing)
-	for _, tc := range []struct {
+	kinds := []struct {
 		name   string
-		depth  int
-		caps   vmx.Caps
-		budget uint64
+		kind   planKind
+		reason vmx.ExitReason
 	}{
-		{"L2", 2, vmx.HardwareCaps, 4312},
-		{"L4", 4, vmx.HardwareCaps, 16 << 10},
-		{"L4-noshadow", 4, noShadow, 16 << 10},
+		{"forward", planForward, vmx.ExitVMCALL},
+		{"inject", planInject, 0},
+		{"cascade", planCascade, 0},
+		{"wake", planWake, 0},
+		{"switch", planSwitch, 0},
+	}
+	const budget = 1 << 10 // bytes per forwarded compile
+	for _, tc := range []struct {
+		name  string
+		depth int
+		caps  vmx.Caps
+	}{
+		{"L2", 2, vmx.HardwareCaps},
+		{"L3", 3, vmx.HardwareCaps},
+		{"L4", 4, vmx.HardwareCaps},
+		{"L4-noshadow", 4, noShadow},
 	} {
 		w, stack := forwardCompileStack(t, tc.depth, tc.caps)
+		level := tc.depth - 1
+		w.compilePlan(stack, planForward, vmx.ExitVMCALL, level)
 		const runs = 10
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			w.compilePlan(stack, planForward, vmx.ExitVMCALL, tc.depth-1)
+			w.compilePlan(stack, planForward, vmx.ExitVMCALL, level)
 		}
 		runtime.ReadMemStats(&after)
-		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > tc.budget {
-			t.Errorf("%s: a forwarded-hypercall compile allocated %d bytes, budget %d", tc.name, got, tc.budget)
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > budget {
+			t.Errorf("%s: a forwarded-hypercall compile allocated %d bytes, budget %d", tc.name, got, budget)
 		} else {
 			t.Logf("%s: a forwarded-hypercall compile allocated %d bytes", tc.name, got)
+		}
+		for _, k := range kinds {
+			allocs := testing.AllocsPerRun(runs, func() { w.compilePlan(stack, k.kind, k.reason, level) })
+			if allocs > 2 {
+				t.Errorf("%s: a %s compile made %.1f allocations, want at most 2", tc.name, k.name, allocs)
+			}
 		}
 	}
 }

@@ -41,7 +41,7 @@ func (s *frameSpy) End(token int, v *hyper.VCPU, b hyper.Boundary, err error) {
 	}
 }
 
-func (s *frameSpy) TimerArmed(w *hyper.World, v *hyper.VCPU, hostDeadline uint64) {}
+func (s *frameSpy) TimerArmed(v *hyper.VCPU, hostDeadline uint64) {}
 
 // enter calls boundary b once on v, with op as Execute's operation and the
 // stack's net device as the device boundaries' device.

@@ -56,7 +56,7 @@ func (w *World) fireTimer(v *VCPU) error {
 // TSC-offset chain.
 func (w *World) ArmVirtualTimer(v *VCPU, deadline uint64) {
 	if w.Check != nil {
-		w.Check.TimerArmed(w, v, deadline)
+		w.Check.TimerArmed(v, deadline)
 	}
 	w.armHostTimer(v, deadline)
 }

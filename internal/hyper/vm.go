@@ -95,10 +95,18 @@ type VM struct {
 	GuestHyp *Hypervisor
 
 	dirty   *mem.Bitmap // non-nil while dirty logging
-	written *mem.Bitmap
+	written mem.Bitmap
 
 	allocNext mem.PFN  // guest-page allocator for drivers/workloads
 	mmioNext  mem.Addr // doorbell window allocator
+
+	// ept, bus and memory are what EPT, Bus and Memory() point at, and
+	// devices backs Devices up to the two devices an I/O mode attaches:
+	// all allocated with the VM.
+	ept     mem.PageTable
+	bus     pci.Bus
+	memory  GuestMemory
+	devices [2]*AssignedDevice
 }
 
 // VCPU is one virtual CPU.
@@ -128,6 +136,15 @@ type VCPU struct {
 	stackGen   uint64
 }
 
+// vcpuBlock holds a VCPU with the LAPIC, posted-interrupt descriptor and
+// VMCS it points at, so CreateVM allocates a VM's vCPUs in one block.
+type vcpuBlock struct {
+	VCPU
+	lapic apic.LAPIC
+	pid   apic.PIDescriptor
+	vmcs  vmx.VMCS
+}
+
 // CreateVM builds a VM under this hypervisor.
 func (h *Hypervisor) CreateVM(cfg VMConfig) (*VM, error) {
 	if cfg.VCPUs <= 0 {
@@ -152,28 +169,28 @@ func (h *Hypervisor) CreateVM(cfg VMConfig) (*VM, error) {
 		Caps:       h.grantCaps(),
 		NumPages:   pages,
 		parentBase: base,
-		EPT:        mem.NewPageTable(),
-		Bus:        pci.NewBus(),
-		written:    mem.NewBitmap(uint64(pages)),
+		written:    *mem.NewBitmap(uint64(pages)),
 		allocNext:  16, // leave a low region for firmware-ish structures
 		mmioNext:   0xf000_0000,
 	}
-	for i := 0; i < cfg.VCPUs; i++ {
-		v := &VCPU{
-			VM:    vm,
-			ID:    i,
-			LAPIC: apic.NewLAPIC(),
-			VMCS:  vmx.NewVMCS(),
-		}
+	vm.EPT, vm.Bus, vm.memory.vm, vm.Devices = &vm.ept, &vm.bus, vm, vm.devices[:0]
+	blocks := make([]vcpuBlock, cfg.VCPUs)
+	vm.VCPUs = make([]*VCPU, cfg.VCPUs)
+	for i := range blocks {
+		b := &blocks[i]
+		v := &b.VCPU
+		v.VM, v.ID = vm, i
 		if h.HostVM != nil {
 			v.Parent = h.HostVM.VCPUs[i]
 			v.PhysCPU = v.Parent.PhysCPU
 		} else {
 			v.PhysCPU = i
 		}
-		v.PID = apic.NewPIDescriptor(v.PhysCPU)
+		b.lapic = *apic.NewLAPIC()
+		b.pid = *apic.NewPIDescriptor(v.PhysCPU)
+		v.LAPIC, v.PID, v.VMCS = &b.lapic, &b.pid, &b.vmcs
 		h.initVMCS(v)
-		vm.VCPUs = append(vm.VCPUs, v)
+		vm.VCPUs[i] = v
 	}
 	h.Guests = append(h.Guests, vm)
 	h.Machine.TopoGen++
@@ -235,7 +252,7 @@ func (vm *VM) InstallHypervisor(p Personality, name string) *Hypervisor {
 // whether the vIOMMU advertises interrupt posting (the paper's full DVH
 // configuration adds this; plain DVH-VP runs without it).
 func (vm *VM) ProvideVIOMMU(posted bool) *iommu.IOMMU {
-	vm.VIOMMU = iommu.New(fmt.Sprintf("%s/viommu", vm.Name), posted)
+	vm.VIOMMU = iommu.New(vm.Name+"/viommu", posted)
 	vm.Caps = vm.Caps.With(vmx.CapIOMMU)
 	if posted {
 		vm.Caps = vm.Caps.With(vmx.CapIOMMUPostedInterrupts)
@@ -360,10 +377,8 @@ func (vm *VM) holds(p mem.PFN, n int) int {
 
 // Memory returns a byte-addressable view of the VM's guest-physical memory,
 // backed (through the EPT chain) by machine memory, with per-level dirty
-// tracking on writes.
-func (vm *VM) Memory() *GuestMemory {
-	return &GuestMemory{vm: vm} //nvlint:ignore hotalloc one-word view; reached only on ring-processing paths, never on steady kicks
-}
+// tracking on writes. Every call returns the same view.
+func (vm *VM) Memory() *GuestMemory { return &vm.memory }
 
 // StartDirtyLog begins recording written guest frames (pre-copy migration).
 func (vm *VM) StartDirtyLog() { vm.dirty = mem.NewBitmap(uint64(vm.NumPages)) }

@@ -85,6 +85,9 @@ type World struct {
 	// plans is the World's compiled-plan table (plan.go), lazily allocated
 	// on the first cached charge.
 	plans *planTable
+	// scratch is the working memory compiles reuse (plan.go), lazily
+	// allocated on the first compile.
+	scratch *compileScratch
 	// Plan counts plan-cache activity (compiles, replays, invalidations)
 	// for tests and diagnostics.
 	Plan PlanCacheStats

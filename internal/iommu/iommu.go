@@ -22,14 +22,18 @@ import (
 // Domain is one translation context: devices attached to the domain have
 // their DMA addresses translated through the domain's page table.
 type Domain struct {
-	Name  string
+	Name string
+	// Table points at the domain's own table, allocated with it.
 	Table *mem.PageTable
+	table mem.PageTable
 }
 
 // IOMMU is one remapping unit.
 type IOMMU struct {
-	name    string
-	posted  bool // interrupt posting capability
+	name   string
+	posted bool // interrupt posting capability
+	// domains and attach are made on the first CreateDomain and Attach, so
+	// a unit nothing is assigned through costs one allocation.
 	domains map[string]*Domain
 	attach  map[pci.Address]*Domain
 	// irt is the interrupt-remapping table, allocated on first programming
@@ -54,12 +58,7 @@ type irtEntry struct {
 // posting (VT-d posted interrupts); the paper's DVH-VP baseline runs with a
 // vIOMMU lacking it, and Figure 8's first increment adds it.
 func New(name string, posted bool) *IOMMU {
-	return &IOMMU{
-		name:    name,
-		posted:  posted,
-		domains: make(map[string]*Domain),
-		attach:  make(map[pci.Address]*Domain),
-	}
+	return &IOMMU{name: name, posted: posted}
 }
 
 // PostedCapable reports interrupt-posting support.
@@ -73,7 +72,11 @@ func (u *IOMMU) CreateDomain(name string) *Domain {
 	if d, ok := u.domains[name]; ok {
 		return d
 	}
-	d := &Domain{Name: name, Table: mem.NewPageTable()}
+	d := &Domain{Name: name}
+	d.Table = &d.table
+	if u.domains == nil {
+		u.domains = make(map[string]*Domain)
+	}
 	u.domains[name] = d
 	return d
 }
@@ -83,6 +86,9 @@ func (u *IOMMU) CreateDomain(name string) *Domain {
 func (u *IOMMU) Attach(fn *pci.Function, d *Domain) error {
 	if cur, ok := u.attach[fn.Addr]; ok && cur != d {
 		return fmt.Errorf("iommu %s: device %s already attached to domain %s", u.name, fn.Name, cur.Name)
+	}
+	if u.attach == nil {
+		u.attach = make(map[pci.Address]*Domain)
 	}
 	u.attach[fn.Addr] = d
 	return nil

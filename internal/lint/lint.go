@@ -209,6 +209,7 @@ func ModuleConfig(dir string) (Config, error) {
 			mp + "/internal/hyper.World.Host":             "fixed at World construction",
 			mp + "/internal/hyper.World.Plan":             "cache meta-counters, not a plan input",
 			mp + "/internal/hyper.World.Tracer":           "a traced World never replays",
+			mp + "/internal/hyper.World.scratch":          "compile working memory: each compile empties its subtree memo before walking, and no plan keeps a reference into it",
 			mp + "/internal/hyper.Hypervisor.Caps":        "CapsGen: post-setup writers (SetHostCaps, ProvideVIOMMU) bump it",
 			mp + "/internal/hyper.Hypervisor.Personality": "TopoGen on stack changes, plus per-plan personality pinning at replay",
 			mp + "/internal/hyper.Hypervisor.Machine":     "fixed at hypervisor construction",

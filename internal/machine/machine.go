@@ -24,6 +24,13 @@ type PCPU struct {
 	LAPIC *apic.LAPIC
 }
 
+// pcpuBlock holds a PCPU with the LAPIC it points at, so New allocates a
+// machine's CPUs in one block.
+type pcpuBlock struct {
+	PCPU
+	lapic apic.LAPIC
+}
+
 // NIC is the physical network adapter: a PCI function with SR-IOV.
 type NIC struct {
 	Fn *pci.Function
@@ -82,6 +89,12 @@ type Machine struct {
 	// VMCS shadowing). Plans depend on host capabilities, so mutating a caps
 	// word without moving this generation leaves stale compiled plans behind.
 	CapsGen uint64
+
+	// bus, nic and ssd are what Bus, NIC and SSD point at, allocated with
+	// the machine.
+	bus pci.Bus
+	nic NIC
+	ssd SSD
 }
 
 // New assembles a machine from the config.
@@ -94,10 +107,15 @@ func New(cfg Config) (*Machine, error) {
 		Stats:  &trace.Stats{},
 		Caps:   cfg.Caps,
 		Memory: mem.NewAddressSpace(cfg.Name+"/ram", cfg.MemoryBytes),
-		Bus:    pci.NewBus(),
 	}
-	for i := 0; i < cfg.CPUs; i++ {
-		m.CPUs = append(m.CPUs, &PCPU{ID: i, LAPIC: apic.NewLAPIC()})
+	m.Bus = &m.bus
+	blocks := make([]pcpuBlock, cfg.CPUs)
+	m.CPUs = make([]*PCPU, cfg.CPUs)
+	for i := range blocks {
+		b := &blocks[i]
+		b.lapic = *apic.NewLAPIC()
+		b.PCPU = PCPU{ID: i, LAPIC: &b.lapic}
+		m.CPUs[i] = &b.PCPU
 	}
 	if cfg.Caps.Has(vmx.CapIOMMU) {
 		m.IOMMU = iommu.New(cfg.Name+"/vtd0", cfg.Caps.Has(vmx.CapIOMMUPostedInterrupts))
@@ -108,7 +126,8 @@ func New(cfg Config) (*Machine, error) {
 	if err := m.Bus.Add(nicFn); err != nil {
 		return nil, err
 	}
-	m.NIC = &NIC{Fn: nicFn}
+	m.nic.Fn = nicFn
+	m.NIC = &m.nic
 	if cfg.Caps.Has(vmx.CapSRIOV) && cfg.NICVFs > 0 {
 		if err := pci.EnableSRIOV(nicFn, uint16(cfg.NICVFs)); err != nil {
 			return nil, err
@@ -120,10 +139,11 @@ func New(cfg Config) (*Machine, error) {
 	if err := m.Bus.Add(ssdFn); err != nil {
 		return nil, err
 	}
-	m.SSD = &SSD{
+	m.ssd = SSD{
 		Fn:      ssdFn,
 		Backing: mem.NewAddressSpace(cfg.Name+"/ssd", 480<<30),
 	}
+	m.SSD = &m.ssd
 	return m, nil
 }
 

@@ -76,14 +76,21 @@ type ConfigSpace struct {
 
 // NewConfigSpace builds a config space with the given identity.
 func NewConfigSpace(vendor, device uint16, class uint32) *ConfigSpace {
-	c := &ConfigSpace{nextCap: 0x40}
+	c := new(ConfigSpace)
+	c.init(vendor, device, class)
+	return c
+}
+
+// init writes the identity and an empty capability chain into a zero config
+// space in place, so a Function can hold its config space by value.
+func (c *ConfigSpace) init(vendor, device uint16, class uint32) {
+	c.nextCap = 0x40
 	c.WriteU16(offVendorID, vendor)
 	c.WriteU16(offDeviceID, device)
 	c.bytes[offRevision] = 1
 	c.bytes[offClassCode] = byte(class)
 	c.bytes[offClassCode+1] = byte(class >> 8)
 	c.bytes[offClassCode+2] = byte(class >> 16)
-	return c
 }
 
 // ReadU16 reads a little-endian 16-bit register.

@@ -15,25 +15,30 @@ func (a Address) String() string {
 // ownership bookkeeping the simulator's passthrough machinery needs. Device
 // behavior (rings, registers) lives with the device model that embeds it.
 type Function struct {
-	Name   string
-	Addr   Address
+	Name string
+	// Config points at the function's own config space, allocated with it.
 	Config *ConfigSpace
-	// IsVirtual marks host-hypervisor-provided virtual devices — the ones
-	// virtual-passthrough assigns — as opposed to physical hardware.
-	IsVirtual bool
 	// VFParent points at the physical function for SR-IOV virtual functions.
 	VFParent *Function
 
 	boundDriver string
+
+	Addr Address
+	// IsVirtual marks host-hypervisor-provided virtual devices — the ones
+	// virtual-passthrough assigns — as opposed to physical hardware.
+	IsVirtual bool
+
+	config ConfigSpace
 }
 
-// NewFunction builds a PCI function with the given identity.
+// NewFunction builds a PCI function with the given identity. The function
+// and its config space are one 320-byte allocation: Addr and IsVirtual sit
+// together so that the pair fits that size class.
 func NewFunction(name string, addr Address, vendor, device uint16, class uint32) *Function {
-	return &Function{
-		Name:   name,
-		Addr:   addr,
-		Config: NewConfigSpace(vendor, device, class),
-	}
+	f := &Function{Name: name, Addr: addr}
+	f.config.init(vendor, device, class)
+	f.Config = &f.config
+	return f
 }
 
 // Bind attaches a named driver (e.g. "virtio-net", "vfio-pci"). Passthrough
@@ -50,23 +55,30 @@ func (f *Function) Bind(driver string) error {
 // Driver returns the bound driver name ("" when unbound).
 func (f *Function) Driver() string { return f.boundDriver }
 
-// Bus is a collection of PCI functions, keyed by Address.
+// Bus is a collection of PCI functions with distinct addresses. The zero
+// value is an empty bus, so a VM or machine holds its bus by value.
 type Bus struct {
-	funcs map[Address]*Function
+	funcs []*Function
 	next  uint8 // next device number for AutoAdd
 }
 
-// NewBus returns an empty bus.
-func NewBus() *Bus {
-	return &Bus{funcs: make(map[Address]*Function)}
+// populated reports whether a function sits at the address. A bus holds a
+// handful of functions, so a scan beats a hash.
+func (b *Bus) populated(a Address) bool {
+	for _, f := range b.funcs {
+		if f.Addr == a {
+			return true
+		}
+	}
+	return false
 }
 
 // Add places a function on the bus. Duplicate addresses are rejected.
 func (b *Bus) Add(f *Function) error {
-	if _, ok := b.funcs[f.Addr]; ok {
+	if b.populated(f.Addr) {
 		return fmt.Errorf("pci: address %s already populated", f.Addr)
 	}
-	b.funcs[f.Addr] = f
+	b.funcs = append(b.funcs, f)
 	return nil
 }
 
@@ -76,9 +88,9 @@ func (b *Bus) AutoAdd(f *Function) Address {
 	for {
 		addr := Address{Bus: 0, Device: b.next, Function: 0}
 		b.next++
-		if _, ok := b.funcs[addr]; !ok {
+		if !b.populated(addr) {
 			f.Addr = addr
-			b.funcs[addr] = f
+			b.funcs = append(b.funcs, f)
 			return addr
 		}
 	}

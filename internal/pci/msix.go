@@ -20,6 +20,9 @@ type MSIXEntry struct {
 type MSIXTable struct {
 	fn      *Function
 	entries []MSIXEntry
+	// inline holds the entries of a table this small, so the table and its
+	// entries are one 64-byte allocation; virtio devices have one or two.
+	inline [2]MSIXEntry
 }
 
 // msixOffTableSize is the offset of the table-size field in the capability.
@@ -39,7 +42,13 @@ func AddMSIX(fn *Function, n int) (*MSIXTable, error) {
 	}
 	// Table size field holds N-1 per the spec.
 	fn.Config.WriteU16(off+msixOffTableSize, uint16(n-1))
-	return &MSIXTable{fn: fn, entries: make([]MSIXEntry, n)}, nil
+	t := &MSIXTable{fn: fn}
+	if n <= len(t.inline) {
+		t.entries = t.inline[:n]
+	} else {
+		t.entries = make([]MSIXEntry, n)
+	}
+	return t, nil
 }
 
 // Size returns the number of vectors.

@@ -2,6 +2,7 @@ package pci
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -132,7 +133,7 @@ func TestFunctionBinding(t *testing.T) {
 }
 
 func TestBusAdd(t *testing.T) {
-	b := NewBus()
+	b := new(Bus)
 	f1 := NewFunction("nic", Address{0, 3, 0}, 1, 2, 3)
 	f2 := NewFunction("ssd", Address{0, 1, 0}, 1, 3, 3)
 	if err := b.Add(f1); err != nil {
@@ -144,13 +145,13 @@ func TestBusAdd(t *testing.T) {
 	if err := b.Add(NewFunction("dup", Address{0, 3, 0}, 1, 2, 3)); err == nil {
 		t.Fatal("duplicate address accepted")
 	}
-	if len(b.funcs) != 2 || b.funcs[Address{0, 1, 0}] != f2 || b.funcs[Address{0, 3, 0}] != f1 {
+	if !slices.Equal(b.funcs, []*Function{f1, f2}) || f1.Addr != (Address{0, 3, 0}) || f2.Addr != (Address{0, 1, 0}) {
 		t.Fatal("functions not at their addresses")
 	}
 }
 
 func TestBusAutoAdd(t *testing.T) {
-	b := NewBus()
+	b := new(Bus)
 	var addrs []Address
 	for i := 0; i < 5; i++ {
 		f := NewFunction("dev", Address{}, 1, 2, 3)
@@ -166,7 +167,7 @@ func TestBusAutoAdd(t *testing.T) {
 }
 
 func TestSRIOV(t *testing.T) {
-	b := NewBus()
+	b := new(Bus)
 	pf := NewFunction("x520", Address{0, 3, 0}, 0x8086, 0x10fb, 0x020000)
 	b.Add(pf)
 	if _, err := CreateVFs(b, pf, 2); err == nil {
@@ -186,7 +187,7 @@ func TestSRIOV(t *testing.T) {
 		if vf.VFParent != pf {
 			t.Fatal("VF parent not set")
 		}
-		if b.funcs[vf.Addr] != vf {
+		if !slices.Contains(b.funcs, vf) {
 			t.Fatal("VF not on bus")
 		}
 	}

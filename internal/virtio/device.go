@@ -27,25 +27,30 @@ type Device struct {
 	// MSIX is the device's per-queue interrupt table: vector i serves
 	// queue i's completions.
 	MSIX *pci.MSIXTable
+	// inline holds the queue slots of a device with at most two queues, as
+	// every net and blk device has, so the slots come with the device.
+	inline [2]*Queue
 }
 
-// NewDevice creates a virtio device with the given PCI identity. The
-// doorbell window is programmed into BAR0. The queue count sizes the MSI-X
-// table, so counts the PCI layer rejects surface here as errors.
-func NewDevice(name string, deviceID uint16, class uint32, doorbell mem.Addr, numQueues int) (*Device, error) {
+// init builds a zero Device in place with the given PCI identity, so
+// NetDevice and BlkDevice allocate theirs with them. The doorbell window is
+// programmed into BAR0. The queue count sizes the MSI-X table, so counts
+// the PCI layer rejects surface here as errors.
+func (d *Device) init(name string, deviceID uint16, class uint32, doorbell mem.Addr, numQueues int) error {
 	fn := pci.NewFunction(name, pci.Address{}, VendorVirtio, deviceID, class)
 	fn.IsVirtual = true
 	fn.Config.SetBAR(0, uint32(doorbell))
 	msix, err := pci.AddMSIX(fn, numQueues)
 	if err != nil {
-		return nil, fmt.Errorf("virtio %s: %w", name, err)
+		return fmt.Errorf("virtio %s: %w", name, err)
 	}
-	return &Device{
-		Fn:           fn,
-		DoorbellBase: doorbell,
-		queues:       make([]*Queue, numQueues),
-		MSIX:         msix,
-	}, nil
+	d.Fn, d.DoorbellBase, d.MSIX = fn, doorbell, msix
+	if numQueues <= len(d.inline) {
+		d.queues = d.inline[:numQueues]
+	} else {
+		d.queues = make([]*Queue, numQueues)
+	}
+	return nil
 }
 
 // AttachQueue wires device-side queue state for queue index qi.
@@ -84,13 +89,17 @@ type NetDevice struct {
 }
 
 // NewNetDevice builds a virtio-net device with its doorbell window at the
-// given MMIO address.
+// given MMIO address. The NetDevice and its Device are one allocation.
 func NewNetDevice(name string, doorbell mem.Addr) (*NetDevice, error) {
-	d, err := NewDevice(name, DeviceIDNet, ClassNetwork, doorbell, 2)
-	if err != nil {
+	b := new(struct {
+		n NetDevice
+		d Device
+	})
+	if err := b.d.init(name, DeviceIDNet, ClassNetwork, doorbell, 2); err != nil {
 		return nil, err
 	}
-	return &NetDevice{Device: d}, nil
+	b.n.Device = &b.d
+	return &b.n, nil
 }
 
 // Transmit pops every published TX chain, gathers the frames through the
@@ -167,13 +176,18 @@ type BlkDevice struct {
 	Reads, Writes uint64
 }
 
-// NewBlkDevice builds a virtio-blk device over the given backing store.
+// NewBlkDevice builds a virtio-blk device over the given backing store. The
+// BlkDevice and its Device are one allocation.
 func NewBlkDevice(name string, doorbell mem.Addr, disk *mem.AddressSpace) (*BlkDevice, error) {
-	d, err := NewDevice(name, DeviceIDBlock, ClassStorage, doorbell, 1)
-	if err != nil {
+	b := new(struct {
+		b BlkDevice
+		d Device
+	})
+	if err := b.d.init(name, DeviceIDBlock, ClassStorage, doorbell, 1); err != nil {
 		return nil, err
 	}
-	return &BlkDevice{Device: d, disk: disk}, nil
+	b.b.Device, b.b.disk = &b.d, disk
+	return &b.b, nil
 }
 
 // ProcessRequests pops and executes every published request chain,

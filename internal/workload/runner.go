@@ -550,10 +550,15 @@ func RunMicro(w *hyper.World, v *hyper.VCPU, m Micro, net *hyper.AssignedDevice,
 
 // RunFor drives the workload for a span of *simulated time*: transactions
 // execute back to back while the World's timeline advances with them, so
-// hrtimers armed by ProgramTimer operations genuinely fire mid-run and
-// deliver their interrupts through the posted or injected paths. Run, by
-// contrast, never advances the timeline, which suits pure cost measurement;
-// RunFor is the mode for experiments about event interleaving.
+// hrtimers armed by ProgramTimer operations fire mid-run. A firing delivers
+// its interrupt, through the posted or injected path, only when it latches
+// the timer vector into the LAPIC anew. Nothing outside tests acknowledges
+// a delivered vector (LAPIC.Ack), so the first delivery on a vCPU leaves
+// the vector pending, and every later firing on that vCPU coalesces into
+// it and delivers nothing: a stack delivers one timer interrupt per timer
+// vCPU in its lifetime (DESIGN.md §16). Run, by contrast, never
+// advances the timeline, which suits pure cost measurement; RunFor is the
+// mode for experiments about event interleaving.
 func (r *Runner) RunFor(duration sim.Cycles) (Result, error) {
 	if r.VM == nil {
 		return Result{}, fmt.Errorf("workload: RunFor needs a VM (native runs have no event timeline)")
