@@ -472,7 +472,7 @@ func FuzzPlanCache(f *testing.F) {
 		pcProgramTimer, 3, pcHalt, 0, pcTimerIRQ, 0, pcDevNotify, 0, pcDeviceIRQ, 0, pcEOI, 0,
 		pcDisableDVH, 0xfc, pcHalt, 0, pcTimerIRQ, 0, pcWake, 0, pcDevNotify, 0, pcHypercall, 0))
 	// A depth-4 stack, the deepest subtree merges: warm untraced, toggle
-	// VMCS shadowing and swap the L2 personality under the warm plans, then
+	// VMCS shadowing and swap the L3 personality under the warm plans, then
 	// attach the tracer, which walks live, across another shadowing toggle.
 	f.Add(steps([]byte{3, 0, 0},
 		pcToggleTracer, 0, pcHypercall, 0, pcTimerIRQ, 0, pcToggleShadowing, 0, pcHypercall, 0,
@@ -486,13 +486,16 @@ func FuzzPlanCache(f *testing.F) {
 		pcHalt, 1, pcSendIPI, 0x10, pcHalt, 1, pcWake, 1))
 	// One World's compile scratch across keys at depth 4: forward plans for
 	// three reasons (VMCALL, MSR write, APIC access), an injection plan and
-	// a cascade plan, then the L2 guest hypervisor turns Xen and VMCS
-	// shadowing goes off, which changes the subtrees at levels 1-3 that
-	// every one of those plans merges, and the same steps compile again. A
-	// subtree memo that outlived a compile would replay the old subtrees.
+	// a cascade plan. Then the L2 guest hypervisor turns Xen, which moves
+	// no generation and changes the level-3 subtrees every one of those
+	// plans merges, and the same steps compile again; then VMCS shadowing
+	// goes off, which changes the level-2 and level-3 subtrees, and they
+	// compile a third time. A subtree memo that outlived a compile, or was
+	// emptied only when a generation moved, would replay the old subtrees.
 	round := []byte{pcHypercall, 0, pcProgramTimer, 1, pcSendIPI, 0x10, pcTimerIRQ, 0, pcDeviceRX, 0}
-	f.Add(steps(steps(steps([]byte{3, 0, 0, pcToggleTracer, 0}, round...),
-		pcSwapPersonality, 0x11, pcToggleShadowing, 0), round...))
+	scratchSeed := steps([]byte{3, 0, 0, pcToggleTracer, 0}, round...)
+	scratchSeed = steps(steps(scratchSeed, pcSwapPersonality, 0x10), round...)
+	f.Add(steps(steps(scratchSeed, pcToggleShadowing, 0), round...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return

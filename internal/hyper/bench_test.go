@@ -44,9 +44,10 @@ func BenchmarkExecute(b *testing.B) {
 	}
 }
 
-// BenchmarkCompilePlan measures one cold compile of the forwarded-hypercall
-// plan at each depth: host time and bytes per compile. Only untraced worlds
-// compile plans; a World with a Tracer walks live.
+// BenchmarkCompilePlan measures a compile of the forwarded-hypercall plan
+// at each depth, on the World's compile scratch, which every compile after
+// the first reuses: host time, bytes and allocations per compile. Only
+// untraced worlds compile plans; a World with a Tracer walks live.
 func BenchmarkCompilePlan(b *testing.B) {
 	for _, depth := range []int{2, 3, 4} {
 		b.Run(fmt.Sprintf("L%d", depth), func(b *testing.B) {

@@ -27,15 +27,15 @@ type Device struct {
 	// MSIX is the device's per-queue interrupt table: vector i serves
 	// queue i's completions.
 	MSIX *pci.MSIXTable
-	// inline holds the queue slots of a device with at most two queues, as
-	// every net and blk device has, so the slots come with the device.
+	// inline holds the queue slots, so they come with the device: a net
+	// device has two queues and a blk device one.
 	inline [2]*Queue
 }
 
-// init builds a zero Device in place with the given PCI identity, so
-// NetDevice and BlkDevice allocate theirs with them. The doorbell window is
-// programmed into BAR0. The queue count sizes the MSI-X table, so counts
-// the PCI layer rejects surface here as errors.
+// init builds a zero Device in place with the given PCI identity and
+// numQueues (at most len(inline)) queues, so NetDevice and BlkDevice
+// allocate theirs with them. The doorbell window is programmed into BAR0,
+// and the queue count sizes the MSI-X table.
 func (d *Device) init(name string, deviceID uint16, class uint32, doorbell mem.Addr, numQueues int) error {
 	fn := pci.NewFunction(name, pci.Address{}, VendorVirtio, deviceID, class)
 	fn.IsVirtual = true
@@ -45,11 +45,7 @@ func (d *Device) init(name string, deviceID uint16, class uint32, doorbell mem.A
 		return fmt.Errorf("virtio %s: %w", name, err)
 	}
 	d.Fn, d.DoorbellBase, d.MSIX = fn, doorbell, msix
-	if numQueues <= len(d.inline) {
-		d.queues = d.inline[:numQueues]
-	} else {
-		d.queues = make([]*Queue, numQueues)
-	}
+	d.queues = d.inline[:numQueues]
 	return nil
 }
 
