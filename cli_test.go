@@ -292,31 +292,36 @@ func TestNvbenchAllGolden(t *testing.T) {
 
 // cliTranscripts are CLI surfaces pinned byte for byte. Each row's
 // committed transcript, testdata/cli/<name>.txt, is the command line, the
-// exit code and stdout; NVSIM_UPDATE_GOLDEN=1 rewrites the transcripts,
-// only ever for a deliberate output change.
+// exit code and stdout, or the stdout before the row's upTo text when it
+// has one; NVSIM_UPDATE_GOLDEN=1 rewrites the transcripts, only ever for a
+// deliberate output change. Every row runs from the module root.
 var cliTranscripts = []struct {
 	name string
 	cli  string
 	args []string
+	upTo string
 }{
-	{"nvtrace-sendipi-l3-dvh", "nvtrace", []string{"-depth", "3", "-micro", "SendIPI", "-dvh", "-timeline", "-stages"}},
-	{"nvtrace-hypercall-l2", "nvtrace", []string{"-depth", "2", "-micro", "Hypercall", "-stages"}},
-	{"nvsim-l3-dvh-all", "nvsim", []string{"-depth", "3", "-io", "dvh", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}},
-	{"nvtrace-devnotify-l3", "nvtrace", []string{"-depth", "3", "-micro", "DevNotify", "-stages"}},
-	{"nvtrace-programtimer-l3-dvh", "nvtrace", []string{"-depth", "3", "-micro", "ProgramTimer", "-dvh", "-stages"}},
-	{"nvtrace-sendipi-l1", "nvtrace", []string{"-depth", "1", "-micro", "SendIPI", "-stages"}},
-	{"nvtrace-hypercall-l3-timeline", "nvtrace", []string{"-depth", "3", "-micro", "Hypercall", "-timeline", "-stages"}},
-	{"nvsim-l2-passthrough-all", "nvsim", []string{"-depth", "2", "-io", "passthrough", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}},
-	{"nvsim-l2-dvh-vp-xen-all", "nvsim", []string{"-depth", "2", "-io", "dvh-vp", "-guest", "xen", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}},
-	{"nvbench-all-ice-lake-sp", "nvbench", []string{"-all", "-profile", "ice-lake-sp"}},
-	{"nvbench-all-epyc-milan", "nvbench", []string{"-all", "-profile", "epyc-milan"}},
-	{"nvbench-all-hyperv-vtpr-heavy", "nvbench", []string{"-all", "-profile", "hyperv-vtpr-heavy"}},
-	{"nvartifact-l2-xen-enlightened", "nvartifact", []string{"-level", "L2", "-guest", "xen", "-enlightened", "-runs", "3", "-benchmarks", "Apache"}},
-	{"example-migration", "examples/migration", nil},
-	{"example-nestedcloud", "examples/nestedcloud", nil},
-	{"example-quickstart", "examples/quickstart", nil},
-	{"example-recursive", "examples/recursive", nil},
-	{"example-suspendresume", "examples/suspendresume", nil},
+	{"nvtrace-sendipi-l3-dvh", "nvtrace", []string{"-depth", "3", "-micro", "SendIPI", "-dvh", "-timeline", "-stages"}, ""},
+	{"nvtrace-hypercall-l2", "nvtrace", []string{"-depth", "2", "-micro", "Hypercall", "-stages"}, ""},
+	{"nvsim-l3-dvh-all", "nvsim", []string{"-depth", "3", "-io", "dvh", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}, ""},
+	{"nvtrace-devnotify-l3", "nvtrace", []string{"-depth", "3", "-micro", "DevNotify", "-stages"}, ""},
+	{"nvtrace-programtimer-l3-dvh", "nvtrace", []string{"-depth", "3", "-micro", "ProgramTimer", "-dvh", "-stages"}, ""},
+	{"nvtrace-sendipi-l1", "nvtrace", []string{"-depth", "1", "-micro", "SendIPI", "-stages"}, ""},
+	{"nvtrace-hypercall-l3-timeline", "nvtrace", []string{"-depth", "3", "-micro", "Hypercall", "-timeline", "-stages"}, ""},
+	{"nvsim-l2-passthrough-all", "nvsim", []string{"-depth", "2", "-io", "passthrough", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}, ""},
+	{"nvsim-l2-dvh-vp-xen-all", "nvsim", []string{"-depth", "2", "-io", "dvh-vp", "-guest", "xen", "-workload", "all", "-txns", "300", "-stats", "-breakdown"}, ""},
+	{"nvbench-all-ice-lake-sp", "nvbench", []string{"-all", "-profile", "ice-lake-sp"}, ""},
+	{"nvbench-all-epyc-milan", "nvbench", []string{"-all", "-profile", "epyc-milan"}, ""},
+	{"nvbench-all-hyperv-vtpr-heavy", "nvbench", []string{"-all", "-profile", "hyperv-vtpr-heavy"}, ""},
+	{"nvartifact-l2-xen-enlightened", "nvartifact", []string{"-level", "L2", "-guest", "xen", "-enlightened", "-runs", "3", "-benchmarks", "Apache"}, ""},
+	{"example-migration", "examples/migration", nil, ""},
+	{"example-nestedcloud", "examples/nestedcloud", nil, ""},
+	{"example-quickstart", "examples/quickstart", nil, ""},
+	{"example-recursive", "examples/recursive", nil, ""},
+	{"example-suspendresume", "examples/suspendresume", nil, ""},
+	// The nvlint audit that ends nvreport's output counts the tree's own
+	// hot set and suppressions, which TestModuleLintsClean covers.
+	{"nvreport", "nvreport", nil, "## Static contract audit (nvlint)"},
 }
 
 // TestCLITranscripts runs every cliTranscripts row on the built CLIs and
@@ -327,6 +332,13 @@ func TestCLITranscripts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			stdout, _, code := runCLI(t, filepath.Join(dir, filepath.FromSlash(tc.cli)), cleanEnv(), tc.args...)
+			if tc.upTo != "" {
+				i := strings.Index(stdout, tc.upTo)
+				if i < 0 {
+					t.Fatalf("%s printed no %q", tc.cli, tc.upTo)
+				}
+				stdout = stdout[:i]
+			}
 			got := fmt.Sprintf("$ %s\nexit %d\n%s", strings.Join(append([]string{tc.cli}, tc.args...), " "), code, stdout)
 			path := filepath.Join("testdata", "cli", tc.name+".txt")
 			if os.Getenv("NVSIM_UPDATE_GOLDEN") != "" {

@@ -340,7 +340,7 @@ func FuzzStackCell(f *testing.F) {
 
 // Plan-cache fuzz steps. Each step is two input bytes, an opcode (mod
 // pcNumSteps) and an argument; the first group crosses a World boundary,
-// the second mutates a plan input mid-run.
+// the second changes a plan input or the topology mid-run.
 const (
 	pcHypercall = iota
 	pcProgramTimer
@@ -358,6 +358,7 @@ const (
 	pcDisableDVH
 	pcSwapPersonality
 	pcToggleTracer
+	pcCreateVM
 	pcNumSteps
 )
 
@@ -434,6 +435,12 @@ func planCacheStep(st *experiment.Stack, rec *trace.Recorder, op, arg byte) (sim
 		} else {
 			w.Tracer = rec
 		}
+	case pcCreateVM:
+		// The target's owner creates a sibling VM. It changes no stack a
+		// plan pins, so warm plans keep replaying, and its vCPU 0 shares the
+		// target vCPU 0's CPU, so the owner's scheduler can switch to it.
+		_, err := st.Target.Owner.CreateVM(hyper.VMConfig{Name: "sibling", VCPUs: 1, MemBytes: 64 << 20})
+		return 0, err
 	}
 	return 0, nil
 }
@@ -441,6 +448,75 @@ func planCacheStep(st *experiment.Stack, rec *trace.Recorder, op, arg byte) (sim
 // planCacheMaxSteps bounds one input's sequence so a depth-4 stack running
 // the live recursion stays fast enough to fuzz.
 const planCacheMaxSteps = 48
+
+// planCacheSeeds returns FuzzPlanCache's seed inputs, in seed order: each is
+// three spec bytes (depth, I/O mode, guest) and then its steps.
+// TestPlanCacheSeedsReplay holds every one to replaying plans.
+func planCacheSeeds() [][]byte {
+	steps := func(spec []byte, ops ...byte) []byte { return append(spec, ops...) }
+	// One World's compile scratch across keys at depth 4: forward plans for
+	// three reasons (VMCALL, MSR write, APIC access), an injection plan and
+	// a cascade plan. Then the L2 guest hypervisor turns Xen, which moves
+	// no generation and changes the level-3 subtrees every one of those
+	// plans merges, and the same steps compile again; then VMCS shadowing
+	// goes off, which changes the level-2 and level-3 subtrees, and they
+	// compile a third time. A subtree memo that outlived a compile, or was
+	// emptied only when a generation moved, would replay the old subtrees.
+	round := []byte{pcHypercall, 0, pcProgramTimer, 1, pcSendIPI, 0x10, pcTimerIRQ, 0, pcDeviceRX, 0}
+	scratch := steps([]byte{3, 0, 0}, round...)
+	scratch = steps(steps(scratch, pcSwapPersonality, 0x10), round...)
+	scratch = steps(steps(scratch, pcToggleShadowing, 0), round...)
+	return [][]byte{
+		// Warm forward, injection, cascade and wake plans at L3, then swap
+		// the L1 personality and toggle VMCS shadowing under them.
+		steps([]byte{2, 0, 0},
+			pcHypercall, 0, pcHypercall, 0, pcTimerIRQ, 0, pcTimerIRQ, 0, pcDeviceRX, 0, pcDeviceRX, 0,
+			pcHalt, 1, pcSendIPI, 0x10, pcSwapPersonality, 0x10, pcHypercall, 0, pcTimerIRQ, 0,
+			pcToggleShadowing, 0, pcHypercall, 0, pcDeviceRX, 0, pcSetCosts, 7, pcHypercall, 0),
+		// Full DVH at L2 with a Xen guest: interceptor-claimed exits,
+		// virtual idle wakes, then DVH features withdrawn at the guest
+		// hypervisor.
+		steps([]byte{1, 3, 1},
+			pcProgramTimer, 3, pcHalt, 0, pcTimerIRQ, 0, pcDevNotify, 0, pcDeviceIRQ, 0, pcEOI, 0,
+			pcDisableDVH, 0xfc, pcHalt, 0, pcTimerIRQ, 0, pcWake, 0, pcDevNotify, 0, pcHypercall, 0),
+		// A depth-4 stack, the deepest subtree merges: warm untraced, toggle
+		// VMCS shadowing and swap the L3 personality under the warm plans,
+		// then attach the tracer, which walks live, across another shadowing
+		// toggle.
+		steps([]byte{3, 0, 0},
+			pcHypercall, 0, pcTimerIRQ, 0, pcToggleShadowing, 0, pcHypercall, 0,
+			pcSwapPersonality, 0x11, pcHypercall, 0, pcTimerIRQ, 0, pcToggleTracer, 0, pcHypercall, 0,
+			pcToggleShadowing, 0, pcHypercall, 0, pcTimerIRQ, 0),
+		// Forward, injection, cascade and wake plans warmed untraced at L3,
+		// then an attach, then the same boundaries again, walked live.
+		steps([]byte{2, 0, 0},
+			pcHypercall, 0, pcTimerIRQ, 0, pcDeviceRX, 0, pcHalt, 1, pcSendIPI, 0x10,
+			pcHalt, 1, pcWake, 1, pcToggleTracer, 0, pcHypercall, 0, pcTimerIRQ, 0, pcDeviceRX, 0,
+			pcHalt, 1, pcSendIPI, 0x10, pcHalt, 1, pcWake, 1),
+		scratch,
+		// A sibling VM at L2: forward and injection plans warmed, then the
+		// L1 hypervisor creates a sibling of the target, which moves no
+		// generation, and the same boundaries replay. Target vCPU 0 then
+		// halts twice, with a wake between: the L1 scheduler has the
+		// sibling to switch to, so the scheduler-switch plan compiles on
+		// the first halt and replays on the second.
+		steps([]byte{1, 0, 0},
+			pcHypercall, 0, pcTimerIRQ, 0, pcCreateVM, 0, pcHypercall, 0, pcTimerIRQ, 0,
+			pcHalt, 0, pcWake, 0, pcHalt, 0, pcWake, 0),
+		// seed-dvh-ipi-disabled-at-l2, once a corpus file ("770M1r0"): full
+		// DVH at depth 4, the L2 hypervisor withdraws DVH features (argument
+		// '1'), then the target sends an IPI, which the recursive-DVH VCIMT
+		// bug failed (DESIGN.md §7.3).
+		steps([]byte{'7', '7', '0'}, pcDisableDVH, '1', pcSendIPI, '0'),
+		// seed-viommu-after-warm, once a corpus file: forward, injection and
+		// cascade plans warmed at L2, then the L1 VM gets a posting vIOMMU,
+		// which moves the plan generation, and the same boundaries run
+		// again (the bug cachegen caught, DESIGN.md §13.1).
+		steps([]byte{1, 0, 0},
+			pcHypercall, 0, pcHypercall, 0, pcTimerIRQ, 0, pcTimerIRQ, 0, pcDeviceRX, 0, pcDeviceIRQ, 0,
+			pcProvideVIOMMU, 0x80, pcHypercall, 0, pcTimerIRQ, 0, pcDeviceRX, 0, pcDeviceIRQ, 0),
+	}
+}
 
 // FuzzPlanCache is the differential fuzzer behind the plan cache's compile ≡
 // live claim. It decodes the input into a stack spec and an interleaved
@@ -451,122 +527,112 @@ const planCacheMaxSteps = 48
 // tables and trace timelines, and zero invariant violations on both. No
 // fuzzed step fails on a sound engine, so a failure is a bug even when both
 // worlds share it: the recursive-DVH VCIMT bug (DESIGN.md §7.3) failed the
-// same mid-exit IPI on both. Each World starts with its own recorder and
-// StageStats attached; the tracer toggle detaches the recorder and
-// re-attaches the same one. A traced World never replays, so the timelines
-// compare two live walks; the costs, Stats and stage tables compare replay
-// with live across every detached span. Each World's stage tables must also
-// hold exactly what its boundary steps returned: their costs summed, and
-// one settled transaction per boundary step.
+// same mid-exit IPI on both. Each World starts with its own StageStats
+// attached and its own recorder detached, so the cached World replays from
+// the first step; the tracer toggle attaches the recorder and detaches it
+// again. A traced World never replays, so the timelines compare two live
+// walks; the costs, Stats and stage tables compare replay with live across
+// every detached span. Each World's stage tables must also hold exactly
+// what its boundary steps returned: their costs summed, and one settled
+// transaction per boundary step.
 func FuzzPlanCache(f *testing.F) {
-	steps := func(spec []byte, ops ...byte) []byte { return append(spec, ops...) }
-	// Warm forward, injection, cascade and wake plans at L3, then swap the
-	// L1 personality and toggle VMCS shadowing under them.
-	f.Add(steps([]byte{2, 0, 0},
-		pcHypercall, 0, pcHypercall, 0, pcTimerIRQ, 0, pcTimerIRQ, 0, pcDeviceRX, 0, pcDeviceRX, 0,
-		pcHalt, 1, pcSendIPI, 0x10, pcSwapPersonality, 0x10, pcHypercall, 0, pcTimerIRQ, 0,
-		pcToggleShadowing, 0, pcHypercall, 0, pcDeviceRX, 0, pcSetCosts, 7, pcHypercall, 0))
-	// Full DVH at L2 with a Xen guest: interceptor-claimed exits, virtual
-	// idle wakes, then DVH features withdrawn at the guest hypervisor.
-	f.Add(steps([]byte{1, 3, 1},
-		pcProgramTimer, 3, pcHalt, 0, pcTimerIRQ, 0, pcDevNotify, 0, pcDeviceIRQ, 0, pcEOI, 0,
-		pcDisableDVH, 0xfc, pcHalt, 0, pcTimerIRQ, 0, pcWake, 0, pcDevNotify, 0, pcHypercall, 0))
-	// A depth-4 stack, the deepest subtree merges: warm untraced, toggle
-	// VMCS shadowing and swap the L3 personality under the warm plans, then
-	// attach the tracer, which walks live, across another shadowing toggle.
-	f.Add(steps([]byte{3, 0, 0},
-		pcToggleTracer, 0, pcHypercall, 0, pcTimerIRQ, 0, pcToggleShadowing, 0, pcHypercall, 0,
-		pcSwapPersonality, 0x11, pcHypercall, 0, pcTimerIRQ, 0, pcToggleTracer, 0, pcHypercall, 0,
-		pcToggleShadowing, 0, pcHypercall, 0, pcTimerIRQ, 0))
-	// Forward, injection, cascade and wake plans warmed untraced at L3, then
-	// an attach, then the same boundaries again, walked live.
-	f.Add(steps([]byte{2, 0, 0},
-		pcToggleTracer, 0, pcHypercall, 0, pcTimerIRQ, 0, pcDeviceRX, 0, pcHalt, 1, pcSendIPI, 0x10,
-		pcHalt, 1, pcWake, 1, pcToggleTracer, 0, pcHypercall, 0, pcTimerIRQ, 0, pcDeviceRX, 0,
-		pcHalt, 1, pcSendIPI, 0x10, pcHalt, 1, pcWake, 1))
-	// One World's compile scratch across keys at depth 4: forward plans for
-	// three reasons (VMCALL, MSR write, APIC access), an injection plan and
-	// a cascade plan. Then the L2 guest hypervisor turns Xen, which moves
-	// no generation and changes the level-3 subtrees every one of those
-	// plans merges, and the same steps compile again; then VMCS shadowing
-	// goes off, which changes the level-2 and level-3 subtrees, and they
-	// compile a third time. A subtree memo that outlived a compile, or was
-	// emptied only when a generation moved, would replay the old subtrees.
-	round := []byte{pcHypercall, 0, pcProgramTimer, 1, pcSendIPI, 0x10, pcTimerIRQ, 0, pcDeviceRX, 0}
-	scratchSeed := steps([]byte{3, 0, 0, pcToggleTracer, 0}, round...)
-	scratchSeed = steps(steps(scratchSeed, pcSwapPersonality, 0x10), round...)
-	f.Add(steps(steps(scratchSeed, pcToggleShadowing, 0), round...))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
-			return
-		}
-		spec := experiment.Spec{
-			Depth: 1 + int(data[0])%4,
-			IO:    experiment.IOMode(data[1]) % 4,
-			Guest: experiment.GuestKind(data[2]) % 3,
-		}
-		data = data[3:]
-		if len(data) > 2*planCacheMaxSteps {
-			data = data[:2*planCacheMaxSteps]
-		}
-		build := func(cache bool) (*experiment.Stack, *trace.Recorder) {
-			st, err := experiment.Build(spec)
-			if err != nil {
-				return nil, nil
+	for _, seed := range planCacheSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runPlanCache(t, data) })
+}
+
+// TestPlanCacheSeedsReplay runs every FuzzPlanCache seed and requires its
+// cached World to compile at least one plan and replay at least one: a seed
+// whose cached World does neither compares two live walks and tests nothing
+// of the cache.
+func TestPlanCacheSeedsReplay(t *testing.T) {
+	for i, seed := range planCacheSeeds() {
+		t.Run(fmt.Sprintf("seed#%d", i), func(t *testing.T) {
+			w := runPlanCache(t, seed)
+			if w == nil {
+				t.Fatal("the seed does not decode to a stack Build accepts")
 			}
-			st.World.SetPlanCache(cache)
-			rec := trace.NewRecorder(1 << 12)
-			st.World.Tracer = rec
-			st.World.Stages = &hyper.StageStats{}
-			st.AttachChecker()
-			return st, rec
-		}
-		cached, cachedRec := build(true)
-		live, liveRec := build(false)
-		if cached == nil {
-			// Invalid cells (e.g. DVH at depth 1) are rejected by Build.
-			return
-		}
-		var returned sim.Cycles
-		var settled uint64
-		for i := 0; i+1 < len(data); i += 2 {
-			cc, cerr := planCacheStep(cached, cachedRec, data[i], data[i+1])
-			lc, lerr := planCacheStep(live, liveRec, data[i], data[i+1])
-			if cc != lc || fmt.Sprint(cerr) != fmt.Sprint(lerr) {
-				t.Fatalf("%+v step %d (op %d arg %d): cached %v (err %v), live %v (err %v)",
-					spec, i/2, data[i]%pcNumSteps, data[i+1], cc, cerr, lc, lerr)
+			p := w.Plan
+			t.Logf("compiles %d + %d, replays %d + %d (forward + delivery)", p.Compiles, p.DeliveryCompiles, p.Replays, p.DeliveryReplays)
+			if p.Compiles+p.DeliveryCompiles == 0 || p.Replays+p.DeliveryReplays == 0 {
+				t.Error("the cached World compiled or replayed no plan")
 			}
-			if cerr != nil {
-				t.Fatalf("%+v step %d (op %d arg %d): boundary failed: %v",
-					spec, i/2, data[i]%pcNumSteps, data[i+1], cerr)
-			}
-			returned += cc
-			if data[i]%pcNumSteps <= pcWake {
-				settled++
-			}
+		})
+	}
+}
+
+// runPlanCache runs one FuzzPlanCache input and returns the cached World, or
+// nil when the input is too short to decode or Build rejects its spec.
+func runPlanCache(t *testing.T, data []byte) *hyper.World {
+	if len(data) < 3 {
+		return nil
+	}
+	spec := experiment.Spec{
+		Depth: 1 + int(data[0])%4,
+		IO:    experiment.IOMode(data[1]) % 4,
+		Guest: experiment.GuestKind(data[2]) % 3,
+	}
+	data = data[3:]
+	if len(data) > 2*planCacheMaxSteps {
+		data = data[:2*planCacheMaxSteps]
+	}
+	build := func(cache bool) *experiment.Stack {
+		st, err := experiment.Build(spec)
+		if err != nil {
+			return nil
 		}
-		if cs, ls := cached.Machine.Stats.String(), live.Machine.Stats.String(); cs != ls {
-			t.Fatalf("%+v: stats diverge:\n--- cached ---\n%s--- live ---\n%s", spec, cs, ls)
+		st.World.SetPlanCache(cache)
+		st.World.Stages = &hyper.StageStats{}
+		st.AttachChecker()
+		return st
+	}
+	cached, live := build(true), build(false)
+	if cached == nil {
+		// Invalid cells (e.g. DVH at depth 1) are rejected by Build.
+		return nil
+	}
+	cachedRec, liveRec := trace.NewRecorder(1<<12), trace.NewRecorder(1<<12)
+	var returned sim.Cycles
+	var settled uint64
+	for i := 0; i+1 < len(data); i += 2 {
+		cc, cerr := planCacheStep(cached, cachedRec, data[i], data[i+1])
+		lc, lerr := planCacheStep(live, liveRec, data[i], data[i+1])
+		if cc != lc || fmt.Sprint(cerr) != fmt.Sprint(lerr) {
+			t.Fatalf("%+v step %d (op %d arg %d): cached %v (err %v), live %v (err %v)",
+				spec, i/2, data[i]%pcNumSteps, data[i+1], cc, cerr, lc, lerr)
 		}
-		if cs, ls := cached.World.Stages, live.World.Stages; *cs != *ls {
-			t.Fatalf("%+v: stage tables diverge:\n--- cached ---\n%s--- live ---\n%s", spec, cs, ls)
+		if cerr != nil {
+			t.Fatalf("%+v step %d (op %d arg %d): boundary failed: %v",
+				spec, i/2, data[i]%pcNumSteps, data[i+1], cerr)
 		}
-		for _, st := range []*experiment.Stack{cached, live} {
-			ss := st.World.Stages
-			if ss.TotalCycles() != returned || ss.TotalSettled() != settled {
-				t.Fatalf("%+v: stage tables hold %v cycles in %d transactions; the boundary steps returned %v cycles in %d successes",
-					spec, ss.TotalCycles(), ss.TotalSettled(), returned, settled)
-			}
+		returned += cc
+		if data[i]%pcNumSteps <= pcWake {
+			settled++
 		}
-		if !reflect.DeepEqual(cachedRec.Events(), liveRec.Events()) {
-			t.Fatalf("%+v: trace timelines diverge:\n--- cached ---\n%s--- live ---\n%s",
-				spec, cachedRec.Timeline(), liveRec.Timeline())
+	}
+	if cs, ls := cached.Machine.Stats.String(), live.Machine.Stats.String(); cs != ls {
+		t.Fatalf("%+v: stats diverge:\n--- cached ---\n%s--- live ---\n%s", spec, cs, ls)
+	}
+	if cs, ls := cached.World.Stages, live.World.Stages; *cs != *ls {
+		t.Fatalf("%+v: stage tables diverge:\n--- cached ---\n%s--- live ---\n%s", spec, cs, ls)
+	}
+	for _, st := range []*experiment.Stack{cached, live} {
+		ss := st.World.Stages
+		if ss.TotalCycles() != returned || ss.TotalSettled() != settled {
+			t.Fatalf("%+v: stage tables hold %v cycles in %d transactions; the boundary steps returned %v cycles in %d successes",
+				spec, ss.TotalCycles(), ss.TotalSettled(), returned, settled)
 		}
-		if err := cached.Checker.Finish(); err != nil {
-			t.Fatalf("%+v: cached world: %v", spec, err)
-		}
-		if err := live.Checker.Finish(); err != nil {
-			t.Fatalf("%+v: live world: %v", spec, err)
-		}
-	})
+	}
+	if !reflect.DeepEqual(cachedRec.Events(), liveRec.Events()) {
+		t.Fatalf("%+v: trace timelines diverge:\n--- cached ---\n%s--- live ---\n%s",
+			spec, cachedRec.Timeline(), liveRec.Timeline())
+	}
+	if err := cached.Checker.Finish(); err != nil {
+		t.Fatalf("%+v: cached world: %v", spec, err)
+	}
+	if err := live.Checker.Finish(); err != nil {
+		t.Fatalf("%+v: live world: %v", spec, err)
+	}
+	return cached.World
 }

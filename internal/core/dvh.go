@@ -89,7 +89,7 @@ const InterceptPriority = 100
 // Enable activates DVH on a world: the host advertises the DVH capability
 // bits as if they were hardware features and registers itself on the world's
 // nested-exit interceptor chain. The caps change goes through SetHostCaps so
-// the capability generation moves and compiled forward plans recompile.
+// the plan generation moves and compiled plans recompile.
 // Registration fails if an interceptor named "dvh" is already present —
 // enabling DVH twice on one world is a setup bug, not a benign no-op.
 func Enable(w *hyper.World, f Features) (*DVH, error) {

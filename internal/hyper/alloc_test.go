@@ -44,8 +44,7 @@ func TestExecuteNestedAllocFree(t *testing.T) {
 	for _, depth := range []int{2, 3} {
 		w, v, net := nestedOpStack(t, depth)
 		ops := steadyOps(w, v, net)
-		// Warm caches: the per-vCPU hypervisor stack, the plan table,
-		// scheduler scratch.
+		// Warm caches: the plan table, scheduler scratch.
 		for _, op := range ops {
 			if _, err := w.Execute(v, op); err != nil {
 				t.Fatal(err)

@@ -21,8 +21,8 @@ func BenchmarkExecute(b *testing.B) {
 				w, vms := testStack(b, depth)
 				w.SetPlanCache(cache)
 				v := vms[depth-1].VCPUs[0]
-				// Warm the stack cache (and plan table when caching) so the
-				// loop measures steady state, not first-exit compilation.
+				// Warm the plan table (when caching) so the loop measures
+				// steady state, not first-exit compilation.
 				if _, err := w.Execute(v, Hypercall()); err != nil {
 					b.Fatal(err)
 				}

@@ -87,83 +87,68 @@ func (vm *VM) FindDevice(c DeviceClass) *AssignedDevice {
 // hypervisor (the traditional virtual I/O model). For a nested VM this
 // builds the cascade: the provider's own net device becomes the lower link.
 func AttachParavirtNet(vm *VM, name string) (*AssignedDevice, error) {
+	return attachParavirt(vm, name, DevNet)
+}
+
+// AttachParavirtBlk gives the VM a virtio-blk device emulated by its own
+// hypervisor, cascading like AttachParavirtNet for nested VMs.
+func AttachParavirtBlk(vm *VM, name string) (*AssignedDevice, error) {
+	return attachParavirt(vm, name, DevBlk)
+}
+
+// attachParavirt gives the VM a virtio device of the class, emulated by its
+// own hypervisor, on the next doorbell window; for a nested VM the
+// provider's own device of the class becomes the lower link of the cascade.
+func attachParavirt(vm *VM, name string, class DeviceClass) (*AssignedDevice, error) {
 	doorbell := vm.AllocMMIO(mem.PageSize)
-	nd, err := virtio.NewNetDevice(name, doorbell)
-	if err != nil {
-		return nil, err
-	}
-	vm.Bus.AutoAdd(nd.Fn)
-	if err := nd.Fn.Bind("virtio-net"); err != nil {
-		return nil, err
-	}
 	dev := &AssignedDevice{
 		Name:          name,
-		Class:         DevNet,
+		Class:         class,
 		VM:            vm,
-		Net:           nd,
 		ProviderLevel: vm.Owner.Level,
 		Doorbell:      doorbell,
 		DoorbellSize:  mem.PageSize,
-		IRQ:           apic.VectorVirtioIRQ,
 		// Host-provided virtio with vhost uses posted interrupts; a guest
 		// hypervisor's device relies on its (emulated) APICv, which the host
 		// backs with real posted interrupts, so delivery into the VM is
 		// exit-free in both cases. The *sending* side cost depends on the
 		// provider level and is charged by the world engine.
 		PostedDelivery: true,
+		DMAView:        vm.Memory(),
 	}
-	dev.DMAView = vm.Memory()
-	if err := programMSIX(nd.Device, dev.IRQ); err != nil {
-		return nil, err
-	}
-	if vm.Owner.Level > 0 {
-		hostVM := vm.Owner.HostVM
-		lower := hostVM.FindDevice(DevNet)
-		if lower == nil {
-			return nil, fmt.Errorf("hyper: %s: provider VM %s has no net device to back the cascade", name, hostVM.Name)
+	var d *virtio.Device
+	var driver, kind string
+	switch class {
+	case DevNet:
+		nd, err := virtio.NewNetDevice(name, doorbell)
+		if err != nil {
+			return nil, err
 		}
-		dev.Lower = lower
-	}
-	vm.Devices = append(vm.Devices, dev)
-	return dev, nil
-}
-
-// AttachParavirtBlk gives the VM a virtio-blk device emulated by its own
-// hypervisor, cascading like AttachParavirtNet for nested VMs.
-func AttachParavirtBlk(vm *VM, name string) (*AssignedDevice, error) {
-	doorbell := vm.AllocMMIO(mem.PageSize)
-	// A nested blk device ultimately stores into the same SSD through the
-	// cascade; the device model writes the backing store directly while the
-	// cost path charges each interposed level.
-	bd, err := virtio.NewBlkDevice(name, doorbell, vm.Owner.Machine.SSD.Backing)
-	if err != nil {
-		return nil, err
-	}
-	vm.Bus.AutoAdd(bd.Fn)
-	if err := bd.Fn.Bind("virtio-blk"); err != nil {
-		return nil, err
-	}
-	dev := &AssignedDevice{
-		Name:           name,
-		Class:          DevBlk,
-		VM:             vm,
-		Blk:            bd,
-		ProviderLevel:  vm.Owner.Level,
-		Doorbell:       doorbell,
-		DoorbellSize:   mem.PageSize,
-		IRQ:            apic.VectorVirtioIRQ + 1,
-		PostedDelivery: true,
-	}
-	dev.DMAView = vm.Memory()
-	if err := programMSIX(bd.Device, dev.IRQ); err != nil {
-		return nil, err
-	}
-	if vm.Owner.Level > 0 {
-		lower := vm.Owner.HostVM.FindDevice(DevBlk)
-		if lower == nil {
-			return nil, fmt.Errorf("hyper: %s: provider VM %s has no blk device to back the cascade", name, vm.Owner.HostVM.Name)
+		dev.Net, d = nd, nd.Device
+		dev.IRQ, driver, kind = apic.VectorVirtioIRQ, "virtio-net", "net"
+	case DevBlk:
+		// A nested blk device ultimately stores into the same SSD through
+		// the cascade; the device model writes the backing store directly
+		// while the cost path charges each interposed level.
+		bd, err := virtio.NewBlkDevice(name, doorbell, vm.Owner.Machine.SSD.Backing)
+		if err != nil {
+			return nil, err
 		}
-		dev.Lower = lower
+		dev.Blk, d = bd, bd.Device
+		dev.IRQ, driver, kind = apic.VectorVirtioIRQ+1, "virtio-blk", "blk"
+	}
+	vm.Bus.AutoAdd(d.Fn)
+	if err := d.Fn.Bind(driver); err != nil {
+		return nil, err
+	}
+	if err := programMSIX(d, dev.IRQ); err != nil {
+		return nil, err
+	}
+	if hostVM := vm.Owner.HostVM; hostVM != nil {
+		dev.Lower = hostVM.FindDevice(class)
+		if dev.Lower == nil {
+			return nil, fmt.Errorf("hyper: %s: provider VM %s has no %s device to back the cascade", name, hostVM.Name, kind)
+		}
 	}
 	vm.Devices = append(vm.Devices, dev)
 	return dev, nil

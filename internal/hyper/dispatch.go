@@ -66,11 +66,6 @@ func (w *World) dispatch(tx *ExitContext, sp *stageSpans) error {
 	sp.enter(StageRoute, stats)
 	stats.ChargeLevel(0, w.Costs.HwExit)
 
-	stack, err := w.stack(tx.V)
-	if err != nil {
-		return err
-	}
-
 	sp.enter(StageIntercept, stats)
 	done, err = w.stageIntercept(tx)
 	if done || err != nil {
@@ -83,7 +78,7 @@ func (w *World) dispatch(tx *ExitContext, sp *stageSpans) error {
 		return w.stageEmulate(tx)
 	}
 	sp.enter(StageForward, stats)
-	return w.stageForward(tx, stack)
+	return w.stageForward(tx)
 }
 
 // stageFastPath completes operations that never exit: a mapped memory
@@ -144,8 +139,8 @@ func (w *World) stageEmulate(tx *ExitContext) error {
 // cost/charge tree of the reflection (plan.go) replays from its compiled plan
 // in steady state — or re-runs the live recursion when the cache is disabled
 // — and the owner's side effects always run live after it.
-func (w *World) stageForward(tx *ExitContext, stack []*Hypervisor) error {
-	w.charge(stack, planForward, tx.Reason, tx.Owner)
+func (w *World) stageForward(tx *ExitContext) error {
+	w.charge(tx.V.VM.stack, planForward, tx.Reason, tx.Owner)
 	return w.ownerEffects(tx.V, tx.Op, tx.Owner)
 }
 
@@ -272,12 +267,8 @@ func (w *World) ownerEffects(v *VCPU, op Op, owner int) error {
 		// virtual-idle policy keeps HLT trapped with multiple nested VMs.
 		v.Idle = true
 		stats.Inc(trace.IdleBlocks, 1)
-		stack, err := w.stack(v)
-		if err != nil {
-			return err
-		}
-		if next := stack[owner].EnsureScheduler().PickNext(v.PhysCPU, v); next != nil {
-			return w.guestSwitch(stack, owner, v, next)
+		if next := v.VM.stack[owner].EnsureScheduler().PickNext(v.PhysCPU, v); next != nil {
+			return w.guestSwitch(owner, v, next)
 		}
 		return nil
 	case OpDevNotify:

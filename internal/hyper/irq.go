@@ -45,11 +45,7 @@ func (w *World) deliverTimerIRQ(v *VCPU) error {
 	if direct {
 		stats.ChargeLevel(0, c.InjectPostedRunning)
 	} else {
-		stack, err := w.stack(v)
-		if err != nil {
-			return err
-		}
-		w.charge(stack, planInject, 0, v.VM.Level-1)
+		w.charge(v.VM.stack, planInject, 0, v.VM.Level-1)
 	}
 	_, err := w.WakeIfIdle(v)
 	return err
@@ -120,11 +116,7 @@ func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) error {
 		stats.ChargeLevel(0, c.InjectExitPath)
 		return nil
 	}
-	stack, err := w.stack(target)
-	if err != nil {
-		return err
-	}
-	w.charge(stack, planInject, 0, injector)
+	w.charge(target.VM.stack, planInject, 0, injector)
 	return nil
 }
 
@@ -155,16 +147,7 @@ func (w *World) deviceRX(dev *AssignedDevice, target *VCPU) error {
 	w.Host.Machine.NIC.RxFrames++
 
 	if dev.Phys == nil {
-		provider := dev.ProviderLevel
-		var stack []*Hypervisor
-		if provider >= 1 {
-			var err error
-			stack, err = w.stack(target)
-			if err != nil {
-				return err
-			}
-		}
-		w.charge(stack, planCascade, 0, provider)
+		w.charge(target.VM.stack, planCascade, 0, dev.ProviderLevel)
 	}
 	_, err := w.DeliverDeviceIRQ(dev, target)
 	return err
@@ -173,7 +156,6 @@ func (w *World) deviceRX(dev *AssignedDevice, target *VCPU) error {
 // rxCascadeCost is the receive cascade's pure charge tree: the host backend
 // (vhost) receives from the wire, then each interposing hypervisor's backend
 // runs its receive path and re-queues the data into the next level's ring.
-// stack may be nil when provider < 1 (nothing interposes).
 func (w *World) rxCascadeCost(stack []*Hypervisor, provider int, sink chargeSink) {
 	c := &w.Costs
 	sink.chargeLevel(0, c.VirtioBackendWork)

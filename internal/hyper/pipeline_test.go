@@ -3,8 +3,10 @@ package hyper
 import (
 	"testing"
 
+	"repro/internal/apic"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/vmx"
 )
 
 // stubInterceptor is a minimal chain member recording when it fires.
@@ -247,23 +249,24 @@ func TestExitContextLedger(t *testing.T) {
 
 // TestSettleZeroesCostOnError pins the error contract: a transaction that
 // fails after charging its ledger abandons those partial charges, the
-// caller sees (0, err) and the checker the same err. The L2 hypercall takes
-// its hardware exit into L0, charging the route's HwExit, before the missing
-// L1 hypervisor fails it.
+// caller sees (0, err) and the checker the same err. The L2 IPI to a vCPU
+// its VM lacks takes its hardware exit into L0, charging the route's
+// HwExit, and is reflected to the L1 hypervisor, charging the forward tree,
+// before the owner's destination lookup fails it.
 func TestSettleZeroesCostOnError(t *testing.T) {
 	w, vms := testStack(t, 2)
 	spy := &spyChecker{}
 	ss := &StageStats{}
 	w.Check, w.Stages = spy, ss
-	vms[0].GuestHyp = nil
-	w.Host.Machine.TopoGen++ // so the L2 vCPU's cached hypervisor stack is rebuilt
 
-	cost, err := w.Execute(vms[1].VCPUs[0], Hypercall())
+	cost, err := w.Execute(vms[1].VCPUs[0], SendIPI(99, apic.VectorReschedule))
 	if cost != 0 || err == nil {
-		t.Fatalf("Execute on a broken stack = (%v, %v), want (0, error)", cost, err)
+		t.Fatalf("IPI to a missing vCPU = (%v, %v), want (0, error)", cost, err)
 	}
-	if c := w.Host.Machine.Stats.TotalCycles(); c != w.Costs.HwExit {
-		t.Fatalf("charged %v cycles, want the route's HwExit %v: the error must follow a ledger charge", c, w.Costs.HwExit)
+	ref, refVMs := testStack(t, 2)
+	ref.forwardCost(refVMs[1].stack, vmx.ExitAPICAccess, 1, ref)
+	if c, want := w.Host.Machine.Stats.TotalCycles(), w.Costs.HwExit+ref.Host.Machine.Stats.TotalCycles(); c != want {
+		t.Fatalf("charged %v cycles, want the route's HwExit and the forward tree, %v: the error must follow ledger charges", c, want)
 	}
 	if spy.ends != 1 || spy.lastErr != err {
 		t.Errorf("checker observed %d frames ending with %v, want 1 ending with %v", spy.ends, spy.lastErr, err)

@@ -359,8 +359,8 @@ func (b *planBuilder) merge(sub *deltas, n int) {
 // compilePlan walks one charge tree with the compiling sink and flattens it
 // into an immutable plan, pinning the personalities of the stack up to the
 // level, which must be below trace.MaxLevels (charge walks deeper trees
-// live). This is the cold path: it runs once per key, stack shape and
-// generation triple, and its cost is amortized across every replay. It
+// live). This is the cold path: it runs once per key, pinned personalities
+// and plan generation, and its cost is amortized across every replay. It
 // allocates the plan and its exact-size exit counts; everything else it
 // works in is the World's compile scratch.
 //
@@ -408,30 +408,28 @@ func (w *World) applyPlan(p *plan) {
 	}
 }
 
-// planTable is the World's compiled-plan cache, valid for one (topology,
-// cost-model, caps) generation triple: one slot per (row, level), where
-// planRow folds the kind and the forwarded exit's reason into the row.
+// planTable is the World's compiled-plan cache, valid for one plan
+// generation: one slot per (row, level), where planRow folds the kind and
+// the forwarded exit's reason into the row.
 type planTable struct {
-	topoGen, costGen, capsGen uint64
-	slots                     [numPlanRows][trace.MaxLevels]*plan
+	gen   uint64
+	slots [numPlanRows][trace.MaxLevels]*plan
 }
 
 // validPlans returns the World's plan table, lazily created, flushing every
-// slot whenever an invalidation generation moved: topology (Machine.TopoGen
-// — VM creation, hypervisor installation), cost model
-// (Machine.CostGen — World.SetCosts), or capabilities (Machine.CapsGen —
-// World.SetHostCaps, DVH enablement). The stale check is O(1); the
-// steady-state path allocates nothing.
+// slot whenever Machine.PlanGen moved (World.SetCosts, World.SetHostCaps,
+// VM.ProvideVIOMMU). The stale check is O(1); the steady-state path
+// allocates nothing.
 func (w *World) validPlans() *planTable {
-	m := w.Host.Machine
+	gen := w.Host.Machine.PlanGen
 	t := w.plans
 	if t == nil {
 		//nvlint:ignore hotalloc lazy per-World plan-table init, amortized across all replays
-		t = &planTable{topoGen: m.TopoGen, costGen: m.CostGen, capsGen: m.CapsGen}
+		t = &planTable{gen: gen}
 		w.plans = t
-	} else if t.topoGen != m.TopoGen || t.costGen != m.CostGen || t.capsGen != m.CapsGen {
+	} else if t.gen != gen {
 		t.slots = [numPlanRows][trace.MaxLevels]*plan{}
-		t.topoGen, t.costGen, t.capsGen = m.TopoGen, m.CostGen, m.CapsGen
+		t.gen = gen
 		w.Plan.Invalidations++
 	}
 	return t

@@ -208,8 +208,9 @@ func TestForwardPlanSteadyStateCaching(t *testing.T) {
 }
 
 // TestForwardPlanInvalidation mutates each input of the plan key mid-run —
-// cost model, host caps, topology — and requires recompilation with results
-// identical to a fresh world built in the mutated configuration.
+// cost model, host caps — and requires recompilation with results identical
+// to a fresh world built in the mutated configuration; a new sibling VM,
+// which changes no plan input, must leave the warm plans replaying.
 func TestForwardPlanInvalidation(t *testing.T) {
 	t.Run("cost-model", func(t *testing.T) {
 		w, vms := testStack(t, 2)
@@ -258,7 +259,7 @@ func TestForwardPlanInvalidation(t *testing.T) {
 
 	t.Run("viommu-caps", func(t *testing.T) {
 		// Regression: ProvideVIOMMU rewrites capability words after setup
-		// (the DVH enablement path) and must bump CapsGen like SetHostCaps
+		// (the DVH enablement path) and must bump PlanGen like SetHostCaps
 		// does — nvlint's cachegen rule caught it replaying stale plans.
 		w, vms := testStack(t, 2)
 		v := vms[1].VCPUs[0]
@@ -269,29 +270,41 @@ func TestForwardPlanInvalidation(t *testing.T) {
 		vms[0].ProvideVIOMMU(true)
 		exec(t, w, v, Hypercall())
 		if w.Plan.Compiles == compiles {
-			t.Errorf("vIOMMU grant did not recompile plans (compiles stuck at %d); CapsGen bump missing", compiles)
+			t.Errorf("vIOMMU grant did not recompile plans (compiles stuck at %d); PlanGen bump missing", compiles)
 		}
 	})
 
 	t.Run("topology", func(t *testing.T) {
+		// A sibling VM changes no stack a plan pins: the warm plan replays,
+		// with no compile, at the cost a live World charges.
 		w, vms := testStack(t, 2)
 		v := vms[1].VCPUs[0]
-		before := exec(t, w, v, Hypercall())
-		compiles := w.Plan.Compiles
+		exec(t, w, v, Hypercall())
+		compiles, replays := w.Plan.Compiles, w.Plan.Replays
 
-		// A topology mutation (new sibling VM) moves TopoGen; the next exit
-		// must recompile — same shape here, so the same cost, but freshly.
-		if _, err := vms[0].GuestHyp.CreateVM(VMConfig{Name: "L2-sibling", VCPUs: 1, MemBytes: 1 << 30}); err != nil {
-			t.Fatal(err)
-		}
+		addSibling(t, vms[0])
 		after := exec(t, w, v, Hypercall())
-		if after != before {
-			t.Errorf("sibling VM changed forwarded cost: %v -> %v", before, after)
+		if w.Plan.Compiles != compiles || w.Plan.Replays != replays+1 {
+			t.Errorf("sibling VM: compiles %d -> %d, replays %d -> %d; want no compile and one replay",
+				compiles, w.Plan.Compiles, replays, w.Plan.Replays)
 		}
-		if w.Plan.Compiles != compiles+1 {
-			t.Errorf("topology change did not recompile (compiles %d -> %d)", compiles, w.Plan.Compiles)
+
+		ref, refVMs := testStack(t, 2)
+		ref.SetPlanCache(false)
+		addSibling(t, refVMs[0])
+		if want := exec(t, ref, refVMs[1].VCPUs[0], Hypercall()); after != want {
+			t.Errorf("replayed cost %v != live cost %v beside a sibling VM", after, want)
 		}
 	})
+}
+
+// addSibling has the guest hypervisor inside vm create a one-vCPU VM beside
+// the VMs it already runs.
+func addSibling(t *testing.T, vm *VM) {
+	t.Helper()
+	if _, err := vm.GuestHyp.CreateVM(VMConfig{Name: "sibling", VCPUs: 1, MemBytes: 1 << 30}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // slowPersonality is a KVM variant with a heavier reflect path, for the
@@ -328,16 +341,12 @@ func TestForwardPlanPersonalityPinning(t *testing.T) {
 }
 
 // forwardCompileStack builds a stack of the depth and returns its World and
-// the hypervisor stack beneath the innermost VM's vCPU: the inputs of a
+// the hypervisor stack beneath the innermost VM: the inputs of a
 // forwarded-hypercall compile, whose owner is level depth-1.
 func forwardCompileStack(t testing.TB, depth int, caps vmx.Caps) (*World, []*Hypervisor) {
 	t.Helper()
 	w, vms := capsStack(t, depth, caps)
-	stack, err := w.stack(vms[depth-1].VCPUs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w, stack
+	return w, vms[depth-1].stack
 }
 
 // TestCompileAllocBudget pins the compile cost the subtree memo, event-free
@@ -543,9 +552,10 @@ func timerDelivery(t *testing.T, w *World, v *VCPU) sim.Cycles {
 }
 
 // TestDeliveryPlanInvalidation mutates each input of a delivery plan's key
-// mid-run — cost model, host caps, profile swap, topology — and requires
-// recompilation with results identical to a fresh world built in the mutated
-// configuration.
+// mid-run — cost model, host caps, profile swap — and requires recompilation
+// with results identical to a fresh world built in the mutated
+// configuration; a new sibling VM, which changes no plan input, must leave
+// the warm plans replaying.
 func TestDeliveryPlanInvalidation(t *testing.T) {
 	t.Run("cost-model", func(t *testing.T) {
 		w, vms := testStack(t, 3)
@@ -591,8 +601,9 @@ func TestDeliveryPlanInvalidation(t *testing.T) {
 	})
 
 	t.Run("profile-swap", func(t *testing.T) {
-		// SetProfile replaces the cost model AND the capability word in one
-		// step; a delivery plan bakes both in, so the swap must recompile.
+		// A profile swap replaces the cost model and the capability word,
+		// each through its setter; a delivery plan bakes both in, so the
+		// swap must recompile.
 		w, vms := testStack(t, 3)
 		v := vms[2].VCPUs[0]
 		before := timerDelivery(t, w, v)
@@ -600,7 +611,8 @@ func TestDeliveryPlanInvalidation(t *testing.T) {
 
 		costs := w.Costs
 		costs.HwExit += 777
-		w.SetProfile(costs, w.Host.Caps.Without(vmx.CapVMCSShadowing))
+		w.SetCosts(costs)
+		w.SetHostCaps(w.Host.Caps.Without(vmx.CapVMCSShadowing))
 		after := timerDelivery(t, w, v)
 		if after <= before {
 			t.Errorf("profile swap left timer delivery at %v (was %v): stale delivery plan replayed", after, before)
@@ -608,7 +620,8 @@ func TestDeliveryPlanInvalidation(t *testing.T) {
 
 		ref, refVMs := testStack(t, 3)
 		ref.SetPlanCache(false)
-		ref.SetProfile(costs, ref.Host.Caps.Without(vmx.CapVMCSShadowing))
+		ref.SetCosts(costs)
+		ref.SetHostCaps(ref.Host.Caps.Without(vmx.CapVMCSShadowing))
 		if want := timerDelivery(t, ref, refVMs[2].VCPUs[0]); after != want {
 			t.Errorf("recompiled delivery cost %v != live cost %v under swapped profile", after, want)
 		}
@@ -617,18 +630,21 @@ func TestDeliveryPlanInvalidation(t *testing.T) {
 	t.Run("topology", func(t *testing.T) {
 		w, vms := testStack(t, 3)
 		v := vms[2].VCPUs[0]
-		before := timerDelivery(t, w, v)
-		compiles := w.Plan.DeliveryCompiles
+		timerDelivery(t, w, v)
+		compiles, replays := w.Plan.DeliveryCompiles, w.Plan.DeliveryReplays
 
-		if _, err := vms[0].GuestHyp.CreateVM(VMConfig{Name: "L2-sibling", VCPUs: 1, MemBytes: 1 << 30}); err != nil {
-			t.Fatal(err)
-		}
+		addSibling(t, vms[1])
 		after := timerDelivery(t, w, v)
-		if after != before {
-			t.Errorf("sibling VM changed delivery cost: %v -> %v", before, after)
+		if w.Plan.DeliveryCompiles != compiles || w.Plan.DeliveryReplays != replays+1 {
+			t.Errorf("sibling VM: delivery compiles %d -> %d, replays %d -> %d; want no compile and one replay",
+				compiles, w.Plan.DeliveryCompiles, replays, w.Plan.DeliveryReplays)
 		}
-		if w.Plan.DeliveryCompiles != compiles+1 {
-			t.Errorf("topology change did not recompile (delivery compiles %d -> %d)", compiles, w.Plan.DeliveryCompiles)
+
+		ref, refVMs := testStack(t, 3)
+		ref.SetPlanCache(false)
+		addSibling(t, refVMs[1])
+		if want := timerDelivery(t, ref, refVMs[2].VCPUs[0]); after != want {
+			t.Errorf("replayed delivery cost %v != live cost %v beside a sibling VM", after, want)
 		}
 	})
 }

@@ -81,14 +81,14 @@ func switchScript() Script {
 // script at the switching level, exit-multiplied below it — replays a
 // compiled plan in steady state. The stats sink's sched.switches counter
 // counts the switches.
-func (w *World) guestSwitch(stack []*Hypervisor, level int, from, to *VCPU) error {
+func (w *World) guestSwitch(level int, from, to *VCPU) error {
 	if from.VM.Owner != to.VM.Owner {
 		return fmt.Errorf("hyper: switch between vCPUs of different hypervisors (%s -> %s)", from.Path(), to.Path())
 	}
 	from.VMCS.Clear()
 	to.VMCS.Load()
 	to.VMCS.CopyGuestState(from.VMCS)
-	w.charge(stack, planSwitch, 0, level)
+	w.charge(from.VM.stack, planSwitch, 0, level)
 	w.Host.Machine.Stats.Inc(trace.SchedSwitches, 1)
 	return nil
 }

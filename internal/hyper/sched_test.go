@@ -86,11 +86,7 @@ func TestHLTWithNoSiblingDoesNotSwitch(t *testing.T) {
 
 func TestGuestSwitchRejectsCrossHypervisor(t *testing.T) {
 	w, vms := testStack(t, 2)
-	stack, err := w.stack(vms[1].VCPUs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.guestSwitch(stack, 1, vms[1].VCPUs[0], vms[0].VCPUs[0]); err == nil {
+	if err := w.guestSwitch(1, vms[1].VCPUs[0], vms[0].VCPUs[0]); err == nil {
 		t.Fatal("cross-hypervisor switch accepted")
 	}
 }

@@ -62,23 +62,19 @@ func enter(st *experiment.Stack, b hyper.Boundary, v *hyper.VCPU, op hyper.Op) (
 }
 
 // TestBoundarySettlePaths drives each of the five public boundaries once on
-// its success path and, where it can fail, once on an error path, and holds
+// its success path and Execute, the one that can fail, once on an error
+// path, and holds
 // every call to the settle contract: it opens one outermost checker frame;
 // that frame closes with the boundary's error; a failed call returns zero
 // cost; the transaction depth returns to zero, so the next outermost
 // transaction is observed; and an attached StageStats sees only successes. The stack is
 // nested DVH-VP, whose device interrupts are not posted, so the delivery
-// rows reach the guest hypervisor's injection path; the error rows remove
-// that hypervisor first. WakeIfIdle cannot fail.
+// rows reach the guest hypervisor's injection path.
 func TestBoundarySettlePaths(t *testing.T) {
 	halt := func(st *experiment.Stack, v *hyper.VCPU) {
 		if _, err := st.World.Execute(v, hyper.Halt()); err != nil {
 			t.Fatal(err)
 		}
-	}
-	removeGuestHyp := func(st *experiment.Stack, v *hyper.VCPU) {
-		v.Parent.VM.GuestHyp = nil
-		st.Machine.TopoGen++ // so v's cached hypervisor stack is rebuilt
 	}
 	rows := []struct {
 		b     hyper.Boundary
@@ -89,12 +85,9 @@ func TestBoundarySettlePaths(t *testing.T) {
 		{b: hyper.BoundaryExecute, op: hyper.Hypercall()},
 		{b: hyper.BoundaryExecute, op: hyper.DevNotify(0), fail: "unmapped-doorbell"},
 		{b: hyper.BoundaryTimerIRQ},
-		{b: hyper.BoundaryTimerIRQ, setup: removeGuestHyp, fail: "no-guest-hypervisor"},
 		{b: hyper.BoundaryWake, setup: halt},
 		{b: hyper.BoundaryDeviceIRQ},
-		{b: hyper.BoundaryDeviceIRQ, setup: removeGuestHyp, fail: "no-guest-hypervisor"},
 		{b: hyper.BoundaryDeviceRX},
-		{b: hyper.BoundaryDeviceRX, setup: removeGuestHyp, fail: "no-guest-hypervisor"},
 	}
 	for _, r := range rows {
 		name, fail := r.b.String(), r.fail != ""

@@ -78,6 +78,11 @@ type VM struct {
 	Name  string
 	Level int
 	Owner *Hypervisor
+	// stack is the hypervisor at each level beneath the VM, the chain an
+	// exit from it is reflected through (paper Figure 1a): stack[0] is the
+	// host and stack[Level-1] is Owner. CreateVM builds it from Owner's own
+	// VM's stack, and it never changes.
+	stack []*Hypervisor
 	// Caps is the virtualization capability word Owner exposes inside.
 	Caps vmx.Caps
 
@@ -128,12 +133,6 @@ type VCPU struct {
 	PhysCPU int
 	// Idle marks a vCPU blocked in HLT.
 	Idle bool
-
-	// stackCache memoizes World.stack for this vCPU — the hypervisor at
-	// each level beneath it — valid while stackGen matches the machine's
-	// TopoGen. The exit path consults it on every operation.
-	stackCache []*Hypervisor
-	stackGen   uint64
 }
 
 // vcpuBlock holds a VCPU with the LAPIC, posted-interrupt descriptor and
@@ -174,6 +173,11 @@ func (h *Hypervisor) CreateVM(cfg VMConfig) (*VM, error) {
 		mmioNext:   0xf000_0000,
 	}
 	vm.EPT, vm.Bus, vm.memory.vm, vm.Devices = &vm.ept, &vm.bus, vm, vm.devices[:0]
+	vm.stack = make([]*Hypervisor, vm.Level)
+	vm.stack[h.Level] = h
+	if h.HostVM != nil {
+		copy(vm.stack, h.HostVM.stack)
+	}
 	blocks := make([]vcpuBlock, cfg.VCPUs)
 	vm.VCPUs = make([]*VCPU, cfg.VCPUs)
 	for i := range blocks {
@@ -193,7 +197,6 @@ func (h *Hypervisor) CreateVM(cfg VMConfig) (*VM, error) {
 		vm.VCPUs[i] = v
 	}
 	h.Guests = append(h.Guests, vm)
-	h.Machine.TopoGen++
 	return vm, nil
 }
 
@@ -239,7 +242,6 @@ func (vm *VM) InstallHypervisor(p Personality, name string) *Hypervisor {
 		carveNext:   1,
 	}
 	vm.GuestHyp = gh
-	vm.Owner.Machine.TopoGen++
 	if vm.Level == 1 && vm.Owner.Caps.Has(vmx.CapVMCSShadowing) {
 		for _, v := range vm.VCPUs {
 			v.VMCS.LinkShadow(true)
@@ -261,9 +263,9 @@ func (vm *VM) ProvideVIOMMU(posted bool) *iommu.IOMMU {
 		vm.GuestHyp.Caps = vm.Caps
 	}
 	// Capability words shape compiled plans; like SetHostCaps, a
-	// post-setup vIOMMU grant must move CapsGen or a cached plan would
+	// post-setup vIOMMU grant must move PlanGen or a cached plan would
 	// replay the pre-vIOMMU exit tree.
-	vm.Owner.Machine.CapsGen++
+	vm.Owner.Machine.PlanGen++
 	return vm.VIOMMU
 }
 

@@ -1,7 +1,6 @@
 package hyper
 
 import (
-	"fmt"
 	"os"
 
 	"repro/internal/sim"
@@ -31,9 +30,9 @@ type PlanCacheStats struct {
 	DeliveryCompiles uint64
 	// DeliveryReplays counts delivery paths served from a compiled plan.
 	DeliveryReplays uint64
-	// Invalidations counts plan-table flushes caused by a moved topology,
-	// cost-model or capability generation. Forward and delivery plans share
-	// the World's one table, so a flush invalidates both at once.
+	// Invalidations counts plan-table flushes caused by a moved plan
+	// generation (a new cost model or capability word). Forward and delivery
+	// plans share the World's one table, so a flush invalidates both at once.
 	Invalidations uint64
 }
 
@@ -116,61 +115,20 @@ func (w *World) SetPlanCache(on bool) { w.planCacheOff = !on }
 // PlanCache reports whether the world replays compiled plans.
 func (w *World) PlanCache() bool { return !w.planCacheOff }
 
-// SetCosts replaces the world's cost model and bumps the machine's cost
-// generation so compiled plans (which bake cycle costs in) are
-// recompiled. Mutating w.Costs fields directly is reserved for setup before
-// the first forwarded exit; any later recalibration must go through here.
+// SetCosts replaces the world's cost model and bumps the machine's plan
+// generation so compiled plans (which bake cycle costs in) are recompiled.
+// Mutating w.Costs fields directly is reserved for setup before the first
+// forwarded exit; any later recalibration must go through here.
 func (w *World) SetCosts(c CostModel) {
 	w.Costs = c
-	w.Host.Machine.CostGen++
+	w.Host.Machine.PlanGen++
 }
 
 // SetHostCaps replaces the host hypervisor's capability word and bumps the
-// machine's caps generation. Host capabilities (VMCS shadowing in
+// machine's plan generation. Host capabilities (VMCS shadowing in
 // particular) shape the forwarding recursion, so any post-setup change must
 // invalidate compiled plans.
 func (w *World) SetHostCaps(caps vmx.Caps) {
 	w.Host.Caps = caps
-	w.Host.Machine.CapsGen++
-}
-
-// SetProfile installs a calibration profile's cost model and host capability
-// word in one step, bumping BOTH the cost and the caps generation. A profile
-// swap changes the two inputs compiled plans bake in — per-transition
-// cycle charges and the capability-shaped recursion structure (VMCS shadowing
-// versus full trips) — so either generation alone would leave a stale plan
-// replayable. The nvlint cachegen GenBumps contract pins both bumps.
-func (w *World) SetProfile(c CostModel, caps vmx.Caps) {
-	w.Costs = c
-	w.Host.Caps = caps
-	w.Host.Machine.CostGen++
-	w.Host.Machine.CapsGen++
-}
-
-// stack returns the hypervisor at each level beneath v: stack[0] is the
-// host, stack[k] the guest hypervisor at level k, up to v.VM.Level-1.
-// The result is cached on the vCPU — the pipeline consults it on every exit —
-// and rebuilt when the machine's topology generation moves (VM creation,
-// hypervisor installation). Callers must not hold the slice across topology
-// changes.
-func (w *World) stack(v *VCPU) ([]*Hypervisor, error) {
-	gen := w.Host.Machine.TopoGen
-	if v.stackCache != nil && v.stackGen == gen {
-		return v.stackCache, nil
-	}
-	n := v.VM.Level
-	s := make([]*Hypervisor, n) //nvlint:ignore hotalloc cache rebuild, amortized across topology generations
-	s[0] = w.Host
-	for k := 1; k < n; k++ {
-		av, err := v.AncestorAt(k)
-		if err != nil {
-			return nil, err
-		}
-		if av.VM.GuestHyp == nil {
-			return nil, fmt.Errorf("hyper: VM %s at level %d runs no hypervisor but hosts level %d", av.VM.Name, k, n)
-		}
-		s[k] = av.VM.GuestHyp
-	}
-	v.stackCache, v.stackGen = s, gen
-	return s, nil
+	w.Host.Machine.PlanGen++
 }

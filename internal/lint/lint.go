@@ -28,12 +28,12 @@
 //
 // v2 rule (an architectural contract of the exit pipeline):
 //
-//	cachegen     every field the plan compiler reads is covered by a
-//	             generation counter (or explicitly allowlisted as a
-//	             non-input), generation setters really bump their counter,
-//	             and guarded fields are written only by their setter;
+//	cachegen     every field the plan compiler reads is covered by the
+//	             plan generation (or explicitly allowlisted as a
+//	             non-input), generation setters really bump it, and
+//	             guarded fields are written only by their setters;
 //	             catches: a compile-path World field read that is not in
-//	             GuardedReads (ProvideVIOMMU once skipped its CapsGen bump)
+//	             GuardedReads (ProvideVIOMMU once skipped its bump)
 //
 // Those are the five rules. Beside them, //nvlint comments that no longer
 // suppress anything are themselves flagged (rule "directive", reported via
@@ -99,15 +99,15 @@ type Config struct {
 }
 
 // CacheGenConfig configures the cachegen rule: the plan replay cache is
-// sound only if every input the compile path reads is invalidated by a
-// generation counter. The rule walks the call graph from the compile roots
+// sound only if every input the compile path reads is invalidated by the
+// generation counter. The rule walks the call graph from the compile root
 // and flags any field read of a watched type that is not in the guarded set —
 // so a new cost or capability field wired into compilation without a matching
 // generation bump fails the build instead of serving stale plans.
 type CacheGenConfig struct {
-	// CompileRoots are the call-graph roots of the plan compile path
-	// ("pkg/path.(*Recv).Method" forms, as for HotRoots).
-	CompileRoots []string
+	// CompileRoot is the call-graph root of the plan compile path
+	// ("pkg/path.(*Recv).Method" form, as for HotRoots).
+	CompileRoot string
 	// WatchedTypes are the named struct types ("pkg/path.Name") whose field
 	// reads on the compile path must be generation-guarded.
 	WatchedTypes []string
@@ -115,15 +115,13 @@ type CacheGenConfig struct {
 	// (every field of the type) or "pkg/path.Type.Field" (one field); values
 	// name the generation counter or the reason the read is not a plan input.
 	GuardedReads map[string]string
-	// GenBumps maps a generation setter ("pkg/path.(*Recv).Method") to the
-	// counter fields ("pkg/path.Type.Field") its body must increment — more
-	// than one for setters like SetProfile that replace several guarded
-	// inputs at once. Deleting any of the bumps from the setter fails the
-	// rule.
-	GenBumps map[string][]string
+	// Gen is the generation counter ("pkg/path.Type.Field") the plan table
+	// checks.
+	Gen string
 	// SetterOnly maps a guarded field ("pkg/path.Type.Field") to the only
-	// functions allowed to assign it; a write anywhere else would bypass the
-	// generation bump and is flagged.
+	// functions ("pkg/path.(*Recv).Method") allowed to assign it. Each of
+	// them must increment Gen, and a write anywhere else would bypass the
+	// bump; either fails the rule.
 	SetterOnly map[string][]string
 }
 
@@ -186,15 +184,13 @@ func ModuleConfig(dir string) (Config, error) {
 	}
 	// cachegen: the plan replay cache (internal/hyper/plan.go) bakes
 	// compile-path reads into cached plans; every one of them must be
-	// covered by a generation counter or be provably not a plan input. The
+	// covered by the plan generation or be provably not a plan input. The
 	// walk from compilePlan — the one compile root of every plan kind —
 	// reaches both chargeSink implementations (the live World sink and the
 	// recording planBuilder) and every Personality, so the allowlist names
 	// exactly the state those read.
 	cfg.CacheGen = &CacheGenConfig{
-		CompileRoots: []string{
-			mp + "/internal/hyper.(*World).compilePlan",
-		},
+		CompileRoot: mp + "/internal/hyper.(*World).compilePlan",
 		WatchedTypes: []string{
 			mp + "/internal/hyper.World",
 			mp + "/internal/hyper.Hypervisor",
@@ -204,43 +200,26 @@ func ModuleConfig(dir string) (Config, error) {
 			mp + "/internal/machine.Machine",
 		},
 		GuardedReads: map[string]string{
-			mp + "/internal/hyper.CostModel":              "CostGen: World.SetCosts replaces the whole model and bumps Machine.CostGen",
-			mp + "/internal/hyper.World.Costs":            "CostGen: the sole write path is World.SetCosts",
+			mp + "/internal/hyper.CostModel":              "PlanGen: World.SetCosts replaces the whole model and bumps Machine.PlanGen",
+			mp + "/internal/hyper.World.Costs":            "PlanGen: the sole write path is World.SetCosts",
 			mp + "/internal/hyper.World.Host":             "fixed at World construction",
 			mp + "/internal/hyper.World.Plan":             "cache meta-counters, not a plan input",
 			mp + "/internal/hyper.World.Tracer":           "a traced World never replays",
 			mp + "/internal/hyper.World.scratch":          "compile working memory: each compile empties its subtree memo before walking, and no plan keeps a reference into it",
-			mp + "/internal/hyper.Hypervisor.Caps":        "CapsGen: post-setup writers (SetHostCaps, ProvideVIOMMU) bump it",
-			mp + "/internal/hyper.Hypervisor.Personality": "TopoGen on stack changes, plus per-plan personality pinning at replay",
+			mp + "/internal/hyper.Hypervisor.Caps":        "PlanGen: post-setup writers (SetHostCaps, ProvideVIOMMU) bump it",
+			mp + "/internal/hyper.Hypervisor.Personality": "pinned per plan and compared at replay",
 			mp + "/internal/hyper.Hypervisor.Machine":     "fixed at hypervisor construction",
 			mp + "/internal/machine.Machine.Stats":        "emission sink, not a plan input",
 		},
-		GenBumps: map[string][]string{
-			mp + "/internal/hyper.(*World).SetCosts":    {mp + "/internal/machine.Machine.CostGen"},
-			mp + "/internal/hyper.(*World).SetHostCaps": {mp + "/internal/machine.Machine.CapsGen"},
-			mp + "/internal/hyper.(*VM).ProvideVIOMMU":  {mp + "/internal/machine.Machine.CapsGen"},
-			// A calibration-profile swap replaces the cost model AND the host
-			// capability word; a compiled plan bakes both in, so SetProfile
-			// must move both generations — bumping only one would leave plans
-			// keyed on the other replaying stale state.
-			mp + "/internal/hyper.(*World).SetProfile": {
-				mp + "/internal/machine.Machine.CostGen",
-				mp + "/internal/machine.Machine.CapsGen",
-			},
-		},
+		Gen: mp + "/internal/machine.Machine.PlanGen",
 		SetterOnly: map[string][]string{
-			mp + "/internal/hyper.World.Costs": {
-				mp + "/internal/hyper.(*World).SetCosts",
-				mp + "/internal/hyper.(*World).SetProfile",
-			},
+			mp + "/internal/hyper.World.Costs": {mp + "/internal/hyper.(*World).SetCosts"},
 			// ProvideVIOMMU propagates the vIOMMU capability bits into a
-			// nested hypervisor's word; it carries the same CapsGen bump
-			// obligation as SetHostCaps (enforced by GenBumps above), and
-			// SetProfile installs a profile's capability word the same way.
+			// nested hypervisor's word, so it carries the same PlanGen bump
+			// obligation as SetHostCaps.
 			mp + "/internal/hyper.Hypervisor.Caps": {
 				mp + "/internal/hyper.(*World).SetHostCaps",
 				mp + "/internal/hyper.(*VM).ProvideVIOMMU",
-				mp + "/internal/hyper.(*World).SetProfile",
 			},
 		},
 	}

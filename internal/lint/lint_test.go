@@ -123,37 +123,23 @@ func TestGoldenSuppressionsRecorded(t *testing.T) {
 	}
 }
 
-// cacheGenTestConfig wires the cachegen fixture: Compile and CompileDelivery
-// are the compile roots (the rule walks every root with the same guarded-
-// field obligations), World/CostModel are watched, and
-// SetCosts/SetCaps/SetProfile are generation setters (SetCaps deliberately
-// missing its bump; SetProfile owes two bumps and deliberately delivers only
-// CostGen).
+// cacheGenTestConfig wires the cachegen fixture: Compile is the compile
+// root, World/CostModel are watched, and SetCosts/SetCaps are the setters of
+// World.Costs and World.Caps, each owing a Machine.PlanGen bump (SetCaps
+// deliberately missing it).
 func cacheGenTestConfig(c *Config) {
 	c.CacheGen = &CacheGenConfig{
-		CompileRoots: []string{
-			"lintcheck/cachegen.Compile",
-			"lintcheck/cachegen.CompileDelivery",
-		},
+		CompileRoot:  "lintcheck/cachegen.Compile",
 		WatchedTypes: []string{"lintcheck/cachegen.World", "lintcheck/cachegen.CostModel"},
 		GuardedReads: map[string]string{
-			"lintcheck/cachegen.CostModel":   "CostGen",
-			"lintcheck/cachegen.World.Costs": "CostGen",
-			"lintcheck/cachegen.World.Caps":  "CapsGen",
+			"lintcheck/cachegen.CostModel":   "PlanGen",
+			"lintcheck/cachegen.World.Costs": "PlanGen",
+			"lintcheck/cachegen.World.Caps":  "PlanGen",
 		},
-		GenBumps: map[string][]string{
-			"lintcheck/cachegen.(*World).SetCosts": {"lintcheck/cachegen.Machine.CostGen"},
-			"lintcheck/cachegen.(*World).SetCaps":  {"lintcheck/cachegen.Machine.CapsGen"},
-			"lintcheck/cachegen.(*World).SetProfile": {
-				"lintcheck/cachegen.Machine.CostGen",
-				"lintcheck/cachegen.Machine.CapsGen",
-			},
-		},
+		Gen: "lintcheck/cachegen.Machine.PlanGen",
 		SetterOnly: map[string][]string{
-			"lintcheck/cachegen.World.Costs": {
-				"lintcheck/cachegen.(*World).SetCosts",
-				"lintcheck/cachegen.(*World).SetProfile",
-			},
+			"lintcheck/cachegen.World.Costs": {"lintcheck/cachegen.(*World).SetCosts"},
+			"lintcheck/cachegen.World.Caps":  {"lintcheck/cachegen.(*World).SetCaps"},
 		},
 	}
 }

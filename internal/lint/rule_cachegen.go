@@ -8,25 +8,21 @@ import (
 	"sort"
 )
 
-// checkCacheGen is the plan-cache soundness rule. A replayed forward plan is
-// only equivalent to recompiling when every input the compile path read is
-// covered by a generation counter the cache key checks. The rule makes that
-// set explicit: it walks the call graph from the compile roots (through
+// checkCacheGen is the plan-cache soundness rule. A replayed plan is only
+// equivalent to recompiling when every input the compile path read is
+// covered by the generation counter the plan table checks. The rule makes
+// that set explicit: it walks the call graph from the compile root (through
 // hotalloc edge cuts — an allocation waiver is not a semantic waiver) and
 // flags any field read of a watched type that the guarded-read allowlist does
-// not cover. Two companion checks keep the allowlist honest: each configured
-// generation setter must actually increment its counter, and setter-only
-// fields must not be written anywhere else.
+// not cover. Two companion checks keep the allowlist honest: each setter a
+// guarded field designates must actually increment the counter, and the
+// field must not be written anywhere else.
 func checkCacheGen(prog *program, cfg *Config, g *callGraph) ([]Finding, error) {
 	cg := cfg.CacheGen
 
-	var roots []*types.Func
-	for _, spec := range cg.CompileRoots {
-		fns, err := g.resolveRoot(spec)
-		if err != nil {
-			return nil, err
-		}
-		roots = append(roots, fns...)
+	roots, err := g.resolveRoot(cg.CompileRoot)
+	if err != nil {
+		return nil, err
 	}
 
 	watched := map[*types.Named]bool{}
@@ -98,52 +94,11 @@ func checkCacheGen(prog *program, cfg *Config, g *callGraph) ([]Finding, error) 
 		})
 	}
 
-	bumps, err := checkGenBumps(prog, cg, g)
+	setters, err := checkSetters(prog, cg, g)
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, bumps...)
-	writes, err := checkSetterOnly(prog, cg, g)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, writes...)
-	return out, nil
-}
-
-// checkGenBumps verifies each configured setter increments every one of its
-// generation counters: deleting the bump from World.SetCosts must fail the
-// build, because every plan compiled before the change would replay against
-// the new costs. Setters that replace several guarded inputs at once
-// (SetProfile: cost model AND capability word) owe one bump per counter —
-// each missing bump is its own finding, so a setter that moves only one of
-// two generations is flagged for the other.
-func checkGenBumps(prog *program, cg *CacheGenConfig, g *callGraph) ([]Finding, error) {
-	var out []Finding
-	for _, setterSpec := range sortedKeys(cg.GenBumps) {
-		fn, err := resolveSingle(g, setterSpec)
-		if err != nil {
-			return nil, err
-		}
-		fd, ok := prog.funcs[fn]
-		if !ok {
-			return nil, fmt.Errorf("lint: cachegen setter %q has no body in the loaded program", setterSpec)
-		}
-		for _, fieldSpec := range cg.GenBumps[setterSpec] {
-			fld, err := resolveField(prog, fieldSpec)
-			if err != nil {
-				return nil, err
-			}
-			if incrementsField(fd.pkg, fd.decl.Body, fld) {
-				continue
-			}
-			pkg := fd.pkg
-			dirs := pkg.Directives[fileOf(pkg, fd.decl.Pos())]
-			out = append(out, finding(prog, pkg, dirs, fd.decl.Pos(), RuleCacheGen,
-				fmt.Sprintf("generation setter %s does not increment %s; plans compiled before a call would replay stale state", funcID(fn), fieldSpec)))
-		}
-	}
-	return out, nil
+	return append(out, setters...), nil
 }
 
 // resolveSingle resolves a spec that must name exactly one concrete function.
@@ -190,11 +145,20 @@ func selectsField(pkg *Package, e ast.Expr, fld *types.Var) bool {
 	return ok && s.Kind() == types.FieldVal && s.Obj() == fld
 }
 
-// checkSetterOnly flags writes to a guarded field outside its designated
-// setters — the write path that would skip the generation bump.
-func checkSetterOnly(prog *program, cg *CacheGenConfig, g *callGraph) ([]Finding, error) {
+// checkSetters holds each guarded field's designated setters to the
+// generation bump — deleting the bump from World.SetCosts must fail the
+// build, because every plan compiled before a call would replay against the
+// new costs — and flags writes to the field outside its setters, the write
+// path that would skip the bump.
+func checkSetters(prog *program, cg *CacheGenConfig, g *callGraph) ([]Finding, error) {
+	gen, err := resolveField(prog, cg.Gen)
+	if err != nil {
+		return nil, err
+	}
+	var out []Finding
 	allowed := map[*types.Var]map[*types.Func]bool{}
 	specOf := map[*types.Var]string{}
+	bumpChecked := map[*types.Func]bool{}
 	for _, fieldSpec := range sortedKeys(cg.SetterOnly) {
 		fld, err := resolveField(prog, fieldSpec)
 		if err != nil {
@@ -208,9 +172,21 @@ func checkSetterOnly(prog *program, cg *CacheGenConfig, g *callGraph) ([]Finding
 				return nil, err
 			}
 			allowed[fld][fn] = true
+			if bumpChecked[fn] {
+				continue
+			}
+			bumpChecked[fn] = true
+			fd, ok := prog.funcs[fn]
+			if !ok {
+				return nil, fmt.Errorf("lint: cachegen setter %q has no body in the loaded program", setterSpec)
+			}
+			if !incrementsField(fd.pkg, fd.decl.Body, gen) {
+				dirs := fd.pkg.Directives[fileOf(fd.pkg, fd.decl.Pos())]
+				out = append(out, finding(prog, fd.pkg, dirs, fd.decl.Pos(), RuleCacheGen,
+					fmt.Sprintf("generation setter %s does not increment %s; plans compiled before a call would replay stale state", funcID(fn), cg.Gen)))
+			}
 		}
 	}
-	var out []Finding
 	for _, pkg := range prog.pkgs {
 		for _, file := range pkg.Files {
 			dirs := pkg.Directives[file]

@@ -1,21 +1,21 @@
 // Package cachegen exercises the plan-cache generation-soundness rule. The
 // golden test wires Compile as the compile root, watches World and CostModel,
-// guards CostModel (whole type) plus World.Costs/World.Caps/World.M, and
-// declares SetCosts/SetCaps as generation setters with World.Costs
-// setter-only. Tuning is the seeded stale-plan fixture: a field the compile
-// path reads with no generation counter to invalidate cached plans.
+// guards CostModel (whole type) plus World.Costs/World.Caps, and makes
+// SetCosts and SetCaps the only writers of World.Costs and World.Caps, each
+// owing a Machine.PlanGen bump. Tuning is the seeded stale-plan fixture: a
+// field the compile path reads with no generation counter to invalidate
+// cached plans.
 package cachegen
 
-// CostModel is guarded as a whole type: CostGen covers every field.
+// CostModel is guarded as a whole type: PlanGen covers every field.
 type CostModel struct {
 	Alpha int
 	Beta  int
 }
 
-// Machine holds the generation counters the cache key checks.
+// Machine holds the generation counter the plan table checks.
 type Machine struct {
-	CostGen uint64
-	CapsGen uint64
+	PlanGen uint64
 }
 
 // World is the watched compile-path state.
@@ -26,10 +26,10 @@ type World struct {
 	Tuning int // no generation counter covers this field
 }
 
-// Compile is the compile root (wired by the golden test's CompileRoots).
+// Compile is the compile root (wired by the golden test's CompileRoot).
 func Compile(w *World) int {
 	c := w.Costs.Alpha + w.Costs.Beta // guarded: CostModel whole-type, World.Costs
-	c += int(w.Caps)                  // guarded: World.Caps under CapsGen
+	c += int(w.Caps)                  // guarded: World.Caps under PlanGen
 	c += w.Tuning                     // want "not generation-guarded"
 	return c + helper(w)
 }
@@ -40,35 +40,16 @@ func helper(w *World) int {
 	return w.Tuning * 2 // want "not generation-guarded"
 }
 
-// CompileDelivery is a second compile root: the same guarded-field obligations apply to every root in
-// CompileRoots, so an unguarded read here must be flagged exactly as one
-// under Compile would be.
-func CompileDelivery(w *World, level int) int {
-	c := w.Costs.Alpha * level // guarded: CostModel whole-type, World.Costs
-	c += w.Tuning              // want "not generation-guarded"
-	return c
-}
-
-// SetCosts is the designated Costs setter and bumps its counter: clean.
+// SetCosts is the designated Costs setter and bumps the counter: clean.
 func (w *World) SetCosts(c CostModel) {
 	w.Costs = c
-	w.M.CostGen++
+	w.M.PlanGen++
 }
 
-// SetCaps is declared as a generation setter but forgot the bump — the
+// SetCaps is World.Caps's designated setter but forgot the bump — the
 // acceptance case: deleting a bump from a setter fails the build.
 func (w *World) SetCaps(v uint64) { // want "does not increment"
 	w.Caps = v
-}
-
-// SetProfile replaces costs AND caps in one call, so it is declared with two
-// generation obligations — but bumps only CostGen. The missing CapsGen bump
-// is the acceptance case for multi-counter setters: plans keyed on the
-// capability generation would replay the old capability word.
-func (w *World) SetProfile(c CostModel, caps uint64) { // want "does not increment"
-	w.Costs = c
-	w.Caps = caps
-	w.M.CostGen++
 }
 
 // Recalibrate writes a setter-only field without going through the setter,

@@ -73,22 +73,13 @@ type Machine struct {
 	NIC    *NIC
 	SSD    *SSD
 
-	// TopoGen counts VM-topology mutations on this machine (VM creation,
-	// hypervisor installation). Per-vCPU caches derived from the nesting
-	// topology — the hypervisor stack the exit path walks — carry the
-	// generation they were built at and rebuild when it moves, which keeps
-	// the steady-state exit path allocation-free.
-	TopoGen uint64
-	// CostGen counts cost-model mutations (World.SetCosts). Compiled forward
-	// plans bake calibrated cycle costs in, so any recalibration must move
-	// this generation; direct field pokes on a World's CostModel bypass the
-	// cache contract and are reserved for setup before the first exit.
-	CostGen uint64
-	// CapsGen counts capability-word mutations after setup (DVH enablement
-	// advertising virtual-hardware bits, vIOMMU provisioning, tests toggling
-	// VMCS shadowing). Plans depend on host capabilities, so mutating a caps
-	// word without moving this generation leaves stale compiled plans behind.
-	CapsGen uint64
+	// PlanGen counts writes to the inputs compiled plans bake in: the cost
+	// model (World.SetCosts) and capability words after setup
+	// (World.SetHostCaps, VM.ProvideVIOMMU). A World's plan table is valid
+	// for one generation and flushes when it moves; direct field pokes
+	// bypass that contract and are reserved for setup before the first exit.
+	// Personalities, the one other plan input, are pinned per plan instead.
+	PlanGen uint64
 
 	// bus, nic and ssd are what Bus, NIC and SSD point at, allocated with
 	// the machine.

@@ -241,9 +241,10 @@ func Resolve(name string) (Profile, error) {
 	return p, nil
 }
 
-// Apply installs the profile on a world: cost model and host capability word
-// in one step, through World.SetProfile so both the cost and capability
-// generations move and any compiled forward plans invalidate.
+// Apply installs the profile on a world: its cost model and host capability
+// word, each through its setter, so the plan generation moves and any
+// compiled plans invalidate.
 func Apply(w *hyper.World, p Profile) {
-	w.SetProfile(p.Costs, p.Caps)
+	w.SetCosts(p.Costs)
+	w.SetHostCaps(p.Caps)
 }

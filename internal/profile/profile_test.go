@@ -135,8 +135,8 @@ func TestAnchorString(t *testing.T) {
 }
 
 // TestApplyInstallsBoth verifies Apply lands both halves of the calibration
-// on the world through SetProfile (cost model and capability word, both
-// generations moved).
+// on the world (cost model and capability word) through their setters, so
+// the plan generation moves.
 func TestApplyInstallsBoth(t *testing.T) {
 	m, err := machine.New(machine.Config{
 		Name: "apply-test", CPUs: 4, MemoryBytes: 32 << 30, Caps: vmx.HardwareCaps, NICVFs: 1,
@@ -146,7 +146,7 @@ func TestApplyInstallsBoth(t *testing.T) {
 	}
 	host := hyper.NewHost(m, hyper.KVM{})
 	w := hyper.NewWorld(host)
-	costGen, capsGen := m.CostGen, m.CapsGen
+	gen := m.PlanGen
 
 	p, _ := profile.Lookup("epyc-milan")
 	profile.Apply(w, p)
@@ -159,8 +159,7 @@ func TestApplyInstallsBoth(t *testing.T) {
 	if w.Host.Caps.Has(vmx.CapVMCSShadowing) {
 		t.Error("epyc-milan world still advertises VMCS shadowing")
 	}
-	if m.CostGen != costGen+1 || m.CapsGen != capsGen+1 {
-		t.Errorf("Apply moved generations (%d,%d) -> (%d,%d), want both +1",
-			costGen, capsGen, m.CostGen, m.CapsGen)
+	if m.PlanGen == gen {
+		t.Errorf("Apply left the plan generation at %d", gen)
 	}
 }
