@@ -12,8 +12,13 @@ build:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# vet also vets bench/, a module of its own (its go.mod replaces repro with
+# ../), which neither `go build ./...` nor `go vet ./...` reaches: a public
+# API change that breaks the benchmark harness fails here, not first in a
+# benchmark run.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

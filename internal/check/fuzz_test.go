@@ -364,7 +364,7 @@ const (
 
 // planCacheStep applies one decoded step to a stack whose timeline recorder
 // is rec, and returns the cycles the boundary charged (0 for mutations) and
-// its error.
+// its error, which only Execute can return.
 func planCacheStep(st *experiment.Stack, rec *trace.Recorder, op, arg byte) (sim.Cycles, error) {
 	w := st.World
 	v := st.Target.VCPUs[int(arg)%len(st.Target.VCPUs)]
@@ -388,13 +388,13 @@ func planCacheStep(st *experiment.Stack, rec *trace.Recorder, op, arg byte) (sim
 	case pcDevNotify:
 		return w.Execute(v, hyper.DevNotify(st.Net.Doorbell))
 	case pcTimerIRQ:
-		return w.DeliverTimerIRQ(v)
+		return w.DeliverTimerIRQ(v), nil
 	case pcDeviceIRQ:
-		return w.DeliverDeviceIRQ(st.Net, v)
+		return w.DeliverDeviceIRQ(st.Net, v), nil
 	case pcDeviceRX:
-		return w.DeviceRX(st.Net, v)
+		return w.DeviceRX(st.Net, v), nil
 	case pcWake:
-		return w.WakeIfIdle(v)
+		return w.WakeIfIdle(v), nil
 	case pcSetCosts:
 		c := w.Costs
 		switch arg % 4 {
@@ -509,9 +509,12 @@ func planCacheSeeds() [][]byte {
 		// bug failed (DESIGN.md §7.3).
 		steps([]byte{'7', '7', '0'}, pcDisableDVH, '1', pcSendIPI, '0'),
 		// seed-viommu-after-warm, once a corpus file: forward, injection and
-		// cascade plans warmed at L2, then the L1 VM gets a posting vIOMMU,
-		// which moves the plan generation, and the same boundaries run
-		// again (the bug cachegen caught, DESIGN.md §13.1).
+		// cascade plans warmed at L2, then a mid-run vIOMMU grant gives the
+		// L1 VM posting, which moves the plan generation, and the same
+		// boundaries run again. No plan reads a guest hypervisor's
+		// capability word, so the seed passes without that bump too:
+		// TestForwardPlanInvalidation/viommu-caps and nvlint's cachegen
+		// rule fail a ProvideVIOMMU that skips it (DESIGN.md §13.1).
 		steps([]byte{1, 0, 0},
 			pcHypercall, 0, pcHypercall, 0, pcTimerIRQ, 0, pcTimerIRQ, 0, pcDeviceRX, 0, pcDeviceIRQ, 0,
 			pcProvideVIOMMU, 0x80, pcHypercall, 0, pcTimerIRQ, 0, pcDeviceRX, 0, pcDeviceIRQ, 0),

@@ -263,9 +263,7 @@ func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, error
 		}
 		dest.PID.Post(op.ICR.Vector())
 		dest.PID.Sync(dest.LAPIC)
-		if _, err := w.WakeIfIdle(dest); err != nil {
-			return false, err
-		}
+		w.WakeIfIdle(dest)
 		stats.ChargeLevel(0, c.IPIEmulWork+c.VCIMTLookupWork+sim.Cycles(v.VM.Level-2)*c.VCIMTPerLevelWork)
 		stats.Inc(trace.DVHVIPISends, 1)
 		return true, nil

@@ -45,9 +45,7 @@ func TestSaveRestoreVMState(t *testing.T) {
 		t.Fatal("DVH enable bits not restored")
 	}
 	// The restored timer must actually fire on the destination host.
-	if err := wDst.RunUntil(1_000_000); err != nil {
-		t.Fatal(err)
-	}
+	wDst.RunUntil(1_000_000)
 	if !dv.LAPIC.Pending(200) {
 		t.Fatal("restored timer never fired on the destination")
 	}
@@ -92,10 +90,7 @@ func TestDirectTimerDeliveryExtension(t *testing.T) {
 	vWith := vmsWith[1].VCPUs[0]
 	statsWith := wWith.Host.Machine.Stats
 	statsWith.Reset()
-	cost, err := wWith.DeliverTimerIRQ(vWith)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cost := wWith.DeliverTimerIRQ(vWith)
 	if cost > 1000 {
 		t.Errorf("direct delivery cost %v; should be a posted interrupt", cost)
 	}
@@ -110,10 +105,7 @@ func TestDirectTimerDeliveryExtension(t *testing.T) {
 	_ = woOpt
 	vWo := vmsWo[1].VCPUs[0]
 	wWo.Host.Machine.Stats.Reset()
-	costWo, err := wWo.DeliverTimerIRQ(vWo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	costWo := wWo.DeliverTimerIRQ(vWo)
 	if costWo < 8*cost {
 		t.Errorf("injection-path delivery %v should dwarf direct %v", costWo, cost)
 	}

@@ -22,8 +22,12 @@ const runForGolden = "testdata/runfor.golden"
 // through those deadlines and the ones it arms itself. Both Results and the
 // machine's Stats afterwards are rendered, so a timer event that fires late,
 // twice, or delivers after its LAPIC reports it disarmed moves this golden
-// even where no cycle total of a Run-only cell moves. NVSIM_UPDATE_GOLDEN=1
-// rewrites the golden, only ever for a deliberate change to the timeline.
+// even where no cycle total of a Run-only cell moves. Every cell runs twice,
+// on a stack replaying compiled plans and on one walking every charge tree
+// live, and both renderings must match the one golden: the timeline's
+// delivery path is cache ≡ live. NVSIM_UPDATE_GOLDEN=1 rewrites the golden
+// from the cached rendering, only ever for a deliberate change to the
+// timeline.
 func TestRunForGolden(t *testing.T) {
 	specs := []struct {
 		label string
@@ -36,43 +40,47 @@ func TestRunForGolden(t *testing.T) {
 		{"L3 dvh", Spec{Depth: 3, IO: IODVH}},
 		{"L2 passthrough xen", Spec{Depth: 2, IO: IOPassthrough, Guest: GuestXen}},
 	}
-	var b strings.Builder
-	for _, s := range specs {
-		for _, p := range workload.Profiles() {
-			st, err := Build(s.spec)
-			if err != nil {
-				t.Fatal(err)
+	render := func(cache bool) string {
+		var b strings.Builder
+		for _, s := range specs {
+			for _, p := range workload.Profiles() {
+				st, err := Build(s.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.World.SetPlanCache(cache)
+				r := workload.Runner{W: st.World, VM: st.Target, Net: st.Net, Blk: st.Blk, P: p, RNG: sim.NewRNG(7)}
+				fmt.Fprintf(&b, "== %s at %s\n", p.Name, s.label)
+				res, err := r.Run(500)
+				if err != nil {
+					t.Fatalf("plan cache %v: %s at %s: Run: %v", cache, p.Name, s.label, err)
+				}
+				writeResult(&b, "Run(500)", res)
+				span := 400 * p.WorkCycles
+				res, err = r.RunFor(span)
+				if err != nil {
+					t.Fatalf("plan cache %v: %s at %s: RunFor: %v", cache, p.Name, s.label, err)
+				}
+				writeResult(&b, fmt.Sprintf("RunFor(%d)", uint64(span)), res)
+				b.WriteString(st.Machine.Stats.String())
 			}
-			r := workload.Runner{W: st.World, VM: st.Target, Net: st.Net, Blk: st.Blk, P: p, RNG: sim.NewRNG(7)}
-			fmt.Fprintf(&b, "== %s at %s\n", p.Name, s.label)
-			res, err := r.Run(500)
-			if err != nil {
-				t.Fatalf("%s at %s: Run: %v", p.Name, s.label, err)
-			}
-			writeResult(&b, "Run(500)", res)
-			span := 400 * p.WorkCycles
-			res, err = r.RunFor(span)
-			if err != nil {
-				t.Fatalf("%s at %s: RunFor: %v", p.Name, s.label, err)
-			}
-			writeResult(&b, fmt.Sprintf("RunFor(%d)", uint64(span)), res)
-			b.WriteString(st.Machine.Stats.String())
 		}
+		return b.String()
 	}
-	got := b.String()
 	path := filepath.FromSlash(runForGolden)
 	if os.Getenv("NVSIM_UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(render(true)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != string(want) {
-		t.Errorf("Run→RunFor output drifted from %s\n got:\n%s\nwant:\n%s", runForGolden, got, want)
+	for _, cache := range []bool{true, false} {
+		if got := render(cache); got != string(want) {
+			t.Errorf("plan cache %v: Run→RunFor output drifted from %s\n got:\n%s\nwant:\n%s", cache, runForGolden, got, want)
+		}
 	}
 }
 

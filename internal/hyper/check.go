@@ -54,7 +54,8 @@ type InvariantChecker interface {
 	// Begin opens a frame when a boundary is entered; the returned token is
 	// handed back to the matching End.
 	Begin(b Boundary, op Op) int
-	// End closes the frame with the boundary's error; v is the vCPU the
+	// End closes the frame with the boundary's error, nil for every frame
+	// but a failed Execute's: the deliveries cannot fail. v is the vCPU the
 	// transaction ran on.
 	End(token int, v *VCPU, b Boundary, err error)
 	// TimerArmed reports a DVH virtual-timer arm with the host-TSC deadline

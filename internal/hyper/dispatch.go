@@ -98,6 +98,7 @@ func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
 		if dev == nil {
 			return false, fmt.Errorf("hyper: %s: doorbell write to unmapped %#x", tx.V.Path(), uint64(tx.Op.Addr))
 		}
+		tx.Dev = dev
 		if dev.Phys != nil {
 			// Device passthrough: the doorbell is EPT-mapped to the physical
 			// device; a posted write, no exit at any level.
@@ -123,7 +124,7 @@ func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
 // stageRoute resolves which hypervisor level owns the exit and records the
 // exit, counted at that owner and put on the trace timeline.
 func (w *World) stageRoute(tx *ExitContext) {
-	tx.Owner = w.ownerLevel(tx.V, tx.Op)
+	tx.Owner = w.ownerLevel(tx)
 	w.exit(tx.Reason, tx.Level, tx.Owner)
 }
 
@@ -132,7 +133,7 @@ func (w *World) stageRoute(tx *ExitContext) {
 func (w *World) stageEmulate(tx *ExitContext) error {
 	c := &w.Costs
 	w.Host.Machine.Stats.ChargeLevel(0, c.HostDispatch+c.HwEntry)
-	return w.hostHandle(tx.V, tx.Op)
+	return w.hostHandle(tx)
 }
 
 // stageForward reflects a guest-hypervisor-owned exit up the stack. The pure
@@ -141,39 +142,41 @@ func (w *World) stageEmulate(tx *ExitContext) error {
 // — and the owner's side effects always run live after it.
 func (w *World) stageForward(tx *ExitContext) error {
 	w.charge(tx.V.VM.stack, planForward, tx.Reason, tx.Owner)
-	return w.ownerEffects(tx.V, tx.Op, tx.Owner)
+	return w.ownerEffects(tx)
 }
 
 // ownerLevel decides which hypervisor level must handle the exit.
-func (w *World) ownerLevel(v *VCPU, op Op) int {
-	n := v.VM.Level
-	switch op.Kind {
+func (w *World) ownerLevel(tx *ExitContext) int {
+	n := tx.Level
+	switch tx.Op.Kind {
 	case OpHypercall, OpTimerProgram, OpSendIPI, OpEOI:
 		return n - 1
 	case OpHLT:
-		// The innermost hypervisor that traps HLT for its guest owns the
-		// exit; with DVH virtual idle, guest hypervisors clear the control
-		// so ownership falls through to the host.
-		for a := v; a != nil; a = a.Parent {
-			if a.VMCS.ControlSet(vmx.FieldProcBasedControls, vmx.ProcHLTExiting) {
-				return a.VM.Level - 1
-			}
-		}
-		return 0
+		return hltOwner(tx.V)
 	case OpDevNotify:
-		dev := v.VM.FindDeviceByDoorbell(op.Addr)
-		if dev == nil {
-			return n - 1
-		}
-		return dev.ProviderLevel
+		// The backend provider owns the kick; StageFastPath resolved the
+		// device.
+		return tx.Dev.ProviderLevel
 	case OpMemTouch:
-		owner, miss := w.faultOwner(v, op.Addr)
+		owner, miss := w.faultOwner(tx.V, tx.Op.Addr)
 		if !miss {
 			return 0
 		}
 		return owner
 	}
 	return n - 1
+}
+
+// hltOwner is the level that owns v's HLT exit: the innermost hypervisor
+// that traps HLT for its guest. With DVH virtual idle, guest hypervisors
+// clear the control, so ownership falls through to the host.
+func hltOwner(v *VCPU) int {
+	for a := v; a != nil; a = a.Parent {
+		if a.VMCS.ControlSet(vmx.FieldProcBasedControls, vmx.ProcHLTExiting) {
+			return a.VM.Level - 1
+		}
+	}
+	return 0
 }
 
 // faultOwner walks the EPT chain for a memory access, returning the level of
@@ -235,7 +238,8 @@ func (w *World) execAsLevel(v *VCPU, level int, op Op) error {
 
 // ownerEffects applies the state changes and follow-on operations of a
 // guest-hypervisor-owned exit.
-func (w *World) ownerEffects(v *VCPU, op Op, owner int) error {
+func (w *World) ownerEffects(tx *ExitContext) error {
+	v, op, owner := tx.V, tx.Op, tx.Owner
 	stats := w.Host.Machine.Stats
 	switch op.Kind {
 	case OpHypercall, OpEOI:
@@ -259,8 +263,8 @@ func (w *World) ownerEffects(v *VCPU, op Op, owner int) error {
 			return err
 		}
 		dest.PID.Sync(dest.LAPIC)
-		_, err = w.WakeIfIdle(dest)
-		return err
+		w.WakeIfIdle(dest)
+		return nil
 	case OpHLT:
 		// The guest hypervisor blocks the vCPU and, if it manages another
 		// runnable nested vCPU on this CPU, switches to it — the reason the
@@ -272,11 +276,7 @@ func (w *World) ownerEffects(v *VCPU, op Op, owner int) error {
 		}
 		return nil
 	case OpDevNotify:
-		dev := v.VM.FindDeviceByDoorbell(op.Addr)
-		if dev == nil {
-			return fmt.Errorf("hyper: doorbell %#x vanished during forwarding", uint64(op.Addr))
-		}
-		return w.backendWork(v, dev, owner)
+		return w.backendWork(v, tx.Dev, owner)
 	case OpMemTouch:
 		// The owning guest hypervisor fills its EPT level; its own memory
 		// for the new table pages may fault one level further down, which
@@ -293,7 +293,8 @@ func (w *World) ownerEffects(v *VCPU, op Op, owner int) error {
 // hostHandle performs and charges the host hypervisor's emulation work for
 // an exit it owns (the fixed dispatch/entry costs are charged by
 // stageEmulate).
-func (w *World) hostHandle(v *VCPU, op Op) error {
+func (w *World) hostHandle(tx *ExitContext) error {
+	v, op := tx.V, tx.Op
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	switch op.Kind {
@@ -312,19 +313,15 @@ func (w *World) hostHandle(v *VCPU, op Op) error {
 		dest.PID.Post(op.ICR.Vector())
 		dest.PID.Sync(dest.LAPIC)
 		stats.ChargeLevel(0, c.IPIEmulWork)
-		_, err = w.WakeIfIdle(dest)
-		return err
+		w.WakeIfIdle(dest)
+		return nil
 	case OpHLT:
 		v.Idle = true
 		stats.Inc(trace.IdleBlocks, 1)
 		stats.ChargeLevel(0, c.HLTBlockWork)
 		return nil
 	case OpDevNotify:
-		dev := v.VM.FindDeviceByDoorbell(op.Addr)
-		if dev == nil {
-			return fmt.Errorf("hyper: doorbell %#x has no device", uint64(op.Addr))
-		}
-		return w.backendWork(v, dev, 0)
+		return w.backendWork(v, tx.Dev, 0)
 	case OpEOI:
 		v.LAPIC.EOI()
 		return nil

@@ -238,23 +238,17 @@ func TestWakeCostDependsOnIdleOwner(t *testing.T) {
 	// Forwarded wake: vCPU blocked by L1.
 	blocked := vms[1].VCPUs[1]
 	exec(t, w, blocked, Halt())
-	fwdWake, err := w.WakeIfIdle(blocked)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fwdWake := w.WakeIfIdle(blocked)
 	// Host wake: vCPU blocked at L0 thanks to virtual idle.
 	vblocked := vms[1].VCPUs[2]
 	vblocked.VMCS.ClearControl(vmx.FieldProcBasedControls, vmx.ProcHLTExiting)
 	exec(t, w, vblocked, Halt())
-	hostWake, err := w.WakeIfIdle(vblocked)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hostWake := w.WakeIfIdle(vblocked)
 	if fwdWake <= hostWake+2*w.Costs.GuestWakeWork/3 {
 		t.Errorf("guest-hypervisor wake %v should exceed host wake %v by the reschedule work", fwdWake, hostWake)
 	}
 	// Waking a running vCPU is free.
-	if c, _ := w.WakeIfIdle(vms[1].VCPUs[0]); c != 0 {
+	if c := w.WakeIfIdle(vms[1].VCPUs[0]); c != 0 {
 		t.Errorf("wake of running vCPU cost %v, want 0", c)
 	}
 }
@@ -287,10 +281,7 @@ func TestDeliverDeviceIRQPostedVsExitPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := vms[1].VCPUs[0]
-	posted, err := w.DeliverDeviceIRQ(dev, target)
-	if err != nil {
-		t.Fatal(err)
-	}
+	posted := w.DeliverDeviceIRQ(dev, target)
 	if posted != w.Costs.InjectPostedRunning {
 		t.Fatalf("posted delivery cost %v", posted)
 	}
@@ -299,10 +290,7 @@ func TestDeliverDeviceIRQPostedVsExitPath(t *testing.T) {
 	}
 
 	dev.PostedDelivery = false
-	exitPath, err := w.DeliverDeviceIRQ(dev, target)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exitPath := w.DeliverDeviceIRQ(dev, target)
 	if exitPath < 20*posted {
 		t.Errorf("exit-path delivery %v should dwarf posted %v", exitPath, posted)
 	}
@@ -510,9 +498,7 @@ func TestTimerFiresThroughEngine(t *testing.T) {
 	if !v.Idle {
 		t.Fatal("vCPU should be idle awaiting the timer")
 	}
-	if err := w.RunUntil(w.Now() + 10_000); err != nil {
-		t.Fatal(err)
-	}
+	w.RunUntil(w.Now() + 10_000)
 	if v.Idle {
 		t.Fatal("timer fire did not wake the vCPU")
 	}
@@ -558,12 +544,12 @@ func TestTracerRecordsExitStorm(t *testing.T) {
 	v := vms[2].VCPUs[0]
 	deliveries := []struct {
 		name string
-		run  func() (sim.Cycles, error)
+		run  func() sim.Cycles
 		want []trace.Event
 	}{
-		{"DeliverTimerIRQ", func() (sim.Cycles, error) { return w.DeliverTimerIRQ(v) },
+		{"DeliverTimerIRQ", func() sim.Cycles { return w.DeliverTimerIRQ(v) },
 			[]trace.Event{{Reason: vmx.ExitExternalInterrupt, FromLevel: 3, HandlerLevel: 2}}},
-		{"DeviceRX", func() (sim.Cycles, error) { return w.DeviceRX(dev, v) },
+		{"DeviceRX", func() sim.Cycles { return w.DeviceRX(dev, v) },
 			[]trace.Event{
 				{Reason: vmx.ExitEPTViolation, FromLevel: 2, HandlerLevel: 1},
 				{Reason: vmx.ExitEPTViolation, FromLevel: 3, HandlerLevel: 2},
@@ -574,9 +560,7 @@ func TestTracerRecordsExitStorm(t *testing.T) {
 		w.Tracer = rec
 		stats := w.Host.Machine.Stats
 		stats.Reset()
-		if _, err := d.run(); err != nil {
-			t.Fatalf("%s: %v", d.name, err)
-		}
+		d.run()
 		if rec.Len() != stats.TotalHardwareExits() || rec.Len() > 1<<12 {
 			t.Fatalf("%s: tracer recorded %d events, stats counted %d exits", d.name, rec.Len(), stats.TotalHardwareExits())
 		}

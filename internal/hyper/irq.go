@@ -13,18 +13,21 @@ import (
 // public entry point is one call to transact (pipeline.go), which runs the
 // body below as its own exit transaction, one StageDeliver span; the checker
 // frames stack when a delivery happens inside a larger transaction (an IPI
-// waking its destination).
+// waking its destination). No delivery can fail (see World): the bodies
+// return nothing, and each entry point discards the nil error transact
+// returns for it.
 
 // DeliverTimerIRQ delivers a fired timer interrupt to its vCPU and returns
 // the delivery cost. A level-1 VM (and, with the direct-delivery extension,
 // a nested VM under DVH virtual timers) receives it as a posted interrupt;
 // otherwise the guest hypervisor emulating the timer must run its injection
 // path first.
-func (w *World) DeliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
-	return w.transact(BoundaryTimerIRQ, v, Op{}, nil)
+func (w *World) DeliverTimerIRQ(v *VCPU) sim.Cycles {
+	c, _ := w.transact(BoundaryTimerIRQ, v, Op{}, nil)
+	return c
 }
 
-func (w *World) deliverTimerIRQ(v *VCPU) error {
+func (w *World) deliverTimerIRQ(v *VCPU) {
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	v.PID.Post(v.LAPIC.TimerVector())
@@ -47,8 +50,7 @@ func (w *World) deliverTimerIRQ(v *VCPU) error {
 	} else {
 		w.charge(v.VM.stack, planInject, 0, v.VM.Level-1)
 	}
-	_, err := w.WakeIfIdle(v)
-	return err
+	w.WakeIfIdle(v)
 }
 
 // WakeIfIdle transitions an idle vCPU back to running and returns the wake
@@ -57,8 +59,9 @@ func (w *World) deliverTimerIRQ(v *VCPU) error {
 // parked the vCPU then runs its scheduler and re-enters the guest. The big
 // idle penalty of nested virtualization is paid on the way *into* idle (the
 // forwarded HLT exit), which is exactly what DVH virtual idle removes.
-func (w *World) WakeIfIdle(dest *VCPU) (sim.Cycles, error) {
-	return w.transact(BoundaryWake, dest, Op{}, nil)
+func (w *World) WakeIfIdle(dest *VCPU) sim.Cycles {
+	c, _ := w.transact(BoundaryWake, dest, Op{}, nil)
+	return c
 }
 
 func (w *World) wakeIfIdle(dest *VCPU) {
@@ -71,7 +74,7 @@ func (w *World) wakeIfIdle(dest *VCPU) {
 	// The idle-owner level is recomputed live on every wake — it depends on
 	// the stack's HLT-exiting controls, which DVH virtual idle flips without
 	// moving any generation — and is the wake plan's key.
-	w.charge(nil, planWake, 0, w.ownerLevel(dest, Op{Kind: OpHLT}))
+	w.charge(nil, planWake, 0, hltOwner(dest))
 }
 
 // wakeLadderCost is the wake ladder's pure charge tree: the host processes
@@ -90,22 +93,21 @@ func (w *World) wakeLadderCost(idleOwner int, sink chargeSink) {
 // that owns its queue, returning the delivery cost. Posted-capable paths
 // deliver without an exit; otherwise the interrupt must be injected by the
 // hypervisor level that interposes on it.
-func (w *World) DeliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
-	return w.transact(BoundaryDeviceIRQ, target, Op{}, dev)
+func (w *World) DeliverDeviceIRQ(dev *AssignedDevice, target *VCPU) sim.Cycles {
+	c, _ := w.transact(BoundaryDeviceIRQ, target, Op{}, dev)
+	return c
 }
 
-func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) error {
+func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) {
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	target.LAPIC.Deliver(dev.IRQ)
 	stats.Inc(trace.IRQDelivered, 1)
 
-	if _, err := w.WakeIfIdle(target); err != nil {
-		return err
-	}
+	w.WakeIfIdle(target)
 	if dev.PostedDelivery {
 		stats.ChargeLevel(0, c.InjectPostedRunning)
-		return nil
+		return
 	}
 	// Exit-based injection: the hypervisor that interposes on the interrupt
 	// must run its (short) injection path. For a virtual-passthrough device
@@ -114,10 +116,9 @@ func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) error {
 	injector := target.VM.Level - 1
 	if injector <= 0 {
 		stats.ChargeLevel(0, c.InjectExitPath)
-		return nil
+		return
 	}
 	w.charge(target.VM.stack, planInject, 0, injector)
-	return nil
 }
 
 // guestPathCost charges an exit into the hypervisor at the given level that
@@ -139,18 +140,18 @@ func (w *World) guestPathCost(stack []*Hypervisor, reason vmx.ExitReason, level 
 // the paravirtual cascade — and the completion interrupt is then delivered
 // to the target vCPU. For passthrough the data lands in VM memory directly;
 // for virtual-passthrough only the host backend runs.
-func (w *World) DeviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
-	return w.transact(BoundaryDeviceRX, target, Op{}, dev)
+func (w *World) DeviceRX(dev *AssignedDevice, target *VCPU) sim.Cycles {
+	c, _ := w.transact(BoundaryDeviceRX, target, Op{}, dev)
+	return c
 }
 
-func (w *World) deviceRX(dev *AssignedDevice, target *VCPU) error {
+func (w *World) deviceRX(dev *AssignedDevice, target *VCPU) {
 	w.Host.Machine.NIC.RxFrames++
 
 	if dev.Phys == nil {
 		w.charge(target.VM.stack, planCascade, 0, dev.ProviderLevel)
 	}
-	_, err := w.DeliverDeviceIRQ(dev, target)
-	return err
+	w.DeliverDeviceIRQ(dev, target)
 }
 
 // rxCascadeCost is the receive cascade's pure charge tree: the host backend

@@ -110,6 +110,9 @@ type ExitContext struct {
 	// Owner is the hypervisor level routed to handle the exit;
 	// ownerUnresolved until StageRoute, 0 when the host claims it.
 	Owner int
+	// Dev is the device whose doorbell an OpDevNotify wrote, resolved once
+	// by StageFastPath, which fails an unmapped doorbell; nil otherwise.
+	Dev *AssignedDevice
 }
 
 // stageSpans splits an observed transaction's cost across its stages. A nil
@@ -144,7 +147,8 @@ func (sp *stageSpans) enter(s Stage, stats *trace.Stats) {
 //     frame;
 //   - runs the boundary's body: Execute's dispatch, which enters each stage
 //     it runs, or one delivery body, which is one StageDeliver span;
-//   - lowers the depth and closes the checker's frame with the body's error;
+//   - lowers the depth and closes the checker's frame with dispatch's error,
+//     the only one a body returns: a delivery cannot fail;
 //   - hands an outermost transaction that opened with a StageStats attached
 //     to the one attached when it settles;
 //   - returns the cost, the change in the sink's total, or zero on error.
@@ -180,11 +184,11 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 		tx.Reason = reasonFor(op)
 		err = w.dispatch(&tx, sp)
 	case BoundaryTimerIRQ:
-		err = w.deliverTimerIRQ(v)
+		w.deliverTimerIRQ(v)
 	case BoundaryDeviceIRQ:
-		err = w.deliverDeviceIRQ(dev, v)
+		w.deliverDeviceIRQ(dev, v)
 	case BoundaryDeviceRX:
-		err = w.deviceRX(dev, v)
+		w.deviceRX(dev, v)
 	case BoundaryWake:
 		w.wakeIfIdle(v)
 	}

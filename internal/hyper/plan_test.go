@@ -483,14 +483,14 @@ func runDeliveryMatrix(t *testing.T, w *World, vms []*VM, dev *AssignedDevice) [
 	}
 	// Timer injection to a running vCPU (no wake), twice: the repeat
 	// guarantees the second goes through replay, not compile.
-	step(w.DeliverTimerIRQ(v))
-	step(w.DeliverTimerIRQ(v))
+	step(w.DeliverTimerIRQ(v), nil)
+	step(w.DeliverTimerIRQ(v), nil)
 	// Park the vCPU, then deliver: injection plus the wake ladder.
 	step(w.Execute(v, Halt()))
-	step(w.DeliverTimerIRQ(v))
+	step(w.DeliverTimerIRQ(v), nil)
 	// Inbound device data: the RX cascade plus the device-IRQ injection.
-	step(w.DeviceRX(dev, v))
-	step(w.DeviceRX(dev, v))
+	step(w.DeviceRX(dev, v), nil)
+	step(w.DeviceRX(dev, v), nil)
 	// IPIs to an idle sibling: the wake path from the IPI owner's effects.
 	step(w.Execute(sib, Halt()))
 	step(w.Execute(v, SendIPI(1, apic.VectorReschedule)))
@@ -514,22 +514,15 @@ func TestDeliveryPlanReplayEquivalence(t *testing.T) {
 func TestDeliveryPlanSteadyStateCaching(t *testing.T) {
 	w, vms := testStack(t, 3)
 	v := vms[2].VCPUs[0]
-	deliver := func() sim.Cycles {
-		c, err := w.DeliverTimerIRQ(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	deliver()
+	w.DeliverTimerIRQ(v)
 	compiles := w.Plan.DeliveryCompiles
 	if compiles == 0 {
 		t.Fatal("first timer delivery compiled no delivery plan")
 	}
-	first := deliver()
+	first := w.DeliverTimerIRQ(v)
 	replays := w.Plan.DeliveryReplays
 	for i := 0; i < 50; i++ {
-		if got := deliver(); got != first {
+		if got := w.DeliverTimerIRQ(v); got != first {
 			t.Fatalf("replayed timer delivery cost %v, want stable %v", got, first)
 		}
 	}
@@ -541,16 +534,6 @@ func TestDeliveryPlanSteadyStateCaching(t *testing.T) {
 	}
 }
 
-// timerDelivery is the test shorthand for one timer delivery's cost.
-func timerDelivery(t *testing.T, w *World, v *VCPU) sim.Cycles {
-	t.Helper()
-	c, err := w.DeliverTimerIRQ(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // TestDeliveryPlanInvalidation mutates each input of a delivery plan's key
 // mid-run — cost model, host caps, profile swap — and requires recompilation
 // with results identical to a fresh world built in the mutated
@@ -560,14 +543,14 @@ func TestDeliveryPlanInvalidation(t *testing.T) {
 	t.Run("cost-model", func(t *testing.T) {
 		w, vms := testStack(t, 3)
 		v := vms[2].VCPUs[0]
-		before := timerDelivery(t, w, v)
-		timerDelivery(t, w, v)
+		before := w.DeliverTimerIRQ(v)
+		w.DeliverTimerIRQ(v)
 
 		costs := w.Costs
 		costs.ReflectWork *= 2
 		w.SetCosts(costs)
 		invalidations := w.Plan.Invalidations
-		after := timerDelivery(t, w, v)
+		after := w.DeliverTimerIRQ(v)
 		if after <= before {
 			t.Errorf("doubling ReflectWork left timer delivery at %v (was %v): stale delivery plan replayed", after, before)
 		}
@@ -578,7 +561,7 @@ func TestDeliveryPlanInvalidation(t *testing.T) {
 		ref, refVMs := testStack(t, 3)
 		ref.SetPlanCache(false)
 		ref.SetCosts(costs)
-		if want := timerDelivery(t, ref, refVMs[2].VCPUs[0]); after != want {
+		if want := ref.DeliverTimerIRQ(refVMs[2].VCPUs[0]); after != want {
 			t.Errorf("recompiled delivery cost %v != live cost %v under mutated model", after, want)
 		}
 	})
@@ -586,16 +569,16 @@ func TestDeliveryPlanInvalidation(t *testing.T) {
 	t.Run("host-caps", func(t *testing.T) {
 		w, vms := testStack(t, 3)
 		v := vms[2].VCPUs[0]
-		shadowed := timerDelivery(t, w, v)
-		timerDelivery(t, w, v)
+		shadowed := w.DeliverTimerIRQ(v)
+		w.DeliverTimerIRQ(v)
 
 		w.SetHostCaps(w.Host.Caps.Without(vmx.CapVMCSShadowing))
-		unshadowed := timerDelivery(t, w, v)
+		unshadowed := w.DeliverTimerIRQ(v)
 		if unshadowed <= shadowed {
 			t.Errorf("dropping VMCS shadowing mid-run: delivery cost %v vs shadowed %v — stale plan replayed", unshadowed, shadowed)
 		}
 		w.SetHostCaps(w.Host.Caps.With(vmx.CapVMCSShadowing))
-		if again := timerDelivery(t, w, v); again != shadowed {
+		if again := w.DeliverTimerIRQ(v); again != shadowed {
 			t.Errorf("re-enabling shadowing: delivery cost %v, want %v", again, shadowed)
 		}
 	})
@@ -606,14 +589,14 @@ func TestDeliveryPlanInvalidation(t *testing.T) {
 		// swap must recompile.
 		w, vms := testStack(t, 3)
 		v := vms[2].VCPUs[0]
-		before := timerDelivery(t, w, v)
-		timerDelivery(t, w, v)
+		before := w.DeliverTimerIRQ(v)
+		w.DeliverTimerIRQ(v)
 
 		costs := w.Costs
 		costs.HwExit += 777
 		w.SetCosts(costs)
 		w.SetHostCaps(w.Host.Caps.Without(vmx.CapVMCSShadowing))
-		after := timerDelivery(t, w, v)
+		after := w.DeliverTimerIRQ(v)
 		if after <= before {
 			t.Errorf("profile swap left timer delivery at %v (was %v): stale delivery plan replayed", after, before)
 		}
@@ -622,7 +605,7 @@ func TestDeliveryPlanInvalidation(t *testing.T) {
 		ref.SetPlanCache(false)
 		ref.SetCosts(costs)
 		ref.SetHostCaps(ref.Host.Caps.Without(vmx.CapVMCSShadowing))
-		if want := timerDelivery(t, ref, refVMs[2].VCPUs[0]); after != want {
+		if want := ref.DeliverTimerIRQ(refVMs[2].VCPUs[0]); after != want {
 			t.Errorf("recompiled delivery cost %v != live cost %v under swapped profile", after, want)
 		}
 	})
@@ -630,11 +613,11 @@ func TestDeliveryPlanInvalidation(t *testing.T) {
 	t.Run("topology", func(t *testing.T) {
 		w, vms := testStack(t, 3)
 		v := vms[2].VCPUs[0]
-		timerDelivery(t, w, v)
+		w.DeliverTimerIRQ(v)
 		compiles, replays := w.Plan.DeliveryCompiles, w.Plan.DeliveryReplays
 
 		addSibling(t, vms[1])
-		after := timerDelivery(t, w, v)
+		after := w.DeliverTimerIRQ(v)
 		if w.Plan.DeliveryCompiles != compiles || w.Plan.DeliveryReplays != replays+1 {
 			t.Errorf("sibling VM: delivery compiles %d -> %d, replays %d -> %d; want no compile and one replay",
 				compiles, w.Plan.DeliveryCompiles, replays, w.Plan.DeliveryReplays)
@@ -643,7 +626,7 @@ func TestDeliveryPlanInvalidation(t *testing.T) {
 		ref, refVMs := testStack(t, 3)
 		ref.SetPlanCache(false)
 		addSibling(t, refVMs[1])
-		if want := timerDelivery(t, ref, refVMs[2].VCPUs[0]); after != want {
+		if want := ref.DeliverTimerIRQ(refVMs[2].VCPUs[0]); after != want {
 			t.Errorf("replayed delivery cost %v != live cost %v beside a sibling VM", after, want)
 		}
 	})
@@ -667,11 +650,11 @@ func TestDeliveryPlanPersonalityPinning(t *testing.T) {
 		// injection walk: caught by the pers[] pinning.
 		w, vms := testStack(t, 3)
 		v := vms[2].VCPUs[0]
-		before := timerDelivery(t, w, v)
-		timerDelivery(t, w, v)
+		before := w.DeliverTimerIRQ(v)
+		w.DeliverTimerIRQ(v)
 
 		vms[0].GuestHyp.Personality = slowPersonality{}
-		after := timerDelivery(t, w, v)
+		after := w.DeliverTimerIRQ(v)
 		if after <= before {
 			t.Errorf("slower L1 personality left timer delivery at %v (was %v): stale delivery plan replayed", after, before)
 		}
@@ -679,7 +662,7 @@ func TestDeliveryPlanPersonalityPinning(t *testing.T) {
 		ref, refVMs := testStack(t, 3)
 		ref.SetPlanCache(false)
 		refVMs[0].GuestHyp.Personality = slowPersonality{}
-		if want := timerDelivery(t, ref, refVMs[2].VCPUs[0]); after != want {
+		if want := ref.DeliverTimerIRQ(refVMs[2].VCPUs[0]); after != want {
 			t.Errorf("recompiled delivery cost %v != live cost %v under swapped personality", after, want)
 		}
 	})
@@ -689,11 +672,11 @@ func TestDeliveryPlanPersonalityPinning(t *testing.T) {
 		// script: the plan pins the injector level's personality too.
 		w, vms := testStack(t, 3)
 		v := vms[2].VCPUs[0]
-		before := timerDelivery(t, w, v)
-		timerDelivery(t, w, v)
+		before := w.DeliverTimerIRQ(v)
+		w.DeliverTimerIRQ(v)
 
 		vms[1].GuestHyp.Personality = injectorPersonality{}
-		after := timerDelivery(t, w, v)
+		after := w.DeliverTimerIRQ(v)
 		if after <= before {
 			t.Errorf("heavier inject script left timer delivery at %v (was %v): stale delivery plan replayed", after, before)
 		}
@@ -701,7 +684,7 @@ func TestDeliveryPlanPersonalityPinning(t *testing.T) {
 		ref, refVMs := testStack(t, 3)
 		ref.SetPlanCache(false)
 		refVMs[1].GuestHyp.Personality = injectorPersonality{}
-		if want := timerDelivery(t, ref, refVMs[2].VCPUs[0]); after != want {
+		if want := ref.DeliverTimerIRQ(refVMs[2].VCPUs[0]); after != want {
 			t.Errorf("recompiled delivery cost %v != live cost %v under swapped inject script", after, want)
 		}
 	})
@@ -722,11 +705,7 @@ func TestDeliveryPlanWakeKeyedByIdleOwner(t *testing.T) {
 			// generation — only the live idle-owner recomputation sees it.
 			v.VMCS.ClearControl(vmx.FieldProcBasedControls, vmx.ProcHLTExiting)
 		}
-		c, err := w.WakeIfIdle(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+		return w.WakeIfIdle(v)
 	}
 	full, short := wakeCost(false), wakeCost(true)
 	if short >= full {
@@ -748,13 +727,9 @@ func TestDeliveryPlanReplayAllocFree(t *testing.T) {
 	}
 
 	t.Run("timer-injection", func(t *testing.T) {
-		timerDelivery(t, w, v) // compile
+		w.DeliverTimerIRQ(v) // compile
 		replays := w.Plan.DeliveryReplays
-		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := w.DeliverTimerIRQ(v); err != nil {
-				t.Fatal(err)
-			}
-		})
+		allocs := testing.AllocsPerRun(200, func() { w.DeliverTimerIRQ(v) })
 		if allocs != 0 {
 			t.Errorf("steady-state timer delivery allocates %.1f times per op, want 0", allocs)
 		}
@@ -764,14 +739,8 @@ func TestDeliveryPlanReplayAllocFree(t *testing.T) {
 	})
 
 	t.Run("device-rx", func(t *testing.T) {
-		if _, err := w.DeviceRX(dev, v); err != nil { // compile
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := w.DeviceRX(dev, v); err != nil {
-				t.Fatal(err)
-			}
-		})
+		w.DeviceRX(dev, v) // compile
+		allocs := testing.AllocsPerRun(200, func() { w.DeviceRX(dev, v) })
 		if allocs != 0 {
 			t.Errorf("steady-state device RX allocates %.1f times per op, want 0", allocs)
 		}
@@ -779,14 +748,10 @@ func TestDeliveryPlanReplayAllocFree(t *testing.T) {
 
 	t.Run("wake", func(t *testing.T) {
 		exec(t, w, v, Halt())
-		if _, err := w.WakeIfIdle(v); err != nil { // compile
-			t.Fatal(err)
-		}
+		w.WakeIfIdle(v) // compile
 		allocs := testing.AllocsPerRun(200, func() {
 			v.Idle = true
-			if _, err := w.WakeIfIdle(v); err != nil {
-				t.Fatal(err)
-			}
+			w.WakeIfIdle(v)
 		})
 		if allocs != 0 {
 			t.Errorf("steady-state wake allocates %.1f times per op, want 0", allocs)
@@ -802,7 +767,7 @@ func TestPlanSharedAcrossVCPUs(t *testing.T) {
 	w, vms := testStack(t, 3)
 	v0, v1 := vms[2].VCPUs[0], vms[2].VCPUs[1]
 	hypercall := exec(t, w, v0, Hypercall())
-	timer := timerDelivery(t, w, v0)
+	timer := w.DeliverTimerIRQ(v0)
 	warm := w.Plan
 	if warm.Compiles == 0 || warm.DeliveryCompiles == 0 {
 		t.Fatalf("first vCPU compiled no plans: %+v", warm)
@@ -811,7 +776,7 @@ func TestPlanSharedAcrossVCPUs(t *testing.T) {
 	if got := exec(t, w, v1, Hypercall()); got != hypercall {
 		t.Errorf("second vCPU's hypercall cost %v, first vCPU's %v", got, hypercall)
 	}
-	if got := timerDelivery(t, w, v1); got != timer {
+	if got := w.DeliverTimerIRQ(v1); got != timer {
 		t.Errorf("second vCPU's timer delivery cost %v, first vCPU's %v", got, timer)
 	}
 	if w.Plan.Compiles != warm.Compiles || w.Plan.DeliveryCompiles != warm.DeliveryCompiles {
@@ -889,8 +854,8 @@ func TestPlanSiblingPersonalitiesCachedEqualsLive(t *testing.T) {
 			for i, vm := range l2s {
 				v, sib := vm.VCPUs[0], vm.VCPUs[1]
 				step(w.Execute(v, Hypercall()))
-				step(w.DeliverTimerIRQ(v))
-				step(w.DeviceRX(devs[i], v))
+				step(w.DeliverTimerIRQ(v), nil)
+				step(w.DeviceRX(devs[i], v), nil)
 				step(w.Execute(sib, Halt()))
 				step(w.Execute(v, SendIPI(1, apic.VectorReschedule)))
 			}

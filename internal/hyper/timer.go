@@ -33,21 +33,18 @@ func (w *World) armHostTimer(v *VCPU, deadline uint64) {
 func (w *World) Now() sim.Time { return w.timeline.Now() }
 
 // RunUntil advances the World's timeline to t, firing every host timer due
-// by then in deadline order. It stops at the first delivery error and
-// returns it, with the clock at that timer's deadline.
-func (w *World) RunUntil(t sim.Time) error {
-	_, err := w.timeline.RunUntil(t, w.fireTimer)
-	return err
+// by then in deadline order, and leaves the clock at t. A delivery cannot
+// fail, so neither can RunUntil.
+func (w *World) RunUntil(t sim.Time) {
+	w.timeline.RunUntil(t, w.fireTimer)
 }
 
 // fireTimer fires v's LAPIC timer and, if it was still armed, delivers the
 // timer interrupt.
-func (w *World) fireTimer(v *VCPU) error {
-	if !v.LAPIC.FireTimer() {
-		return nil
+func (w *World) fireTimer(v *VCPU) {
+	if v.LAPIC.FireTimer() {
+		w.DeliverTimerIRQ(v)
 	}
-	_, err := w.DeliverTimerIRQ(v)
-	return err
 }
 
 // ArmVirtualTimer schedules the host hrtimer backing a DVH virtual timer for

@@ -88,15 +88,9 @@ func TestTimerPolicySchedulerInteraction(t *testing.T) {
 		// Timer delivery to the idle A: the chain grants direct delivery, so
 		// the interrupt posts without running L1's injection path, and the
 		// wake pays the guest-reschedule cost.
-		deliverA, err := w.DeliverTimerIRQ(a)
-		if err != nil {
-			t.Fatal(err)
-		}
+		deliverA := w.DeliverTimerIRQ(a)
 		// And to the running B: direct again, no wake.
-		deliverB, err := w.DeliverTimerIRQ(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		deliverB := w.DeliverTimerIRQ(b)
 		return outcome{
 			asked:    *asked,
 			halt:     halt,
@@ -130,10 +124,7 @@ func TestTimerPolicySchedulerInteraction(t *testing.T) {
 	noPolicy, nvms := testStack(t, 2)
 	vNo := nvms[1].VCPUs[0]
 	exec(t, noPolicy, vNo, Halt())
-	forwarded, err := noPolicy.DeliverTimerIRQ(vNo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forwarded := noPolicy.DeliverTimerIRQ(vNo)
 	if fwd.deliverA >= forwarded {
 		t.Errorf("direct delivery (%v) should undercut forwarded injection (%v)", fwd.deliverA, forwarded)
 	}

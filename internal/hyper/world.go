@@ -49,6 +49,10 @@ type PlanCacheStats struct {
 // it, and nothing below the five public boundaries returns cycles: each
 // boundary returns the change in the sink's total across it, so a caller's
 // cost is what was recorded by construction.
+//
+// Only Execute can fail. A VM's hypervisor stack is fixed when it is
+// created, so the four delivery boundaries return their cost alone, and
+// RunUntil, which delivers the timers it fires, returns nothing.
 type World struct {
 	Host  *Hypervisor
 	Costs CostModel

@@ -34,18 +34,30 @@ func TestIPIToMissingVCPUErrors(t *testing.T) {
 	}
 }
 
-func TestRunUntilNilOnHealthyTimerDelivery(t *testing.T) {
+// TestRunUntilFiresEveryDueTimer: one RunUntil fires every host timer due
+// by its limit and delivers each one's interrupt, leaves a later timer
+// queued for a later call, and stops the clock at the limit.
+func TestRunUntilFiresEveryDueTimer(t *testing.T) {
 	w, vms := testStack(t, 1)
-	v := vms[0].VCPUs[0]
-	deadline := uint64(w.Now()) + 1000
-	v.LAPIC.SetTimerVector(apic.VectorTimer)
-	v.LAPIC.SetTSCDeadline(deadline)
-	w.ArmVirtualTimer(v, deadline)
-	if err := w.RunUntil(sim.Time(deadline) + 1); err != nil {
-		t.Fatalf("healthy timer delivery failed: %v", err)
+	start := uint64(w.Now())
+	deadlines := []uint64{start + 1000, start + 2000, start + 5000}
+	for i, d := range deadlines {
+		exec(t, w, vms[0].VCPUs[i], ProgramTimer(d))
 	}
-	if w.Now() != sim.Time(deadline)+1 {
-		t.Fatalf("clock at %d, want %d", w.Now(), deadline+1)
+	until := sim.Time(start + 3000)
+	w.RunUntil(until)
+	for i, d := range deadlines {
+		due := sim.Time(d) <= until
+		if got := vms[0].VCPUs[i].LAPIC.Pending(apic.VectorTimer); got != due {
+			t.Errorf("vCPU %d, deadline %d, run to %d: timer vector pending = %v, want %v", i, d, until, got, due)
+		}
+	}
+	if w.Now() != until {
+		t.Fatalf("clock at %d, want %d", w.Now(), until)
+	}
+	w.RunUntil(sim.Time(deadlines[2]))
+	if !vms[0].VCPUs[2].LAPIC.Pending(apic.VectorTimer) {
+		t.Error("the timer due after the first limit did not fire in the next RunUntil")
 	}
 }
 
@@ -86,10 +98,7 @@ func TestDeviceRXPassthroughSkipsBackends(t *testing.T) {
 	}
 	stats := w.Host.Machine.Stats
 	stats.Reset()
-	cost, err := w.DeviceRX(dev, vms[1].VCPUs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	cost := w.DeviceRX(dev, vms[1].VCPUs[0])
 	// Posted straight into the VM: no exits, no virtio backend work.
 	if stats.TotalHardwareExits() != 0 {
 		t.Fatal("passthrough RX caused exits")
@@ -111,20 +120,14 @@ func TestDeviceRXCascadeCostGrowsWithProviderLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx2, err := w2.DeviceRX(dev2, vms2[1].VCPUs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	rx2 := w2.DeviceRX(dev2, vms2[1].VCPUs[0])
 
 	w1, vms1 := testStack(t, 1)
 	dev1, err := AttachParavirtNet(vms1[0], "n0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx1, err := w1.DeviceRX(dev1, vms1[0].VCPUs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	rx1 := w1.DeviceRX(dev1, vms1[0].VCPUs[0])
 	if rx2 < 5*rx1 {
 		t.Fatalf("nested RX (%v) should dwarf single-level RX (%v): the L1 backend interposes", rx2, rx1)
 	}

@@ -53,11 +53,8 @@ func (e *Engine[T]) ScheduleAt(t Time, x T) EventID {
 
 // RunUntil fires every event due by t in (when, id) order: it advances the
 // clock to the event's time and passes the event's payload to fire, which
-// may schedule further events. It stops at the first error fire returns and
-// returns it, with the clock at that event's time; otherwise it advances the
-// clock to exactly t. The count includes the event whose fire failed.
-func (e *Engine[T]) RunUntil(t Time, fire func(T) error) (int, error) {
-	n := 0
+// may schedule further events. Then it advances the clock to exactly t.
+func (e *Engine[T]) RunUntil(t Time, fire func(T)) {
 	for len(e.queue) > 0 && e.queue[0].when <= t {
 		next := e.queue[0]
 		last := len(e.queue) - 1
@@ -66,15 +63,11 @@ func (e *Engine[T]) RunUntil(t Time, fire func(T) error) (int, error) {
 		e.queue = e.queue[:last]
 		e.down(0)
 		e.clock.AdvanceTo(next.when)
-		n++
-		if err := fire(next.x); err != nil {
-			return n, err
-		}
+		fire(next.x)
 	}
 	if t > e.clock.Now() {
 		e.clock.AdvanceTo(t)
 	}
-	return n, nil
 }
 
 // up moves the event at index i toward the root until its parent precedes it.

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"errors"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -50,11 +48,8 @@ func TestCyclesString(t *testing.T) {
 }
 
 // record returns a fire function that appends each payload to order.
-func record(order *[]int) func(int) error {
-	return func(x int) error {
-		*order = append(*order, x)
-		return nil
-	}
+func record(order *[]int) func(int) {
+	return func(x int) { *order = append(*order, x) }
 }
 
 func TestEngineOrdering(t *testing.T) {
@@ -63,9 +58,7 @@ func TestEngineOrdering(t *testing.T) {
 	e.ScheduleAt(30, 3)
 	e.ScheduleAt(10, 1)
 	e.ScheduleAt(20, 2)
-	if n, err := e.RunUntil(30, record(&order)); n != 3 || err != nil {
-		t.Fatalf("RunUntil fired %d events with error %v, want 3 and nil", n, err)
-	}
+	e.RunUntil(30, record(&order))
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("fire order %v, want [1 2 3]", order)
 	}
@@ -79,9 +72,7 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 			t.Fatalf("event %d got ID %d, want %d", i, id, i+1)
 		}
 	}
-	if _, err := e.RunUntil(5, record(&order)); err != nil {
-		t.Fatal(err)
-	}
+	e.RunUntil(5, record(&order))
 	if len(order) != 10 {
 		t.Fatalf("fired %d simultaneous events, want 10", len(order))
 	}
@@ -96,18 +87,15 @@ func TestEngineCascade(t *testing.T) {
 	var e Engine[int]
 	count := 0
 	var last Time
-	tick := func(int) error {
+	tick := func(int) {
 		count++
 		last = e.Now()
 		if count < 5 {
 			e.ScheduleAt(e.Now()+100, 0)
 		}
-		return nil
 	}
 	e.ScheduleAt(100, 0)
-	if _, err := e.RunUntil(^Time(0), tick); err != nil {
-		t.Fatal(err)
-	}
+	e.RunUntil(^Time(0), tick)
 	if count != 5 {
 		t.Fatalf("fired %d ticks, want 5", count)
 	}
@@ -119,15 +107,14 @@ func TestEngineCascade(t *testing.T) {
 func TestEngineRunUntil(t *testing.T) {
 	var e Engine[int]
 	count := 0
-	tick := func(int) error {
+	tick := func(int) {
 		count++
 		e.ScheduleAt(e.Now()+100, 0)
-		return nil
 	}
 	e.ScheduleAt(100, 0)
-	n, err := e.RunUntil(1000, tick)
-	if n != 10 || err != nil {
-		t.Fatalf("fired %d events with error %v, want 10 and nil", n, err)
+	e.RunUntil(1000, tick)
+	if count != 10 {
+		t.Fatalf("fired %d events, want 10", count)
 	}
 	if e.Now() != 1000 {
 		t.Fatalf("clock at %d, want exactly 1000", e.Now())
@@ -137,44 +124,10 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-// TestEngineRunUntilStopsAtError: the first error a fire function returns
-// ends the run at that event's time, counting it as fired; later events stay
-// queued, and the next RunUntil fires them.
-func TestEngineRunUntilStopsAtError(t *testing.T) {
-	var e Engine[int]
-	e.ScheduleAt(10, 1)
-	e.ScheduleAt(20, 2)
-	e.ScheduleAt(20, 3)
-	errTwo := errors.New("event 2 failed")
-	var order []int
-	fire := func(x int) error {
-		order = append(order, x)
-		if x == 2 {
-			return errTwo
-		}
-		return nil
-	}
-	n, err := e.RunUntil(100, fire)
-	if n != 2 || err != errTwo {
-		t.Fatalf("RunUntil fired %d events with error %v, want 2 and %v", n, err, errTwo)
-	}
-	if e.Now() != 20 || len(e.queue) != 1 {
-		t.Fatalf("clock at %d with %d pending, want 20 with 1", e.Now(), len(e.queue))
-	}
-	if n, err := e.RunUntil(100, fire); n != 1 || err != nil {
-		t.Fatalf("second RunUntil fired %d events with error %v, want 1 and nil", n, err)
-	}
-	if e.Now() != 100 || !slices.Equal(order, []int{1, 2, 3}) {
-		t.Fatalf("clock at %d after firing %v, want 100 after [1 2 3]", e.Now(), order)
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	var e Engine[int]
 	e.ScheduleAt(10, 0)
-	if _, err := e.RunUntil(10, record(new([]int))); err != nil {
-		t.Fatal(err)
-	}
+	e.RunUntil(10, record(new([]int)))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("ScheduleAt in the past did not panic")

@@ -432,11 +432,7 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 		st.charge(classKick, c)
 	}
 	for k := ops[classRX]; k > 0; k-- {
-		c, err := w.DeviceRX(r.Net, v)
-		if err != nil {
-			return 0, err
-		}
-		st.charge(classRX, c)
+		st.charge(classRX, w.DeviceRX(r.Net, v))
 	}
 	for k := ops[classTimer]; k > 0; k-- {
 		c, err := w.Execute(v, hyper.ProgramTimer(uint64(w.Now())+1_000_000))
@@ -458,11 +454,7 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 		if err != nil {
 			return 0, err
 		}
-		wake, err := w.WakeIfIdle(v)
-		if err != nil {
-			return 0, err
-		}
-		st.charge(classIdle, c+wake)
+		st.charge(classIdle, c+w.WakeIfIdle(v))
 	}
 	for k := ops[classEOI]; k > 0; k-- {
 		c, err := w.Execute(v, hyper.EOI())
@@ -476,11 +468,7 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 		if err != nil {
 			return 0, err
 		}
-		irq, err := w.DeliverDeviceIRQ(r.Blk, v)
-		if err != nil {
-			return 0, err
-		}
-		st.charge(classBlk, c+irq)
+		st.charge(classBlk, c+w.DeliverDeviceIRQ(r.Blk, v))
 	}
 	cost := st.total - txnStart
 	st.latency.Observe(cost)
@@ -594,9 +582,7 @@ func (r *Runner) RunFor(duration sim.Cycles) (Result, error) {
 		if next < cost {
 			next = ^sim.Time(0)
 		}
-		if err := w.RunUntil(next); err != nil {
-			return Result{}, fmt.Errorf("workload %s: timer delivery mid-run: %w", r.P.Name, err)
-		}
+		w.RunUntil(next)
 	}
 	return st.finish(n), nil
 }

@@ -63,11 +63,7 @@ func RunStorm(w *hyper.World, v *hyper.VCPU, s Storm, events int) (sim.Cycles, e
 					return 0, err
 				}
 			}
-			c, err := w.DeliverTimerIRQ(v)
-			if err != nil {
-				return 0, err
-			}
-			total += c
+			total += w.DeliverTimerIRQ(v)
 		case StormIPI:
 			dest := v.VM.VCPUs[(v.ID+1)%len(v.VM.VCPUs)]
 			if i%2 == 1 {

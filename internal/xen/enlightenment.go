@@ -48,9 +48,7 @@ func (Enlightenment) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool
 	dest := v.VM.VCPUs[id]
 	dest.PID.Post(op.ICR.Vector())
 	dest.PID.Sync(dest.LAPIC)
-	if _, err := w.WakeIfIdle(dest); err != nil {
-		return false, err
-	}
+	w.WakeIfIdle(dest)
 	stats := w.Host.Machine.Stats
 	stats.ChargeLevel(0, w.Costs.EvtchnNotifyWork)
 	stats.Inc(trace.XenEvtchnIPIs, 1)
