@@ -23,8 +23,13 @@ vet:
 test:
 	$(GO) test ./...
 
+# race runs the suite under the race detector in a shuffled order: tests
+# share process-wide state (the cell memo, the period memo, the default
+# profile and the pool width), and a fixed order would hide a test that
+# passes only after another. A failing package prints the seed of its
+# order, and -shuffle=<seed> replays it.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
 # lint runs nvlint, the simulator-aware static analyzer (see DESIGN.md §8 and
 # §13): determinism, hot-path allocation-freedom, exit-reason exhaustiveness,

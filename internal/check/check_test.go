@@ -134,6 +134,25 @@ func TestCheckerCatchesCorruptTSCChain(t *testing.T) {
 	}
 }
 
+// TestCheckerCatchesMismatchedRestoreArm: a virtual-timer arm made outside
+// any Execute is a restore re-arming a saved deadline (core.RestoreVMState),
+// which must equal the LAPIC deadline the restore set. The open frames are
+// all that tell such an arm from a guest's timer program, so an arm one
+// cycle past the LAPIC deadline must trip timer-arm-lapic.
+func TestCheckerCatchesMismatchedRestoreArm(t *testing.T) {
+	st, c := buildChecked(t, experiment.Spec{Depth: 2, IO: experiment.IODVH})
+	v := st.Target.VCPUs[0]
+	const deadline = 5_000_000
+	v.LAPIC.SetTSCDeadline(deadline)
+	st.World.ArmVirtualTimer(v, deadline+1)
+	for _, viol := range c.Violations() {
+		if viol.Invariant == "timer-arm-lapic" {
+			return
+		}
+	}
+	t.Fatalf("no timer-arm-lapic violation recorded: %v", c.Violations())
+}
+
 // TestCheckerCatchesDirtyTrackingSplits breaks the agreement between a VM's
 // written set and its EPT dirty bits in both directions, at the top of a
 // 12 GiB guest where the sparse written set keeps a region of its own, and

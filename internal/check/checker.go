@@ -16,7 +16,8 @@
 // The conservation laws of cycles and exits are not checked: trace.Stats is
 // the one record of each, every cycle charged once at the level that spent
 // it and every exit counted once at the level that handled it, so both hold
-// by construction.
+// by construction. Nor is frame balance: one engine function opens and
+// closes every boundary's frame, so End always closes the innermost one.
 //
 // The package also hosts the metamorphic property tests and fuzz targets
 // described in DESIGN.md.
@@ -48,8 +49,10 @@ const (
 	maxTimerArms = 16384
 )
 
-// frame is one open boundary: the timer-arm check reads the operation of
-// the innermost open Execute.
+// frame is one open boundary. The timer-arm check reads the operation of
+// the innermost open Execute: a virtual-timer arm inside a guest's timer
+// program is checked against the TSC-offset chain, one outside any against
+// the LAPIC deadline a restore set.
 type frame struct {
 	b  hyper.Boundary
 	op hyper.Op
@@ -81,13 +84,6 @@ func Attach(w *hyper.World) *Checker {
 	return c
 }
 
-// Detach removes the checker from its world, restoring the unchecked path.
-func (c *Checker) Detach() {
-	if c.w != nil && c.w.Check == c {
-		c.w.Check = nil
-	}
-}
-
 // Violations returns the recorded breaches (capped at maxViolations; Total
 // counts all of them).
 func (c *Checker) Violations() []Violation { return c.violations }
@@ -113,23 +109,15 @@ func (c *Checker) violate(invariant, format string, args ...any) {
 }
 
 // Begin implements hyper.InvariantChecker.
-func (c *Checker) Begin(b hyper.Boundary, op hyper.Op) int {
+func (c *Checker) Begin(b hyper.Boundary, op hyper.Op) {
 	//nvlint:ignore hotalloc frame stack capacity is warm after the first op at each nesting depth
 	c.frames = append(c.frames, frame{b: b, op: op})
-	return len(c.frames) - 1
 }
 
-// End implements hyper.InvariantChecker.
-func (c *Checker) End(token int, v *hyper.VCPU, b hyper.Boundary, err error) {
-	if token != len(c.frames)-1 || token < 0 {
-		//nvlint:ignore hotalloc violation path: formatting the breach report may allocate
-		c.violate("frame-balance", "End(%v) token %d does not match frame depth %d", b, token, len(c.frames))
-		if token >= 0 && token < len(c.frames) {
-			c.frames = c.frames[:token]
-		}
-		return
-	}
-	c.frames = c.frames[:token]
+// End implements hyper.InvariantChecker: it pops the innermost frame, which
+// the engine guarantees is this boundary's.
+func (c *Checker) End(v *hyper.VCPU, b hyper.Boundary, err error) {
+	c.frames = c.frames[:len(c.frames)-1]
 	if err != nil {
 		// Error paths abandon the operation midway, and the state they
 		// leave is not checked.

@@ -19,9 +19,9 @@ import (
 // checks nothing else.
 type armCounter struct{ arms int }
 
-func (*armCounter) Begin(hyper.Boundary, hyper.Op) int { return 0 }
+func (*armCounter) Begin(hyper.Boundary, hyper.Op) {}
 
-func (*armCounter) End(int, *hyper.VCPU, hyper.Boundary, error) {}
+func (*armCounter) End(*hyper.VCPU, hyper.Boundary, error) {}
 
 func (c *armCounter) TimerArmed(*hyper.VCPU, uint64) { c.arms++ }
 

@@ -436,10 +436,16 @@ func planCacheStep(st *experiment.Stack, rec *trace.Recorder, op, arg byte) (sim
 			w.Tracer = rec
 		}
 	case pcCreateVM:
-		// The target's owner creates a sibling VM. It changes no stack a
-		// plan pins, so warm plans keep replaying, and its vCPU 0 shares the
-		// target vCPU 0's CPU, so the owner's scheduler can switch to it.
-		_, err := st.Target.Owner.CreateVM(hyper.VMConfig{Name: "sibling", VCPUs: 1, MemBytes: 64 << 20})
+		// A hypervisor creates a VM beside its guests: guest hypervisor
+		// arg>>1 on an odd argument, else the target's owner. It changes
+		// no stack a plan pins, so warm plans keep replaying, and its vCPU 0
+		// shares the target vCPU 0's CPU, so the creator's scheduler can
+		// switch to it.
+		creator := st.Target.Owner
+		if hosts := st.VMs[:len(st.VMs)-1]; arg&1 != 0 && len(hosts) > 0 {
+			creator = hosts[int(arg>>1)%len(hosts)].GuestHyp
+		}
+		_, err := creator.CreateVM(hyper.VMConfig{Name: "sibling", VCPUs: 1, MemBytes: 64 << 20})
 		return 0, err
 	}
 	return 0, nil
@@ -518,6 +524,14 @@ func planCacheSeeds() [][]byte {
 		steps([]byte{1, 0, 0},
 			pcHypercall, 0, pcHypercall, 0, pcTimerIRQ, 0, pcTimerIRQ, 0, pcDeviceRX, 0, pcDeviceIRQ, 0,
 			pcProvideVIOMMU, 0x80, pcHypercall, 0, pcTimerIRQ, 0, pcDeviceRX, 0, pcDeviceIRQ, 0),
+		// Full DVH at L3, and the L1 hypervisor creates a second VM. A
+		// DisableAt of no feature re-runs the control setup, so the L1
+		// hypervisor, now with two guests, traps HLT while the L2 one still
+		// yields it. The target halts, and the L1 hypervisor owns the exit:
+		// it parks the target's L2 parent and switches to the new VM. The
+		// switch was once made from the target itself and failed.
+		steps([]byte{2, 3, 0},
+			pcHypercall, 0, pcCreateVM, 1, pcDisableDVH, 0, pcHalt, 0, pcWake, 0, pcHypercall, 0),
 	}
 }
 

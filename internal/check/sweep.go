@@ -36,10 +36,6 @@ var mergeFields = []vmx.Field{
 // Finish runs the end-of-run sweep over the whole machine and returns Err().
 // It may be called repeatedly; each call re-sweeps current state.
 func (c *Checker) Finish() error {
-	if n := len(c.frames); n != 0 {
-		c.violate("frame-balance", "%d boundary frame(s) still open at end of run", n)
-		c.frames = c.frames[:0]
-	}
 	forEachVM(c.w.Host, c.sweepVM)
 	for _, p := range c.w.Host.Machine.CPUs {
 		c.checkLAPIC(fmt.Sprintf("pcpu%d", p.ID), p.LAPIC)

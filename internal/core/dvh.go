@@ -245,7 +245,7 @@ func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, error
 		v.LAPIC.SetTSCDeadline(deadline)
 		w.ArmVirtualTimer(v, deadline)
 		stats.ChargeLevel(0, c.DVHTimerCheckWork+sim.Cycles(levels)*c.TimerOffsetWork+c.TimerProgramWork)
-		stats.Inc(trace.DVHVTimerPrograms, 1)
+		stats.Inc(trace.DVHVTimerPrograms)
 		return true, nil
 
 	case hyper.OpSendIPI:
@@ -265,7 +265,7 @@ func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, error
 		dest.PID.Sync(dest.LAPIC)
 		w.WakeIfIdle(dest)
 		stats.ChargeLevel(0, c.IPIEmulWork+c.VCIMTLookupWork+sim.Cycles(v.VM.Level-2)*c.VCIMTPerLevelWork)
-		stats.Inc(trace.DVHVIPISends, 1)
+		stats.Inc(trace.DVHVIPISends)
 		return true, nil
 
 	case hyper.OpDevNotify:
@@ -273,10 +273,9 @@ func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, error
 		if dev == nil || !dev.VP {
 			return false, nil
 		}
-		vp, ok := d.vp[dev]
-		if !ok {
-			return false, fmt.Errorf("dvh: device %s marked VP but has no VP state", dev.Name)
-		}
+		// attachVP, the only writer of VP, registers the state with the
+		// device it publishes.
+		vp := d.vp[dev]
 		// The host must confirm the fault is a doorbell access, not a
 		// missing mapping: a software walk of the nested VM's (merged) EPT —
 		// the extra cost the paper measures for DVH DevNotify.
@@ -290,7 +289,7 @@ func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, error
 			return false, err
 		}
 		vp.Kicks++
-		stats.Inc(trace.DVHVPKicks, 1)
+		stats.Inc(trace.DVHVPKicks)
 		return true, nil
 
 	default:

@@ -177,6 +177,9 @@ func TestVCIMTIsRealGuestMemory(t *testing.T) {
 	if _, err := table.Lookup(2); err == nil {
 		t.Fatal("lookup through corrupted VCIMT entry should fail")
 	}
+	if _, err := d.World.Execute(vms[1].VCPUs[0], hyper.SendIPI(2, apic.VectorReschedule)); err == nil {
+		t.Fatal("virtual IPI through corrupted VCIMT entry should fail")
+	}
 	// VCIMTAR must be published in the nested vCPUs' execution controls.
 	if vms[1].VCPUs[0].VMCS.Read(vmx.FieldVCIMTAR) != uint64(table.Base) {
 		t.Fatal("VCIMTAR not programmed")

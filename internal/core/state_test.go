@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/apic"
@@ -55,6 +57,29 @@ func TestSaveRestoreVMState(t *testing.T) {
 	}
 	if !dst[1].VCPUs[1].LAPIC.Pending(apic.VectorReschedule) {
 		t.Fatal("restored VCIMT did not route the IPI")
+	}
+}
+
+// TestRestoreWithoutVCIMTFailsIPI: a state blob that enables virtual IPIs
+// but records no VCIMT, restored into a VM no table was built for, leaves
+// the host nothing to resolve a nested IPI through, and the send fails.
+func TestRestoreWithoutVCIMTFailsIPI(t *testing.T) {
+	d, w, vms := buildStack(t, 2, FeaturesAll)
+	blob, err := d.SaveVMState(vms[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob = bytes.Replace(blob, []byte(`"has_vcimt":true`), []byte(`"has_vcimt":false`), 1)
+	dst, err := vms[0].GuestHyp.CreateVM(hyper.VMConfig{Name: "dst", VCPUs: 4, MemBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RestoreVMState(dst, blob); err != nil {
+		t.Fatal(err)
+	}
+	_, err = w.Execute(dst.VCPUs[0], hyper.SendIPI(1, apic.VectorReschedule))
+	if err == nil || !strings.Contains(err.Error(), "no VCIMT published") {
+		t.Fatalf("IPI with virtual IPIs enabled and no VCIMT: err = %v", err)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 func (w *World) backendWork(v *VCPU, dev *AssignedDevice, provider int) error {
 	stats := w.Host.Machine.Stats
 	stats.ChargeLevel(provider, w.Costs.VirtioBackendWork)
-	stats.Inc(trace.VirtioKicks, 1)
+	stats.Inc(trace.VirtioKicks)
 
 	// Move real bytes when rings are wired up (only tests wire them);
 	// workload simulations kick with empty rings and pay cost only.

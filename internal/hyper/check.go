@@ -44,20 +44,21 @@ func (b Boundary) String() string {
 // without the engine knowing what is being checked. All methods are called
 // on the single simulation goroutine. The conservation laws need no
 // observer: a cycle is charged once and an exit recorded once, in the stats
-// sink, so a boundary's cost and its exits balance by construction.
+// sink, so a boundary's cost and its exits balance by construction. Nor
+// does the frame pairing: transact opens and closes every frame, so each
+// End closes the innermost open one.
 //
 // Op is passed by value for the same reason Interceptor.TryHandle takes it by
 // value: a pointer through the interface boundary would force every Execute
 // call's op to escape, and the hot path with no checker attached must stay
 // allocation-free, as TestExecuteNestedAllocFree requires.
 type InvariantChecker interface {
-	// Begin opens a frame when a boundary is entered; the returned token is
-	// handed back to the matching End.
-	Begin(b Boundary, op Op) int
-	// End closes the frame with the boundary's error, nil for every frame
-	// but a failed Execute's: the deliveries cannot fail. v is the vCPU the
-	// transaction ran on.
-	End(token int, v *VCPU, b Boundary, err error)
+	// Begin opens a frame when a boundary is entered.
+	Begin(b Boundary, op Op)
+	// End closes the innermost open frame with the boundary's error, nil
+	// for every frame but a failed Execute's: the deliveries cannot fail.
+	// v is the vCPU the transaction ran on.
+	End(v *VCPU, b Boundary, err error)
 	// TimerArmed reports a DVH virtual-timer arm with the host-TSC deadline
 	// (the guest-programmed deadline plus the combined TSC-offset chain).
 	TimerArmed(v *VCPU, hostDeadline uint64)

@@ -102,7 +102,7 @@ func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
 		if dev.Phys != nil {
 			// Device passthrough: the doorbell is EPT-mapped to the physical
 			// device; a posted write, no exit at any level.
-			stats.Inc(trace.PassthroughKicks, 1)
+			stats.Inc(trace.PassthroughKicks)
 			w.Host.Machine.NIC.TxFrames++
 			stats.ChargeGuest(c.MMIODirect)
 			return true, nil
@@ -202,42 +202,39 @@ func (w *World) faultOwner(v *VCPU, a mem.Addr) (int, bool) {
 // fault legitimately allocates page-table nodes, which is why OpMemTouch is
 // excluded from the steady-state allocation contract (see alloc_test.go).
 //
+// The route stage's faultOwner has just walked the same chain and found
+// every level above the owner's VM mapped, and only charges run between the
+// two walks, so this one reaches that VM. Only its fill can fail, on a guest
+// frame beyond its RAM or past its page table's reach.
+//
 //nvlint:cold
 func (w *World) fillFault(v *VCPU, a mem.Addr, owner int) error {
 	cur := v.VM
 	addr := a
-	for cur != nil && cur.Level > owner+1 {
-		wlk := cur.EPT.Lookup(mem.PageOf(addr), mem.PermRead)
-		if !wlk.Present {
-			return fmt.Errorf("hyper: fault at level %d but mapping missing at %s", owner, cur.Name)
-		}
-		addr = wlk.PFN.Base() + (addr & (mem.PageSize - 1))
+	for cur.Level > owner+1 {
+		addr = cur.EPT.Lookup(mem.PageOf(addr), mem.PermRead).PFN.Base() + (addr & (mem.PageSize - 1))
 		cur = cur.Owner.HostVM
-	}
-	if cur == nil {
-		return fmt.Errorf("hyper: fault owner %d beyond chain", owner)
 	}
 	_, err := cur.EnsureMapped(mem.PageOf(addr))
 	return err
 }
 
 // execAsLevel executes an operation as if issued by the hypervisor at the
-// given level (which runs as a guest in the VM at that level). Level 0 ops
-// are native and must be charged by the caller.
+// given level, which runs as a guest in the VM at that level: v's ancestor
+// there issues it. Both callers pass a level in [1, v's level - 1]; work at
+// level 0 is native, and they charge it themselves.
 func (w *World) execAsLevel(v *VCPU, level int, op Op) error {
-	if level == 0 {
-		return fmt.Errorf("hyper: execAsLevel(0) is native work, not an exit")
+	for v.VM.Level > level {
+		v = v.Parent
 	}
-	av, err := v.AncestorAt(level)
-	if err != nil {
-		return err
-	}
-	_, err = w.Execute(av, op)
+	_, err := w.Execute(v, op)
 	return err
 }
 
 // ownerEffects applies the state changes and follow-on operations of a
-// guest-hypervisor-owned exit.
+// guest-hypervisor-owned exit. The owner of a forwarded HLT parks the vCPU
+// it schedules, v's ancestor in the owner's guest VM, and switches from that
+// vCPU, so a switch always stays between two guests of one hypervisor.
 func (w *World) ownerEffects(tx *ExitContext) error {
 	v, op, owner := tx.V, tx.Op, tx.Owner
 	stats := w.Host.Machine.Stats
@@ -269,10 +266,16 @@ func (w *World) ownerEffects(tx *ExitContext) error {
 		// The guest hypervisor blocks the vCPU and, if it manages another
 		// runnable nested vCPU on this CPU, switches to it — the reason the
 		// virtual-idle policy keeps HLT trapped with multiple nested VMs.
+		// The vCPU it parks is v itself unless a hypervisor between them
+		// yields HLT.
 		v.Idle = true
-		stats.Inc(trace.IdleBlocks, 1)
-		if next := v.VM.stack[owner].EnsureScheduler().PickNext(v.PhysCPU, v); next != nil {
-			return w.guestSwitch(owner, v, next)
+		stats.Inc(trace.IdleBlocks)
+		parked := v
+		for parked.VM.Level > owner+1 {
+			parked = parked.Parent
+		}
+		if next := v.VM.stack[owner].EnsureScheduler().PickNext(v.PhysCPU, parked); next != nil {
+			w.guestSwitch(owner, parked, next)
 		}
 		return nil
 	case OpDevNotify:
@@ -287,7 +290,7 @@ func (w *World) ownerEffects(tx *ExitContext) error {
 		stats.ChargeLevel(owner, w.Costs.EPTFillWork)
 		return nil
 	}
-	return nil
+	return fmt.Errorf("hyper: L%d hypervisor cannot handle op %v", owner, op.Kind)
 }
 
 // hostHandle performs and charges the host hypervisor's emulation work for
@@ -317,7 +320,7 @@ func (w *World) hostHandle(tx *ExitContext) error {
 		return nil
 	case OpHLT:
 		v.Idle = true
-		stats.Inc(trace.IdleBlocks, 1)
+		stats.Inc(trace.IdleBlocks)
 		stats.ChargeLevel(0, c.HLTBlockWork)
 		return nil
 	case OpDevNotify:

@@ -40,7 +40,7 @@ func (w *World) deliverTimerIRQ(v *VCPU) {
 		for _, it := range w.interceptors {
 			if policy, ok := it.(TimerDeliveryPolicy); ok && policy.DirectTimerDelivery(v) {
 				direct = true
-				stats.Inc(trace.DVHVTimerDirectDeliveries, 1)
+				stats.Inc(trace.DVHVTimerDirectDeliveries)
 				break
 			}
 		}
@@ -69,7 +69,7 @@ func (w *World) wakeIfIdle(dest *VCPU) {
 		return
 	}
 	dest.Idle = false
-	w.Host.Machine.Stats.Inc(trace.IdleWakes, 1)
+	w.Host.Machine.Stats.Inc(trace.IdleWakes)
 
 	// The idle-owner level is recomputed live on every wake — it depends on
 	// the stack's HLT-exiting controls, which DVH virtual idle flips without
@@ -102,7 +102,7 @@ func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) {
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	target.LAPIC.Deliver(dev.IRQ)
-	stats.Inc(trace.IRQDelivered, 1)
+	stats.Inc(trace.IRQDelivered)
 
 	w.WakeIfIdle(target)
 	if dev.PostedDelivery {

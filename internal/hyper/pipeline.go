@@ -172,10 +172,8 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 		sp = &spans
 	}
 	w.txDepth++
-	checked := w.Check != nil
-	var token int
-	if checked {
-		token = w.Check.Begin(b, op)
+	if w.Check != nil {
+		w.Check.Begin(b, op)
 	}
 
 	var err error
@@ -198,8 +196,8 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 	// across that call is spilled and reloaded on each transaction, and a
 	// smaller set measurably speeds up BenchmarkExecute.
 	w.txDepth--
-	if checked {
-		w.Check.End(token, tx.V, tx.Boundary, err)
+	if w.Check != nil {
+		w.Check.End(tx.V, tx.Boundary, err)
 	}
 	if err != nil {
 		return 0, err

@@ -144,16 +144,15 @@ type spyChecker struct {
 	maxDepth     int
 }
 
-func (s *spyChecker) Begin(b Boundary, op Op) int {
+func (s *spyChecker) Begin(b Boundary, op Op) {
 	s.begins++
 	s.open++
 	if s.open > s.maxDepth {
 		s.maxDepth = s.open
 	}
-	return s.begins
 }
 
-func (s *spyChecker) End(token int, v *VCPU, b Boundary, err error) {
+func (s *spyChecker) End(v *VCPU, b Boundary, err error) {
 	s.ends++
 	s.open--
 	s.lastErr = err

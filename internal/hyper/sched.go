@@ -1,10 +1,6 @@
 package hyper
 
-import (
-	"fmt"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Scheduler is a hypervisor's round-robin vCPU scheduler over the guests it
 // manages. The paper's evaluation pins every vCPU, so steady-state runs
@@ -75,20 +71,17 @@ func switchScript() Script {
 }
 
 // guestSwitch performs and charges a context switch by the hypervisor at the
-// given level from one nested vCPU to another: the outgoing VMCS is cleared,
-// the incoming one loaded, and its guest state restored. The VMCS operations
-// and scheduler bookkeeping stay live; the switch's charge tree — a fixed
-// script at the switching level, exit-multiplied below it — replays a
-// compiled plan in steady state. The stats sink's sched.switches counter
-// counts the switches.
-func (w *World) guestSwitch(level int, from, to *VCPU) error {
-	if from.VM.Owner != to.VM.Owner {
-		return fmt.Errorf("hyper: switch between vCPUs of different hypervisors (%s -> %s)", from.Path(), to.Path())
-	}
+// given level from one of its guests' vCPUs to another: the outgoing VMCS is
+// cleared, the incoming one loaded, and its guest state restored. Its one
+// caller switches from the vCPU it parked to one its scheduler picked, so
+// both run under that hypervisor. The VMCS operations and scheduler
+// bookkeeping stay live; the switch's charge tree — a fixed script at the
+// switching level, exit-multiplied below it — replays a compiled plan in
+// steady state. The stats sink's sched.switches counter counts the switches.
+func (w *World) guestSwitch(level int, from, to *VCPU) {
 	from.VMCS.Clear()
 	to.VMCS.Load()
 	to.VMCS.CopyGuestState(from.VMCS)
 	w.charge(from.VM.stack, planSwitch, 0, level)
-	w.Host.Machine.Stats.Inc(trace.SchedSwitches, 1)
-	return nil
+	w.Host.Machine.Stats.Inc(trace.SchedSwitches)
 }

@@ -1,6 +1,10 @@
 package hyper
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/vmx"
+)
 
 // twoGuestStack builds an L1 hypervisor managing two nested VMs whose vCPUs
 // share pins — the multi-tenant case the virtual-idle policy is about.
@@ -84,9 +88,29 @@ func TestHLTWithNoSiblingDoesNotSwitch(t *testing.T) {
 	}
 }
 
-func TestGuestSwitchRejectsCrossHypervisor(t *testing.T) {
-	w, vms := testStack(t, 2)
-	if err := w.guestSwitch(1, vms[1].VCPUs[0], vms[0].VCPUs[0]); err == nil {
-		t.Fatal("cross-hypervisor switch accepted")
+// TestForwardedHLTSwitchesOwnersGuest: an L3 vCPU whose L2 hypervisor yields
+// HLT halts, and the L1 hypervisor, which traps it and has a second guest,
+// owns the exit. It parks the vCPU it schedules, the L3 vCPU's L2 parent,
+// and switches from that one to the sibling VM's vCPU.
+func TestForwardedHLTSwitchesOwnersGuest(t *testing.T) {
+	w, vms := testStack(t, 3)
+	sibling, err := vms[0].GuestHyp.CreateVM(VMConfig{Name: "L2-vm-b", VCPUs: 1, MemBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := vms[2].VCPUs[0]
+	v.VMCS.ClearControl(vmx.FieldProcBasedControls, vmx.ProcHLTExiting)
+	exec(t, w, v, Halt())
+	if !v.Idle {
+		t.Fatal("halted vCPU not idle")
+	}
+	if n := w.Host.Machine.Stats.Counter("sched.switches"); n != 1 {
+		t.Fatalf("sched.switches = %d, want 1", n)
+	}
+	if !sibling.VCPUs[0].VMCS.Current() {
+		t.Fatal("sibling's VMCS not loaded")
+	}
+	if v.Parent.VMCS.Current() {
+		t.Fatal("L2 parent's VMCS still current")
 	}
 }

@@ -25,15 +25,14 @@ type frameSpy struct {
 	err                  error
 }
 
-func (s *frameSpy) Begin(b hyper.Boundary, op hyper.Op) int {
+func (s *frameSpy) Begin(b hyper.Boundary, op hyper.Op) {
 	s.open++
 	if s.open == 1 {
 		s.opened++
 	}
-	return s.open
 }
 
-func (s *frameSpy) End(token int, v *hyper.VCPU, b hyper.Boundary, err error) {
+func (s *frameSpy) End(v *hyper.VCPU, b hyper.Boundary, err error) {
 	s.open--
 	if s.open == 0 {
 		s.closed++

@@ -77,7 +77,9 @@ type World struct {
 	// transaction is outermost and is the one StageStats observes.
 	txDepth int
 	// Check, when non-nil, observes every boundary entry/exit for invariant
-	// validation (internal/check). A nil checker costs one branch.
+	// validation (internal/check). A nil checker costs one branch. Attach,
+	// replace or detach it between transactions: each End must close a
+	// frame the same checker's Begin opened.
 	Check InvariantChecker
 	// timeline queues the host hrtimers armed for this World's vCPUs, each
 	// event carrying its vCPU (armHostTimer); RunUntil fires them.

@@ -17,20 +17,21 @@ func TestExecuteUnknownDoorbellErrors(t *testing.T) {
 	}
 }
 
-func TestExecAsLevelZeroRejected(t *testing.T) {
-	w, vms := testStack(t, 2)
-	if err := w.execAsLevel(vms[1].VCPUs[0], 0, Hypercall()); err == nil {
-		t.Fatal("execAsLevel(0) accepted")
-	}
-	if err := w.execAsLevel(vms[1].VCPUs[0], 9, Hypercall()); err == nil {
-		t.Fatal("execAsLevel beyond stack accepted")
-	}
-}
-
 func TestIPIToMissingVCPUErrors(t *testing.T) {
 	w, vms := testStack(t, 1)
 	if _, err := w.Execute(vms[0].VCPUs[0], SendIPI(99, apic.VectorReschedule)); err == nil {
 		t.Fatal("IPI to missing vCPU accepted")
+	}
+}
+
+// TestUnknownOpErrors: an Op whose Kind is no OpKind fails whichever level
+// owns its exit, the host or a guest hypervisor.
+func TestUnknownOpErrors(t *testing.T) {
+	for depth := 1; depth <= 2; depth++ {
+		w, vms := testStack(t, depth)
+		if _, err := w.Execute(vms[depth-1].VCPUs[0], Op{Kind: 99}); err == nil {
+			t.Errorf("depth %d: op of unknown kind accepted", depth)
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ func (Enlightenment) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool
 	}
 	stats := w.Host.Machine.Stats
 	stats.ChargeLevel(0, w.Costs.EnlightenedHypercallWork)
-	stats.Inc(trace.HyperVEnlightenedHypercalls, 1)
+	stats.Inc(trace.HyperVEnlightenedHypercalls)
 	return true, nil
 }
 

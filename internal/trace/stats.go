@@ -47,9 +47,6 @@ type Stats struct {
 	total sim.Cycles
 
 	counters [NumCounters]uint64
-	// touched has bit c set once counter c has been incremented, so a
-	// counter bumped by zero still prints, as a name-keyed entry did.
-	touched uint32
 }
 
 // Counter names one of the engine's event counters: device kicks, idle
@@ -75,9 +72,6 @@ const (
 	// NumCounters is the number of counters.
 	NumCounters
 )
-
-// The touched mask has one bit per counter.
-var _ [32 - NumCounters]struct{}
 
 var counterNames = [NumCounters]string{
 	DVHVIPISends:                "dvh.vipi.sends",
@@ -129,11 +123,8 @@ func (s *Stats) ChargeGuest(c sim.Cycles) {
 	s.total += c
 }
 
-// Inc adds delta to a counter.
-func (s *Stats) Inc(c Counter, delta uint64) {
-	s.counters[c] += delta
-	s.touched |= 1 << c
-}
+// Inc adds one to a counter.
+func (s *Stats) Inc(c Counter) { s.counters[c]++ }
 
 // Counter returns the value of the counter with the given printed name
 // (zero when never incremented or when no counter has that name).
@@ -195,7 +186,7 @@ func (s *Stats) Reset() { *s = Stats{} }
 
 // String renders a human-readable report: exits by reason, each reason's
 // total (hw=) then its count at each handler level, then cycle attribution,
-// then named counters.
+// then each nonzero counter by name.
 func (s *Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "hardware exits: %d\n", s.TotalHardwareExits())
@@ -220,7 +211,7 @@ func (s *Stats) String() string {
 	}
 	b.WriteByte('\n')
 	for c := range NumCounters {
-		if s.touched&(1<<c) != 0 {
+		if s.counters[c] != 0 {
 			fmt.Fprintf(&b, "  %s=%d\n", c, s.counters[c])
 		}
 	}

@@ -51,7 +51,7 @@ func (Enlightenment) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool
 	w.WakeIfIdle(dest)
 	stats := w.Host.Machine.Stats
 	stats.ChargeLevel(0, w.Costs.EvtchnNotifyWork)
-	stats.Inc(trace.XenEvtchnIPIs, 1)
+	stats.Inc(trace.XenEvtchnIPIs)
 	return true, nil
 }
 
