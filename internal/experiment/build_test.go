@@ -10,16 +10,19 @@ import (
 // DVH configuration, and the deepest paravirtual cascade — each with the
 // bytes and the heap objects one Build of it may allocate.
 //
-// The byte budgets sit 34-39% above the measured 11,816 / 48,792 /
-// 30,400 B (48,888 B for L2 DVH under -race). The L2 DVH budget fails
-// page-table nodes that each hold 512 24-byte entries (83,752 B), and all
-// three fail map-backed VMCSes and a 256-entry interrupt-remapping table
-// allocated up front (25,242 / 112,412 / 67,254 B).
+// The byte budgets sit 31-55% above the measured 10,544 / 25,032 /
+// 28,048 B (10,560 / 25,128 / 28,112 B under -race). The L2 DVH budget
+// fails page-table directory nodes and bitmap chunks that are 4 KiB from
+// their first entry (47,336 B), where a small node or chunk is 96 bytes
+// until it fills, and page-table nodes that each hold 512 24-byte entries
+// (83,752 B); all three fail map-backed VMCSes and a 256-entry
+// interrupt-remapping table allocated up front (25,242 / 112,412 /
+// 67,254 B).
 //
 // The object budgets are half of what Build made when every vCPU, LAPIC,
 // posted-interrupt descriptor, VMCS, pCPU, PCI config space and virtio
 // queue table was its own allocation and slices grew by append (103 / 204
-// / 313). Build makes 41 / 94 / 98 (41 / 96 / 98 under -race) with each
+// / 313). Build makes 42 / 96 / 102 (42 / 98 / 102 under -race) with each
 // VM's vCPUs, the machine's pCPUs, and each VM, PCI function, MSI-X table
 // and virtio device allocated as one block.
 var buildSpecs = []struct {
@@ -28,7 +31,7 @@ var buildSpecs = []struct {
 	objects uint64
 }{
 	{Spec{Depth: 1, IO: IOParavirt}, 16 << 10, 51},
-	{Spec{Depth: 2, IO: IODVH}, 64 << 10, 102},
+	{Spec{Depth: 2, IO: IODVH}, 32 << 10, 102},
 	{Spec{Depth: 4, IO: IOParavirt}, 40 << 10, 156},
 }
 
@@ -100,11 +103,14 @@ func TestBuildAllocBudget(t *testing.T) {
 // both builds, the migration and VerifyDest — must stay within 106 B per
 // working-set page, though every page sent is charged 4 KiB of modeled
 // transfer. With the pre-copy rounds draining their dirty logs into one
-// reused page list the configurations read 54-96 B (63-104 B under -race).
-// The budget fails a fresh page list per round and for VerifyDest (64-107
-// B, 64-108 B under -race), a heap object per written page with 12 KiB
-// page-table nodes (158-264 B), and a zeroed 4 KiB frame per page on both
-// machines (over 8 KiB). Bytes allocated are deterministic for a given
+// reused page list, the first pass and VerifyDest reading the written set
+// in runs, and page-table directory nodes and bitmap chunks that start
+// small, the configurations read 44-74 B (45-76 B under -race); with the
+// first pass's page list and full nodes they read 54-96 B. The budget
+// fails a fresh page list per round and for VerifyDest (64-107 B, 64-108
+// B under -race), a heap object per written page with 12 KiB page-table
+// nodes (158-264 B), and a zeroed 4 KiB frame per page on both machines
+// (over 8 KiB). Bytes allocated are deterministic for a given
 // configuration to within a byte per page, so the budget holds on any host.
 func TestMigrationAllocBudget(t *testing.T) {
 	const budget = 106 // bytes per working-set page

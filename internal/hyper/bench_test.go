@@ -75,18 +75,41 @@ func BenchmarkGuestMemoryWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkGuestMemoryFirstTouch measures the first write into an
+// untouched region of a depth-2 VM, the way a guest hypervisor first writes
+// its VCIMT: one quadword at the L2 VM's last frame, which faults in both
+// EPT levels and the host frame and marks three written sets. It reports
+// the bytes and allocations of that one write, the metadata a region costs
+// to touch. Fresh stacks are built in batches outside the timed part.
+func BenchmarkGuestMemoryFirstTouch(b *testing.B) {
+	const batch = 64
+	var mems [batch]*GuestMemory
+	var last mem.Addr
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%batch == 0 {
+			b.StopTimer()
+			for k := range mems {
+				_, vms := testStack(b, 2)
+				mems[k], last = vms[1].Memory(), (vms[1].NumPages - 1).Base()
+			}
+			b.StartTimer()
+		}
+		if err := mems[i%batch].WriteU64(last, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGuestMemoryPages measures the page path migration takes, in host
 // ns per page, over an 8,192-page working set of the L2 VM of a 2-level
 // stack: "touch" writes the first quadword of every page of fresh memory
 // (WritePageQuads, faulting in both EPT levels and the host frames), "copy"
-// copies them onto a fresh destination stack (CopyPagesTo), and "verify"
-// compares the two (DiffPages). Stacks are built outside the timed part.
+// copies them onto a fresh destination stack (CopyWrittenTo, a migration's
+// first pass), and "verify" compares the two (DiffWritten). Stacks are
+// built outside the timed part.
 func BenchmarkGuestMemoryPages(b *testing.B) {
 	const ws = 8192
-	pages := make([]mem.PFN, ws)
-	for i := range pages {
-		pages[i] = mem.PFN(i)
-	}
 	val := func(i int) uint64 { return uint64(i) + 1 }
 	touched := func() *GuestMemory {
 		_, vms := testStack(b, 2)
@@ -117,15 +140,15 @@ func BenchmarkGuestMemoryPages(b *testing.B) {
 	})
 	src := touched()
 	b.Run("copy", func(b *testing.B) {
-		perPage(b, fresh, func(dst *GuestMemory) error { return src.CopyPagesTo(dst, pages) })
+		perPage(b, fresh, func(dst *GuestMemory) error { return src.CopyWrittenTo(dst) })
 	})
 	dst := fresh()
-	if err := src.CopyPagesTo(dst, pages); err != nil {
+	if err := src.CopyWrittenTo(dst); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("verify", func(b *testing.B) {
 		perPage(b, func() *GuestMemory { return dst }, func(dst *GuestMemory) error {
-			diff, err := src.DiffPages(dst, pages)
+			diff, err := src.DiffWritten(dst)
 			if err == nil && len(diff) != 0 {
 				err = fmt.Errorf("copy differs on %d pages", len(diff))
 			}

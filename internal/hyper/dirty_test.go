@@ -138,12 +138,13 @@ func TestAllocPagesExhaustionIsError(t *testing.T) {
 // full frames, at L1 and at L2, with dirty logging on at every VM level.
 // The page set holds runs and gaps that cross a 64-frame host leaf, a
 // 512-entry EPT leaf and a 32,768-bit bitmap chunk. One pair then runs
-// WritePageQuads over each run, CopyPagesTo and DiffPages; the other runs
-// WriteU64 per page, a whole-page Read from the source plus a full-page
-// Write to the destination per page, and a whole-page Read of both per
-// page. After each phase every VM's written and dirty frames, host memory's
-// written frames and every EPT's A/D bits must agree, as must the
-// destination bytes and the pages DiffPages reports.
+// WritePageQuads over each run, CopyWrittenTo, CopyPagesTo and
+// DiffWritten; the other runs WriteU64 per page, a whole-page Read from
+// the source plus a full-page Write to the destination per written page
+// and then per page of the set, and a whole-page Read of both per written
+// page. After each phase every VM's written and dirty frames, host
+// memory's written frames and every EPT's A/D bits must agree, as must the
+// destination bytes and the pages DiffWritten reports.
 func TestCopyPageMatchesReadWrite(t *testing.T) {
 	fills := []int{0, 8, mem.PageSize}
 	var pages []mem.PFN
@@ -206,41 +207,52 @@ func TestCopyPageMatchesReadWrite(t *testing.T) {
 			})
 			agree("WritePageQuads")
 
+			buf := make([]byte, mem.PageSize)
+			copyEach := func(pages []mem.PFN) {
+				src, dst := mems(1)
+				for _, p := range pages {
+					if err := src.Read(p.Base(), buf); err != nil {
+						t.Fatal(err)
+					}
+					if err := dst.Write(p.Base(), buf); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			written := stacks[1][0][level-1].WrittenPages()
 			src, dst := mems(0)
+			if err := src.CopyWrittenTo(dst); err != nil {
+				t.Fatal(err)
+			}
+			copyEach(written)
+			agree("CopyWrittenTo")
+
+			src, dst = mems(0)
 			if err := src.CopyPagesTo(dst, pages); err != nil {
 				t.Fatal(err)
 			}
-			src, dst = mems(1)
-			buf := make([]byte, mem.PageSize)
-			for _, p := range pages {
-				if err := src.Read(p.Base(), buf); err != nil {
-					t.Fatal(err)
-				}
-				if err := dst.Write(p.Base(), buf); err != nil {
-					t.Fatal(err)
-				}
-			}
+			copyEach(pages)
 			agree("CopyPagesTo")
 
-			// Make the destinations differ on a few pages, one at each end of
-			// a run, then compare every page.
+			// Make the destinations differ on a few written pages, one at
+			// each end of a run, then compare every written page.
 			for i := range stacks {
 				_, dst := mems(i)
-				for _, p := range []mem.PFN{60, 529, 1002, 32768} {
+				for _, p := range []mem.PFN{60, 528, 1002, 32768} {
 					if err := dst.WriteU64(p.Base()+16, 0xbad); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
 			src, dst = mems(0)
-			diff, err := src.DiffPages(dst, pages)
+			diff, err := src.DiffWritten(dst)
 			if err != nil {
 				t.Fatal(err)
 			}
 			src, dst = mems(1)
 			var want []mem.PFN
 			got := make([]byte, mem.PageSize)
-			for _, p := range pages {
+			for _, p := range written {
 				for _, rd := range []struct {
 					g   *GuestMemory
 					out []byte
@@ -254,9 +266,9 @@ func TestCopyPageMatchesReadWrite(t *testing.T) {
 				}
 			}
 			if !slices.Equal(diff, want) || len(want) != 4 {
-				t.Fatalf("DiffPages = %v, per-page reads differ on %v; want the 4 pages written after the copy", diff, want)
+				t.Fatalf("DiffWritten = %v, per-page reads differ on %v; want the 4 pages written after the copy", diff, want)
 			}
-			agree("DiffPages")
+			agree("DiffWritten")
 		})
 	}
 }

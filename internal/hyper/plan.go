@@ -300,6 +300,30 @@ type compileScratch struct {
 	handled []handledCount
 }
 
+// newCompileScratch returns a World's compile scratch, its lists sized for
+// compiles on a stack of the given depth, so that a World whose VMs are no
+// deeper never grows them: at depth d a compile memoizes at most d*d/2+1
+// subtrees, whose exit counts total at most (d-1)*(d-1)*d, the tree's own
+// counts number at most d*d, and a level-k subtree's at most k*k (from
+// 2, 2, 3 and 1 at depth 2 to 9, 36, 12 and 7 at depth 4, each the most any
+// plan kind reached at L2-L4 with and without VMCS shadowing). A deeper
+// compile grows them as it needs.
+func newCompileScratch(w *World, depth int) *compileScratch {
+	s := &compileScratch{
+		w:       w,
+		memo:    make([]subtree, 0, depth*depth/2+1),
+		handled: make([]handledCount, 0, (depth-1)*(depth-1)*depth),
+	}
+	s.top = planBuilder{s, deltas{handled: make([]handledCount, 0, depth*depth)}}
+	for k := range s.sub {
+		s.sub[k].s = s
+		if k > 0 && k < depth {
+			s.sub[k].d.handled = make([]handledCount, 0, k*k)
+		}
+	}
+	return s
+}
+
 // subtree is one memoized privileged-instruction subtree: its key and its
 // deltas, whose exit counts sit in the scratch's handled list.
 type subtree struct {
@@ -368,11 +392,7 @@ func (b *planBuilder) merge(sub *deltas, n int) {
 func (w *World) compilePlan(stack []*Hypervisor, kind planKind, reason vmx.ExitReason, level int) *plan {
 	s := w.scratch
 	if s == nil {
-		s = &compileScratch{w: w}
-		for k := range s.sub {
-			s.sub[k].s = s
-		}
-		s.top.s = s
+		s = newCompileScratch(w, len(stack))
 		w.scratch = s
 	}
 	s.memo, s.handled = s.memo[:0], s.handled[:0]

@@ -352,10 +352,11 @@ func forwardCompileStack(t testing.TB, depth int, caps vmx.Caps) (*World, []*Hyp
 // TestCompileAllocBudget pins the compile cost the subtree memo, event-free
 // plans and the reused compile scratch buy, first on a fresh World and then
 // on a warm scratch. A fresh World's first forwarded-hypercall compile
-// allocates the scratch and grows it from empty: 1,304, 3,808, 5,256 and
-// 8,312 B in 10, 20, 25 and 28 objects at L2, L3, L4 and L4 without VMCS
-// shadowing (up to 8,792 B under -race), each row held to its own budget.
-// After it, a compile allocates only the plan it returns: a forwarded
+// allocates the scratch, its lists sized from the stack's depth, and the
+// plan: 1,320, 2,024, 3,528 and 3,560 B in 7, 8, 9 and 9 objects at L2, L3,
+// L4 and L4 without VMCS shadowing (the same under -race), each row held to
+// its own budgets. Growing the lists from empty instead took 1,304, 3,808,
+// 5,256 and 8,312 B in 10, 20, 25 and 28 objects. After it, a compile allocates only the plan it returns: a forwarded
 // compile 224-400 B, within 1 KiB, and every plan kind at most two
 // allocations, the plan and its exact-size exit counts. Compiling each plan
 // whole, with the timeline always kept, an L2 forwarded compile allocated
@@ -385,11 +386,12 @@ func TestCompileAllocBudget(t *testing.T) {
 		depth int
 		caps  vmx.Caps
 		cold  uint64 // bytes of a fresh World's first forwarded compile
+		objs  uint64 // and its heap objects
 	}{
-		{"L2", 2, vmx.HardwareCaps, 2 << 10},
-		{"L3", 3, vmx.HardwareCaps, 6 << 10},
-		{"L4", 4, vmx.HardwareCaps, 8 << 10},
-		{"L4-noshadow", 4, noShadow, 12 << 10},
+		{"L2", 2, vmx.HardwareCaps, 1536, 7},
+		{"L3", 3, vmx.HardwareCaps, 2 << 10, 8},
+		{"L4", 4, vmx.HardwareCaps, 3584, 9},
+		{"L4-noshadow", 4, noShadow, 3584, 9},
 	} {
 		const fresh = 4
 		worlds := make([]*World, fresh)
@@ -405,8 +407,8 @@ func TestCompileAllocBudget(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		got, objs := (after.TotalAlloc-before.TotalAlloc)/fresh, (after.Mallocs-before.Mallocs)/fresh
-		if got > tc.cold {
-			t.Errorf("%s: a fresh World's first forwarded-hypercall compile allocated %d bytes, budget %d", tc.name, got, tc.cold)
+		if got > tc.cold || objs > tc.objs {
+			t.Errorf("%s: a fresh World's first forwarded-hypercall compile allocated %d bytes in %d objects, budgets %d and %d", tc.name, got, objs, tc.cold, tc.objs)
 		} else {
 			t.Logf("%s: a fresh World's first forwarded-hypercall compile allocated %d bytes in %d objects", tc.name, got, objs)
 		}

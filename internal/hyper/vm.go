@@ -417,9 +417,8 @@ func (vm *VM) PeekDirty() []mem.PFN {
 // WrittenPages returns every guest frame ever written, in ascending order.
 func (vm *VM) WrittenPages() []mem.PFN { return vm.written.PFNs() }
 
-// AppendWrittenPages is WrittenPages into a caller's buffer: it appends the
-// frames to dst and returns the extended slice.
-func (vm *VM) AppendWrittenPages(dst []mem.PFN) []mem.PFN { return vm.written.AppendPFNs(dst) }
+// WrittenCount returns how many guest frames were ever written.
+func (vm *VM) WrittenCount() int { return int(vm.written.Count()) }
 
 // Written reports whether a guest frame has ever been written.
 func (vm *VM) Written(p mem.PFN) bool { return vm.written.Test(uint64(p)) }
@@ -490,31 +489,42 @@ func (g *GuestMemory) WritePageQuads(p mem.PFN, n int, val func(i int) uint64) e
 // frames' written extents, and it walks each run of consecutive pages down
 // both chains once.
 func (g *GuestMemory) CopyPagesTo(dst *GuestMemory, pages []mem.PFN) error {
-	from, to := g.vm.Owner.Machine.Memory, dst.vm.Owner.Machine.Memory
-	return forRuns(pages, func(p mem.PFN, n int) error {
-		for n > 0 {
-			hs, hd, k, err := translatePair(g.vm, mem.PermRead, dst.vm, mem.PermWrite, p, n)
-			if err != nil {
-				return err
-			}
-			dst.vm.markRun(p, k)
-			if err := mem.CopyFrames(to, hd, from, hs, k); err != nil {
-				return err
-			}
-			p, n = p+mem.PFN(k), n-k
-		}
-		return nil
-	})
+	return forRuns(pages, func(p mem.PFN, n int) error { return g.copyRun(dst, p, n) })
 }
 
-// DiffPages returns the guest frames of pages, in ascending order, whose
-// bytes differ between g and other, or nil when none do. It translates both
-// chains as a Read of each whole page would, one walk per run of
-// consecutive pages.
-func (g *GuestMemory) DiffPages(other *GuestMemory, pages []mem.PFN) ([]mem.PFN, error) {
+// CopyWrittenTo is CopyPagesTo over every frame g's VM has ever written,
+// read in runs straight from its written set, with no page list: the first
+// pass of a migration. dst must not run on g's VM, whose written set the
+// copy would then grow while reading it.
+func (g *GuestMemory) CopyWrittenTo(dst *GuestMemory) error {
+	return g.vm.written.ForEachRun(func(p mem.PFN, n int) error { return g.copyRun(dst, p, n) })
+}
+
+// copyRun copies guest frames [p, p+n) of g over the same frames of dst.
+func (g *GuestMemory) copyRun(dst *GuestMemory, p mem.PFN, n int) error {
+	from, to := g.vm.Owner.Machine.Memory, dst.vm.Owner.Machine.Memory
+	for n > 0 {
+		hs, hd, k, err := translatePair(g.vm, mem.PermRead, dst.vm, mem.PermWrite, p, n)
+		if err != nil {
+			return err
+		}
+		dst.vm.markRun(p, k)
+		if err := mem.CopyFrames(to, hd, from, hs, k); err != nil {
+			return err
+		}
+		p, n = p+mem.PFN(k), n-k
+	}
+	return nil
+}
+
+// DiffWritten returns the guest frames g's VM has ever written, in
+// ascending order, whose bytes differ between g and other, or nil when none
+// do. It reads the written set in runs, with no page list, and translates
+// both chains as a Read of each whole page would, one walk per run.
+func (g *GuestMemory) DiffWritten(other *GuestMemory) ([]mem.PFN, error) {
 	am, bm := g.vm.Owner.Machine.Memory, other.vm.Owner.Machine.Memory
 	var diff []mem.PFN
-	err := forRuns(pages, func(p mem.PFN, n int) error {
+	err := g.vm.written.ForEachRun(func(p mem.PFN, n int) error {
 		for n > 0 {
 			ha, hb, k, err := translatePair(g.vm, mem.PermRead, other.vm, mem.PermRead, p, n)
 			if err != nil {

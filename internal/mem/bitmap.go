@@ -5,25 +5,30 @@ import (
 	"slices"
 )
 
-// Bitmap chunking: a chunk is 4 KiB of words covering chunkBits bits — 128
-// MiB of 4 KiB pages — so a working set of tens of thousands of pages fits
+// Bitmap chunking: a chunk covers chunkBits bits — 128 MiB of 4 KiB pages —
+// in chunkWords words, so a working set of tens of thousands of pages fits
 // in one chunk, and even a 480 GiB space needs only a few thousand chunk
 // pointers once its highest region is touched.
 const (
 	chunkShift = 15
 	chunkBits  = 1 << chunkShift
-	chunkWords = chunkBits / 64
+	chunkWords = chunkBits / 64 // 512, a smallArray's entries
 )
 
-type chunk [chunkWords]uint64
+// chunk is a smallArray of words: 96 bytes until its ninth nonzero word
+// promotes it to the 4 KiB array. A word Clear zeroes stays listed, and
+// Reset empties the list.
+type chunk = smallArray[uint64]
 
 // Bitmap is a sparse bit set over [0, Len()) used for dirty-page logs and
 // written-page maps. Storage is two-level: a top-level table of chunk
 // pointers, grown only as far as the highest chunk ever set, and chunks
-// allocated on the first Set inside their range. A bitmap costs memory in
-// proportion to the regions it has touched, not to its capacity, so a
-// machine's nominal gigabytes of RAM and disk are free until written. The
-// zero value is an empty bitmap of capacity zero; construct with NewBitmap.
+// allocated on the first Set inside their range, small until more than a
+// few of their words are written. A bitmap costs memory in proportion to
+// the words it has touched, not to its capacity, so a machine's nominal
+// gigabytes of RAM and disk are free until written, and a lone page costs
+// a 96-byte chunk. The zero value is an empty bitmap of capacity zero;
+// construct with NewBitmap.
 type Bitmap struct {
 	n      uint64
 	chunks []*chunk // chunks[c] holds bits [c*chunkBits, (c+1)*chunkBits); nil = all clear
@@ -44,11 +49,7 @@ func (b *Bitmap) Set(i uint64) {
 	if i >= b.n {
 		return
 	}
-	c := i >> chunkShift
-	if c >= uint64(len(b.chunks)) || b.chunks[c] == nil {
-		b.materialize(c)
-	}
-	b.chunks[c][i>>6&(chunkWords-1)] |= 1 << (i & 63)
+	*b.chunk(i >> chunkShift).slot(i >> 6 & (chunkWords - 1)) |= 1 << (i & 63)
 }
 
 // SetRange marks bits [lo, lo+n), one word-wide OR per 64 bits: what n
@@ -58,19 +59,18 @@ func (b *Bitmap) SetRange(lo, n uint64) {
 		return
 	}
 	for hi := lo + min(n, b.n-lo); lo < hi; {
-		c := lo >> chunkShift
-		if c >= uint64(len(b.chunks)) || b.chunks[c] == nil {
-			b.materialize(c)
-		}
 		k := min(hi-lo, 64-lo&63)
-		b.chunks[c][lo>>6&(chunkWords-1)] |= ^uint64(0) >> (64 - k) << (lo & 63)
+		*b.chunk(lo >> chunkShift).slot(lo >> 6 & (chunkWords - 1)) |= ^uint64(0) >> (64 - k) << (lo & 63)
 		lo += k
 	}
 }
 
-// materialize allocates chunk c, growing the top-level table to reach it.
-// It runs once per chunk: the first write into a 128 MiB region.
-func (b *Bitmap) materialize(c uint64) {
+// chunk returns chunk c, allocating it, and growing the top-level table to
+// reach it, on the first write into its 128 MiB region.
+func (b *Bitmap) chunk(c uint64) *chunk {
+	if c < uint64(len(b.chunks)) && b.chunks[c] != nil {
+		return b.chunks[c]
+	}
 	if c >= uint64(len(b.chunks)) {
 		// Grown by hand, not with append(b.chunks, make(...)...): under the
 		// race detector that idiom also allocates the appended nils.
@@ -81,19 +81,18 @@ func (b *Bitmap) materialize(c uint64) {
 		}
 		b.chunks = b.chunks[:c+1]
 	}
-	if b.chunks[c] == nil {
-		b.chunks[c] = new(chunk)
-	}
+	b.chunks[c] = new(chunk)
+	return b.chunks[c]
 }
 
 // word returns the word holding bit i, or nil when its chunk was never
-// materialized (every bit in it is clear).
+// materialized or does not list it (every bit in it is clear).
 func (b *Bitmap) word(i uint64) *uint64 {
 	c := i >> chunkShift
 	if i >= b.n || c >= uint64(len(b.chunks)) || b.chunks[c] == nil {
 		return nil
 	}
-	return &b.chunks[c][i>>6&(chunkWords-1)]
+	return b.chunks[c].at(i >> 6 & (chunkWords - 1))
 }
 
 // Clear unmarks bit i.
@@ -113,11 +112,8 @@ func (b *Bitmap) Test(i uint64) bool {
 func (b *Bitmap) Count() uint64 {
 	var n uint64
 	for _, c := range b.chunks {
-		if c == nil {
-			continue
-		}
-		for _, w := range c {
-			n += uint64(bits.OnesCount64(w))
+		if c != nil {
+			c.each(func(_, w uint64) { n += uint64(bits.OnesCount64(w)) })
 		}
 	}
 	return n
@@ -130,14 +126,51 @@ func (b *Bitmap) ForEach(fn func(i uint64)) {
 			continue
 		}
 		base := uint64(ci) << chunkShift
-		for wi, w := range c {
+		c.each(func(wi, w uint64) {
 			for w != 0 {
 				bit := bits.TrailingZeros64(w)
-				fn(base + uint64(wi)*64 + uint64(bit))
+				fn(base + wi*64 + uint64(bit))
 				w &^= 1 << bit
 			}
+		})
+	}
+}
+
+// ForEachRun calls fn for each maximal run of consecutive set bits, as
+// frames [p, p+n), in ascending order, and returns the first error fn
+// returns, visiting no run after it. fn must not change b. Migration walks
+// a written set's pages this way, with no page list.
+func (b *Bitmap) ForEachRun(fn func(p PFN, n int) error) error {
+	var lo, n uint64 // the run being gathered; n is 0 before the first
+	var err error
+	for ci, c := range b.chunks {
+		if c == nil {
+			continue
+		}
+		base := uint64(ci) << chunkShift
+		c.each(func(wi, w uint64) {
+			for w != 0 && err == nil {
+				s := uint64(bits.TrailingZeros64(w))
+				k := uint64(bits.TrailingZeros64(^(w >> s)))
+				if at := base + wi*64 + s; n != 0 && lo+n == at {
+					n += k
+				} else {
+					if n != 0 {
+						err = fn(PFN(lo), int(n))
+					}
+					lo, n = at, k
+				}
+				w &^= (1<<k - 1) << s
+			}
+		})
+		if err != nil {
+			return err
 		}
 	}
+	if n == 0 {
+		return nil
+	}
+	return fn(PFN(lo), int(n))
 }
 
 // PFNs returns the set bits as page frame numbers in ascending order, in one
@@ -155,13 +188,13 @@ func (b *Bitmap) AppendPFNs(dst []PFN) []PFN {
 	return dst
 }
 
-// Reset clears every bit. Materialized chunks are kept and zeroed, so a log
-// that is drained and re-dirtied in the same regions every round allocates
-// nothing after the first.
+// Reset clears every bit. Materialized chunks are kept, full ones zeroed
+// and small ones emptied, so a log that is drained and re-dirtied in the
+// same regions every round allocates nothing after the first.
 func (b *Bitmap) Reset() {
 	for _, c := range b.chunks {
 		if c != nil {
-			*c = chunk{}
+			c.reset()
 		}
 	}
 }
@@ -177,23 +210,17 @@ func (b *Bitmap) Or(other *Bitmap) {
 		if base >= b.n {
 			return
 		}
-		var c *chunk
-		for wi, w := range oc {
-			lo := base + uint64(wi)*64
+		oc.each(func(wi, w uint64) {
+			lo := base + wi*64
 			if lo >= b.n {
-				break
+				return
 			}
 			if rem := b.n - lo; rem < 64 {
 				w &= 1<<rem - 1
 			}
-			if w == 0 {
-				continue
+			if w != 0 {
+				*b.chunk(uint64(ci)).slot(wi) |= w
 			}
-			if c == nil {
-				b.materialize(uint64(ci))
-				c = b.chunks[ci]
-			}
-			c[wi] |= w
-		}
+		})
 	}
 }

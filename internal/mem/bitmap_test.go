@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"slices"
 	"sort"
 	"testing"
@@ -115,12 +117,81 @@ func TestBitmapSetRangeMatchesSet(t *testing.T) {
 	}
 }
 
+// TestBitmapForEachRun: runs must be maximal across word and chunk edges,
+// in a small chunk and a full one, and an error from fn must stop the walk
+// and come back.
+func TestBitmapForEachRun(t *testing.T) {
+	b := NewBitmap(3 * chunkBits)
+	b.SetRange(60, 10)               // across a word edge in a small chunk 0
+	b.SetRange(chunkBits-3, 7)       // across the edge into chunk 1
+	b.SetRange(chunkBits+64*20, 600) // ten words: chunk 1 is full
+	b.Set(2*chunkBits + 63)          // alone in a small chunk 2
+	want := [][2]int{{60, 10}, {chunkBits - 3, 7}, {chunkBits + 64*20, 600}, {2*chunkBits + 63, 1}}
+	var got [][2]int
+	if err := b.ForEachRun(func(p PFN, n int) error {
+		got = append(got, [2]int{int(p), n})
+		return nil
+	}); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("ForEachRun visits %v, %v; want %v", got, err, want)
+	}
+	stop := errors.New("stop")
+	got = got[:0]
+	if err := b.ForEachRun(func(p PFN, n int) error {
+		got = append(got, [2]int{int(p), n})
+		if len(got) == 2 {
+			return stop
+		}
+		return nil
+	}); err != stop || !slices.Equal(got, want[:2]) {
+		t.Fatalf("ForEachRun stopping at the second run visits %v and returns %v", got, err)
+	}
+}
+
+// bmStep is one FuzzBitmap record: op 0 sets bit i, 1 clears it, 2 sets
+// it in the other bitmap, 3 ORs the other bitmap in and 4 resets when i is
+// a multiple of 8.
+func bmStep(op byte, i uint32) []byte {
+	return binary.LittleEndian.AppendUint32([]byte{op}, i)
+}
+
 // FuzzBitmap checks the sparse bitmap against a map-backed reference over
 // arbitrary Set/Clear/Reset/Or sequences spanning several chunks. Each
-// 5-byte record is an opcode and a 32-bit index.
+// 5-byte record is an opcode and a 32-bit index (bmStep). After every step
+// Test of the step's index must match; at the end PFNs, Count and the runs
+// ForEachRun visits must.
 func FuzzBitmap(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 255, 127, 0, 0, 1, 0, 0, 0, 0})
 	f.Add([]byte{0, 255, 255, 1, 0, 3, 0, 0, 0, 0, 0, 1, 128, 0, 0, 2, 0, 0, 0, 0})
+	// Nine and then ten words in one chunk, one past a small chunk's
+	// eight, around unlisted words whose bit matches a listed one's: Test
+	// through the other bitmap's Set reads b at an unlisted word before and
+	// after the promotion.
+	var words [][]byte
+	for w := uint32(0); w < 10; w++ {
+		words = append(words, bmStep(0, chunkBits+128*w+5), bmStep(2, chunkBits+128*w+64+5))
+	}
+	words = append(words, bmStep(1, chunkBits+128*3+5), bmStep(0, chunkBits+128*3+6))
+	f.Add(bytes.Join(words, nil))
+	// Or and Reset between a small chunk and a full one, both ways: b's
+	// small chunk 0 takes the other bitmap's full one, b's full chunk 2
+	// takes a small one, and a Reset at a bit of b's small chunk 1 must
+	// clear it; then both merge again into the reset chunks.
+	var mixed [][]byte
+	for w := uint32(0); w < 12; w++ {
+		mixed = append(mixed, bmStep(2, 64*w+w), bmStep(0, 2*chunkBits+64*w))
+	}
+	mixed = append(mixed,
+		bmStep(0, 64*20+1), bmStep(0, 3), bmStep(2, 2*chunkBits+64*30+7),
+		bmStep(3, 0), bmStep(0, chunkBits+8), bmStep(0, chunkBits+640),
+		bmStep(4, chunkBits+8), bmStep(0, chunkBits+72), bmStep(3, 64*11+11))
+	f.Add(bytes.Join(mixed, nil))
+	// Clear of the last set bit of a small chunk, then bits set again in
+	// that word and a new one, and cleared.
+	f.Add(bytes.Join([][]byte{
+		bmStep(0, 2*chunkBits+77), bmStep(1, 2*chunkBits+77), bmStep(2, 2*chunkBits+77),
+		bmStep(0, 2*chunkBits+78), bmStep(0, 2*chunkBits+640), bmStep(1, 2*chunkBits+78),
+		bmStep(1, 2*chunkBits+640), bmStep(0, 2*chunkBits+79),
+	}, nil))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const n = 3*chunkBits + 1000
 		b, other := NewBitmap(n), NewBitmap(n+chunkBits)
@@ -170,6 +241,21 @@ func FuzzBitmap(f *testing.F) {
 			if got[i] != want[i] {
 				t.Fatalf("PFNs[%d] = %d, reference %d", i, got[i], want[i])
 			}
+		}
+		var runs, wantRuns [][2]int
+		b.ForEachRun(func(p PFN, n int) error {
+			runs = append(runs, [2]int{int(p), n})
+			return nil
+		})
+		for _, p := range want {
+			if k := len(wantRuns) - 1; k >= 0 && wantRuns[k][0]+wantRuns[k][1] == int(p) {
+				wantRuns[k][1]++
+			} else {
+				wantRuns = append(wantRuns, [2]int{int(p), 1})
+			}
+		}
+		if !slices.Equal(runs, wantRuns) {
+			t.Fatalf("ForEachRun visits %v, reference runs %v", runs, wantRuns)
 		}
 	})
 }

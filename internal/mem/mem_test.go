@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -374,5 +375,50 @@ func TestTranslationChainMovesBytes(t *testing.T) {
 	}
 	if !bytes.Equal(buf, payload) {
 		t.Fatal("payload did not arrive at translated host address")
+	}
+}
+
+var (
+	tableSink  *PageTable
+	bitmapSink *Bitmap
+)
+
+// TestFirstTouchAlloc pins what a first touch costs now that directory
+// nodes and bitmap chunks start small. A fresh PageTable after one Map holds
+// its header, three 96-byte directory nodes and one 4 KiB leaf: 4,416 B. A
+// Bitmap over 96 GiB of frames after one Set at frame 0x300011, past 3M,
+// where the VCIMT lands in an L1 VM, holds its header, a top-level table
+// reaching chunk 96 and one 96-byte chunk: 1,024 B. The budgets are those
+// figures. Full nodes and chunks from the first entry cost 18,720 B and
+// 5,024 B: a 4 KiB array of pointers carries an 8-byte allocation header,
+// which puts it in the 4,864-byte size class. Bytes allocated are
+// deterministic, so the budgets hold on any host.
+func TestFirstTouchAlloc(t *testing.T) {
+	const runs = 8
+	for _, c := range []struct {
+		name   string
+		budget uint64
+		touch  func()
+	}{
+		{"PageTable after one Map", 4416, func() {
+			tableSink = NewPageTable()
+			tableSink.Map(0x300011, 5, PermRW)
+		}},
+		{"Bitmap after one Set at 0x300011", 1024, func() {
+			bitmapSink = NewBitmap(96 << 30 >> PageShift)
+			bitmapSink.Set(0x300011)
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			c.touch()
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > c.budget {
+			t.Errorf("%s allocated %d bytes, budget %d", c.name, got, c.budget)
+		} else {
+			t.Logf("%s allocated %d bytes", c.name, got)
+		}
 	}
 }

@@ -41,6 +41,11 @@ func (p Perm) String() string {
 // Walks traverse the actual radix structure so their cost (levels touched)
 // is an output of the data structure, not a constant.
 //
+// Its memory follows the frames it maps: an interior node lists its first
+// few children and grows into a 512-pointer array only when they overflow
+// the list, while a level-4 leaf is always its 512 entries, so one mapping
+// in an empty table costs 4.3 KiB.
+//
 // A PageTable is not safe for concurrent use, even by readers only: Lookup
 // stamps A/D bits and updates the last-leaf cache.
 type PageTable struct {
@@ -62,13 +67,15 @@ const ptLevels = 4
 // above it, and Lookup reports one absent.
 const TableFrames PFN = 1 << (9 * ptLevels)
 
-// ptDir is an interior node, levels 1-3: 512 child pointers, 4 KiB.
-type ptDir[T any] [512]*T
-
+// ptRoot, ptMid and ptLow are the interior nodes, levels 1-3: each a
+// smallArray of child pointers, 96 bytes until its ninth child promotes it
+// to 512 pointers in 4 KiB. A child, once made, stays at its index until
+// Clear, so which nodes exist, and so every walk, is the same as in a table
+// of full nodes.
 type (
-	ptRoot = ptDir[ptMid]
-	ptMid  = ptDir[ptLow]
-	ptLow  = ptDir[ptLeaf]
+	ptRoot = smallArray[*ptMid]
+	ptMid  = smallArray[*ptLow]
+	ptLow  = smallArray[*ptLeaf]
 )
 
 // ptLeaf is a level-4 node: 512 packed entries, 4 KiB with no pointer for
@@ -92,12 +99,13 @@ func NewPageTable() *PageTable {
 	return &PageTable{}
 }
 
-// child returns the node *slot points to, allocating it when absent.
-func child[T any](slot **T) *T {
-	if *slot == nil {
-		*slot = new(T)
+// child returns d's child at index i, allocating it when absent.
+func child[T any](d *smallArray[*T], i PFN) *T {
+	p := d.slot(uint64(i))
+	if *p == nil {
+		*p = new(T)
 	}
-	return *slot
+	return *p
 }
 
 // Map installs a translation from frame from to frame to with the given
@@ -125,10 +133,12 @@ func beyondTable(from PFN) error {
 func (t *PageTable) leafFor(from PFN) *ptLeaf {
 	leaf, _ := t.levelFour(from)
 	if leaf == nil {
-		root := child(&t.root)
-		mid := child(&root[from>>27])
-		low := child(&mid[from>>18&0x1ff])
-		leaf = child(&low[from>>9&0x1ff])
+		if t.root == nil {
+			t.root = new(ptRoot)
+		}
+		mid := child(t.root, from>>27)
+		low := child(mid, from>>18&0x1ff)
+		leaf = child(low, from>>9&0x1ff)
 		t.last, t.lastKey = leaf, from>>9
 	}
 	return leaf
@@ -199,15 +209,16 @@ func (t *PageTable) levelFour(from PFN) (*ptLeaf, int) {
 	if t.root == nil || from >= TableFrames {
 		return nil, 1
 	}
-	mid := t.root[from>>27]
+	i := uint64(from)
+	mid := t.root.get(i >> 27)
 	if mid == nil {
 		return nil, 1
 	}
-	low := mid[from>>18&0x1ff]
+	low := mid.get(i >> 18 & 0x1ff)
 	if low == nil {
 		return nil, 2
 	}
-	leaf := low[from>>9&0x1ff]
+	leaf := low.get(i >> 9 & 0x1ff)
 	if leaf == nil {
 		return nil, 3
 	}
@@ -291,33 +302,24 @@ func (t *PageTable) ForEachEntry(fn func(Entry)) {
 	if t.root == nil {
 		return
 	}
-	for i, mid := range t.root {
-		if mid == nil {
-			continue
-		}
-		for j, low := range mid {
-			if low == nil {
-				continue
-			}
-			for k, leaf := range low {
-				if leaf == nil {
-					continue
-				}
+	t.root.each(func(i uint64, mid *ptMid) {
+		mid.each(func(j uint64, low *ptLow) {
+			low.each(func(k uint64, leaf *ptLeaf) {
 				for s, e := range leaf {
 					if e&ptePresent == 0 {
 						continue
 					}
 					fn(Entry{
-						From:     PFN(i)<<27 | PFN(j)<<18 | PFN(k)<<9 | PFN(s),
+						From:     PFN(i<<27 | j<<18 | k<<9 | uint64(s)),
 						To:       PFN(e >> pteFrameShift),
 						Perms:    Perm(e & uint64(PermRWX)),
 						Accessed: e&pteAccessed != 0,
 						Dirty:    e&pteDirty != 0,
 					})
 				}
-			}
-		}
-	}
+			})
+		})
+	})
 }
 
 // Combine produces a new table composing t with next: for every mapping

@@ -94,7 +94,9 @@ func (r *refTable) sorted() []Entry {
 // little-endian 16-bit frame operand x, a little-endian 16-bit target
 // operand and an argument byte (permissions, access kind, page offset, or
 // for a run the access kind in bits 0-1, R-X instead of RWX perms in bit 2
-// and the length in bits 3-7, ptRunLen).
+// and the length in bits 3-7, ptRunLen). The opcode byte's top two bits
+// pick how x becomes a frame: ptFrame, ptWideFrame, or a slot of the
+// previous step's level-4 node.
 const (
 	ptOpMap = iota
 	ptOpUnmap
@@ -112,6 +114,8 @@ const (
 	// and takes only the slot from x, so random inputs revisit the cached
 	// node often.
 	ptRelative = 0x80
+	// ptWide in the opcode byte spreads x with ptWideFrame.
+	ptWide = 0x40
 )
 
 func ptStep(op byte, x, to uint16, arg byte) []byte {
@@ -126,6 +130,14 @@ func ptStep(op byte, x, to uint16, arg byte) []byte {
 // first two.
 func ptFrame(x uint16) PFN {
 	return PFN(x&0x3ff) | PFN(x>>10&3)<<18 | PFN(x>>12&3)<<27 | PFN(x>>14)<<35
+}
+
+// ptWideFrame spreads a 16-bit operand four bits a level: bits 12-15 pick
+// the top-level index, bits 8-11 the level-2 one, bits 4-7 the level-3 one
+// and bits 0-3 the slot. So up to sixteen frames share a parent node at
+// every level, more children than a small directory node holds.
+func ptWideFrame(x uint16) PFN {
+	return PFN(x>>12)<<27 | PFN(x>>8&0xf)<<18 | PFN(x>>4&0xf)<<9 | PFN(x&0xf)
 }
 
 // ptRunLen is a run step's length, 1 to 1,100 frames, from its argument
@@ -257,14 +269,57 @@ func FuzzPageTable(f *testing.F) {
 		ptStep(run, 0x8005, 99, 2|1<<3),
 		ptStep(ptOpLookupRead, 0x0005, 0, 0),
 	}, nil))
+	// Directory nodes promoted at every level: a level-3 node, then a
+	// level-2 node, then the top level gather nine or ten children each,
+	// one past a small node's eight, with lookups of an absent sibling in
+	// the same node just before and after its promotion (3, 2 and 1 levels
+	// touched) and lookups of present children on both sides of it.
+	wide := func(op byte, x uint16) []byte { return ptStep(op|ptWide, x, x, byte(PermRW)) }
+	var promote [][]byte
+	for _, lv := range []struct {
+		shift  uint
+		absent uint16
+	}{{4, 0x00c0}, {8, 0x0c00}, {12, 0xc000}} {
+		for i := uint16(0); i < 10; i++ {
+			if i == 8 {
+				promote = append(promote, wide(ptOpLookupWrite, lv.absent))
+			}
+			promote = append(promote, wide(ptOpMap, i<<lv.shift))
+		}
+		promote = append(promote,
+			wide(ptOpLookupWrite, lv.absent),
+			wide(ptOpLookupWrite, 9<<lv.shift),
+			wide(ptOpLookupRead, 3<<lv.shift),
+			wide(ptOpLookupNone, 7<<lv.shift|5))
+	}
+	f.Add(bytes.Join(promote, nil))
+	// Clear after a promotion: a level-3 node promoted, cleared, then looked
+	// up (an empty table), rebuilt one child at a time past its promotion
+	// again, with an absent sibling and a present child looked up after.
+	var cleared [][]byte
+	for round := 0; round < 2; round++ {
+		for i := uint16(0); i < 9; i++ {
+			cleared = append(cleared, wide(ptOpMap, i<<4|uint16(round)))
+		}
+		cleared = append(cleared,
+			wide(ptOpLookupWrite, 8<<4|uint16(round)),
+			wide(ptOpClear, 0),
+			wide(ptOpLookupRead, 8<<4|uint16(round)),
+			wide(ptOpLookupRead, 0x00c0))
+	}
+	cleared = append(cleared, wide(ptOpMap, 0x00c0), wide(ptOpLookupRead, 0x00b0), wide(ptOpLookupWrite, 0x00c0))
+	f.Add(bytes.Join(cleared, nil))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		pt, ref := NewPageTable(), newRefTable()
 		var prev PFN
 		for step := 0; len(ops) >= ptStepLen; step++ {
-			op, x, to, arg := (ops[0]&^ptRelative)%ptNumOps, binary.LittleEndian.Uint16(ops[1:]), ptTarget(binary.LittleEndian.Uint16(ops[3:])), ops[5]
+			op, x, to, arg := (ops[0]&^(ptRelative|ptWide))%ptNumOps, binary.LittleEndian.Uint16(ops[1:]), ptTarget(binary.LittleEndian.Uint16(ops[3:])), ops[5]
 			p := ptFrame(x)
-			if ops[0]&ptRelative != 0 {
+			switch {
+			case ops[0]&ptRelative != 0:
 				p = prev&^0x1ff | PFN(x&0x1ff)
+			case ops[0]&ptWide != 0:
+				p = ptWideFrame(x)
 			}
 			ops, prev = ops[ptStepLen:], p
 			switch op {

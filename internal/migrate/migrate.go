@@ -89,8 +89,9 @@ type Plan struct {
 	Options Options
 
 	// pages is the page list every pre-copy round drains the dirty logs
-	// into, and VerifyDest lists the written pages in; union merges the
-	// guest-visible and DMA logs. Both are reused across rounds.
+	// into; union merges the guest-visible and DMA logs. Both are reused
+	// across rounds. The first pass and VerifyDest read the written set in
+	// runs and list no page.
 	pages []mem.PFN
 	union *mem.Bitmap
 }
@@ -168,15 +169,19 @@ func (p *Plan) Run() (Report, error) {
 		}
 	}
 
-	// First pass: every written page.
-	pending := p.VM.AppendWrittenPages(p.pages[:0])
-	defer func() { p.pages = pending[:0] }()
-	for {
-		bytes := uint64(len(pending)) * mem.PageSize
-		dur := p.Options.transferTime(bytes)
-		if err := p.copyPages(pending, &rep); err != nil {
+	// First pass: every written page, copied in runs read straight from
+	// the written set. Each later round sends what the one before dirtied.
+	sent := p.VM.WrittenCount()
+	rep.PagesSent, rep.BytesSent = uint64(sent), uint64(sent)*mem.PageSize
+	if p.Dest != nil {
+		if err := p.VM.Memory().CopyWrittenTo(p.Dest.Memory()); err != nil {
 			return rep, err
 		}
+	}
+	pending := p.pages[:0]
+	defer func() { p.pages = pending[:0] }()
+	for {
+		dur := p.Options.transferTime(uint64(sent) * mem.PageSize)
 		rep.TotalTime += dur
 		rep.Rounds++
 
@@ -226,6 +231,10 @@ func (p *Plan) Run() (Report, error) {
 			rep.MissedDMAPages = churnState.missedDMA()
 			return rep, nil
 		}
+		if err := p.copyPages(pending, &rep); err != nil {
+			return rep, err
+		}
+		sent = len(pending)
 	}
 }
 
@@ -278,6 +287,5 @@ func (p *Plan) VerifyDest() ([]mem.PFN, error) {
 	if p.Dest == nil {
 		return nil, fmt.Errorf("migrate: no destination to verify")
 	}
-	p.pages = p.VM.AppendWrittenPages(p.pages[:0])
-	return p.VM.Memory().DiffPages(p.Dest.Memory(), p.pages)
+	return p.VM.Memory().DiffWritten(p.Dest.Memory())
 }
