@@ -78,10 +78,13 @@ func (c *Checker) sweepVM(vm *hyper.VM) {
 // exactly with the EPT A/D dirty bits — the invariant pre-copy migration
 // depends on.
 func (c *Checker) checkDirtyTracking(vm *hyper.VM) {
-	for _, p := range vm.PeekDirty() {
-		if !vm.Written(p) {
-			c.violate("dirty-subset-written", "%s: frame %#x in dirty log but never written", vm.Name, uint64(p))
-			return
+	written := vm.WrittenSet()
+	if log := vm.DirtyLog(); log != nil {
+		for _, p := range log.PFNs() {
+			if !written.Test(uint64(p)) {
+				c.violate("dirty-subset-written", "%s: frame %#x in dirty log but never written", vm.Name, uint64(p))
+				return
+			}
 		}
 	}
 	// The EPT walk and the written set both come out in ascending frame
@@ -93,7 +96,7 @@ func (c *Checker) checkDirtyTracking(vm *hyper.VM) {
 		}
 	})
 	i := 0
-	for _, p := range vm.WrittenPages() {
+	for _, p := range written.PFNs() {
 		for i < len(eptDirty) && eptDirty[i] < p {
 			i++
 		}
@@ -103,7 +106,7 @@ func (c *Checker) checkDirtyTracking(vm *hyper.VM) {
 		}
 	}
 	for _, p := range eptDirty {
-		if !vm.Written(p) {
+		if !written.Test(uint64(p)) {
 			c.violate("ept-dirty-written", "%s: EPT-dirty frame %#x never marked written", vm.Name, uint64(p))
 			return
 		}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/apic"
 	"repro/internal/hyper"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/vmx"
 )
@@ -260,52 +262,73 @@ func TestVirtualPassthroughL3(t *testing.T) {
 	}
 }
 
+// TestVPDataPathMovesBytesThroughShadow: the nested VM posts a TX frame
+// through real virtio rings and the host backend reads it through the
+// combined shadow translation, at depth 2 and at depth 3, where two vIOMMU
+// domains compose. Every shadow entry must then map its frame where walking
+// the domain tables does, from the nested VM's level down to L1.
 func TestVPDataPathMovesBytesThroughShadow(t *testing.T) {
-	// End to end: the nested VM posts a TX frame through real virtio rings;
-	// the host backend reads it through the combined shadow translation.
-	d, w, vms := buildStack(t, 2, FeaturesAll)
-	l2 := vms[1]
-	dev, err := d.AttachVirtualPassthroughNet(l2, "vp-net0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vp, _ := d.VPStateOf(dev)
+	for _, depth := range []int{2, 3} {
+		t.Run(fmt.Sprintf("L%d", depth), func(t *testing.T) {
+			d, w, vms := buildStack(t, depth, FeaturesAll)
+			nested := vms[depth-1]
+			dev, err := d.AttachVirtualPassthroughNet(nested, "vp-net0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			vp, _ := d.VPStateOf(dev)
 
-	gm := l2.Memory()
-	ringBase := l2.MustAllocPages(4)
-	dq, err := newDriverQueue(gm, ringBase, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc, avail, used := dq.Rings()
-	dev.Net.AttachQueue(1, newQueue(dev.DMAView, 8, desc, avail, used))
+			gm := nested.Memory()
+			dq, err := newDriverQueue(gm, nested.MustAllocPages(4), 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			desc, avail, used := dq.Rings()
+			dev.Net.AttachQueue(1, newQueue(dev.DMAView, 8, desc, avail, used))
 
-	frameAddr := l2.MustAllocPages(1)
-	payload := []byte("nested frame via DVH virtual-passthrough")
-	if err := gm.Write(frameAddr, payload); err != nil {
-		t.Fatal(err)
+			frameAddr := nested.MustAllocPages(1)
+			payload := []byte("nested frame via DVH virtual-passthrough")
+			if err := gm.Write(frameAddr, payload); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dq.Submit([]vdesc{{Addr: frameAddr, Len: uint32(len(payload))}}); err != nil {
+				t.Fatal(err)
+			}
+			exec(t, w, nested.VCPUs[0], hyper.DevNotify(dev.Doorbell))
+			if dev.Net.TxFrames != 1 {
+				t.Fatalf("backend transmitted %d frames, want 1", dev.Net.TxFrames)
+			}
+			if _, err := dq.Submit(nil); err == nil {
+				t.Fatal("empty submit should fail")
+			}
+			// The "guest hypervisors" must have programmed every vIOMMU
+			// domain, and the shadow table must hold their composition.
+			if len(vp.Domains) != depth-1 {
+				t.Fatalf("%d vIOMMU domains, want %d", len(vp.Domains), depth-1)
+			}
+			for i, dom := range vp.Domains {
+				if dom.Table.Mapped() == 0 {
+					t.Fatalf("L%d vIOMMU domain not programmed", i+1)
+				}
+			}
+			if vp.Shadow.Mapped() == 0 {
+				t.Fatal("shadow table empty after DMA")
+			}
+			vp.Shadow.ForEachEntry(func(e mem.Entry) {
+				f := e.From
+				for i := len(vp.Domains) - 1; i >= 0; i-- {
+					w := vp.Domains[i].Table.Lookup(f, 0)
+					if !w.Present {
+						t.Fatalf("shadow maps frame %#x, but the L%d vIOMMU domain does not map %#x", uint64(e.From), i+1, uint64(f))
+					}
+					f = w.PFN
+				}
+				if e.To != f {
+					t.Fatalf("shadow maps frame %#x to L1 frame %#x; the domain tables give %#x", uint64(e.From), uint64(e.To), uint64(f))
+				}
+			})
+		})
 	}
-	if _, err := dq.Submit([]vdesc{{Addr: frameAddr, Len: uint32(len(payload))}}); err != nil {
-		t.Fatal(err)
-	}
-	exec(t, w, l2.VCPUs[0], hyper.DevNotify(dev.Doorbell))
-	if dev.Net.TxFrames != 1 {
-		t.Fatalf("backend transmitted %d frames, want 1", dev.Net.TxFrames)
-	}
-	// The shadow table must now hold combined mappings and the vIOMMU
-	// domains must have been programmed by the "guest hypervisors".
-	if vp.Shadow.Mapped() == 0 {
-		t.Fatal("shadow table empty after DMA")
-	}
-	if len(vp.Domains) != 1 || vp.Domains[0].Table.Mapped() == 0 {
-		t.Fatal("L1 vIOMMU domain not programmed")
-	}
-	// DMA reads do not dirty; device writes do. Exercise RX:
-	rxBase := l2.MustAllocPages(1)
-	if _, err := dq.Submit(nil); err == nil {
-		t.Fatal("empty submit should fail")
-	}
-	_ = rxBase
 }
 
 func TestVPDMAWritesInvisibleToGuestDirtyLog(t *testing.T) {
@@ -324,7 +347,7 @@ func TestVPDMAWritesInvisibleToGuestDirtyLog(t *testing.T) {
 	if err := dev.DMAView.Write(buf, []byte("dma payload")); err != nil {
 		t.Fatal(err)
 	}
-	if got := l2.CollectDirty(); len(got) != 0 {
+	if got := l2.DirtyLog().PFNs(); len(got) != 0 {
 		t.Fatalf("guest-visible dirty log saw DMA pages %v; it must not", got)
 	}
 	dma := vp.HostDirty.PFNs()
@@ -335,7 +358,7 @@ func TestVPDMAWritesInvisibleToGuestDirtyLog(t *testing.T) {
 	if err := l2.Memory().Write(buf, []byte("cpu write")); err != nil {
 		t.Fatal(err)
 	}
-	if got := l2.CollectDirty(); len(got) != 1 {
+	if got := l2.DirtyLog().PFNs(); len(got) != 1 {
 		t.Fatalf("CPU write dirty log = %v", got)
 	}
 }

@@ -22,8 +22,8 @@ type VPState struct {
 	// the L1 virtual IOMMU consults on the data path (paper Figure 6).
 	Shadow *mem.PageTable
 	// Domains are the per-level vIOMMU domains the guest hypervisors
-	// programmed for the assignment, outermost (closest to the nested VM)
-	// first.
+	// programmed for the assignment, the L1 hypervisor's first (L2 → L1
+	// frames) and the nested VM's own hypervisor's last.
 	Domains []*iommu.Domain
 	// HostDirty logs nested-VM pages dirtied by device DMA — state only the
 	// host can see, exported to guest hypervisors through the PCI migration

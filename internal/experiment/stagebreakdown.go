@@ -68,21 +68,51 @@ func StageBreakdownUnder(profileName string) ([]StageBreakdownRow, error) {
 // FormatStageBreakdown renders the stacked per-stage table, grouped by
 // microbenchmark like the paper groups Table 3 rows.
 func FormatStageBreakdown(rows []StageBreakdownRow) string {
+	return textStages("Per-stage cycle attribution of Table 3 (cycles/op; stages sum to the Table 3 value)",
+		"benchmark", [3]int{14, 12, 10}, false, len(rows), breakdownRow(rows))
+}
+
+// markdownStageBreakdown renders the per-stage table as Markdown.
+func markdownStageBreakdown(rows []StageBreakdownRow) string {
+	return markdownStages("Benchmark", len(rows), breakdownRow(rows),
+		"Cycles per operation attributed to each pipeline stage; stage columns sum to the total.")
+}
+
+// breakdownRow reads the per-stage table's rows.
+func breakdownRow(rows []StageBreakdownRow) stageRow {
+	return func(i int) (string, string, sim.Cycles, *[hyper.NumStages]sim.Cycles) {
+		return rows[i].Micro, rows[i].Config, rows[i].Total, &rows[i].Stages
+	}
+}
+
+// stageRow reads row i of a stage table: its two labels, its total and the
+// total's per-stage shares.
+type stageRow func(i int) (label, config string, total sim.Cycles, stages *[hyper.NumStages]sim.Cycles)
+
+// textStages renders a stage table as aligned text: the title, the column
+// heads, then the rows as markdownStages lays them out, in columns w wide
+// (label, config, total), with a blank line between groups: rows with the
+// same config when byConfig is set, with the same label otherwise.
+func textStages(title, head string, w [3]int, byConfig bool, n int, row stageRow) string {
 	var b strings.Builder
-	b.WriteString("Per-stage cycle attribution of Table 3 (cycles/op; stages sum to the Table 3 value)\n")
-	fmt.Fprintf(&b, "%-14s %-12s %10s", "benchmark", "config", "total")
+	fmt.Fprintf(&b, "%s\n%-*s %-*s %*s", title, w[0], head, w[1], "config", w[2], "total")
 	for s := range hyper.NumStages {
 		fmt.Fprintf(&b, " %10s", s)
 	}
 	b.WriteByte('\n')
-	group := ""
-	for _, r := range rows {
-		if group != "" && r.Micro != group {
+	prev := ""
+	for i := range n {
+		label, config, total, stages := row(i)
+		group := label
+		if byConfig {
+			group = config
+		}
+		if i > 0 && group != prev {
 			b.WriteByte('\n')
 		}
-		group = r.Micro
-		fmt.Fprintf(&b, "%-14s %-12s %10d", r.Micro, r.Config, uint64(r.Total))
-		for _, c := range r.Stages {
+		prev = group
+		fmt.Fprintf(&b, "%-*s %-*s %*d", w[0], label, w[1], config, w[2], uint64(total))
+		for _, c := range stages {
 			if c != 0 {
 				fmt.Fprintf(&b, " %10d", uint64(c))
 			} else {
@@ -94,17 +124,10 @@ func FormatStageBreakdown(rows []StageBreakdownRow) string {
 	return b.String()
 }
 
-// markdownStageBreakdown renders the per-stage table as Markdown.
-func markdownStageBreakdown(rows []StageBreakdownRow) string {
-	return markdownStages("Benchmark", len(rows), func(i int) (string, string, sim.Cycles, *[hyper.NumStages]sim.Cycles) {
-		return rows[i].Micro, rows[i].Config, rows[i].Total, &rows[i].Stages
-	}, "Cycles per operation attributed to each pipeline stage; stage columns sum to the total.")
-}
-
 // markdownStages renders a stage table as Markdown: a row per cell with its
 // two labels, its total and the total's per-stage shares ("-" for a stage
 // that accrued nothing), then a note.
-func markdownStages(head string, n int, row func(i int) (label, config string, total sim.Cycles, stages *[hyper.NumStages]sim.Cycles), note string) string {
+func markdownStages(head string, n int, row stageRow, note string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "| %s | Config | total |", head)
 	for s := range hyper.NumStages {

@@ -1,9 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/hyper"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -43,36 +40,20 @@ func WorkloadStageBreakdown() ([]WorkloadStageRow, error) {
 // grouped by configuration — rows arrive config-major, workload fastest,
 // like the figures order their bars.
 func FormatWorkloadStageBreakdown(rows []WorkloadStageRow) string {
-	var b strings.Builder
-	b.WriteString("Per-workload stage attribution over the Figure 7 mixes (virtualization cycles per run)\n")
-	fmt.Fprintf(&b, "%-16s %-22s %12s", "workload", "config", "total")
-	for s := range hyper.NumStages {
-		fmt.Fprintf(&b, " %10s", s)
-	}
-	b.WriteByte('\n')
-	group := ""
-	for _, r := range rows {
-		if group != "" && r.Config != group {
-			b.WriteByte('\n')
-		}
-		group = r.Config
-		fmt.Fprintf(&b, "%-16s %-22s %12d", r.Workload, r.Config, uint64(r.Total))
-		for _, c := range r.Stages {
-			if c != 0 {
-				fmt.Fprintf(&b, " %10d", uint64(c))
-			} else {
-				fmt.Fprintf(&b, " %10s", "-")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return textStages("Per-workload stage attribution over the Figure 7 mixes (virtualization cycles per run)",
+		"workload", [3]int{16, 22, 12}, true, len(rows), workloadStageRow(rows))
 }
 
 // markdownWorkloadStages renders the per-workload stage profiles as
 // Markdown.
 func markdownWorkloadStages(rows []WorkloadStageRow) string {
-	return markdownStages("Workload", len(rows), func(i int) (string, string, sim.Cycles, *[hyper.NumStages]sim.Cycles) {
+	return markdownStages("Workload", len(rows), workloadStageRow(rows),
+		"Virtualization cycles per run attributed to each pipeline stage; guest compute excluded.")
+}
+
+// workloadStageRow reads the per-workload stage profiles' rows.
+func workloadStageRow(rows []WorkloadStageRow) stageRow {
+	return func(i int) (string, string, sim.Cycles, *[hyper.NumStages]sim.Cycles) {
 		return rows[i].Workload, rows[i].Config, rows[i].Total, &rows[i].Stages
-	}, "Virtualization cycles per run attributed to each pipeline stage; guest compute excluded.")
+	}
 }

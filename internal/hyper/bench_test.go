@@ -105,9 +105,9 @@ func BenchmarkGuestMemoryFirstTouch(b *testing.B) {
 // ns per page, over an 8,192-page working set of the L2 VM of a 2-level
 // stack: "touch" writes the first quadword of every page of fresh memory
 // (WritePageQuads, faulting in both EPT levels and the host frames), "copy"
-// copies them onto a fresh destination stack (CopyWrittenTo, a migration's
-// first pass), and "verify" compares the two (DiffWritten). Stacks are
-// built outside the timed part.
+// copies them onto a fresh destination stack (CopyPagesTo over the written
+// set, a migration's first pass), and "verify" compares the two
+// (DiffWritten). Stacks are built outside the timed part.
 func BenchmarkGuestMemoryPages(b *testing.B) {
 	const ws = 8192
 	val := func(i int) uint64 { return uint64(i) + 1 }
@@ -140,10 +140,10 @@ func BenchmarkGuestMemoryPages(b *testing.B) {
 	})
 	src := touched()
 	b.Run("copy", func(b *testing.B) {
-		perPage(b, fresh, func(dst *GuestMemory) error { return src.CopyWrittenTo(dst) })
+		perPage(b, fresh, func(dst *GuestMemory) error { return src.CopyPagesTo(dst, src.vm.WrittenSet()) })
 	})
 	dst := fresh()
-	if err := src.CopyWrittenTo(dst); err != nil {
+	if err := src.CopyPagesTo(dst, src.vm.WrittenSet()); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("verify", func(b *testing.B) {

@@ -29,13 +29,13 @@ func TestEPTDirtyBitsTrackWrites(t *testing.T) {
 				dirty[e.From] = true
 			}
 		})
-		for _, p := range vm.WrittenPages() {
+		for _, p := range vm.WrittenSet().PFNs() {
 			if !dirty[p] {
 				t.Errorf("%s: written frame %#x has clean EPT dirty bit", vm.Name, uint64(p))
 			}
 		}
 		for p := range dirty {
-			if !vm.Written(p) {
+			if !vm.WrittenSet().Test(uint64(p)) {
 				t.Errorf("%s: EPT-dirty frame %#x never marked written", vm.Name, uint64(p))
 			}
 		}
@@ -60,8 +60,9 @@ func TestEPTDirtyBitsTrackWrites(t *testing.T) {
 // Written sets and dirty logs are sparse bitmaps: writes scattered across a
 // 12 GiB guest, across bitmap region boundaries and at its last frame must
 // come back exactly once each, in ascending frame order, at the written
-// level and (shifted by the carve base) at the level below — and the EPT
-// dirty bits must agree with the written set.
+// level and (shifted by the carve base) at the level below, where resetting
+// the upper log leaves them — and the EPT dirty bits must agree with the
+// written set.
 func TestSparseDirtyTrackingAcrossRegions(t *testing.T) {
 	_, vms := testStack(t, 2)
 	l1, l2 := vms[0], vms[1]
@@ -89,11 +90,11 @@ func TestSparseDirtyTrackingAcrossRegions(t *testing.T) {
 			}
 		}
 	}
-	same("L2 written", l2.WrittenPages(), want)
-	same("L2 peeked dirty log", l2.PeekDirty(), want)
-	same("L2 dirty log", l2.CollectDirty(), want)
-	if d := l2.CollectDirty(); len(d) != 0 {
-		t.Fatalf("drained L2 log still holds %v", d)
+	same("L2 written", l2.WrittenSet().PFNs(), want)
+	same("L2 dirty log", l2.DirtyLog().PFNs(), want)
+	l2.DirtyLog().Reset()
+	if d := l2.DirtyLog().PFNs(); len(d) != 0 {
+		t.Fatalf("reset L2 log still holds %v", d)
 	}
 	base, err := l2.EnsureMapped(0)
 	if err != nil {
@@ -103,7 +104,7 @@ func TestSparseDirtyTrackingAcrossRegions(t *testing.T) {
 	for i, p := range want {
 		below[i] = base + p
 	}
-	same("L1 dirty log", l1.CollectDirty(), below)
+	same("L1 dirty log", l1.DirtyLog().PFNs(), below)
 	for _, vm := range []*VM{l1, l2} {
 		var eptDirty []mem.PFN
 		vm.EPT.ForEachEntry(func(e mem.Entry) {
@@ -111,7 +112,7 @@ func TestSparseDirtyTrackingAcrossRegions(t *testing.T) {
 				eptDirty = append(eptDirty, e.From)
 			}
 		})
-		same(vm.Name+" EPT dirty bits", eptDirty, vm.WrittenPages())
+		same(vm.Name+" EPT dirty bits", eptDirty, vm.WrittenSet().PFNs())
 	}
 }
 
@@ -138,19 +139,22 @@ func TestAllocPagesExhaustionIsError(t *testing.T) {
 // full frames, at L1 and at L2, with dirty logging on at every VM level.
 // The page set holds runs and gaps that cross a 64-frame host leaf, a
 // 512-entry EPT leaf and a 32,768-bit bitmap chunk. One pair then runs
-// WritePageQuads over each run, CopyWrittenTo, CopyPagesTo and
-// DiffWritten; the other runs WriteU64 per page, a whole-page Read from
-// the source plus a full-page Write to the destination per written page
-// and then per page of the set, and a whole-page Read of both per written
-// page. After each phase every VM's written and dirty frames, host
-// memory's written frames and every EPT's A/D bits must agree, as must the
-// destination bytes and the pages DiffWritten reports.
+// WritePageQuads over every other run, CopyPagesTo over the source's
+// written set and then over the page set, and DiffWritten; the other runs
+// WriteU64 per page, a whole-page Read from the source plus a full-page
+// Write to the destination per written page and then per page of the set,
+// and a whole-page Read of both per written page. After each phase every
+// VM's written and dirty frames, host memory's written frames and every
+// EPT's A/D bits must agree, as must the destination bytes and the pages
+// DiffWritten reports.
 func TestCopyPageMatchesReadWrite(t *testing.T) {
 	fills := []int{0, 8, mem.PageSize}
 	var pages []mem.PFN
+	set := mem.NewBitmap(1 << 16)
 	for _, r := range [][2]mem.PFN{{60, 70}, {500, 530}, {1000, 1001}, {1002, 1003}, {32760, 32780}, {40000, 40001}} {
 		for p := r[0]; p < r[1]; p++ {
 			pages = append(pages, p)
+			set.Set(uint64(p))
 		}
 	}
 	for _, level := range []int{1, 2} {
@@ -191,7 +195,7 @@ func TestCopyPageMatchesReadWrite(t *testing.T) {
 			ref, _ := mems(1)
 			val := func(i int) uint64 { return 0x5eed0000 + uint64(i)*3 }
 			var next int
-			forRuns(pages, func(p mem.PFN, n int) error {
+			set.ForEachRun(func(p mem.PFN, n int) error {
 				if next++; next%2 == 0 {
 					return nil
 				}
@@ -219,20 +223,20 @@ func TestCopyPageMatchesReadWrite(t *testing.T) {
 					}
 				}
 			}
-			written := stacks[1][0][level-1].WrittenPages()
+			written := stacks[1][0][level-1].WrittenSet().PFNs()
 			src, dst := mems(0)
-			if err := src.CopyWrittenTo(dst); err != nil {
+			if err := src.CopyPagesTo(dst, src.vm.WrittenSet()); err != nil {
 				t.Fatal(err)
 			}
 			copyEach(written)
-			agree("CopyWrittenTo")
+			agree("CopyPagesTo over the written set")
 
 			src, dst = mems(0)
-			if err := src.CopyPagesTo(dst, pages); err != nil {
+			if err := src.CopyPagesTo(dst, set); err != nil {
 				t.Fatal(err)
 			}
 			copyEach(pages)
-			agree("CopyPagesTo")
+			agree("CopyPagesTo over the page set")
 
 			// Make the destinations differ on a few written pages, one at
 			// each end of a run, then compare every written page.
@@ -392,7 +396,7 @@ func fillPage(t *testing.T, vm *VM, p mem.PFN, n int, seed byte) {
 func transferState(vms []*VM) string {
 	var b strings.Builder
 	for _, vm := range vms {
-		fmt.Fprintf(&b, "%s written %v dirty %v\n", vm.Name, vm.WrittenPages(), vm.PeekDirty())
+		fmt.Fprintf(&b, "%s written %v dirty %v\n", vm.Name, vm.WrittenSet().PFNs(), vm.DirtyLog().PFNs())
 		vm.EPT.ForEachEntry(func(e mem.Entry) {
 			fmt.Fprintf(&b, "%s EPT %+v\n", vm.Name, e)
 		})

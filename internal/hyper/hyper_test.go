@@ -379,11 +379,11 @@ func TestDirtyTrackingPropagatesDown(t *testing.T) {
 	if err := l2.Memory().Write(addr, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	d2 := l2.CollectDirty()
+	d2 := l2.DirtyLog().PFNs()
 	if len(d2) != 1 {
 		t.Fatalf("L2 dirty pages = %v", d2)
 	}
-	d1 := l1.CollectDirty()
+	d1 := l1.DirtyLog().PFNs()
 	if len(d1) != 1 {
 		t.Fatalf("L1 dirty pages = %v (nested write must dirty the containing L1 page)", d1)
 	}

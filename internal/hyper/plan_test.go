@@ -368,6 +368,9 @@ func forwardCompileStack(t testing.TB, depth int, caps vmx.Caps) (*World, []*Hyp
 // and 41, and wake 3. Bytes are averaged from TotalAlloc deltas, over fresh
 // Worlds for the first compile and over repeated compiles for a warm one.
 func TestCompileAllocBudget(t *testing.T) {
+	// One P, as testing.AllocsPerRun uses: with two, the runtime may start
+	// a thread inside a measured window, about 5 KB of heap of its own.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	noShadow := vmx.HardwareCaps.Without(vmx.CapVMCSShadowing)
 	kinds := []struct {
 		name   string

@@ -388,40 +388,16 @@ func (vm *VM) StartDirtyLog() { vm.dirty = mem.NewBitmap(uint64(vm.NumPages)) }
 // StopDirtyLog ends recording.
 func (vm *VM) StopDirtyLog() { vm.dirty = nil }
 
-// CollectDirty drains and resets the dirty log, returning the frames in
-// ascending order.
-func (vm *VM) CollectDirty() []mem.PFN { return vm.DrainDirty(nil) }
+// DirtyLog returns the guest frames written since dirty logging started
+// or the log was last reset, nil while not logging. Callers may reset the
+// log, as a pre-copy round does after sending its pages, but must not
+// change the written set (WrittenSet).
+func (vm *VM) DirtyLog() *mem.Bitmap { return vm.dirty }
 
-// DrainDirty is CollectDirty into a caller's buffer: it appends the logged
-// frames to dst in ascending order, resets the log and returns the extended
-// slice, so a migration draining the log every pre-copy round reuses one
-// buffer.
-func (vm *VM) DrainDirty(dst []mem.PFN) []mem.PFN {
-	if vm.dirty == nil {
-		return dst
-	}
-	dst = vm.dirty.AppendPFNs(dst)
-	vm.dirty.Reset()
-	return dst
-}
-
-// PeekDirty returns the currently logged dirty frames without draining the
-// log (CollectDirty drains; an invariant sweep must not perturb state).
-func (vm *VM) PeekDirty() []mem.PFN {
-	if vm.dirty == nil {
-		return nil
-	}
-	return vm.dirty.PFNs()
-}
-
-// WrittenPages returns every guest frame ever written, in ascending order.
-func (vm *VM) WrittenPages() []mem.PFN { return vm.written.PFNs() }
-
-// WrittenCount returns how many guest frames were ever written.
-func (vm *VM) WrittenCount() int { return int(vm.written.Count()) }
-
-// Written reports whether a guest frame has ever been written.
-func (vm *VM) Written(p mem.PFN) bool { return vm.written.Test(uint64(p)) }
+// WrittenSet returns every guest frame ever written: a migration's first
+// pass sends these pages. Callers must not change it; it only grows, and
+// it must agree with the EPT dirty bits (the invariant sweep checks this).
+func (vm *VM) WrittenSet() *mem.Bitmap { return &vm.written }
 
 // markRun records writes to guest frames [p, p+n) for dirty tracking at this
 // level and every level below (an L2 write dirties the containing L1 pages
@@ -481,40 +457,31 @@ func (g *GuestMemory) WritePageQuads(p mem.PFN, n int, val func(i int) uint64) e
 	return nil
 }
 
-// CopyPagesTo copies guest frames pages of g, in ascending order, over the
-// same guest frames of dst: the unit of migration transfer. It translates,
-// stamps EPT A/D bits and records written and dirty frames at every level
-// of both chains exactly as a whole-page Read from g followed by a
-// full-page Write to dst does for each page, but moves only the source
-// frames' written extents, and it walks each run of consecutive pages down
-// both chains once.
-func (g *GuestMemory) CopyPagesTo(dst *GuestMemory, pages []mem.PFN) error {
-	return forRuns(pages, func(p mem.PFN, n int) error { return g.copyRun(dst, p, n) })
-}
-
-// CopyWrittenTo is CopyPagesTo over every frame g's VM has ever written,
-// read in runs straight from its written set, with no page list: the first
-// pass of a migration. dst must not run on g's VM, whose written set the
-// copy would then grow while reading it.
-func (g *GuestMemory) CopyWrittenTo(dst *GuestMemory) error {
-	return g.vm.written.ForEachRun(func(p mem.PFN, n int) error { return g.copyRun(dst, p, n) })
-}
-
-// copyRun copies guest frames [p, p+n) of g over the same frames of dst.
-func (g *GuestMemory) copyRun(dst *GuestMemory, p mem.PFN, n int) error {
+// CopyPagesTo copies the guest frames in pages, in ascending order, from g
+// over the same guest frames of dst: the unit of migration transfer. It
+// translates, stamps EPT A/D bits and records written and dirty frames at
+// every level of both chains exactly as a whole-page Read from g followed
+// by a full-page Write to dst does for each page, but moves only the
+// source frames' written extents, and it walks each run of consecutive
+// pages down both chains once, read straight from the bitmap. dst must not
+// run on g's VM, whose written set and dirty log the copy would then grow
+// while reading them.
+func (g *GuestMemory) CopyPagesTo(dst *GuestMemory, pages *mem.Bitmap) error {
 	from, to := g.vm.Owner.Machine.Memory, dst.vm.Owner.Machine.Memory
-	for n > 0 {
-		hs, hd, k, err := translatePair(g.vm, mem.PermRead, dst.vm, mem.PermWrite, p, n)
-		if err != nil {
-			return err
+	return pages.ForEachRun(func(p mem.PFN, n int) error {
+		for n > 0 {
+			hs, hd, k, err := translatePair(g.vm, mem.PermRead, dst.vm, mem.PermWrite, p, n)
+			if err != nil {
+				return err
+			}
+			dst.vm.markRun(p, k)
+			if err := mem.CopyFrames(to, hd, from, hs, k); err != nil {
+				return err
+			}
+			p, n = p+mem.PFN(k), n-k
 		}
-		dst.vm.markRun(p, k)
-		if err := mem.CopyFrames(to, hd, from, hs, k); err != nil {
-			return err
-		}
-		p, n = p+mem.PFN(k), n-k
-	}
-	return nil
+		return nil
+	})
 }
 
 // DiffWritten returns the guest frames g's VM has ever written, in
@@ -558,22 +525,6 @@ func translatePair(x *VM, ax mem.Perm, y *VM, ay mem.Perm, p mem.PFN, n int) (hx
 		hy, k, err = y.translateRun(p, k, ay)
 	}
 	return hx, hy, k, err
-}
-
-// forRuns calls fn once for each maximal run of consecutive frames in the
-// ascending list pages, in order, stopping at the first error.
-func forRuns(pages []mem.PFN, fn func(p mem.PFN, n int) error) error {
-	for len(pages) > 0 {
-		n := 1
-		for n < len(pages) && pages[n] == pages[0]+mem.PFN(n) {
-			n++
-		}
-		if err := fn(pages[0], n); err != nil {
-			return err
-		}
-		pages = pages[n:]
-	}
-	return nil
 }
 
 // chunked walks [a, a+n) in runs of guest pages that map to consecutive

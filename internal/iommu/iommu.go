@@ -7,8 +7,9 @@
 // The asymmetry the paper exploits lives one level up: with
 // virtual-passthrough, only the *L1 virtual IOMMU's* table is consulted on
 // the data path, because the host hypervisor folds the whole vIOMMU chain
-// into it as a combined shadow table (Figure 6). Package core implements that
-// folding with mem.PageTable.Combine; this package provides the unit itself.
+// into it as a combined shadow table (Figure 6). Package core folds the chain
+// lazily, one DMA'd frame at a time, as the device first touches it
+// (VPState.ensureShadow); this package provides the unit itself.
 package iommu
 
 import (

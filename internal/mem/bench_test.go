@@ -22,20 +22,6 @@ func BenchmarkPageTableLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkPageTableCombine(b *testing.B) {
-	a, c := NewPageTable(), NewPageTable()
-	for i := 0; i < 4096; i++ {
-		a.Map(PFN(i), PFN(i+10000), PermRW)
-		c.Map(PFN(i+10000), PFN(i+20000), PermRW)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if a.Combine(c).Mapped() != 4096 {
-			b.Fatal("combine lost mappings")
-		}
-	}
-}
-
 func BenchmarkAddressSpaceWrite(b *testing.B) {
 	as := NewAddressSpace("bench", 1<<30)
 	buf := make([]byte, 4096)

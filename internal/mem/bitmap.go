@@ -139,7 +139,7 @@ func (b *Bitmap) ForEach(fn func(i uint64)) {
 // ForEachRun calls fn for each maximal run of consecutive set bits, as
 // frames [p, p+n), in ascending order, and returns the first error fn
 // returns, visiting no run after it. fn must not change b. Migration walks
-// a written set's pages this way, with no page list.
+// every page set it sends this way, with no page list.
 func (b *Bitmap) ForEachRun(fn func(p PFN, n int) error) error {
 	var lo, n uint64 // the run being gathered; n is 0 before the first
 	var err error
@@ -173,17 +173,11 @@ func (b *Bitmap) ForEachRun(fn func(p PFN, n int) error) error {
 	return fn(PFN(lo), int(n))
 }
 
-// PFNs returns the set bits as page frame numbers in ascending order, in one
-// exactly sized slice, or nil when no bit is set. Dirty logs and written
-// sets hand their pages to snapshots and invariant sweeps this way.
-func (b *Bitmap) PFNs() []PFN { return b.AppendPFNs(nil) }
-
-// AppendPFNs appends the set bits to dst as page frame numbers in ascending
-// order and returns the extended slice, growing dst at most once. Migration
-// drains its dirty logs this way, into one buffer it reuses every pre-copy
-// round.
-func (b *Bitmap) AppendPFNs(dst []PFN) []PFN {
-	dst = slices.Grow(dst, int(b.Count()))
+// PFNs returns the set bits as page frame numbers in ascending order, in a
+// slice allocated once, or nil when no bit is set: the one list view of a
+// page set, which snapshots and invariant sweeps read.
+func (b *Bitmap) PFNs() []PFN {
+	dst := slices.Grow([]PFN(nil), int(b.Count()))
 	b.ForEach(func(i uint64) { dst = append(dst, PFN(i)) })
 	return dst
 }

@@ -247,65 +247,6 @@ func TestPageTableForEachOrder(t *testing.T) {
 	}
 }
 
-func TestPageTableCombine(t *testing.T) {
-	// L2→L1 then L1→L0, as recursive virtual-passthrough composes them.
-	l2l1 := NewPageTable()
-	l1l0 := NewPageTable()
-	l2l1.Map(10, 20, PermRW)
-	l2l1.Map(11, 21, PermRW)
-	l2l1.Map(12, 99, PermRW) // dangling: no L1→L0 mapping
-	l1l0.Map(20, 300, PermRW)
-	l1l0.Map(21, 301, PermRead) // perms intersect
-	combined := l2l1.Combine(l1l0)
-	if combined.Mapped() != 2 {
-		t.Fatalf("combined has %d mappings, want 2", combined.Mapped())
-	}
-	w := combined.Lookup(10, PermRead)
-	if !w.Present || w.PFN != 300 || w.Perms != PermRW {
-		t.Fatalf("combined 10 → %+v", w)
-	}
-	w = combined.Lookup(11, PermRead)
-	if !w.Present || w.PFN != 301 || w.Perms != PermRead {
-		t.Fatalf("combined 11 → %+v (perms should intersect)", w)
-	}
-	if combined.Lookup(12, PermRead).Present {
-		t.Fatal("dangling mapping should not appear in combined table")
-	}
-}
-
-func TestPageTableCombineAssociativeProperty(t *testing.T) {
-	// (A∘B)∘C == A∘(B∘C) over random small tables — the invariant recursive
-	// virtual-passthrough relies on when collapsing an arbitrary-depth chain.
-	f := func(seeds [6]uint8) bool {
-		mk := func(lo, hi uint8) *PageTable {
-			pt := NewPageTable()
-			for i := uint8(0); i < 8; i++ {
-				pt.Map(PFN(lo%8+i), PFN(hi%8+i*2), PermRW)
-			}
-			return pt
-		}
-		a := mk(seeds[0], seeds[1])
-		b := mk(seeds[2], seeds[3])
-		c := mk(seeds[4], seeds[5])
-		left := a.Combine(b).Combine(c)
-		right := a.Combine(b.Combine(c))
-		if left.Mapped() != right.Mapped() {
-			return false
-		}
-		ok := true
-		left.ForEach(func(from, to PFN, p Perm) {
-			w := right.Lookup(from, 0)
-			if !w.Present || w.PFN != to || w.Perms != p {
-				ok = false
-			}
-		})
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPageTableClear(t *testing.T) {
 	pt := NewPageTable()
 	pt.Map(1, 2, PermRW)
@@ -359,9 +300,11 @@ func TestTranslationChainMovesBytes(t *testing.T) {
 	l2 := NewPageTable() // L2 GPA → L1 GPA
 	l1.Map(100, 200, PermRW)
 	l2.Map(50, 100, PermRW)
-	combined := l2.Combine(l1)
-	l2addr := Addr(50*PageSize + 17)
-	hostAddr, err := combined.Translate(l2addr, PermWrite)
+	l1addr, err := l2.Translate(Addr(50*PageSize+17), PermWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostAddr, err := l1.Translate(l1addr, PermWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,6 +337,9 @@ var (
 // which puts it in the 4,864-byte size class. Bytes allocated are
 // deterministic, so the budgets hold on any host.
 func TestFirstTouchAlloc(t *testing.T) {
+	// One P, as testing.AllocsPerRun uses: with two, the runtime may start
+	// a thread inside a measured window, about 5 KB of heap of its own.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 8
 	for _, c := range []struct {
 		name   string

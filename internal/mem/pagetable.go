@@ -322,23 +322,6 @@ func (t *PageTable) ForEachEntry(fn func(Entry)) {
 	})
 }
 
-// Combine produces a new table composing t with next: for every mapping
-// a→b in t with a mapping b→c in next, the result maps a→c with the
-// intersection of permissions. This is exactly the shadow-table construction
-// virtual-passthrough uses to collapse the vIOMMU chain (paper Section 3.5,
-// Figure 6): the L1 virtual IOMMU's table holds the combined Ln→L1 mapping.
-func (t *PageTable) Combine(next *PageTable) *PageTable {
-	out := NewPageTable()
-	t.ForEach(func(from, mid PFN, p1 Perm) {
-		w := next.Lookup(mid, 0)
-		if !w.Present {
-			return
-		}
-		out.Map(from, w.PFN, p1&w.Perms)
-	})
-	return out
-}
-
 // Clear removes every translation. It frees every node, so it drops the
 // last-leaf cache too.
 func (t *PageTable) Clear() {

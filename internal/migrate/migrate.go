@@ -88,11 +88,9 @@ type Plan struct {
 	// Options tune bandwidth and downtime.
 	Options Options
 
-	// pages is the page list every pre-copy round drains the dirty logs
-	// into; union merges the guest-visible and DMA logs. Both are reused
-	// across rounds. The first pass and VerifyDest read the written set in
-	// runs and list no page.
-	pages []mem.PFN
+	// union merges the guest-visible and DMA logs every pre-copy round and
+	// is reused across rounds. Every pass copies its page set in runs read
+	// straight from a bitmap and lists no page.
 	union *mem.Bitmap
 }
 
@@ -169,19 +167,19 @@ func (p *Plan) Run() (Report, error) {
 		}
 	}
 
-	// First pass: every written page, copied in runs read straight from
-	// the written set. Each later round sends what the one before dirtied.
-	sent := p.VM.WrittenCount()
-	rep.PagesSent, rep.BytesSent = uint64(sent), uint64(sent)*mem.PageSize
+	// First pass: every written page. Each later round sends what the one
+	// before dirtied and then resets that set; nothing writes the source in
+	// between, so this equals draining the logs before the copy.
+	written := p.VM.WrittenSet()
+	sent := written.Count()
+	rep.PagesSent, rep.BytesSent = sent, sent*mem.PageSize
 	if p.Dest != nil {
-		if err := p.VM.Memory().CopyWrittenTo(p.Dest.Memory()); err != nil {
+		if err := p.VM.Memory().CopyPagesTo(p.Dest.Memory(), written); err != nil {
 			return rep, err
 		}
 	}
-	pending := p.pages[:0]
-	defer func() { p.pages = pending[:0] }()
 	for {
-		dur := p.Options.transferTime(uint64(sent) * mem.PageSize)
+		dur := p.Options.transferTime(sent * mem.PageSize)
 		rep.TotalTime += dur
 		rep.Rounds++
 
@@ -190,8 +188,9 @@ func (p *Plan) Run() (Report, error) {
 			return rep, err
 		}
 
-		pending = p.collectDirty(pending)
-		if uint64(len(pending)) <= p.Options.pagesFitting(p.Options.DowntimeLimit) || rep.Rounds >= p.Options.MaxRounds {
+		dirty := p.dirtySet()
+		sent = dirty.Count()
+		if sent <= p.Options.pagesFitting(p.Options.DowntimeLimit) || rep.Rounds >= p.Options.MaxRounds {
 			// Stop-and-copy: blackout, ship the remainder plus device state.
 			var blob []byte
 			for _, vp := range p.VP {
@@ -213,10 +212,10 @@ func (p *Plan) Run() (Report, error) {
 				}
 			}
 			rep.DeviceStateBytes = len(blob)
-			if err := p.copyPages(pending, &rep); err != nil {
+			if err := p.sendRound(dirty, sent, &rep); err != nil {
 				return rep, err
 			}
-			rep.Downtime = p.Options.transferTime(uint64(len(pending))*mem.PageSize + uint64(len(blob)))
+			rep.Downtime = p.Options.transferTime(sent*mem.PageSize + uint64(len(blob)))
 			rep.TotalTime += rep.Downtime
 			if p.Dest != nil && p.UseMigrationCap {
 				for _, vp := range p.VP {
@@ -231,22 +230,21 @@ func (p *Plan) Run() (Report, error) {
 			rep.MissedDMAPages = churnState.missedDMA()
 			return rep, nil
 		}
-		if err := p.copyPages(pending, &rep); err != nil {
+		if err := p.sendRound(dirty, sent, &rep); err != nil {
 			return rep, err
 		}
-		sent = len(pending)
 	}
 }
 
-// collectDirty drains the guest-visible log and, when the migration
-// capability is in use, the DMA logs it exports, returning each page once in
-// ascending order, in buf's storage: buf is the list the round just sent.
-// The union goes through a sparse bitmap, which keeps it ordered and
-// duplicate-free in linear time.
-func (p *Plan) collectDirty(buf []mem.PFN) []mem.PFN {
-	dirty := p.VM.DrainDirty(buf[:0])
+// dirtySet returns the pages the last round dirtied: the guest-visible log
+// itself, or, when the migration capability is in use, the reused union
+// into which it ORs that log and the DMA logs the capability exports,
+// resetting each. The union keeps the pages ordered and duplicate-free in
+// linear time.
+func (p *Plan) dirtySet() *mem.Bitmap {
+	log := p.VM.DirtyLog()
 	if !p.UseMigrationCap || len(p.VP) == 0 {
-		return dirty
+		return log
 	}
 	n := uint64(p.VM.NumPages)
 	for _, vp := range p.VP {
@@ -255,28 +253,29 @@ func (p *Plan) collectDirty(buf []mem.PFN) []mem.PFN {
 	if p.union == nil || p.union.Len() != n {
 		p.union = mem.NewBitmap(n)
 	}
-	set := p.union
-	set.Reset()
-	for _, pg := range dirty {
-		set.Set(uint64(pg))
-	}
+	p.union.Or(log)
+	log.Reset()
 	for _, vp := range p.VP {
-		set.Or(vp.HostDirty)
+		p.union.Or(vp.HostDirty)
 		vp.HostDirty.Reset()
 	}
-	return set.AppendPFNs(dirty[:0])
+	return p.union
 }
 
-// copyPages materializes the transfer into the destination (when present)
-// and accounts it. The model charges a full page per page sent; the host
-// moves each frame's written extent.
-func (p *Plan) copyPages(pages []mem.PFN, rep *Report) error {
-	rep.PagesSent += uint64(len(pages))
-	rep.BytesSent += uint64(len(pages)) * mem.PageSize
-	if p.Dest == nil {
-		return nil
+// sendRound accounts a round's n dirty pages, copies them to the
+// destination (when present) and resets the set for the next round. The
+// model charges a full page per page sent; the host moves each frame's
+// written extent.
+func (p *Plan) sendRound(dirty *mem.Bitmap, n uint64, rep *Report) error {
+	rep.PagesSent += n
+	rep.BytesSent += n * mem.PageSize
+	if p.Dest != nil {
+		if err := p.VM.Memory().CopyPagesTo(p.Dest.Memory(), dirty); err != nil {
+			return err
+		}
 	}
-	return p.VM.Memory().CopyPagesTo(p.Dest.Memory(), pages)
+	dirty.Reset()
+	return nil
 }
 
 // VerifyDest compares every written source page against the destination,

@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -125,10 +126,11 @@ func TestMigrationVPWithCapabilityCorrect(t *testing.T) {
 	}
 }
 
-// collectDirty must return the union of the guest-visible log and the DMA
-// log exactly once per page, in ascending order, whatever order the two
-// streams dirtied them in.
-func TestCollectDirtyUnionsLogsInOrder(t *testing.T) {
+// dirtySet must return the union of the guest-visible log and the DMA log,
+// each page once and in ascending order, whatever order the two streams
+// dirtied them in, and once the round has sent and reset it, the next
+// round must find both logs drained.
+func TestDirtySetUnionsLogsInOrder(t *testing.T) {
 	r := buildRig(t, core.FeaturesVP)
 	r.l2.StartDirtyLog()
 	defer r.l2.StopDirtyLog()
@@ -144,17 +146,19 @@ func TestCollectDirtyUnionsLogsInOrder(t *testing.T) {
 		}
 	}
 	p := &Plan{VM: r.l2, VP: r.vp, UseMigrationCap: true}
-	got := p.collectDirty(nil)
+	set := p.dirtySet()
 	want := []mem.PFN{2, 5, 9, 40000, 70000}
-	if len(got) != len(want) {
-		t.Fatalf("collectDirty = %v, want %v", got, want)
+	if got := set.PFNs(); !slices.Equal(got, want) {
+		t.Fatalf("dirtySet = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("collectDirty = %v, want %v", got, want)
-		}
+	var rep Report
+	if err := p.sendRound(set, set.Count(), &rep); err != nil {
+		t.Fatal(err)
 	}
-	if again := p.collectDirty(got); len(again) != 0 {
+	if rep.PagesSent != uint64(len(want)) {
+		t.Fatalf("round sent %d pages, want %d", rep.PagesSent, len(want))
+	}
+	if again := p.dirtySet().PFNs(); len(again) != 0 {
 		t.Fatalf("second round re-sent %v; both logs should have drained", again)
 	}
 }

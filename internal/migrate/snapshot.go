@@ -33,7 +33,7 @@ func Snapshot(vm *hyper.VM, d *core.DVH) ([]byte, error) {
 	}
 	var buf bytes.Buffer
 	buf.Write(snapshotMagic[:])
-	pages := vm.WrittenPages()
+	pages := vm.WrittenSet().PFNs()
 	if err := binary.Write(&buf, binary.LittleEndian, uint64(vm.NumPages)); err != nil {
 		return nil, err
 	}
