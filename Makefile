@@ -102,16 +102,21 @@ fuzz-smoke fuzz:
 		$(GO) test $$pkg -run='^$$' -fuzz="^$$name$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 
-# golden regenerates the committed experiment fixtures in place: each
-# testdata/golden/<entry>.golden is the text of the registry entry it is
-# named after (Table 3, Figures 7-10, the two stage breakdowns, the storms).
-# Only for deliberate model changes: `make check` diffs every fixture
-# byte-for-byte via TestGoldenMatrix, so an accidental regeneration fails
-# the gate as a diff in git, not silently. It never creates a fixture, and
-# it leaves bench/testdata/eval-all.golden, the `nvbench -all` transcript,
-# to `bash bench/run.sh -update`.
+# golden regenerates the committed experiment fixtures in place, under
+# internal/experiment/testdata: each golden/<entry>.golden is the text of
+# the registry entry it is named after (Table 3, Figures 7-10, the two
+# stage breakdowns, the storms; TestGoldenMatrix), runfor.golden what the
+# event timeline fires (TestRunForGolden), stage-tables.golden the stage
+# tables of cells no entry renders (TestCellStageTables), and
+# migration-rounds.golden the Section 4 migrations at a bandwidth that
+# makes them iterate (TestMigrationRoundsGolden). Only for deliberate model
+# changes: `make check` never runs it and diffs every fixture byte-for-byte
+# through those tests, so an accidental regeneration fails the gate as a
+# diff in git, not silently. It never creates a registry entry's fixture,
+# and it leaves bench/testdata/eval-all.golden, the `nvbench -all`
+# transcript, to `bash bench/run.sh -update`.
 golden:
-	NVSIM_UPDATE_GOLDEN=1 $(GO) test ./internal/experiment/ -run TestGoldenMatrix -count=1
+	NVSIM_UPDATE_GOLDEN=1 $(GO) test ./internal/experiment/ -run '^(TestGoldenMatrix|TestRunForGolden|TestCellStageTables|TestMigrationRoundsGolden)$$' -count=1
 
 # profiles runs the calibration-profile sweep (internal/profile): every
 # registered testbed profile is anchor-validated against live measurement,

@@ -5,8 +5,8 @@
 //
 //   - LAPIC sanity: a vector is never both pending (IRR) and in service
 //     (ISR) on the same local APIC;
-//   - dirty-tracking agreement: the dirty log is a subset of the written set,
-//     and the written set matches the EPT dirty bits at every nesting level;
+//   - dirty tracking: the dirty log is a subset of the written set at every
+//     nesting level;
 //   - TSC-offset chaining: a DVH virtual timer's host deadline equals the
 //     guest deadline plus the combined TSC-offset chain, re-verified at end
 //     of run against the live VMCS chain;

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/hyper"
-	"repro/internal/mem"
 	"repro/internal/vmx"
 )
 
@@ -63,7 +62,7 @@ func forEachVM(h *hyper.Hypervisor, fn func(*hyper.VM)) {
 	}
 }
 
-// sweepVM checks one VM's dirty-tracking agreement, its vCPUs' LAPICs, and —
+// sweepVM checks one VM's dirty tracking, its vCPUs' LAPICs, and —
 // for vCPUs at least three levels deep — VMCS merge-chain associativity.
 func (c *Checker) sweepVM(vm *hyper.VM) {
 	c.checkDirtyTracking(vm)
@@ -74,40 +73,18 @@ func (c *Checker) sweepVM(vm *hyper.VM) {
 }
 
 // checkDirtyTracking verifies, at one nesting level, that the migration dirty
-// log is a subset of the all-time written set and that the written set agrees
-// exactly with the EPT A/D dirty bits — the invariant pre-copy migration
-// depends on.
+// log is a subset of the all-time written set, the one record of a written
+// page — the invariant pre-copy migration depends on. It reports the lowest
+// offender.
 func (c *Checker) checkDirtyTracking(vm *hyper.VM) {
+	log := vm.DirtyLog()
+	if log == nil {
+		return
+	}
 	written := vm.WrittenSet()
-	if log := vm.DirtyLog(); log != nil {
-		for _, p := range log.PFNs() {
-			if !written.Test(uint64(p)) {
-				c.violate("dirty-subset-written", "%s: frame %#x in dirty log but never written", vm.Name, uint64(p))
-				return
-			}
-		}
-	}
-	// The EPT walk and the written set both come out in ascending frame
-	// order, so one merge pass finds the lowest offender on every run.
-	var eptDirty []mem.PFN
-	vm.EPT.ForEachEntry(func(e mem.Entry) {
-		if e.Dirty {
-			eptDirty = append(eptDirty, e.From)
-		}
-	})
-	i := 0
-	for _, p := range written.PFNs() {
-		for i < len(eptDirty) && eptDirty[i] < p {
-			i++
-		}
-		if i == len(eptDirty) || eptDirty[i] != p {
-			c.violate("written-ept-dirty", "%s: written frame %#x has a clean EPT dirty bit", vm.Name, uint64(p))
-			return
-		}
-	}
-	for _, p := range eptDirty {
+	for _, p := range log.PFNs() {
 		if !written.Test(uint64(p)) {
-			c.violate("ept-dirty-written", "%s: EPT-dirty frame %#x never marked written", vm.Name, uint64(p))
+			c.violate("dirty-subset-written", "%s: frame %#x in dirty log but never written", vm.Name, uint64(p))
 			return
 		}
 	}

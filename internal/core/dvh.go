@@ -279,7 +279,7 @@ func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, error
 		// The host must confirm the fault is a doorbell access, not a
 		// missing mapping: a software walk of the nested VM's (merged) EPT —
 		// the extra cost the paper measures for DVH DevNotify.
-		walk := v.VM.EPT.Lookup(pageOf(op.Addr), 0)
+		walk := v.VM.EPT.Lookup(pageOf(op.Addr))
 		levels := walk.LevelsTouched
 		if levels < eptWalkLevels {
 			levels = eptWalkLevels

@@ -317,7 +317,7 @@ func TestVPDataPathMovesBytesThroughShadow(t *testing.T) {
 			vp.Shadow.ForEachEntry(func(e mem.Entry) {
 				f := e.From
 				for i := len(vp.Domains) - 1; i >= 0; i-- {
-					w := vp.Domains[i].Table.Lookup(f, 0)
+					w := vp.Domains[i].Table.Lookup(f)
 					if !w.Present {
 						t.Fatalf("shadow maps frame %#x, but the L%d vIOMMU domain does not map %#x", uint64(e.From), i+1, uint64(f))
 					}

@@ -198,7 +198,7 @@ func (d *DVH) VPStateOf(dev *hyper.AssignedDevice) (*VPState, bool) {
 // VM's driver maps DMA buffers) and folding the chain into the combined
 // shadow table.
 func (vp *VPState) ensureShadow(p mem.PFN) (mem.PFN, error) {
-	if w := vp.Shadow.Lookup(p, 0); w.Present {
+	if w := vp.Shadow.Lookup(p); w.Present {
 		return w.PFN, nil
 	}
 	cur := vp.vm

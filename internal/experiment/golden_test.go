@@ -43,19 +43,27 @@ func TestGoldenMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if os.Getenv("NVSIM_UPDATE_GOLDEN") != "" {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("output drifted from committed fixture %s\n got:\n%s\nwant:\n%s", fixture, got, want)
-			}
+			checkGolden(t, path, got)
 		})
+	}
+}
+
+// checkGolden compares got with the committed fixture at path, byte for
+// byte. With NVSIM_UPDATE_GOLDEN set it rewrites the fixture with got
+// instead (`make golden`), only ever for a deliberate model change.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if os.Getenv("NVSIM_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from committed fixture %s\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }

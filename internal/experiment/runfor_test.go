@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -67,20 +66,10 @@ func TestRunForGolden(t *testing.T) {
 		}
 		return b.String()
 	}
-	path := filepath.FromSlash(runForGolden)
-	if os.Getenv("NVSIM_UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(path, []byte(render(true)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cache := range []bool{true, false} {
-		if got := render(cache); got != string(want) {
-			t.Errorf("plan cache %v: Run→RunFor output drifted from %s\n got:\n%s\nwant:\n%s", cache, runForGolden, got, want)
-		}
+	cached := render(true)
+	checkGolden(t, filepath.FromSlash(runForGolden), cached)
+	if live := render(false); live != cached {
+		t.Errorf("plan cache off: Run→RunFor output differs from the cached rendering\n got:\n%s\nwant:\n%s", live, cached)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -50,21 +49,7 @@ func TestCellStageTables(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "== %v at L%d %v\n%s\n", c.run, c.spec.Depth, c.spec.IO, rec.stages.String())
 	}
-	got := b.String()
-	path := filepath.FromSlash(stageTablesGolden)
-	if os.Getenv("NVSIM_UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("cell stage tables drifted from %s\n got:\n%s\nwant:\n%s", stageTablesGolden, got, want)
-	}
+	checkGolden(t, filepath.FromSlash(stageTablesGolden), b.String())
 }
 
 // TestStormStagesCoverMeasuredEvents holds the storms to the sink contract

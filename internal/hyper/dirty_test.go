@@ -11,58 +11,34 @@ import (
 	"repro/internal/mem"
 )
 
-// Regression: guest writes must set the EPT dirty bit at every nesting level,
-// exactly as hardware A/D-bit tracking would. The translate path used to walk
-// with access 0, so a hypervisor scanning its EPT saw a clean table no matter
-// how much the guest wrote.
-func TestEPTDirtyBitsTrackWrites(t *testing.T) {
+// TestWrittenSetTracksWrites: the written set is the one record of a
+// written page. A guest write at depth 3 marks its frames at every level,
+// shifted by each level's carve base, and a read marks nothing at any level.
+func TestWrittenSetTracksWrites(t *testing.T) {
 	_, vms := testStack(t, 3)
-	l1, l3 := vms[0], vms[2]
+	l3 := vms[2]
 	addr := l3.MustAllocPages(2)
 	if err := l3.Memory().Write(addr, make([]byte, 2*mem.PageSize)); err != nil {
 		t.Fatal(err)
 	}
-	for _, vm := range []*VM{vms[0], vms[1], vms[2]} {
-		dirty := map[mem.PFN]bool{}
-		vm.EPT.ForEachEntry(func(e mem.Entry) {
-			if e.Dirty {
-				dirty[e.From] = true
-			}
-		})
-		for _, p := range vm.WrittenSet().PFNs() {
-			if !dirty[p] {
-				t.Errorf("%s: written frame %#x has clean EPT dirty bit", vm.Name, uint64(p))
-			}
-		}
-		for p := range dirty {
-			if !vm.WrittenSet().Test(uint64(p)) {
-				t.Errorf("%s: EPT-dirty frame %#x never marked written", vm.Name, uint64(p))
-			}
-		}
-	}
-	// Reads alone must not dirty anything.
-	roAddr := l1.MustAllocPages(1)
-	if err := l1.Memory().Read(roAddr, make([]byte, 8)); err != nil {
+	// A read of two fresh pages faults them in at every level too.
+	if err := l3.Memory().Read(l3.MustAllocPages(2), make([]byte, 2*mem.PageSize)); err != nil {
 		t.Fatal(err)
 	}
-	l1.EPT.ForEachEntry(func(e mem.Entry) {
-		if e.From == mem.PageOf(roAddr) {
-			if e.Dirty {
-				t.Error("read-only access set the EPT dirty bit")
-			}
-			if !e.Accessed {
-				t.Error("read did not set the EPT accessed bit")
-			}
+	p := mem.PageOf(addr)
+	for vm := l3; vm != nil; vm = vm.Owner.HostVM {
+		if got, want := vm.WrittenSet().PFNs(), []mem.PFN{p, p + 1}; !slices.Equal(got, want) {
+			t.Errorf("%s written %v, want %v", vm.Name, got, want)
 		}
-	})
+		p += vm.parentBase
+	}
 }
 
 // Written sets and dirty logs are sparse bitmaps: writes scattered across a
 // 12 GiB guest, across bitmap region boundaries and at its last frame must
 // come back exactly once each, in ascending frame order, at the written
 // level and (shifted by the carve base) at the level below, where resetting
-// the upper log leaves them — and the EPT dirty bits must agree with the
-// written set.
+// the upper log leaves them.
 func TestSparseDirtyTrackingAcrossRegions(t *testing.T) {
 	_, vms := testStack(t, 2)
 	l1, l2 := vms[0], vms[1]
@@ -105,15 +81,6 @@ func TestSparseDirtyTrackingAcrossRegions(t *testing.T) {
 		below[i] = base + p
 	}
 	same("L1 dirty log", l1.DirtyLog().PFNs(), below)
-	for _, vm := range []*VM{l1, l2} {
-		var eptDirty []mem.PFN
-		vm.EPT.ForEachEntry(func(e mem.Entry) {
-			if e.Dirty {
-				eptDirty = append(eptDirty, e.From)
-			}
-		})
-		same(vm.Name+" EPT dirty bits", eptDirty, vm.WrittenSet().PFNs())
-	}
 }
 
 func TestAllocPagesExhaustionIsError(t *testing.T) {
@@ -144,9 +111,8 @@ func TestAllocPagesExhaustionIsError(t *testing.T) {
 // WriteU64 per page, a whole-page Read from the source plus a full-page
 // Write to the destination per written page and then per page of the set,
 // and a whole-page Read of both per written page. After each phase every
-// VM's written and dirty frames, host memory's written frames and every
-// EPT's A/D bits must agree, as must the destination bytes and the pages
-// DiffWritten reports.
+// VM's written and dirty frames and every EPT's entries must agree, as must
+// the destination bytes and the pages DiffWritten reports.
 func TestCopyPageMatchesReadWrite(t *testing.T) {
 	fills := []int{0, 8, mem.PageSize}
 	var pages []mem.PFN
@@ -281,9 +247,9 @@ func TestCopyPageMatchesReadWrite(t *testing.T) {
 // anywhere but its VM's carve, but the walker must still honour one the way
 // the per-page walk does. On twin L2 stacks, an L2 entry inside a run and an
 // L1 entry under another page of it are remapped elsewhere; a run write over
-// the pages must then leave the same EPTs, written and dirty sets and host
-// written frames as one WriteU64 per page, and put each page's value in the
-// host frame the EPT entries lead to.
+// the pages must then leave the same EPTs and written and dirty sets as one
+// WriteU64 per page, and put each page's value in the host frame the EPT
+// entries lead to.
 func TestRunsFollowEntriesMappedElsewhere(t *testing.T) {
 	var twins [2][]*VM
 	for i := range twins {
@@ -317,8 +283,8 @@ func TestRunsFollowEntriesMappedElsewhere(t *testing.T) {
 	for _, p := range []mem.PFN{4, 5, 6, 7, 8, 11} {
 		var got [2]uint64
 		for i, vms := range twins {
-			l1f := vms[1].EPT.Lookup(p, 0)
-			h := vms[0].EPT.Lookup(l1f.PFN, 0)
+			l1f := vms[1].EPT.Lookup(p)
+			h := vms[0].EPT.Lookup(l1f.PFN)
 			var b [8]byte
 			if err := vms[0].Owner.Machine.Memory.Read(h.PFN.Base(), b[:]); err != nil || !l1f.Present || !h.Present {
 				t.Fatalf("page %d: walk %+v, %+v: %v", p, l1f, h, err)
@@ -336,8 +302,8 @@ func TestRunsFollowEntriesMappedElsewhere(t *testing.T) {
 // same pages, and touch no level for a page past the failing one. On twin
 // L2 stacks, a three-page Write and a three-page WritePageQuads starting two
 // pages before the end of RAM run against the same writes made one page at
-// a time; the errors and every EPT entry, written set, dirty log and host
-// written set must agree.
+// a time; the errors and every EPT entry, written set and dirty log must
+// agree.
 func TestRunErrorsLandOnTheSamePage(t *testing.T) {
 	var twins [2][]*VM
 	for i := range twins {
@@ -390,9 +356,8 @@ func fillPage(t *testing.T, vm *VM, p mem.PFN, n int, seed byte) {
 	}
 }
 
-// transferState renders what a page transfer may change in one stack: every
-// VM's written and dirty frames and EPT entries with their A/D bits, and
-// host memory's written frames.
+// transferState renders the bookkeeping a page transfer may change in one
+// stack: every VM's written and dirty frames and EPT entries.
 func transferState(vms []*VM) string {
 	var b strings.Builder
 	for _, vm := range vms {
@@ -401,7 +366,5 @@ func transferState(vms []*VM) string {
 			fmt.Fprintf(&b, "%s EPT %+v\n", vm.Name, e)
 		})
 	}
-	host := vms[0].Owner.Machine.Memory
-	fmt.Fprintf(&b, "host written %v\n", host.WrittenPages())
 	return b.String()
 }

@@ -187,7 +187,7 @@ func (w *World) faultOwner(v *VCPU, a mem.Addr) (int, bool) {
 	cur := v.VM
 	addr := a
 	for cur != nil {
-		wlk := cur.EPT.Lookup(mem.PageOf(addr), mem.PermRead)
+		wlk := cur.EPT.Lookup(mem.PageOf(addr))
 		if !wlk.Present {
 			return cur.Level - 1, true
 		}
@@ -212,7 +212,7 @@ func (w *World) fillFault(v *VCPU, a mem.Addr, owner int) error {
 	cur := v.VM
 	addr := a
 	for cur.Level > owner+1 {
-		addr = cur.EPT.Lookup(mem.PageOf(addr), mem.PermRead).PFN.Base() + (addr & (mem.PageSize - 1))
+		addr = cur.EPT.Lookup(mem.PageOf(addr)).PFN.Base() + (addr & (mem.PageSize - 1))
 		cur = cur.Owner.HostVM
 	}
 	_, err := cur.EnsureMapped(mem.PageOf(addr))

@@ -357,7 +357,7 @@ func TestGuestMemoryReadWriteThroughChain(t *testing.T) {
 		t.Fatalf("round trip got %q", buf)
 	}
 	// The same bytes must be visible at the translated host address.
-	host, _, err := l2.translateRun(mem.PageOf(addr), 1, mem.PermRead)
+	host, _, err := l2.translateRun(mem.PageOf(addr), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -262,9 +262,11 @@ func (vm *VM) ProvideVIOMMU(posted bool) *iommu.IOMMU {
 	if vm.GuestHyp != nil {
 		vm.GuestHyp.Caps = vm.Caps
 	}
-	// Capability words shape compiled plans; like SetHostCaps, a
-	// post-setup vIOMMU grant must move PlanGen or a cached plan would
-	// replay the pre-vIOMMU exit tree.
+	// No plan reads a guest hypervisor's capability word, so this grant
+	// changes no cached plan. The bump stays because nvlint's cachegen rule
+	// guards Hypervisor.Caps field-wide: the host's word is a plan input
+	// (scriptCost reads its VMCS shadowing), so every writer of the field
+	// must move PlanGen, as SetHostCaps does.
 	vm.Owner.Machine.PlanGen++
 	return vm.VIOMMU
 }
@@ -306,52 +308,51 @@ func (vm *VM) AllocMMIO(size int) mem.Addr {
 // the VM's carve base), the lazy fault-in a hypervisor performs, and returns
 // the frame it maps to.
 func (vm *VM) EnsureMapped(p mem.PFN) (mem.PFN, error) {
-	f, _, err := vm.ensureRun(p, 1, 0)
+	f, _, err := vm.ensureRun(p, 1)
 	return f, err
 }
 
-// ensureRun faults in this VM's EPT for guest frames [p, p+n), stamping the
-// hardware A/D bits for the access kind like a real walk would, and returns
+// ensureRun faults in this VM's EPT for guest frames [p, p+n) and returns
 // the frame p maps to and how many of the frames, at least one, map on from
 // it consecutively. A run stops early at an entry that maps elsewhere; when
 // p's own entry does, ensureRun follows it for one page. The caller keeps
 // the run inside the VM's RAM (holds), so only p is checked.
-func (vm *VM) ensureRun(p mem.PFN, n int, access mem.Perm) (mem.PFN, int, error) {
+func (vm *VM) ensureRun(p mem.PFN, n int) (mem.PFN, int, error) {
 	if p >= vm.NumPages {
 		return 0, 0, fmt.Errorf("hyper: VM %s access beyond RAM: frame %#x", vm.Name, uint64(p))
 	}
 	if n == 1 {
-		// One present page: Lookup, the hardware walk, stamps and follows
-		// it as the run would, for less.
-		if w := vm.EPT.Lookup(p, access); w.Present {
+		// One present page: Lookup, the hardware walk, follows it as the
+		// run would, for less.
+		if w := vm.EPT.Lookup(p); w.Present {
 			return w.PFN, 1, nil
 		}
 	}
 	target := vm.parentBase + p
-	k, err := vm.EPT.EnsureRun(p, target, n, mem.PermRWX, access)
+	k, err := vm.EPT.EnsureRun(p, target, n, mem.PermRWX)
 	if err != nil {
 		return 0, 0, err
 	}
 	if k == 0 {
-		return vm.EPT.Lookup(p, access).PFN, 1, nil
+		return vm.EPT.Lookup(p).PFN, 1, nil
 	}
 	return target, k, nil
 }
 
 // translateRun resolves guest frames [p, p+n) down the whole nesting chain
-// to machine frames, faulting mappings in and stamping A/D bits along the
-// way, one EPT run per level. It returns p's machine frame and how many of
-// the frames, at least one, map to consecutive machine frames from it. It
-// leaves every level exactly as translating those frames one page at a time
-// would. The run is first clipped to the frames every level holds, so a
-// frame beyond some level's RAM fails alone, after the frames before it
-// translated and with no level touching a frame past it.
-func (vm *VM) translateRun(p mem.PFN, n int, access mem.Perm) (mem.PFN, int, error) {
+// to machine frames, faulting mappings in along the way, one EPT run per
+// level. It returns p's machine frame and how many of the frames, at least
+// one, map to consecutive machine frames from it. It leaves every level
+// exactly as translating those frames one page at a time would. The run is
+// first clipped to the frames every level holds, so a frame beyond some
+// level's RAM fails alone, after the frames before it translated and with
+// no level touching a frame past it.
+func (vm *VM) translateRun(p mem.PFN, n int) (mem.PFN, int, error) {
 	if n > 1 {
 		n = vm.holds(p, n)
 	}
 	for cur := vm; ; cur = cur.Owner.HostVM {
-		f, k, err := cur.ensureRun(p, n, access)
+		f, k, err := cur.ensureRun(p, n)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -394,9 +395,10 @@ func (vm *VM) StopDirtyLog() { vm.dirty = nil }
 // change the written set (WrittenSet).
 func (vm *VM) DirtyLog() *mem.Bitmap { return vm.dirty }
 
-// WrittenSet returns every guest frame ever written: a migration's first
-// pass sends these pages. Callers must not change it; it only grows, and
-// it must agree with the EPT dirty bits (the invariant sweep checks this).
+// WrittenSet returns every guest frame ever written, the one record of a
+// written page: a migration's first pass sends these pages, and the dirty
+// log is a subset of it (the invariant sweep checks this). Callers must not
+// change it; it only grows.
 func (vm *VM) WrittenSet() *mem.Bitmap { return &vm.written }
 
 // markRun records writes to guest frames [p, p+n) for dirty tracking at this
@@ -422,14 +424,14 @@ type GuestMemory struct {
 // Read copies bytes out of guest memory.
 func (g *GuestMemory) Read(a mem.Addr, buf []byte) error {
 	//nvlint:ignore hotalloc closure is called directly by chunked and does not escape (stack-allocated)
-	return g.chunked(a, len(buf), mem.PermRead, func(host mem.Addr, off, n int) error {
+	return g.chunked(a, len(buf), func(host mem.Addr, off, n int) error {
 		return g.vm.Owner.Machine.Memory.Read(host, buf[off:off+n])
 	})
 }
 
 // Write copies bytes into guest memory, marking dirty pages at every level.
 func (g *GuestMemory) Write(a mem.Addr, buf []byte) error {
-	return g.chunked(a, len(buf), mem.PermWrite, func(host mem.Addr, off, n int) error {
+	return g.chunked(a, len(buf), func(host mem.Addr, off, n int) error {
 		first := mem.PageOf(a + mem.Addr(off))
 		g.vm.markRun(first, int(mem.PageOf(a+mem.Addr(off+n-1))-first)+1)
 		return g.vm.Owner.Machine.Memory.Write(host, buf[off:off+n])
@@ -444,7 +446,7 @@ func (g *GuestMemory) Write(a mem.Addr, buf []byte) error {
 func (g *GuestMemory) WritePageQuads(p mem.PFN, n int, val func(i int) uint64) error {
 	host := g.vm.Owner.Machine.Memory
 	for done := 0; done < n; {
-		h, k, err := g.vm.translateRun(p, n-done, mem.PermWrite)
+		h, k, err := g.vm.translateRun(p, n-done)
 		if err != nil {
 			return err
 		}
@@ -459,18 +461,17 @@ func (g *GuestMemory) WritePageQuads(p mem.PFN, n int, val func(i int) uint64) e
 
 // CopyPagesTo copies the guest frames in pages, in ascending order, from g
 // over the same guest frames of dst: the unit of migration transfer. It
-// translates, stamps EPT A/D bits and records written and dirty frames at
-// every level of both chains exactly as a whole-page Read from g followed
-// by a full-page Write to dst does for each page, but moves only the
-// source frames' written extents, and it walks each run of consecutive
-// pages down both chains once, read straight from the bitmap. dst must not
-// run on g's VM, whose written set and dirty log the copy would then grow
-// while reading them.
+// translates and records written and dirty frames at every level of both
+// chains exactly as a whole-page Read from g followed by a full-page Write
+// to dst does for each page, but moves only the source frames' written
+// extents, and it walks each run of consecutive pages down both chains
+// once, read straight from the bitmap. dst must not run on g's VM, whose
+// written set and dirty log the copy would then grow while reading them.
 func (g *GuestMemory) CopyPagesTo(dst *GuestMemory, pages *mem.Bitmap) error {
 	from, to := g.vm.Owner.Machine.Memory, dst.vm.Owner.Machine.Memory
 	return pages.ForEachRun(func(p mem.PFN, n int) error {
 		for n > 0 {
-			hs, hd, k, err := translatePair(g.vm, mem.PermRead, dst.vm, mem.PermWrite, p, n)
+			hs, hd, k, err := translatePair(g.vm, dst.vm, p, n)
 			if err != nil {
 				return err
 			}
@@ -493,7 +494,7 @@ func (g *GuestMemory) DiffWritten(other *GuestMemory) ([]mem.PFN, error) {
 	var diff []mem.PFN
 	err := g.vm.written.ForEachRun(func(p mem.PFN, n int) error {
 		for n > 0 {
-			ha, hb, k, err := translatePair(g.vm, mem.PermRead, other.vm, mem.PermRead, p, n)
+			ha, hb, k, err := translatePair(g.vm, other.vm, p, n)
 			if err != nil {
 				return err
 			}
@@ -515,26 +516,26 @@ func (g *GuestMemory) DiffWritten(other *GuestMemory) ([]mem.PFN, error) {
 	return diff, nil
 }
 
-// translatePair translates guest frames [p, p+n) down x's chain with access
-// ax, then down y's with ay, and returns p's machine frame in each and how
-// many of the frames, at least one, map consecutively in both. It clips the
-// run to what y's chain holds first, so a frame y cannot hold fails alone
-// and x translates no frame past it.
-func translatePair(x *VM, ax mem.Perm, y *VM, ay mem.Perm, p mem.PFN, n int) (hx, hy mem.PFN, k int, err error) {
-	if hx, k, err = x.translateRun(p, y.holds(p, n), ax); err == nil {
-		hy, k, err = y.translateRun(p, k, ay)
+// translatePair translates guest frames [p, p+n) down x's chain, then down
+// y's, and returns p's machine frame in each and how many of the frames, at
+// least one, map consecutively in both. It clips the run to what y's chain
+// holds first, so a frame y cannot hold fails alone and x translates no
+// frame past it.
+func translatePair(x, y *VM, p mem.PFN, n int) (hx, hy mem.PFN, k int, err error) {
+	if hx, k, err = x.translateRun(p, y.holds(p, n)); err == nil {
+		hy, k, err = y.translateRun(p, k)
 	}
 	return hx, hy, k, err
 }
 
 // chunked walks [a, a+n) in runs of guest pages that map to consecutive
-// machine pages, translating each run with the access kind so EPT A/D bits
-// at every level record it, and hands fn each run's bytes.
-func (g *GuestMemory) chunked(a mem.Addr, n int, access mem.Perm, fn func(host mem.Addr, off, n int) error) error {
+// machine pages, faulting each run in at every level, and hands fn each
+// run's bytes.
+func (g *GuestMemory) chunked(a mem.Addr, n int, fn func(host mem.Addr, off, n int) error) error {
 	off := 0
 	for n > 0 {
 		p, in := mem.PageOf(a), int(a&(mem.PageSize-1))
-		h, k, err := g.vm.translateRun(p, (in+n+mem.PageSize-1)/mem.PageSize, access)
+		h, k, err := g.vm.translateRun(p, (in+n+mem.PageSize-1)/mem.PageSize)
 		if err != nil {
 			return err
 		}

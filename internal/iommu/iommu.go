@@ -116,7 +116,7 @@ func (u *IOMMU) Translate(fn *pci.Function, a mem.Addr, access mem.Perm) (mem.Ad
 	if !ok {
 		return 0, 0, fmt.Errorf("iommu %s: DMA from unattached device %s blocked", u.name, fn.Name)
 	}
-	w := d.Table.Lookup(mem.PageOf(a), access)
+	w := d.Table.Lookup(mem.PageOf(a))
 	if !w.Present {
 		return 0, w.LevelsTouched, fmt.Errorf("iommu %s: no mapping for %#x (device %s)", u.name, uint64(a), fn.Name)
 	}

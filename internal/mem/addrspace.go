@@ -1,7 +1,7 @@
 // Package mem models guest-physical memory and the translation structures
 // the virtualization stack is built on: sparse byte-addressable address
-// spaces that track written pages, bitmaps, and real 4-level page tables used
-// both as EPTs (CPU side) and as IOMMU translation tables (DMA side).
+// spaces, bitmaps, and real 4-level page tables used both as EPTs (CPU side)
+// and as IOMMU translation tables (DMA side).
 //
 // Bytes really move: virtio rings, DMA buffers and migration all read and
 // write AddressSpace content, so a mapping bug shows up as corrupted data in
@@ -36,10 +36,11 @@ func (p PFN) Base() Addr { return Addr(p) << PageShift }
 
 // AddressSpace is a sparse, byte-addressable physical address space backed by
 // on-demand frames. A frame stores only its extent, the bytes up to the
-// highest one ever written; the rest of the page reads as zero. Its written
-// set is a sparse bitmap, so host cost follows the pages and
-// bytes a run touches, never the nominal size. It serves as host physical
-// memory for the machine and as guest-physical memory for every VM level.
+// highest one ever written; the rest of the page reads as zero, so host cost
+// follows the pages and bytes a run touches, never the nominal size. It
+// serves as host physical memory for the machine, which backs guest-physical
+// memory at every VM level. It records no written set: each VM keeps the
+// one record of the guest pages written (hyper.VM.WrittenSet).
 //
 // Like a PageTable, an AddressSpace is not safe for concurrent use, even by
 // readers only: Read updates the last-leaf cache.
@@ -54,7 +55,6 @@ type AddressSpace struct {
 	// Leaves are never removed, and resize updates it when it adds one.
 	last    *frameLeaf
 	lastKey PFN
-	written *Bitmap // every page ever written; migration's first pass sends these
 }
 
 // leafShift sets a frame leaf's span: leafPages consecutive frames.
@@ -107,10 +107,9 @@ func frameCap(n int) int {
 func NewAddressSpace(name string, size uint64) *AddressSpace {
 	np := PFN((size + PageSize - 1) / PageSize)
 	return &AddressSpace{
-		name:    name,
-		npages:  np,
-		leaves:  make(map[PFN]*frameLeaf),
-		written: NewBitmap(uint64(np)),
+		name:   name,
+		npages: np,
+		leaves: make(map[PFN]*frameLeaf),
 	}
 }
 
@@ -191,11 +190,6 @@ func (l *frameLeaf) resize(i PFN, n int) []byte {
 	return g
 }
 
-// mark records page p written.
-func (as *AddressSpace) mark(p PFN) {
-	as.written.Set(uint64(p))
-}
-
 // Read copies len(buf) bytes starting at a into buf. Unwritten memory reads
 // as zero. It fails if the range escapes the space.
 func (as *AddressSpace) Read(a Addr, buf []byte) error {
@@ -217,8 +211,7 @@ func (as *AddressSpace) Read(a Addr, buf []byte) error {
 	return nil
 }
 
-// Write copies buf into the space starting at a, marking touched pages
-// written.
+// Write copies buf into the space starting at a.
 func (as *AddressSpace) Write(a Addr, buf []byte) error {
 	for len(buf) > 0 {
 		p := PageOf(a)
@@ -232,7 +225,6 @@ func (as *AddressSpace) Write(a Addr, buf []byte) error {
 			f = as.resize(p, off+n)
 		}
 		copy(f[off:], buf[:n])
-		as.mark(p)
 		buf = buf[n:]
 		a += Addr(n)
 	}
@@ -240,11 +232,10 @@ func (as *AddressSpace) Write(a Addr, buf []byte) error {
 }
 
 // CopyFrames overwrites frames [dp, dp+n) of dst with frames [sp, sp+n) of
-// src in ascending order and marks them written, leaving both spaces exactly
-// as reading each source page and writing it whole to its destination page
-// would. It moves only the source extents, so a page holding one quadword
-// costs a quadword, and it resolves each frame leaf once per run of frames
-// inside it. Shrinking keeps a destination extent's capacity; resize clears
+// src in ascending order, leaving both spaces exactly as reading each source
+// page and writing it whole to its destination page would. It moves only the
+// source extents, so a page holding one quadword costs a quadword, and it
+// resolves each frame leaf once per run of frames inside it. Shrinking keeps a destination extent's capacity; resize clears
 // it before reuse. A frame past either end fails the copy there, the
 // source's end checked first, after the frames before it moved.
 func CopyFrames(dst *AddressSpace, dp PFN, src *AddressSpace, sp PFN, n int) error {
@@ -267,7 +258,6 @@ func CopyFrames(dst *AddressSpace, dp PFN, src *AddressSpace, sp PFN, n int) err
 			}
 			copy(dl.resize(dp&(leafPages-1)+i, len(sf)), sf)
 		}
-		dst.written.SetRange(uint64(dp), uint64(k))
 		sp, dp, n = sp+PFN(k), dp+PFN(k), n-k
 	}
 	return nil
@@ -326,11 +316,10 @@ func (l *frameLeaf) extentOrNil(i PFN) []byte {
 }
 
 // WriteQuads writes val(i), little-endian, over the first 8 bytes of frame
-// p+i for each i in [0, n), in ascending order, and marks the frames
-// written, leaving the space exactly as n 8-byte Writes at those frame
-// bases would. It resolves each frame leaf once per run of frames inside
-// it. A frame past the end fails the write there, after the frames before
-// it were written.
+// p+i for each i in [0, n), in ascending order, leaving the space exactly
+// as n 8-byte Writes at those frame bases would. It resolves each frame
+// leaf once per run of frames inside it. A frame past the end fails the
+// write there, after the frames before it were written.
 func (as *AddressSpace) WriteQuads(p PFN, n int, val func(i int) uint64) error {
 	for done := 0; done < n; {
 		if p >= as.npages {
@@ -349,12 +338,7 @@ func (as *AddressSpace) WriteQuads(p PFN, n int, val func(i int) uint64) error {
 			}
 			binary.LittleEndian.PutUint64(f, val(done+int(i)))
 		}
-		as.written.SetRange(uint64(p), uint64(k))
 		p, done = p+PFN(k), done+k
 	}
 	return nil
 }
-
-// WrittenPages returns every frame ever written, in ascending order: the
-// working set migration's first pass must ship.
-func (as *AddressSpace) WrittenPages() []PFN { return as.written.PFNs() }

@@ -5,22 +5,20 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"slices"
 	"testing"
 )
 
 // refSpace is FuzzAddressSpace's reference model: an address space whose
-// pages are full [PageSize]byte frames, with a map-backed written set. Read
-// and write walk the range page by page like AddressSpace, so a range that
-// runs off the end fails after its in-range pages moved.
+// pages are full [PageSize]byte frames. Read and write walk the range page
+// by page like AddressSpace, so a range that runs off the end fails after
+// its in-range pages moved.
 type refSpace struct {
-	npages  PFN
-	frames  map[PFN]*[PageSize]byte
-	written map[PFN]bool
+	npages PFN
+	frames map[PFN]*[PageSize]byte
 }
 
 func newRefSpace(npages PFN) *refSpace {
-	return &refSpace{npages: npages, frames: map[PFN]*[PageSize]byte{}, written: map[PFN]bool{}}
+	return &refSpace{npages: npages, frames: map[PFN]*[PageSize]byte{}}
 }
 
 func (r *refSpace) frame(p PFN) *[PageSize]byte {
@@ -30,15 +28,12 @@ func (r *refSpace) frame(p PFN) *[PageSize]byte {
 	return r.frames[p]
 }
 
-func (r *refSpace) mark(p PFN) { r.written[p] = true }
-
 func (r *refSpace) write(a Addr, buf []byte) bool {
 	for len(buf) > 0 {
 		if PageOf(a) >= r.npages {
 			return false
 		}
 		n := copy(r.frame(PageOf(a))[a%PageSize:], buf)
-		r.mark(PageOf(a))
 		buf, a = buf[n:], a+Addr(n)
 	}
 	return true
@@ -53,15 +48,6 @@ func (r *refSpace) read(a Addr, buf []byte) bool {
 		buf, a = buf[n:], a+Addr(n)
 	}
 	return true
-}
-
-func sortedPFNs(set map[PFN]bool) []PFN {
-	out := make([]PFN, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // Address-space fuzz steps are asStepLen-byte records: an opcode, a space
@@ -94,8 +80,8 @@ func asStep(op, sel byte, x, y uint16, v byte) []byte {
 // so steps cross leaf boundaries and alternate between leaves. Extents cross
 // the 8-byte boundary between the inline and the long form in both
 // directions. Every read, EqualFrames answer and run error (the first frame
-// past an end, the source's first) and, after every step, WrittenPages must
-// match the model, as must every byte at the end.
+// past an end, the source's first) must match the model, as must every byte
+// at the end.
 func FuzzAddressSpace(f *testing.F) {
 	// The stale tail: a full frame shrunk by copying an 8-byte frame over
 	// it keeps its capacity; growing it again by one byte at offset 100
@@ -242,7 +228,6 @@ func FuzzAddressSpace(f *testing.F) {
 						break
 					}
 					*ref.frame(p + k) = *refs[j].frame(q + k)
-					ref.mark(p + k)
 				}
 				if err := CopyFrames(as, p, spaces[j], q, run); fmt.Sprint(err) != fmt.Sprint(want) {
 					t.Fatalf("step %d: CopyFrames(%s:%d <- %s:%d, %d) error %v, reference %v", step, as.name, p, spaces[j].name, q, run, err, want)
@@ -275,15 +260,9 @@ func FuzzAddressSpace(f *testing.F) {
 						break
 					}
 					binary.LittleEndian.PutUint64(ref.frame(p + k)[:8], val(int(k)))
-					ref.mark(p + k)
 				}
 				if err := as.WriteQuads(p, run, val); fmt.Sprint(err) != fmt.Sprint(want) {
 					t.Fatalf("step %d: WriteQuads(%s:%d, %d) error %v, reference %v", step, as.name, p, run, err, want)
-				}
-			}
-			for k := range spaces {
-				if got, want := spaces[k].WrittenPages(), sortedPFNs(refs[k].written); !slices.Equal(got, want) {
-					t.Fatalf("step %d: WrittenPages(%s) = %v, reference %v", step, spaces[k].name, got, want)
 				}
 			}
 		}
@@ -352,7 +331,7 @@ func TestQuadwordPagesAllocFree(t *testing.T) {
 		{"CopyFrames of a quadword page onto an absent page", func(p PFN) error { return CopyFrames(dst, p, src, 0, 1) }},
 		{"PageTable.Map and Lookup", func(p PFN) error {
 			pt.Map(p, p+100, PermRW)
-			if w := pt.Lookup(p, PermWrite); w.PFN != p+100 {
+			if w := pt.Lookup(p); w.PFN != p+100 {
 				t.Errorf("Lookup(%d) = %+v", p, w)
 			}
 			return nil

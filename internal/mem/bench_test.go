@@ -18,7 +18,7 @@ func BenchmarkPageTableLookup(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pt.Lookup(PFN(i&0xffff), PermRead)
+		pt.Lookup(PFN(i & 0xffff))
 	}
 }
 

@@ -78,19 +78,6 @@ func TestAddressSpaceBounds(t *testing.T) {
 	}
 }
 
-func TestWrittenPages(t *testing.T) {
-	as := NewAddressSpace("vm", 1<<20)
-	as.Write(0, []byte{1})
-	as.Write(PageSize*5, []byte{1})
-	if err := CopyFrames(as, 9, as, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	w := as.WrittenPages()
-	if len(w) != 3 || w[0] != 0 || w[1] != 5 || w[2] != 9 {
-		t.Fatalf("written pages = %v, want [0 5 9]", w)
-	}
-}
-
 func TestBitmapBasics(t *testing.T) {
 	b := NewBitmap(200)
 	b.Set(0)
@@ -147,14 +134,14 @@ func TestBitmapCountProperty(t *testing.T) {
 func TestPageTableMapLookup(t *testing.T) {
 	pt := NewPageTable()
 	pt.Map(0x1234, 0xabcd, PermRW)
-	w := pt.Lookup(0x1234, PermRead)
+	w := pt.Lookup(0x1234)
 	if !w.Present || w.PFN != 0xabcd {
 		t.Fatalf("lookup = %+v", w)
 	}
 	if w.LevelsTouched != 4 {
 		t.Fatalf("full walk touched %d levels, want 4", w.LevelsTouched)
 	}
-	miss := pt.Lookup(0x9999, PermRead)
+	miss := pt.Lookup(0x9999)
 	if miss.Present {
 		t.Fatal("unmapped frame translated")
 	}
@@ -167,14 +154,14 @@ func TestPageTableMissDepth(t *testing.T) {
 	pt := NewPageTable()
 	// Frames sharing high-level indices force deeper partial walks.
 	pt.Map(0, 1, PermRW)
-	w := pt.Lookup(1, PermRead) // same L1..L3 path as frame 0, leaf absent
+	w := pt.Lookup(1) // same L1..L3 path as frame 0, leaf absent
 	if w.Present {
 		t.Fatal("frame 1 should be unmapped")
 	}
 	if w.LevelsTouched != 4 {
 		t.Fatalf("adjacent miss touched %d levels, want 4", w.LevelsTouched)
 	}
-	far := pt.Lookup(PFN(1)<<27, PermRead) // different top-level entry
+	far := pt.Lookup(PFN(1) << 27) // different top-level entry
 	if far.LevelsTouched != 1 {
 		t.Fatalf("distant miss touched %d levels, want 1", far.LevelsTouched)
 	}
@@ -219,7 +206,7 @@ func TestPageTableRemapOverwrites(t *testing.T) {
 	pt := NewPageTable()
 	pt.Map(1, 2, PermRW)
 	pt.Map(1, 3, PermRead)
-	w := pt.Lookup(1, PermRead)
+	w := pt.Lookup(1)
 	if w.PFN != 3 || w.Perms != PermRead {
 		t.Fatalf("remap not applied: %+v", w)
 	}
@@ -235,14 +222,14 @@ func TestPageTableForEachOrder(t *testing.T) {
 		pt.Map(f, PFN(i), PermRW)
 	}
 	var got []PFN
-	pt.ForEach(func(from, to PFN, p Perm) { got = append(got, from) })
+	pt.ForEachEntry(func(e Entry) { got = append(got, e.From) })
 	want := []PFN{5, 77, 100, 1 << 30}
 	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %v", got)
+		t.Fatalf("ForEachEntry visited %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("ForEach order %v, want %v", got, want)
+			t.Fatalf("ForEachEntry order %v, want %v", got, want)
 		}
 	}
 }
@@ -251,7 +238,7 @@ func TestPageTableClear(t *testing.T) {
 	pt := NewPageTable()
 	pt.Map(1, 2, PermRW)
 	pt.Clear()
-	if pt.Mapped() != 0 || pt.Lookup(1, 0).Present {
+	if pt.Mapped() != 0 || pt.Lookup(1).Present {
 		t.Fatal("Clear left mappings behind")
 	}
 }
@@ -266,7 +253,7 @@ func TestPageTableEmptyHasNoNodes(t *testing.T) {
 		if pt.root != nil {
 			t.Errorf("%s table holds a top-level node", name)
 		}
-		if w := pt.Lookup(7, PermWrite); w.Present || w.LevelsTouched != 1 {
+		if w := pt.Lookup(7); w.Present || w.LevelsTouched != 1 {
 			t.Errorf("%s table walk = %+v, want a miss touching 1 level", name, w)
 		}
 		if pt.Unmap(7) {
@@ -274,7 +261,7 @@ func TestPageTableEmptyHasNoNodes(t *testing.T) {
 		}
 		pt.ForEachEntry(func(Entry) { t.Errorf("%s table visited an entry", name) })
 		pt.Map(7, 9, PermRW)
-		if w := pt.Lookup(7, PermRead); !w.Present || w.PFN != 9 || w.LevelsTouched != 4 {
+		if w := pt.Lookup(7); !w.Present || w.PFN != 9 || w.LevelsTouched != 4 {
 			t.Errorf("%s table after Map: walk = %+v", name, w)
 		}
 	}

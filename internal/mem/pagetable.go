@@ -47,7 +47,7 @@ func (p Perm) String() string {
 // in an empty table costs 4.3 KiB.
 //
 // A PageTable is not safe for concurrent use, even by readers only: Lookup
-// stamps A/D bits and updates the last-leaf cache.
+// updates the last-leaf cache.
 type PageTable struct {
 	root   *ptRoot // nil until the first mapping: an empty table costs no node
 	mapped int
@@ -80,14 +80,13 @@ type (
 
 // ptLeaf is a level-4 node: 512 packed entries, 4 KiB with no pointer for
 // the allocator to zero or the collector to scan. An entry follows Intel's
-// EPT layout: R/W/X in bits 0-2 (the Perm bits), accessed in bit 8, dirty in
-// bit 9, present in bit 11 (ignored by hardware) and the target frame in
-// bits 12-63, which hold every frame of a 64-bit address.
+// EPT layout: R/W/X in bits 0-2 (the Perm bits), present in bit 11 (ignored
+// by hardware) and the target frame in bits 12-63, which hold every frame of
+// a 64-bit address. It keeps no accessed or dirty bit: a VM's written set
+// is the one record of a written page.
 type ptLeaf [512]uint64
 
 const (
-	pteAccessed   = 1 << 8
-	pteDirty      = 1 << 9
 	ptePresent    = 1 << 11
 	pteFrameShift = 12
 )
@@ -110,8 +109,8 @@ func child[T any](d *smallArray[*T], i PFN) *T {
 
 // Map installs a translation from frame from to frame to with the given
 // permissions (only R, W and X are kept), building intermediate levels as
-// needed. Remapping an existing entry overwrites it and clears its A/D bits.
-// A frame at or above TableFrames is an error and installs nothing.
+// needed. Remapping an existing entry overwrites it. A frame at or above
+// TableFrames is an error and installs nothing.
 func (t *PageTable) Map(from, to PFN, perms Perm) error {
 	if from >= TableFrames {
 		return beyondTable(from)
@@ -146,20 +145,17 @@ func (t *PageTable) leafFor(from PFN) *ptLeaf {
 
 // EnsureRun faults in frames [from, from+n) the way a hypervisor's lazy
 // fault-in does one page at a time: it maps an absent entry to to+i with
-// perms (only R, W and X are kept) and, when access is not zero, stamps it
-// like Lookup(from+i, access); it stamps a present entry that maps to to+i
-// like Lookup(from+i, access), accessed always and dirty when both the
-// access and the entry allow write. It stops before the first present
-// entry that maps elsewhere, and before TableFrames, and returns how many
-// frames it handled; the entry it stopped at is left as it was. It
-// descends once per level-4 leaf. A from at or above TableFrames is an
-// error and installs nothing.
-func (t *PageTable) EnsureRun(from, to PFN, n int, perms, access Perm) (int, error) {
+// perms (only R, W and X are kept) and passes over a present entry that
+// maps to to+i. It stops before the first present entry that maps
+// elsewhere, and before TableFrames, and returns how many frames it
+// handled; the entry it stopped at is left as it was. It descends once per
+// level-4 leaf. A from at or above TableFrames is an error and installs
+// nothing.
+func (t *PageTable) EnsureRun(from, to PFN, n int, perms Perm) (int, error) {
 	if from >= TableFrames {
 		return 0, beyondTable(from)
 	}
 	n = int(min(PFN(max(n, 0)), TableFrames-from))
-	write := access.Has(PermWrite)
 	var leaf *ptLeaf
 	for i := 0; i < n; i++ {
 		p := from + PFN(i)
@@ -167,22 +163,13 @@ func (t *PageTable) EnsureRun(from, to PFN, n int, perms, access Perm) (int, err
 			leaf = t.leafFor(p)
 		}
 		want := uint64(to+PFN(i)) << pteFrameShift
-		e := leaf[p&0x1ff]
-		if e&ptePresent == 0 {
-			e = want | ptePresent | uint64(perms&PermRWX)
+		e := &leaf[p&0x1ff]
+		if *e&ptePresent == 0 {
+			*e = want | ptePresent | uint64(perms&PermRWX)
 			t.mapped++
-			if access == 0 {
-				leaf[p&0x1ff] = e
-				continue
-			}
-		} else if e>>pteFrameShift<<pteFrameShift != want {
+		} else if *e>>pteFrameShift<<pteFrameShift != want {
 			return i, nil
 		}
-		e |= pteAccessed
-		if write && e&uint64(PermWrite) != 0 {
-			e |= pteDirty
-		}
-		leaf[p&0x1ff] = e
 	}
 	return n, nil
 }
@@ -240,12 +227,12 @@ type Walk struct {
 	LevelsTouched int
 }
 
-// Lookup walks the table for frame from, setting accessed (and, for write
-// access, dirty) bits like hardware A/D-bit tracking. A hit in the last-leaf
-// cache reports the same Walk, LevelsTouched included, as the full descent.
-// Lookup is on the exit path, so it checks the cache itself: a hit then
-// costs no call, and levelFour, with its descent, is too large to inline.
-func (t *PageTable) Lookup(from PFN, access Perm) Walk {
+// Lookup walks the table for frame from and changes no entry. A hit in the
+// last-leaf cache reports the same Walk, LevelsTouched included, as the full
+// descent. Lookup is on the exit path, so it checks the cache itself: a hit
+// then costs no call, and levelFour, with its descent, is too large to
+// inline.
+func (t *PageTable) Lookup(from PFN) Walk {
 	leaf, levels := t.last, ptLevels-1
 	if leaf == nil || t.lastKey != from>>9 {
 		if leaf, levels = t.levelFour(from); leaf == nil {
@@ -256,20 +243,14 @@ func (t *PageTable) Lookup(from PFN, access Perm) Walk {
 	if e&ptePresent == 0 {
 		return Walk{LevelsTouched: levels + 1}
 	}
-	perms := Perm(e & uint64(PermRWX))
-	e |= pteAccessed
-	if access.Has(PermWrite) && perms.Has(PermWrite) {
-		e |= pteDirty
-	}
-	leaf[from&0x1ff] = e
-	return Walk{PFN: PFN(e >> pteFrameShift), Perms: perms, Present: true, LevelsTouched: levels + 1}
+	return Walk{PFN: PFN(e >> pteFrameShift), Perms: Perm(e & uint64(PermRWX)), Present: true, LevelsTouched: levels + 1}
 }
 
 // Translate converts a byte address through the table, preserving the page
 // offset. It fails when no translation exists or the access permission is
 // not granted.
 func (t *PageTable) Translate(a Addr, access Perm) (Addr, error) {
-	w := t.Lookup(PageOf(a), access)
+	w := t.Lookup(PageOf(a))
 	if !w.Present {
 		return 0, fmt.Errorf("mem: no translation for %#x", uint64(a))
 	}
@@ -282,22 +263,13 @@ func (t *PageTable) Translate(a Addr, access Perm) (Addr, error) {
 // Mapped returns the number of installed leaf translations.
 func (t *PageTable) Mapped() int { return t.mapped }
 
-// ForEach visits every installed translation in ascending frame order.
-func (t *PageTable) ForEach(fn func(from, to PFN, perms Perm)) {
-	t.ForEachEntry(func(e Entry) { fn(e.From, e.To, e.Perms) })
-}
-
-// Entry describes one installed translation with its A/D tracking state.
+// Entry describes one installed translation.
 type Entry struct {
 	From, To PFN
 	Perms    Perm
-	Accessed bool
-	Dirty    bool
 }
 
-// ForEachEntry visits every installed translation in ascending frame order,
-// exposing the hardware A/D bits Lookup maintains — the view a hypervisor's
-// dirty-page scanner has of an EPT.
+// ForEachEntry visits every installed translation in ascending frame order.
 func (t *PageTable) ForEachEntry(fn func(Entry)) {
 	if t.root == nil {
 		return
@@ -310,11 +282,9 @@ func (t *PageTable) ForEachEntry(fn func(Entry)) {
 						continue
 					}
 					fn(Entry{
-						From:     PFN(i<<27 | j<<18 | k<<9 | uint64(s)),
-						To:       PFN(e >> pteFrameShift),
-						Perms:    Perm(e & uint64(PermRWX)),
-						Accessed: e&pteAccessed != 0,
-						Dirty:    e&pteDirty != 0,
+						From:  PFN(i<<27 | j<<18 | k<<9 | uint64(s)),
+						To:    PFN(e >> pteFrameShift),
+						Perms: Perm(e & uint64(PermRWX)),
 					})
 				}
 			})

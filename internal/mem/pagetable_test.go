@@ -37,29 +37,21 @@ func (r *refTable) mapFrame(from, to PFN, perms Perm) bool {
 }
 
 // ensure is one page of a hypervisor's lazy fault-in, the page-at-a-time
-// form of EnsureRun: a present entry that maps to to is stamped like a
-// lookup, an absent one is mapped and, for a nonzero access, stamped. It
-// reports false for a present entry that maps elsewhere, which it leaves
-// alone.
-func (r *refTable) ensure(from, to PFN, perms, access Perm) bool {
+// form of EnsureRun: an absent entry is mapped, and a present one that maps
+// to to is passed over. It reports false for a present entry that maps
+// elsewhere, which it leaves alone.
+func (r *refTable) ensure(from, to PFN, perms Perm) bool {
 	if e, ok := r.entries[from]; ok {
-		if e.To != to {
-			return false
-		}
-		r.lookup(from, access)
-		return true
+		return e.To == to
 	}
 	r.mapFrame(from, to, perms&PermRWX)
-	if access != 0 {
-		r.lookup(from, access)
-	}
 	return true
 }
 
 // lookup is the walk a 4-level radix table performs: one level for the top
 // node when the table is empty, otherwise the top node plus each node below
 // it that exists on the frame's path.
-func (r *refTable) lookup(from PFN, access Perm) Walk {
+func (r *refTable) lookup(from PFN) Walk {
 	w := Walk{LevelsTouched: 1}
 	if len(r.nodes[0]) != 0 {
 		for i := range r.nodes {
@@ -72,11 +64,6 @@ func (r *refTable) lookup(from PFN, access Perm) Walk {
 	if !ok {
 		return w
 	}
-	e.Accessed = true
-	if access.Has(PermWrite) && e.Perms.Has(PermWrite) {
-		e.Dirty = true
-	}
-	r.entries[from] = e
 	w.Present, w.PFN, w.Perms = true, e.To, e.Perms
 	return w
 }
@@ -92,17 +79,19 @@ func (r *refTable) sorted() []Entry {
 
 // Page-table fuzz steps are ptStepLen-byte records: an opcode, a
 // little-endian 16-bit frame operand x, a little-endian 16-bit target
-// operand and an argument byte (permissions, access kind, page offset, or
-// for a run the access kind in bits 0-1, R-X instead of RWX perms in bit 2
-// and the length in bits 3-7, ptRunLen). The opcode byte's top two bits
-// pick how x becomes a frame: ptFrame, ptWideFrame, or a slot of the
-// previous step's level-4 node.
+// operand and an argument byte (permissions, access kind and page offset,
+// or for a run R-X instead of RWX perms in bit 2 and the length in bits
+// 3-7, ptRunLen). The opcode byte's top two bits pick how x becomes a
+// frame: ptFrame, ptWideFrame, or a slot of the previous step's level-4
+// node.
 const (
 	ptOpMap = iota
 	ptOpUnmap
-	ptOpLookupNone
-	ptOpLookupRead
-	ptOpLookupWrite
+	// ptOpLookup is opcodes 2-4, which once looked up with no, read and
+	// write access: a fuzz input decodes to the same steps as before.
+	ptOpLookup
+	_
+	_
 	ptOpTranslate
 	ptOpClear
 	ptOpEnsureRun
@@ -167,15 +156,15 @@ func ptTarget(y uint16) PFN {
 }
 
 // FuzzPageTable checks the radix table, with its last-leaf walk cache,
-// against a map over interleaved Map, Unmap, Lookup (no access, read and
-// write), Translate, Clear and EnsureRun, with source frames past 2^36,
+// against a map over interleaved Map, Unmap, Lookup, Translate, Clear and
+// EnsureRun, with source frames past 2^36,
 // targets up to 2^52-1 and every R/W/X combination. Every Walk must match
 // the reference, LevelsTouched included, as must Map's, Unmap's and
 // Translate's answers. A run must handle as many frames as single-page
 // ensure steps on the reference do before the first entry that maps
 // elsewhere or TableFrames, and fail only at a from past TableFrames.
-// After every step Mapped and the ForEachEntry sequence (order, targets,
-// perms and A/D bits) must match too.
+// After every step Mapped and the ForEachEntry sequence (order, targets and
+// perms) must match too.
 func FuzzPageTable(f *testing.F) {
 	// A sequential run of mappings that crosses from one level-4 node into
 	// the next, then lookups that alternate between the two nodes at the
@@ -186,43 +175,44 @@ func FuzzPageTable(f *testing.F) {
 		ptStep(ptOpMap, 0x1ff, 3, byte(PermRead)),
 		ptStep(ptOpMap, 0x200, 4, byte(PermRW)),
 		ptStep(ptOpMap, 0x201, 5, byte(PermRWX)),
-		ptStep(ptOpLookupWrite, 0x1ff, 0, 0),
-		ptStep(ptOpLookupRead, 0x3ff, 0, 0),
-		ptStep(ptOpLookupWrite, 0x200, 0, 0),
-		ptStep(ptOpLookupRead, 0x000, 0, 0),
-		ptStep(ptOpLookupNone, 0x1fd, 0, 0),
+		ptStep(ptOpLookup, 0x1ff, 0, 0),
+		ptStep(ptOpLookup, 0x3ff, 0, 0),
+		ptStep(ptOpLookup, 0x200, 0, 0),
+		ptStep(ptOpLookup, 0x000, 0, 0),
+		ptStep(ptOpLookup, 0x1fd, 0, 0),
 		ptStep(ptOpTranslate, 0x201, 0, byte(PermWrite)),
 	}, nil))
 	// Clear, then a lookup of the prefix the cache held, then a fresh Map
 	// under that prefix.
 	f.Add(bytes.Join([][]byte{
 		ptStep(ptOpMap, 5, 50, byte(PermRW)),
-		ptStep(ptOpLookupWrite, 5, 0, 0),
+		ptStep(ptOpLookup, 5, 0, 0),
 		ptStep(ptOpClear, 0, 0, 0),
-		ptStep(ptOpLookupRead, 5, 0, 0),
-		ptStep(ptOpLookupRead, 6, 0, 0),
+		ptStep(ptOpLookup, 5, 0, 0),
+		ptStep(ptOpLookup, 6, 0, 0),
 		ptStep(ptOpMap, 7, 70, byte(PermRead)),
-		ptStep(ptOpLookupWrite, 5, 0, 0),
-		ptStep(ptOpLookupWrite, 7, 0, 0),
+		ptStep(ptOpLookup, 5, 0, 0),
+		ptStep(ptOpLookup, 7, 0, 0),
 	}, nil))
 	// Unmap of the cached entry, then lookups and a translation of it, and
-	// a remap that must clear its A/D bits.
+	// a remap.
 	f.Add(bytes.Join([][]byte{
 		ptStep(ptOpMap, 0x1409, 90, byte(PermRW)),
-		ptStep(ptOpLookupWrite, 0x1409, 0, 0),
+		ptStep(ptOpLookup, 0x1409, 0, 0),
 		ptStep(ptOpUnmap, 0x1409, 0, 0),
-		ptStep(ptOpLookupRead, 0x1409, 0, 0),
+		ptStep(ptOpLookup, 0x1409, 0, 0),
 		ptStep(ptOpTranslate, 0x1409, 0, byte(PermRead)),
 		ptStep(ptOpUnmap, 0x1409, 0, 0),
 		ptStep(ptOpMap, 0x1409, 91, byte(PermRW)),
 		ptStep(ptOpMap|ptRelative, 0x1ff, 92, byte(PermRW)),
-		ptStep(ptOpLookupRead, 0x1409, 0, 0),
+		ptStep(ptOpLookup, 0x1409, 0, 0),
 		ptStep(ptOpMap, 0x4000, 93, byte(PermRW)),
-		ptStep(ptOpLookupWrite|ptRelative, 0x1ff, 0, 0),
+		ptStep(ptOpLookup|ptRelative, 0x1ff, 0, 0),
 	}, nil))
 	// High targets, each under another permission combination, looked up
 	// and translated: a packed entry that drops a target bit above bit 31,
-	// or mixes the target into the A/D or permission bits, answers wrongly.
+	// or mixes the target into the present or permission bits, answers
+	// wrongly.
 	const past32, top52, high38 = 1 << 14, 2 << 14, 3 << 14
 	f.Add(bytes.Join([][]byte{
 		ptStep(ptOpMap, 0x10, past32|5, 0),
@@ -233,41 +223,39 @@ func FuzzPageTable(f *testing.F) {
 		ptStep(ptOpMap, 0x15, high38|1, byte(PermRead|PermExec)),
 		ptStep(ptOpMap, 0x16, top52|0x3fff, byte(PermWrite|PermExec)),
 		ptStep(ptOpMap, 0x17, 0x3fff, byte(PermRWX)),
-		ptStep(ptOpLookupWrite, 0x11, 0, 0),
-		ptStep(ptOpLookupWrite, 0x12, 0, 0),
-		ptStep(ptOpLookupRead, 0x13, 0, 0),
-		ptStep(ptOpLookupWrite, 0x16, 0, 0),
+		ptStep(ptOpLookup, 0x11, 0, 0),
+		ptStep(ptOpLookup, 0x12, 0, 0),
+		ptStep(ptOpLookup, 0x13, 0, 0),
+		ptStep(ptOpLookup, 0x16, 0, 0),
 		ptStep(ptOpTranslate, 0x11, 0, 0xf1),
 		ptStep(ptOpTranslate, 0x13, 0, 0xf3),
 		ptStep(ptOpTranslate, 0x17, 0, 0xf6),
 		ptStep(ptOpMap, 0x11, past32|1, byte(PermRW)),
-		ptStep(ptOpLookupNone, 0x11, 0, 0),
+		ptStep(ptOpLookup, 0x11, 0, 0),
 	}, nil))
-	// Runs: one across a level-4 node boundary over absent entries,
-	// stamped for a write; runs over present entries with and without write
-	// permission, for a read, a write and no access, which must still stamp
-	// an entry remapped (so never accessed) accessed; one that stops at an
-	// entry inside it that maps elsewhere and one that starts at it; a
-	// 1,100-frame run across two boundaries with R-X perms, read; then
-	// Map, a lookup and a run at 2^36+5, and a lookup of frame 5.
+	// Runs: one across a level-4 node boundary over absent entries; runs
+	// over present entries that map where the run does, among them entries
+	// Map reinstalled read-only and read-write; one that stops at an entry
+	// inside it that maps elsewhere and one that starts at it; a 1,100-frame
+	// run across two boundaries with R-X perms; then Map, a lookup and a run
+	// at 2^36+5, and a lookup of frame 5.
 	const run = ptOpEnsureRun
 	f.Add(bytes.Join([][]byte{
-		ptStep(run, 0x1f0, 100, 2|20<<3),
+		ptStep(run, 0x1f0, 100, 20<<3),
 		ptStep(ptOpMap, 0x1f4, 104, byte(PermRead)),
-		ptStep(run, 0x1f2, 102, 1|4<<3),
-		ptStep(run, 0x1f2, 102, 2|4<<3),
+		ptStep(run, 0x1f2, 102, 4<<3),
 		ptStep(ptOpMap, 0x1f8, 108, byte(PermRW)),
-		ptStep(run, 0x1f0, 100, 0|8<<3),
+		ptStep(run, 0x1f0, 100, 8<<3),
 		ptStep(ptOpMap, 0x3c5, 999, byte(PermRW)),
-		ptStep(run, 0x3c0, 0x100, 2|3<<3),
-		ptStep(run, 0x3c5, 0x105, 2|3<<3),
-		ptStep(ptOpLookupRead, 0x3c5, 0, 0),
-		ptStep(run, 0x500, 7, 1|4|31<<3),
-		ptStep(ptOpLookupWrite, 0x6ff, 0, 0),
+		ptStep(run, 0x3c0, 0x100, 3<<3),
+		ptStep(run, 0x3c5, 0x105, 3<<3),
+		ptStep(ptOpLookup, 0x3c5, 0, 0),
+		ptStep(run, 0x500, 7, 4|31<<3),
+		ptStep(ptOpLookup, 0x6ff, 0, 0),
 		ptStep(ptOpMap, 0x8005, 99, byte(PermRW)),
-		ptStep(ptOpLookupRead, 0x8005, 0, 0),
-		ptStep(run, 0x8005, 99, 2|1<<3),
-		ptStep(ptOpLookupRead, 0x0005, 0, 0),
+		ptStep(ptOpLookup, 0x8005, 0, 0),
+		ptStep(run, 0x8005, 99, 1<<3),
+		ptStep(ptOpLookup, 0x0005, 0, 0),
 	}, nil))
 	// Directory nodes promoted at every level: a level-3 node, then a
 	// level-2 node, then the top level gather nine or ten children each,
@@ -282,15 +270,15 @@ func FuzzPageTable(f *testing.F) {
 	}{{4, 0x00c0}, {8, 0x0c00}, {12, 0xc000}} {
 		for i := uint16(0); i < 10; i++ {
 			if i == 8 {
-				promote = append(promote, wide(ptOpLookupWrite, lv.absent))
+				promote = append(promote, wide(ptOpLookup, lv.absent))
 			}
 			promote = append(promote, wide(ptOpMap, i<<lv.shift))
 		}
 		promote = append(promote,
-			wide(ptOpLookupWrite, lv.absent),
-			wide(ptOpLookupWrite, 9<<lv.shift),
-			wide(ptOpLookupRead, 3<<lv.shift),
-			wide(ptOpLookupNone, 7<<lv.shift|5))
+			wide(ptOpLookup, lv.absent),
+			wide(ptOpLookup, 9<<lv.shift),
+			wide(ptOpLookup, 3<<lv.shift),
+			wide(ptOpLookup, 7<<lv.shift|5))
 	}
 	f.Add(bytes.Join(promote, nil))
 	// Clear after a promotion: a level-3 node promoted, cleared, then looked
@@ -302,12 +290,12 @@ func FuzzPageTable(f *testing.F) {
 			cleared = append(cleared, wide(ptOpMap, i<<4|uint16(round)))
 		}
 		cleared = append(cleared,
-			wide(ptOpLookupWrite, 8<<4|uint16(round)),
+			wide(ptOpLookup, 8<<4|uint16(round)),
 			wide(ptOpClear, 0),
-			wide(ptOpLookupRead, 8<<4|uint16(round)),
-			wide(ptOpLookupRead, 0x00c0))
+			wide(ptOpLookup, 8<<4|uint16(round)),
+			wide(ptOpLookup, 0x00c0))
 	}
-	cleared = append(cleared, wide(ptOpMap, 0x00c0), wide(ptOpLookupRead, 0x00b0), wide(ptOpLookupWrite, 0x00c0))
+	cleared = append(cleared, wide(ptOpMap, 0x00c0), wide(ptOpLookup, 0x00b0), wide(ptOpLookup, 0x00c0))
 	f.Add(bytes.Join(cleared, nil))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		pt, ref := NewPageTable(), newRefTable()
@@ -329,15 +317,15 @@ func FuzzPageTable(f *testing.F) {
 					t.Fatalf("step %d: Map(%#x) error %v, reference accepts %v", step, p, err, ok)
 				}
 			case ptOpEnsureRun:
-				n, perms, access := ptRunLen(arg), PermRWX&^(PermWrite*Perm(arg>>2&1)), Perm(arg&3)
+				n, perms := ptRunLen(arg), PermRWX&^(PermWrite*Perm(arg>>2&1))
 				to = min(to, 1<<52-PFN(n)) // keep to+i a frame of a 64-bit address
 				want := 0
-				for p+PFN(want) < TableFrames && want < n && ref.ensure(p+PFN(want), to+PFN(want), perms, access) {
+				for p+PFN(want) < TableFrames && want < n && ref.ensure(p+PFN(want), to+PFN(want), perms) {
 					want++
 				}
-				got, err := pt.EnsureRun(p, to, n, perms, access)
+				got, err := pt.EnsureRun(p, to, n, perms)
 				if got != want || (err != nil) != (p >= TableFrames) {
-					t.Fatalf("step %d: EnsureRun(%#x, %#x, %d, %s, %s) = %d, %v; reference handles %d", step, p, to, n, perms, access, got, err, want)
+					t.Fatalf("step %d: EnsureRun(%#x, %#x, %d, %s) = %d, %v; reference handles %d", step, p, to, n, perms, got, err, want)
 				}
 			case ptOpUnmap:
 				_, want := ref.entries[p]
@@ -345,15 +333,14 @@ func FuzzPageTable(f *testing.F) {
 				if got := pt.Unmap(p); got != want {
 					t.Fatalf("step %d: Unmap(%#x) = %v, reference %v", step, p, got, want)
 				}
-			case ptOpLookupNone, ptOpLookupRead, ptOpLookupWrite:
-				access := [...]Perm{0, PermRead, PermWrite}[op-ptOpLookupNone]
-				if got, want := pt.Lookup(p, access), ref.lookup(p, access); got != want {
-					t.Fatalf("step %d: Lookup(%#x, %s) = %+v, reference %+v", step, p, access, got, want)
+			case ptOpLookup, ptOpLookup + 1, ptOpLookup + 2:
+				if got, want := pt.Lookup(p), ref.lookup(p); got != want {
+					t.Fatalf("step %d: Lookup(%#x) = %+v, reference %+v", step, p, got, want)
 				}
 			case ptOpTranslate:
 				a, access := p.Base()+Addr(arg)*16, Perm(arg&7)
 				got, err := pt.Translate(a, access)
-				w := ref.lookup(p, access)
+				w := ref.lookup(p)
 				ok := w.Present && w.Perms.Has(access)
 				if (err == nil) != ok || ok && got != w.PFN.Base()+Addr(arg)*16 {
 					t.Fatalf("step %d: Translate(%#x, %s) = %#x, %v; reference walk %+v", step, a, access, got, err, w)
@@ -385,7 +372,7 @@ func TestPageTableRefusesFramesPastReach(t *testing.T) {
 	if err := pt.Map(1<<36+5, 99, PermRW); err == nil {
 		t.Fatal("Map(2^36+5) accepted a frame past the table's reach")
 	}
-	if w := pt.Lookup(5, PermRead); w.Present {
+	if w := pt.Lookup(5); w.Present {
 		t.Fatalf("Lookup(5) = %+v after Map(2^36+5); the frame aliased", w)
 	}
 	pt.ForEachEntry(func(e Entry) { t.Errorf("ForEachEntry lists %+v", e) })
@@ -395,13 +382,13 @@ func TestPageTableRefusesFramesPastReach(t *testing.T) {
 	if err := pt.Map(5, 50, PermRW); err != nil {
 		t.Fatal(err)
 	}
-	if w := pt.Lookup(1<<36+5, PermRead); w != (Walk{LevelsTouched: 1}) {
+	if w := pt.Lookup(1<<36 + 5); w != (Walk{LevelsTouched: 1}) {
 		t.Fatalf("Lookup(2^36+5) = %+v, want absent with 1 level touched", w)
 	}
-	if n, err := pt.EnsureRun(1<<36, 0, 4, PermRW, 0); n != 0 || err == nil {
+	if n, err := pt.EnsureRun(1<<36, 0, 4, PermRW); n != 0 || err == nil {
 		t.Fatalf("EnsureRun(2^36, 4) = %d, %v; want 0 and an error", n, err)
 	}
-	if n, err := pt.EnsureRun(1<<36-2, 0, 4, PermRW, 0); n != 2 || err != nil {
+	if n, err := pt.EnsureRun(1<<36-2, 0, 4, PermRW); n != 2 || err != nil {
 		t.Fatalf("EnsureRun(2^36-2, 4) = %d, %v; want 2 frames handled", n, err)
 	}
 	if pt.Mapped() != 3 {
