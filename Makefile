@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race bench bench-compare lint fuzz-smoke fuzz golden profiles check clean
+.PHONY: all build fmt vet test race bench bench-compare bench-fixtures lint fuzz-smoke fuzz golden profiles check clean
 
 all: check
 
@@ -71,8 +71,21 @@ bench:
 bench-compare:
 	$(GO) run ./cmd/nvperf -compare BENCH_10.json
 
+# bench-fixtures runs the benchmark module's fixture tests: the committed
+# fixtures regenerated with the plan caches off (TestFixturesWithoutPlanCache:
+# the nvbench -all transcript, a stride of the cell universe and each
+# workload's fingerprints) and each workload's seed contract (TestSeeds). A
+# change that moves what a workload computes fails here instead of in a
+# benchmark run. It writes nothing into the tree. TestWorkloads, which runs
+# every workload at tiny scale and reads wall-clock coverage, is left out:
+# it fails on loaded hosts (ROADMAP item 5).
+bench-fixtures:
+	cd bench && $(GO) test -run '^(TestFixturesWithoutPlanCache|TestSeeds)$$' ./...
+
 # FUZZ_TARGETS are the native fuzz targets as package:Target pairs — the
-# invariant-checker targets in internal/check, the sparse bitmap, byte-extent
+# targets in internal/check (among them FuzzLAPIC and FuzzMergeChain, the
+# only checks of IRR/ISR disjointness and vmx.Merge associativity, which the
+# invariant checker does not re-check), the sparse bitmap, byte-extent
 # address-space and cached page-table walk differentials in internal/mem,
 # the event engine's heap-vs-sorted-slice differential in internal/sim, and
 # the fixed-offset VMCS against a map-backed one in internal/vmx.
@@ -130,11 +143,11 @@ profiles:
 # check is the full gate: everything must build, vet clean, lint clean
 # under nvlint, pass the test suite under the race detector (the parallel
 # harness runs Worlds on multiple goroutines, so -race is part of tier 1,
-# not an extra), survive a fuzz smoke pass over the invariant-checker
-# targets, hold the committed benchmark baseline (bench-compare), and pass
-# the per-profile calibration sweep (profiles). fmt runs first: formatting
-# is the cheapest gate.
-check: fmt build vet lint race fuzz-smoke bench-compare profiles
+# not an extra), survive a fuzz smoke pass over the fuzz targets, hold the
+# committed benchmark baseline (bench-compare) and the benchmark's cache-off
+# fixtures (bench-fixtures), and pass the per-profile calibration sweep
+# (profiles). fmt runs first: formatting is the cheapest gate.
+check: fmt build vet lint race fuzz-smoke bench-compare bench-fixtures profiles
 
 clean:
 	$(GO) clean ./...

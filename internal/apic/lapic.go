@@ -89,8 +89,9 @@ func NewLAPIC() *LAPIC {
 // was newly set: re-delivering a pending vector coalesces, as on hardware,
 // and so does delivering a vector currently in service. (Real hardware can
 // latch one further instance in the IRR during service; this model keeps at
-// most one instance live, which is what lets the invariant checker assert
-// IRR and ISR never intersect.)
+// most one instance live.) Deliver, Ack and EOI are the only writers of the
+// IRR and ISR, and together they keep the two disjoint, which FuzzLAPIC
+// (internal/check) asserts after every step.
 func (l *LAPIC) Deliver(v Vector) bool {
 	if l.irr.test(v) || l.isr.test(v) {
 		return false
@@ -152,7 +153,7 @@ func (l *LAPIC) EOI() {
 func (l *LAPIC) InService(v Vector) bool { return l.isr.test(v) }
 
 // IRRSnapshot returns a copy of the 256-bit interrupt request register, for
-// inspection (the invariant checker asserts IRR and ISR never intersect).
+// inspection (FuzzLAPIC asserts IRR and ISR never intersect).
 func (l *LAPIC) IRRSnapshot() [4]uint64 { return [4]uint64(l.irr) }
 
 // ISRSnapshot returns a copy of the 256-bit in-service register.

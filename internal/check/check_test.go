@@ -20,7 +20,7 @@ func buildChecked(t testing.TB, spec experiment.Spec) (*experiment.Stack, *check
 	if err != nil {
 		t.Fatalf("Build(%+v): %v", spec, err)
 	}
-	return st, st.AttachChecker()
+	return st, check.Attach(st.World)
 }
 
 // drive runs every Table 1 microbenchmark plus the given application
@@ -133,12 +133,11 @@ func TestCheckerCatchesCorruptTSCChain(t *testing.T) {
 	}
 }
 
-// TestCheckerCatchesMismatchedRestoreArm: a virtual-timer arm made outside
-// any Execute is a restore re-arming a saved deadline (core.RestoreVMState),
-// which must equal the LAPIC deadline the restore set. The open frames are
-// all that tell such an arm from a guest's timer program, so an arm one
-// cycle past the LAPIC deadline must trip timer-arm-lapic.
-func TestCheckerCatchesMismatchedRestoreArm(t *testing.T) {
+// TestCheckerCatchesMismatchedArm: both arm sites, a guest's timer program
+// (core.DVH.TryHandle) and a restore re-arming a saved deadline
+// (core.RestoreVMState), set the LAPIC deadline just before they arm, so an
+// arm one cycle past the LAPIC deadline must trip timer-arm-lapic.
+func TestCheckerCatchesMismatchedArm(t *testing.T) {
 	st, c := buildChecked(t, experiment.Spec{Depth: 2, IO: experiment.IODVH})
 	v := st.Target.VCPUs[0]
 	const deadline = 5_000_000

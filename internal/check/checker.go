@@ -1,23 +1,20 @@
-// Package check validates simulator-wide invariants at the engine/hypervisor
-// boundary. A Checker attaches to a hyper.World (zero cost when absent) and
-// verifies, after every boundary operation and again at end of run, the
-// laws the engine's state must keep:
+// Package check validates simulator-wide invariants. A Checker attaches to a
+// hyper.World (zero cost when absent), records every DVH virtual-timer arm
+// the engine reports, and at end of run sweeps the laws the engine's state
+// must keep:
 //
-//   - LAPIC sanity: a vector is never both pending (IRR) and in service
-//     (ISR) on the same local APIC;
+//   - timer arms: every arm equals the LAPIC deadline its arm site set
+//     (timer-arm-lapic), and the TSC-offset chain it was computed under has
+//     not moved by end of run (tsc-offset-chain);
 //   - dirty tracking: the dirty log is a subset of the written set at every
-//     nesting level;
-//   - TSC-offset chaining: a DVH virtual timer's host deadline equals the
-//     guest deadline plus the combined TSC-offset chain, re-verified at end
-//     of run against the live VMCS chain;
-//   - VMCS merge associativity: folding a nesting chain left or right yields
-//     the same vmcs02 (recursive virtualization soundness).
+//     nesting level.
 //
-// The conservation laws of cycles and exits are not checked: trace.Stats is
-// the one record of each, every cycle charged once at the level that spent
-// it and every exit counted once at the level that handled it, so both hold
-// by construction. Nor is frame balance: one engine function opens and
-// closes every boundary's frame, so End always closes the innermost one.
+// Laws that hold by construction are not checked. trace.Stats is the one
+// record of cycles and of exits, every cycle charged once at the level that
+// spent it and every exit counted once at the level that handled it, so
+// both conservation laws hold. Only a LAPIC's Deliver, Ack and EOI write
+// its IRR and ISR, and they keep the two disjoint, which FuzzLAPIC drives.
+// No engine path calls vmx.Merge, whose associativity FuzzMergeChain holds.
 //
 // The package also hosts the metamorphic property tests and fuzz targets
 // described in DESIGN.md.
@@ -26,7 +23,6 @@ package check
 import (
 	"fmt"
 
-	"repro/internal/apic"
 	"repro/internal/hyper"
 )
 
@@ -49,27 +45,18 @@ const (
 	maxTimerArms = 16384
 )
 
-// frame is one open boundary. The timer-arm check reads the operation of
-// the innermost open Execute: a virtual-timer arm inside a guest's timer
-// program is checked against the TSC-offset chain, one outside any against
-// the LAPIC deadline a restore set.
-type frame struct {
-	b  hyper.Boundary
-	op hyper.Op
-}
-
-// timerArm records one DVH virtual-timer arm for chain re-verification.
+// timerArm records one DVH virtual-timer arm and the TSC-offset chain its
+// deadline was computed under, for the end-of-run re-verification.
 type timerArm struct {
-	v             *hyper.VCPU
-	guestDeadline uint64
-	hostDeadline  uint64
+	v            *hyper.VCPU
+	hostDeadline uint64
+	chain        int64
 }
 
 // Checker implements hyper.InvariantChecker. It is single-threaded, like the
 // engine it observes.
 type Checker struct {
 	w           *hyper.World
-	frames      []frame
 	arms        []timerArm
 	armsDropped int
 	violations  []Violation
@@ -108,77 +95,28 @@ func (c *Checker) violate(invariant, format string, args ...any) {
 	}
 }
 
-// Begin implements hyper.InvariantChecker.
-func (c *Checker) Begin(b hyper.Boundary, op hyper.Op) {
-	//nvlint:ignore hotalloc frame stack capacity is warm after the first op at each nesting depth
-	c.frames = append(c.frames, frame{b: b, op: op})
-}
-
-// End implements hyper.InvariantChecker: it pops the innermost frame, which
-// the engine guarantees is this boundary's.
-func (c *Checker) End(v *hyper.VCPU, b hyper.Boundary, err error) {
-	c.frames = c.frames[:len(c.frames)-1]
-	if err != nil {
-		// Error paths abandon the operation midway, and the state they
-		// leave is not checked.
-		return
-	}
-	if v != nil {
-		// The disjointness test itself is allocation-free; the vCPU name is
-		// only rendered once a breach is being reported.
-		if word, overlap, bad := lapicOverlap(v.LAPIC); bad {
-			//nvlint:ignore hotalloc violation path: formatting the breach report may allocate
-			c.violate("lapic-irr-isr-disjoint", "%s: vectors %#x (word %d) both pending and in service", vcpuName(v), overlap, word)
-		}
-	}
-}
-
-// TimerArmed implements hyper.InvariantChecker: a DVH virtual-timer arm is
-// checked immediately against the current TSC-offset chain and recorded for
-// the end-of-run re-verification (which catches later chain corruption).
+// TimerArmed implements hyper.InvariantChecker. Both arm sites, a guest's
+// timer program (core.DVH.TryHandle) and a restore (core.RestoreVMState),
+// set the vCPU's LAPIC deadline just before they arm, so every arm must
+// equal it. The arm is recorded with the current TSC-offset chain for the
+// end-of-run re-verification, which catches a chain corrupted later.
 func (c *Checker) TimerArmed(v *hyper.VCPU, hostDeadline uint64) {
-	guest, ok := c.pendingTimerProgram()
-	if !ok {
-		// Not a guest timer program: a snapshot restore re-arming the saved
-		// deadline (core.RestoreVMState). The saved deadline is already in
-		// the host TSC domain and must match the restored LAPIC exactly;
-		// the guest-domain deadline is derived so the end-of-run sweep still
-		// catches chain corruption after the restore.
-		if lapic := v.LAPIC.TSCDeadline(); hostDeadline != lapic {
-			//nvlint:ignore hotalloc violation path: formatting the breach report may allocate
-			c.violate("timer-arm-lapic", "%s: restored timer armed for %d but LAPIC programmed with %d", vcpuName(v), hostDeadline, lapic)
-			return
-		}
-		guest = uint64(int64(hostDeadline) - combinedTSCOffset(v))
+	if lapic := v.LAPIC.TSCDeadline(); hostDeadline != lapic {
+		//nvlint:ignore hotalloc violation path: formatting the breach report may allocate
+		c.violate("timer-arm-lapic", "%s: timer armed for %d but LAPIC programmed with %d", vcpuName(v), hostDeadline, lapic)
 	}
-	arm := timerArm{v: v, guestDeadline: guest, hostDeadline: hostDeadline}
-	c.checkArm(arm)
 	if len(c.arms) < maxTimerArms {
-		c.arms = append(c.arms, arm) //nvlint:ignore hotalloc capped record buffer; growth amortizes to the maxTimerArms cap
+		c.arms = append(c.arms, timerArm{v: v, hostDeadline: hostDeadline, chain: combinedTSCOffset(v)}) //nvlint:ignore hotalloc capped record buffer; growth amortizes to the maxTimerArms cap
 	} else {
 		c.armsDropped++
 	}
 }
 
-// pendingTimerProgram finds the innermost open Execute frame carrying an
-// OpTimerProgram — the guest-programmed deadline the arm corresponds to.
-func (c *Checker) pendingTimerProgram() (uint64, bool) {
-	for i := len(c.frames) - 1; i >= 0; i-- {
-		f := &c.frames[i]
-		if f.b == hyper.BoundaryExecute && f.op.Kind == hyper.OpTimerProgram {
-			return f.op.Deadline, true
-		}
-	}
-	return 0, false
-}
-
-// checkArm verifies hostDeadline == guestDeadline + combined TSC offset.
+// checkArm reports an arm whose TSC-offset chain moved after it: the host
+// deadline no longer equals the guest's deadline plus the live chain.
 func (c *Checker) checkArm(a timerArm) {
-	chain := combinedTSCOffset(a.v)
-	want := uint64(int64(a.guestDeadline) + chain)
-	if a.hostDeadline != want {
-		//nvlint:ignore hotalloc violation path: formatting the breach report may allocate
-		c.violate("tsc-offset-chain", "%s: host deadline %d != guest deadline %d + chain offset %d (= %d)", vcpuName(a.v), a.hostDeadline, a.guestDeadline, chain, want)
+	if chain := combinedTSCOffset(a.v); chain != a.chain {
+		c.violate("tsc-offset-chain", "%s: timer armed for %d under TSC-offset chain %d, which is now %d", vcpuName(a.v), a.hostDeadline, a.chain, chain)
 	}
 }
 
@@ -192,33 +130,8 @@ func combinedTSCOffset(v *hyper.VCPU) int64 {
 	return off
 }
 
-// checkLAPIC verifies IRR/ISR disjointness: hardware never holds a vector as
-// both pending and in service. Used by the end-of-run sweep; the boundary
-// path (End) calls lapicOverlap directly so the name is formatted only when a
-// breach is reported.
-func (c *Checker) checkLAPIC(name string, l *apic.LAPIC) {
-	if word, overlap, bad := lapicOverlap(l); bad {
-		c.violate("lapic-irr-isr-disjoint",
-			"%s: vectors %#x (word %d) both pending and in service", name, overlap, word)
-	}
-}
-
-// lapicOverlap returns the first IRR/ISR word overlap, allocation-free.
-func lapicOverlap(l *apic.LAPIC) (word int, overlap uint64, bad bool) {
-	irr, isr := l.IRRSnapshot(), l.ISRSnapshot()
-	for i := range irr {
-		if o := irr[i] & isr[i]; o != 0 {
-			return i, o, true
-		}
-	}
-	return 0, 0, false
-}
-
 // vcpuName renders a vCPU identity for a violation message; it allocates and
 // must only be called on breach-reporting paths.
 func vcpuName(v *hyper.VCPU) string {
-	if v == nil {
-		return "<none>"
-	}
 	return fmt.Sprintf("%s/vcpu%d", v.VM.Name, v.ID)
 }

@@ -19,10 +19,6 @@ import (
 // checks nothing else.
 type armCounter struct{ arms int }
 
-func (*armCounter) Begin(hyper.Boundary, hyper.Op) {}
-
-func (*armCounter) End(*hyper.VCPU, hyper.Boundary, error) {}
-
 func (c *armCounter) TimerArmed(*hyper.VCPU, uint64) { c.arms++ }
 
 // vcpuState is the part of one vCPU a declined TryHandle must not touch.

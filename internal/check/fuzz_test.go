@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/apic"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/hyper"
@@ -237,7 +238,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := st.AttachChecker()
+		c := check.Attach(st.World)
 		if err := migrate.RestoreSnapshot(st.Target, st.DVH, data); err != nil {
 			return
 		}
@@ -299,7 +300,7 @@ func FuzzStackCell(f *testing.F) {
 			// Invalid cells (e.g. DVH at depth 1) must be rejected, not built.
 			return
 		}
-		c := st.AttachChecker()
+		c := check.Attach(st.World)
 		for _, m := range workload.Micros() {
 			if _, err := workload.RunMicro(st.World, st.Target.VCPUs[0], m, st.Net, 1+int(iters)%16); err != nil {
 				t.Fatalf("%+v: micro %v: %v", spec, m, err)
@@ -594,17 +595,17 @@ func runPlanCache(t *testing.T, data []byte) *hyper.World {
 	if len(data) > 2*planCacheMaxSteps {
 		data = data[:2*planCacheMaxSteps]
 	}
-	build := func(cache bool) *experiment.Stack {
+	build := func(cache bool) (*experiment.Stack, *check.Checker) {
 		st, err := experiment.Build(spec)
 		if err != nil {
-			return nil
+			return nil, nil
 		}
 		st.World.SetPlanCache(cache)
 		st.World.Stages = &hyper.StageStats{}
-		st.AttachChecker()
-		return st
+		return st, check.Attach(st.World)
 	}
-	cached, live := build(true), build(false)
+	cached, cachedChk := build(true)
+	live, liveChk := build(false)
 	if cached == nil {
 		// Invalid cells (e.g. DVH at depth 1) are rejected by Build.
 		return nil
@@ -645,10 +646,10 @@ func runPlanCache(t *testing.T, data []byte) *hyper.World {
 		t.Fatalf("%+v: trace timelines diverge:\n--- cached ---\n%s--- live ---\n%s",
 			spec, cachedRec.Timeline(), liveRec.Timeline())
 	}
-	if err := cached.Checker.Finish(); err != nil {
+	if err := cachedChk.Finish(); err != nil {
 		t.Fatalf("%+v: cached world: %v", spec, err)
 	}
-	if err := live.Checker.Finish(); err != nil {
+	if err := liveChk.Finish(); err != nil {
 		t.Fatalf("%+v: live world: %v", spec, err)
 	}
 	return cached.World

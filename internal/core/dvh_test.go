@@ -99,16 +99,31 @@ func TestVirtualTimerTable3(t *testing.T) {
 	}
 }
 
+// TestVirtualTimerOffsetsCombine: every hypervisor above a nested vCPU
+// programmed a TSC offset for the VM below it, and a virtual-timer arm must
+// apply all of them: at depth 2 the L1 hypervisor's and the host's, at
+// depth 3 also the L2 hypervisor's, on the vCPU, its parent and its
+// grandparent in that order.
 func TestVirtualTimerOffsetsCombine(t *testing.T) {
-	_, w, vms := buildStack(t, 2, FeaturesAll)
-	v := vms[1].VCPUs[0]
-	// The L1 hypervisor programmed a TSC offset for the nested VM, and the
-	// host programmed one for the L1 VM: both must apply.
-	v.VMCS.SetTSCOffset(-1000)
-	v.Parent.VMCS.SetTSCOffset(-2000)
-	exec(t, w, v, hyper.ProgramTimer(10_000))
-	if got := v.LAPIC.TSCDeadline(); got != 7_000 {
-		t.Fatalf("combined deadline = %d, want 7000 (offsets applied)", got)
+	for _, tc := range []struct {
+		depth   int
+		offsets []int64
+		want    uint64
+	}{
+		{2, []int64{-1000, -2000}, 7_000},
+		{3, []int64{-1000, -2000, -4000}, 3_000},
+	} {
+		_, w, vms := buildStack(t, tc.depth, FeaturesAll)
+		v := vms[tc.depth-1].VCPUs[0]
+		cur := v
+		for _, off := range tc.offsets {
+			cur.VMCS.SetTSCOffset(off)
+			cur = cur.Parent
+		}
+		exec(t, w, v, hyper.ProgramTimer(10_000))
+		if got := v.LAPIC.TSCDeadline(); got != tc.want {
+			t.Errorf("depth %d: combined deadline = %d, want %d (offsets %v applied)", tc.depth, got, tc.want, tc.offsets)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/apic"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/hyper"
 	"repro/internal/hyperv"
@@ -12,7 +13,7 @@ import (
 
 // TestUnifiedInterceptorChainHyperV is the integration proof for the unified
 // chain: a full evaluation stack registers core.DVH and the Hyper-V
-// enlightenment together, the invariant checker brackets every boundary, and
+// enlightenment together, the invariant checker watches the run, and
 // each interceptor claims its own exit class — the enlightenment executes the
 // nested VM's hypercall at L0 (direct virtual flush) while DVH keeps claiming
 // doorbells and timer writes.
@@ -24,7 +25,7 @@ func TestUnifiedInterceptorChainHyperV(t *testing.T) {
 	if err := st.World.RegisterInterceptor(hyperv.Enlightenment{}); err != nil {
 		t.Fatal(err)
 	}
-	chk := st.AttachChecker()
+	chk := check.Attach(st.World)
 
 	chain := st.World.Interceptors()
 	if len(chain) != 2 {
@@ -87,7 +88,7 @@ func TestUnifiedInterceptorChainXen(t *testing.T) {
 	if err := st.World.RegisterInterceptor(xen.Enlightenment{}); err != nil {
 		t.Fatal(err)
 	}
-	chk := st.AttachChecker()
+	chk := check.Attach(st.World)
 
 	v := st.Target.VCPUs[0]
 	dest := st.Target.VCPUs[1]

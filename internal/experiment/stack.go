@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/hyper"
 	"repro/internal/hyperv"
@@ -142,18 +141,6 @@ type Stack struct {
 	// Net and Blk are the target VM's devices.
 	Net *hyper.AssignedDevice
 	Blk *hyper.AssignedDevice
-	// Checker is the invariant checker installed by AttachChecker, if any.
-	Checker *check.Checker
-}
-
-// AttachChecker installs an invariant checker on the stack's world so every
-// subsequent boundary operation is validated; call Checker.Finish() after the
-// run for the end-of-run sweep. Idempotent per stack.
-func (st *Stack) AttachChecker() *check.Checker {
-	if st.Checker == nil {
-		st.Checker = check.Attach(st.World)
-	}
-	return st.Checker
 }
 
 // Build assembles a stack per the spec. The topology follows the paper's

@@ -11,9 +11,9 @@ import (
 // This file is the deliver stage of the pipeline: interrupt deliveries
 // (timer, device completion), inbound device data, and idle wakes. Each
 // public entry point is one call to transact (pipeline.go), which runs the
-// body below as its own exit transaction, one StageDeliver span; the checker
-// frames stack when a delivery happens inside a larger transaction (an IPI
-// waking its destination). No delivery can fail (see World): the bodies
+// body below as its own exit transaction, one StageDeliver span; a delivery
+// inside a larger transaction (an IPI waking its destination) settles inside
+// it. No delivery can fail (see World): the bodies
 // return nothing, and each entry point discards the nil error transact
 // returns for it.
 

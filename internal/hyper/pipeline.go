@@ -14,10 +14,10 @@ import (
 // ordered stages, and settles it. The paper's Figure 1 flow — an exit
 // enters at L0 and is either handled directly (1b) or forwarded up the
 // hypervisor stack (1a) — is modeled as explicit stages so that boundary
-// bookkeeping (invariant-checker bracketing, the final cost returned to the
-// caller) happens in exactly one place instead of being replicated per entry
-// point, and so that direct-handling backends (DVH, enlightenments) plug into
-// one interceptor chain instead of a hard-coded hook.
+// bookkeeping (stage attribution, the final cost returned to the caller)
+// happens in exactly one place instead of being replicated per entry point,
+// and so that direct-handling backends (DVH, enlightenments) plug into one
+// interceptor chain instead of a hard-coded hook.
 
 // Stage identifies the phase an exit transaction is in. A transaction's
 // stages are ordered — fast-path, intercept, route, emulate or forward,
@@ -47,8 +47,7 @@ const (
 	// injection, device receive processing, idle wakes.
 	StageDeliver
 	// StageSettle closes the transaction: the single point where the final
-	// cost is handed back to the caller and the invariant checker observes
-	// the completed boundary.
+	// cost is handed back to the caller.
 	StageSettle
 )
 
@@ -92,8 +91,7 @@ const ownerUnresolved = -1
 //
 // Nested transactions stack naturally: a forwarded exit whose owner re-enters
 // Execute (a guest hypervisor arming its own timer, a cascaded virtio kick)
-// opens a fresh ExitContext, and the invariant checker's frames stack with
-// them.
+// opens a fresh ExitContext.
 type ExitContext struct {
 	// V is the vCPU the transaction runs on (the exiting vCPU for Execute,
 	// the delivery target for the IRQ boundaries).
@@ -143,12 +141,11 @@ func (sp *stageSpans) enter(s Stage, stats *trace.Stats) {
 //
 //   - fills the ExitContext in place on its own stack frame and reads the
 //     stats sink's total;
-//   - raises the world's transaction depth and opens the invariant checker's
-//     frame;
+//   - raises the world's transaction depth;
 //   - runs the boundary's body: Execute's dispatch, which enters each stage
 //     it runs, or one delivery body, which is one StageDeliver span;
-//   - lowers the depth and closes the checker's frame with dispatch's error,
-//     the only one a body returns: a delivery cannot fail;
+//   - lowers the depth, whatever dispatch returned: its error is the only
+//     one a body returns, since a delivery cannot fail;
 //   - hands an outermost transaction that opened with a StageStats attached
 //     to the one attached when it settles;
 //   - returns the cost, the change in the sink's total, or zero on error.
@@ -172,9 +169,6 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 		sp = &spans
 	}
 	w.txDepth++
-	if w.Check != nil {
-		w.Check.Begin(b, op)
-	}
 
 	var err error
 	switch b {
@@ -196,9 +190,6 @@ func (w *World) transact(b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.C
 	// across that call is spilled and reloaded on each transaction, and a
 	// smaller set measurably speeds up BenchmarkExecute.
 	w.txDepth--
-	if w.Check != nil {
-		w.Check.End(tx.V, tx.Boundary, err)
-	}
 	if err != nil {
 		return 0, err
 	}

@@ -134,79 +134,32 @@ func TestInterceptorSkippedAtLevel1(t *testing.T) {
 	}
 }
 
-// spyChecker counts boundary frames to prove the pipeline's single settle
-// point: one Begin and one End per public entry, with End receiving the
-// error the caller got.
-type spyChecker struct {
-	begins, ends int
-	lastErr      error
-	open         int
-	maxDepth     int
-}
-
-func (s *spyChecker) Begin(b Boundary, op Op) {
-	s.begins++
-	s.open++
-	if s.open > s.maxDepth {
-		s.maxDepth = s.open
-	}
-}
-
-func (s *spyChecker) End(v *VCPU, b Boundary, err error) {
-	s.ends++
-	s.open--
-	s.lastErr = err
-}
-
-func (s *spyChecker) TimerArmed(v *VCPU, hostDeadline uint64) {}
-
-// TestSingleSettlePoint drives representative paths through each pipeline
-// outcome — fast path, host emulation, interceptor claim, full forwarding —
-// and checks every Execute produced exactly one balanced checker frame.
+// TestSingleSettlePoint drives representative paths through the pipeline —
+// the fast path, full forwarding, an interceptor claim — and checks every
+// Execute settled exactly once, as an Execute, with the cost it returned.
 func TestSingleSettlePoint(t *testing.T) {
 	w, vms := testStack(t, 2)
-	spy := &spyChecker{}
-	w.Check = spy
 	v := vms[1].VCPUs[0]
-
-	ops := []Op{EOI(), Hypercall()}
-	for _, op := range ops {
-		before := spy.begins
-		exec(t, w, v, op)
-		if spy.begins != before+1 {
-			t.Fatalf("%v: %d Begin frames for one Execute, want 1", op.Kind, spy.begins-before)
-		}
-		if spy.ends != spy.begins {
-			t.Fatalf("%v: unbalanced frames: %d begins, %d ends", op.Kind, spy.begins, spy.ends)
+	settle := func(op Op) {
+		t.Helper()
+		ss := &StageStats{}
+		w.Stages = ss
+		cost := exec(t, w, v, op)
+		w.Stages = nil
+		if ss.TotalSettled() != 1 || ss.Settled[BoundaryExecute] != 1 || ss.TotalCycles() != cost {
+			t.Fatalf("%v: settled %d transactions (%d Execute) of %v cycles, want one Execute of %v",
+				op.Kind, ss.TotalSettled(), ss.Settled[BoundaryExecute], ss.TotalCycles(), cost)
 		}
 	}
+	settle(EOI())
+	settle(Hypercall())
 
 	// An interceptor claim settles through the same single point.
 	log := &[]string{}
 	mustRegister(t, w, &stubInterceptor{name: "claimer", priority: 1, handle: true, work: 100, log: log})
-	before := spy.begins
-	exec(t, w, v, Hypercall())
-	if spy.begins != before+1 || spy.ends != spy.begins {
-		t.Fatalf("intercepted exit: frames begin=%d end=%d (before=%d), want one balanced frame", spy.begins, spy.ends, before)
-	}
-}
-
-// TestNestedBoundariesStack verifies that a delivery boundary opened inside a
-// transaction (the wake inside an IPI) stacks checker frames rather than
-// merging them — the pipeline opens one transaction per public entry, nested
-// entries included.
-func TestNestedBoundariesStack(t *testing.T) {
-	w, vms := testStack(t, 1)
-	spy := &spyChecker{}
-	w.Check = spy
-	dest := vms[0].VCPUs[1]
-	dest.Idle = true
-	exec(t, w, vms[0].VCPUs[0], SendIPI(1, 0x42))
-	if spy.maxDepth < 2 {
-		t.Errorf("IPI-with-wake frame depth = %d, want >= 2 (Execute + WakeIfIdle)", spy.maxDepth)
-	}
-	if spy.begins != spy.ends {
-		t.Errorf("unbalanced frames: %d begins, %d ends", spy.begins, spy.ends)
+	settle(Hypercall())
+	if len(*log) != 1 {
+		t.Fatalf("claimer consulted %d times, want 1", len(*log))
 	}
 }
 
@@ -248,15 +201,14 @@ func TestExitContextLedger(t *testing.T) {
 
 // TestSettleZeroesCostOnError pins the error contract: a transaction that
 // fails after charging its ledger abandons those partial charges, the
-// caller sees (0, err) and the checker the same err. The L2 IPI to a vCPU
+// caller sees (0, err) and no StageStats observes it. The L2 IPI to a vCPU
 // its VM lacks takes its hardware exit into L0, charging the route's
 // HwExit, and is reflected to the L1 hypervisor, charging the forward tree,
 // before the owner's destination lookup fails it.
 func TestSettleZeroesCostOnError(t *testing.T) {
 	w, vms := testStack(t, 2)
-	spy := &spyChecker{}
 	ss := &StageStats{}
-	w.Check, w.Stages = spy, ss
+	w.Stages = ss
 
 	cost, err := w.Execute(vms[1].VCPUs[0], SendIPI(99, apic.VectorReschedule))
 	if cost != 0 || err == nil {
@@ -266,9 +218,6 @@ func TestSettleZeroesCostOnError(t *testing.T) {
 	ref.forwardCost(refVMs[1].stack, vmx.ExitAPICAccess, 1, ref)
 	if c, want := w.Host.Machine.Stats.TotalCycles(), w.Costs.HwExit+ref.Host.Machine.Stats.TotalCycles(); c != want {
 		t.Fatalf("charged %v cycles, want the route's HwExit and the forward tree, %v: the error must follow ledger charges", c, want)
-	}
-	if spy.ends != 1 || spy.lastErr != err {
-		t.Errorf("checker observed %d frames ending with %v, want 1 ending with %v", spy.ends, spy.lastErr, err)
 	}
 	if n := ss.TotalSettled(); n != 0 {
 		t.Errorf("sink observed %d transactions of a failed call, want 0", n)

@@ -76,10 +76,9 @@ type World struct {
 	// around each boundary's body: 0 after the decrement means the settling
 	// transaction is outermost and is the one StageStats observes.
 	txDepth int
-	// Check, when non-nil, observes every boundary entry/exit for invariant
-	// validation (internal/check). A nil checker costs one branch. Attach,
-	// replace or detach it between transactions: each End must close a
-	// frame the same checker's Begin opened.
+	// Check, when non-nil, is told of every DVH virtual-timer arm for
+	// invariant validation (internal/check). A nil checker costs one branch
+	// per arm.
 	Check InvariantChecker
 	// timeline queues the host hrtimers armed for this World's vCPUs, each
 	// event carrying its vCPU (armHostTimer); RunUntil fires them.

@@ -14,13 +14,14 @@ import (
 
 // rig holds a source stack and a destination twin on a second machine.
 type rig struct {
-	dvh  *core.DVH
-	w    *hyper.World
-	l1   *hyper.VM
-	l2   *hyper.VM
-	dst  *hyper.VM // destination twin of l2 on machine B
-	vp   []*core.VPState
-	vpOK bool
+	dvh   *core.DVH
+	w     *hyper.World
+	l1    *hyper.VM
+	l2    *hyper.VM
+	dstL1 *hyper.VM // destination twin of l1 on machine B
+	dst   *hyper.VM // destination twin of l2 on machine B
+	vp    []*core.VPState
+	vpOK  bool
 }
 
 func buildRig(t *testing.T, features core.Features) *rig {
@@ -48,8 +49,8 @@ func buildRig(t *testing.T, features core.Features) *rig {
 		return w, d, l1, l2
 	}
 	w, d, l1, l2 := mkStack("src")
-	_, dd, _, dst := mkStack("dst")
-	r := &rig{dvh: d, w: w, l1: l1, l2: l2, dst: dst}
+	_, dd, dstL1, dst := mkStack("dst")
+	r := &rig{dvh: d, w: w, l1: l1, l2: l2, dstL1: dstL1, dst: dst}
 	if features.Has(core.FeatureVirtualPassthrough) {
 		dev, err := d.AttachVirtualPassthroughNet(l2, "vp-net")
 		if err != nil {
@@ -99,6 +100,27 @@ func TestMigrationParavirtCorrect(t *testing.T) {
 	if len(bad) != 0 {
 		t.Fatalf("destination diverges on %d pages", len(bad))
 	}
+	requireWrittenAtDest(t, r.l2, r.dst)
+}
+
+// requireWrittenAtDest requires every page src has written to be in dst's
+// written set too: a copied page counts as written at the destination,
+// which VerifyDest, walking only the source's written set, cannot see.
+func requireWrittenAtDest(t *testing.T, src, dst *hyper.VM) {
+	t.Helper()
+	missing, first := 0, uint64(0)
+	src.WrittenSet().ForEach(func(p uint64) {
+		if !dst.WrittenSet().Test(p) {
+			if missing == 0 {
+				first = p
+			}
+			missing++
+		}
+	})
+	if missing != 0 {
+		t.Fatalf("%d of %d pages written at the source are not written at the destination, the first %#x",
+			missing, src.WrittenSet().Count(), first)
+	}
 }
 
 func TestMigrationVPWithCapabilityCorrect(t *testing.T) {
@@ -124,6 +146,7 @@ func TestMigrationVPWithCapabilityCorrect(t *testing.T) {
 	if len(bad) != 0 {
 		t.Fatalf("destination diverges on %d pages despite the migration capability", len(bad))
 	}
+	requireWrittenAtDest(t, r.l2, r.dst)
 }
 
 // dirtySet must return the union of the guest-visible log and the DMA log,
@@ -237,6 +260,43 @@ func TestMigrationWholeStackCostsMore(t *testing.T) {
 	}
 	if wrep.TotalTime <= nrep.TotalTime {
 		t.Errorf("whole-stack time %v should exceed nested-only %v", wrep.TotalTime, nrep.TotalTime)
+	}
+}
+
+// TestMigrationCarriesNestedWrites migrates the L1 VM of a depth-2 stack,
+// its guest hypervisor and nested VM with it, after the nested VM wrote 64
+// pages: each write must reach the destination in the L1 frame the L2 EPT
+// maps that page to. VerifyDest cannot see a nested write that never reached
+// the L1 VM's written set, because it walks that same set.
+func TestMigrationCarriesNestedWrites(t *testing.T) {
+	r := buildRig(t, 0)
+	const first, n = mem.PFN(100), 64
+	val := func(i int) uint64 { return 0xabc0 + uint64(i) }
+	if err := r.l2.Memory().WritePageQuads(first, n, val); err != nil {
+		t.Fatal(err)
+	}
+	p := &Plan{VM: r.l1, Dest: r.dstL1, Churn: Churn{WorkingSetPages: 16}}
+	if _, err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range n {
+		walk := r.l2.EPT.Lookup(first + mem.PFN(i))
+		if !walk.Present {
+			t.Fatalf("nested page %d has no L1 frame", first+mem.PFN(i))
+		}
+		at := walk.PFN.Base()
+		src, err := r.l1.Memory().ReadU64(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := r.dstL1.Memory().ReadU64(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src != val(i) || dst != src {
+			t.Fatalf("nested page %d (L1 frame %#x): source %#x, destination %#x, want %#x",
+				first+mem.PFN(i), uint64(walk.PFN), src, dst, val(i))
+		}
 	}
 }
 

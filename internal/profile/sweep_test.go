@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/experiment"
 	"repro/internal/hyper"
 	"repro/internal/profile"
@@ -60,9 +61,9 @@ func TestAnchorsMeasuredLive(t *testing.T) {
 }
 
 // TestCheckerSweepEveryProfile runs the internal/check invariant sweep under
-// every registered profile: boundary bracketing, LAPIC sanity and the
-// end-of-run chain verification are engine properties, so they must hold for
-// any calibration the engine is pointed at.
+// every registered profile: timer arms matching the LAPIC deadline, dirty
+// tracking and the end-of-run chain verification are engine properties, so
+// they must hold for any calibration the engine is pointed at.
 func TestCheckerSweepEveryProfile(t *testing.T) {
 	apps := []string{"Netperf RR", "MySQL"}
 	for _, p := range profile.All() {
@@ -72,7 +73,7 @@ func TestCheckerSweepEveryProfile(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Build(%+v): %v", spec, err)
 				}
-				c := st.AttachChecker()
+				c := check.Attach(st.World)
 				v := st.Target.VCPUs[0]
 				for _, m := range workload.Micros() {
 					if _, err := workload.RunMicro(st.World, v, m, st.Net, 8); err != nil {
@@ -109,7 +110,7 @@ func TestTimerFiringEveryProfile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		c := st.AttachChecker()
+		c := check.Attach(st.World)
 		wp, ok := workload.ProfileByName("Memcached")
 		if !ok {
 			t.Fatal("Memcached workload missing")
